@@ -175,7 +175,7 @@ func run(ctx context.Context, dir, shards string, hedgeDelay time.Duration, addr
 		cfg.openDuration = time.Since(start)
 		src, ing = c, c
 		logger.Info("serving corpus", "dir", dir, "docs", c.Len(), "quarantined", c.Quarantined(),
-			"openDuration", cfg.openDuration.String(), "mappedBytes", c.MappedBytes(), "addr", addr)
+			"openDuration", cfg.openDuration.String(), "mappedBytes", c.MappedBytes(), "columnBytes", c.ColumnBytes(), "addr", addr)
 	} else {
 		replicas := 0
 		children := make([]corpus.Searcher, 0, 4)

@@ -218,8 +218,13 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if mb, ok := s.src.(interface{ MappedBytes() int64 }); ok {
 		fmt.Fprintf(w, "# HELP tasmd_corpus_mapped_bytes Committed store bytes served from read-only memory mappings (0 when mmap is disabled or unsupported).\n# TYPE tasmd_corpus_mapped_bytes gauge\ntasmd_corpus_mapped_bytes %d\n", mb.MappedBytes())
 	}
+	// Decoded postorder columns: the heap copy of every store's items
+	// that queries actually scan, 8 bytes per node.
+	if cb, ok := s.src.(interface{ ColumnBytes() int64 }); ok {
+		fmt.Fprintf(w, "# HELP tasmd_corpus_column_bytes Heap bytes of the postorder columns decoded from the stores at load and scanned by every query (8 per node; a document whose store failed to decode holds none and is streamed instead).\n# TYPE tasmd_corpus_column_bytes gauge\ntasmd_corpus_column_bytes %d\n", cb.ColumnBytes())
+	}
 	if s.cfg.openDuration > 0 {
-		fmt.Fprintf(w, "# HELP tasmd_corpus_open_seconds Cold-start cost of opening the backend (manifest load, scrub, profile decode, store mapping).\n# TYPE tasmd_corpus_open_seconds gauge\ntasmd_corpus_open_seconds %g\n", s.cfg.openDuration.Seconds())
+		fmt.Fprintf(w, "# HELP tasmd_corpus_open_seconds Cold-start cost of opening the backend (manifest load, scrub, profile decode, store mapping and column decode).\n# TYPE tasmd_corpus_open_seconds gauge\ntasmd_corpus_open_seconds %g\n", s.cfg.openDuration.Seconds())
 	}
 	m.topkLatency.write(w, "tasmd_topk_latency_seconds", "Per-request latency of POST /v1/topk (cache hits included).")
 	m.batchLatency.write(w, "tasmd_topk_batch_latency_seconds", "Per-request latency of POST /v1/topk-batch (cache hits included).")

@@ -291,6 +291,7 @@ func TestMetricsExpositionLeaf(t *testing.T) {
 		"tasmd_inflight_queries",
 		"tasmd_dict_base_labels",
 		"tasmd_corpus_mapped_bytes",
+		"tasmd_corpus_column_bytes",
 		"tasmd_goroutines",
 		"tasmd_gomaxprocs",
 		"tasmd_heap_bytes",
@@ -305,6 +306,10 @@ func TestMetricsExpositionLeaf(t *testing.T) {
 	// cache hit) must be visible in the histogram counts.
 	if !strings.Contains(body, "tasmd_topk_latency_seconds_count 2") {
 		t.Errorf("expected 2 observed topk requests, exposition:\n%s", body)
+	}
+	// Both documents decoded at ingest: 7 + 4 nodes at 8 bytes each.
+	if !strings.Contains(body, "tasmd_corpus_column_bytes 88\n") {
+		t.Errorf("expected 88 column bytes for 11 nodes, exposition:\n%s", body)
 	}
 }
 
@@ -342,8 +347,8 @@ func TestMetricsExpositionRouter(t *testing.T) {
 	if families["tasmd_dict_base_labels"] != nil {
 		t.Errorf("router must not export the leaf-only base dictionary gauge")
 	}
-	if families["tasmd_corpus_mapped_bytes"] != nil {
-		t.Errorf("router must not export the leaf-only mapped-bytes gauge")
+	if families["tasmd_corpus_mapped_bytes"] != nil || families["tasmd_corpus_column_bytes"] != nil {
+		t.Errorf("router must not export the leaf-only mapped-bytes and column-bytes gauges")
 	}
 }
 

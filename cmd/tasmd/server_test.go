@@ -328,19 +328,72 @@ func TestLRUCacheEviction(t *testing.T) {
 func TestCorruptStoreIs500(t *testing.T) {
 	h, c := newTestServer(t, serverConfig{})
 	ingest(t, h, "d1", `<r><a><b>x</b></a></r>`)
+	tearStore(t, c)
+	// Answers come from the copy decoded at load, so the tear has to be on
+	// disk before Open to matter, and the scrub off so the document is
+	// served rather than quarantined: its columns fail to build, it
+	// degrades to the streaming reader, and every scan hits the tear.
+	torn, err := corpus.Open(c.Dir(), corpus.WithVerifyMode(corpus.VerifyOff))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := doJSON(t, newServer(torn, torn, serverConfig{}), "POST", "/v1/topk", `{"query":"{a{b{x}}}","k":1}`)
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("corrupt store: status %d, want 500 (%s)", w.Code, w.Body)
+	}
+}
+
+// TestStoreDamageAfterLoadChangesNothing is the converse: once a document
+// is loaded, nothing done to its file changes an answer or crashes a scan
+// — not a tear that shortens the mapping's backing pages, not a flipped
+// label id — while the scrub still sees the damage and quarantines it.
+func TestStoreDamageAfterLoadChangesNothing(t *testing.T) {
+	h, c := newTestServer(t, serverConfig{})
+	ingest(t, h, "d1", `<r><a><b>x</b></a></r>`)
+	ingest(t, h, "d2", `<r><a><c>y</c></a></r>`)
+	const query = `{"query":"{a{b{x}}}","k":3}`
+	before := doJSON(t, h, "POST", "/v1/topk", query)
+	if before.Code != http.StatusOK {
+		t.Fatalf("intact corpus: status %d (%s)", before.Code, before.Body)
+	}
+
 	store := filepath.Join(c.Dir(), "docs", "1.store")
 	data, err := os.ReadFile(store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Truncate into the item region: the last 4 bytes are the CRC
-	// trailer, which the scan path never reads (integrity is a scrub-time
-	// concern), so only a structural tear surfaces as a scan error.
-	if err := os.WriteFile(store, data[:len(data)-10], 0o644); err != nil {
+	flipped := bytes.Clone(data)
+	flipped[len(flipped)-12] ^= 0x01 // the label id of the first of the 4 items: x, the best match's leaf
+	for name, damaged := range map[string][]byte{"flipped label id": flipped, "torn": data[:len(data)-10]} {
+		if err := os.WriteFile(store, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		after := doJSON(t, h, "POST", "/v1/topk", query)
+		if after.Code != http.StatusOK || after.Body.String() != before.Body.String() {
+			t.Fatalf("%s after load: status %d\n got  %s want %s", name, after.Code, after.Body, before.Body)
+		}
+	}
+
+	w := doJSON(t, h, "POST", "/v1/admin/verify", nil)
+	if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"d1"`) {
+		t.Fatalf("verify after damage: status %d, want d1 quarantined (%s)", w.Code, w.Body)
+	}
+	if docs := c.Docs(); len(docs) != 1 || docs[0].Name != "d2" {
+		t.Fatalf("after verify the corpus serves %v, want only d2", docs)
+	}
+}
+
+// tearStore truncates the first document's store into its item region:
+// the last 4 bytes are the CRC trailer, which no scan reads, so only a
+// structural tear surfaces as a scan error.
+func tearStore(t *testing.T, c *corpus.Corpus) {
+	t.Helper()
+	store := filepath.Join(c.Dir(), "docs", "1.store")
+	data, err := os.ReadFile(store)
+	if err != nil {
 		t.Fatal(err)
 	}
-	w := doJSON(t, h, "POST", "/v1/topk", `{"query":"{a{b{x}}}","k":1}`)
-	if w.Code != http.StatusInternalServerError {
-		t.Fatalf("corrupt store: status %d, want 500 (%s)", w.Code, w.Body)
+	if err := os.WriteFile(store, data[:len(data)-10], 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

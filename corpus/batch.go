@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
 
 	"tasm/internal/core"
@@ -25,10 +23,10 @@ type batchDoc struct {
 	bounds []float64 // per query: sound lower bound on any subtree distance
 }
 
-// TopKBatch answers several queries across the corpus in one pass:
-// every selected document is opened and streamed through the prefix ring
-// buffer once, and all queries rank its candidate subtrees during that
-// single scan (core.PostorderBatchInto). Result i corresponds to
+// TopKBatch answers several queries across the corpus in one pass: the
+// candidate subtrees of every selected document are enumerated once, and
+// all queries rank them during that single scan
+// (core.PostorderBatchColumnsInto). Result i corresponds to
 // queries[i] and is byte-identical to c.TopK(queries[i], k).
 //
 // The whole batch shares one request overlay over the frozen corpus
@@ -266,31 +264,26 @@ func (c *Corpus) planBatch(st *snapshot, qs []*tree.Tree, cfg *QueryConfig, dst 
 	return plan, nil
 }
 
-// scanBatchInto streams one document store through the shared ring-buffer
-// scan of core.PostorderBatchInto, ranking all queries at once. Like
-// scanInto, the snapshot's cached store serves a pooled zero-copy reader;
-// a document without one falls back to a streaming read.
+// scanBatchInto scans one document for all queries at once, by the same
+// choice of form as scanInto: columns when the store decoded at load,
+// else a stream from the cached image or the file.
 func (c *Corpus) scanBatchInto(qs []*tree.Tree, ov dict.Dict, st *snapshot, d scanDoc, heaps []*ranking.Heap, opts core.Options) error {
-	if ds := st.stores[d.info.ID]; ds != nil {
+	var err error
+	ds := st.stores[d.info.ID]
+	switch {
+	case ds != nil && ds.cols != nil:
+		err = core.PostorderBatchColumnsInto(qs, ds.cols, heaps, d.offset, opts)
+	case ds != nil:
 		ir := c.readerPool.Get().(*docstore.ImageReader)
 		ir.Reset(ds.img, ds.remap)
-		err := core.PostorderBatchInto(qs, ir, heaps, d.offset, opts)
+		err = core.PostorderBatchInto(qs, ir, heaps, d.offset, opts)
 		c.readerPool.Put(ir)
-		if err != nil {
-			return &ScanError{Doc: d.info.Name, Err: err}
-		}
-		return nil
+	default:
+		err = c.withFileReader(ov, d, func(r *docstore.Reader) error {
+			return core.PostorderBatchInto(qs, r, heaps, d.offset, opts)
+		})
 	}
-	f, err := os.Open(filepath.Join(c.dir, d.info.Store))
 	if err != nil {
-		return &ScanError{Doc: d.info.Name, Err: err}
-	}
-	defer f.Close()
-	r, err := docstore.NewReader(ov, f)
-	if err != nil {
-		return &ScanError{Doc: d.info.Name, Err: err}
-	}
-	if err := core.PostorderBatchInto(qs, r, heaps, d.offset, opts); err != nil {
 		return &ScanError{Doc: d.info.Name, Err: err}
 	}
 	return nil

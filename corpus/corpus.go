@@ -189,14 +189,14 @@ func WithFS(fs atomicio.FS) Option {
 }
 
 // WithMmap selects how committed store files are loaded for the serving
-// set (default true: memory-mapped read-only, so scans are zero-copy,
-// the kernel pages store bytes on demand, and a corpus larger than RAM
-// still opens near-instantly). false reads each store whole into the
-// heap instead — the portable fallback, behind the same cached-image
-// interface, and the equivalence oracle for the mapped path. Either
-// way the query path never re-opens or re-parses a store; a store that
-// fails to load at all degrades that one document to per-query
-// streaming reads.
+// set (default true: memory-mapped read-only, so the file's bytes stay in
+// the page cache rather than the heap). false reads each store whole into
+// the heap instead — the portable fallback, behind the same cached-image
+// interface, and the equivalence oracle for the mapped path. Either way
+// the items are decoded once, at load, into the columns queries scan, and
+// the query path never re-opens or re-parses a store; a store that fails
+// to load at all degrades that one document to per-query streaming
+// reads.
 func WithMmap(on bool) Option {
 	return func(c *Corpus) { c.mmap = on }
 }
@@ -219,8 +219,9 @@ type Corpus struct {
 	man      *docstore.Manifest
 	profiles map[int]*docProfile // by document id
 	// stores caches each document's loaded store: the mapped (or, under
-	// WithMmap(false), heap-copied) bytes, the header parsed once, and
-	// the label remap into the base dictionary. Entries are created when
+	// WithMmap(false), heap-copied) bytes, the header parsed once, the
+	// label remap into the base dictionary, and the items decoded once
+	// into postorder columns. Entries are created when
 	// a document enters the serving set (Open, AddTree) and deleted when
 	// it leaves (Remove, quarantine); a document that fails to load has
 	// no entry and is served by per-query streaming reads instead. The
@@ -242,10 +243,10 @@ type Corpus struct {
 	snap *snapshot
 
 	// Per-corpus pools of query-lifetime scan state: plan slices, image
-	// readers, and core scan scratch (distance computer, ring buffer,
-	// candidate view). Everything a pool hands out is reset before use
-	// and returned at end of run, so steady-state queries allocate O(k),
-	// not O(corpus).
+	// readers, and core scan scratch (distance computer, candidate
+	// source, candidate view). Everything a pool hands out is reset before
+	// use and returned at end of run, so steady-state queries allocate
+	// O(k), not O(corpus).
 	planPool         sync.Pool // *[]scanDoc
 	batchPool        sync.Pool // *[]batchDoc
 	readerPool       sync.Pool // *docstore.ImageReader
@@ -264,12 +265,17 @@ type docProfile struct {
 // docStore is the cached, query-ready form of one document's store file:
 // region keeps the bytes alive (and unmaps them via finalizer once no
 // snapshot references them), img is the header parsed once, remap
-// translates stored label ids to base-dictionary ids. Immutable after
-// construction; shared by every snapshot that includes the document.
+// translates stored label ids to base-dictionary ids. cols is the item
+// region decoded and verified once at load — what every query scans, so
+// answers never depend on the file's bytes after load; it is nil for a
+// store whose items are damaged, which is streamed from img per query and
+// reports the damage there. Immutable after construction; shared by every
+// snapshot that includes the document.
 type docStore struct {
 	region *mmapio.Region
 	img    *docstore.Image
 	remap  []int
+	cols   *postorder.Columns
 }
 
 // snapshot is one consistent view of the corpus for a single query run:
@@ -322,10 +328,12 @@ func (c *Corpus) publishLocked() {
 }
 
 // loadStore maps (or, under WithMmap(false), reads) a committed store
-// file, parses its header, and interns its label table into base —
-// which must still be mutable (Open) or be a private pre-freeze clone
-// (AddTree). Failures are not fatal: the document falls back to
-// per-query streaming reads, and the degradation is logged.
+// file, parses its header, interns its label table into base — which
+// must still be mutable (Open) or be a private pre-freeze clone
+// (AddTree) — and decodes its items into columns. Failures are not
+// fatal: the document falls back to per-query streaming reads (of the
+// image if only the items are damaged, of the file otherwise), and the
+// degradation is logged.
 func (c *Corpus) loadStore(base *dict.Base, d DocInfo) *docStore {
 	open := mmapio.Map
 	if !c.mmap {
@@ -335,13 +343,32 @@ func (c *Corpus) loadStore(base *dict.Base, d DocInfo) *docStore {
 	if err == nil {
 		var img *docstore.Image
 		if img, err = docstore.ParseImage(region.Bytes()); err == nil {
-			return &docStore{region: region, img: img, remap: img.Remap(base)}
+			s := &docStore{region: region, img: img, remap: img.Remap(base)}
+			if s.cols, err = img.Columns(s.remap); err != nil {
+				c.log.Warn("corpus: store items not decodable, document degrades to streaming reads",
+					"dir", c.dir, "doc", d.Name, "id", d.ID, "err", err)
+			}
+			return s
 		}
 		region.Close()
 	}
 	c.log.Warn("corpus: store not cacheable, document degrades to streaming reads",
 		"dir", c.dir, "doc", d.Name, "id", d.ID, "err", err)
 	return nil
+}
+
+// ColumnBytes returns the heap bytes held by the decoded postorder
+// columns of the serving set: 8 per node of every document whose store
+// decoded cleanly at load.
+func (c *Corpus) ColumnBytes() int64 {
+	st := c.snapshot()
+	var n int64
+	for _, s := range st.stores {
+		if s.cols != nil {
+			n += s.cols.Bytes()
+		}
+	}
+	return n
 }
 
 // MappedBytes returns the total size of store bytes the corpus currently
@@ -427,11 +454,11 @@ func Open(dir string, opts ...Option) (*Corpus, error) {
 		c.profiles[d.ID] = p
 	}
 	// Load every surviving store into the cache: map the file, parse the
-	// header once, intern the label table into the still-mutable base.
-	// For a profiled document the store's labels are a subset of the
-	// profile's, so the dictionary does not grow here; an unprofiled
-	// document contributes its labels now instead of per query. This is
-	// the whole cold start — no store's item bytes are touched.
+	// header once, intern the label table into the still-mutable base,
+	// decode the items into columns. For a profiled document the store's
+	// labels are a subset of the profile's, so the dictionary does not
+	// grow here; an unprofiled document contributes its labels now
+	// instead of per query.
 	for _, d := range c.man.Docs {
 		if s := c.loadStore(base, d); s != nil {
 			c.stores[d.ID] = s

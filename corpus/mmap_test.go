@@ -51,75 +51,88 @@ func buildMmapCorpus(t *testing.T, dir string, docs int) {
 	}
 }
 
-// TestMmapFallbackEquivalence pins the tentpole contract: the mapped
-// zero-copy reader and the WithMmap(false) heap fallback answer every
-// query byte-identically, for both single and batch serving.
+// TestMmapFallbackEquivalence pins the contract between the forms a
+// cached document can be served in: mapped or heap-loaded (WithMmap), and
+// scanned as columns or, with the columns dropped, streamed from the
+// image through the ring buffer. Every combination answers every query
+// byte-identically, single and batch, and does the same pruning work.
 func TestMmapFallbackEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	buildMmapCorpus(t, dir, 8)
 
-	mapped, err := corpus.Open(dir)
-	if err != nil {
-		t.Fatal(err)
+	type variant struct {
+		name string
+		c    *corpus.Corpus
 	}
-	heap, err := corpus.Open(dir, corpus.WithMmap(false))
-	if err != nil {
-		t.Fatal(err)
+	var variants []variant
+	for _, mmap := range []bool{true, false} {
+		for _, columns := range []bool{true, false} {
+			c, err := corpus.Open(dir, corpus.WithMmap(mmap))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := c.ColumnBytes(); got != 8*int64(totalNodes(c)) {
+				t.Fatalf("ColumnBytes = %d, want 8 per node of %d", got, totalNodes(c))
+			}
+			if !columns {
+				c.DropColumns()
+				if got := c.ColumnBytes(); got != 0 {
+					t.Fatalf("ColumnBytes = %d after dropping the columns", got)
+				}
+			}
+			variants = append(variants, variant{fmt.Sprintf("mmap=%v columns=%v", mmap, columns), c})
+		}
 	}
 
 	queries := []string{"{l0{l1}{l2}}", "{l3{l4{l5}}{l6}}", "{l7}", "{l1{l1{l1}}}"}
 	ctx := context.Background()
-	for qi, qs := range queries {
-		q1, err := mapped.ParseBracket(qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		q2, err := heap.ParseBracket(qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range []int{1, 5} {
-			m1, err := mapped.TopK(ctx, q1, k)
+	// answers renders one variant's answer to everything: each query
+	// alone at two k, then the batch, with the pruning counters.
+	answers := func(c *corpus.Corpus) []string {
+		var out []string
+		var batch []*tree.Tree
+		for _, qs := range queries {
+			q, err := c.ParseBracket(qs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m2, err := heap.TopK(ctx, q2, k)
-			if err != nil {
-				t.Fatal(err)
+			batch = append(batch, q)
+			for _, k := range []int{1, 5} {
+				var st corpus.Stats
+				ms, err := c.TopK(ctx, q, k, corpus.WithStats(&st))
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, fmt.Sprintf("%s k=%d: %s skipped=%d aborted=%d evaluated=%d",
+					qs, k, matchesJSON(t, ms), st.HistSkipped, st.TEDAborted, st.Evaluated))
 			}
-			if a, b := matchesJSON(t, m1), matchesJSON(t, m2); a != b {
-				t.Fatalf("query %d k=%d: mapped and fallback disagree\n mapped  %s\n fallback %s", qi, k, a, b)
+		}
+		var st corpus.Stats
+		rs, err := c.TopKBatch(ctx, batch, 4, corpus.WithStats(&st))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, ms := range rs {
+			out = append(out, fmt.Sprintf("batch %d: %s", i, matchesJSON(t, ms)))
+		}
+		return append(out, fmt.Sprintf("batch skipped=%d aborted=%d evaluated=%d", st.HistSkipped, st.TEDAborted, st.Evaluated))
+	}
+	want := answers(variants[0].c)
+	for _, v := range variants[1:] {
+		for i, got := range answers(v.c) {
+			if got != want[i] {
+				t.Fatalf("%s disagrees with %s\n got  %s\n want %s", v.name, variants[0].name, got, want[i])
 			}
 		}
 	}
+}
 
-	// Batch serving shares the same per-document readers.
-	var bq1, bq2 []*tree.Tree
-	for _, qs := range queries {
-		t1, err := mapped.ParseBracket(qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t2, err := heap.ParseBracket(qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bq1 = append(bq1, t1)
-		bq2 = append(bq2, t2)
+func totalNodes(c *corpus.Corpus) int {
+	n := 0
+	for _, d := range c.Docs() {
+		n += d.Nodes
 	}
-	r1, err := mapped.TopKBatch(ctx, bq1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := heap.TopKBatch(ctx, bq2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range r1 {
-		if a, b := matchesJSON(t, r1[i]), matchesJSON(t, r2[i]); a != b {
-			t.Fatalf("batch query %d: mapped and fallback disagree\n mapped  %s\n fallback %s", i, a, b)
-		}
-	}
+	return n
 }
 
 // TestMappedBytes checks the serving-tier accounting: a mapped corpus

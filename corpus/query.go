@@ -11,6 +11,7 @@ import (
 	"tasm/internal/core"
 	"tasm/internal/dict"
 	"tasm/internal/docstore"
+	"tasm/internal/postorder"
 	"tasm/internal/pqgram"
 	"tasm/internal/qtrace"
 	"tasm/internal/ranking"
@@ -258,7 +259,7 @@ func requestOverlay(st *snapshot, q *tree.Tree) (*dict.Overlay, *tree.Tree) {
 // mutated by a query.
 //
 // The context carries cancellation and deadline: a cancelled ctx stops
-// the run between documents and mid-scan (the ring-buffer loop polls it
+// the run between documents and mid-scan (the candidate loop polls it
 // once per candidate) and returns ctx.Err(). A nil ctx is treated as
 // context.Background().
 //
@@ -503,50 +504,59 @@ func (e *ScanError) Error() string {
 
 func (e *ScanError) Unwrap() error { return e.Err }
 
-// scanInto streams one document into the shared ranking. The fast path
-// serves the snapshot's cached store: a pooled zero-copy reader walks
-// the mapped bytes with the remap computed at load time — no file open,
-// no dictionary work, no buffer. A document without a cached store (its
-// load failed at open) falls back to a per-query streaming read, whose
-// labels resolve through the request overlay: labels the corpus
-// ingested hit the frozen base lock-free, and anything else (possible
-// only with store files written outside this corpus) stays
-// request-local. Both paths are byte-identical (fuzz-pinned in
+// scanInto scans one document into the shared ranking, by the best form
+// the snapshot holds of it. A store decoded at load is scanned as
+// columns: candidates by index arithmetic, no ring buffer, no byte of the
+// file read. A store whose items failed to decode is streamed from its
+// cached image by a pooled zero-copy reader, and a document with no
+// cached store at all (its load failed at open) from the file, its labels
+// resolving through the request overlay — both through the prefix ring
+// buffer, and both reporting the damage as a ScanError. All three forms
+// answer byte-identically on an intact store (fuzz-pinned in core and
 // docstore).
 func (c *Corpus) scanInto(q *tree.Tree, ov *dict.Overlay, st *snapshot, d scanDoc, heap *ranking.Heap, workers int, opts core.Options) error {
-	if ds := st.stores[d.info.ID]; ds != nil {
+	var err error
+	ds := st.stores[d.info.ID]
+	switch {
+	case ds != nil && ds.cols != nil:
+		err = core.PostorderColumnsInto(q, ds.cols, heap, d.offset, workers, opts)
+	case ds != nil:
 		ir := c.readerPool.Get().(*docstore.ImageReader)
 		ir.Reset(ds.img, ds.remap)
-		var err error
-		if workers != 0 {
-			err = core.PostorderParallelInto(q, ir, heap, d.offset, workers, opts)
-		} else {
-			err = core.PostorderStreamInto(q, ir, heap, d.offset, opts)
-		}
+		err = streamInto(q, ir, heap, d.offset, workers, opts)
 		c.readerPool.Put(ir)
-		if err != nil {
-			return &ScanError{Doc: d.info.Name, Err: err}
-		}
-		return nil
-	}
-	f, err := os.Open(filepath.Join(c.dir, d.info.Store))
-	if err != nil {
-		return &ScanError{Doc: d.info.Name, Err: err}
-	}
-	defer f.Close()
-	r, err := docstore.NewReader(ov, f)
-	if err != nil {
-		return &ScanError{Doc: d.info.Name, Err: err}
-	}
-	if workers != 0 {
-		err = core.PostorderParallelInto(q, r, heap, d.offset, workers, opts)
-	} else {
-		err = core.PostorderStreamInto(q, r, heap, d.offset, opts)
+	default:
+		err = c.withFileReader(ov, d, func(r *docstore.Reader) error {
+			return streamInto(q, r, heap, d.offset, workers, opts)
+		})
 	}
 	if err != nil {
 		return &ScanError{Doc: d.info.Name, Err: err}
 	}
 	return nil
+}
+
+// streamInto runs the sequential or worker-pool stream scan.
+func streamInto(q *tree.Tree, docQ postorder.Queue, heap *ranking.Heap, offset, workers int, opts core.Options) error {
+	if workers != 0 {
+		return core.PostorderParallelInto(q, docQ, heap, offset, workers, opts)
+	}
+	return core.PostorderStreamInto(q, docQ, heap, offset, opts)
+}
+
+// withFileReader opens d's store file as a streaming reader interning
+// into ov, for the documents no cached store serves.
+func (c *Corpus) withFileReader(ov dict.Dict, d scanDoc, scan func(*docstore.Reader) error) error {
+	f, err := os.Open(filepath.Join(c.dir, d.info.Store))
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	r, err := docstore.NewReader(ov, f)
+	if err != nil {
+		return err
+	}
+	return scan(r)
 }
 
 // resolve maps the shared ranking's global positions back to

@@ -251,11 +251,12 @@ func TestGroupDocsAndGeneration(t *testing.T) {
 // with a *corpus.ScanError naming the shard, reachable through errors.As.
 func TestGroupShardFailureAttributed(t *testing.T) {
 	_, shards := buildShards(t, fixtureDocs, 3)
-	// Corrupt the middle shard's first store file under the already-open
-	// corpus: truncate into the item region (past the 4-byte CRC trailer,
-	// which the scan path never reads), so the scan hits an unexpected
-	// EOF. An Open-time scrub would quarantine this file; here the damage
-	// lands mid-flight, after the serving set was established.
+	// Corrupt the middle shard's first store file: truncate into the item
+	// region (past the 4-byte CRC trailer, which no scan reads). An open
+	// corpus answers from the copy it decoded at load, so the shard is
+	// reopened over the damage — with the scrub off, or the file would be
+	// quarantined instead of served — and the document, its columns
+	// refused, degrades to the streaming reader, which hits the tear.
 	victim := shards[1].Docs()[0]
 	path := filepath.Join(shards[1].Dir(), victim.Store)
 	data, err := os.ReadFile(path)
@@ -263,6 +264,9 @@ func TestGroupShardFailureAttributed(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(path, data[:len(data)-10], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if shards[1], err = corpus.Open(shards[1].Dir(), corpus.WithVerifyMode(corpus.VerifyOff)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"tasm/internal/cost"
 	"tasm/internal/dict"
 	"tasm/internal/postorder"
 	"tasm/internal/prb"
@@ -30,9 +29,6 @@ import (
 // once; the TED work is the same as q sequential runs (it is per-query by
 // nature). Results for each query are identical to PostorderStream's.
 func PostorderBatch(queries []*tree.Tree, docQ postorder.Queue, k int, opts Options) ([][]Match, error) {
-	if len(queries) == 0 {
-		return nil, fmt.Errorf("tasm: batch needs at least one query")
-	}
 	if k < 1 {
 		return nil, fmt.Errorf("tasm: k must be ≥ 1, got %d", k)
 	}
@@ -62,88 +58,106 @@ func PostorderBatch(queries []*tree.Tree, docQ postorder.Queue, k int, opts Opti
 // margin, so the final rankings are identical regardless of document scan
 // order.
 func PostorderBatchInto(queries []*tree.Tree, docQ postorder.Queue, ranks []*ranking.Heap, posOffset int, opts Options) error {
-	if len(queries) == 0 {
-		return fmt.Errorf("tasm: batch needs at least one query")
-	}
-	if len(ranks) != len(queries) {
-		return fmt.Errorf("tasm: %d queries but %d rankings", len(queries), len(ranks))
-	}
 	return batchScan(queries, docQ, ranks, posOffset, true, opts)
+}
+
+// PostorderBatchColumnsInto is PostorderBatchInto for a document held as
+// resident postorder columns; see PostorderColumnsInto.
+func PostorderBatchColumnsInto(queries []*tree.Tree, cols *postorder.Columns, ranks []*ranking.Heap, posOffset int, opts Options) error {
+	sc, err := opts.batchScratch(queries, ranks)
+	if err != nil {
+		return err
+	}
+	return batchCandidates(sc.cursor(cols, sc.tauMax), sc, posOffset, true, &opts)
 }
 
 // batchScan is the shared body of PostorderBatch and PostorderBatchInto;
 // see postorderScan for the strictTies contract.
-//
-//tasm:hotpath
 func batchScan(queries []*tree.Tree, docQ postorder.Queue, ranks []*ranking.Heap, posOffset int, strictTies bool, opts Options) error {
 	if docQ == nil {
-		return fmt.Errorf("tasm: document queue must not be nil") //tasm:allow alloc — cold error path: caller bug only
+		return fmt.Errorf("tasm: document queue must not be nil")
 	}
-	model := opts.model()
-	d := queries[0].Dict()
-	// Per-document setup from the caller's scratch, as in postorderScan:
-	// the per-query states are rebuilt only when this exact (queries,
-	// rankings) combination hasn't been seen — once per run.
-	scratch := opts.BatchScratch
-	if scratch == nil {
-		scratch = new(BatchScratch) //tasm:allow alloc — setup: allocated once when the caller provides no pooled scratch
+	sc, err := opts.batchScratch(queries, ranks)
+	if err != nil {
+		return err
 	}
-	if !scratch.matches(queries, ranks) {
-		states := make([]*batchState, len(queries)) //tasm:allow alloc — setup: runs once per scan, before the candidate loop
+	return batchCandidates(sc.ring(docQ, sc.tauMax), sc, posOffset, strictTies, &opts)
+}
+
+// batchScratch is the per-scan setup of the batch kernel, as seqScratch
+// is of the sequential one: the per-query states are rebuilt only when
+// this exact (queries, rankings) combination hasn't been seen — once per
+// run.
+func (o *Options) batchScratch(queries []*tree.Tree, ranks []*ranking.Heap) (*BatchScratch, error) {
+	if len(queries) == 0 {
+		return nil, fmt.Errorf("tasm: batch needs at least one query")
+	}
+	if len(ranks) != len(queries) {
+		return nil, fmt.Errorf("tasm: %d queries but %d rankings", len(queries), len(ranks))
+	}
+	sc := o.BatchScratch
+	if sc == nil {
+		sc = new(BatchScratch)
+	}
+	if !sc.matches(queries, ranks) {
+		model := o.model()
+		d := queries[0].Dict()
+		states := make([]*batchState, len(queries))
 		tauMax := 0
 		for i, q := range queries {
 			if err := validate(q, ranks[i].K()); err != nil {
-				return fmt.Errorf("query %d: %w", i, err) //tasm:allow alloc — cold error path: rejects invalid queries before any scan work
+				return nil, fmt.Errorf("query %d: %w", i, err)
 			}
 			if !dict.Compatible(q.Dict(), d) {
-				return fmt.Errorf("tasm: query %d uses an incompatible dictionary", i) //tasm:allow alloc — cold error path: rejects invalid queries before any scan work
+				return nil, fmt.Errorf("tasm: query %d uses an incompatible dictionary", i)
 			}
-			if err := cost.Validate(model, q); err != nil { //tasm:allow alloc — setup: runs once per scan, before the candidate loop
-				return fmt.Errorf("query %d: %w", i, err) //tasm:allow alloc — cold error path: rejects invalid queries before any scan work
+			tau, err := o.tau(q, ranks[i].K())
+			if err != nil {
+				return nil, fmt.Errorf("query %d: %w", i, err)
 			}
-			st := &batchState{ //tasm:allow alloc — setup: runs once per scan, before the candidate loop
+			st := &batchState{
 				q:    q,
-				tau:  Tau(model, q, ranks[i].K(), opts.CT),
-				comp: ted.NewComputer(model, q), //tasm:allow alloc — setup: one computer per query, built once per batch
+				tau:  tau,
+				comp: ted.NewComputer(model, q),
 				rank: ranks[i],
 			}
-			if !opts.DisableHistogramBound {
-				st.hist = prb.NewLabelHist(q) //tasm:allow alloc — setup: runs once per scan, before the candidate loop
+			if !o.DisableHistogramBound {
+				st.hist = prb.NewLabelHist(q)
 			}
 			if st.tau > tauMax {
 				tauMax = st.tau
 			}
 			states[i] = st
 		}
-		scratch.queries = append(scratch.queries[:0], queries...) //tasm:allow alloc — setup: per-batch state rebuilt once per (queries, rankings) combination
-		scratch.ranks = append(scratch.ranks[:0], ranks...)       //tasm:allow alloc — setup: per-batch state rebuilt once per (queries, rankings) combination
-		scratch.states = states
-		scratch.tauMax = tauMax
+		sc.queries = append(sc.queries[:0], queries...)
+		sc.ranks = append(sc.ranks[:0], ranks...)
+		sc.states = states
+		sc.tauMax = tauMax
 	}
-	states := scratch.states
-	for _, st := range states {
-		st.comp.SetProbe(opts.Probe) // nil clears a probe from a previous run
+	for _, st := range sc.states {
+		st.comp.SetProbe(o.Probe) // nil clears a probe from a previous run
 	}
+	if sc.view == nil {
+		sc.view = &tree.View{}
+	}
+	return sc, nil
+}
 
-	if scratch.buf == nil {
-		scratch.buf = prb.New(docQ, scratch.tauMax) //tasm:allow alloc — setup: runs once per scan, before the candidate loop
-	} else {
-		scratch.buf.Reset(docQ, scratch.tauMax) //tasm:allow alloc — setup: runs once per scan, before the candidate loop
-	}
-	buf := scratch.buf
-	if scratch.view == nil {
-		scratch.view = &tree.View{} //tasm:allow alloc — setup: flat subtree view built once per scan, recycled across queries and candidates
-	}
-	view := scratch.view
+// batchCandidates is the batch kernel: one pass over the candidates src
+// yields at the batch's largest τ, each offered to every query behind
+// that query's own histogram gate.
+//
+//tasm:hotpath
+func batchCandidates(src candidateSource, sc *BatchScratch, posOffset int, strictTies bool, opts *Options) error {
 	done := opts.done()
 	for {
-		// Cancellation poll, once per candidate; see postorderScan.
+		// Cancellation poll, once per candidate; see scanCandidates.
 		select {
 		case <-done:
 			return opts.Ctx.Err()
 		default:
 		}
-		ok, err := buf.Next()
+		ok, err := src.Next()
 		if err != nil {
 			return err
 		}
@@ -151,23 +165,23 @@ func batchScan(queries []*tree.Tree, docQ postorder.Queue, ranks []*ranking.Heap
 			break
 		}
 		if opts.Probe != nil {
-			opts.Probe.Candidate(buf.Root() - buf.Leaf() + 1)
+			opts.Probe.Candidate(src.Root() - src.Leaf() + 1)
 		}
-		for _, st := range states {
+		for _, st := range sc.states {
 			// Gate 1 per query: the candidate's label histogram bounds the
 			// distance of every subtree within it from below; a ranking
 			// whose k-th distance bound is already smaller makes this
 			// candidate irrelevant for this query.
 			if st.hist != nil {
 				if kth := st.rank.KthBound(); !math.IsInf(kth, 1) &&
-					float64(st.hist.CandidateBound(buf, buf.Leaf(), buf.Root())) > kth {
+					float64(src.LabelBound(st.hist)) > kth {
 					if opts.Prune != nil {
 						opts.Prune.HistSkipped.Add(1)
 					}
 					continue
 				}
 			}
-			if err := rankWithin(st.comp, st.q, buf, view, st.tau, st.rank, posOffset, strictTies, opts); err != nil {
+			if err := rankWithin(st, src, sc.view, posOffset, strictTies, opts); err != nil {
 				return err
 			}
 		}
@@ -176,21 +190,22 @@ func batchScan(queries []*tree.Tree, docQ postorder.Queue, ranks []*ranking.Heap
 }
 
 // rankWithin runs the inner loop of Algorithm 3 for one query over the
-// shared candidate pending in the ring buffer: the maximal subtrees
-// within the query's own τ are located inside the candidate (they are the
-// query's candidate set restricted to this region), copied into the
-// recycled flat view, and each ranked with one TASM-dynamic evaluation,
-// subject to the query's intermediate bound. The view resolves labels in
-// the query's own dictionary, so the distance computer stays on its
-// aliasing fast path for every query of the batch.
+// shared candidate pending in src: the maximal subtrees within the
+// query's own τ are located inside the candidate (they are the query's
+// candidate set restricted to this region), copied into the recycled flat
+// view, and each ranked with one TASM-dynamic evaluation, subject to the
+// query's intermediate bound. The view resolves labels in the query's own
+// dictionary, so the distance computer stays on its aliasing fast path
+// for every query of the batch.
 //
 //tasm:hotpath
-func rankWithin(comp *ted.Computer, q *tree.Tree, buf *prb.Buffer, view *tree.View, tau int, r *ranking.Heap, posOffset int, strictTies bool, opts Options) error {
-	m := q.Size()
-	d := q.Dict()
-	leafID := buf.Leaf()
-	for rt := buf.Root(); rt >= leafID; {
-		lml := buf.LMLOf(rt)
+func rankWithin(st *batchState, src candidateSource, view *tree.View, posOffset int, strictTies bool, opts *Options) error {
+	r, tau := st.rank, st.tau
+	m := st.q.Size()
+	d := st.q.Dict()
+	leafID := src.Leaf()
+	for rt := src.Root(); rt >= leafID; {
+		lml := src.LMLOf(rt)
 		size := rt - lml + 1
 		// Descend until the subtree fits this query's τ.
 		if size > tau {
@@ -211,12 +226,12 @@ func rankWithin(comp *ted.Computer, q *tree.Tree, buf *prb.Buffer, view *tree.Vi
 			}
 		}
 		if compute {
-			if err := buf.FillView(d, view, lml, rt); err != nil {
+			if err := src.FillView(d, view, lml, rt); err != nil {
 				return err
 			}
 			// Gate 2: bounded evaluation against this query's running k-th
-			// distance bound; see postorderScan.
-			row := evaluateRow(comp, view, kth, &opts)
+			// distance bound; see scanCandidates.
+			row := evaluateRow(st.comp, view, kth, opts)
 			sizes := view.Sizes()
 			for j := 0; j < size; j++ {
 				e := Match{Dist: row[j], Pos: posOffset + lml + j, Size: sizes[j]}

@@ -44,10 +44,10 @@ type Options struct {
 	// Model is the node cost model; nil means the unit cost model.
 	Model cost.Model
 	// Ctx carries cancellation and deadline for the scan; nil means
-	// context.Background(). The scan polls it once per ring-buffer
-	// candidate (a non-blocking channel read, no allocation), so a
-	// cancelled request stops mid-scan promptly and returns ctx.Err()
-	// without breaking the zero-allocations-per-candidate invariant.
+	// context.Background(). The scan polls it once per candidate (a
+	// non-blocking channel read, no allocation), so a cancelled request
+	// stops mid-scan promptly and returns ctx.Err() without breaking the
+	// zero-allocations-per-candidate invariant.
 	Ctx context.Context
 	// CT overrides cT, the bound on document node costs used in
 	// τ = |Q|·(cQ+1) + k·cT. Zero means Model.DocBound(). For
@@ -79,20 +79,20 @@ type Options struct {
 	// Prune, when non-nil, receives the pruning pipeline's counters.
 	Prune *PruneStats
 	// Scratch, when non-nil, supplies reusable per-document scan state to
-	// PostorderStream/PostorderStreamInto, so a run over many documents
-	// builds its distance computer, histogram, ring buffer, and candidate
-	// view once instead of once per document. See ScanScratch for the
-	// reuse contract. Nil means fresh state per call (the single-document
-	// behavior).
+	// PostorderStream/PostorderStreamInto/PostorderColumnsInto, so a run
+	// over many documents builds its distance computer, histogram,
+	// candidate source, and candidate view once instead of once per
+	// document. See ScanScratch for the reuse contract. Nil means fresh
+	// state per call (the single-document behavior).
 	Scratch *ScanScratch
 	// BatchScratch is Scratch's counterpart for PostorderBatch/
-	// PostorderBatchInto.
+	// PostorderBatchInto/PostorderBatchColumnsInto.
 	BatchScratch *BatchScratch
 }
 
 func (o *Options) model() cost.Model {
 	if o.Model == nil {
-		return cost.Unit{} //tasm:allow alloc — cost.Unit is zero-size; boxing a zero-size value does not allocate
+		return cost.Unit{}
 	}
 	return o.Model
 }
@@ -110,10 +110,10 @@ func (o *Options) done() <-chan struct{} {
 // validate checks the common query/k preconditions.
 func validate(q *tree.Tree, k int) error {
 	if q == nil || q.Size() == 0 {
-		return fmt.Errorf("tasm: query must be a non-empty tree") //tasm:allow alloc — cold error path: rejects invalid queries before any scan work
+		return fmt.Errorf("tasm: query must be a non-empty tree")
 	}
 	if k < 1 {
-		return fmt.Errorf("tasm: k must be ≥ 1, got %d", k) //tasm:allow alloc — cold error path: rejects invalid queries before any scan work
+		return fmt.Errorf("tasm: k must be ≥ 1, got %d", k)
 	}
 	return nil
 }
@@ -266,61 +266,123 @@ func PostorderStreamInto(q *tree.Tree, docQ postorder.Queue, r *ranking.Heap, po
 	return postorderScan(q, docQ, r, posOffset, true, opts)
 }
 
+// PostorderColumnsInto is PostorderStreamInto (workers == 0) or
+// PostorderParallelInto (workers ≠ 0) for a document held as resident
+// postorder columns: the same kernels, the same strict-margin pruning, the
+// same counters and result bytes, but the candidates come from index
+// arithmetic over the size column (prb.Cursor) instead of a ring buffer
+// fed node by node. The corpus scans every cached document this way.
+func PostorderColumnsInto(q *tree.Tree, cols *postorder.Columns, r *ranking.Heap, posOffset, workers int, opts Options) error {
+	if err := validate(q, r.K()); err != nil {
+		return err
+	}
+	if workers != 0 {
+		tau, err := opts.tau(q, r.K())
+		if err != nil {
+			return err
+		}
+		return parallelScan(q, prb.NewCursor(cols, tau), tau, r, posOffset, workers, true, opts)
+	}
+	sc, tau, err := opts.seqScratch(q, r.K())
+	if err != nil {
+		return err
+	}
+	return scanCandidates(sc.cursor(cols, tau), sc, tau, r, posOffset, true, &opts)
+}
+
+// candidateSource enumerates cand(T, τ) of one document in document
+// postorder and serves reads of the pending candidate. The scan kernels
+// are written against it once and run over either implementation:
+// *prb.Buffer when the document is a stream, *prb.Cursor when it is
+// resident columns.
+type candidateSource interface {
+	// Next advances to the next candidate; false with a nil error after
+	// the last one.
+	Next() (bool, error)
+	// Root and Leaf return the candidate's root and leftmost leaf as
+	// 1-based document postorder ids.
+	Root() int
+	Leaf() int
+	// LMLOf returns the leftmost leaf of a node inside the candidate.
+	LMLOf(id int) int
+	// LabelBound returns h's lower bound on the distance of every subtree
+	// of the candidate.
+	LabelBound(h *prb.LabelHist) int
+	// FillView copies the subtree spanning nodes from..to into v.
+	FillView(d dict.Dict, v *tree.View, from, to int) error
+}
+
+// tau validates the cost model against q and returns the Theorem 3 bound
+// for a ranking of k — the setup every scan starts with.
+func (o *Options) tau(q *tree.Tree, k int) (int, error) {
+	model := o.model()
+	if err := cost.Validate(model, q); err != nil {
+		return 0, err
+	}
+	return Tau(model, q, k, o.CT), nil
+}
+
+// seqScratch is the per-scan setup of the sequential kernel: it resolves
+// τ and points the scan scratch — the caller's, or a fresh one — at q.
+// The computer and histogram are rebuilt only when the query changes
+// (once per run); the view only ever grows.
+func (o *Options) seqScratch(q *tree.Tree, k int) (*ScanScratch, int, error) {
+	tau, err := o.tau(q, k)
+	if err != nil {
+		return nil, 0, err
+	}
+	sc := o.Scratch
+	if sc == nil {
+		sc = new(ScanScratch)
+	}
+	if sc.q != q {
+		sc.q = q
+		sc.comp = ted.NewComputer(o.model(), q)
+		sc.hist = nil
+	}
+	sc.comp.SetProbe(o.Probe) // nil clears a probe from a previous run
+	if sc.view == nil {
+		sc.view = &tree.View{}
+	}
+	if sc.hist == nil && !o.DisableHistogramBound {
+		sc.hist = prb.NewLabelHist(q)
+	}
+	return sc, tau, nil
+}
+
 // postorderScan is the shared body of PostorderStream and
 // PostorderStreamInto: Algorithm 3 over one postorder queue, ranking into
 // r. strictTies selects the order-independent pruning margin documented on
 // PostorderStreamInto; the plain single-document form keeps the paper's
 // τ′ = min(τ, max(R)+|Q|) boundary, which is safe there because positions
 // grow monotonically within one scan.
-//
-//tasm:hotpath
 func postorderScan(q *tree.Tree, docQ postorder.Queue, r *ranking.Heap, posOffset int, strictTies bool, opts Options) error {
 	if docQ == nil {
-		return fmt.Errorf("tasm: document queue must not be nil") //tasm:allow alloc — cold error path: caller bug only
+		return fmt.Errorf("tasm: document queue must not be nil")
 	}
-	model := opts.model()
-	if err := cost.Validate(model, q); err != nil { //tasm:allow alloc — setup: runs once per scan, before the candidate loop
+	sc, tau, err := opts.seqScratch(q, r.K())
+	if err != nil {
 		return err
 	}
-	m := q.Size()
-	k := r.K()
-	tau := Tau(model, q, k, opts.CT)
+	return scanCandidates(sc.ring(docQ, tau), sc, tau, r, posOffset, strictTies, &opts)
+}
 
-	// Per-document setup, served from the caller's scratch when one is
-	// supplied: the computer and histogram are rebuilt only when the query
-	// changes (i.e. once per run), the ring buffer and view are re-pointed
-	// in place and only ever grow.
-	scratch := opts.Scratch
-	if scratch == nil {
-		scratch = new(ScanScratch) //tasm:allow alloc — setup: allocated once when the caller provides no pooled scratch
-	}
-	if scratch.q != q {
-		scratch.q = q
-		scratch.comp = ted.NewComputer(model, q) //tasm:allow alloc — setup: runs once per scan, before the candidate loop
-		scratch.hist = nil
-	}
-	comp := scratch.comp
-	comp.SetProbe(opts.Probe) // nil clears a probe from a previous run
-	if scratch.buf == nil {
-		scratch.buf = prb.New(docQ, tau) //tasm:allow alloc — setup: runs once per scan, before the candidate loop
-	} else {
-		scratch.buf.Reset(docQ, tau) //tasm:allow alloc — setup: runs once per scan, before the candidate loop
-	}
-	buf := scratch.buf
-	d := q.Dict()
-	if scratch.view == nil {
-		scratch.view = &tree.View{} //tasm:allow alloc — setup: flat candidate view built once per scan, recycled across candidates
-	}
-	view := scratch.view
+// scanCandidates is the sequential kernel: Algorithm 3's loop over the
+// candidates src yields, with the pruning pipeline in front of each
+// evaluation. sc carries the query's computer, histogram and view, set up
+// by seqScratch.
+//
+//tasm:hotpath
+func scanCandidates(src candidateSource, sc *ScanScratch, tau int, r *ranking.Heap, posOffset int, strictTies bool, opts *Options) error {
+	m := sc.q.Size()
+	d := sc.q.Dict()
+	comp, view := sc.comp, sc.view
 	var hist *prb.LabelHist
 	if !opts.DisableHistogramBound {
-		if scratch.hist == nil {
-			scratch.hist = prb.NewLabelHist(q) //tasm:allow alloc — setup: runs once per scan, before the candidate loop
-		}
-		// CandidateBound slides the window on and fully off again, so the
+		// The bound slides the window on and fully off again, so the
 		// histogram's state is identical before and after each candidate —
 		// reuse across documents is safe.
-		hist = scratch.hist
+		hist = sc.hist
 	}
 	done := opts.done()
 
@@ -333,14 +395,14 @@ func postorderScan(q *tree.Tree, docQ postorder.Queue, r *ranking.Heap, posOffse
 			return opts.Ctx.Err()
 		default:
 		}
-		ok, err := buf.Next()
+		ok, err := src.Next()
 		if err != nil {
 			return err
 		}
 		if !ok {
 			break
 		}
-		rootID, leafID := buf.Root(), buf.Leaf()
+		rootID, leafID := src.Root(), src.Leaf()
 		if opts.Probe != nil {
 			opts.Probe.Candidate(rootID - leafID + 1)
 		}
@@ -349,7 +411,7 @@ func postorderScan(q *tree.Tree, docQ postorder.Queue, r *ranking.Heap, posOffse
 		// cooperating scans (other documents of a corpus run, other shards
 		// of a scatter-gather group) that share the publisher.
 		kth := r.KthBound()
-		// Gate 1: the sliding label histogram yields a lower bound on the
+		// Gate 1: the label histogram yields a lower bound on the
 		// distance of EVERY subtree of the candidate (their label bags are
 		// sub-bags of the candidate's). If it strictly exceeds the current
 		// k-th distance, no subtree here can enter the ranking — skip the
@@ -357,7 +419,7 @@ func postorderScan(q *tree.Tree, docQ postorder.Queue, r *ranking.Heap, posOffse
 		// comparison keeps exact boundary ties evaluated, so results stay
 		// byte-identical in both tie-handling modes.
 		if hist != nil && !math.IsInf(kth, 1) {
-			if float64(hist.CandidateBound(buf, leafID, rootID)) > kth {
+			if float64(src.LabelBound(hist)) > kth {
 				if opts.Prune != nil {
 					opts.Prune.HistSkipped.Add(1)
 				}
@@ -367,7 +429,7 @@ func postorderScan(q *tree.Tree, docQ postorder.Queue, r *ranking.Heap, posOffse
 		// Traverse the subtrees of the candidate in reverse postorder
 		// (Algorithm 3, lines 8–18).
 		for rt := rootID; rt >= leafID; {
-			lml := buf.LMLOf(rt)
+			lml := src.LMLOf(rt)
 			size := rt - lml + 1
 			kth = r.KthBound()
 			// τ′ tightens τ once an intermediate ranking exists
@@ -379,7 +441,7 @@ func postorderScan(q *tree.Tree, docQ postorder.Queue, r *ranking.Heap, posOffse
 					// distance lower bound size−|Q| strictly exceeds the
 					// current k-th distance, so an exact tie that would win
 					// its position tie-break is never discarded. The static
-					// τ cut is already enforced by the ring buffer.
+					// τ cut is already enforced by the candidate source.
 					compute = float64(size) <= kth+float64(m)
 				} else {
 					tauP := math.Min(float64(tau), kth+float64(m))
@@ -387,7 +449,7 @@ func postorderScan(q *tree.Tree, docQ postorder.Queue, r *ranking.Heap, posOffse
 				}
 			}
 			if compute {
-				if err := buf.FillView(d, view, lml, rt); err != nil {
+				if err := src.FillView(d, view, lml, rt); err != nil {
 					return err
 				}
 				// TASM-dynamic on the subtree: the last row of the tree
@@ -396,7 +458,7 @@ func postorderScan(q *tree.Tree, docQ postorder.Queue, r *ranking.Heap, posOffse
 				// the current k-th distance — distances at or below it stay
 				// exact, anything above may abort to +Inf, which the heap
 				// rejects just like the true value.
-				row := evaluateRow(comp, view, kth, &opts)
+				row := evaluateRow(comp, view, kth, opts)
 				sizes := view.Sizes()
 				for j := 0; j < size; j++ {
 					e := Match{Dist: row[j], Pos: posOffset + lml + j, Size: sizes[j]}

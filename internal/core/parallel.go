@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 
-	"tasm/internal/cost"
 	"tasm/internal/postorder"
 	"tasm/internal/prb"
 	"tasm/internal/ranking"
@@ -40,7 +39,7 @@ func PostorderParallel(q *tree.Tree, docQ postorder.Queue, k, workers int, opts 
 		return nil, err
 	}
 	r := ranking.New(k)
-	if err := parallelScan(q, docQ, r, 0, workers, false, opts); err != nil {
+	if err := parallelStream(q, docQ, r, 0, workers, false, opts); err != nil {
 		return nil, err
 	}
 	return r.Sorted(), nil
@@ -57,7 +56,19 @@ func PostorderParallelInto(q *tree.Tree, docQ postorder.Queue, r *ranking.Heap, 
 	if err := validate(q, r.K()); err != nil {
 		return err
 	}
-	return parallelScan(q, docQ, r, posOffset, workers, true, opts)
+	return parallelStream(q, docQ, r, posOffset, workers, true, opts)
+}
+
+// parallelStream runs parallelScan over a ring buffer fed by docQ.
+func parallelStream(q *tree.Tree, docQ postorder.Queue, r *ranking.Heap, posOffset, workers int, strictTies bool, opts Options) error {
+	if docQ == nil {
+		return fmt.Errorf("tasm: document queue must not be nil")
+	}
+	tau, err := opts.tau(q, r.K())
+	if err != nil {
+		return err
+	}
+	return parallelScan(q, prb.New(docQ, tau), tau, r, posOffset, workers, strictTies, opts)
 }
 
 // viewPool recycles flat candidate views between the producer (which
@@ -73,34 +84,17 @@ type workItem struct {
 	base int // global postorder position of the view's first node
 }
 
-// parallelScan is the shared body of PostorderParallel and
-// PostorderParallelInto; see postorderScan for the strictTies contract.
-//
-// Unlike postorderScan, the gates are applied by the producer before a
-// subtree is copied and shipped: a subtree that is already hopeless at
-// production time never costs a view fill or a channel transfer. The
-// cutoff the producer (and every worker) consults is the lock-free
-// published k-th distance of the shared ranking, which may lag behind
-// merges still in flight — but it only ever tightens, so a stale read
-// merely evaluates a subtree that a fresher bound would have skipped,
-// never the reverse.
-//
-//tasm:hotpath
-func parallelScan(q *tree.Tree, docQ postorder.Queue, r *ranking.Heap, posOffset, workers int, strictTies bool, opts Options) error {
-	if docQ == nil {
-		return fmt.Errorf("tasm: document queue must not be nil") //tasm:allow alloc — cold error path: caller bug only
-	}
-	model := opts.model()
-	if err := cost.Validate(model, q); err != nil { //tasm:allow alloc — setup: runs once per scan, before the candidate loop
-		return err
-	}
+// parallelScan is the shared body of PostorderParallel,
+// PostorderParallelInto and PostorderColumnsInto with workers: it starts
+// the worker pool, runs the producer over src on the calling goroutine,
+// and waits for the workers to drain; see postorderScan for the
+// strictTies contract.
+func parallelScan(q *tree.Tree, src candidateSource, tau int, r *ranking.Heap, posOffset, workers int, strictTies bool, opts Options) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	m := q.Size()
+	model := opts.model()
 	k := r.K()
-	tau := Tau(model, q, k, opts.CT)
-	d := q.Dict()
 
 	// The shared ranking publishes its k-th distance through a lock-free
 	// cutoff. A publisher attached by the caller (the corpus scan reuses
@@ -108,22 +102,22 @@ func parallelScan(q *tree.Tree, docQ postorder.Queue, r *ranking.Heap, posOffset
 	// kept; otherwise a scan-local one is installed.
 	cut := r.CutoffPublisher()
 	if cut == nil {
-		cut = ranking.NewCutoff() //tasm:allow alloc — setup: runs once per scan, before the candidate loop
+		cut = ranking.NewCutoff()
 		r.PublishTo(cut)
 	}
-	shared := &sharedRanking{heap: r} //tasm:allow alloc — setup: runs once per scan, before the candidate loop
+	shared := &sharedRanking{heap: r}
 
-	work := make(chan workItem, 2*workers) //tasm:allow alloc — setup: runs once per scan, before the candidate loop
+	work := make(chan workItem, 2*workers) // one item in hand and one queued per worker
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() { //tasm:allow alloc — setup: worker pool spawned once per scan
+		go func() {
 			defer wg.Done()
-			comp := ted.NewComputer(model, q) //tasm:allow alloc — setup: one computer per worker, built once per scan
+			comp := ted.NewComputer(model, q)
 			if opts.Probe != nil {
-				comp.SetProbe(&lockedProbe{p: opts.Probe, mu: &shared.mu}) //tasm:allow alloc — setup: one probe wrapper per worker, built once per scan
+				comp.SetProbe(&lockedProbe{p: opts.Probe, mu: &shared.mu})
 			}
-			local := ranking.New(k) //tasm:allow alloc — setup: one local ranking per worker, built once per scan
+			local := ranking.New(k)
 			for item := range work {
 				evaluateView(comp, item, local, cut, opts)
 				viewPool.Put(item.view)
@@ -148,41 +142,57 @@ func parallelScan(q *tree.Tree, docQ postorder.Queue, r *ranking.Heap, posOffset
 		}()
 	}
 
-	// Producer: sequential prefix ring buffer scan with the reverse-
-	// postorder subtree traversal of Algorithm 3; each retained subtree is
-	// copied into a pooled view and shipped to a worker.
 	var hist *prb.LabelHist
 	if !opts.DisableHistogramBound {
-		hist = prb.NewLabelHist(q) //tasm:allow alloc — setup: runs once per scan, before the candidate loop
+		hist = prb.NewLabelHist(q)
 	}
-	var produceErr error
-	buf := prb.New(docQ, tau) //tasm:allow alloc — setup: runs once per scan, before the candidate loop
+	// A cancelled context or a failing source stops production; the work
+	// channel closes and the workers drain the few buffered items before
+	// exiting — no goroutine outlives the call.
+	err := produce(q, src, hist, tau, cut, &shared.mu, work, posOffset, strictTies, &opts)
+	close(work)
+	wg.Wait()
+	return err
+}
+
+// produce is the parallel scan's producer: the sequential candidate
+// enumeration with the reverse-postorder subtree traversal of
+// Algorithm 3; each retained subtree is copied into a pooled view and
+// shipped to a worker.
+//
+// Unlike scanCandidates, the gates are applied before a subtree is copied
+// and shipped: a subtree that is already hopeless at production time
+// never costs a view fill or a channel transfer. The cutoff the producer
+// (and every worker) consults is the lock-free published k-th distance of
+// the shared ranking, which may lag behind merges still in flight — but
+// it only ever tightens, so a stale read merely evaluates a subtree that
+// a fresher bound would have skipped, never the reverse. probeMu
+// serializes probe callbacks with the workers'.
+//
+//tasm:hotpath
+func produce(q *tree.Tree, src candidateSource, hist *prb.LabelHist, tau int, cut *ranking.Cutoff, probeMu *sync.Mutex, work chan<- workItem, posOffset int, strictTies bool, opts *Options) error {
+	m := q.Size()
+	d := q.Dict()
 	done := opts.done()
-scan:
 	for {
-		// Cancellation poll, once per candidate; a cancelled context stops
-		// production, the work channel closes, and the workers drain the
-		// few buffered items before exiting — no goroutine outlives the
-		// call. See postorderScan.
+		// Cancellation poll, once per candidate; see scanCandidates.
 		select {
 		case <-done:
-			produceErr = opts.Ctx.Err()
-			break scan
+			return opts.Ctx.Err()
 		default:
 		}
-		ok, err := buf.Next()
+		ok, err := src.Next()
 		if err != nil {
-			produceErr = err
-			break
+			return err
 		}
 		if !ok {
-			break
+			return nil
 		}
-		rootID, leafID := buf.Root(), buf.Leaf()
+		rootID, leafID := src.Root(), src.Leaf()
 		if opts.Probe != nil {
-			shared.mu.Lock()
+			probeMu.Lock()
 			opts.Probe.Candidate(rootID - leafID + 1)
-			shared.mu.Unlock()
+			probeMu.Unlock()
 		}
 		// Gate 1: candidate-level label-histogram bound against the
 		// published k-th distance (strict, so exact boundary ties are
@@ -190,7 +200,7 @@ scan:
 		// sequential scan in both tie modes).
 		if hist != nil {
 			if kth := cut.Load(); !math.IsInf(kth, 1) &&
-				float64(hist.CandidateBound(buf, leafID, rootID)) > kth {
+				float64(src.LabelBound(hist)) > kth {
 				if opts.Prune != nil {
 					opts.Prune.HistSkipped.Add(1)
 				}
@@ -198,7 +208,7 @@ scan:
 			}
 		}
 		for rt := rootID; rt >= leafID; {
-			lml := buf.LMLOf(rt)
+			lml := src.LMLOf(rt)
 			size := rt - lml + 1
 			compute := true
 			if !opts.DisableIntermediateBound {
@@ -213,25 +223,21 @@ scan:
 			}
 			if compute {
 				v := viewPool.Get().(*tree.View) //tasm:allow poolreset — FillView below rebuilds every field of the view before any read
-				if err := buf.FillView(d, v, lml, rt); err != nil {
-					produceErr = err
-					break scan
+				if err := src.FillView(d, v, lml, rt); err != nil {
+					return err
 				}
 				work <- workItem{view: v, base: posOffset + lml}
 				rt = lml - 1
 			} else {
 				if opts.Probe != nil {
-					shared.mu.Lock()
+					probeMu.Lock()
 					opts.Probe.Pruned(size)
-					shared.mu.Unlock()
+					probeMu.Unlock()
 				}
 				rt--
 			}
 		}
 	}
-	close(work)
-	wg.Wait()
-	return produceErr
 }
 
 // sharedRanking guards the global top-k heap.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"tasm/internal/postorder"
 	"tasm/internal/prb"
 	"tasm/internal/ranking"
 	"tasm/internal/ted"
@@ -9,9 +10,9 @@ import (
 
 // ScanScratch holds the per-document setup state of TASM-postorder scans
 // so a multi-document run builds it once instead of once per document:
-// the distance computer and label histogram (per query), and the ring
-// buffer and flat candidate view (per document size class — their
-// backing arrays only ever grow). Pass one via Options.Scratch when
+// the distance computer and label histogram (per query), and the
+// candidate source and flat candidate view (per document size class —
+// their backing arrays only ever grow). Pass one via Options.Scratch when
 // scanning many documents with the same query, model, and configuration;
 // the corpus keeps them in a sync.Pool, one per worker.
 //
@@ -24,13 +25,40 @@ type ScanScratch struct {
 	q    *tree.Tree // the query comp and hist were built for
 	comp *ted.Computer
 	hist *prb.LabelHist
-	buf  *prb.Buffer
 	view *tree.View
+	sources
+}
+
+// sources holds a scratch's two candidate sources, each built on first
+// use and re-pointed in place at every later document.
+type sources struct {
+	buf *prb.Buffer
+	cur *prb.Cursor
+}
+
+// ring points the scratch's ring buffer at a document stream.
+func (s *sources) ring(docQ postorder.Queue, tau int) *prb.Buffer {
+	if s.buf == nil {
+		s.buf = prb.New(docQ, tau)
+	} else {
+		s.buf.Reset(docQ, tau)
+	}
+	return s.buf
+}
+
+// cursor points the scratch's column cursor at a resident document.
+func (s *sources) cursor(cols *postorder.Columns, tau int) *prb.Cursor {
+	if s.cur == nil {
+		s.cur = prb.NewCursor(cols, tau)
+	} else {
+		s.cur.Reset(cols, tau)
+	}
+	return s.cur
 }
 
 // Reset detaches the scratch from the previous run's query so the next
-// scan rebuilds the query-derived state. The ring buffer and view keep
-// their grown backing arrays — they carry capacity, not identity.
+// scan rebuilds the query-derived state. The candidate sources and view
+// keep their grown backing arrays — they carry capacity, not identity.
 func (s *ScanScratch) Reset() {
 	s.q = nil
 	s.comp = nil
@@ -48,8 +76,8 @@ type BatchScratch struct {
 	ranks   []*ranking.Heap
 	states  []*batchState
 	tauMax  int
-	buf     *prb.Buffer
 	view    *tree.View
+	sources
 }
 
 // Reset detaches the scratch from the previous run's queries.

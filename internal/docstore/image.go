@@ -3,6 +3,7 @@ package docstore
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"tasm/internal/dict"
 	"tasm/internal/postorder"
@@ -93,6 +94,26 @@ func (im *Image) Remap(d dict.Dict) []int {
 		remap[i] = d.Intern(l)
 	}
 	return remap
+}
+
+// Columns decodes the image's item region once into random-access
+// postorder columns, labels already translated through remap (from
+// Remap). The items are drained through an ImageReader, so its label-range
+// and size checks stay the only decoder, and postorder.BuildColumns adds
+// the whole-document well-formedness proof; any failure returns an error
+// and no columns, and the caller keeps streaming the image, which reports
+// the damage at query time as before.
+//
+// The header's node count is untrusted: an item is at least two bytes,
+// so a count the bytes present cannot hold is refused before anything is
+// allocated.
+func (im *Image) Columns(remap []int) (*postorder.Columns, error) {
+	if avail := uint64(len(im.data)-im.itemsOff) / 2; im.count > avail || im.count > math.MaxInt32 {
+		return nil, fmt.Errorf("docstore: header promises %d items, %d bytes follow", im.count, len(im.data)-im.itemsOff)
+	}
+	var r ImageReader
+	r.Reset(im, remap)
+	return postorder.BuildColumns(&r, int(im.count))
 }
 
 // ImageReader streams a parsed Image as a postorder queue, decoding

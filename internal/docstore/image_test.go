@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tasm/internal/dict"
@@ -164,6 +166,21 @@ func FuzzImageStreamEquivalence(f *testing.F) {
 				t.Fatalf("item %d differs: stream %+v, image %+v", i, sItems[i], iItems[i])
 			}
 		}
+		// Columns are a third view of the same items, and only ever of a
+		// store that streams cleanly to its end.
+		im, _ := ParseImage(data)
+		cols, err := im.Columns(im.Remap(dict.New()))
+		if err != nil {
+			return
+		}
+		if !sClean || cols.Len() != len(sItems) {
+			t.Fatalf("columns built (%d nodes) from a store that streams %d items, clean=%v", cols.Len(), len(sItems), sClean)
+		}
+		for i, it := range sItems {
+			if int(cols.Labels()[i]) != it.Label || int(cols.Sizes()[i]) != it.Size {
+				t.Fatalf("node %d differs: stream %+v, columns (%d,%d)", i, it, cols.Labels()[i], cols.Sizes()[i])
+			}
+		}
 	})
 }
 
@@ -200,6 +217,50 @@ func TestImageRemapOverlayStable(t *testing.T) {
 		if got := ov.Label(it.Label); got != frozen.Label(it.Label) {
 			t.Fatalf("label id %d resolves to %q under overlay, %q under base", it.Label, got, frozen.Label(it.Label))
 		}
+	}
+}
+
+// TestImageColumnsRejectsCorrupt: the column decoder trusts nothing the
+// header or the items claim. A node count the bytes present cannot hold
+// is refused before anything is allocated (the allocation is sized by the
+// count: the first case would otherwise ask for terabytes);
+// ids that do not fit a column cell and sizes that do not tile are
+// refused by the build.
+func TestImageColumnsRejectsCorrupt(t *testing.T) {
+	header := func(count ...byte) []byte {
+		return append([]byte("TASMPQ1\n\x01\x01x"), count...) // one label "x", then the node count
+	}
+	for _, tc := range []struct {
+		name  string
+		data  []byte
+		remap []int
+	}{
+		{"count far beyond the bytes present", append(header(0xff, 0xff, 0xff, 0xff, 0xff, 0x1f), 0, 1, 0, 1), []int{0}},
+		{"count one more than the bytes can hold", append(header(3), 0, 1, 0, 1, 0), []int{0}},
+		{"label id outside int32", append(header(1), 0, 1), []int{math.MaxInt32 + 1}},
+		{"size exceeding position", append(header(2), 0, 1, 0, 3), []int{0}},
+		{"size zero", append(header(2), 0, 1, 0, 0), []int{0}},
+		{"crossing subtrees", append(header(3), 0, 1, 0, 2, 0, 2), []int{0}},
+	} {
+		im, err := ParseImage(tc.data)
+		if err != nil {
+			t.Fatalf("%s: ParseImage: %v", tc.name, err)
+		}
+		if cols, err := im.Columns(tc.remap); err == nil {
+			t.Errorf("%s: built columns of %d nodes, want an error", tc.name, cols.Len())
+		}
+	}
+	// Intact, for contrast: a forest of two 2-node trees.
+	im, err := ParseImage(append(header(4), 0, 1, 0, 2, 0, 1, 0, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols, err := im.Columns([]int{7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cols.Sizes(), []int32{1, 2, 1, 2}; !slices.Equal(got, want) || cols.Labels()[3] != 7 || cols.Bytes() != 32 {
+		t.Errorf("columns %v / %v (%d bytes), want sizes %v, labels all 7, 32 bytes", cols.Labels(), got, cols.Bytes(), want)
 	}
 }
 

@@ -10,7 +10,7 @@
 // array of Definition 10, which encodes the buffered prefix's structure so
 // that the leftmost valid subtree is found in constant time. Node
 // identifiers are the 1-based postorder positions in the document; node x
-// lives in slot x % (τ+1), so identifiers double as slot addresses.
+// lives in slot x mod (τ+1), so identifiers double as slot addresses.
 //
 // Prefix array semantics (Definition 10): the entry of a non-leaf node is
 // its leftmost leaf lml; the entry of a leaf is the largest buffered
@@ -28,6 +28,11 @@
 // The buffered nodes stay valid until the next call to Next, so one
 // candidate may be read any number of times (e.g. once per subtree the τ′
 // bound retains).
+//
+// The ring buffer is what a stream needs. A document already resident as
+// postorder columns needs no buffer at all: Cursor enumerates the same
+// candidate set in the same order by index arithmetic over the size
+// column and serves the same reads, so the scan kernels take either.
 package prb
 
 import (
@@ -114,14 +119,35 @@ func (r *Buffer) Tau() int { return r.tau }
 // NodesScanned returns the number of document nodes consumed so far.
 func (r *Buffer) NodesScanned() int { return r.c }
 
-// slot maps a 1-based node id to its ring slot.
-func (r *Buffer) slot(id int) int { return id % r.b }
+// slot maps the 1-based id of a buffered node (or of the node one past
+// the newest) to its ring slot, id mod b. The end slot e always holds
+// (c+1) mod b and such an id lies fewer than b positions below c+1, so the
+// slot is e minus that distance, wrapped once — no division per node.
+func (r *Buffer) slot(id int) int {
+	x := r.e - (r.c + 1 - id)
+	if x < 0 {
+		x += r.b
+	}
+	return x
+}
 
-// buffered returns the number of buffered nodes, (e−s+b) % b.
-func (r *Buffer) buffered() int { return (r.e - r.s + r.b) % r.b }
+// buffered returns the number of buffered nodes, (e−s+b) mod b.
+func (r *Buffer) buffered() int {
+	n := r.e - r.s
+	if n < 0 {
+		n += r.b
+	}
+	return n
+}
 
-// full reports whether the ring buffer is full: s == (e+1) % b.
-func (r *Buffer) full() bool { return r.s == (r.e+1)%r.b }
+// full reports whether the ring buffer is full: s == (e+1) mod b.
+func (r *Buffer) full() bool {
+	n := r.e + 1
+	if n == r.b {
+		n = 0
+	}
+	return r.s == n
+}
 
 // startID returns the postorder id of the leftmost buffered node,
 // c + 1 − (e−s+b) % b in the paper's notation (Algorithm 2, line 14).
@@ -151,28 +177,36 @@ func (r *Buffer) Next() (bool, error) {
 		if !r.done {
 			it, err := r.q.Next()
 			switch {
-			case errors.Is(err, io.EOF): //tasm:allow alloc — errors.Is allocates nothing; sentinel comparison on the stream-end path
-				r.done = true
-			case err != nil:
-				r.qErr = err
-				return false, err
-			default:
+			case err == nil:
 				if it.Size < 1 || it.Size > r.c+1 {
 					r.qErr = fmt.Errorf("prb: node %d has invalid subtree size %d", r.c+1, it.Size) //tasm:allow alloc — cold error path: corrupt input only
 					return false, r.qErr
 				}
-				r.c++
-				id := r.c
-				lml := id - it.Size + 1
-				r.lbl[r.slot(id)] = it.Label
-				r.pfx[r.slot(id)] = lml
+				// The new node, id c+1, goes to the end slot e.
+				id := r.c + 1
+				r.lbl[r.e] = it.Label
+				r.pfx[r.e] = id - it.Size + 1
 				if it.Size <= r.tau {
 					// Redirect the ancestor pointer of the subtree's
 					// leftmost leaf (Definition 10). The leaf is still
-					// buffered because size ≤ τ < b.
-					r.pfx[r.slot(lml)] = id
+					// buffered because size ≤ τ < b, size−1 slots back.
+					ls := r.e - (it.Size - 1)
+					if ls < 0 {
+						ls += r.b
+					}
+					r.pfx[ls] = id
 				}
-				r.e = (r.e + 1) % r.b
+				r.c = id
+				if r.e++; r.e == r.b {
+					r.e = 0
+				}
+			// Queues return a bare io.EOF by contract; errors.Is runs only
+			// for a source that wraps it.
+			case err == io.EOF || errors.Is(err, io.EOF): //tasm:allow alloc — errors.Is allocates nothing; sentinel comparison on the stream-end path
+				r.done = true
+			default:
+				r.qErr = err
+				return false, err
 			}
 		}
 		// Step 2: once the buffer is full (or the queue is exhausted),
@@ -183,7 +217,9 @@ func (r *Buffer) Next() (bool, error) {
 				r.pending = true
 				return true, nil
 			}
-			r.s = (r.s + 1) % r.b
+			if r.s++; r.s == r.b {
+				r.s = 0
+			}
 		}
 	}
 	return false, nil
@@ -220,6 +256,14 @@ func (r *Buffer) LMLOf(id int) int {
 		return e
 	}
 	return id // a leaf is its own leftmost leaf
+}
+
+// LabelBound returns h's lower bound for the current candidate; see
+// LabelHist.CandidateBound.
+//
+//tasm:hotpath
+func (r *Buffer) LabelBound(h *LabelHist) int {
+	return h.CandidateBound(r, r.Leaf(), r.Root())
 }
 
 // SizeOf returns the subtree size of buffered node id, derived from the

@@ -47,6 +47,9 @@ type LabelHist struct {
 	have    []int
 	mask    int // len(keys)-1 in sparse mode; len is a power of two ≥ 2·|Q|
 	missing int // Σ max(0, need − have)
+	// touched is Bound's undo list: the slots it incremented from zero,
+	// at most one per distinct query label.
+	touched []int
 }
 
 // denseLimit is the largest label id the dense representation indexes
@@ -62,7 +65,7 @@ func NewLabelHist(q *tree.Tree) *LabelHist {
 			maxID = id
 		}
 	}
-	h := &LabelHist{missing: len(labels)}
+	h := &LabelHist{missing: len(labels), touched: make([]int, len(labels))}
 	if maxID < denseLimit {
 		h.need = make([]int, maxID+1)
 		h.have = make([]int, maxID+1)
@@ -155,6 +158,49 @@ func (h *LabelHist) Remove(label int) {
 // Missing returns the current lower bound: the number of query nodes
 // that cannot be mapped to an equal-labelled node of the window.
 func (h *LabelHist) Missing() int { return h.missing }
+
+// Bound returns the histogram-intersection lower bound for a window given
+// as a contiguous run of a label column — what CandidateBound computes for
+// a window still inside the ring — in one pass: a node whose label is not
+// in the query costs one load and falls through, and instead of sliding
+// every node off again only the few slots that were hit are cleared. The
+// window must be empty on entry and is empty again on return, so Bound and
+// CandidateBound can alternate on one histogram. It performs no
+// allocation.
+//
+//tasm:hotpath
+func (h *LabelHist) Bound(labels []int32) int {
+	missing, n := h.missing, 0
+	for _, l := range labels {
+		var s int
+		if h.keys == nil {
+			if l < 0 || int(l) >= len(h.need) || h.need[l] == 0 {
+				continue
+			}
+			s = int(l)
+		} else {
+			if l < 0 {
+				continue
+			}
+			s = h.slot(int(l))
+			if h.keys[s] < 0 {
+				continue
+			}
+		}
+		if h.have[s] == 0 {
+			h.touched[n] = s
+			n++
+		}
+		h.have[s]++
+		if h.have[s] <= h.need[s] {
+			missing--
+		}
+	}
+	for _, s := range h.touched[:n] {
+		h.have[s] = 0
+	}
+	return missing
+}
 
 // CandidateBound slides the window onto the buffered subtree spanning
 // nodes from..to (1-based document postorder ids, valid in b) and returns

@@ -35,7 +35,9 @@ func naiveMissing(q, t *tree.Tree) int {
 // TestCandidateBoundMatchesNaive: the sliding histogram's bound for every
 // candidate of a scan must equal the naive per-candidate count, and the
 // window must be clean between candidates (skipping candidates cannot
-// leave residue).
+// leave residue). A column cursor walks the same document in lockstep on
+// the same histogram: its one-pass Bound must agree and leave the window
+// just as clean, so the two can alternate.
 func TestCandidateBoundMatchesNaive(t *testing.T) {
 	d := dict.New()
 	rng := rand.New(rand.NewSource(5))
@@ -45,10 +47,14 @@ func TestCandidateBoundMatchesNaive(t *testing.T) {
 		tau := 1 + rng.Intn(20)
 		hist := NewLabelHist(q)
 		buf := New(postorder.NewSliceQueue(postorder.Items(doc)), tau)
+		cur := columnCursor(t, doc, tau)
 		for {
 			ok, err := buf.Next()
 			if err != nil {
 				t.Fatal(err)
+			}
+			if more, _ := cur.Next(); more != ok {
+				t.Fatalf("iter %d: ring has a candidate=%v, cursor=%v", iter, ok, more)
 			}
 			if !ok {
 				break
@@ -64,8 +70,21 @@ func TestCandidateBoundMatchesNaive(t *testing.T) {
 			if hist.Missing() != q.Size() {
 				t.Fatalf("iter %d: window not clean after CandidateBound: missing %d, want |Q|=%d", iter, hist.Missing(), q.Size())
 			}
+			if colGot := cur.LabelBound(hist); colGot != got || hist.Missing() != q.Size() {
+				t.Fatalf("iter %d candidate [%d,%d]: column bound %d (window missing %d), ring bound %d",
+					iter, cur.Leaf(), cur.Root(), colGot, hist.Missing(), got)
+			}
 		}
 	}
+}
+
+func columnCursor(t *testing.T, doc *tree.Tree, tau int) *Cursor {
+	t.Helper()
+	cols, err := postorder.BuildColumns(postorder.FromTree(doc), doc.Size())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewCursor(cols, tau)
 }
 
 // TestCandidateBoundIsLowerBound: the bound must never exceed the true
@@ -127,7 +146,9 @@ func TestCandidateBoundSparseMode(t *testing.T) {
 		if len(hist.need) > 64 {
 			t.Fatalf("sparse table has %d slots for a ≤10-label query", len(hist.need))
 		}
-		buf := New(postorder.NewSliceQueue(postorder.Items(doc)), 1+rng.Intn(20))
+		tau := 1 + rng.Intn(20)
+		buf := New(postorder.NewSliceQueue(postorder.Items(doc)), tau)
+		cur := columnCursor(t, doc, tau)
 		for {
 			ok, err := buf.Next()
 			if err != nil {
@@ -136,13 +157,14 @@ func TestCandidateBoundSparseMode(t *testing.T) {
 			if !ok {
 				break
 			}
+			cur.Next()
 			got := hist.CandidateBound(buf, buf.Leaf(), buf.Root())
 			sub, err := buf.Subtree(d, buf.Leaf(), buf.Root())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := naiveMissing(q, sub); got != want {
-				t.Fatalf("iter %d candidate [%d,%d]: sparse bound %d, want %d", iter, buf.Leaf(), buf.Root(), got, want)
+			if want, colGot := naiveMissing(q, sub), cur.LabelBound(hist); got != want || colGot != want {
+				t.Fatalf("iter %d candidate [%d,%d]: sparse bound %d, column bound %d, want %d", iter, buf.Leaf(), buf.Root(), got, colGot, want)
 			}
 		}
 		if hist.Missing() != q.Size() {

@@ -210,11 +210,39 @@ func roots(cs []Candidate) []int {
 	return out
 }
 
-// checkAgainstOracle verifies ring-buffer pruning output against the
-// Definition 9 oracle on one tree.
+// cursorCandidates is Candidates over resident columns: the candidate set
+// as a Cursor enumerates it, each subtree materialized through FillView.
+func cursorCandidates(d dict.Dict, tr *tree.Tree, tau int) ([]Candidate, error) {
+	cols, err := postorder.BuildColumns(postorder.FromTree(tr), tr.Size())
+	if err != nil {
+		return nil, err
+	}
+	var out []Candidate
+	var v tree.View
+	for cur := NewCursor(cols, tau); ; {
+		if ok, _ := cur.Next(); !ok {
+			return out, nil
+		}
+		if err := cur.FillView(d, &v, cur.Leaf(), cur.Root()); err != nil {
+			return out, err
+		}
+		out = append(out, Candidate{Root: cur.Root(), Tree: v.Subtree(v.Size() - 1)})
+	}
+}
+
+// checkAgainstOracle verifies ring-buffer and column-cursor pruning
+// output against the Definition 9 oracle on one tree.
 func checkAgainstOracle(t *testing.T, d dict.Dict, tr *tree.Tree, tau int) {
 	t.Helper()
-	cands, err := Candidates(d, postorder.FromTree(tr), tau)
+	checkCandidates(t, d, tr, tau, Candidates)
+	checkCandidates(t, d, tr, tau, func(d dict.Dict, _ postorder.Queue, tau int) ([]Candidate, error) {
+		return cursorCandidates(d, tr, tau)
+	})
+}
+
+func checkCandidates(t *testing.T, d dict.Dict, tr *tree.Tree, tau int, enumerate func(dict.Dict, postorder.Queue, int) ([]Candidate, error)) {
+	t.Helper()
+	cands, err := enumerate(d, postorder.FromTree(tr), tau)
 	if err != nil {
 		t.Fatalf("τ=%d: %v", tau, err)
 	}
@@ -241,25 +269,32 @@ func addOne(a []int) []int {
 }
 
 // TestRingBufferMatchesOracleQuick is the central pruning property test:
-// on random trees and thresholds, ring-buffer pruning returns exactly
-// cand(T, τ) with correctly materialized subtrees.
+// on random trees and thresholds, ring-buffer pruning and the column
+// cursor both return exactly cand(T, τ) with correctly materialized
+// subtrees.
 func TestRingBufferMatchesOracleQuick(t *testing.T) {
 	f := func(seed int64, nRaw, tauRaw uint8) bool {
 		n := int(nRaw)%60 + 1
 		tau := int(tauRaw)%(n+4) + 1
 		d := dict.New()
 		tr := tree.Random(d, rand.New(rand.NewSource(seed)), tree.DefaultRandomConfig(n))
-		cands, err := Candidates(d, postorder.FromTree(tr), tau)
+		want := CandidatesOf(tr, tau)
+		ring, err := Candidates(d, postorder.FromTree(tr), tau)
 		if err != nil {
 			return false
 		}
-		want := CandidatesOf(tr, tau)
-		if len(cands) != len(want) {
+		cursor, err := cursorCandidates(d, tr, tau)
+		if err != nil {
 			return false
 		}
-		for i, w := range want {
-			if cands[i].Root != w+1 || !cands[i].Tree.Equal(tr.Subtree(w)) {
+		for _, cands := range [][]Candidate{ring, cursor} {
+			if len(cands) != len(want) {
 				return false
+			}
+			for i, w := range want {
+				if cands[i].Root != w+1 || !cands[i].Tree.Equal(tr.Subtree(w)) {
+					return false
+				}
 			}
 		}
 		return true
