@@ -129,6 +129,7 @@ type serverMetrics struct {
 	docsUnprofiled  atomic.Uint64
 	candHistSkipped atomic.Uint64
 	tedAborted      atomic.Uint64
+	tedGated        atomic.Uint64
 	evaluated       atomic.Uint64
 	// overlayLabels totals the request-local labels computed runs held in
 	// their per-request dictionary overlays — labels that on a shared
@@ -154,6 +155,7 @@ func (m *serverMetrics) observe(s *corpus.Stats) {
 	m.docsUnprofiled.Add(uint64(s.Unprofiled))
 	m.candHistSkipped.Add(s.HistSkipped)
 	m.tedAborted.Add(s.TEDAborted)
+	m.tedGated.Add(s.TEDGated)
 	m.evaluated.Add(s.Evaluated)
 	m.overlayLabels.Add(uint64(s.OverlayLabels))
 	m.retries.Add(s.Retries)
@@ -187,7 +189,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"tasmd_docs_skipped_total", "counter", "Documents skipped by the document-level label lower bound.", m.docsSkipped.Load()},
 		{"tasmd_docs_unprofiled_total", "counter", "Documents scanned without a usable profile.", m.docsUnprofiled.Load()},
 		{"tasmd_candidates_hist_skipped_total", "counter", "Candidate subtrees skipped by the histogram-intersection lower bound.", m.candHistSkipped.Load()},
-		{"tasmd_ted_evals_aborted_total", "counter", "Subtree evaluations abandoned early by the bounded Zhang-Shasha DP.", m.tedAborted.Load()},
+		{"tasmd_ted_evals_aborted_total", "counter", "Subtree evaluations cut short by a lower bound of the bounded Zhang-Shasha evaluation (gated ones included).", m.tedAborted.Load()},
+		{"tasmd_ted_evals_gated_total", "counter", "Aborted subtree evaluations rejected by the view's label bag before the DP started.", m.tedGated.Load()},
 		{"tasmd_ted_evals_completed_total", "counter", "Subtree evaluations run to completion.", m.evaluated.Load()},
 		{"tasmd_overlay_labels_total", "counter", "Request-local labels held in per-request dictionary overlays (released with each request).", m.overlayLabels.Load()},
 		{"tasmd_shard_retries_total", "counter", "Extra per-shard request attempts after retryable failures.", m.retries.Load()},

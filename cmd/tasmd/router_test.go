@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -139,6 +140,41 @@ func TestRouterOverLeaves(t *testing.T) {
 	mw := doJSON(t, router, "GET", "/metrics", nil)
 	if mw.Code != http.StatusOK || !strings.Contains(mw.Body.String(), "tasmd_corpus_docs 2") {
 		t.Errorf("router metrics: status %d body %s", mw.Code, mw.Body)
+	}
+}
+
+// TestGatedEvalsReportedThroughTiers: the count of evaluations the
+// bounded Zhang–Shasha rejects at its label-bag rung travels the whole
+// stats path — core scan → corpus.Stats → leaf response → shard.Client
+// wire → Group merge → router response and /metrics — as part of the
+// aborted count. Each leaf holds an exact match followed by records that
+// pass the candidate-level gate whole but whose parts each hold too few
+// of the query's labels.
+func TestGatedEvalsReportedThroughTiers(t *testing.T) {
+	doc := "<r><m><a/><b/><c/><d/></m>" + strings.Repeat("<rec><x><a/><b/></x><y><c/><d/></y><m/></rec>", 20) + "</r>"
+	cl0, _ := newLeaf(t, map[string]string{"d0": doc})
+	cl1, _ := newLeaf(t, map[string]string{"d1": doc})
+	router := newServer(shard.NewGroup(cl0, cl1), nil, serverConfig{})
+
+	w := doJSON(t, router, "POST", "/v1/topk", `{"query":"{m{a}{b}{c}{d}}","k":1}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("router topk: status %d: %s", w.Code, w.Body)
+	}
+	var got topkResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Matches) != 1 || got.Matches[0].Dist != 0 {
+		t.Fatalf("matches = %+v, want the exact subtree", got.Matches)
+	}
+	if got.Stats.TEDGated == 0 || got.Stats.TEDGated > got.Stats.TEDAborted {
+		t.Errorf("router stats: tedGated %d, tedAborted %d: want 0 < gated ≤ aborted", got.Stats.TEDGated, got.Stats.TEDAborted)
+	}
+	mw := doJSON(t, router, "GET", "/metrics", nil)
+	var gated uint64
+	fmt.Sscanf(metricLine(mw.Body.String(), "tasmd_ted_evals_gated_total"), "%d", &gated)
+	if gated != got.Stats.TEDGated {
+		t.Errorf("tasmd_ted_evals_gated_total = %d after one computed query that gated %d", gated, got.Stats.TEDGated)
 	}
 }
 

@@ -211,6 +211,7 @@ type topkStats struct {
 	// Candidate-level pruning counters of this run (see corpus.Stats).
 	HistSkipped uint64 `json:"histSkipped"`
 	TEDAborted  uint64 `json:"tedAborted"`
+	TEDGated    uint64 `json:"tedGated"`
 	Evaluated   uint64 `json:"evaluated"`
 	// Dictionary accounting: the frozen corpus dictionary's size and the
 	// request-local labels the query overlay held (released with the
@@ -240,6 +241,7 @@ func statsOf(stats *corpus.Stats) topkStats {
 		Skipped:        stats.Skipped,
 		HistSkipped:    stats.HistSkipped,
 		TEDAborted:     stats.TEDAborted,
+		TEDGated:       stats.TEDGated,
 		Evaluated:      stats.Evaluated,
 		BaseDictLabels: stats.BaseDictLabels,
 		OverlayLabels:  stats.OverlayLabels,

@@ -146,7 +146,7 @@ func (c *Corpus) TopKBatch(ctx context.Context, queries []*tree.Tree, k int, opt
 		}
 		stats.Scanned++
 	}
-	stats.HistSkipped, stats.TEDAborted, stats.Evaluated = prune.Snapshot()
+	stats.setPrune(prune)
 	stats.BaseDictLabels = st.base.Len()
 	stats.OverlayLabels = ov.Added()
 	stats.Quarantined = st.quarantined

@@ -227,12 +227,15 @@ func TestPruneStatsReported(t *testing.T) {
 	if stats.Evaluated == 0 {
 		t.Error("Stats.Evaluated = 0: no subtree evaluation was recorded")
 	}
+	if stats.TEDGated > stats.TEDAborted {
+		t.Errorf("Stats.TEDGated = %d is not counted inside TEDAborted = %d", stats.TEDGated, stats.TEDAborted)
+	}
 	var off corpus.Stats
 	if _, err := c.TopK(context.Background(), q, 2, corpus.WithStats(&off), corpus.WithoutCandidatePruning()); err != nil {
 		t.Fatal(err)
 	}
-	if off.HistSkipped != 0 || off.TEDAborted != 0 {
-		t.Errorf("gates disabled but counters fired: hist=%d aborted=%d", off.HistSkipped, off.TEDAborted)
+	if off.HistSkipped != 0 || off.TEDAborted != 0 || off.TEDGated != 0 {
+		t.Errorf("gates disabled but counters fired: hist=%d aborted=%d gated=%d", off.HistSkipped, off.TEDAborted, off.TEDGated)
 	}
 	if off.Evaluated == 0 {
 		t.Error("unpruned run recorded no evaluations")

@@ -54,10 +54,13 @@ type Stats struct {
 	// documents) skipped whole by the per-candidate label-histogram lower
 	// bound — the candidate-scope analogue of Skipped.
 	HistSkipped uint64
-	// TEDAborted is the number of subtree evaluations the early-abort
-	// Zhang–Shasha DP abandoned once its running lower bound crossed the
-	// k-th distance.
+	// TEDAborted is the number of subtree evaluations the bounded
+	// Zhang–Shasha evaluation cut short once a lower bound crossed the
+	// k-th distance; TEDAborted + Evaluated evaluations were started.
 	TEDAborted uint64
+	// TEDGated is the part of TEDAborted rejected by the label bag of the
+	// whole view before the DP touched a cell.
+	TEDGated uint64
 	// Evaluated is the number of subtree evaluations that ran to
 	// completion.
 	Evaluated uint64
@@ -92,6 +95,12 @@ type Stats struct {
 	// answer. It is only ever non-empty under WithPartialResults; the
 	// default error policy fails the query instead.
 	Degraded []string
+}
+
+// setPrune records a finished run's candidate-pipeline counters.
+func (s *Stats) setPrune(p *core.PruneStats) {
+	s.HistSkipped, s.TEDAborted, s.Evaluated = p.Snapshot()
+	s.TEDGated = p.TEDGated.Load()
 }
 
 // MergeFault folds another run's fault-tolerance accounting into s:
@@ -364,7 +373,7 @@ func (c *Corpus) TopK(ctx context.Context, q *tree.Tree, k int, opts ...QueryOpt
 		}
 		stats.Scanned++
 	}
-	stats.HistSkipped, stats.TEDAborted, stats.Evaluated = prune.Snapshot()
+	stats.setPrune(prune)
 	stats.BaseDictLabels = st.base.Len()
 	stats.OverlayLabels = ov.Added()
 	stats.Quarantined = st.quarantined

@@ -223,6 +223,7 @@ type wireStats struct {
 	Skipped        int      `json:"skipped"`
 	HistSkipped    uint64   `json:"histSkipped"`
 	TEDAborted     uint64   `json:"tedAborted"`
+	TEDGated       uint64   `json:"tedGated"`
 	Evaluated      uint64   `json:"evaluated"`
 	BaseDictLabels int      `json:"baseDictLabels"`
 	OverlayLabels  int      `json:"overlayLabels"`
@@ -242,6 +243,7 @@ func (s *wireStats) stats() corpus.Stats {
 		Skipped:        s.Skipped,
 		HistSkipped:    s.HistSkipped,
 		TEDAborted:     s.TEDAborted,
+		TEDGated:       s.TEDGated,
 		Evaluated:      s.Evaluated,
 		BaseDictLabels: s.BaseDictLabels,
 		OverlayLabels:  s.OverlayLabels,

@@ -447,6 +447,7 @@ func mergeStats(stats []corpus.Stats) corpus.Stats {
 		out.Quarantined += s.Quarantined
 		out.HistSkipped += s.HistSkipped
 		out.TEDAborted += s.TEDAborted
+		out.TEDGated += s.TEDGated
 		out.Evaluated += s.Evaluated
 		out.BaseDictLabels += s.BaseDictLabels
 		out.OverlayLabels += s.OverlayLabels

@@ -6,7 +6,6 @@ import (
 
 	"tasm/internal/dict"
 	"tasm/internal/postorder"
-	"tasm/internal/prb"
 	"tasm/internal/ranking"
 	"tasm/internal/ted"
 	"tasm/internal/tree"
@@ -122,7 +121,7 @@ func (o *Options) batchScratch(queries []*tree.Tree, ranks []*ranking.Heap) (*Ba
 				rank: ranks[i],
 			}
 			if !o.DisableHistogramBound {
-				st.hist = prb.NewLabelHist(q)
+				st.hist = st.comp.LabelHist()
 			}
 			if st.tau > tauMax {
 				tauMax = st.tau
@@ -231,7 +230,7 @@ func rankWithin(st *batchState, src candidateSource, view *tree.View, posOffset 
 			}
 			// Gate 2: bounded evaluation against this query's running k-th
 			// distance bound; see scanCandidates.
-			row := evaluateRow(st.comp, view, kth, opts)
+			row := evaluate(st.comp, view, kth, opts)
 			sizes := view.Sizes()
 			for j := 0; j < size; j++ {
 				e := Match{Dist: row[j], Pos: posOffset + lml + j, Size: sizes[j]}

@@ -71,10 +71,10 @@ type Options struct {
 	// from it already exceeds the running k-th distance. Results are
 	// unchanged; it exists for ablation and benchmarking.
 	DisableHistogramBound bool
-	// DisableEarlyAbort switches off the second gate: the bounded
-	// Zhang–Shasha evaluation that abandons a subtree once the minimum of
-	// the active forest-distance row exceeds the running k-th distance.
-	// Results are unchanged; it exists for ablation and benchmarking.
+	// DisableEarlyAbort switches off the second gate — every rung of the
+	// bounded Zhang–Shasha evaluation at once (view label bag, row
+	// minimum; see ted.EvaluateView): each evaluation is the unbounded
+	// DP. Results are unchanged; it exists for ablation and benchmarking.
 	DisableEarlyAbort bool
 	// Prune, when non-nil, receives the pruning pipeline's counters.
 	Prune *PruneStats
@@ -345,7 +345,7 @@ func (o *Options) seqScratch(q *tree.Tree, k int) (*ScanScratch, int, error) {
 		sc.view = &tree.View{}
 	}
 	if sc.hist == nil && !o.DisableHistogramBound {
-		sc.hist = prb.NewLabelHist(q)
+		sc.hist = sc.comp.LabelHist()
 	}
 	return sc, tau, nil
 }
@@ -456,9 +456,9 @@ func scanCandidates(src candidateSource, sc *ScanScratch, tau int, r *ranking.He
 				// distance matrix ranks every subtree of the view at once.
 				// Gate 2: with a full ranking the evaluation is bounded by
 				// the current k-th distance — distances at or below it stay
-				// exact, anything above may abort to +Inf, which the heap
+				// exact, anything above comes back +Inf, which the heap
 				// rejects just like the true value.
-				row := evaluateRow(comp, view, kth, opts)
+				row := evaluate(comp, view, kth, opts)
 				sizes := view.Sizes()
 				for j := 0; j < size; j++ {
 					e := Match{Dist: row[j], Pos: posOffset + lml + j, Size: sizes[j]}

@@ -119,7 +119,7 @@ func parallelScan(q *tree.Tree, src candidateSource, tau int, r *ranking.Heap, p
 			}
 			local := ranking.New(k)
 			for item := range work {
-				evaluateView(comp, item, local, cut, opts)
+				evaluateView(comp, item, local, cut, &opts)
 				viewPool.Put(item.view)
 				// Merge-on-improvement: only a local k-th distance that
 				// beats the published shared one can tighten the global
@@ -144,7 +144,7 @@ func parallelScan(q *tree.Tree, src candidateSource, tau int, r *ranking.Heap, p
 
 	var hist *prb.LabelHist
 	if !opts.DisableHistogramBound {
-		hist = prb.NewLabelHist(q)
+		hist = prb.NewLabelHist(q) // the producer's own: the workers' computers run on other goroutines
 	}
 	// A cancelled context or a failing source stops production; the work
 	// channel closes and the workers drain the few buffered items before
@@ -254,33 +254,12 @@ type sharedRanking struct {
 // heap already holds k better entries, which all compete at drain).
 //
 //tasm:hotpath
-func evaluateView(comp *ted.Computer, item workItem, local *ranking.Heap, cut *ranking.Cutoff, opts Options) {
-	cutoff := math.Inf(1)
-	if !opts.DisableEarlyAbort {
-		if local.Full() {
-			cutoff = local.Max().Dist
-		}
-		if pub := cut.Load(); pub < cutoff {
-			cutoff = pub
-		}
+func evaluateView(comp *ted.Computer, item workItem, local *ranking.Heap, cut *ranking.Cutoff, opts *Options) {
+	cutoff := cut.Load()
+	if local.Full() && local.Max().Dist < cutoff {
+		cutoff = local.Max().Dist
 	}
-	var row []float64
-	if !math.IsInf(cutoff, 1) {
-		var aborted bool
-		row, aborted = comp.SubtreeDistancesViewBounded(item.view, cutoff)
-		if opts.Prune != nil {
-			if aborted {
-				opts.Prune.TEDAborted.Add(1)
-			} else {
-				opts.Prune.Evaluated.Add(1)
-			}
-		}
-	} else {
-		row = comp.SubtreeDistancesView(item.view)
-		if opts.Prune != nil {
-			opts.Prune.Evaluated.Add(1)
-		}
-	}
+	row := evaluate(comp, item.view, cutoff, opts)
 	sizes := item.view.Sizes()
 	n := item.view.Size()
 	// Materialization gate: the local heap alone would materialize its

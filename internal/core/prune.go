@@ -10,54 +10,61 @@ import (
 
 // PruneStats counts what the candidate pruning pipeline did during a
 // scan: how many candidates the label-histogram gate rejected before any
-// distance work, how many evaluations the bounded Zhang–Shasha DP
-// abandoned early, and how many ran to completion. The counters are
-// cumulative across scans sharing the struct and safe for concurrent
-// update (the parallel scan's workers add to them directly), so one
-// PruneStats can aggregate a whole corpus query — or a daemon's lifetime.
+// distance work, and how each evaluation that was started ended — cut
+// short by one of the bounded evaluation's rungs (ted.EvaluateView), or
+// run to completion. The counters are cumulative across scans sharing the
+// struct and safe for concurrent update (the parallel scan's workers add
+// to them directly), so one PruneStats can aggregate a whole corpus query
+// — or a daemon's lifetime.
 type PruneStats struct {
 	// HistSkipped is the number of candidate subtrees skipped whole by
 	// the histogram-intersection lower bound: no view fill, no TED. In
 	// batch scans the gate runs once per (query, candidate) pair, so one
 	// candidate skipped for every query of a Q-query batch adds Q.
 	HistSkipped atomic.Uint64
-	// TEDAborted is the number of subtree evaluations the early-abort DP
-	// abandoned once its running lower bound crossed the cutoff.
+	// TEDAborted is the number of subtree evaluations cut short because a
+	// lower bound crossed the cutoff: rejected whole by the label bag of
+	// the view (rung 0, also counted in TEDGated) or abandoned inside the
+	// DP by the row minimum (rung 1). Evaluated + TEDAborted is the
+	// number of evaluations started.
 	TEDAborted atomic.Uint64
+	// TEDGated is the part of TEDAborted that rung 0 rejected before the
+	// DP touched a cell.
+	TEDGated atomic.Uint64
 	// Evaluated is the number of subtree evaluations that ran to
-	// completion (bounded evaluations that did not abort included).
+	// completion (bounded evaluations that no rung ended included).
 	Evaluated atomic.Uint64
 }
 
 // Snapshot returns the current counter values (hist-skipped, TED-aborted,
-// fully evaluated).
+// fully evaluated); TEDGated is read directly.
 func (s *PruneStats) Snapshot() (histSkipped, tedAborted, evaluated uint64) {
 	return s.HistSkipped.Load(), s.TEDAborted.Load(), s.Evaluated.Load()
 }
 
-// evaluateRow is the shared gate-2 unit of work of the sequential and
-// batch scans: one TASM-dynamic evaluation of the filled view, bounded
-// by kth — the ranking's current k-th distance bound (Heap.KthBound) —
-// when the early-abort gate is active and the bound is finite, with the
-// pipeline counters bumped. The returned row is valid until the
-// computer's next evaluation.
+// evaluate is the one place a scan — sequential, batch, or a parallel
+// worker — starts a TASM-dynamic evaluation of a filled view: bounded by
+// cutoff, the caller's current k-th distance bound (+Inf while there is
+// none), unless the early-abort ablation flag makes every evaluation
+// unbounded, with the pipeline counters bumped. The returned row is valid
+// until the computer's next evaluation.
 //
 //tasm:hotpath
-func evaluateRow(comp *ted.Computer, view *tree.View, kth float64, opts *Options) []float64 {
-	if !opts.DisableEarlyAbort && !math.IsInf(kth, 1) {
-		row, aborted := comp.SubtreeDistancesViewBounded(view, kth)
-		if opts.Prune != nil {
-			if aborted {
-				opts.Prune.TEDAborted.Add(1)
-			} else {
-				opts.Prune.Evaluated.Add(1)
-			}
-		}
-		return row
+func evaluate(comp *ted.Computer, view *tree.View, cutoff float64, opts *Options) []float64 {
+	if opts.DisableEarlyAbort {
+		cutoff = math.Inf(1)
 	}
-	row := comp.SubtreeDistancesView(view)
-	if opts.Prune != nil {
-		opts.Prune.Evaluated.Add(1)
+	row, outcome := comp.EvaluateView(view, cutoff)
+	if p := opts.Prune; p != nil {
+		switch outcome {
+		case ted.Completed:
+			p.Evaluated.Add(1)
+		case ted.Gated:
+			p.TEDGated.Add(1)
+			p.TEDAborted.Add(1)
+		case ted.Aborted:
+			p.TEDAborted.Add(1)
+		}
 	}
 	return row
 }

@@ -233,6 +233,71 @@ func TestTEDAbortFires(t *testing.T) {
 	mustEqualMatches(t, "ted-abort", pruned, unpruned)
 }
 
+// TestTEDGateCounted: records whose label bag as a whole covers the query
+// pass the candidate-level histogram gate, but are too big for τ′ once an
+// exact match is ranked, so the scan descends into their parts — each of
+// which holds too few of the query's labels. Those evaluations must end at
+// rung 0 of the bounded evaluation, counted in TEDGated inside TEDAborted,
+// on every scan path; and the early-abort ablation flag, which means
+// "unbounded DP", must switch that rung off with the others.
+func TestTEDGateCounted(t *testing.T) {
+	d := dict.New()
+	q := tree.MustParse(d, "{m{a}{b}{c}{d}}")
+	root := tree.NewNode("root")
+	root.AddChild(tree.NewNode("m", tree.NewNode("a"), tree.NewNode("b"), tree.NewNode("c"), tree.NewNode("d")))
+	for i := 0; i < 30; i++ {
+		root.AddChild(tree.NewNode("rec",
+			tree.NewNode("x", tree.NewNode("a"), tree.NewNode("b")),
+			tree.NewNode("y", tree.NewNode("c"), tree.NewNode("d")),
+			tree.NewNode("m")))
+	}
+	doc := tree.FromNode(d, root)
+
+	scans := map[string]func(opts Options) ([]Match, error){
+		"sequential": func(opts Options) ([]Match, error) { return Postorder(q, doc, 1, opts) },
+		"batch": func(opts Options) ([]Match, error) {
+			out, err := PostorderBatch([]*tree.Tree{q}, postorder.FromTree(doc), 1, opts)
+			if err != nil {
+				return nil, err
+			}
+			return out[0], nil
+		},
+		"parallel": func(opts Options) ([]Match, error) {
+			r := ranking.New(1)
+			err := PostorderParallelInto(q, postorder.FromTree(doc), r, 0, 1, opts)
+			return r.Sorted(), err
+		},
+	}
+	for name, scan := range scans {
+		stats := &PruneStats{}
+		pruned, err := scan(Options{NoTrees: true, Prune: stats})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gated, aborted := stats.TEDGated.Load(), stats.TEDAborted.Load()
+		if gated == 0 {
+			t.Errorf("%s: no evaluation ended at the view's label bag", name)
+		}
+		if gated > aborted {
+			t.Errorf("%s: TEDGated %d not counted inside TEDAborted %d", name, gated, aborted)
+		}
+
+		off := &PruneStats{}
+		unpruned, err := scan(Options{NoTrees: true, Prune: off, DisableEarlyAbort: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, a := off.TEDGated.Load(), off.TEDAborted.Load(); g != 0 || a != 0 {
+			t.Errorf("%s: early abort disabled but %d evaluations gated, %d aborted", name, g, a)
+		}
+		if started := off.Evaluated.Load(); name != "parallel" && started != aborted+stats.Evaluated.Load() {
+			t.Errorf("%s: %d evaluations started unbounded, %d bounded: the ladder must end evaluations, not skip them",
+				name, started, aborted+stats.Evaluated.Load())
+		}
+		mustEqualMatches(t, name, pruned, unpruned)
+	}
+}
+
 // FuzzPrunedVsUnpruned fuzzes the equivalence property over arbitrary
 // well-formed documents: the full pipeline (sequential and strict
 // parallel) must reproduce the unpruned ranking exactly.

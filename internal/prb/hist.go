@@ -169,7 +169,16 @@ func (h *LabelHist) Missing() int { return h.missing }
 // allocation.
 //
 //tasm:hotpath
-func (h *LabelHist) Bound(labels []int32) int {
+func (h *LabelHist) Bound(labels []int32) int { return boundOf(h, labels) }
+
+// BoundIDs is Bound for a window given as the label array of a tree or
+// flat view; negative ids (labels unknown to the query's dictionary)
+// match nothing.
+//
+//tasm:hotpath
+func (h *LabelHist) BoundIDs(labels []int) int { return boundOf(h, labels) }
+
+func boundOf[L int | int32](h *LabelHist, labels []L) int {
 	missing, n := h.missing, 0
 	for _, l := range labels {
 		var s int

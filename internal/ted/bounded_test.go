@@ -11,12 +11,11 @@ import (
 	"tasm/internal/tree"
 )
 
-// TestBoundedExactBelowCutoff is the contract of the early-abort path,
+// TestBoundedExactBelowCutoff is the contract of the bounded evaluation,
 // checked over many random tree pairs and cutoffs: every row entry whose
 // true distance is at or below the cutoff must be exact, and every other
-// entry must still exceed the cutoff (it may be inflated, up to +Inf,
-// but must never dip to or below the cutoff, which would let a wrong
-// entry into a ranking).
+// entry must be +Inf (it must never dip to or below the cutoff, which
+// would let a wrong entry into a ranking).
 func TestBoundedExactBelowCutoff(t *testing.T) {
 	d := dict.New()
 	rng := rand.New(rand.NewSource(42))
@@ -48,17 +47,9 @@ func TestBoundedExactBelowCutoff(t *testing.T) {
 					if exact[j] <= cutoff && got[j] != exact[j] {
 						t.Fatalf("iter %d cutoff %g: row[%d] = %g, want exact %g", iter, cutoff, j, got[j], exact[j])
 					}
-					if exact[j] > cutoff && !(got[j] > cutoff) {
-						t.Fatalf("iter %d cutoff %g: row[%d] = %g ≤ cutoff but true distance %g exceeds it", iter, cutoff, j, got[j], exact[j])
+					if exact[j] > cutoff && !math.IsInf(got[j], 1) {
+						t.Fatalf("iter %d cutoff %g: row[%d] = %g, want +Inf: true distance %g exceeds the cutoff", iter, cutoff, j, got[j], exact[j])
 					}
-				}
-				gotD, _ := NewComputer(m, q).DistanceViewBounded(v, cutoff)
-				wantD := exact[len(exact)-1]
-				if wantD <= cutoff && gotD != wantD {
-					t.Fatalf("iter %d cutoff %g: DistanceViewBounded = %g, want exact %g", iter, cutoff, gotD, wantD)
-				}
-				if wantD > cutoff && !(gotD > cutoff) {
-					t.Fatalf("iter %d cutoff %g: DistanceViewBounded = %g ≤ cutoff but true %g exceeds it", iter, cutoff, gotD, wantD)
 				}
 			}
 		}
@@ -66,9 +57,9 @@ func TestBoundedExactBelowCutoff(t *testing.T) {
 }
 
 // TestBoundedReusedComputerNoStaleRows: a computer alternating bounded
-// (aborting) and exact evaluations must never leak +Inf or stale values
-// from an aborted run into a later one — the abort path must invalidate
-// exactly the cells it abandoned, and later runs must rewrite them.
+// (gated, aborting) and exact evaluations must never leak a sentinel or a
+// stale value from one run into a later one through td, which bounded
+// runs prefill.
 func TestBoundedReusedComputerNoStaleRows(t *testing.T) {
 	d := dict.New()
 	rng := rand.New(rand.NewSource(7))
@@ -79,21 +70,30 @@ func TestBoundedReusedComputerNoStaleRows(t *testing.T) {
 		doc := tree.Random(d, rng, tree.RandomConfig{Nodes: 1 + rng.Intn(50), MaxFanout: 4, Labels: 4})
 		v := viewOf(t, doc)
 		exact := append([]float64(nil), oracle.SubtreeDistancesView(v)...)
-		// Aggressive cutoff 0 forces aborts on nearly everything...
-		c.SubtreeDistancesViewBounded(v, 0)
+		// Aggressive cutoffs cut nearly everything short...
+		c.SubtreeDistancesViewBounded(v, float64(iter%4))
 		// ...after which an unbounded run on the same computer must be
-		// exact everywhere.
+		// exact everywhere...
 		got := c.SubtreeDistancesView(v)
 		for j := range exact {
 			if got[j] != exact[j] {
 				t.Fatalf("iter %d: row[%d] = %g after aborted run, want %g", iter, j, got[j], exact[j])
 			}
 		}
+		// ...and so must a bounded one below its (other) cutoff.
+		cutoff := float64(2 + iter%5)
+		got, _ = c.SubtreeDistancesViewBounded(v, cutoff)
+		for j := range exact {
+			if exact[j] <= cutoff && got[j] != exact[j] {
+				t.Fatalf("iter %d cutoff %g: row[%d] = %g after an unbounded run, want %g", iter, cutoff, j, got[j], exact[j])
+			}
+		}
 	}
 }
 
 // TestBoundedAbortReported: with an impossible cutoff the evaluation must
-// abort (on any document larger than the query's reach) and report it.
+// be cut short (on any document larger than the query's reach) and report
+// it, by the rung that ended it.
 func TestBoundedAbortReported(t *testing.T) {
 	d := dict.New()
 	rng := rand.New(rand.NewSource(3))
@@ -112,27 +112,152 @@ func TestBoundedAbortReported(t *testing.T) {
 	if _, aborted := c.SubtreeDistancesViewBounded(v, math.Inf(1)); aborted {
 		t.Error("infinite cutoff must never abort")
 	}
+	// The 60-node document holds the query's three labels, so its label
+	// bag cannot end the evaluation: it is the DP that aborts...
+	if _, o := c.EvaluateView(v, 0); o != Aborted {
+		t.Errorf("cutoff 0 on a document sharing the query's labels: outcome %d, want Aborted", o)
+	}
+	// ...whereas a view of foreign labels never reaches the DP.
+	foreign := viewOf(t, tree.MustParse(d, "{x{y}{z}}"))
+	row, o := c.EvaluateView(foreign, 7)
+	if o != Gated {
+		t.Errorf("foreign-label view under cutoff 7 < |Q|: outcome %d, want Gated", o)
+	}
+	for j, x := range row {
+		if !math.IsInf(x, 1) {
+			t.Errorf("gated row[%d] = %g, want +Inf", j, x)
+		}
+	}
+	if _, o := c.EvaluateView(foreign, 8); o != Completed {
+		t.Errorf("cutoff |Q| admits deleting the whole query: outcome %d, want Completed", o)
+	}
 }
 
-// TestBoundedViewZeroAlloc: the bounded path shares the unbounded path's
-// steady-state zero-allocation contract.
+// TestCutoffEdgeCases: every float64 is a legal cutoff, under the integer
+// and the float kernel alike. NaN and +Inf are unbounded; a negative
+// cutoff gates everything; a fractional one is exact at and below itself;
+// one beyond int32 — or beyond any distance — is unbounded in effect.
+func TestCutoffEdgeCases(t *testing.T) {
+	d := dict.New()
+	rng := rand.New(rand.NewSource(5))
+	fw, err := cost.NewFanoutWeighted(0.5, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := cost.NewPerLabel(map[string]float64{"l0": 1.25, "l1": 3}, 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		cutoff  float64
+		outcome Outcome // checked when exact is set or the cutoff is negative
+		exact   bool    // the whole row must equal the unbounded one
+	}{
+		{"NaN", math.NaN(), Completed, true},
+		{"+Inf", math.Inf(1), Completed, true},
+		{"MaxFloat64", math.MaxFloat64, Completed, true},
+		{"2^31", 1 << 31, Completed, true},
+		{"2^62", 1 << 62, Completed, true},
+		{"-Inf", math.Inf(-1), Gated, false},
+		{"-1", -1, Gated, false},
+		{"-0.25", -0.25, Gated, false},
+		{"0", 0, 0, false},
+		{"0.75", 0.75, 0, false},
+		{"2.5", 2.5, 0, false},
+		{"7.999", 7.999, 0, false},
+	}
+	for _, m := range []cost.Model{cost.Unit{}, fw, pl} {
+		for iter := 0; iter < 40; iter++ {
+			q := tree.Random(d, rng, tree.RandomConfig{Nodes: 1 + rng.Intn(10), MaxFanout: 3, Labels: 4})
+			v := viewOf(t, tree.Random(d, rng, tree.RandomConfig{Nodes: 1 + rng.Intn(30), MaxFanout: 4, Labels: 4}))
+			exact := append([]float64(nil), NewComputer(m, q).SubtreeDistancesView(v)...)
+			c := NewComputer(m, q)
+			for _, tc := range cases {
+				got, o := c.EvaluateView(v, tc.cutoff)
+				if (tc.exact || tc.cutoff < 0) && o != tc.outcome {
+					t.Fatalf("%T iter %d cutoff %s: outcome %d, want %d", m, iter, tc.name, o, tc.outcome)
+				}
+				for j := range exact {
+					want := exact[j]
+					if !tc.exact && !(exact[j] <= tc.cutoff) {
+						want = math.Inf(1)
+					}
+					if got[j] != want {
+						t.Fatalf("%T iter %d cutoff %s: row[%d] = %g, want %g (true distance %g)", m, iter, tc.name, j, got[j], want, exact[j])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBoundedNoSentinelOverflow: a τ-sized view (|Q| = 16, k = 50) whose
+// label bag contains the query's, so no gate fires, evaluated at cutoffs
+// from 0 — where nearly every tree distance stays a sentinel and deep
+// views add forest distances to it — to |Q|+n. An overflowing int32 sum
+// would wrap negative and surface as a wrong entry below the cutoff.
+func TestBoundedNoSentinelOverflow(t *testing.T) {
+	d := dict.New()
+	rng := rand.New(rand.NewSource(17))
+	for iter := 0; iter < 20; iter++ {
+		q := tree.Random(d, rng, tree.RandomConfig{Nodes: 16, MaxFanout: 3, Labels: 2})
+		doc := tree.Random(d, rng, tree.RandomConfig{Nodes: 82, MaxFanout: 1 + iter%4, Labels: 2})
+		v := viewOf(t, doc)
+		exact := append([]float64(nil), NewComputer(cost.Unit{}, q).SubtreeDistancesView(v)...)
+		c := NewComputer(cost.Unit{}, q)
+		m, n := q.Size(), doc.Size()
+		for _, cutoff := range []float64{0, 1, 2, float64(m), float64(n), float64(m + n - 1), float64(m + n)} {
+			got, _ := c.EvaluateView(v, cutoff)
+			for j := range exact {
+				want := exact[j]
+				if want > cutoff {
+					want = math.Inf(1)
+				}
+				if got[j] != want {
+					t.Fatalf("iter %d cutoff %g: row[%d] = %g, want %g", iter, cutoff, j, got[j], want)
+				}
+			}
+		}
+	}
+}
+
+// TestBoundedViewZeroAlloc: every way a bounded evaluation can end shares
+// the unbounded path's steady-state zero-allocation contract — rejected
+// by the gate, and aborted by the row minimum in the integer and in the
+// float kernel.
 func TestBoundedViewZeroAlloc(t *testing.T) {
 	d := dict.New()
 	rng := rand.New(rand.NewSource(11))
 	q := tree.Random(d, rng, tree.RandomConfig{Nodes: 12, MaxFanout: 3, Labels: 6})
 	doc := tree.Random(d, rng, tree.RandomConfig{Nodes: 80, MaxFanout: 4, Labels: 6})
 	v := viewOf(t, doc)
-	c := NewComputer(cost.Unit{}, q)
-	exact := c.SubtreeDistancesView(v) // warm scratch + oracle row
-	cutoff := exact[len(exact)-1] / 2
-	c.SubtreeDistancesViewBounded(v, cutoff) // warm the bounded path
-	if race.Enabled {
-		t.Skip("allocation counts are not meaningful under -race")
+	foreign := viewOf(t, tree.MustParse(d, "{x{y}{z}}"))
+	fw, err := cost.NewFanoutWeighted(0.5, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		c.SubtreeDistancesViewBounded(v, cutoff)
-	})
-	if allocs != 0 {
-		t.Errorf("SubtreeDistancesViewBounded allocates %.1f objects per call in steady state, want 0", allocs)
+	for name, m := range map[string]cost.Model{"int": cost.Unit{}, "float": fw} {
+		c := NewComputer(m, q)
+		c.SubtreeDistancesView(v) // grow the scratch
+		paths := []struct {
+			name string
+			eval func() Outcome
+			want Outcome
+		}{
+			{"gated", func() Outcome { _, o := c.EvaluateView(foreign, 3); return o }, Gated},
+			{"aborted-" + name, func() Outcome { _, o := c.EvaluateView(v, 1); return o }, Aborted},
+		}
+		for _, p := range paths {
+			if o := p.eval(); o != p.want { // also warms the path
+				t.Fatalf("%s: outcome %d, want %d", p.name, o, p.want)
+			}
+			if race.Enabled {
+				continue // allocation counts are not meaningful under -race
+			}
+			if allocs := testing.AllocsPerRun(100, func() { p.eval() }); allocs != 0 {
+				t.Errorf("%s: EvaluateView allocates %.1f objects per call in steady state, want 0", p.name, allocs)
+			}
+		}
 	}
 }

@@ -52,8 +52,11 @@ type EditOp struct {
 // forest dynamic program along the optimal path, so it costs about as much
 // as a second distance computation.
 func (c *Computer) EditScript(t *tree.Tree) []EditOp {
-	c.run(t) // ensure td is filled for every subtree pair; tCost/tLab stay valid
-	b := &backtracker{c: c, t: t, tCost: c.tCost}
+	c.run(t) // fills td for every subtree pair; tLab stays valid
+	b := &backtracker{c: c, t: t, tCost: make([]float64, t.Size())}
+	for j := range b.tCost {
+		b.tCost[j] = c.model.Cost(t, j)
+	}
 	b.treePair(c.q.Root(), t.Root())
 	return b.ops
 }
@@ -61,7 +64,7 @@ func (c *Computer) EditScript(t *tree.Tree) []EditOp {
 type backtracker struct {
 	c     *Computer
 	t     *tree.Tree
-	tCost []float64 // per-run document costs of c (read-only)
+	tCost []float64 // model costs of t's nodes
 	ops   []EditOp
 }
 
@@ -108,7 +111,7 @@ func (b *backtracker) treePair(i, j int) {
 // forestMatrix recomputes the forest distance matrix for the keyroot frame
 // rooted at (i, j): distances between prefixes of Q[lml(i)..i] and
 // T[lml(j)..j], using the already filled tree distance matrix for inner
-// subtree pairs. It mirrors Computer.forestDist but into a private matrix
+// subtree pairs. It mirrors kernel.forestDist but into a private matrix
 // so recursion does not clobber shared state.
 func (b *backtracker) forestMatrix(i, j int) [][]float64 {
 	q, t := b.c.q, b.t
@@ -139,13 +142,19 @@ func (b *backtracker) forestMatrix(i, j int) [][]float64 {
 	return fd
 }
 
+// renameCost returns γ(q_x, t_y) for two non-empty nodes (Definition 4)
+// using the run's resolved labels: 0 on equal labels, the mean node cost
+// otherwise.
 func (b *backtracker) renameCost(x, y int) float64 {
-	return b.c.renameCost(x, y)
+	if b.c.qLab[x] == b.c.tLab[y] {
+		return 0
+	}
+	return (b.c.qCost[x] + b.tCost[y]) / 2
 }
 
 // allocMatrix allocates a rows×cols matrix backed by one contiguous slice.
-// Only the backtracker needs 2-D views; the Computer's own matrices are
-// flat (see zhangshasha.go).
+// Only the backtracker and Computer.Matrix need 2-D views; the kernel's
+// own matrices are flat (see zhangshasha.go).
 func allocMatrix(rows, cols int) [][]float64 {
 	backing := make([]float64, rows*cols)
 	m := make([][]float64, rows)

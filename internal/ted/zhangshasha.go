@@ -15,14 +15,19 @@
 // # Flat candidate views
 //
 // The document side of a computation may be a materialized tree.Tree or a
-// flat tree.View (SubtreeDistancesView/DistanceView). The view path is
-// the hot path of TASM-postorder: a Computer keeps all of its working
-// state — the stride-indexed 1-D fd/td backings, the per-document cost
-// and label scratch — across calls, and a View caches its keyroots across
-// the evaluations of one fill, so evaluating a candidate in steady state
+// flat tree.View (EvaluateView). The view path is the hot path of
+// TASM-postorder: a Computer keeps all of its working state — the
+// stride-indexed 1-D fd/td backings, the per-document cost and label
+// scratch — across calls, and a View caches its keyroots across the
+// evaluations of one fill, so evaluating a candidate in steady state
 // performs zero heap allocations. Document labels are resolved into the
 // query's dictionary once per run (an alias when the dictionaries are
 // shared), so the per-cell rename check is a single integer comparison.
+//
+// One forest-distance body serves every evaluation. It is bounded by a
+// cutoff — +Inf for the exact distances — behind a ladder of sound lower
+// bounds that end hopeless work early (EvaluateView), and it is written
+// over a cell type: int32 under the unit cost model, float64 otherwise.
 package ted
 
 import (
@@ -30,6 +35,7 @@ import (
 
 	"tasm/internal/cost"
 	"tasm/internal/dict"
+	"tasm/internal/prb"
 	"tasm/internal/tree"
 )
 
@@ -43,6 +49,21 @@ type Probe interface {
 	RelevantSubtree(size int)
 }
 
+// Outcome says how a bounded evaluation ended; see EvaluateView.
+type Outcome uint8
+
+const (
+	// Completed: every keyroot pair ran to its last row.
+	Completed Outcome = iota
+	// Aborted: the dynamic program started, and at least one keyroot pair
+	// was abandoned because a whole forest-distance row exceeded the
+	// cutoff (rung 1).
+	Aborted
+	// Gated: the label-bag bound of the whole view exceeded the cutoff
+	// (rung 0) and the dynamic program never started.
+	Gated
+)
+
 // Computer computes tree edit distances between a fixed query and
 // documents under a fixed cost model, reusing internal buffers across
 // calls. It is the unit of work TASM-postorder performs per candidate
@@ -50,33 +71,36 @@ type Probe interface {
 // scratch grown to the largest document seen) a call evaluating a
 // tree.View allocates nothing.
 //
+// The dynamic program is written once over a cell type (kernel) and runs
+// in int32 under cost.Unit — unit-cost distances are integers — and in
+// float64 under every other model; exactly one of unit and weighted is
+// set.
+//
 // A Computer is not safe for concurrent use.
 type Computer struct {
 	model cost.Model
-	unit  bool // model is cost.Unit: per-node costs are the constant 1
 	q     *tree.Tree
 	qKey  []int     // keyroots of the query
-	qCost []float64 // per-node costs of the query
+	qCost []float64 // per-node model costs of the query
 	qLab  []int     // interned labels of the query (alias of q's array)
 	qLML  []int     // leftmost leaves of the query (alias of q's array)
 
-	// fd is the forest-distance working matrix and td the permanent tree
-	// distance matrix for the current document, both flattened onto
-	// stride-indexed 1-D backings grown on demand: fd is (m+1)×fdCols
-	// with rows of fdCols entries, td is m×tdCols.
-	fd     []float64
-	fdCols int
-	td     []float64
-	tdCols int
+	unit     *kernel[int32]
+	weighted *kernel[float64]
 
-	// Per-run document-side scratch, valid for the last document until
-	// the next run: node costs, and labels resolved into the query's
+	// hist is the query's label bag, behind rung 0 of EvaluateView and
+	// lent to the owning scan's candidate gate (LabelHist).
+	hist *prb.LabelHist
+
+	// Document labels of the current run resolved into the query's
 	// dictionary (-1 for labels the query's dictionary does not know).
 	// tLab aliases the document's label array when dictionaries are
 	// shared; tLabScratch is the owned buffer for the translating path.
-	tCost       []float64
 	tLab        []int
 	tLabScratch []int
+
+	// out backs every returned distance row.
+	out []float64
 
 	probe Probe
 }
@@ -84,11 +108,15 @@ type Computer struct {
 // NewComputer returns a Computer for query q under model m.
 // The query must be non-empty.
 func NewComputer(m cost.Model, q *tree.Tree) *Computer {
-	_, unit := m.(cost.Unit)
-	c := &Computer{model: m, unit: unit, q: q, qKey: q.Keyroots(), qLab: q.LabelIDs(), qLML: q.LMLs()}
+	c := &Computer{model: m, q: q, qKey: q.Keyroots(), qLab: q.LabelIDs(), qLML: q.LMLs(), hist: prb.NewLabelHist(q)}
 	c.qCost = make([]float64, q.Size())
-	for i := 0; i < q.Size(); i++ {
+	for i := range c.qCost {
 		c.qCost[i] = m.Cost(q, i)
+	}
+	if _, unit := m.(cost.Unit); unit {
+		c.unit = newKernel[int32](c.qCost, unitOver)
+	} else {
+		c.weighted = newKernel(c.qCost, math.Inf(1))
 	}
 	return c
 }
@@ -100,18 +128,16 @@ func (c *Computer) SetProbe(p Probe) { c.probe = p }
 // Query returns the query tree the computer was built for.
 func (c *Computer) Query() *tree.Tree { return c.q }
 
+// LabelHist returns the histogram of the query's labels behind rung 0 of
+// EvaluateView. Its one-shot bounds leave the window empty, so the scan
+// that owns the computer runs its candidate gate on the same histogram
+// instead of building a second one.
+func (c *Computer) LabelHist() *prb.LabelHist { return c.hist }
+
 // Distance returns δ(Q, T), the tree edit distance between the query and t.
 func (c *Computer) Distance(t *tree.Tree) float64 {
 	c.run(t)
 	return c.tdAt(c.q.Size()-1, t.Size()-1)
-}
-
-// DistanceView returns δ(Q, V) for the tree held by a flat view.
-//
-//tasm:hotpath
-func (c *Computer) DistanceView(v *tree.View) float64 {
-	c.runView(v)
-	return c.tdAt(c.q.Size()-1, v.Size()-1)
 }
 
 // SubtreeDistances returns the distance from the whole query Q to every
@@ -120,148 +146,171 @@ func (c *Computer) DistanceView(v *tree.View) float64 {
 // postorder node j of t. The returned slice is valid until the next call
 // on the computer.
 func (c *Computer) SubtreeDistances(t *tree.Tree) []float64 {
-	c.run(t)
-	return c.tdRow(c.q.Size()-1, t.Size())
+	return c.run(t)
 }
 
-// SubtreeDistancesView is SubtreeDistances for a flat view: the hot path
-// of TASM-postorder. In steady state it performs no heap allocation. The
-// returned slice is valid until the next call on the computer.
+// SubtreeDistancesView is SubtreeDistances for a flat view: EvaluateView
+// without a cutoff.
 //
 //tasm:hotpath
 func (c *Computer) SubtreeDistancesView(v *tree.View) []float64 {
-	c.runView(v)
-	return c.tdRow(c.q.Size()-1, v.Size())
+	row, _ := c.EvaluateView(v, math.Inf(1))
+	return row
 }
 
-// SubtreeDistancesViewBounded is SubtreeDistancesView with an early-abort
-// cutoff, the second gate of the candidate pruning pipeline. Entries of
-// the returned row whose true distance is ≤ cutoff are exact; entries
-// whose true distance exceeds cutoff may instead hold any value > cutoff
-// (typically +Inf), so callers that discard distances above the cutoff —
-// a full top-k ranking whose k-th distance is the cutoff — observe
-// results identical to the unbounded evaluation. The second return value
-// reports whether any keyroot pair was abandoned early (for
-// instrumentation; false means the row is exact everywhere).
-//
-// The abort criterion is sound per keyroot pair: within one forest
-// distance computation every cell of a later row is lower-bounded by the
-// minimum of any earlier row (restricting an optimal edit mapping of the
-// larger prefix pair to a smaller query prefix yields a cheaper mapping
-// onto some document prefix), so once a full fd row's minimum exceeds the
-// cutoff, every tree distance the pair would still produce provably
-// exceeds it too. Abandoned tree-distance cells are published as +Inf,
-// which later pairs may read only as overestimates of sub-alignments that
-// already exceed the cutoff — exactness below the cutoff is preserved
-// inductively. Like the unbounded path, it allocates nothing in steady
-// state.
+// SubtreeDistancesViewBounded is EvaluateView reporting only whether the
+// evaluation was cut short (gated or aborted).
 //
 //tasm:hotpath
 func (c *Computer) SubtreeDistancesViewBounded(v *tree.View, cutoff float64) ([]float64, bool) {
-	aborted := c.runViewBounded(v, cutoff)
-	return c.tdRow(c.q.Size()-1, v.Size()), aborted
+	row, o := c.EvaluateView(v, cutoff)
+	return row, o != Completed
 }
 
-// DistanceViewBounded is DistanceView with an early-abort cutoff: the
-// returned distance is exact when ≤ cutoff and otherwise only guaranteed
-// to exceed the cutoff. The bool reports whether the evaluation aborted
-// early.
+// EvaluateView is one TASM-dynamic evaluation of a flat view — the hot
+// path of TASM-postorder — bounded by cutoff: entry j of the returned row
+// is δ(Q, V_j) exactly when that distance is ≤ cutoff and +Inf otherwise,
+// so a caller that discards distances above the cutoff (a full top-k
+// ranking whose k-th distance is the cutoff) observes the unbounded
+// result. The row is valid until the next call on the computer and must
+// not be written to; in steady state the call allocates nothing.
+//
+// Every sound lower bound that can end the evaluation early lives here,
+// cheapest first. They rest on node costs being ≥ 1 (Definition 4;
+// cost.Validate enforces it).
+//
+// Rung 0, the label bag of the view: a query node that an edit mapping
+// does not map onto an equally labelled node is deleted (cost ≥ 1) or
+// renamed (the mean of two costs ≥ 1), and a subtree V_j can offer at
+// most |bag(Q) ∩ bag(V_j)| ≤ |bag(Q) ∩ bag(V)| equally labelled partners,
+// so δ(Q, V_j) ≥ |Q| − |bag(Q) ∩ bag(V)| for every j. When that exceeds
+// the cutoff the whole row does, and it is returned without touching the
+// dynamic program (Gated).
+//
+// Rung 1, the row minimum: within one keyroot pair every cell of a later
+// row is lower-bounded by the minimum of any earlier row (restricting an
+// optimal mapping of the larger prefix pair to a smaller query prefix
+// yields a cheaper mapping onto some view prefix), so once a whole row
+// exceeds the cutoff the pair is abandoned (Aborted).
+//
+// The tree distances an abandoned pair never writes keep an over-cutoff
+// sentinel (see kernel.run). Substituting a value > cutoff for a cell
+// whose true value is > cutoff preserves the contract inductively: every
+// cell is a minimum of sums of non-negative terms, so computed values
+// never fall below the true ones, and a cell whose true value is ≤ cutoff
+// has an optimal predecessor chain of cells that are themselves ≤ cutoff,
+// hence exact.
+//
+// The cutoff may be any float64: NaN and +Inf mean unbounded (no rung
+// fires, every entry exact, Completed); a negative cutoff gates every
+// view; a fractional one is exact at and below itself; one at or above
+// every possible distance behaves as unbounded.
 //
 //tasm:hotpath
-func (c *Computer) DistanceViewBounded(v *tree.View, cutoff float64) (float64, bool) {
-	aborted := c.runViewBounded(v, cutoff)
-	return c.tdAt(c.q.Size()-1, v.Size()-1), aborted
+func (c *Computer) EvaluateView(v *tree.View, cutoff float64) ([]float64, Outcome) {
+	c.resolveLabels(v.Dict(), v.LabelIDs())
+	if !(cutoff < math.Inf(1)) { // +Inf or NaN
+		cutoff = math.Inf(1)
+	} else if float64(c.hist.BoundIDs(c.tLab)) > cutoff {
+		row := c.row(v.Size())
+		for j := range row {
+			row[j] = math.Inf(1)
+		}
+		return row, Gated
+	}
+	var t *tree.Tree
+	if c.weighted != nil {
+		t = v.Tree() //tasm:allow alloc — non-unit cost models read labels through the aliased shell tree; unit-cost scans never take this branch
+	}
+	return c.dp(t, v.LMLs(), v.Keyroots(), v.Size(), cutoff)
 }
 
 // Matrix returns the full tree distance matrix td where td[i][j] is the
 // distance between the query subtree rooted at its postorder node i and
-// the document subtree rooted at postorder node j. The row slices alias
-// the computer's backing and are valid until the next call on it.
+// the document subtree rooted at postorder node j.
 func (c *Computer) Matrix(t *tree.Tree) [][]float64 {
 	c.run(t)
-	m, n := c.q.Size(), t.Size()
-	out := make([][]float64, m)
-	for i := range out {
-		out[i] = c.tdRow(i, n)
+	out := allocMatrix(c.q.Size(), t.Size())
+	for i, row := range out {
+		for j := range row {
+			row[j] = c.tdAt(i, j)
+		}
 	}
 	return out
 }
 
-// tdAt returns td[i][j] of the flattened tree distance matrix.
-func (c *Computer) tdAt(i, j int) float64 { return c.td[i*c.tdCols+j] }
-
-// tdRow returns the first n entries of row i of td.
-func (c *Computer) tdRow(i, n int) []float64 {
-	off := i * c.tdCols
-	return c.td[off : off+n]
-}
-
-// run executes the Zhang–Shasha dynamic program for (c.q, t).
-func (c *Computer) run(t *tree.Tree) {
-	n := t.Size()
-	c.ensure(n)
-	c.fillCosts(t, n)
-	if t.Dict() == c.q.Dict() {
-		c.tLab = t.LabelIDs()
-	} else {
-		c.translate(t.Dict(), t.LabelIDs())
+// tdAt returns td[i][j] of the last run's tree distance matrix.
+func (c *Computer) tdAt(i, j int) float64 {
+	if c.unit != nil {
+		return c.unit.at(i, j)
 	}
-	tLML := t.LMLs()
-	c.runFlat(tLML, t.Keyroots())
+	return c.weighted.at(i, j)
 }
 
-// prepareView readies the per-run state for evaluating v: grows the
-// scratch for its size, fills document-side costs, and resolves its
-// labels into the query's dictionary (an alias when shared).
-func (c *Computer) prepareView(v *tree.View) {
-	n := v.Size()
-	c.ensure(n)
-	if c.unit {
-		for j := 0; j < n; j++ {
-			c.tCost[j] = 1
+// row returns the output row sized for n entries.
+func (c *Computer) row(n int) []float64 {
+	if cap(c.out) < n {
+		c.out = make([]float64, max(n, 2*cap(c.out))) //tasm:allow alloc — grow-only scratch: reallocates only when a document exceeds every prior size
+	}
+	return c.out[:n]
+}
+
+// run executes the unbounded dynamic program for (c.q, t) and returns
+// row Q of the tree distance matrix.
+func (c *Computer) run(t *tree.Tree) []float64 {
+	c.resolveLabels(t.Dict(), t.LabelIDs())
+	row, _ := c.dp(t, t.LMLs(), t.Keyroots(), t.Size(), math.Inf(1))
+	return row
+}
+
+// dp runs the kernel of the computer's model over a document of n nodes
+// given by its leftmost leaves and keyroots, with its labels already
+// resolved, and returns row Q widened to float64. t supplies node costs
+// to a non-unit model.
+func (c *Computer) dp(t *tree.Tree, tLML, tKey []int, n int, cutoff float64) ([]float64, Outcome) {
+	if c.probe != nil {
+		for _, kt := range tKey {
+			c.probe.RelevantSubtree(kt - tLML[kt] + 1)
 		}
-	} else {
-		c.fillCosts(v.Tree(), n) //tasm:allow alloc — non-unit cost models read labels through the aliased shell tree; unit-cost scans never take this branch
 	}
-	if v.Dict() == c.q.Dict() {
-		c.tLab = v.LabelIDs()
-	} else {
-		c.translate(v.Dict(), v.LabelIDs())
-	}
-}
-
-// runView executes the dynamic program for (c.q, v). The view's cached
-// keyroots make repeated evaluations of one fill allocation-free.
-func (c *Computer) runView(v *tree.View) {
-	c.prepareView(v)
-	c.runFlat(v.LMLs(), v.Keyroots())
-}
-
-// runViewBounded is runView with the early-abort cutoff threaded into the
-// keyroot loop; it reports whether any pair aborted.
-func (c *Computer) runViewBounded(v *tree.View, cutoff float64) bool {
-	c.prepareView(v)
-	return c.runFlatBounded(v.LMLs(), v.Keyroots(), cutoff)
-}
-
-// fillCosts fills c.tCost[0:n] with the model costs of t's nodes.
-func (c *Computer) fillCosts(t *tree.Tree, n int) {
-	if c.unit {
-		for j := 0; j < n; j++ {
-			c.tCost[j] = 1
+	row := c.row(n)
+	aborted := false
+	if k := c.unit; k != nil {
+		if c.q.Size()+n >= unitOver {
+			panic("ted: document too large for the int32 kernel") // its td alone would exceed 2 GiB per query node
 		}
+		k.ensure(n)
+		for j := range k.tCost {
+			k.tCost[j] = 1
+		}
+		// Unit distances are integers below unitOver: flooring the cutoff
+		// changes no comparison, and one at or above unitOver is unbounded.
+		aborted = k.run(c, tLML, tKey, row, int32(math.Min(cutoff, unitOver)))
+	} else {
+		k := c.weighted
+		k.ensure(n)
+		for j := range k.tCost {
+			k.tCost[j] = c.model.Cost(t, j)
+		}
+		aborted = k.run(c, tLML, tKey, row, cutoff)
+	}
+	if aborted {
+		return row, Aborted
+	}
+	return row, Completed
+}
+
+// resolveLabels resolves document labels interned in d into the query's
+// dictionary for the coming run: an alias when the dictionaries are
+// shared, otherwise ids (or -1 for unknown labels) written into the owned
+// scratch. Query label ids are ≥ 0, so -1 never compares equal, and the
+// per-cell rename check is a single integer comparison either way.
+func (c *Computer) resolveLabels(d dict.Dict, labels []int) {
+	qd := c.q.Dict()
+	if d == qd {
+		c.tLab = labels
 		return
 	}
-	for j := 0; j < n; j++ {
-		c.tCost[j] = c.model.Cost(t, j)
-	}
-}
-
-// translate resolves document labels interned in d into the query's
-// dictionary, writing ids (or -1 for unknown labels) into the owned
-// scratch. Query label ids are ≥ 0, so -1 never compares equal.
-func (c *Computer) translate(d dict.Dict, labels []int) {
-	qd := c.q.Dict()
 	s := c.tLabScratch
 	if cap(s) < len(labels) {
 		s = make([]int, len(labels)) //tasm:allow alloc — grow-only scratch: reallocates only when a document exceeds every prior size
@@ -277,208 +326,160 @@ func (c *Computer) translate(d dict.Dict, labels []int) {
 	c.tLabScratch, c.tLab = s, s
 }
 
-// runFlat is the keyroot double loop over the prepared per-run state.
-func (c *Computer) runFlat(tLML, tKey []int) {
-	if c.probe != nil {
-		for _, kt := range tKey {
-			c.probe.RelevantSubtree(kt - tLML[kt] + 1)
-		}
-	}
-	for _, kq := range c.qKey {
-		lq := c.qLML[kq]
-		for _, kt := range tKey {
-			c.forestDist(tLML, kq, lq, kt, tLML[kt])
-		}
-	}
+// cell is the number type of the dynamic program.
+type cell interface{ int32 | float64 }
+
+// unitOver is the int32 kernel's over-cutoff sentinel, and the bound on
+// m+n it serves. Sums cannot overflow: a forest distance is at most m+n
+// (delete one forest, insert the other), a tree distance is one of those
+// or the sentinel, and a sum adds at most one of each.
+const unitOver = 1 << 29
+
+// kernel is the Zhang–Shasha working state over one cell type: the
+// forest-distance working matrix fd, (m+1) rows of fdCols entries; the
+// permanent tree distance matrix td, m rows of tdCols; and the node costs
+// of the query and of the current document. fd, td and tCost are carved
+// from one backing grown on demand.
+type kernel[C cell] struct {
+	over   C // the over-cutoff sentinel: +Inf, or unitOver
+	qCost  []C
+	tCost  []C
+	fd     []C
+	fdCols int
+	td     []C
+	tdCols int
 }
 
-// forestDist fills the forest distance matrix for the keyroot pair
-// (kq, kt) and records tree distances for prefix pairs that are whole
-// subtrees. Forest indices are 1-based offsets relative to the leftmost
-// leaves lq and lt; row/column 0 is the empty forest. All state is read
-// through local slice headers over the flat backings so the inner loop is
-// free of pointer chasing and per-cell dictionary checks.
-func (c *Computer) forestDist(tLML []int, kq, lq, kt, lt int) {
-	fd, fw := c.fd, c.fdCols
-	qCost, qLab, qLML := c.qCost, c.qLab, c.qLML
-	tCost, tLab := c.tCost, c.tLab
+func newKernel[C cell](qCost []float64, over C) *kernel[C] {
+	k := &kernel[C]{over: over, qCost: make([]C, len(qCost))}
+	for i, c := range qCost {
+		k.qCost[i] = C(c)
+	}
+	return k
+}
 
-	fd[0] = 0
-	for i := lq; i <= kq; i++ {
-		fd[(i-lq+1)*fw] = fd[(i-lq)*fw] + qCost[i] // delete q_i
+// at returns td[i][j].
+func (k *kernel[C]) at(i, j int) float64 { return float64(k.td[i*k.tdCols+j]) }
+
+// ensure grows the working state for a document of n nodes and sizes
+// tCost to n. Growth is geometric so a scan whose candidate sizes creep
+// upward reallocates O(log τ) times, not O(candidates).
+func (k *kernel[C]) ensure(n int) {
+	if k.tdCols < n {
+		m, cols := len(k.qCost), max(n, 2*k.tdCols)
+		fd, td := (m+1)*(cols+1), m*cols
+		slab := make([]C, fd+td+cols) //tasm:allow alloc — grow-only scratch: reallocates only when a document exceeds every prior size
+		k.fd, k.td, k.tCost = slab[:fd], slab[fd:fd+td], slab[fd+td:]
+		k.fdCols, k.tdCols = cols+1, cols
 	}
-	for j := lt; j <= kt; j++ {
-		fd[j-lt+1] = fd[j-lt] + tCost[j] // insert t_j
-	}
-	for i := lq; i <= kq; i++ {
-		di := i - lq + 1
-		row := fd[di*fw : di*fw+kt-lt+2]
-		prev := fd[(di-1)*fw : (di-1)*fw+kt-lt+2]
-		qc, ql := qCost[i], qLab[i]
-		qlmlIsLq := qLML[i] == lq
-		qsubRow := fd[(qLML[i]-lq)*fw:]
-		tdRow := c.td[i*c.tdCols:]
-		for j := lt; j <= kt; j++ {
-			dj := j - lt + 1
-			del := prev[dj] + qc
-			ins := row[dj-1] + tCost[j]
-			if qlmlIsLq && tLML[j] == lt {
-				// Both prefixes are whole subtrees: the third option is a
-				// rename (or match) of the two roots. Labels were resolved
-				// into one dictionary per run, so this is an id compare.
-				ren := prev[dj-1]
-				if ql != tLab[j] {
-					ren += (qc + tCost[j]) / 2
-				}
-				d := min3(del, ins, ren)
-				row[dj] = d
-				tdRow[j] = d
-			} else {
-				// At least one prefix is a proper forest: the third option
-				// aligns the two rightmost subtrees using the already
-				// computed tree distance.
-				sub := qsubRow[tLML[j]-lt] + tdRow[j]
-				row[dj] = min3(del, ins, sub)
+	k.tCost = k.tCost[:n]
+}
+
+// run is the keyroot double loop over the prepared per-run state,
+// writing row Q of td to dst as float64 with over-cutoff entries as +Inf.
+// The sentinel as cutoff means unbounded; below it, td is first filled
+// with the sentinel, so a tree distance in the abandoned rows of an
+// aborted pair already reads as over the cutoff, to later pairs and in
+// dst. It reports whether any pair aborted.
+func (k *kernel[C]) run(c *Computer, tLML, tKey []int, dst []float64, cutoff C) bool {
+	m, n := len(k.qCost), len(k.tCost)
+	if cutoff < k.over {
+		for i := 0; i < m; i++ {
+			row := k.td[i*k.tdCols : i*k.tdCols+n]
+			for j := range row {
+				row[j] = k.over
 			}
-		}
-	}
-}
-
-// runFlatBounded is runFlat with the abort cutoff passed to every pair.
-func (c *Computer) runFlatBounded(tLML, tKey []int, cutoff float64) bool {
-	if c.probe != nil {
-		for _, kt := range tKey {
-			c.probe.RelevantSubtree(kt - tLML[kt] + 1)
 		}
 	}
 	aborted := false
 	for _, kq := range c.qKey {
 		lq := c.qLML[kq]
 		for _, kt := range tKey {
-			if !c.forestDistBounded(tLML, kq, lq, kt, tLML[kt], cutoff) {
+			if !k.forestDist(c, tLML, kq, lq, kt, tLML[kt], cutoff) {
 				aborted = true
 			}
+		}
+	}
+	for j, d := range k.td[(m-1)*k.tdCols : (m-1)*k.tdCols+n] {
+		if d > cutoff {
+			dst[j] = math.Inf(1)
+		} else {
+			dst[j] = float64(d)
 		}
 	}
 	return aborted
 }
 
-// forestDistBounded is forestDist tracking the minimum of each completed
-// fd row; once that minimum exceeds the cutoff it abandons the pair,
-// publishes +Inf for the tree-distance cells the pair would still have
-// written (so later pairs and the caller never read stale values from a
-// previous run), and returns false. The per-cell work is identical to
-// forestDist plus one comparison.
-func (c *Computer) forestDistBounded(tLML []int, kq, lq, kt, lt int, cutoff float64) bool {
-	fd, fw := c.fd, c.fdCols
-	qCost, qLab, qLML := c.qCost, c.qLab, c.qLML
-	tCost, tLab := c.tCost, c.tLab
+// forestDist fills the forest distance matrix for the keyroot pair
+// (kq, kt) and records tree distances for prefix pairs that are whole
+// subtrees. Forest indices are 1-based offsets relative to the leftmost
+// leaves lq and lt; row/column 0 is the empty forest. Once a whole row
+// exceeds the cutoff the pair is abandoned and false returned. All state
+// is read through local slice headers over the flat backings so the inner
+// loop is free of pointer chasing and per-cell dictionary checks.
+func (k *kernel[C]) forestDist(c *Computer, tLML []int, kq, lq, kt, lt int, cutoff C) bool {
+	fd, fw := k.fd, k.fdCols
+	qCost, qLab, qLML := k.qCost, c.qLab, c.qLML
+	width := kt - lt + 1
+	// The view side of the pair as windows starting at lt: index x is
+	// node lt+x, forest column x+1.
+	tCost, tLab, tLML := k.tCost[lt:kt+1], c.tLab[lt:kt+1], tLML[lt:kt+1]
 
 	fd[0] = 0
 	for i := lq; i <= kq; i++ {
 		fd[(i-lq+1)*fw] = fd[(i-lq)*fw] + qCost[i] // delete q_i
 	}
-	for j := lt; j <= kt; j++ {
-		fd[j-lt+1] = fd[j-lt] + tCost[j] // insert t_j
+	for x, tc := range tCost {
+		fd[x+1] = fd[x] + tc // insert t_j
 	}
 	for i := lq; i <= kq; i++ {
 		di := i - lq + 1
-		row := fd[di*fw : di*fw+kt-lt+2]
-		prev := fd[(di-1)*fw : (di-1)*fw+kt-lt+2]
+		row := fd[di*fw : di*fw+width+1]
+		prev := fd[(di-1)*fw : (di-1)*fw+width+1]
 		qc, ql := qCost[i], qLab[i]
-		qlmlIsLq := qLML[i] == lq
-		qsubRow := fd[(qLML[i]-lq)*fw:]
-		tdRow := c.td[i*c.tdCols:]
-		rowMin := row[0] // column 0: delete the whole query prefix
-		for j := lt; j <= kt; j++ {
-			dj := j - lt + 1
-			del := prev[dj] + qc
-			ins := row[dj-1] + tCost[j]
-			var d float64
-			if qlmlIsLq && tLML[j] == lt {
-				ren := prev[dj-1]
-				if ql != tLab[j] {
-					ren += (qc + tCost[j]) / 2
+		// treeLML is the leftmost leaf a view node must have for the cell
+		// to pair two whole subtrees; none does when the query prefix is a
+		// proper forest.
+		treeLML := -1
+		if qLML[i] == lq {
+			treeLML = lt
+		}
+		sub := fd[(qLML[i]-lq)*fw:]
+		tdRow := k.td[i*k.tdCols+lt : i*k.tdCols+lt+width]
+		left := row[0] // column 0: delete the whole query prefix
+		rowMin := left
+		for x := 0; x < width; x++ {
+			del := prev[x+1] + qc
+			ins := left + tCost[x]
+			if tLML[x] == treeLML {
+				// Both prefixes are whole subtrees: the third option is a
+				// rename (or match) of the two roots. Labels were resolved
+				// into one dictionary per run, so this is an id compare.
+				ren := prev[x]
+				if ql != tLab[x] {
+					ren += (qc + tCost[x]) / 2
 				}
-				d = min3(del, ins, ren)
-				tdRow[j] = d
+				left = min3(del, ins, ren)
+				tdRow[x] = left
 			} else {
-				sub := qsubRow[tLML[j]-lt] + tdRow[j]
-				d = min3(del, ins, sub)
+				// At least one prefix is a proper forest: the third option
+				// aligns the two rightmost subtrees using the already
+				// computed tree distance.
+				left = min3(del, ins, sub[tLML[x]-lt]+tdRow[x])
 			}
-			row[dj] = d
-			if d < rowMin {
-				rowMin = d
+			row[x+1] = left
+			if left < rowMin {
+				rowMin = left
 			}
 		}
 		if rowMin > cutoff && i < kq {
-			c.invalidatePair(tLML, i+1, kq, lq, kt, lt)
 			return false
 		}
 	}
 	return true
 }
 
-// invalidatePair marks the tree-distance cells an aborted pair would have
-// written in rows from..kq as exceeding every cutoff: td[i][j] = +Inf for
-// query rows whose prefix is the whole subtree rooted at i (qLML[i] == lq)
-// and document columns that are whole subtrees of the kt keyroot region
-// (tLML[j] == lt).
-func (c *Computer) invalidatePair(tLML []int, from, kq, lq, kt, lt int) {
-	inf := math.Inf(1)
-	for i := from; i <= kq; i++ {
-		if c.qLML[i] != lq {
-			continue
-		}
-		tdRow := c.td[i*c.tdCols:]
-		for j := lt; j <= kt; j++ {
-			if tLML[j] == lt {
-				tdRow[j] = inf
-			}
-		}
-	}
-}
-
-// renameCost returns γ(q_i, t_j) for two non-empty nodes (Definition 4)
-// using the per-run resolved labels and costs: 0 on equal labels, the
-// mean node cost otherwise. Valid after run/runView for the same
-// document.
-func (c *Computer) renameCost(i, j int) float64 {
-	if c.qLab[i] == c.tLab[j] {
-		return 0
-	}
-	return (c.qCost[i] + c.tCost[j]) / 2
-}
-
-// ensure grows the working state for a document of n nodes: fd to
-// (m+1)×(n+1), td to m×n, and the per-document scratch to n. Growth is
-// geometric so a scan whose candidate sizes creep upward reallocates
-// O(log τ) times, not O(candidates).
-func (c *Computer) ensure(n int) {
-	m := c.q.Size()
-	if c.fdCols < n+1 {
-		cols := 2 * c.fdCols
-		if cols < n+1 {
-			cols = n + 1
-		}
-		c.fdCols = cols
-		c.fd = make([]float64, (m+1)*cols) //tasm:allow alloc — grow-only scratch: reallocates only when a document exceeds every prior size
-	}
-	if c.tdCols < n {
-		cols := 2 * c.tdCols
-		if cols < n {
-			cols = n
-		}
-		c.tdCols = cols
-		c.td = make([]float64, m*cols) //tasm:allow alloc — grow-only scratch: reallocates only when a document exceeds every prior size
-	}
-	if cap(c.tCost) < n {
-		c.tCost = make([]float64, c.fdCols) //tasm:allow alloc — grow-only scratch: reallocates only when a document exceeds every prior size
-	}
-	c.tCost = c.tCost[:n]
-}
-
-func min3(a, b, c float64) float64 {
+func min3[C cell](a, b, c C) C {
 	if b < a {
 		a = b
 	}
