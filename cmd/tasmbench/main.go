@@ -7,23 +7,6 @@
 //
 //	tasmbench -fig 9a           # runtime vs document size
 //	tasmbench -fig all -quick   # everything, small scales
-//	tasmbench -json             # machine-readable micro-suite
-//
-// -json runs a fixed micro-benchmark suite (TED distance, the Figure-9a
-// scan shapes, the parallel, batch and corpus scans) through
-// testing.Benchmark and prints one JSON document with ns/op, B/op and
-// allocs/op per benchmark. Redirect it into BENCH_<PR>.json to track the
-// performance trajectory across PRs:
-//
-//	tasmbench -json > BENCH_PR3.json
-//
-// -prune selects the candidate pruning gates the -json suite runs with:
-// "on" (default, all gates), "off" (none), or a comma-separated subset of
-// "hist" (label-histogram candidate gate), "ted" (early-abort bounded
-// TED) and "tau" (the paper's τ′ bound), so each gate's contribution can
-// be measured independently:
-//
-//	tasmbench -json -prune=off > BENCH_PR3_unpruned.json
 package main
 
 import (
@@ -37,28 +20,11 @@ import (
 
 func main() {
 	var (
-		fig     = flag.String("fig", "all", "figure to reproduce: 9a, 9b, 9c, 10, 11, 12, ablation or all")
-		quick   = flag.Bool("quick", false, "use small document scales (seconds instead of minutes)")
-		seed    = flag.Int64("seed", 1, "generation seed")
-		jsonOut = flag.Bool("json", false, "run the micro-benchmark suite and emit JSON (ns/op, B/op, allocs/op)")
-		prune   = flag.String("prune", "on", "candidate pruning gates for -json: on, off, or a comma list of hist, ted, tau")
-		trace   = flag.Bool("trace", false, "run one traced query against the corpus and shard fixtures and print the stage breakdown")
+		fig   = flag.String("fig", "all", "figure to reproduce: 9a, 9b, 9c, 10, 11, 12, ablation or all")
+		quick = flag.Bool("quick", false, "use small document scales (seconds instead of minutes)")
+		seed  = flag.Int64("seed", 1, "generation seed")
 	)
 	flag.Parse()
-	if *trace {
-		if err := runTrace(os.Stdout, *quick, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "tasmbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *jsonOut {
-		if err := runJSON(os.Stdout, *quick, *seed, *prune); err != nil {
-			fmt.Fprintln(os.Stderr, "tasmbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	cfg := experiments.Default()
 	if *quick {
 		cfg = experiments.Quick()

@@ -185,16 +185,6 @@ func queryPreview(q string) string {
 	return q[:max] + "…"
 }
 
-// previewOf renders the request's query for the slow log (bracket
-// queries verbatim, XML marked as such — the parsed tree would need the
-// request overlay which is gone by logging time).
-func previewOf(req *topkRequest) string {
-	if req.Query != "" {
-		return queryPreview(req.Query)
-	}
-	return "<xml query, " + queryPreview(req.QueryXML) + ">"
-}
-
 // ---------------------------------------------------------------------------
 // In-flight query registry.
 
@@ -315,31 +305,31 @@ type instrumentedShard struct {
 
 var _ corpus.Searcher = (*instrumentedShard)(nil)
 
+// TopK is TopKBatch for a batch of one (the embedded client's own TopK
+// would bypass the counters).
 func (s *instrumentedShard) TopK(ctx context.Context, q *tree.Tree, k int, opts ...corpus.QueryOption) ([]corpus.Match, error) {
-	defer s.observe(time.Now())()
-	ms, err := s.Client.TopK(ctx, q, k, opts...)
-	if err != nil {
-		s.st.errors.Add(1)
+	if err := corpus.ValidateQuery(q, k); err != nil {
+		return nil, err
 	}
-	return ms, err
+	results, err := s.TopKBatch(ctx, []*tree.Tree{q}, k, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return results[0], nil
 }
 
+// TopKBatch accounts one fan-out request around the client's.
 func (s *instrumentedShard) TopKBatch(ctx context.Context, queries []*tree.Tree, k int, opts ...corpus.QueryOption) ([][]corpus.Match, error) {
-	defer s.observe(time.Now())()
+	start := time.Now()
+	s.st.requests.Add(1)
+	s.st.inflight.Add(1)
+	defer func() {
+		s.st.inflight.Add(-1)
+		s.st.latency.observe(time.Since(start))
+	}()
 	rs, err := s.Client.TopKBatch(ctx, queries, k, opts...)
 	if err != nil {
 		s.st.errors.Add(1)
 	}
 	return rs, err
-}
-
-// observe accounts one fan-out request; called as `defer observe(time.Now())`
-// so the in-flight gauge rises before the call and falls with it.
-func (s *instrumentedShard) observe(start time.Time) func() {
-	s.st.requests.Add(1)
-	s.st.inflight.Add(1)
-	return func() {
-		s.st.inflight.Add(-1)
-		s.st.latency.observe(time.Since(start))
-	}
 }

@@ -111,8 +111,14 @@ func newServer(src corpus.Searcher, ing corpus.Ingester, cfg serverConfig) http.
 		s.sem = make(chan struct{}, cfg.maxConcurrent)
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/topk", s.handleTopK)
-	mux.HandleFunc("POST /v1/topk-batch", s.handleTopKBatch)
+	mux.HandleFunc("POST /v1/topk", s.handleQuery(&queryEndpoint{
+		path: "/v1/topk", latency: &s.metrics.topkLatency,
+		decode: s.decodeTopK, encode: encodeTopK,
+	}))
+	mux.HandleFunc("POST /v1/topk-batch", s.handleQuery(&queryEndpoint{
+		path: "/v1/topk-batch", latency: &s.metrics.batchLatency,
+		decode: s.decodeTopKBatch, encode: func(a topkBatchResponse) any { return a },
+	}))
 	mux.HandleFunc("POST /v1/docs", s.handleIngest)
 	mux.HandleFunc("GET /v1/docs", s.handleListDocs)
 	mux.HandleFunc("DELETE /v1/docs/{name}", s.handleRemove)
@@ -162,6 +168,29 @@ func (s *server) parseBracket(q string) (*tree.Tree, error) {
 		return p.ParseBracket(q)
 	}
 	return tree.Parse(dict.New(), q)
+}
+
+// parseQueries parses the request's queries; a batch's error names the
+// offending query by index.
+func (s *server) parseQueries(req *queryRequest) ([]*tree.Tree, error) {
+	if req.QueryXML != "" {
+		q, err := s.parseXML(strings.NewReader(req.QueryXML))
+		if err != nil {
+			return nil, fmt.Errorf("parsing query: %v", err)
+		}
+		return []*tree.Tree{q}, nil
+	}
+	queries := make([]*tree.Tree, len(req.Queries))
+	for i, bracket := range req.Queries {
+		q, err := s.parseBracket(bracket)
+		if err != nil && req.single {
+			return nil, fmt.Errorf("parsing query: %v", err)
+		} else if err != nil {
+			return nil, fmt.Errorf("parsing query %d: %v", i, err)
+		}
+		queries[i] = q
+	}
+	return queries, nil
 }
 
 // parseXML is parseBracket for XML queries.
@@ -263,136 +292,239 @@ type topkResponse struct {
 	Trace *qtrace.Wire `json:"trace,omitempty"`
 }
 
-func (s *server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	defer func() { s.metrics.topkLatency.observe(time.Since(start)) }()
-	var req topkRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes)
-	dec := json.NewDecoder(body)
+// queryRequest is what the body of either query endpoint decodes to: a
+// batch request, plus what only /v1/topk carries.
+type queryRequest struct {
+	topkBatchRequest
+	QueryXML string // the alternative to one bracket query
+	Workers  int
+	single   bool // decoded from /v1/topk
+}
+
+// reportedQueries is the "queries" of log and debug entries: the batch
+// size, 0 for a /v1/topk request.
+func (q *queryRequest) reportedQueries() int {
+	if q.single {
+		return 0
+	}
+	return len(q.Queries)
+}
+
+// preview renders the request's first query for the slow log and
+// /debug/queries (bracket queries verbatim, XML marked as such — the
+// parsed tree would need the request overlay which is gone by logging
+// time).
+func (q *queryRequest) preview() string {
+	if q.QueryXML != "" {
+		return "<xml query, " + queryPreview(q.QueryXML) + ">"
+	}
+	return queryPreview(q.Queries[0])
+}
+
+// queryEndpoint is everything that tells POST /v1/topk and POST
+// /v1/topk-batch apart: a request decoder, a response encoder, and their
+// counters. What happens in between is handleQuery.
+type queryEndpoint struct {
+	path    string
+	latency *latencyHistogram
+	// decode reads and validates the request body and counts the accepted
+	// request; on failure it has answered and returns false.
+	decode func(w http.ResponseWriter, r *http.Request) (*queryRequest, bool)
+	// encode shapes an answer, held in the batch endpoint's form, as the
+	// endpoint's own response.
+	encode func(topkBatchResponse) any
+}
+
+// decodeBody decodes a JSON request body into req, answering 400 (or 413
+// past -max-body-bytes) on failure.
+func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, req any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(req); err != nil {
 		httpError(w, bodyErrStatus(err), "invalid JSON body: %v", err)
-		return
+		return false
+	}
+	return true
+}
+
+// checkK answers 400 unless 1 ≤ k ≤ the server limit.
+func (s *server) checkK(w http.ResponseWriter, k int) bool {
+	if k < 1 {
+		httpError(w, http.StatusBadRequest, "k must be ≥ 1, got %d", k)
+		return false
+	}
+	if k > s.cfg.maxK {
+		httpError(w, http.StatusBadRequest, "k %d exceeds the server limit %d", k, s.cfg.maxK)
+		return false
+	}
+	return true
+}
+
+func (s *server) decodeTopK(w http.ResponseWriter, r *http.Request) (*queryRequest, bool) {
+	var req topkRequest
+	if !s.decodeBody(w, r, &req) {
+		return nil, false
 	}
 	if (req.Query == "") == (req.QueryXML == "") {
 		httpError(w, http.StatusBadRequest, "exactly one of query and queryXml is required")
-		return
+		return nil, false
 	}
-	if req.K < 1 {
-		httpError(w, http.StatusBadRequest, "k must be ≥ 1, got %d", req.K)
-		return
+	if !s.checkK(w, req.K) {
+		return nil, false
 	}
-	if req.K > s.cfg.maxK {
-		httpError(w, http.StatusBadRequest, "k %d exceeds the server limit %d", req.K, s.cfg.maxK)
-		return
-	}
-
 	s.metrics.topkRequests.Add(1)
-	// Traced requests bypass the result cache in both directions: a
-	// cached answer has no spans to show, and a response carrying a trace
-	// block must never be replayed to a request that asked for none.
-	wantTrace := r.URL.Query().Get("trace") == "1"
-	key := s.cacheKey(&req)
-	if !wantTrace {
-		if cached, ok := s.cache.get(key); ok {
-			var resp topkResponse
-			if err := json.Unmarshal(cached, &resp); err == nil {
-				s.metrics.cacheHits.Add(1)
-				resp.Stats.Cached = true
-				writeJSON(w, http.StatusOK, resp)
+	q := &queryRequest{QueryXML: req.QueryXML, Workers: req.Workers, single: true}
+	q.K, q.Docs, q.Trees, q.Exhaustive, q.Partial = req.K, req.Docs, req.Trees, req.Exhaustive, req.Partial
+	if req.Query != "" {
+		q.Queries = []string{req.Query}
+	}
+	return q, true
+}
+
+func encodeTopK(a topkBatchResponse) any {
+	return topkResponse{Matches: a.Results[0], Stats: a.Stats, Trace: a.Trace}
+}
+
+func (s *server) decodeTopKBatch(w http.ResponseWriter, r *http.Request) (*queryRequest, bool) {
+	req := &queryRequest{}
+	if !s.decodeBody(w, r, &req.topkBatchRequest) {
+		return nil, false
+	}
+	if len(req.Queries) == 0 {
+		httpError(w, http.StatusBadRequest, "queries must not be empty")
+		return nil, false
+	}
+	if !s.checkK(w, req.K) {
+		return nil, false
+	}
+	if len(req.Queries) > s.cfg.maxBatch {
+		httpError(w, http.StatusBadRequest, "batch of %d queries exceeds the server limit %d", len(req.Queries), s.cfg.maxBatch)
+		return nil, false
+	}
+	s.metrics.batchRequests.Add(1)
+	s.metrics.batchQueries.Add(uint64(len(req.Queries)))
+	return req, true
+}
+
+// handleQuery is the one query handler: it serves the request ep decoded
+// from the cache or, admitted under the concurrency limit, from the
+// backend — a single query as a batch of one — and logs, caches and
+// answers in ep's response shape.
+func (s *server) handleQuery(ep *queryEndpoint) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		defer func() { ep.latency.observe(time.Since(start)) }()
+		req, ok := ep.decode(w, r)
+		if !ok {
+			return
+		}
+
+		// Traced requests bypass the result cache in both directions: a
+		// cached answer has no spans to show, and a response carrying a trace
+		// block must never be replayed to a request that asked for none.
+		wantTrace := r.URL.Query().Get("trace") == "1"
+		key := s.cacheKey(ep.path, req)
+		if !wantTrace {
+			if cached, ok := s.cache.get(key); ok {
+				var answer topkBatchResponse
+				if err := json.Unmarshal(cached, &answer); err == nil {
+					s.metrics.cacheHits.Add(1)
+					answer.Stats.Cached = true
+					writeJSON(w, http.StatusOK, ep.encode(answer))
+					return
+				}
+			}
+		}
+
+		tr := s.traceFor(r, wantTrace)
+		defer qtrace.Release(tr)
+		ctx := qtrace.NewContext(r.Context(), tr)
+		// Registered before admission so a query stuck waiting for a slot is
+		// visible in /debug/queries (with no active stage yet).
+		inflightID := s.inflight.register(&inflightEntry{
+			reqID: requestIDFrom(ctx), endpoint: ep.path,
+			query: req.preview(), queries: req.reportedQueries(), k: req.K, start: start, trace: tr,
+		})
+		defer s.inflight.deregister(inflightID)
+
+		if s.sem != nil {
+			// A request whose client has gone while it waited gives up its
+			// place instead of taking a scan slot for nobody.
+			select {
+			case s.sem <- struct{}{}:
+				defer func() { <-s.sem }()
+			case <-ctx.Done():
+				s.queryError(w, r, ctx.Err())
 				return
 			}
 		}
-	}
 
-	tr := s.traceFor(r, wantTrace)
-	defer qtrace.Release(tr)
-	ctx := qtrace.NewContext(r.Context(), tr)
-	// Registered before the semaphore so a query stuck waiting for a slot
-	// is visible in /debug/queries (with no active stage yet).
-	inflightID := s.inflight.register(&inflightEntry{
-		reqID: requestIDFrom(ctx), endpoint: "/v1/topk",
-		query: previewOf(&req), k: req.K, start: start, trace: tr,
-	})
-	defer s.inflight.deregister(inflightID)
-
-	if s.sem != nil {
-		s.sem <- struct{}{}
-		defer func() { <-s.sem }()
-	}
-
-	parseSpan := tr.Begin(qtrace.SpanParse, "")
-	var (
-		q   *tree.Tree
-		err error
-	)
-	if req.Query != "" {
-		q, err = s.parseBracket(req.Query)
-	} else {
-		q, err = s.parseXML(strings.NewReader(req.QueryXML))
-	}
-	tr.End(parseSpan)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "parsing query: %v", err)
-		return
-	}
-
-	var stats corpus.Stats
-	opts := []corpus.QueryOption{corpus.WithStats(&stats)}
-	if len(req.Docs) > 0 {
-		opts = append(opts, corpus.WithDocs(req.Docs...))
-	}
-	if !req.Trees {
-		opts = append(opts, corpus.WithoutTrees())
-	}
-	if req.Exhaustive {
-		opts = append(opts, corpus.WithoutFilter())
-	}
-	if req.Partial {
-		opts = append(opts, corpus.WithPartialResults())
-	}
-	workers := req.Workers
-	if workers == 0 {
-		workers = s.cfg.workers
-	}
-	if workers != 0 {
-		opts = append(opts, corpus.WithWorkers(workers))
-	}
-	matches, err := s.src.TopK(ctx, q, req.K, opts...)
-	entry := slowEntry{
-		Time: start, ReqID: requestIDFrom(ctx), TraceID: tr.TraceID().String(),
-		Endpoint: "/v1/topk", Query: previewOf(&req), K: req.K,
-		Scanned: stats.Scanned, Skipped: stats.Skipped, Evaluated: stats.Evaluated,
-		Retried: stats.Retried, Hedged: stats.Hedged,
-		BreakerSkipped: stats.BreakerSkipped, Degraded: stats.Degraded,
-	}
-	if err != nil {
-		entry.Error = err.Error()
-	}
-	s.observeSlow(time.Since(start), entry)
-	if err != nil {
-		s.queryError(w, r, err)
-		return
-	}
-
-	s.metrics.observe(&stats)
-	resp := topkResponse{
-		Matches: matchesOf(matches),
-		Stats:   statsOf(&stats),
-	}
-	if wantTrace {
-		resp.Trace = tr.Export()
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	// Degraded answers are never cached: they are not THE answer for this
-	// generation, only the best one available while a shard was down.
-	if len(stats.Degraded) == 0 {
-		if data, err := json.Marshal(resp); err == nil {
-			s.cache.put(key, data)
+		parseSpan := tr.Begin(qtrace.SpanParse, "")
+		queries, err := s.parseQueries(req)
+		tr.End(parseSpan)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, "%v", err)
+			return
 		}
+
+		var stats corpus.Stats
+		opts := []corpus.QueryOption{corpus.WithStats(&stats)}
+		if len(req.Docs) > 0 {
+			opts = append(opts, corpus.WithDocs(req.Docs...))
+		}
+		if !req.Trees {
+			opts = append(opts, corpus.WithoutTrees())
+		}
+		if req.Exhaustive {
+			opts = append(opts, corpus.WithoutFilter())
+		}
+		if req.Partial {
+			opts = append(opts, corpus.WithPartialResults())
+		}
+		workers := req.Workers
+		if workers == 0 {
+			workers = s.cfg.workers
+		}
+		if workers != 0 {
+			opts = append(opts, corpus.WithWorkers(workers))
+		}
+		results, err := s.src.TopKBatch(ctx, queries, req.K, opts...)
+		entry := slowEntry{
+			Time: start, ReqID: requestIDFrom(ctx), TraceID: tr.TraceID().String(),
+			Endpoint: ep.path, Query: req.preview(), Queries: req.reportedQueries(), K: req.K,
+			Scanned: stats.Scanned, Skipped: stats.Skipped, Evaluated: stats.Evaluated,
+			Retried: stats.Retried, Hedged: stats.Hedged,
+			BreakerSkipped: stats.BreakerSkipped, Degraded: stats.Degraded,
+		}
+		if err != nil {
+			entry.Error = err.Error()
+		}
+		s.observeSlow(time.Since(start), entry)
+		if err != nil {
+			s.queryError(w, r, err)
+			return
+		}
+
+		s.metrics.observe(&stats)
+		answer := topkBatchResponse{
+			Results: make([][]topkMatch, len(results)),
+			Stats:   statsOf(&stats),
+		}
+		for i, ms := range results {
+			answer.Results[i] = matchesOf(ms)
+		}
+		if wantTrace {
+			answer.Trace = tr.Export()
+		} else if len(stats.Degraded) == 0 {
+			// Degraded answers are never cached: they are not THE answer for
+			// this generation, only the best one available while a shard was
+			// down.
+			if data, err := json.Marshal(answer); err == nil {
+				s.cache.put(key, data)
+			}
+		}
+		writeJSON(w, http.StatusOK, ep.encode(answer))
 	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // queryError maps a query failure to an HTTP status: cancellation and
@@ -452,159 +584,19 @@ type topkBatchResponse struct {
 	Trace *qtrace.Wire `json:"trace,omitempty"`
 }
 
-func (s *server) handleTopKBatch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	defer func() { s.metrics.batchLatency.observe(time.Since(start)) }()
-	var req topkBatchRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, bodyErrStatus(err), "invalid JSON body: %v", err)
-		return
-	}
-	if len(req.Queries) == 0 {
-		httpError(w, http.StatusBadRequest, "queries must not be empty")
-		return
-	}
-	if req.K < 1 {
-		httpError(w, http.StatusBadRequest, "k must be ≥ 1, got %d", req.K)
-		return
-	}
-	if req.K > s.cfg.maxK {
-		httpError(w, http.StatusBadRequest, "k %d exceeds the server limit %d", req.K, s.cfg.maxK)
-		return
-	}
-	if len(req.Queries) > s.cfg.maxBatch {
-		httpError(w, http.StatusBadRequest, "batch of %d queries exceeds the server limit %d", len(req.Queries), s.cfg.maxBatch)
-		return
-	}
-
-	s.metrics.batchRequests.Add(1)
-	s.metrics.batchQueries.Add(uint64(len(req.Queries)))
-	// See handleTopK: traced requests bypass the cache in both directions.
-	wantTrace := r.URL.Query().Get("trace") == "1"
-	key := s.batchCacheKey(&req)
-	if !wantTrace {
-		if cached, ok := s.cache.get(key); ok {
-			var resp topkBatchResponse
-			if err := json.Unmarshal(cached, &resp); err == nil {
-				s.metrics.cacheHits.Add(1)
-				resp.Stats.Cached = true
-				writeJSON(w, http.StatusOK, resp)
-				return
-			}
-		}
-	}
-
-	tr := s.traceFor(r, wantTrace)
-	defer qtrace.Release(tr)
-	ctx := qtrace.NewContext(r.Context(), tr)
-	inflightID := s.inflight.register(&inflightEntry{
-		reqID: requestIDFrom(ctx), endpoint: "/v1/topk-batch",
-		query: queryPreview(req.Queries[0]), queries: len(req.Queries),
-		k: req.K, start: start, trace: tr,
-	})
-	defer s.inflight.deregister(inflightID)
-
-	if s.sem != nil {
-		s.sem <- struct{}{}
-		defer func() { <-s.sem }()
-	}
-
-	parseSpan := tr.Begin(qtrace.SpanParse, "")
-	queries := make([]*tree.Tree, len(req.Queries))
-	for i, qs := range req.Queries {
-		q, err := s.parseBracket(qs)
-		if err != nil {
-			tr.End(parseSpan)
-			httpError(w, http.StatusBadRequest, "parsing query %d: %v", i, err)
-			return
-		}
-		queries[i] = q
-	}
-	tr.End(parseSpan)
-
-	var stats corpus.Stats
-	opts := []corpus.QueryOption{corpus.WithStats(&stats)}
-	if len(req.Docs) > 0 {
-		opts = append(opts, corpus.WithDocs(req.Docs...))
-	}
-	if !req.Trees {
-		opts = append(opts, corpus.WithoutTrees())
-	}
-	if req.Exhaustive {
-		opts = append(opts, corpus.WithoutFilter())
-	}
-	if req.Partial {
-		opts = append(opts, corpus.WithPartialResults())
-	}
-	results, err := s.src.TopKBatch(ctx, queries, req.K, opts...)
-	entry := slowEntry{
-		Time: start, ReqID: requestIDFrom(ctx), TraceID: tr.TraceID().String(),
-		Endpoint: "/v1/topk-batch", Query: queryPreview(req.Queries[0]),
-		Queries: len(req.Queries), K: req.K,
-		Scanned: stats.Scanned, Skipped: stats.Skipped, Evaluated: stats.Evaluated,
-		Retried: stats.Retried, Hedged: stats.Hedged,
-		BreakerSkipped: stats.BreakerSkipped, Degraded: stats.Degraded,
-	}
-	if err != nil {
-		entry.Error = err.Error()
-	}
-	s.observeSlow(time.Since(start), entry)
-	if err != nil {
-		s.queryError(w, r, err)
-		return
-	}
-
-	s.metrics.observe(&stats)
-	resp := topkBatchResponse{
-		Results: make([][]topkMatch, len(results)),
-		Stats:   statsOf(&stats),
-	}
-	for i, ms := range results {
-		resp.Results[i] = matchesOf(ms)
-	}
-	if wantTrace {
-		resp.Trace = tr.Export()
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	// See handleTopK: degraded answers are never cached.
-	if len(stats.Degraded) == 0 {
-		if data, err := json.Marshal(resp); err == nil {
-			s.cache.put(key, data)
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// batchCacheKey identifies a batch result: the corpus generation plus
-// every request field that can change the response bytes. Fields are
-// length-prefixed like cacheKey's.
-func (s *server) batchCacheKey(req *topkBatchRequest) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "batch\x00g%d\x00k%d\x00t%v\x00e%v\x00p%v\x00q%d",
-		s.src.Generation(), req.K, req.Trees, req.Exhaustive, req.Partial, len(req.Queries))
-	for _, q := range req.Queries {
-		writeLenPrefixed(&sb, q)
-	}
-	for _, d := range req.Docs {
-		writeLenPrefixed(&sb, d)
-	}
-	return sb.String()
-}
-
-// cacheKey identifies a topk result: the corpus generation plus every
-// request field that can change the response bytes. Workers is
+// cacheKey identifies a query result: the endpoint, the corpus generation
+// and every request field that can change the response bytes. Workers is
 // deliberately absent — results are identical in all worker modes, so
 // keying on it would only fragment the cache. Variable-length fields are
 // length-prefixed so values containing separator bytes cannot collide
 // with field boundaries.
-func (s *server) cacheKey(req *topkRequest) string {
+func (s *server) cacheKey(path string, req *queryRequest) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "g%d\x00k%d\x00t%v\x00e%v\x00p%v", s.src.Generation(), req.K, req.Trees, req.Exhaustive, req.Partial)
-	writeLenPrefixed(&sb, req.Query)
+	fmt.Fprintf(&sb, "%s\x00g%d\x00k%d\x00t%v\x00e%v\x00p%v\x00q%d",
+		path, s.src.Generation(), req.K, req.Trees, req.Exhaustive, req.Partial, len(req.Queries))
+	for _, q := range req.Queries {
+		writeLenPrefixed(&sb, q)
+	}
 	writeLenPrefixed(&sb, req.QueryXML)
 	for _, d := range req.Docs {
 		writeLenPrefixed(&sb, d)

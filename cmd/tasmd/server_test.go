@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -395,5 +396,39 @@ func tearStore(t *testing.T, c *corpus.Corpus) {
 	}
 	if err := os.WriteFile(store, data[:len(data)-10], 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAdmissionHonoursCancellation: with every scan slot taken, a request
+// whose client has gone answers 503 from the admission queue instead of
+// waiting for a slot it would scan in for nobody — on either endpoint.
+func TestAdmissionHonoursCancellation(t *testing.T) {
+	b := &blockingSearcher{entered: make(chan struct{}), release: make(chan struct{})}
+	h := newServer(b, nil, serverConfig{maxConcurrent: 1})
+	holder := make(chan int, 1)
+	go func() {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/topk", strings.NewReader(`{"query":"{a}","k":1}`)))
+		holder <- w.Code
+	}()
+	<-b.entered // the one slot is held
+
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	for path, body := range map[string]string{
+		"/v1/topk":       `{"query":"{a}","k":1}`,
+		"/v1/topk-batch": `{"queries":["{a}","{b}"],"k":1}`,
+	} {
+		req := httptest.NewRequest("POST", path, strings.NewReader(body)).WithContext(gone)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if w.Code != http.StatusServiceUnavailable {
+			t.Errorf("%s with a cancelled client and no free slot: status %d, want 503: %s", path, w.Code, w.Body)
+		}
+	}
+
+	close(b.release)
+	if code := <-holder; code != http.StatusOK {
+		t.Errorf("the admitted request: status %d, want 200", code)
 	}
 }

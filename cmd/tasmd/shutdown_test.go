@@ -23,16 +23,16 @@ type slowSearcher struct {
 }
 
 func (s *slowSearcher) TopK(ctx context.Context, q *tree.Tree, k int, opts ...corpus.QueryOption) ([]corpus.Match, error) {
+	_, err := s.TopKBatch(ctx, []*tree.Tree{q}, k, opts...)
+	return nil, err
+}
+
+func (s *slowSearcher) TopKBatch(ctx context.Context, qs []*tree.Tree, k int, opts ...corpus.QueryOption) ([][]corpus.Match, error) {
 	select {
 	case <-s.started:
 	default:
 		close(s.started)
 	}
-	<-ctx.Done()
-	return nil, ctx.Err()
-}
-
-func (s *slowSearcher) TopKBatch(ctx context.Context, qs []*tree.Tree, k int, opts ...corpus.QueryOption) ([][]corpus.Match, error) {
 	<-ctx.Done()
 	return nil, ctx.Err()
 }

@@ -204,25 +204,27 @@ func TestSlowlog(t *testing.T) {
 	}
 }
 
-// blockingSearcher is a Searcher stub whose TopK parks inside a scan
+// blockingSearcher is a Searcher stub whose queries park inside a scan
 // span until released, so a test can observe the query in flight.
 type blockingSearcher struct {
 	entered chan struct{}
 	release chan struct{}
 }
 
+//tasm:allow ctxpoll — test stub: delegates to TopKBatch
 func (b *blockingSearcher) TopK(ctx context.Context, q *tree.Tree, k int, opts ...corpus.QueryOption) ([]corpus.Match, error) {
+	_, err := b.TopKBatch(ctx, []*tree.Tree{q}, k, opts...)
+	return nil, err
+}
+
+//tasm:allow ctxpoll — test stub: parks on its own channel, no candidate loop to poll from
+func (b *blockingSearcher) TopKBatch(ctx context.Context, queries []*tree.Tree, k int, opts ...corpus.QueryOption) ([][]corpus.Match, error) {
 	tr := qtrace.FromContext(ctx)
 	span := tr.Begin(qtrace.SpanScan, "blocked-doc")
 	close(b.entered)
 	<-b.release
 	tr.End(span)
-	return nil, nil
-}
-
-//tasm:allow ctxpoll — test stub: returns immediately, no candidate loop to poll from
-func (b *blockingSearcher) TopKBatch(ctx context.Context, queries []*tree.Tree, k int, opts ...corpus.QueryOption) ([][]corpus.Match, error) {
-	return nil, nil
+	return make([][]corpus.Match, len(queries)), nil
 }
 func (b *blockingSearcher) Docs() []corpus.DocInfo { return nil }
 func (b *blockingSearcher) Generation() uint64     { return 0 }

@@ -111,4 +111,21 @@ func TestTopKBatchSharesOneOverlay(t *testing.T) {
 	if c.DictLen() != base {
 		t.Errorf("batch grew the corpus dictionary %d → %d", base, c.DictLen())
 	}
+
+	// Queries that already share one overlay over the corpus base are used
+	// as they are, not re-interned into a second overlay: the run reports
+	// that overlay, stray label included.
+	ov := queries[0].Dict()
+	ov.Intern("interned-but-unused")
+	for i := range queries {
+		queries[i] = tree.MustParse(ov, fmt.Sprintf("{a{never-seen-%d}}", i))
+	}
+	if _, err := c.TopKBatch(context.Background(), queries, 2, corpus.WithStats(&stats)); err != nil {
+		t.Fatal(err)
+	}
+	// queries[0]'s two unknown labels, the stray one, and three new ones;
+	// a re-interned batch would report its own four.
+	if want := 2 + 1 + 3; stats.OverlayLabels != want {
+		t.Errorf("OverlayLabels = %d, want %d: the queries' shared overlay was not used as is", stats.OverlayLabels, want)
+	}
 }

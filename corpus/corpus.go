@@ -247,11 +247,9 @@ type Corpus struct {
 	// source, candidate view). Everything a pool hands out is reset before
 	// use and returned at end of run, so steady-state queries allocate
 	// O(k), not O(corpus).
-	planPool         sync.Pool // *[]scanDoc
-	batchPool        sync.Pool // *[]batchDoc
-	readerPool       sync.Pool // *docstore.ImageReader
-	scratchPool      sync.Pool // *core.ScanScratch
-	batchScratchPool sync.Pool // *core.BatchScratch
+	planPool    sync.Pool // *queryPlan
+	readerPool  sync.Pool // *docstore.ImageReader
+	scratchPool sync.Pool // *core.ScanScratch
 }
 
 // docProfile is the in-memory profile index entry of one document.
@@ -401,11 +399,9 @@ func Open(dir string, opts ...Option) (*Corpus, error) {
 		profiles: map[int]*docProfile{},
 		stores:   map[int]*docStore{},
 	}
-	c.planPool.New = func() any { return new([]scanDoc) }
-	c.batchPool.New = func() any { return new([]batchDoc) }
+	c.planPool.New = func() any { return new(queryPlan) }
 	c.readerPool.New = func() any { return new(docstore.ImageReader) }
 	c.scratchPool.New = func() any { return new(core.ScanScratch) }
-	c.batchScratchPool.New = func() any { return new(core.BatchScratch) }
 	for _, o := range opts {
 		o(c)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"tasm/corpus"
 	"tasm/internal/qtrace"
+	"tasm/internal/race"
 	"tasm/internal/tree"
 )
 
@@ -198,5 +199,44 @@ func TestTopKAllocBudget(t *testing.T) {
 	t.Logf("TopK allocs per query: %.0f (budget %d)", allocs, budget)
 	if allocs > budget {
 		t.Fatalf("TopK allocates %.0f objects per query, budget %d", allocs, budget)
+	}
+}
+
+// TestQueryAllocsIndependentOfDocCount pins the plan's flat bounds slab:
+// a run over 180 small documents allocates what the same run over 4 does,
+// give or take a small constant, for one query and for a batch of four —
+// nothing in planning or scanning allocates per document.
+func TestQueryAllocsIndependentOfDocCount(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	ctx := context.Background()
+	allocs := func(docs, queries int) float64 {
+		dir := t.TempDir()
+		buildMmapCorpus(t, dir, docs)
+		c, err := corpus.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs := make([]*tree.Tree, queries)
+		for i := range qs {
+			if qs[i], err = c.ParseBracket(fmt.Sprintf("{l%d{l1}{l2}}", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run := func() {
+			if _, err := c.TopKBatch(ctx, qs, 3, corpus.WithoutTrees()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the pools
+		return testing.AllocsPerRun(10, run)
+	}
+	for _, queries := range []int{1, 4} {
+		few, many := allocs(4, queries), allocs(180, queries)
+		t.Logf("%d queries: %.0f allocs over 4 documents, %.0f over 180", queries, few, many)
+		if many > few+16 {
+			t.Errorf("%d queries: %.0f allocs over 180 documents vs %.0f over 4: something allocates per document", queries, many, few)
+		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"tasm/internal/core"
 	"tasm/internal/dict"
 	"tasm/internal/docstore"
-	"tasm/internal/postorder"
 	"tasm/internal/pqgram"
 	"tasm/internal/qtrace"
 	"tasm/internal/ranking"
@@ -138,13 +137,11 @@ type QueryConfig struct {
 	NoPrune bool
 	// Stats, when non-nil, receives the run's scan statistics.
 	Stats *Stats
-	// Cutoff, when non-nil, is the shared k-th-distance bound a TopK run
-	// publishes to and prunes against; a scatter-gather group passes one
-	// cutoff to every shard so they prune against each other's results.
-	// Nil means the run uses a private cutoff.
-	Cutoff *Cutoff
-	// Cutoffs is the per-query counterpart of Cutoff for TopKBatch runs;
-	// when non-nil its length must equal the number of queries.
+	// Cutoffs, when non-nil, holds per query the shared k-th-distance bound
+	// the run publishes to and prunes against; a scatter-gather group
+	// passes the same cutoffs to every shard so they prune against each
+	// other's results. Its length must equal the number of queries (one,
+	// for TopK). Nil means the run uses private cutoffs.
 	Cutoffs []*Cutoff
 	// Partial opts a scatter-gather run into graceful degradation: a
 	// shard that fails (with all of its replicas) is dropped from the
@@ -224,70 +221,109 @@ func WithStats(s *Stats) QueryOption {
 	return func(q *QueryConfig) { q.Stats = s }
 }
 
-// WithCutoff shares a k-th-distance bound between this TopK run and other
-// runs holding the same cutoff; see Cutoff. Results are unchanged.
-func WithCutoff(c *Cutoff) QueryOption {
-	return func(q *QueryConfig) { q.Cutoff = c }
-}
-
-// WithBatchCutoffs is WithCutoff for TopKBatch: cs[i] is shared by
-// query i across the cooperating batch runs. len(cs) must equal the
-// number of queries.
+// WithBatchCutoffs shares k-th-distance bounds between this run and other
+// runs holding the same cutoffs: cs[i] is shared by query i across the
+// cooperating runs; see Cutoff. len(cs) must equal the number of queries.
+// Results are unchanged.
 func WithBatchCutoffs(cs []*Cutoff) QueryOption {
 	return func(q *QueryConfig) { q.Cutoffs = cs }
 }
 
-// scanDoc is one document of a TopK run's scan plan.
+// scanDoc is one document of a run's scan plan.
 type scanDoc struct {
 	info       DocInfo
 	offset     int     // global position offset: Σ nodes of manifest-earlier docs
-	bound      float64 // sound lower bound on any subtree distance in the doc
-	pqdist     int     // pq-gram distance of the whole doc to the query (ordering)
-	unprofiled bool    // no usable profile: bound 0, scanned last, never skipped
+	slot       int     // the document's row in queryPlan.bounds
+	bound      float64 // the smallest of the queries' lower bounds (ordering)
+	pqdist     int     // the smallest pq-gram distance of the whole doc to a query (ordering)
+	unprofiled bool    // no usable profile: bounds 0, scanned last, never skipped
 }
 
-// requestOverlay resolves the query of one run against a snapshot: a tree
-// already interned in an overlay over the snapshot's base is used as-is
-// (the common case — ParseBracket/ParseXML/ImportTree built exactly
-// that); any other tree is re-interned into a fresh overlay. Either way
-// the returned tree resolves corpus labels to their shared frozen ids and
-// keeps request-local labels above the base watermark, and the overlay
+// queryPlan is the pooled scan plan of one run.
+type queryPlan struct {
+	docs []scanDoc // in scan order
+	// bounds holds, per (document, query), a sound lower bound on any
+	// subtree distance in the document: one flat slab, a row of len(queries)
+	// per document at scanDoc.slot, so planning allocates nothing per
+	// document.
+	bounds []float64
+	// byOffset is docs by ascending offset, for resolving global positions.
+	byOffset []scanDoc
+}
+
+// requestOverlay resolves the queries of one run against a snapshot: trees
+// already interned in one overlay over the snapshot's base are used as-is
+// (the common case — ParseBracket/ParseXML/ImportTree built exactly that
+// for a single query); any others are re-interned together into a fresh
+// overlay, so a batch interns each distinct query label once. Either way
+// the returned trees resolve corpus labels to their shared frozen ids and
+// keep request-local labels above the base watermark, and the overlay
 // dies with the request.
-func requestOverlay(st *snapshot, q *tree.Tree) (*dict.Overlay, *tree.Tree) {
-	if o, ok := q.Dict().(*dict.Overlay); ok && o.Base() == dict.Dict(st.base) {
-		return o, q
+func requestOverlay(st *snapshot, queries []*tree.Tree) (*dict.Overlay, []*tree.Tree) {
+	if o, ok := queries[0].Dict().(*dict.Overlay); ok && o.Base() == dict.Dict(st.base) {
+		shared := true
+		for _, q := range queries[1:] {
+			shared = shared && q.Dict() == dict.Dict(o)
+		}
+		if shared {
+			return o, queries
+		}
 	}
 	o := dict.NewOverlay(st.base)
-	return o, q.Reintern(o)
+	qs := make([]*tree.Tree, len(queries))
+	for i, q := range queries {
+		qs[i] = q.Reintern(o)
+	}
+	return o, qs
 }
 
 // TopK returns the k subtrees closest to q across the corpus, ascending
-// by (distance, document manifest order, position in document). The query
-// may come from any dictionary: it is resolved through a request-scoped
-// overlay of the corpus dictionary, so the shared dictionary is never
-// mutated by a query.
+// by (distance, document manifest order, position in document): TopKBatch
+// for a batch of one.
+func (c *Corpus) TopK(ctx context.Context, q *tree.Tree, k int, opts ...QueryOption) ([]Match, error) {
+	if err := ValidateQuery(q, k); err != nil {
+		return nil, err
+	}
+	results, err := c.TopKBatch(ctx, []*tree.Tree{q}, k, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return results[0], nil
+}
+
+// TopKBatch answers one or several queries across the corpus in one pass:
+// the candidate subtrees of every selected document are enumerated once,
+// and all queries rank them during that single scan
+// (core.PostorderBatchColumnsInto). Result i corresponds to queries[i]
+// and does not depend on what else is in the batch. The queries may come
+// from any dictionary: they are resolved through a request-scoped overlay
+// of the corpus dictionary, so the shared dictionary is never mutated by
+// a query.
 //
 // The context carries cancellation and deadline: a cancelled ctx stops
 // the run between documents and mid-scan (the candidate loop polls it
 // once per candidate) and returns ctx.Err(). A nil ctx is treated as
 // context.Background().
 //
-// Documents are scanned most-promising-first (ascending pq-gram distance)
-// into one shared ranking, so the running k-th distance both tightens the
-// τ′ bound inside later documents and lets the label-histogram lower
-// bound skip documents outright. The result is deterministic and
-// identical to an exhaustive scan of every selected document.
-func (c *Corpus) TopK(ctx context.Context, q *tree.Tree, k int, opts ...QueryOption) ([]Match, error) {
+// Documents are scanned most-promising-first (ascending smallest pq-gram
+// distance to any query) into one shared ranking per query, so each
+// query's running k-th distance both tightens the τ′ bound inside later
+// documents and lets its label-histogram lower bound skip documents
+// outright — a document is skipped only when it is prunable for every
+// query. The result is deterministic and identical to an exhaustive scan
+// of every selected document. WithWorkers applies to a batch of one; a
+// larger batch ignores it: the shared pass is its parallelism.
+func (c *Corpus) TopKBatch(ctx context.Context, queries []*tree.Tree, k int, opts ...QueryOption) ([][]Match, error) {
 	cfg := ResolveQueryOptions(opts...)
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := ValidateQuery(q, k); err != nil {
+	if err := ValidateBatch(queries, k, &cfg); err != nil {
 		return nil, err
 	}
 
 	st := c.snapshot()
-	ov, q := requestOverlay(st, q)
+	ov, qs := requestOverlay(st, queries)
 
 	// A trace in the context records stage spans: planning, every scanned
 	// document (with its pruning-counter deltas), and the final merge.
@@ -297,36 +333,36 @@ func (c *Corpus) TopK(ctx context.Context, q *tree.Tree, k int, opts ...QueryOpt
 	// nil check per document.
 	tr := qtrace.FromContext(ctx)
 	planSpan := tr.Begin(qtrace.SpanPlan, "")
-	planBuf := c.planPool.Get().(*[]scanDoc)
-	plan, err := c.plan(st, q, &cfg, (*planBuf)[:0])
+	plan := c.planPool.Get().(*queryPlan)
+	defer c.planPool.Put(plan)
+	err := c.plan(st, qs, &cfg, plan)
 	tr.End(planSpan)
-	defer func() {
-		*planBuf = plan[:0]
-		c.planPool.Put(planBuf)
-	}()
 	if err != nil {
 		return nil, err
 	}
 
-	heap := ranking.New(k)
-	// The heap publishes its k-th distance through a lock-free cutoff
-	// shared by every per-document scan: sequential scans' heap pushes,
-	// parallel workers' merges, and the document-level skip decision below
-	// all read one atomic, and the bound carries across document
-	// boundaries so earlier documents tighten later ones. A caller-
-	// supplied cutoff (a scatter-gather group shares one across shards)
-	// additionally carries bounds in from cooperating runs.
-	cut := cfg.Cutoff
-	if cut == nil {
-		cut = ranking.NewCutoff()
+	heaps := make([]*ranking.Heap, len(qs))
+	for i := range heaps {
+		heaps[i] = ranking.New(k)
+		// Each heap publishes its k-th distance through a lock-free cutoff
+		// shared by every per-document scan: the kernel's heap pushes,
+		// parallel workers' merges, and the document-level skip decision
+		// below all read one atomic, and the bound carries across document
+		// boundaries so earlier documents tighten later ones. Caller-
+		// supplied cutoffs (a scatter-gather group shares them across
+		// shards) additionally carry bounds in from cooperating runs.
+		cut := ranking.NewCutoff()
+		if cfg.Cutoffs != nil {
+			cut = cfg.Cutoffs[i]
+		}
+		heaps[i].PublishTo(cut)
 	}
-	heap.PublishTo(cut)
 	stats := Stats{}
 	prune := &core.PruneStats{}
-	// Per-document scan state — distance computer, histogram, ring
-	// buffer, candidate view — comes from the corpus pool and is reused
+	// Per-document scan state — distance computers, histograms, candidate
+	// source, candidate view — comes from the corpus pool and is reused
 	// across every document of this run (and across runs, for the parts
-	// that carry only capacity). Reset detaches it from whatever query a
+	// that carry only capacity). Reset detaches it from whatever queries a
 	// previous run built it for.
 	scratch := c.scratchPool.Get().(*core.ScanScratch)
 	scratch.Reset()
@@ -343,12 +379,22 @@ func (c *Corpus) TopK(ctx context.Context, q *tree.Tree, k int, opts ...QueryOpt
 		DisableEarlyAbort:     cfg.NoPrune,
 		Scratch:               scratch,
 	}
-	for _, d := range plan {
+	for _, d := range plan.docs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		if !cfg.NoFilter {
-			if kth := cut.Load(); d.bound > kth {
+			// Skip the document only when no query can improve its ranking
+			// here: every query's document bound strictly exceeds its k-th
+			// distance bound (+Inf until its ranking fills).
+			skip := true
+			for i, bound := range plan.bounds[d.slot*len(qs):][:len(qs)] {
+				if bound <= heaps[i].KthBound() {
+					skip = false
+					break
+				}
+			}
+			if skip {
 				stats.Skipped++
 				continue
 			}
@@ -362,7 +408,7 @@ func (c *Corpus) TopK(ctx context.Context, q *tree.Tree, k int, opts ...QueryOpt
 			h0, a0, e0 = prune.Snapshot()
 			docSpan = tr.Begin(qtrace.SpanScan, d.info.Name)
 		}
-		err := c.scanInto(q, ov, st, d, heap, cfg.Workers, coreOpts)
+		err := c.scanInto(qs, ov, st, d, heaps, cfg.Workers, coreOpts)
 		if tr != nil {
 			tr.End(docSpan)
 			h1, a1, e1 := prune.Snapshot()
@@ -381,25 +427,36 @@ func (c *Corpus) TopK(ctx context.Context, q *tree.Tree, k int, opts ...QueryOpt
 		*cfg.Stats = stats
 	}
 	mergeSpan := tr.Begin(qtrace.SpanMerge, "")
-	out := c.resolve(heap, plan)
+	out := make([][]Match, len(heaps))
+	for i, h := range heaps {
+		out[i] = resolve(h, plan.byOffset)
+	}
 	tr.End(mergeSpan)
 	return out, nil
 }
 
-// plan snapshots the documents a query will consider, computes their
-// offsets, bounds and ordering, and returns them in scan order, built on
-// dst's backing array (from the corpus plan pool; steady state appends
-// without allocating). The query must already be resolved through an
-// overlay over st.base, so its label ids are commensurable with the
-// profile index's.
-func (c *Corpus) plan(st *snapshot, q *tree.Tree, cfg *QueryConfig, dst []scanDoc) ([]scanDoc, error) {
-	qGrams, err := pqgram.New(q, c.p, c.q)
-	if err != nil {
-		return dst, err
-	}
-	qLabels := make(map[int]int, q.Size())
-	for i := 0; i < q.Size(); i++ {
-		qLabels[q.LabelID(i)]++
+// plan snapshots the documents a run will consider and computes their
+// offsets and, per query, the sound label lower bound and the pq-gram
+// ordering distance, into p's pooled backing arrays (steady state appends
+// without allocating). Documents are ordered by their minimum pq-gram
+// distance over the queries (then minimum bound, then id), so a document
+// promising for any query of the batch is scanned early. The queries must
+// already be resolved through an overlay over st.base, so their label ids
+// are commensurable with the profile index's.
+func (c *Corpus) plan(st *snapshot, qs []*tree.Tree, cfg *QueryConfig, p *queryPlan) error {
+	p.docs, p.bounds = p.docs[:0], p.bounds[:0]
+	qGrams := make([]*pqgram.Profile, len(qs))
+	qLabels := make([]map[int]int, len(qs))
+	for i, q := range qs {
+		g, err := pqgram.New(q, c.p, c.q)
+		if err != nil {
+			return err
+		}
+		qGrams[i] = g
+		qLabels[i] = make(map[int]int, q.Size())
+		for j := 0; j < q.Size(); j++ {
+			qLabels[i][q.LabelID(j)]++
+		}
 	}
 
 	var selected map[string]bool
@@ -414,7 +471,6 @@ func (c *Corpus) plan(st *snapshot, q *tree.Tree, cfg *QueryConfig, dst []scanDo
 	// selection), so a subtree's global position — and with it the
 	// deterministic tie-break — is a property of the corpus, stable
 	// across selections and scan orders.
-	plan := dst
 	offset := 0
 	for _, d := range st.docs {
 		include := true
@@ -426,33 +482,43 @@ func (c *Corpus) plan(st *snapshot, q *tree.Tree, cfg *QueryConfig, dst []scanDo
 			}
 		}
 		if include {
-			sd := scanDoc{info: d, offset: offset}
+			sd := scanDoc{info: d, offset: offset, slot: len(p.docs)}
+			p.bounds = append(p.bounds, make([]float64, len(qs))...)
 			if !cfg.NoFilter {
-				if p := st.profiles[d.ID]; p != nil {
-					sd.bound = labelLowerBound(qLabels, p.labels)
-					if sd.pqdist, err = pqgram.Distance(qGrams, p.grams); err != nil {
-						return plan, err
+				sd.pqdist = math.MaxInt
+				if prof := st.profiles[d.ID]; prof != nil {
+					bounds := p.bounds[len(p.bounds)-len(qs):]
+					sd.bound = math.Inf(1)
+					for i := range qs {
+						bounds[i] = labelLowerBound(qLabels[i], prof.labels)
+						pqd, err := pqgram.Distance(qGrams[i], prof.grams)
+						if err != nil {
+							return err
+						}
+						sd.pqdist = min(sd.pqdist, pqd)
+						sd.bound = min(sd.bound, bounds[i])
 					}
 				} else {
 					// A document can lack its profile after a partial
-					// ingest or a corrupt profile file. Its bound stays 0
+					// ingest or a corrupt profile file. Its bounds stay 0
 					// (never skipped) and it sorts to the end of the scan
-					// order, so the query degrades to an unfiltered scan
-					// of this one document instead of crashing.
+					// order, so the run degrades to an unfiltered scan of
+					// this one document instead of crashing.
 					sd.unprofiled = true
-					sd.pqdist = math.MaxInt
 				}
 			}
-			plan = append(plan, sd)
+			p.docs = append(p.docs, sd)
 		}
 		offset += d.Nodes
 	}
 	for name, found := range selected {
 		if !found {
-			return plan, fmt.Errorf("corpus: unknown document %q", name)
+			return fmt.Errorf("corpus: unknown document %q", name)
 		}
 	}
+	p.byOffset = append(p.byOffset[:0], p.docs...)
 	if !cfg.NoFilter {
+		plan := p.docs
 		sort.SliceStable(plan, func(i, j int) bool {
 			if plan[i].pqdist != plan[j].pqdist {
 				return plan[i].pqdist < plan[j].pqdist
@@ -463,7 +529,7 @@ func (c *Corpus) plan(st *snapshot, q *tree.Tree, cfg *QueryConfig, dst []scanDo
 			return plan[i].info.ID < plan[j].info.ID
 		})
 	}
-	return plan, nil
+	return nil
 }
 
 // labelLowerBound returns Σ_label max(0, count_Q − count_doc): the number
@@ -513,44 +579,36 @@ func (e *ScanError) Error() string {
 
 func (e *ScanError) Unwrap() error { return e.Err }
 
-// scanInto scans one document into the shared ranking, by the best form
-// the snapshot holds of it. A store decoded at load is scanned as
-// columns: candidates by index arithmetic, no ring buffer, no byte of the
-// file read. A store whose items failed to decode is streamed from its
+// scanInto scans one document into the queries' shared rankings, by the
+// best form the snapshot holds of it. A store decoded at load is scanned
+// as columns: candidates by index arithmetic, no ring buffer, no byte of
+// the file read. A store whose items failed to decode is streamed from its
 // cached image by a pooled zero-copy reader, and a document with no
 // cached store at all (its load failed at open) from the file, its labels
 // resolving through the request overlay — both through the prefix ring
 // buffer, and both reporting the damage as a ScanError. All three forms
 // answer byte-identically on an intact store (fuzz-pinned in core and
 // docstore).
-func (c *Corpus) scanInto(q *tree.Tree, ov *dict.Overlay, st *snapshot, d scanDoc, heap *ranking.Heap, workers int, opts core.Options) error {
+func (c *Corpus) scanInto(qs []*tree.Tree, ov *dict.Overlay, st *snapshot, d scanDoc, heaps []*ranking.Heap, workers int, opts core.Options) error {
 	var err error
 	ds := st.stores[d.info.ID]
 	switch {
 	case ds != nil && ds.cols != nil:
-		err = core.PostorderColumnsInto(q, ds.cols, heap, d.offset, workers, opts)
+		err = core.PostorderBatchColumnsInto(qs, ds.cols, heaps, d.offset, workers, opts)
 	case ds != nil:
 		ir := c.readerPool.Get().(*docstore.ImageReader)
 		ir.Reset(ds.img, ds.remap)
-		err = streamInto(q, ir, heap, d.offset, workers, opts)
+		err = core.PostorderBatchInto(qs, ir, heaps, d.offset, workers, opts)
 		c.readerPool.Put(ir)
 	default:
 		err = c.withFileReader(ov, d, func(r *docstore.Reader) error {
-			return streamInto(q, r, heap, d.offset, workers, opts)
+			return core.PostorderBatchInto(qs, r, heaps, d.offset, workers, opts)
 		})
 	}
 	if err != nil {
 		return &ScanError{Doc: d.info.Name, Err: err}
 	}
 	return nil
-}
-
-// streamInto runs the sequential or worker-pool stream scan.
-func streamInto(q *tree.Tree, docQ postorder.Queue, heap *ranking.Heap, offset, workers int, opts core.Options) error {
-	if workers != 0 {
-		return core.PostorderParallelInto(q, docQ, heap, offset, workers, opts)
-	}
-	return core.PostorderStreamInto(q, docQ, heap, offset, opts)
 }
 
 // withFileReader opens d's store file as a streaming reader interning
@@ -568,14 +626,9 @@ func (c *Corpus) withFileReader(ov dict.Dict, d scanDoc, scan func(*docstore.Rea
 	return scan(r)
 }
 
-// resolve maps the shared ranking's global positions back to
-// (document, local position) matches, in final ranking order. Its
-// offset-sorted working copy of the plan comes from the corpus plan
-// pool.
-func (c *Corpus) resolve(heap *ranking.Heap, plan []scanDoc) []Match {
-	bp := c.planPool.Get().(*[]scanDoc)
-	byOffset := append((*bp)[:0], plan...)
-	sort.Slice(byOffset, func(i, j int) bool { return byOffset[i].offset < byOffset[j].offset })
+// resolve maps one ranking's global positions back to (document, local
+// position) matches, in final ranking order.
+func resolve(heap *ranking.Heap, byOffset []scanDoc) []Match {
 	out := make([]Match, 0, heap.Len())
 	for _, e := range heap.Sorted() {
 		i := sort.Search(len(byOffset), func(i int) bool { return byOffset[i].offset >= e.Pos }) - 1
@@ -588,7 +641,5 @@ func (c *Corpus) resolve(heap *ranking.Heap, plan []scanDoc) []Match {
 			Tree: e.Tree,
 		})
 	}
-	*bp = byOffset[:0]
-	c.planPool.Put(bp)
 	return out
 }

@@ -28,10 +28,13 @@ import (
 // ResolveQueryOptions and read the exported QueryConfig fields.
 type Searcher interface {
 	// TopK returns the k subtrees closest to q across the backend's
-	// documents, ascending by (distance, document order, position).
+	// documents, ascending by (distance, document order, position): the
+	// answer of TopKBatch for a batch of one, which is how every
+	// implementation here computes it.
 	TopK(ctx context.Context, q *tree.Tree, k int, opts ...QueryOption) ([]Match, error)
-	// TopKBatch answers several queries in one pass; result i corresponds
-	// to queries[i] and equals TopK(ctx, queries[i], k, opts...).
+	// TopKBatch answers one or several queries in one pass; result i
+	// corresponds to queries[i] and does not depend on the rest of the
+	// batch.
 	TopKBatch(ctx context.Context, queries []*tree.Tree, k int, opts ...QueryOption) ([][]Match, error)
 	// Docs lists the backend's documents in document order — for a group,
 	// the concatenation of its shards' listings in shard order.

@@ -189,21 +189,15 @@ func (c *Client) Name() string { return c.name }
 // telemetry (a router exports it per shard on /metrics).
 func (c *Client) BreakerState() BreakerState { return c.breaker.snapshot() }
 
-// The wire shapes mirror cmd/tasmd's JSON API.
-type wireTopKRequest struct {
-	Query      string   `json:"query,omitempty"`
+// The wire shapes mirror cmd/tasmd's JSON API. One request and one
+// response shape serve both query endpoints: a field the chosen endpoint
+// does not know stays empty and is omitted (tasmd rejects unknown fields).
+type wireRequest struct {
+	Query      string   `json:"query,omitempty"`   // /v1/topk
+	Queries    []string `json:"queries,omitempty"` // /v1/topk-batch
 	K          int      `json:"k"`
 	Docs       []string `json:"docs,omitempty"`
-	Workers    int      `json:"workers,omitempty"`
-	Trees      bool     `json:"trees,omitempty"`
-	Exhaustive bool     `json:"exhaustive,omitempty"`
-	Partial    bool     `json:"partial,omitempty"`
-}
-
-type wireBatchRequest struct {
-	Queries    []string `json:"queries"`
-	K          int      `json:"k"`
-	Docs       []string `json:"docs,omitempty"`
+	Workers    int      `json:"workers,omitempty"` // /v1/topk
 	Trees      bool     `json:"trees,omitempty"`
 	Exhaustive bool     `json:"exhaustive,omitempty"`
 	Partial    bool     `json:"partial,omitempty"`
@@ -257,36 +251,60 @@ func (s *wireStats) stats() corpus.Stats {
 	}
 }
 
-type wireTopKResponse struct {
-	Matches []wireMatch  `json:"matches"`
-	Stats   wireStats    `json:"stats"`
-	Trace   *qtrace.Wire `json:"trace,omitempty"`
-}
-
-type wireBatchResponse struct {
-	Results [][]wireMatch `json:"results"`
+type wireResponse struct {
+	Matches []wireMatch   `json:"matches"` // /v1/topk
+	Results [][]wireMatch `json:"results"` // /v1/topk-batch
 	Stats   wireStats     `json:"stats"`
 	Trace   *qtrace.Wire  `json:"trace,omitempty"`
 }
 
-// TopK answers the query remotely. The query tree may come from any
-// dictionary — it travels as a bracket string and is re-interned by the
-// server.
+// TopK is TopKBatch for a batch of one.
 func (c *Client) TopK(ctx context.Context, q *tree.Tree, k int, opts ...corpus.QueryOption) ([]corpus.Match, error) {
-	cfg := corpus.ResolveQueryOptions(opts...)
 	if err := corpus.ValidateQuery(q, k); err != nil {
 		return nil, err
 	}
-	var resp wireTopKResponse
-	attempts, err := c.post(ctx, "/v1/topk", wireTopKRequest{
-		Query:      q.String(),
+	results, err := c.TopKBatch(ctx, []*tree.Tree{q}, k, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return results[0], nil
+}
+
+// TopKBatch answers the queries remotely in one request (one remote
+// corpus scan serves all of them). The query trees may come from any
+// dictionary — they travel as bracket strings and are re-interned by the
+// server. A single query travels as /v1/topk, the endpoint that takes a
+// worker count; several as /v1/topk-batch.
+func (c *Client) TopKBatch(ctx context.Context, queries []*tree.Tree, k int, opts ...corpus.QueryOption) ([][]corpus.Match, error) {
+	cfg := corpus.ResolveQueryOptions(opts...)
+	if err := corpus.ValidateBatch(queries, k, &cfg); err != nil {
+		return nil, err
+	}
+	req := wireRequest{
 		K:          k,
 		Docs:       cfg.Docs,
-		Workers:    cfg.Workers,
 		Trees:      !cfg.NoTrees,
 		Exhaustive: cfg.NoFilter,
 		Partial:    cfg.Partial,
-	}, &resp)
+	}
+	path := "/v1/topk-batch"
+	if len(queries) == 1 {
+		path, req.Query, req.Workers = "/v1/topk", queries[0].String(), cfg.Workers
+	} else {
+		req.Queries = make([]string, len(queries))
+		for i, q := range queries {
+			req.Queries[i] = q.String()
+		}
+	}
+	var resp wireResponse
+	attempts, err := c.post(ctx, path, req, &resp)
+	results := resp.Results
+	if len(queries) == 1 {
+		results = [][]wireMatch{resp.Matches}
+	}
+	if err == nil && len(results) != len(queries) {
+		err = &corpus.ScanError{Shard: c.name, Err: fmt.Errorf("%d result lists for %d queries", len(results), len(queries))}
+	}
 	if err != nil {
 		// Retries burned by a failed request still happened: record them
 		// so a replica set losing this attempt keeps the accounting.
@@ -300,57 +318,16 @@ func (c *Client) TopK(ctx context.Context, q *tree.Tree, k int, opts ...corpus.Q
 		*cfg.Stats = resp.Stats.stats()
 		c.recordAttempts(cfg.Stats, attempts)
 	}
-	ms, err := c.matches(ctx, resp.Matches)
-	if err != nil {
-		return nil, err
-	}
-	// Late cutoff propagation: the remote scan could not see the group's
-	// bound, but its answer still tightens it for shards that are slower.
-	if cfg.Cutoff != nil && len(ms) == k {
-		cfg.Cutoff.Tighten(ms[k-1].Dist)
-	}
-	return ms, nil
-}
-
-// TopKBatch answers the batch remotely in one request (one remote corpus
-// scan serves all queries).
-func (c *Client) TopKBatch(ctx context.Context, queries []*tree.Tree, k int, opts ...corpus.QueryOption) ([][]corpus.Match, error) {
-	cfg := corpus.ResolveQueryOptions(opts...)
-	if err := corpus.ValidateBatch(queries, k, &cfg); err != nil {
-		return nil, err
-	}
-	qs := make([]string, len(queries))
-	for i, q := range queries {
-		qs[i] = q.String()
-	}
-	var resp wireBatchResponse
-	attempts, err := c.post(ctx, "/v1/topk-batch", wireBatchRequest{
-		Queries:    qs,
-		K:          k,
-		Docs:       cfg.Docs,
-		Trees:      !cfg.NoTrees,
-		Exhaustive: cfg.NoFilter,
-		Partial:    cfg.Partial,
-	}, &resp)
-	if err != nil {
-		if cfg.Stats != nil {
-			c.recordAttempts(cfg.Stats, attempts)
-		}
-		return nil, err
-	}
-	qtrace.FromContext(ctx).AddChild(resp.Trace)
-	if cfg.Stats != nil {
-		*cfg.Stats = resp.Stats.stats()
-		c.recordAttempts(cfg.Stats, attempts)
-	}
-	out := make([][]corpus.Match, len(resp.Results))
-	for i, ws := range resp.Results {
+	out := make([][]corpus.Match, len(results))
+	for i, ws := range results {
 		ms, err := c.matches(ctx, ws)
 		if err != nil {
 			return nil, err
 		}
 		out[i] = ms
-		if cfg.Cutoffs != nil && i < len(cfg.Cutoffs) && cfg.Cutoffs[i] != nil && len(ms) == k {
+		// Late cutoff propagation: the remote scan could not see the group's
+		// bound, but its answer still tightens it for shards that are slower.
+		if cfg.Cutoffs != nil && cfg.Cutoffs[i] != nil && len(ms) == k {
 			cfg.Cutoffs[i].Tighten(ms[k-1].Dist)
 		}
 	}

@@ -165,62 +165,30 @@ func (g *Group) Generation() uint64 {
 	return gen
 }
 
-// TopK fans the query out to every shard concurrently and merges the
-// per-shard rankings into the global top k. Results are identical to a
-// single corpus holding the union of the shards' documents; the shards
-// prune against each other through one shared cutoff. A failing shard
-// fails the whole query with the shard named in the error (errors.As
-// still finds a wrapped *corpus.ScanError) — unless the query opted into
-// corpus.WithPartialResults, in which case backend-side failures degrade
-// to a best-effort merge of the surviving shards, reported through
-// Stats.Degraded.
+// TopK is TopKBatch for a batch of one.
 //
-//tasm:allow ctxpoll — cancellation is delegated: scatter runs every child Searcher under a derived ctx, each child polls per candidate, and a child ctx error fails the fan-out
+//tasm:allow ctxpoll — cancellation is delegated to TopKBatch
 func (g *Group) TopK(ctx context.Context, q *tree.Tree, k int, opts ...corpus.QueryOption) ([]corpus.Match, error) {
-	cfg := corpus.ResolveQueryOptions(opts...)
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := corpus.ValidateQuery(q, k); err != nil {
 		return nil, err
 	}
-	perDocs, err := g.splitDocs(ctx, cfg.Docs)
+	results, err := g.TopKBatch(ctx, []*tree.Tree{q}, k, opts...)
 	if err != nil {
 		return nil, err
 	}
-	cut := cfg.Cutoff
-	if cut == nil {
-		cut = corpus.NewCutoff()
-	}
-
-	perShard := make([][]corpus.Match, len(g.children))
-	stats := make([]corpus.Stats, len(g.children))
-	degraded, err := g.scatter(ctx, cfg.Partial, perDocs, func(ctx context.Context, i int, docs []string) error {
-		childCfg := cfg
-		childCfg.Docs = docs
-		childCfg.Stats = &stats[i]
-		childCfg.Cutoff = cut
-		ms, err := g.children[i].s.TopK(ctx, q, k, corpus.WithConfig(childCfg))
-		perShard[i] = ms
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Stats != nil {
-		*cfg.Stats = mergeStats(stats)
-		g.noteDegraded(cfg.Stats, degraded)
-	}
-	tr := qtrace.FromContext(ctx)
-	mergeSpan := tr.Begin(qtrace.SpanMerge, "")
-	out := mergeRanked(k, perShard)
-	tr.End(mergeSpan)
-	return out, nil
+	return results[0], nil
 }
 
-// TopKBatch is TopK for several queries in one fan-out: every shard runs
-// its own single-pass batch scan, and each query's per-shard rankings
-// merge independently. Query i's shards share cutoff i.
+// TopKBatch fans the queries out to every shard concurrently — every
+// shard runs its own single-pass scan — and merges each query's per-shard
+// rankings into its global top k. Results are identical to a single
+// corpus holding the union of the shards' documents; the shards prune
+// against each other through one shared cutoff per query. A failing shard
+// fails the whole run with the shard named in the error (errors.As still
+// finds a wrapped *corpus.ScanError) — unless the run opted into
+// corpus.WithPartialResults, in which case backend-side failures degrade
+// to a best-effort merge of the surviving shards, reported through
+// Stats.Degraded.
 //
 //tasm:allow ctxpoll — cancellation is delegated: scatter runs every child Searcher under a derived ctx, each child polls per candidate, and a child ctx error fails the fan-out
 func (g *Group) TopKBatch(ctx context.Context, queries []*tree.Tree, k int, opts ...corpus.QueryOption) ([][]corpus.Match, error) {

@@ -95,24 +95,21 @@ func (rs *ReplicaSet) Name() string { return rs.name }
 // Len returns the number of replicas.
 func (rs *ReplicaSet) Len() int { return len(rs.replicas) }
 
-// TopK answers the query from whichever replica wins the hedged race.
+// TopK is TopKBatch for a batch of one.
 //
-//tasm:allow ctxpoll — cancellation is delegated: race runs each replica Searcher under a derived ctx, replicas poll per candidate, and a ctx error from an attempt aborts the race
+//tasm:allow ctxpoll — cancellation is delegated to TopKBatch
 func (rs *ReplicaSet) TopK(ctx context.Context, q *tree.Tree, k int, opts ...corpus.QueryOption) ([]corpus.Match, error) {
-	cfg := corpus.ResolveQueryOptions(opts...)
 	if err := corpus.ValidateQuery(q, k); err != nil {
 		return nil, err
 	}
-	res, err := rs.race(ctx, &cfg, func(ctx context.Context, s corpus.Searcher, childCfg corpus.QueryConfig) (any, error) {
-		return s.TopK(ctx, q, k, corpus.WithConfig(childCfg))
-	})
+	results, err := rs.TopKBatch(ctx, []*tree.Tree{q}, k, opts...)
 	if err != nil {
 		return nil, err
 	}
-	return res.([]corpus.Match), nil
+	return results[0], nil
 }
 
-// TopKBatch answers the batch from whichever replica wins the hedged
+// TopKBatch answers the queries from whichever replica wins the hedged
 // race (a batch hedges as one unit: replicas answer whole batches).
 //
 //tasm:allow ctxpoll — cancellation is delegated: race runs each replica Searcher under a derived ctx, replicas poll per candidate, and a ctx error from an attempt aborts the race
@@ -121,19 +118,13 @@ func (rs *ReplicaSet) TopKBatch(ctx context.Context, queries []*tree.Tree, k int
 	if err := corpus.ValidateBatch(queries, k, &cfg); err != nil {
 		return nil, err
 	}
-	res, err := rs.race(ctx, &cfg, func(ctx context.Context, s corpus.Searcher, childCfg corpus.QueryConfig) (any, error) {
-		return s.TopKBatch(ctx, queries, k, corpus.WithConfig(childCfg))
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.([][]corpus.Match), nil
+	return rs.race(ctx, &cfg, queries, k)
 }
 
 // replicaAttempt is one replica's answer in the race.
 type replicaAttempt struct {
 	idx   int
-	res   any
+	res   [][]corpus.Match
 	stats corpus.Stats
 	err   error
 }
@@ -152,7 +143,7 @@ type replicaAttempt struct {
 // struct concurrently); the winner's scan statistics are adopted and the
 // race's own fault accounting (hedges fired, breaker skips) merged in,
 // then stored through cfg.Stats.
-func (rs *ReplicaSet) race(ctx context.Context, cfg *corpus.QueryConfig, call func(context.Context, corpus.Searcher, corpus.QueryConfig) (any, error)) (any, error) {
+func (rs *ReplicaSet) race(ctx context.Context, cfg *corpus.QueryConfig, queries []*tree.Tree, k int) ([][]corpus.Match, error) {
 	if len(rs.replicas) == 0 {
 		return nil, fmt.Errorf("shard: replica set %s has no replicas", rs.name)
 	}
@@ -176,7 +167,7 @@ func (rs *ReplicaSet) race(ctx context.Context, cfg *corpus.QueryConfig, call fu
 			var st corpus.Stats
 			childCfg.Stats = &st
 			span := tr.Begin(qtrace.SpanShard, rs.replicas[i].name)
-			res, err := call(ctx, rs.replicas[i].s, childCfg)
+			res, err := rs.replicas[i].s.TopKBatch(ctx, queries, k, corpus.WithConfig(childCfg))
 			tr.End(span)
 			results <- replicaAttempt{idx: i, res: res, stats: st, err: err}
 		}()

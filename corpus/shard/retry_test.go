@@ -528,3 +528,71 @@ func TestClientListingCacheGenerationKeyed(t *testing.T) {
 		t.Fatalf("changed generation fetched %d listings total, want 2", n)
 	}
 }
+
+// batchLeaf is a stub leaf answering /v1/topk-batch with one match per
+// query — for the first `short` fewer queries than it was asked.
+func batchLeaf(t *testing.T, short int) *shard.Client {
+	t.Helper()
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, map[string]any{"status": "ok", "docs": 1, "generation": 1})
+	})
+	mux.HandleFunc("GET /v1/docs", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, map[string]any{"generation": 1, "docs": []corpus.DocInfo{{ID: 0, Name: "d0", Nodes: 2, RootLabel: "a"}}})
+	})
+	mux.HandleFunc("POST /v1/topk-batch", func(w http.ResponseWriter, r *http.Request) {
+		var req struct {
+			Queries []string `json:"queries"`
+		}
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		results := make([][]map[string]any, len(req.Queries)-short)
+		for i := range results {
+			results[i] = []map[string]any{{"doc": "d0", "docId": 0, "pos": 1, "dist": 0.0, "size": 2}}
+		}
+		writeJSON(w, map[string]any{"results": results, "stats": map[string]any{"scanned": 1}})
+	})
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	cl, err := shard.NewClient(srv.URL, shard.WithRetryPolicy(fastRetry))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl
+}
+
+// TestClientShortBatchAnswer: a leaf that returns fewer result lists than
+// it was asked for is a broken backend — a shard-attributed ScanError from
+// the client, a failed (or, under partial results, degraded) fan-out from
+// a router over it — never an index panic in the merge.
+func TestClientShortBatchAnswer(t *testing.T) {
+	ctx := context.Background()
+	queries := []*tree.Tree{testQuery(t), testQuery(t), testQuery(t)}
+	short, good := batchLeaf(t, 1), batchLeaf(t, 0)
+
+	_, err := short.TopKBatch(ctx, queries, 1)
+	var se *corpus.ScanError
+	if !errors.As(err, &se) || se.Shard != short.Name() {
+		t.Fatalf("short answer: err = %v, want a ScanError naming %s", err, short.Name())
+	}
+
+	g := shard.NewGroup(good, short)
+	if _, err := g.TopKBatch(ctx, queries, 1); !errors.As(err, &se) || se.Shard != short.Name() {
+		t.Fatalf("group over a short leaf: err = %v, want a ScanError naming %s", err, short.Name())
+	}
+	var stats corpus.Stats
+	results, err := g.TopKBatch(ctx, queries, 1, corpus.WithPartialResults(), corpus.WithStats(&stats))
+	if err != nil {
+		t.Fatalf("partial results over a short leaf: %v", err)
+	}
+	if len(results) != len(queries) || len(stats.Degraded) != 1 || stats.Degraded[0] != short.Name() {
+		t.Fatalf("partial results: %d result lists, degraded %v; want %d lists with %s degraded", len(results), stats.Degraded, len(queries), short.Name())
+	}
+	for i, ms := range results {
+		if len(ms) != 1 || ms[0].Doc.Name != "d0" {
+			t.Fatalf("query %d: matches = %+v, want the good leaf's one", i, ms)
+		}
+	}
+}

@@ -2,8 +2,8 @@
 // from a sync.Pool whose type has a Reset method must have Reset
 // called on it before first use, in the same function. Pooled values
 // carry the previous user's state; the repo's scratch types
-// (ScanScratch, BatchScratch, docstore.ImageReader) all define Reset
-// as their reuse contract (PR 9), and skipping it silently corrupts a
+// (core.ScanScratch, docstore.ImageReader) define Reset as their
+// reuse contract (PR 9), and skipping it silently corrupts a
 // scan with stale bounds.
 //
 // The check is lexical and function-local: the Get result must be

@@ -79,18 +79,46 @@ func nested(items []postorder.Item) bool {
 	return true
 }
 
+// fuzzQueries parses width%4+1 queries of mixed size, so the τ_i of a
+// batch differ and the kernel's descent to each query's own τ runs.
+func fuzzQueries(d dict.Dict, qSel, width uint8) []*tree.Tree {
+	brackets := []string{"{a}", "{a{b}}", "{a{b}{c}}", "{b{a{c}}{d}}", "{c{c{c}}}"}
+	queries := make([]*tree.Tree, int(width)%4+1)
+	for i := range queries {
+		queries[i] = tree.MustParse(d, brackets[(int(qSel)+3*i)%len(brackets)])
+	}
+	return queries
+}
+
+// mustEqualNaive compares a scan's ranking with the exhaustive oracle's:
+// byte-identical under the strict margin (which never discards a tie),
+// distance for distance under the paper's boundary (where Definition 1
+// permits either representative of a tie at the k-th distance).
+func mustEqualNaive(t *testing.T, ctx string, got []Match, q, doc *tree.Tree, k, posOffset int, strict bool) {
+	t.Helper()
+	want, err := Naive(q, doc, k, Options{NoTrees: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		want[i].Pos += posOffset
+		if !strict && i < len(got) {
+			want[i].Pos, want[i].Size = got[i].Pos, got[i].Size
+		}
+	}
+	mustEqualMatches(t, ctx+" vs Naive", got, want)
+}
+
 func FuzzColumnsVsStream(f *testing.F) {
-	f.Add([]byte{0x00, 0x01, 0x10, 0x22, 0x31, 0x04}, uint8(1), uint8(6), uint8(2), uint8(0), uint16(0))
-	f.Add([]byte{0x05, 0x0a, 0x21, 0x00, 0x13}, uint8(2), uint8(0), uint8(1), uint8(1), uint16(0))
-	f.Add([]byte{0x01, 0x01, 0x01, 0x71, 0x01, 0x72}, uint8(3), uint8(200), uint8(4), uint8(3), uint16(0))
-	f.Add([]byte{0x01, 0x11, 0x01, 0x21, 0x02}, uint8(0), uint8(2), uint8(0), uint8(4), uint16(0x0002)) // size 0
-	f.Add([]byte{0x01, 0x11, 0x01, 0x21, 0x02}, uint8(0), uint8(2), uint8(0), uint8(4), uint16(0x0901)) // size > position
-	f.Add([]byte{0x01, 0x11, 0x01, 0x11, 0x02}, uint8(1), uint8(3), uint8(1), uint8(5), uint16(0x0203)) // crossing
-	f.Fuzz(func(t *testing.T, data []byte, qSel, tauRaw, kRaw, flags uint8, mut uint16) {
+	f.Add([]byte{0x00, 0x01, 0x10, 0x22, 0x31, 0x04}, uint8(1), uint8(6), uint8(2), uint8(0), uint16(0), uint8(0))
+	f.Add([]byte{0x05, 0x0a, 0x21, 0x00, 0x13}, uint8(2), uint8(0), uint8(1), uint8(1), uint16(0), uint8(1))
+	f.Add([]byte{0x01, 0x01, 0x01, 0x71, 0x01, 0x72}, uint8(3), uint8(200), uint8(4), uint8(3|32), uint16(0), uint8(3))
+	f.Add([]byte{0x01, 0x11, 0x01, 0x21, 0x02}, uint8(0), uint8(2), uint8(0), uint8(4), uint16(0x0002), uint8(0))    // size 0
+	f.Add([]byte{0x01, 0x11, 0x01, 0x21, 0x02}, uint8(0), uint8(2), uint8(0), uint8(4), uint16(0x0901), uint8(2))    // size > position
+	f.Add([]byte{0x01, 0x11, 0x01, 0x11, 0x02}, uint8(1), uint8(3), uint8(1), uint8(5|32), uint16(0x0203), uint8(1)) // crossing
+	f.Fuzz(func(t *testing.T, data []byte, qSel, tauRaw, kRaw, flags uint8, mut uint16, width uint8) {
 		d := dict.New()
-		brackets := []string{"{a}", "{a{b}}", "{a{b}{c}}", "{b{a{c}}{d}}"}
-		q := tree.MustParse(d, brackets[int(qSel)%len(brackets)])
-		q2 := tree.MustParse(d, brackets[int(qSel>>2)%len(brackets)])
+		queries := fuzzQueries(d, qSel, width)
 		labelIDs := make([]int, 8)
 		for i := range labelIDs {
 			labelIDs[i] = d.Intern(string(rune('a' + i)))
@@ -114,53 +142,52 @@ func FuzzColumnsVsStream(f *testing.F) {
 			return // refused: it never reaches a kernel
 		}
 
-		n := len(items)
-		tau := 1 + int(tauRaw)%(n+3) // 1 … past the document size
 		k := int(kRaw)%5 + 1
 		strict := flags&2 != 0
+		anyTau := flags&32 != 0
 		opts := Options{NoTrees: flags&8 != 0, DisableIntermediateBound: flags&16 != 0}
 
-		// Sequential kernel at an arbitrary τ, both tie modes.
-		seq := func(columns bool) scanOutcome {
-			probe, prune, r := &traceProbe{}, &PruneStats{}, ranking.New(k)
-			o := opts
-			o.Probe, o.Prune = probe, prune
-			sc, _, err := o.seqScratch(q, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var src candidateSource = sc.ring(postorder.NewSliceQueue(items), tau)
-			if columns {
-				src = sc.cursor(cols, tau)
-			}
-			if err := scanCandidates(src, sc, tau, r, 1000, strict, &o); err != nil {
-				t.Fatalf("columns=%v: %v", columns, err)
-			}
-			return outcome([]*ranking.Heap{r}, prune, probe)
-		}
-		seq(true).mustEqual(t, fmt.Sprintf("sequential τ=%d k=%d strict=%v", tau, k, strict), seq(false))
-
-		// Batch kernel: two queries, each at its own τ inside the shared
-		// pass at the larger.
-		batch := func(columns bool) scanOutcome {
+		// The kernel over a batch of 1…4 queries, each at its own τ inside
+		// the shared pass at the largest — Theorem 3's, or (anyTau) arbitrary
+		// ones from 1 to past the document size, where only the two sources
+		// can be compared — in both tie modes.
+		kernel := func(columns bool) ([]*ranking.Heap, scanOutcome) {
 			probe, prune := &traceProbe{}, &PruneStats{}
-			ranks := []*ranking.Heap{ranking.New(k), ranking.New(k + 1)}
+			ranks := make([]*ranking.Heap, len(queries))
+			for i := range ranks {
+				ranks[i] = ranking.New(k + i%2)
+			}
 			o := opts
 			o.Probe, o.Prune = probe, prune
-			sc, err := o.batchScratch([]*tree.Tree{q, q2}, ranks)
+			sc, err := o.scratch(queries, ranks)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var src candidateSource = sc.ring(postorder.NewSliceQueue(items), sc.tauMax)
-			if columns {
-				src = sc.cursor(cols, sc.tauMax)
+			if anyTau {
+				sc.tauMax = 0
+				for i := range sc.states {
+					sc.states[i].tau = 1 + (int(tauRaw)+5*i)%(len(items)+3)
+					sc.tauMax = max(sc.tauMax, sc.states[i].tau)
+				}
 			}
-			if err := batchCandidates(src, sc, 1000, strict, &o); err != nil {
+			var src candidateSource = sc.ring(postorder.NewSliceQueue(items))
+			if columns {
+				src = sc.cursor(cols)
+			}
+			if err := scanCandidates(src, sc, 1000, strict, nil, &o); err != nil {
 				t.Fatalf("columns=%v: %v", columns, err)
 			}
-			return outcome(ranks, prune, probe)
+			return ranks, outcome(ranks, prune, probe)
 		}
-		batch(true).mustEqual(t, fmt.Sprintf("batch k=%d strict=%v", k, strict), batch(false))
+		ctx := fmt.Sprintf("batch of %d k=%d strict=%v anyTau=%v", len(queries), k, strict, anyTau)
+		ranks, fromColumns := kernel(true)
+		_, fromRing := kernel(false)
+		fromColumns.mustEqual(t, ctx, fromRing)
+		if doc, err := postorder.BuildTree(d, postorder.NewSliceQueue(items)); err == nil && !anyTau {
+			for i, q := range queries {
+				mustEqualNaive(t, fmt.Sprintf("%s query %d", ctx, i), ranks[i].Sorted(), q, doc, ranks[i].K(), 1000, strict)
+			}
+		}
 
 		// The exported entry points, including the worker pool (whose
 		// counters depend on scheduling; its strict-margin results do not).
@@ -168,27 +195,22 @@ func FuzzColumnsVsStream(f *testing.F) {
 			rc, rs := ranking.New(k), ranking.New(k)
 			o := opts
 			o.NoTrees = true // at a tie the pool may materialize either representative's tree
-			if err := PostorderColumnsInto(q, cols, rc, 7, workers, o); err != nil {
+			if err := PostorderBatchColumnsInto(queries[:1], cols, []*ranking.Heap{rc}, 7, workers, o); err != nil {
 				t.Fatal(err)
 			}
-			if workers == 0 {
-				err = PostorderStreamInto(q, postorder.NewSliceQueue(items), rs, 7, o)
-			} else {
-				err = PostorderParallelInto(q, postorder.NewSliceQueue(items), rs, 7, workers, o)
-			}
-			if err != nil {
+			if err := PostorderBatchInto(queries[:1], postorder.NewSliceQueue(items), []*ranking.Heap{rs}, 7, workers, o); err != nil {
 				t.Fatal(err)
 			}
-			mustEqualMatches(t, fmt.Sprintf("PostorderColumnsInto workers=%d", workers), rc.Sorted(), rs.Sorted())
+			mustEqualMatches(t, fmt.Sprintf("PostorderBatchColumnsInto workers=%d", workers), rc.Sorted(), rs.Sorted())
 		}
 	})
 }
 
 // TestColumnKernelsZeroAlloc pins the column scan's steady state: with a
-// cursor, view and computer warm, a whole pass of the sequential kernel
-// and of the batch kernel over a document allocates nothing — not per
-// candidate and not per document — under a live cancellable context
-// carrying a live trace, the daemon's request shape.
+// cursor, view and computers warm, a whole pass of the kernel over a
+// document — for one query and for a batch of two — allocates nothing,
+// not per candidate and not per document, under a live cancellable
+// context carrying a live trace, the daemon's request shape.
 func TestColumnKernelsZeroAlloc(t *testing.T) {
 	d := dict.New()
 	queries := []*tree.Tree{tree.MustParse(d, "{rec{a}{b}}"), tree.MustParse(d, "{rec{a}{b}{c}}")}
@@ -207,46 +229,33 @@ func TestColumnKernelsZeroAlloc(t *testing.T) {
 	defer cancel()
 	tr := qtrace.New()
 	defer qtrace.Release(tr)
-	opts := Options{NoTrees: true, CT: 1, Ctx: qtrace.NewContext(ctx, tr), Prune: &PruneStats{}}
 
-	r := ranking.New(2)
-	sc, tau, err := opts.seqScratch(queries[0], r.K())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur := prb.NewCursor(cols, tau)
-	sequential := func() {
-		cur.Reset(cols, tau)
-		if err := scanCandidates(cur, sc, tau, r, 0, true, &opts); err != nil {
+	for n := 1; n <= len(queries); n++ {
+		opts := Options{NoTrees: true, CT: 1, Ctx: qtrace.NewContext(ctx, tr), Prune: &PruneStats{}}
+		ranks := make([]*ranking.Heap, n)
+		for i := range ranks {
+			ranks[i] = ranking.New(2)
+		}
+		sc, err := opts.scratch(queries[:n], ranks)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	ranks := []*ranking.Heap{ranking.New(2), ranking.New(2)}
-	bsc, err := opts.batchScratch(queries, ranks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bcur := prb.NewCursor(cols, bsc.tauMax)
-	batch := func() {
-		bcur.Reset(cols, bsc.tauMax)
-		if err := batchCandidates(bcur, bsc, 0, true, &opts); err != nil {
-			t.Fatal(err)
+		cur := prb.NewCursor(cols, sc.tauMax)
+		pass := func() {
+			cur.Reset(cols, sc.tauMax)
+			if err := scanCandidates(cur, sc, 0, true, nil, &opts); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-
-	sequential() // warm: grow the view, fill the rankings
-	batch()
-	if h, _, e := opts.Prune.Snapshot(); h == 0 || e == 0 {
-		t.Fatalf("warm-up skipped %d candidates and evaluated %d: the pin must cover both gates", h, e)
-	}
-	if race.Enabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	if allocs := testing.AllocsPerRun(20, sequential); allocs != 0 {
-		t.Errorf("sequential column scan allocates %.1f objects per document in steady state, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(20, batch); allocs != 0 {
-		t.Errorf("batch column scan allocates %.1f objects per document in steady state, want 0", allocs)
+		pass() // warm: grow the view, fill the rankings
+		if h, _, e := opts.Prune.Snapshot(); h == 0 || e == 0 {
+			t.Fatalf("warm-up skipped %d candidates and evaluated %d: the pin must cover both gates", h, e)
+		}
+		if race.Enabled {
+			continue // allocation counts are not meaningful under -race
+		}
+		if allocs := testing.AllocsPerRun(20, pass); allocs != 0 {
+			t.Errorf("column scan for %d queries allocates %.1f objects per document in steady state, want 0", n, allocs)
+		}
 	}
 }

@@ -78,16 +78,12 @@ type Options struct {
 	DisableEarlyAbort bool
 	// Prune, when non-nil, receives the pruning pipeline's counters.
 	Prune *PruneStats
-	// Scratch, when non-nil, supplies reusable per-document scan state to
-	// PostorderStream/PostorderStreamInto/PostorderColumnsInto, so a run
-	// over many documents builds its distance computer, histogram,
+	// Scratch, when non-nil, supplies reusable per-document scan state, so
+	// a run over many documents builds its distance computers, histograms,
 	// candidate source, and candidate view once instead of once per
 	// document. See ScanScratch for the reuse contract. Nil means fresh
 	// state per call (the single-document behavior).
 	Scratch *ScanScratch
-	// BatchScratch is Scratch's counterpart for PostorderBatch/
-	// PostorderBatchInto/PostorderBatchColumnsInto.
-	BatchScratch *BatchScratch
 }
 
 func (o *Options) model() cost.Model {
@@ -236,63 +232,136 @@ func Postorder(q, doc *tree.Tree, k int, opts Options) ([]Match, error) {
 // The queue's item labels must be interned in the query's dictionary;
 // the scan compares label identifiers, not strings.
 func PostorderStream(q *tree.Tree, docQ postorder.Queue, k int, opts Options) ([]Match, error) {
-	if err := validate(q, k); err != nil {
-		return nil, err
-	}
-	r := ranking.New(k)
-	if err := postorderScan(q, docQ, r, 0, false, opts); err != nil {
-		return nil, err
-	}
-	return r.Sorted(), nil
+	return first(streamBatch([]*tree.Tree{q}, docQ, k, 0, opts))
 }
 
-// PostorderStreamInto runs TASM-postorder over one document stream,
-// pushing matches into an existing ranking r with every reported position
-// offset by posOffset. It is the corpus building block: scanning several
-// documents into one shared ranking lets the running k-th distance of
-// earlier documents tighten the τ′ bound of later ones (Lemma 4 applied
-// across document boundaries).
+// PostorderParallel is PostorderStream with the tree-edit-distance work
+// fanned out to a pool of workers (workers ≤ 0 selects GOMAXPROCS) — an
+// extension beyond the paper, whose evaluation is explicitly
+// single-threaded; see workerPool. The returned distances are identical
+// to PostorderStream's: subtree evaluations are independent, and every
+// gate only ever discards (or aborts to +Inf) subtrees that cannot beat
+// the current k-th distance, so processing order does not affect the
+// final distance multiset (reported tie positions at the pruning boundary
+// may differ, as Definition 1 permits).
+func PostorderParallel(q *tree.Tree, docQ postorder.Queue, k, workers int, opts Options) ([]Match, error) {
+	if workers == 0 {
+		workers = -1
+	}
+	return first(streamBatch([]*tree.Tree{q}, docQ, k, workers, opts))
+}
+
+// PostorderBatch answers several TASM queries in a single postorder scan
+// of the document — the batch workload of data cleaning, where a whole
+// set of dirty records is matched against one large corpus.
+//
+// The scan enumerates candidates once, at the largest query bound τmax.
+// This is correct because candidate sets are nested: every subtree within
+// a smaller query's bound τi lies inside some cand(T, τmax) subtree (its
+// ancestors above that candidate exceed τmax ≥ τi), so the τi-candidates
+// are recovered locally from each τmax-candidate. Each query then runs
+// Algorithm 3's inner loop, with its own τi and its own intermediate
+// bound τ′i, against the shared candidates.
+//
+// Compared to q independent scans, the document is parsed and pruned
+// once; the TED work is the same as q sequential runs (it is per-query by
+// nature). Results for each query are identical to PostorderStream's,
+// which is this function for a batch of one.
+func PostorderBatch(queries []*tree.Tree, docQ postorder.Queue, k int, opts Options) ([][]Match, error) {
+	return streamBatch(queries, docQ, k, 0, opts)
+}
+
+// streamBatch is the single-document scan behind PostorderStream,
+// PostorderParallel and PostorderBatch: fresh rankings of k, the paper's
+// tie boundary, positions from 1.
+func streamBatch(queries []*tree.Tree, docQ postorder.Queue, k, workers int, opts Options) ([][]Match, error) {
+	if k < 1 {
+		return nil, fmt.Errorf("tasm: k must be ≥ 1, got %d", k)
+	}
+	ranks := make([]*ranking.Heap, len(queries))
+	for i := range ranks {
+		ranks[i] = ranking.New(k)
+	}
+	if err := streamScan(queries, docQ, ranks, 0, workers, false, opts); err != nil {
+		return nil, err
+	}
+	out := make([][]Match, len(ranks))
+	for i, r := range ranks {
+		out[i] = r.Sorted()
+	}
+	return out, nil
+}
+
+// first unwraps the answer of a batch of one.
+func first(results [][]Match, err error) ([]Match, error) {
+	if err != nil {
+		return nil, err
+	}
+	return results[0], nil
+}
+
+// PostorderStreamInto is PostorderBatchInto for one query and no workers.
+func PostorderStreamInto(q *tree.Tree, docQ postorder.Queue, r *ranking.Heap, posOffset int, opts Options) error {
+	queries, ranks := [1]*tree.Tree{q}, [1]*ranking.Heap{r}
+	return streamScan(queries[:], docQ, ranks[:], posOffset, 0, true, opts)
+}
+
+// PostorderBatchInto runs TASM-postorder over one document stream for
+// every query at once, pushing query i's matches into its existing
+// ranking ranks[i] with every reported position offset by posOffset. It
+// is the corpus building block: scanning several documents into shared
+// rankings lets the running k-th distance of earlier documents tighten
+// the τ′ bound of later ones (Lemma 4 applied across document
+// boundaries), while each document is read and pruned once for the whole
+// batch. workers ≠ 0 fans a single query's distance work out to a pool
+// (< 0 GOMAXPROCS); a batch of several queries ignores it — the shared
+// pass is its parallelism.
 //
 // Because documents may be scanned in any order (e.g. most-promising
 // first) while ties are broken by the offset position, the τ′ pruning is
 // applied with a strict margin: a subtree is skipped only when its
 // distance provably exceeds — not merely matches — the current k-th
-// distance. The final ranking is therefore identical to scanning every
-// document with an unbounded shared heap, regardless of scan order.
-func PostorderStreamInto(q *tree.Tree, docQ postorder.Queue, r *ranking.Heap, posOffset int, opts Options) error {
-	if err := validate(q, r.K()); err != nil {
-		return err
-	}
-	return postorderScan(q, docQ, r, posOffset, true, opts)
+// distance. The final rankings are therefore identical to scanning every
+// document with unbounded shared heaps, regardless of scan order — and,
+// with workers, regardless of how they interleave.
+func PostorderBatchInto(queries []*tree.Tree, docQ postorder.Queue, ranks []*ranking.Heap, posOffset, workers int, opts Options) error {
+	return streamScan(queries, docQ, ranks, posOffset, workers, true, opts)
 }
 
-// PostorderColumnsInto is PostorderStreamInto (workers == 0) or
-// PostorderParallelInto (workers ≠ 0) for a document held as resident
-// postorder columns: the same kernels, the same strict-margin pruning, the
-// same counters and result bytes, but the candidates come from index
-// arithmetic over the size column (prb.Cursor) instead of a ring buffer
-// fed node by node. The corpus scans every cached document this way.
-func PostorderColumnsInto(q *tree.Tree, cols *postorder.Columns, r *ranking.Heap, posOffset, workers int, opts Options) error {
-	if err := validate(q, r.K()); err != nil {
-		return err
-	}
-	if workers != 0 {
-		tau, err := opts.tau(q, r.K())
-		if err != nil {
-			return err
-		}
-		return parallelScan(q, prb.NewCursor(cols, tau), tau, r, posOffset, workers, true, opts)
-	}
-	sc, tau, err := opts.seqScratch(q, r.K())
+// PostorderBatchColumnsInto is PostorderBatchInto for a document held as
+// resident postorder columns: the same kernel, the same strict-margin
+// pruning, the same counters and result bytes, but the candidates come
+// from index arithmetic over the size column (prb.Cursor) instead of a
+// ring buffer fed node by node. The corpus scans every cached document
+// this way.
+func PostorderBatchColumnsInto(queries []*tree.Tree, cols *postorder.Columns, ranks []*ranking.Heap, posOffset, workers int, opts Options) error {
+	sc, err := opts.scratch(queries, ranks)
 	if err != nil {
 		return err
 	}
-	return scanCandidates(sc.cursor(cols, tau), sc, tau, r, posOffset, true, &opts)
+	return scan(sc.cursor(cols), sc, posOffset, workers, true, &opts)
+}
+
+// streamScan is the shared body of the stream entry points: the scan over
+// a ring buffer fed by docQ. strictTies selects the order-independent
+// pruning margin documented on PostorderBatchInto; the plain
+// single-document forms keep the paper's τ′ = min(τ, max(R)+|Q|)
+// boundary, which is safe there because positions grow monotonically
+// within one scan.
+func streamScan(queries []*tree.Tree, docQ postorder.Queue, ranks []*ranking.Heap, posOffset, workers int, strictTies bool, opts Options) error {
+	if docQ == nil {
+		return fmt.Errorf("tasm: document queue must not be nil")
+	}
+	sc, err := opts.scratch(queries, ranks)
+	if err != nil {
+		return err
+	}
+	return scan(sc.ring(docQ), sc, posOffset, workers, strictTies, &opts)
 }
 
 // candidateSource enumerates cand(T, τ) of one document in document
-// postorder and serves reads of the pending candidate. The scan kernels
-// are written against it once and run over either implementation:
+// postorder and serves reads of the pending candidate. The scan kernel is
+// written against it once and runs over either implementation:
 // *prb.Buffer when the document is a stream, *prb.Cursor when it is
 // resident columns.
 type candidateSource interface {
@@ -312,80 +381,32 @@ type candidateSource interface {
 	FillView(d dict.Dict, v *tree.View, from, to int) error
 }
 
-// tau validates the cost model against q and returns the Theorem 3 bound
-// for a ranking of k — the setup every scan starts with.
-func (o *Options) tau(q *tree.Tree, k int) (int, error) {
-	model := o.model()
-	if err := cost.Validate(model, q); err != nil {
-		return 0, err
+// scan runs the kernel over src, behind a worker pool when one is asked
+// for and the scan serves a single query.
+func scan(src candidateSource, sc *ScanScratch, posOffset, workers int, strictTies bool, opts *Options) error {
+	if workers == 0 || len(sc.states) > 1 {
+		return scanCandidates(src, sc, posOffset, strictTies, nil, opts)
 	}
-	return Tau(model, q, k, o.CT), nil
+	// The workers share the pool's own copy of the options, so only a scan
+	// that starts a pool pays for options that outlive the call frame.
+	o := *opts
+	pool := startWorkers(&sc.states[0], workers, &o)
+	// A cancelled context or a failing source stops production; the pool
+	// drains the few buffered views before its workers exit — no goroutine
+	// outlives the call.
+	err := scanCandidates(src, sc, posOffset, strictTies, pool, &o)
+	pool.wait()
+	return err
 }
 
-// seqScratch is the per-scan setup of the sequential kernel: it resolves
-// τ and points the scan scratch — the caller's, or a fresh one — at q.
-// The computer and histogram are rebuilt only when the query changes
-// (once per run); the view only ever grows.
-func (o *Options) seqScratch(q *tree.Tree, k int) (*ScanScratch, int, error) {
-	tau, err := o.tau(q, k)
-	if err != nil {
-		return nil, 0, err
-	}
-	sc := o.Scratch
-	if sc == nil {
-		sc = new(ScanScratch)
-	}
-	if sc.q != q {
-		sc.q = q
-		sc.comp = ted.NewComputer(o.model(), q)
-		sc.hist = nil
-	}
-	sc.comp.SetProbe(o.Probe) // nil clears a probe from a previous run
-	if sc.view == nil {
-		sc.view = &tree.View{}
-	}
-	if sc.hist == nil && !o.DisableHistogramBound {
-		sc.hist = sc.comp.LabelHist()
-	}
-	return sc, tau, nil
-}
-
-// postorderScan is the shared body of PostorderStream and
-// PostorderStreamInto: Algorithm 3 over one postorder queue, ranking into
-// r. strictTies selects the order-independent pruning margin documented on
-// PostorderStreamInto; the plain single-document form keeps the paper's
-// τ′ = min(τ, max(R)+|Q|) boundary, which is safe there because positions
-// grow monotonically within one scan.
-func postorderScan(q *tree.Tree, docQ postorder.Queue, r *ranking.Heap, posOffset int, strictTies bool, opts Options) error {
-	if docQ == nil {
-		return fmt.Errorf("tasm: document queue must not be nil")
-	}
-	sc, tau, err := opts.seqScratch(q, r.K())
-	if err != nil {
-		return err
-	}
-	return scanCandidates(sc.ring(docQ, tau), sc, tau, r, posOffset, strictTies, &opts)
-}
-
-// scanCandidates is the sequential kernel: Algorithm 3's loop over the
-// candidates src yields, with the pruning pipeline in front of each
-// evaluation. sc carries the query's computer, histogram and view, set up
-// by seqScratch.
+// scanCandidates is the kernel: Algorithm 3's loop over the candidates
+// src yields at the scan's largest τ, each offered to every query of
+// sc.states behind that query's own pruning pipeline. A filled view is
+// evaluated and ranked in place, or — with a pool — shipped to a worker.
 //
 //tasm:hotpath
-func scanCandidates(src candidateSource, sc *ScanScratch, tau int, r *ranking.Heap, posOffset int, strictTies bool, opts *Options) error {
-	m := sc.q.Size()
-	d := sc.q.Dict()
-	comp, view := sc.comp, sc.view
-	var hist *prb.LabelHist
-	if !opts.DisableHistogramBound {
-		// The bound slides the window on and fully off again, so the
-		// histogram's state is identical before and after each candidate —
-		// reuse across documents is safe.
-		hist = sc.hist
-	}
+func scanCandidates(src candidateSource, sc *ScanScratch, posOffset int, strictTies bool, pool *workerPool, opts *Options) error {
 	done := opts.done()
-
 	for {
 		// Cancellation poll, once per candidate: a non-blocking read of the
 		// context's done channel (nil — never ready — without a context),
@@ -400,81 +421,107 @@ func scanCandidates(src candidateSource, sc *ScanScratch, tau int, r *ranking.He
 			return err
 		}
 		if !ok {
-			break
+			return nil
 		}
 		rootID, leafID := src.Root(), src.Leaf()
 		if opts.Probe != nil {
 			opts.Probe.Candidate(rootID - leafID + 1)
 		}
-		// The bound every gate prunes against: the ranking's own k-th
-		// distance, tightened through its cutoff publisher by any
-		// cooperating scans (other documents of a corpus run, other shards
-		// of a scatter-gather group) that share the publisher.
-		kth := r.KthBound()
-		// Gate 1: the label histogram yields a lower bound on the
-		// distance of EVERY subtree of the candidate (their label bags are
-		// sub-bags of the candidate's). If it strictly exceeds the current
-		// k-th distance, no subtree here can enter the ranking — skip the
-		// candidate without filling a view or touching the DP. Strict
-		// comparison keeps exact boundary ties evaluated, so results stay
-		// byte-identical in both tie-handling modes.
-		if hist != nil && !math.IsInf(kth, 1) {
-			if float64(src.LabelBound(hist)) > kth {
+		for i := range sc.states {
+			st := &sc.states[i]
+			// The bound every gate prunes against: the ranking's own k-th
+			// distance, tightened through its cutoff publisher by any
+			// cooperating scans (other documents of a corpus run, other shards
+			// of a scatter-gather group) that share the publisher.
+			kth := st.bound(pool)
+			// Gate 1: the label histogram yields a lower bound on the
+			// distance of EVERY subtree of the candidate (their label bags are
+			// sub-bags of the candidate's). If it strictly exceeds the current
+			// k-th distance, no subtree here can enter this query's ranking —
+			// skip the candidate without filling a view or touching the DP.
+			// Strict comparison keeps exact boundary ties evaluated, so
+			// results stay byte-identical in both tie-handling modes.
+			if st.hist != nil && !math.IsInf(kth, 1) && float64(src.LabelBound(st.hist)) > kth {
 				if opts.Prune != nil {
 					opts.Prune.HistSkipped.Add(1)
 				}
 				continue
 			}
-		}
-		// Traverse the subtrees of the candidate in reverse postorder
-		// (Algorithm 3, lines 8–18).
-		for rt := rootID; rt >= leafID; {
-			lml := src.LMLOf(rt)
-			size := rt - lml + 1
-			kth = r.KthBound()
-			// τ′ tightens τ once an intermediate ranking exists
-			// (Lemma 4): subtrees of size ≥ max(R)+|Q| cannot improve it.
-			compute := true
-			if !math.IsInf(kth, 1) && !opts.DisableIntermediateBound {
-				if strictTies {
-					// Order-independent margin: skip only subtrees whose
-					// distance lower bound size−|Q| strictly exceeds the
-					// current k-th distance, so an exact tie that would win
-					// its position tie-break is never discarded. The static
-					// τ cut is already enforced by the candidate source.
-					compute = float64(size) <= kth+float64(m)
-				} else {
-					tauP := math.Min(float64(tau), kth+float64(m))
-					compute = float64(size) < tauP
+			m := st.q.Size()
+			// Traverse the subtrees of the candidate in reverse postorder
+			// (Algorithm 3, lines 8–18).
+			for rt := rootID; rt >= leafID; {
+				lml := src.LMLOf(rt)
+				size := rt - lml + 1
+				// Descend until the subtree fits this query's own τ; never
+				// taken by the query whose τ sized the candidates — a single
+				// query's, always.
+				if size > st.tau {
+					rt--
+					continue
 				}
-			}
-			if compute {
-				if err := src.FillView(d, view, lml, rt); err != nil {
+				kth = st.bound(pool)
+				// τ′ tightens τ once an intermediate ranking exists
+				// (Lemma 4): subtrees of size ≥ max(R)+|Q| cannot improve it.
+				compute := true
+				if !math.IsInf(kth, 1) && !opts.DisableIntermediateBound {
+					if strictTies {
+						// Order-independent margin: skip only subtrees whose
+						// distance lower bound size−|Q| strictly exceeds the
+						// current k-th distance, so an exact tie that would win
+						// its position tie-break is never discarded.
+						compute = float64(size) <= kth+float64(m)
+					} else {
+						tauP := math.Min(float64(st.tau), kth+float64(m))
+						compute = float64(size) < tauP
+					}
+				}
+				if !compute {
+					if opts.Probe != nil {
+						opts.Probe.Pruned(size)
+					}
+					rt-- // descend to the next subtree in reverse postorder
+					continue
+				}
+				// The view resolves labels in the query's own dictionary, so
+				// the distance computer stays on its aliasing fast path.
+				view := sc.view
+				if pool != nil {
+					view = viewPool.Get().(*tree.View) //tasm:allow poolreset — FillView below rebuilds every field of the view before any read
+				}
+				if err := src.FillView(st.q.Dict(), view, lml, rt); err != nil {
 					return err
 				}
-				// TASM-dynamic on the subtree: the last row of the tree
-				// distance matrix ranks every subtree of the view at once.
-				// Gate 2: with a full ranking the evaluation is bounded by
-				// the current k-th distance — distances at or below it stay
-				// exact, anything above comes back +Inf, which the heap
-				// rejects just like the true value.
-				row := evaluate(comp, view, kth, opts)
-				sizes := view.Sizes()
-				for j := 0; j < size; j++ {
-					e := Match{Dist: row[j], Pos: posOffset + lml + j, Size: sizes[j]}
-					if !opts.NoTrees && r.WouldRetain(e) {
-						e.Tree = view.Subtree(j) //tasm:allow alloc — match payload materialized only when the candidate enters the top k
-					}
-					r.Push(e)
+				if pool != nil {
+					pool.work <- workItem{view: view, base: posOffset + lml}
+				} else {
+					// Gate 2: the evaluation is bounded by the current k-th
+					// distance — distances at or below it stay exact, anything
+					// above comes back +Inf, which the heap rejects just like
+					// the true value.
+					rankView(st.comp, view, posOffset+lml, kth, math.Inf(1), st.rank, opts)
 				}
 				rt = lml - 1 // skip everything just ranked
-			} else {
-				if opts.Probe != nil {
-					opts.Probe.Pruned(size)
-				}
-				rt-- // descend to the next subtree in reverse postorder
 			}
 		}
 	}
-	return nil
+}
+
+// rankView is TASM-dynamic on one filled view: the last row of the tree
+// distance matrix, bounded by cutoff, ranks every subtree of the view at
+// once into r, the view's first node reported at position base. A match's
+// tree is materialized only when r would retain it and its distance does
+// not exceed published (+Inf: no bound beyond r's own).
+//
+//tasm:hotpath
+func rankView(comp *ted.Computer, view *tree.View, base int, cutoff, published float64, r *ranking.Heap, opts *Options) {
+	row := evaluate(comp, view, cutoff, opts)
+	sizes := view.Sizes()
+	for j, size := range sizes {
+		e := Match{Dist: row[j], Pos: base + j, Size: size}
+		if !opts.NoTrees && e.Dist <= published && r.WouldRetain(e) {
+			e.Tree = view.Subtree(j) //tasm:allow alloc — match payload materialized only when the candidate enters the top k
+		}
+		r.Push(e)
+	}
 }

@@ -18,9 +18,9 @@ import (
 // — or a daemon's lifetime.
 type PruneStats struct {
 	// HistSkipped is the number of candidate subtrees skipped whole by
-	// the histogram-intersection lower bound: no view fill, no TED. In
-	// batch scans the gate runs once per (query, candidate) pair, so one
-	// candidate skipped for every query of a Q-query batch adds Q.
+	// the histogram-intersection lower bound: no view fill, no TED. The
+	// gate runs once per (query, candidate) pair, so one candidate skipped
+	// for every query of a Q-query batch adds Q.
 	HistSkipped atomic.Uint64
 	// TEDAborted is the number of subtree evaluations cut short because a
 	// lower bound crossed the cutoff: rejected whole by the label bag of
@@ -42,8 +42,8 @@ func (s *PruneStats) Snapshot() (histSkipped, tedAborted, evaluated uint64) {
 	return s.HistSkipped.Load(), s.TEDAborted.Load(), s.Evaluated.Load()
 }
 
-// evaluate is the one place a scan — sequential, batch, or a parallel
-// worker — starts a TASM-dynamic evaluation of a filled view: bounded by
+// evaluate is the one place a scan — the kernel, or a worker behind it —
+// starts a TASM-dynamic evaluation of a filled view: bounded by
 // cutoff, the caller's current k-th distance bound (+Inf while there is
 // none), unless the early-abort ablation flag makes every evaluation
 // unbounded, with the pipeline counters bumped. The returned row is valid

@@ -2,9 +2,9 @@ package core
 
 // Equivalence tests of the candidate pruning pipeline: with every gate
 // enabled (the default), results must be byte-identical to the unpruned
-// scan on all three scan paths — sequential, batch, and the
-// order-independent (strict-ties) parallel form — and the pipeline's
-// counters must report what fired.
+// scan for one query, for a batch, and behind the worker pool in the
+// order-independent (strict-ties) form — and the pipeline's counters must
+// report what fired.
 
 import (
 	"math/rand"
@@ -38,6 +38,12 @@ func mustEqualMatches(t *testing.T, ctx string, got, want []Match) {
 				want[i].Dist, want[i].Pos, want[i].Size)
 		}
 	}
+}
+
+// parallelInto scans one query into r behind a worker pool, under the
+// strict margin.
+func parallelInto(q *tree.Tree, docQ postorder.Queue, r *ranking.Heap, posOffset, workers int, opts Options) error {
+	return PostorderBatchInto([]*tree.Tree{q}, docQ, []*ranking.Heap{r}, posOffset, workers, opts)
 }
 
 // randomInstance draws a (query, document, k) instance.
@@ -105,7 +111,7 @@ func TestPrunedVsUnprunedParallelStrict(t *testing.T) {
 		opts := Options{NoTrees: true}
 
 		par := ranking.New(k)
-		if err := PostorderParallelInto(q, postorder.FromTree(doc), par, 7, workers, opts); err != nil {
+		if err := parallelInto(q, postorder.FromTree(doc), par, 7, workers, opts); err != nil {
 			t.Fatal(err)
 		}
 		seq := ranking.New(k)
@@ -138,7 +144,7 @@ func TestPrunedVsUnprunedQuick(t *testing.T) {
 			}
 		}
 		par := ranking.New(k)
-		if err := PostorderParallelInto(q, postorder.FromTree(doc), par, 0, int(wRaw)%3+1, opts); err != nil {
+		if err := parallelInto(q, postorder.FromTree(doc), par, 0, int(wRaw)%3+1, opts); err != nil {
 			return false
 		}
 		parSorted := par.Sorted()
@@ -194,7 +200,7 @@ func TestPruneStatsFire(t *testing.T) {
 	// The parallel strict path must report through the same counters.
 	pstats := &PruneStats{}
 	heap := ranking.New(1)
-	if err := PostorderParallelInto(q, postorder.FromTree(doc), heap, 0, 2, Options{NoTrees: true, Prune: pstats}); err != nil {
+	if err := parallelInto(q, postorder.FromTree(doc), heap, 0, 2, Options{NoTrees: true, Prune: pstats}); err != nil {
 		t.Fatal(err)
 	}
 	if h, _, e := pstats.Snapshot(); h+e == 0 {
@@ -264,7 +270,7 @@ func TestTEDGateCounted(t *testing.T) {
 		},
 		"parallel": func(opts Options) ([]Match, error) {
 			r := ranking.New(1)
-			err := PostorderParallelInto(q, postorder.FromTree(doc), r, 0, 1, opts)
+			err := parallelInto(q, postorder.FromTree(doc), r, 0, 1, opts)
 			return r.Sorted(), err
 		},
 	}
@@ -299,16 +305,17 @@ func TestTEDGateCounted(t *testing.T) {
 }
 
 // FuzzPrunedVsUnpruned fuzzes the equivalence property over arbitrary
-// well-formed documents: the full pipeline (sequential and strict
-// parallel) must reproduce the unpruned ranking exactly.
+// well-formed documents and batches of 1…4 queries of mixed size: the
+// full pipeline must reproduce the unpruned ranking exactly — under the
+// strict margin (for one query also behind a worker pool) and under the
+// paper's boundary — and both must agree with the exhaustive oracle.
 func FuzzPrunedVsUnpruned(f *testing.F) {
-	f.Add([]byte{0x00, 0x01, 0x10, 0x22, 0x31, 0x04}, uint8(1), uint8(3), uint8(2))
-	f.Add([]byte{0x05, 0x0a, 0x21, 0x00, 0x13}, uint8(2), uint8(5), uint8(1))
-	f.Add([]byte{0x01, 0x01, 0x01, 0x71, 0x01, 0x72, 0x43}, uint8(3), uint8(2), uint8(4))
-	f.Fuzz(func(t *testing.T, data []byte, qSel, kRaw, wRaw uint8) {
+	f.Add([]byte{0x00, 0x01, 0x10, 0x22, 0x31, 0x04}, uint8(1), uint8(3), uint8(2), uint8(0))
+	f.Add([]byte{0x05, 0x0a, 0x21, 0x00, 0x13}, uint8(2), uint8(5), uint8(1), uint8(1))
+	f.Add([]byte{0x01, 0x01, 0x01, 0x71, 0x01, 0x72, 0x43}, uint8(3), uint8(2), uint8(4), uint8(3))
+	f.Fuzz(func(t *testing.T, data []byte, qSel, kRaw, wRaw, width uint8) {
 		d := dict.New()
-		queries := []string{"{a}", "{a{b}}", "{a{b}{c}}", "{b{a{c}}{d}}", "{c{c{c}}}"}
-		q := tree.MustParse(d, queries[int(qSel)%len(queries)])
+		queries := fuzzQueries(d, qSel, width)
 		labelIDs := make([]int, 8)
 		for i := range labelIDs {
 			labelIDs[i] = d.Intern(string(rune('a' + i)))
@@ -317,37 +324,44 @@ func FuzzPrunedVsUnpruned(f *testing.F) {
 		if items == nil {
 			t.Skip("empty document")
 		}
+		doc, err := postorder.BuildTree(d, postorder.NewSliceQueue(items))
+		if err != nil {
+			t.Fatalf("decodeDoc emitted an invalid stream: %v", err)
+		}
 		k := int(kRaw)%5 + 1
 		opts := Options{NoTrees: true}
 
-		want, err := PostorderStream(q, postorder.NewSliceQueue(items), k, unprunedOpts(opts))
-		if err != nil {
-			t.Fatalf("unpruned scan rejected a well-formed stream: %v", err)
+		strict := func(workers int, opts Options) [][]Match {
+			ranks := make([]*ranking.Heap, len(queries))
+			for i := range ranks {
+				ranks[i] = ranking.New(k)
+			}
+			if err := PostorderBatchInto(queries, postorder.NewSliceQueue(items), ranks, 3, workers, opts); err != nil {
+				t.Fatalf("strict scan (workers %d) failed: %v", workers, err)
+			}
+			out := make([][]Match, len(ranks))
+			for i, r := range ranks {
+				out[i] = r.Sorted()
+			}
+			return out
 		}
-		got, err := PostorderStream(q, postorder.NewSliceQueue(items), k, opts)
+		pruned, unpruned := strict(0, opts), strict(0, unprunedOpts(opts))
+		plain, err := PostorderBatch(queries, postorder.NewSliceQueue(items), k, opts)
 		if err != nil {
 			t.Fatalf("pruned scan failed: %v", err)
 		}
-		mustEqualMatches(t, "fuzz-sequential", got, want)
-
-		par := ranking.New(k)
-		if err := PostorderParallelInto(q, postorder.NewSliceQueue(items), par, 3, int(wRaw)%3+1, opts); err != nil {
-			t.Fatalf("parallel scan failed: %v", err)
-		}
-		seq := ranking.New(k)
-		if err := PostorderStreamInto(q, postorder.NewSliceQueue(items), seq, 3, unprunedOpts(opts)); err != nil {
-			t.Fatal(err)
-		}
-		mustEqualMatches(t, "fuzz-parallel-strict", par.Sorted(), seq.Sorted())
-
-		batch, err := PostorderBatch([]*tree.Tree{q}, postorder.NewSliceQueue(items), k, opts)
+		plainUnpruned, err := PostorderBatch(queries, postorder.NewSliceQueue(items), k, unprunedOpts(opts))
 		if err != nil {
-			t.Fatalf("batch scan failed: %v", err)
+			t.Fatalf("unpruned scan rejected a well-formed stream: %v", err)
 		}
-		batchUnpruned, err := PostorderBatch([]*tree.Tree{q}, postorder.NewSliceQueue(items), k, unprunedOpts(opts))
-		if err != nil {
-			t.Fatal(err)
+		for i, q := range queries {
+			mustEqualMatches(t, "fuzz-strict", pruned[i], unpruned[i])
+			mustEqualNaive(t, "fuzz-strict", pruned[i], q, doc, k, 3, true)
+			mustEqualMatches(t, "fuzz-plain", plain[i], plainUnpruned[i])
+			mustEqualNaive(t, "fuzz-plain", plain[i], q, doc, k, 0, false)
 		}
-		mustEqualMatches(t, "fuzz-batch", batch[0], batchUnpruned[0])
+		if len(queries) == 1 {
+			mustEqualMatches(t, "fuzz-parallel-strict", strict(int(wRaw)%3+1, opts)[0], unpruned[0])
+		}
 	})
 }

@@ -83,8 +83,8 @@ func TestHeapPublishes(t *testing.T) {
 }
 
 // TestHeapPublishToWhenAlreadyFull: attaching to a full heap publishes
-// immediately (the corpus attaches before scanning, but parallelScan may
-// attach mid-query).
+// immediately (the corpus attaches before scanning, but core's worker
+// pool may attach mid-query).
 func TestHeapPublishToWhenAlreadyFull(t *testing.T) {
 	h := New(1)
 	h.Push(Entry{Dist: 3, Pos: 1})
