@@ -131,6 +131,7 @@ type serverMetrics struct {
 	tedAborted      atomic.Uint64
 	tedGated        atomic.Uint64
 	evaluated       atomic.Uint64
+	tedMemoHits     atomic.Uint64
 	// overlayLabels totals the request-local labels computed runs held in
 	// their per-request dictionary overlays — labels that on a shared
 	// mutable dictionary would have leaked into process memory forever.
@@ -157,6 +158,7 @@ func (m *serverMetrics) observe(s *corpus.Stats) {
 	m.tedAborted.Add(s.TEDAborted)
 	m.tedGated.Add(s.TEDGated)
 	m.evaluated.Add(s.Evaluated)
+	m.tedMemoHits.Add(s.TEDMemoHits)
 	m.overlayLabels.Add(uint64(s.OverlayLabels))
 	m.retries.Add(s.Retries)
 	m.hedges.Add(s.Hedges)
@@ -192,6 +194,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"tasmd_ted_evals_aborted_total", "counter", "Subtree evaluations cut short by a lower bound of the bounded Zhang-Shasha evaluation (gated ones included).", m.tedAborted.Load()},
 		{"tasmd_ted_evals_gated_total", "counter", "Aborted subtree evaluations rejected by the view's label bag before the DP started.", m.tedGated.Load()},
 		{"tasmd_ted_evals_completed_total", "counter", "Subtree evaluations run to completion.", m.evaluated.Load()},
+		{"tasmd_ted_evals_memo_total", "counter", "Subtree evaluations (counted as aborted or completed too) answered from the row of an identical view evaluated earlier in the query.", m.tedMemoHits.Load()},
 		{"tasmd_overlay_labels_total", "counter", "Request-local labels held in per-request dictionary overlays (released with each request).", m.overlayLabels.Load()},
 		{"tasmd_shard_retries_total", "counter", "Extra per-shard request attempts after retryable failures.", m.retries.Load()},
 		{"tasmd_shard_hedges_total", "counter", "Hedge and failover requests fired at replicas of replicated shards.", m.hedges.Load()},

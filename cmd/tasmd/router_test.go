@@ -149,9 +149,13 @@ func TestRouterOverLeaves(t *testing.T) {
 // wire → Group merge → router response and /metrics — as part of the
 // aborted count. Each leaf holds an exact match followed by records that
 // pass the candidate-level gate whole but whose parts each hold too few
-// of the query's labels.
+// of the query's labels. The count of evaluations answered from the memo
+// travels the same path: each leaf also repeats one near match that holds
+// all of the query's labels, so its repeats reach the memo.
 func TestGatedEvalsReportedThroughTiers(t *testing.T) {
-	doc := "<r><m><a/><b/><c/><d/></m>" + strings.Repeat("<rec><x><a/><b/></x><y><c/><d/></y><m/></rec>", 20) + "</r>"
+	const nearMatches = 5
+	doc := "<r><m><a/><b/><c/><d/></m>" + strings.Repeat("<m><a/><b/><d/><c/></m>", nearMatches) +
+		strings.Repeat("<rec><x><a/><b/></x><y><c/><d/></y><m/></rec>", 20) + "</r>"
 	cl0, _ := newLeaf(t, map[string]string{"d0": doc})
 	cl1, _ := newLeaf(t, map[string]string{"d1": doc})
 	router := newServer(shard.NewGroup(cl0, cl1), nil, serverConfig{})
@@ -175,6 +179,15 @@ func TestGatedEvalsReportedThroughTiers(t *testing.T) {
 	fmt.Sscanf(metricLine(mw.Body.String(), "tasmd_ted_evals_gated_total"), "%d", &gated)
 	if gated != got.Stats.TEDGated {
 		t.Errorf("tasmd_ted_evals_gated_total = %d after one computed query that gated %d", gated, got.Stats.TEDGated)
+	}
+	if hits, started := got.Stats.TEDMemoHits, got.Stats.TEDAborted+got.Stats.Evaluated; hits != 2*(nearMatches-1) || got.Stats.TEDGated+hits > started {
+		t.Errorf("router stats: tedMemoHits %d, tedGated %d, started %d: want %d hits (every repeat of the near match on both leaves), disjoint from the gated",
+			hits, got.Stats.TEDGated, started, 2*(nearMatches-1))
+	}
+	var memo uint64
+	fmt.Sscanf(metricLine(mw.Body.String(), "tasmd_ted_evals_memo_total"), "%d", &memo)
+	if memo != got.Stats.TEDMemoHits {
+		t.Errorf("tasmd_ted_evals_memo_total = %d after one computed query with %d memo hits", memo, got.Stats.TEDMemoHits)
 	}
 }
 

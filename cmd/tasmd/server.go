@@ -242,6 +242,7 @@ type topkStats struct {
 	TEDAborted  uint64 `json:"tedAborted"`
 	TEDGated    uint64 `json:"tedGated"`
 	Evaluated   uint64 `json:"evaluated"`
+	TEDMemoHits uint64 `json:"tedMemoHits"`
 	// Dictionary accounting: the frozen corpus dictionary's size and the
 	// request-local labels the query overlay held (released with the
 	// request; see corpus.Stats).
@@ -272,6 +273,7 @@ func statsOf(stats *corpus.Stats) topkStats {
 		TEDAborted:     stats.TEDAborted,
 		TEDGated:       stats.TEDGated,
 		Evaluated:      stats.Evaluated,
+		TEDMemoHits:    stats.TEDMemoHits,
 		BaseDictLabels: stats.BaseDictLabels,
 		OverlayLabels:  stats.OverlayLabels,
 		Quarantined:    stats.Quarantined,

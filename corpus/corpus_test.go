@@ -216,7 +216,19 @@ func TestPruneStatsReported(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	q, err := c.ImportTree(tree.Random(scratch, rng, tree.DefaultRandomConfig(5)))
+	// One more document repeats the query itself: no gate can skip an exact
+	// match, so every copy is evaluated, and every copy after the first is
+	// answered from the memo.
+	const copies = 10
+	qRaw := tree.Random(scratch, rng, tree.DefaultRandomConfig(5))
+	records := tree.NewNode("records")
+	for i := 0; i < copies; i++ {
+		records.AddChild(qRaw.Node(qRaw.Root()))
+	}
+	if _, err := c.AddTree("records", tree.FromNode(scratch, records)); err != nil {
+		t.Fatal(err)
+	}
+	q, err := c.ImportTree(qRaw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,6 +241,10 @@ func TestPruneStatsReported(t *testing.T) {
 	}
 	if stats.TEDGated > stats.TEDAborted {
 		t.Errorf("Stats.TEDGated = %d is not counted inside TEDAborted = %d", stats.TEDGated, stats.TEDAborted)
+	}
+	if started := stats.Evaluated + stats.TEDAborted; stats.TEDMemoHits < copies-1 || stats.TEDGated+stats.TEDMemoHits > started {
+		t.Errorf("Stats.TEDMemoHits = %d with %d gated of %d started: want ≥ %d hits, and gated and hits disjoint parts of started",
+			stats.TEDMemoHits, stats.TEDGated, started, copies-1)
 	}
 	var off corpus.Stats
 	if _, err := c.TopK(context.Background(), q, 2, corpus.WithStats(&off), corpus.WithoutCandidatePruning()); err != nil {

@@ -219,6 +219,7 @@ type wireStats struct {
 	TEDAborted     uint64   `json:"tedAborted"`
 	TEDGated       uint64   `json:"tedGated"`
 	Evaluated      uint64   `json:"evaluated"`
+	TEDMemoHits    uint64   `json:"tedMemoHits"`
 	BaseDictLabels int      `json:"baseDictLabels"`
 	OverlayLabels  int      `json:"overlayLabels"`
 	Quarantined    int      `json:"quarantined,omitempty"`
@@ -239,6 +240,7 @@ func (s *wireStats) stats() corpus.Stats {
 		TEDAborted:     s.TEDAborted,
 		TEDGated:       s.TEDGated,
 		Evaluated:      s.Evaluated,
+		TEDMemoHits:    s.TEDMemoHits,
 		BaseDictLabels: s.BaseDictLabels,
 		OverlayLabels:  s.OverlayLabels,
 		Quarantined:    s.Quarantined,

@@ -34,10 +34,18 @@ type PruneStats struct {
 	// Evaluated is the number of subtree evaluations that ran to
 	// completion (bounded evaluations that no rung ended included).
 	Evaluated atomic.Uint64
+	// TEDMemoHits is the number of started evaluations answered from the
+	// distance computer's memo of already evaluated views instead of a
+	// dynamic program. Each is also counted in Evaluated or TEDAborted,
+	// under the outcome of the evaluation that computed its row — at a
+	// cutoff no tighter than the hit's, so the split between the two can
+	// differ from what the dynamic program would have reported, their sum
+	// cannot.
+	TEDMemoHits atomic.Uint64
 }
 
 // Snapshot returns the current counter values (hist-skipped, TED-aborted,
-// fully evaluated); TEDGated is read directly.
+// fully evaluated); TEDGated and TEDMemoHits are read directly.
 func (s *PruneStats) Snapshot() (histSkipped, tedAborted, evaluated uint64) {
 	return s.HistSkipped.Load(), s.TEDAborted.Load(), s.Evaluated.Load()
 }
@@ -54,8 +62,11 @@ func evaluate(comp *ted.Computer, view *tree.View, cutoff float64, opts *Options
 	if opts.DisableEarlyAbort {
 		cutoff = math.Inf(1)
 	}
-	row, outcome := comp.EvaluateView(view, cutoff)
+	row, outcome, memoHit := comp.EvaluateView(view, cutoff)
 	if p := opts.Prune; p != nil {
+		if memoHit {
+			p.TEDMemoHits.Add(1)
+		}
 		switch outcome {
 		case ted.Completed:
 			p.Evaluated.Add(1)

@@ -245,12 +245,23 @@ func TestTEDAbortFires(t *testing.T) {
 // which holds too few of the query's labels. Those evaluations must end at
 // rung 0 of the bounded evaluation, counted in TEDGated inside TEDAborted,
 // on every scan path; and the early-abort ablation flag, which means
-// "unbounded DP", must switch that rung off with the others.
+// "unbounded DP", must switch that rung off with the others. The document
+// also repeats one near match — the query with two leaves swapped, which
+// holds every query label and so reaches the DP — so all but its first
+// evaluation must be answered from the computer's memo, counted in
+// TEDMemoHits inside the started evaluations and outside TEDGated.
 func TestTEDGateCounted(t *testing.T) {
 	d := dict.New()
 	q := tree.MustParse(d, "{m{a}{b}{c}{d}}")
 	root := tree.NewNode("root")
 	root.AddChild(tree.NewNode("m", tree.NewNode("a"), tree.NewNode("b"), tree.NewNode("c"), tree.NewNode("d")))
+	// k = 2: the single-document scans keep the paper's τ′ boundary, under
+	// which a 5-node subtree is evaluated only while the k-th distance is
+	// above 0 — the first near match's 2 keeps the rest in play.
+	const k, nearMatches = 2, 10
+	for i := 0; i < nearMatches; i++ {
+		root.AddChild(tree.NewNode("m", tree.NewNode("a"), tree.NewNode("b"), tree.NewNode("d"), tree.NewNode("c")))
+	}
 	for i := 0; i < 30; i++ {
 		root.AddChild(tree.NewNode("rec",
 			tree.NewNode("x", tree.NewNode("a"), tree.NewNode("b")),
@@ -260,16 +271,16 @@ func TestTEDGateCounted(t *testing.T) {
 	doc := tree.FromNode(d, root)
 
 	scans := map[string]func(opts Options) ([]Match, error){
-		"sequential": func(opts Options) ([]Match, error) { return Postorder(q, doc, 1, opts) },
+		"sequential": func(opts Options) ([]Match, error) { return Postorder(q, doc, k, opts) },
 		"batch": func(opts Options) ([]Match, error) {
-			out, err := PostorderBatch([]*tree.Tree{q}, postorder.FromTree(doc), 1, opts)
+			out, err := PostorderBatch([]*tree.Tree{q}, postorder.FromTree(doc), k, opts)
 			if err != nil {
 				return nil, err
 			}
 			return out[0], nil
 		},
 		"parallel": func(opts Options) ([]Match, error) {
-			r := ranking.New(1)
+			r := ranking.New(k)
 			err := parallelInto(q, postorder.FromTree(doc), r, 0, 1, opts)
 			return r.Sorted(), err
 		},
@@ -286,6 +297,15 @@ func TestTEDGateCounted(t *testing.T) {
 		}
 		if gated > aborted {
 			t.Errorf("%s: TEDGated %d not counted inside TEDAborted %d", name, gated, aborted)
+		}
+		// One worker may be handed whole records before the exact match's
+		// distance is published, and answer their repeats from its memo too.
+		hits, started := stats.TEDMemoHits.Load(), aborted+stats.Evaluated.Load()
+		if hits < nearMatches-1 || (name != "parallel" && hits != nearMatches-1) {
+			t.Errorf("%s: %d memo hits, want %d: every repeat of the near match and nothing else", name, hits, nearMatches-1)
+		}
+		if gated+hits > started {
+			t.Errorf("%s: %d gated + %d memo hits exceed the %d evaluations started", name, gated, hits, started)
 		}
 
 		off := &PruneStats{}

@@ -1,6 +1,10 @@
 package prb
 
-import "tasm/internal/tree"
+import (
+	"math/bits"
+
+	"tasm/internal/tree"
+)
 
 // LabelHist maintains a sliding label histogram over the window of
 // buffered nodes that forms the pending candidate, together with the
@@ -17,13 +21,16 @@ import "tasm/internal/tree"
 // subtrees.
 //
 // Only labels that occur in the query can reduce Missing, so the
-// histogram needs per-label state for the query's labels alone. Two
-// representations share one API, picked at construction by the largest
-// query label id:
+// histogram keeps per-label state for the query's distinct labels alone:
+// need and have are indexed by the label's ordinal — 1-based in order of
+// first occurrence in the query, 0 for every label the query does not
+// use — and hold at most |Q|+1 entries. Two representations of the
+// label → ordinal table share one API, picked at construction by the
+// largest query label id:
 //
-//   - dense: direct-index need/have arrays over [0, maxID] — one array
-//     load per node, the fast path for standalone scans whose
-//     dictionaries are document-local and small;
+//   - dense: a direct-index uint16 table over [0, maxID] — one two-byte
+//     load per node, the fast path for scans whose dictionaries are
+//     small;
 //   - sparse: a small open-addressing table of the query's distinct
 //     labels — O(|Q|) memory however large the id space, the safe path
 //     for queries interned late into a shared corpus dictionary (which
@@ -39,21 +46,21 @@ import "tasm/internal/tree"
 // A LabelHist is owned by one scan goroutine; it is not safe for
 // concurrent use.
 type LabelHist struct {
-	// Dense mode: need/have indexed by label id; keys is nil.
+	// Dense mode: dense maps a label id to its ordinal; keys is nil.
 	// Sparse mode: keys is the open-addressing table of query label ids
-	// (-1 = empty) and need/have are per-slot.
+	// (-1 = empty) and ords the ordinal in each slot (0 in an empty one).
+	dense   []uint16
 	keys    []int
-	need    []int
-	have    []int
-	mask    int // len(keys)-1 in sparse mode; len is a power of two ≥ 2·|Q|
-	missing int // Σ max(0, need − have)
-	// touched is Bound's undo list: the slots it incremented from zero,
-	// at most one per distinct query label.
-	touched []int
+	ords    []int32
+	mask    int   // len(keys)-1 in sparse mode; len is a power of two ≥ 2·|Q|
+	need    []int // by ordinal: occurrences in the query
+	have    []int // by ordinal: occurrences in the window
+	missing int   // Σ max(0, need − have)
 }
 
 // denseLimit is the largest label id the dense representation indexes
-// directly: two 4096-entry int arrays (64 KiB) per histogram at most.
+// directly: a 4096-entry uint16 table (8 KiB) per histogram at most. The
+// ordinals of a dense histogram therefore always fit its uint16 entries.
 const denseLimit = 1 << 12
 
 // NewLabelHist returns an empty-window histogram for query q.
@@ -65,31 +72,40 @@ func NewLabelHist(q *tree.Tree) *LabelHist {
 			maxID = id
 		}
 	}
-	h := &LabelHist{missing: len(labels), touched: make([]int, len(labels))}
+	h := &LabelHist{missing: len(labels)}
 	if maxID < denseLimit {
-		h.need = make([]int, maxID+1)
-		h.have = make([]int, maxID+1)
-		for _, id := range labels {
-			h.need[id]++
+		h.dense = make([]uint16, maxID+1)
+	} else {
+		size := 4
+		for size < 2*len(labels) {
+			size <<= 1
 		}
-		return h
+		h.keys = make([]int, size)
+		h.ords = make([]int32, size)
+		h.mask = size - 1
+		for i := range h.keys {
+			h.keys[i] = -1
+		}
 	}
-	size := 4
-	for size < 2*len(labels) {
-		size <<= 1
-	}
-	h.keys = make([]int, size)
-	h.need = make([]int, size)
-	h.have = make([]int, size)
-	h.mask = size - 1
-	for i := range h.keys {
-		h.keys[i] = -1
-	}
+	// need and have are carved from one backing of the worst-case length;
+	// need[0] stays 0 — ordinal 0 is "not a query label".
+	counts := make([]int, 2*(len(labels)+1))
+	need := counts[:1]
 	for _, id := range labels {
-		s := h.slot(id)
-		h.keys[s] = id
-		h.need[s]++
+		o := h.Ordinal(id)
+		if o == 0 {
+			o = len(need)
+			need = need[:o+1]
+			if h.keys == nil {
+				h.dense[id] = uint16(o)
+			} else {
+				s := h.slot(id)
+				h.keys[s], h.ords[s] = id, int32(o)
+			}
+		}
+		need[o]++
 	}
+	h.need, h.have = need, counts[len(need):2*len(need)]
 	return h
 }
 
@@ -104,27 +120,37 @@ func (h *LabelHist) slot(id int) int {
 	return i
 }
 
+// Ordinal returns the 1-based ordinal of an interned label among the
+// query's distinct labels, or 0 when the query does not use it (negative
+// ids — labels unknown to the query's dictionary — included). Two nodes
+// compare equal against every query node exactly when their ordinals are
+// equal, which is what makes the ordinal the label half of a view's
+// signature (Signature).
+//
+//tasm:hotpath
+func (h *LabelHist) Ordinal(label int) int {
+	if h.keys == nil {
+		if uint(label) < uint(len(h.dense)) {
+			return int(h.dense[label])
+		}
+		return 0
+	}
+	if label < 0 {
+		return 0
+	}
+	return int(h.ords[h.slot(label)])
+}
+
 // Add slides one node with the given interned label into the window.
 //
 //tasm:hotpath
 func (h *LabelHist) Add(label int) {
-	var s int
-	if h.keys == nil {
-		if label < 0 || label >= len(h.need) || h.need[label] == 0 {
-			return
-		}
-		s = label
-	} else {
-		if label < 0 {
-			return
-		}
-		s = h.slot(label)
-		if h.keys[s] < 0 { // not a query label: cannot reduce the bound
-			return
-		}
+	o := h.Ordinal(label)
+	if o == 0 { // not a query label: cannot reduce the bound
+		return
 	}
-	h.have[s]++
-	if h.have[s] <= h.need[s] {
+	h.have[o]++
+	if h.have[o] <= h.need[o] {
 		h.missing--
 	}
 }
@@ -134,23 +160,12 @@ func (h *LabelHist) Add(label int) {
 //
 //tasm:hotpath
 func (h *LabelHist) Remove(label int) {
-	var s int
-	if h.keys == nil {
-		if label < 0 || label >= len(h.need) || h.need[label] == 0 {
-			return
-		}
-		s = label
-	} else {
-		if label < 0 {
-			return
-		}
-		s = h.slot(label)
-		if h.keys[s] < 0 {
-			return
-		}
+	o := h.Ordinal(label)
+	if o == 0 {
+		return
 	}
-	h.have[s]--
-	if h.have[s] < h.need[s] {
+	h.have[o]--
+	if h.have[o] < h.need[o] {
 		h.missing++
 	}
 }
@@ -162,53 +177,103 @@ func (h *LabelHist) Missing() int { return h.missing }
 // Bound returns the histogram-intersection lower bound for a window given
 // as a contiguous run of a label column — what CandidateBound computes for
 // a window still inside the ring — in one pass: a node whose label is not
-// in the query costs one load and falls through, and instead of sliding
-// every node off again only the few slots that were hit are cleared. The
+// in the query costs one load and falls through, one that is counts
+// towards the bound only while the query still wants more of its label,
+// and instead of sliding every node off again the counts are wiped. The
 // window must be empty on entry and is empty again on return, so Bound and
 // CandidateBound can alternate on one histogram. It performs no
 // allocation.
 //
 //tasm:hotpath
-func (h *LabelHist) Bound(labels []int32) int { return boundOf(h, labels) }
-
-// BoundIDs is Bound for a window given as the label array of a tree or
-// flat view; negative ids (labels unknown to the query's dictionary)
-// match nothing.
-//
-//tasm:hotpath
-func (h *LabelHist) BoundIDs(labels []int) int { return boundOf(h, labels) }
-
-func boundOf[L int | int32](h *LabelHist, labels []L) int {
-	missing, n := h.missing, 0
+func (h *LabelHist) Bound(labels []int32) int {
+	missing := h.missing
+	// Ordinal, spelled out over locals: the stores to have below would
+	// otherwise make every node reload the histogram's slice headers — a
+	// sixth of this loop, the hottest of a scan-bound query.
+	dense, have, need := h.dense, h.have, h.need
 	for _, l := range labels {
-		var s int
-		if h.keys == nil {
-			if l < 0 || int(l) >= len(h.need) || h.need[l] == 0 {
+		var o int
+		if dense != nil {
+			if uint(l) >= uint(len(dense)) {
 				continue
 			}
-			s = int(l)
+			o = int(dense[l])
 		} else {
-			if l < 0 {
-				continue
-			}
-			s = h.slot(int(l))
-			if h.keys[s] < 0 {
-				continue
-			}
+			o = h.Ordinal(int(l))
 		}
-		if h.have[s] == 0 {
-			h.touched[n] = s
-			n++
+		if o == 0 {
+			continue
 		}
-		h.have[s]++
-		if h.have[s] <= h.need[s] {
+		if have[o] < need[o] {
+			have[o]++
 			missing--
 		}
 	}
-	for _, s := range h.touched[:n] {
-		h.have[s] = 0
-	}
+	wipe(h, labels)
 	return missing
+}
+
+// wipe empties the window a one-pass bound over labels filled: it zeroes
+// all counts, unless that is more work than revisiting the labels that can
+// have touched them (a zeroed count costs about an eighth of a revisited
+// label) — so a query of a thousand labels does not pay a thousand counts
+// for every leaf-sized window.
+//
+//tasm:hotpath
+func wipe[L int | int32](h *LabelHist, labels []L) {
+	if len(labels) >= len(h.have)/8 {
+		clear(h.have)
+	} else {
+		revisit(h, labels)
+	}
+}
+
+// revisit is wipe's rare branch, kept out of line so that wipe inlines.
+func revisit[L int | int32](h *LabelHist, labels []L) {
+	for _, l := range labels {
+		h.have[h.Ordinal(int(l))] = 0
+	}
+}
+
+// The signature hash is FNV-1a taken one node — not one byte — at a time,
+// with a rotation before the multiply: a node's word carries its ordinal in
+// the high half, and a multiplication alone never carries those bits down
+// into the low half of the hash.
+const (
+	sigBasis = 2166136261
+	sigPrime = 16777619
+)
+
+// Signature is Bound for a window given as the label and subtree-size
+// arrays of a flat view, and in the same pass derives the view's canonical
+// signature: per node, in postorder, the ordinal of its label and the size
+// of its subtree. The sizes fix the shape of the view and the ordinals say
+// which query label, if any, every node carries, so two views with equal
+// signatures are indistinguishable to any computation that compares view
+// labels only against query labels. The signature is written to sig as
+// 2·len(labels) int16s — when sig is that long; a shorter sig (nil) is
+// left alone, for callers that want the bound only — and its hash is
+// returned. Ordinals and sizes of a window whose signature is stored must
+// fit an int16; the hash covers their full values either way.
+//
+//tasm:hotpath
+func (h *LabelHist) Signature(labels, sizes []int, sig []int16) (bound int, hash uint32) {
+	store := len(sig) >= 2*len(labels)
+	sizes = sizes[:len(labels)]
+	bound, hash = h.missing, sigBasis
+	for j, l := range labels {
+		o := h.Ordinal(l)
+		if store {
+			sig[2*j], sig[2*j+1] = int16(o), int16(sizes[j])
+		}
+		hash = bits.RotateLeft32(hash^uint32(o)<<16^uint32(sizes[j]), 5) * sigPrime
+		if h.have[o] < h.need[o] { // never for o = 0: need[0] is 0
+			h.have[o]++
+			bound--
+		}
+	}
+	wipe(h, labels)
+	return bound, hash
 }
 
 // CandidateBound slides the window onto the buffered subtree spanning

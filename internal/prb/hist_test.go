@@ -159,3 +159,80 @@ func TestCandidateBoundZeroAlloc(t *testing.T) {
 		t.Errorf("CandidateBound allocates %.1f objects per candidate, want 0", allocs)
 	}
 }
+
+// TestOnePassBoundsOnAnyWindow: Bound and Signature, the one-pass forms,
+// agree with the naive count on windows far smaller than the query (whose
+// counts are wiped label by label), about its size, and larger (wiped
+// whole), back to back on one histogram — a count left behind by one
+// window would surface in the next — in both representations. Signature
+// must also write what it says: per node the label's ordinal and the
+// size, and hash equal signatures equally whatever the labels the query
+// does not use.
+func TestOnePassBoundsOnAnyWindow(t *testing.T) {
+	for _, mode := range []string{"dense", "sparse"} {
+		d := dict.New()
+		if mode == "sparse" {
+			for i := 0; i < 2*denseLimit; i++ {
+				d.Intern(fmt.Sprintf("filler%d", i))
+			}
+		}
+		rng := rand.New(rand.NewSource(21))
+		q := tree.Random(d, rng, tree.RandomConfig{Nodes: 120, MaxFanout: 4, Labels: 60})
+		doc := tree.Random(d, rng, tree.RandomConfig{Nodes: 400, MaxFanout: 4, Labels: 90})
+		h := NewLabelHist(q)
+		if (h.keys == nil) != (mode == "dense") {
+			t.Fatalf("%s: wrong representation", mode)
+		}
+		need := map[int]int{}
+		for _, id := range q.LabelIDs() {
+			need[id]++
+		}
+		ids := doc.LabelIDs()
+		col := make([]int32, len(ids))
+		for i, id := range ids {
+			col[i] = int32(id)
+		}
+		sizes := make([]int, len(ids))
+		for i := range sizes {
+			sizes[i] = 1 + rng.Intn(9)
+		}
+		for iter := 0; iter < 400; iter++ {
+			w := 1 + rng.Intn(3)
+			if iter%3 == 1 {
+				w = 1 + rng.Intn(len(ids))
+			}
+			from := rng.Intn(len(ids) - w + 1)
+			have := map[int]int{}
+			for _, id := range ids[from : from+w] {
+				have[id]++
+			}
+			want := 0
+			for id, n := range need {
+				want += max(0, n-have[id])
+			}
+			if got := h.Bound(col[from : from+w]); got != want {
+				t.Fatalf("%s iter %d: Bound of window [%d,%d) = %d, want %d", mode, iter, from, from+w, got, want)
+			}
+			sig := make([]int16, 2*w)
+			got, hash := h.Signature(ids[from:from+w], sizes[from:from+w], sig)
+			if got != want || h.Missing() != q.Size() {
+				t.Fatalf("%s iter %d: Signature bound of window [%d,%d) = %d (window left at %d), want %d", mode, iter, from, from+w, got, h.Missing(), want)
+			}
+			// The same window with every label the query does not use
+			// replaced by one it does not use either: same signature.
+			twin := make([]int, w)
+			for j, id := range ids[from : from+w] {
+				twin[j] = id
+				if need[id] == 0 {
+					twin[j] = -1
+				}
+				if o := h.Ordinal(id); int(sig[2*j]) != o || int(sig[2*j+1]) != sizes[from+j] || (o != 0) != (need[id] > 0) {
+					t.Fatalf("%s iter %d: signature entry %d = (%d, %d), label %d has ordinal %d, size %d", mode, iter, j, sig[2*j], sig[2*j+1], id, o, sizes[from+j])
+				}
+			}
+			if _, twinHash := h.Signature(twin, sizes[from:from+w], nil); twinHash != hash {
+				t.Fatalf("%s iter %d: foreign labels changed the signature hash", mode, iter)
+			}
+		}
+	}
+}

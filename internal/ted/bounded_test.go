@@ -113,13 +113,15 @@ func TestBoundedAbortReported(t *testing.T) {
 		t.Error("infinite cutoff must never abort")
 	}
 	// The 60-node document holds the query's three labels, so its label
-	// bag cannot end the evaluation: it is the DP that aborts...
-	if _, o := c.EvaluateView(v, 0); o != Aborted {
-		t.Errorf("cutoff 0 on a document sharing the query's labels: outcome %d, want Aborted", o)
+	// bag cannot end the evaluation: it is the DP that aborts. (On a fresh
+	// computer: c has by now evaluated v unbounded, and would answer from
+	// that row — TestMemoHitReportsRecordedOutcome.)
+	if _, o, hit := NewComputer(cost.Unit{}, q).EvaluateView(v, 0); o != Aborted || hit {
+		t.Errorf("cutoff 0 on a document sharing the query's labels: outcome %d (memo hit %v), want Aborted by the DP", o, hit)
 	}
 	// ...whereas a view of foreign labels never reaches the DP.
 	foreign := viewOf(t, tree.MustParse(d, "{x{y}{z}}"))
-	row, o := c.EvaluateView(foreign, 7)
+	row, o, _ := c.EvaluateView(foreign, 7)
 	if o != Gated {
 		t.Errorf("foreign-label view under cutoff 7 < |Q|: outcome %d, want Gated", o)
 	}
@@ -128,7 +130,7 @@ func TestBoundedAbortReported(t *testing.T) {
 			t.Errorf("gated row[%d] = %g, want +Inf", j, x)
 		}
 	}
-	if _, o := c.EvaluateView(foreign, 8); o != Completed {
+	if _, o, _ := c.EvaluateView(foreign, 8); o != Completed {
 		t.Errorf("cutoff |Q| admits deleting the whole query: outcome %d, want Completed", o)
 	}
 }
@@ -174,7 +176,7 @@ func TestCutoffEdgeCases(t *testing.T) {
 			exact := append([]float64(nil), NewComputer(m, q).SubtreeDistancesView(v)...)
 			c := NewComputer(m, q)
 			for _, tc := range cases {
-				got, o := c.EvaluateView(v, tc.cutoff)
+				got, o, _ := c.EvaluateView(v, tc.cutoff)
 				if (tc.exact || tc.cutoff < 0) && o != tc.outcome {
 					t.Fatalf("%T iter %d cutoff %s: outcome %d, want %d", m, iter, tc.name, o, tc.outcome)
 				}
@@ -208,7 +210,7 @@ func TestBoundedNoSentinelOverflow(t *testing.T) {
 		c := NewComputer(cost.Unit{}, q)
 		m, n := q.Size(), doc.Size()
 		for _, cutoff := range []float64{0, 1, 2, float64(m), float64(n), float64(m + n - 1), float64(m + n)} {
-			got, _ := c.EvaluateView(v, cutoff)
+			got, _, _ := c.EvaluateView(v, cutoff)
 			for j := range exact {
 				want := exact[j]
 				if want > cutoff {
@@ -224,8 +226,11 @@ func TestBoundedNoSentinelOverflow(t *testing.T) {
 
 // TestBoundedViewZeroAlloc: every way a bounded evaluation can end shares
 // the unbounded path's steady-state zero-allocation contract — rejected
-// by the gate, and aborted by the row minimum in the integer and in the
-// float kernel.
+// by the gate, aborted by the row minimum in the integer and in the float
+// kernel, and answered from the memo. A repeated evaluation under
+// cost.Unit is a memo hit reporting the outcome its row was computed
+// with, so the integer kernel's abort is repeated on a computer whose memo
+// is taken away.
 func TestBoundedViewZeroAlloc(t *testing.T) {
 	d := dict.New()
 	rng := rand.New(rand.NewSource(11))
@@ -237,27 +242,36 @@ func TestBoundedViewZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, m := range map[string]cost.Model{"int": cost.Unit{}, "float": fw} {
-		c := NewComputer(m, q)
-		c.SubtreeDistancesView(v) // grow the scratch
-		paths := []struct {
-			name string
-			eval func() Outcome
-			want Outcome
-		}{
-			{"gated", func() Outcome { _, o := c.EvaluateView(foreign, 3); return o }, Gated},
-			{"aborted-" + name, func() Outcome { _, o := c.EvaluateView(v, 1); return o }, Aborted},
+	unit, float, bare := NewComputer(cost.Unit{}, q), NewComputer(fw, q), NewComputer(cost.Unit{}, q)
+	bare.memo = nil
+	type path struct {
+		name string
+		c    *Computer
+		v    *tree.View
+		want Outcome
+		hit  bool
+	}
+	paths := []path{
+		{"gated", unit, foreign, Gated, false},
+		{"memo-hit", unit, v, Aborted, true}, // the first evaluation aborts in the DP and stores that
+		{"aborted-int", bare, v, Aborted, false},
+		{"gated-float", float, foreign, Gated, false},
+		{"aborted-float", float, v, Aborted, false},
+	}
+	for _, p := range paths {
+		cutoff := 1.0
+		if p.v == foreign {
+			cutoff = 3
 		}
-		for _, p := range paths {
-			if o := p.eval(); o != p.want { // also warms the path
-				t.Fatalf("%s: outcome %d, want %d", p.name, o, p.want)
-			}
-			if race.Enabled {
-				continue // allocation counts are not meaningful under -race
-			}
-			if allocs := testing.AllocsPerRun(100, func() { p.eval() }); allocs != 0 {
-				t.Errorf("%s: EvaluateView allocates %.1f objects per call in steady state, want 0", p.name, allocs)
-			}
+		p.c.EvaluateView(p.v, cutoff) // grows the scratch, warms the path
+		if _, o, hit := p.c.EvaluateView(p.v, cutoff); o != p.want || hit != p.hit {
+			t.Fatalf("%s: outcome %d (memo hit %v), want %d (%v)", p.name, o, hit, p.want, p.hit)
+		}
+		if race.Enabled {
+			continue // allocation counts are not meaningful under -race
+		}
+		if allocs := testing.AllocsPerRun(100, func() { p.c.EvaluateView(p.v, cutoff) }); allocs != 0 {
+			t.Errorf("%s: EvaluateView allocates %.1f objects per call in steady state, want 0", p.name, allocs)
 		}
 	}
 }

@@ -91,6 +91,9 @@ type Computer struct {
 	// hist is the query's label bag, behind rung 0 of EvaluateView and
 	// lent to the owning scan's candidate gate (LabelHist).
 	hist *prb.LabelHist
+	// memo holds the rows of the views evaluated so far; nil when rows
+	// cannot be memoised (newMemo).
+	memo *memo
 
 	// Document labels of the current run resolved into the query's
 	// dictionary (-1 for labels the query's dictionary does not know).
@@ -115,6 +118,7 @@ func NewComputer(m cost.Model, q *tree.Tree) *Computer {
 	}
 	if _, unit := m.(cost.Unit); unit {
 		c.unit = newKernel[int32](c.qCost, unitOver)
+		c.memo = newMemo(q.Size())
 	} else {
 		c.weighted = newKernel(c.qCost, math.Inf(1))
 	}
@@ -154,7 +158,7 @@ func (c *Computer) SubtreeDistances(t *tree.Tree) []float64 {
 //
 //tasm:hotpath
 func (c *Computer) SubtreeDistancesView(v *tree.View) []float64 {
-	row, _ := c.EvaluateView(v, math.Inf(1))
+	row, _, _ := c.EvaluateView(v, math.Inf(1))
 	return row
 }
 
@@ -163,7 +167,7 @@ func (c *Computer) SubtreeDistancesView(v *tree.View) []float64 {
 //
 //tasm:hotpath
 func (c *Computer) SubtreeDistancesViewBounded(v *tree.View, cutoff float64) ([]float64, bool) {
-	row, o := c.EvaluateView(v, cutoff)
+	row, o, _ := c.EvaluateView(v, cutoff)
 	return row, o != Completed
 }
 
@@ -201,28 +205,57 @@ func (c *Computer) SubtreeDistancesViewBounded(v *tree.View, cutoff float64) ([]
 // has an optimal predecessor chain of cells that are themselves ≤ cutoff,
 // hence exact.
 //
+// Between rung 0 and the dynamic program sits the memo (see memo): under
+// cost.Unit the row is a function of the view's canonical signature, which
+// the pass that computes rung 0's bound also produces, so a view whose
+// signature the computer has already evaluated under a cutoff at least as
+// loose is answered from the stored row — masked to the current cutoff —
+// without running the dynamic program. Such a hit is still an evaluation:
+// it reports the outcome its row was computed with, and memoHit. A probe
+// (SetProbe) bypasses the memo, so instrumented runs count every relevant
+// subtree the algorithm evaluates.
+//
 // The cutoff may be any float64: NaN and +Inf mean unbounded (no rung
 // fires, every entry exact, Completed); a negative cutoff gates every
 // view; a fractional one is exact at and below itself; one at or above
 // every possible distance behaves as unbounded.
 //
 //tasm:hotpath
-func (c *Computer) EvaluateView(v *tree.View, cutoff float64) ([]float64, Outcome) {
+func (c *Computer) EvaluateView(v *tree.View, cutoff float64) (row []float64, outcome Outcome, memoHit bool) {
 	c.resolveLabels(v.Dict(), v.LabelIDs())
+	n := v.Size()
+	mm := c.memo
+	if c.probe != nil || n > memoMaxView {
+		mm = nil
+	}
 	if !(cutoff < math.Inf(1)) { // +Inf or NaN
 		cutoff = math.Inf(1)
-	} else if float64(c.hist.BoundIDs(c.tLab)) > cutoff {
-		row := c.row(v.Size())
-		for j := range row {
-			row[j] = math.Inf(1)
+	}
+	var slot *memoSlot
+	if mm != nil || cutoff < math.Inf(1) {
+		bound, hash := c.hist.Signature(c.tLab, v.Sizes(), mm.head(n))
+		if float64(bound) > cutoff {
+			row = c.row(n)
+			for j := range row {
+				row[j] = math.Inf(1)
+			}
+			return row, Gated, false
 		}
-		return row, Gated
+		if slot = mm.lookup(hash, n); slot != nil && slot.cutoff >= unitCutoff(cutoff) {
+			row = c.row(n)
+			mm.load(slot, row, unitCutoff(cutoff))
+			return row, slot.outcome, true
+		}
 	}
 	var t *tree.Tree
 	if c.weighted != nil {
 		t = v.Tree() //tasm:allow alloc — non-unit cost models read labels through the aliased shell tree; unit-cost scans never take this branch
 	}
-	return c.dp(t, v.LMLs(), v.Keyroots(), v.Size(), cutoff)
+	row, outcome = c.dp(t, v.LMLs(), v.Keyroots(), n, cutoff)
+	if slot != nil {
+		mm.store(slot, row, unitCutoff(cutoff), outcome)
+	}
+	return row, outcome, false
 }
 
 // Matrix returns the full tree distance matrix td where td[i][j] is the
@@ -283,9 +316,7 @@ func (c *Computer) dp(t *tree.Tree, tLML, tKey []int, n int, cutoff float64) ([]
 		for j := range k.tCost {
 			k.tCost[j] = 1
 		}
-		// Unit distances are integers below unitOver: flooring the cutoff
-		// changes no comparison, and one at or above unitOver is unbounded.
-		aborted = k.run(c, tLML, tKey, row, int32(math.Min(cutoff, unitOver)))
+		aborted = k.run(c, tLML, tKey, row, unitCutoff(cutoff))
 	} else {
 		k := c.weighted
 		k.ensure(n)
@@ -334,6 +365,11 @@ type cell interface{ int32 | float64 }
 // (delete one forest, insert the other), a tree distance is one of those
 // or the sentinel, and a sum adds at most one of each.
 const unitOver = 1 << 29
+
+// unitCutoff is a non-negative cutoff in the int32 kernel's domain: unit
+// distances are integers below unitOver, so flooring the cutoff changes no
+// comparison, and one at or above unitOver is unbounded.
+func unitCutoff(cutoff float64) int32 { return int32(math.Min(cutoff, unitOver)) }
 
 // kernel is the Zhang–Shasha working state over one cell type: the
 // forest-distance working matrix fd, (m+1) rows of fdCols entries; the
