@@ -174,6 +174,8 @@ func run(ctx context.Context, dir, shards string, hedgeDelay time.Duration, addr
 		}
 		cfg.openDuration = time.Since(start)
 		src, ing = c, c
+		// columnBytes is the decoded columns with their label postings: 12
+		// bytes per node and 8 per distinct label of each document.
 		logger.Info("serving corpus", "dir", dir, "docs", c.Len(), "quarantined", c.Quarantined(),
 			"openDuration", cfg.openDuration.String(), "mappedBytes", c.MappedBytes(), "columnBytes", c.ColumnBytes(), "addr", addr)
 	} else {

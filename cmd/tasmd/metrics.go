@@ -227,7 +227,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// Decoded postorder columns: the heap copy of every store's items
 	// that queries actually scan, 8 bytes per node.
 	if cb, ok := s.src.(interface{ ColumnBytes() int64 }); ok {
-		fmt.Fprintf(w, "# HELP tasmd_corpus_column_bytes Heap bytes of the postorder columns decoded from the stores at load and scanned by every query (8 per node; a document whose store failed to decode holds none and is streamed instead).\n# TYPE tasmd_corpus_column_bytes gauge\ntasmd_corpus_column_bytes %d\n", cb.ColumnBytes())
+		fmt.Fprintf(w, "# HELP tasmd_corpus_column_bytes Heap bytes of the postorder columns and label postings decoded from the stores at load and scanned by every query (12 per node and 8 per distinct label of a document; a document whose store failed to decode holds none and is streamed instead).\n# TYPE tasmd_corpus_column_bytes gauge\ntasmd_corpus_column_bytes %d\n", cb.ColumnBytes())
 	}
 	if s.cfg.openDuration > 0 {
 		fmt.Fprintf(w, "# HELP tasmd_corpus_open_seconds Cold-start cost of opening the backend (manifest load, scrub, profile decode, store mapping and column decode).\n# TYPE tasmd_corpus_open_seconds gauge\ntasmd_corpus_open_seconds %g\n", s.cfg.openDuration.Seconds())

@@ -307,9 +307,10 @@ func TestMetricsExpositionLeaf(t *testing.T) {
 	if !strings.Contains(body, "tasmd_topk_latency_seconds_count 2") {
 		t.Errorf("expected 2 observed topk requests, exposition:\n%s", body)
 	}
-	// Both documents decoded at ingest: 7 + 4 nodes at 8 bytes each.
-	if !strings.Contains(body, "tasmd_corpus_column_bytes 88\n") {
-		t.Errorf("expected 88 column bytes for 11 nodes, exposition:\n%s", body)
+	// Both documents decoded at ingest: 7 + 4 nodes at 12 bytes each
+	// (label, size, posting), 6 + 4 distinct labels at 8, 4 per document.
+	if !strings.Contains(body, "tasmd_corpus_column_bytes 220\n") {
+		t.Errorf("expected 220 column bytes for 11 nodes and 10 labels, exposition:\n%s", body)
 	}
 }
 

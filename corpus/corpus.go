@@ -356,8 +356,9 @@ func (c *Corpus) loadStore(base *dict.Base, d DocInfo) *docStore {
 }
 
 // ColumnBytes returns the heap bytes held by the decoded postorder
-// columns of the serving set: 8 per node of every document whose store
-// decoded cleanly at load.
+// columns and their label postings (postorder.Columns.Bytes) of the
+// serving set: 12 per node and 8 per distinct label of every document
+// whose store decoded cleanly at load.
 func (c *Corpus) ColumnBytes() int64 {
 	st := c.snapshot()
 	var n int64

@@ -253,6 +253,12 @@ type queryPlan struct {
 	// per document at scanDoc.slot, so planning allocates nothing per
 	// document.
 	bounds []float64
+	// labelNodes holds, per (document, query) in the same layout, how many
+	// of the document's nodes carry one of the query's labels: what the
+	// scan's candidate gate would read from the document's label postings
+	// (core.PostorderBatchColumnsInto). Rows of unprofiled documents are 0
+	// and unused.
+	labelNodes []int
 	// byOffset is docs by ascending offset, for resolving global positions.
 	byOffset []scanDoc
 }
@@ -414,7 +420,13 @@ func (c *Corpus) TopKBatch(ctx context.Context, queries []*tree.Tree, k int, opt
 			h0, a0, e0 = prune.Snapshot()
 			docSpan = tr.Begin(qtrace.SpanScan, d.info.Name)
 		}
-		err := c.scanInto(qs, ov, st, d, heaps, cfg.Workers, coreOpts)
+		// The label-node counts the plan read off the profile steer the
+		// candidate gate; without them (no filter, no profile) it walks.
+		var labelNodes []int
+		if !cfg.NoFilter && !d.unprofiled {
+			labelNodes = plan.labelNodes[d.slot*len(qs):][:len(qs)]
+		}
+		err := c.scanInto(qs, ov, st, d, labelNodes, heaps, cfg.Workers, coreOpts)
 		if tr != nil {
 			tr.End(docSpan)
 			h1, a1, e1 := prune.Snapshot()
@@ -450,7 +462,7 @@ func (c *Corpus) TopKBatch(ctx context.Context, queries []*tree.Tree, k int, opt
 // already be resolved through an overlay over st.base, so their label ids
 // are commensurable with the profile index's.
 func (c *Corpus) plan(st *snapshot, qs []*tree.Tree, cfg *QueryConfig, p *queryPlan) error {
-	p.docs, p.bounds = p.docs[:0], p.bounds[:0]
+	p.docs, p.bounds, p.labelNodes = p.docs[:0], p.bounds[:0], p.labelNodes[:0]
 	qGrams := make([]*pqgram.Profile, len(qs))
 	qLabels := make([]map[int]int, len(qs))
 	for i, q := range qs {
@@ -490,13 +502,14 @@ func (c *Corpus) plan(st *snapshot, qs []*tree.Tree, cfg *QueryConfig, p *queryP
 		if include {
 			sd := scanDoc{info: d, offset: offset, slot: len(p.docs)}
 			p.bounds = append(p.bounds, make([]float64, len(qs))...)
+			p.labelNodes = append(p.labelNodes, make([]int, len(qs))...)
 			if !cfg.NoFilter {
 				sd.pqdist = math.MaxInt
 				if prof := st.profiles[d.ID]; prof != nil {
-					bounds := p.bounds[len(p.bounds)-len(qs):]
+					bounds, nodes := p.bounds[len(p.bounds)-len(qs):], p.labelNodes[len(p.labelNodes)-len(qs):]
 					sd.bound = math.Inf(1)
 					for i := range qs {
-						bounds[i] = labelLowerBound(qLabels[i], prof.labels)
+						bounds[i], nodes[i] = labelLowerBound(qLabels[i], prof.labels)
 						pqd, err := pqgram.Distance(qGrams[i], prof.grams)
 						if err != nil {
 							return err
@@ -545,15 +558,19 @@ func (c *Corpus) plan(st *snapshot, qs []*tree.Tree, cfg *QueryConfig, p *queryP
 // node. In any edit mapping each such node is deleted (cost ≥ 1) or
 // renamed (cost ≥ 1), so every subtree of the document — whose labels are
 // a sub-bag of the document's — has distance at least this bound under
-// any Definition-4 cost model.
-func labelLowerBound(query map[int]int, doc map[int]int) float64 {
+// any Definition-4 cost model. From the same lookups it also returns
+// Σ_label count_doc, the number of document nodes that carry a query
+// label.
+func labelLowerBound(query map[int]int, doc map[int]int) (bound float64, labelNodes int) {
 	missing := 0
 	for id, cq := range query {
-		if cd := doc[id]; cq > cd {
+		cd := doc[id]
+		if cq > cd {
 			missing += cq - cd
 		}
+		labelNodes += cd
 	}
-	return float64(missing)
+	return float64(missing), labelNodes
 }
 
 // ScanError wraps a failure to read or scan a persisted document during
@@ -596,13 +613,14 @@ func (e *ScanError) Unwrap() error { return e.Err }
 // resolving through the request overlay — both through the prefix ring
 // buffer, and both reporting the damage as a ScanError. All three forms
 // answer byte-identically on an intact store (fuzz-pinned in core and
-// docstore).
-func (c *Corpus) scanInto(qs []*tree.Tree, ov *dict.Overlay, st *snapshot, d scanDoc, heaps []*ranking.Heap, workers int, opts core.Options) error {
+// docstore). labelNodes steers the column scan's candidate gate; see
+// core.PostorderBatchColumnsInto.
+func (c *Corpus) scanInto(qs []*tree.Tree, ov *dict.Overlay, st *snapshot, d scanDoc, labelNodes []int, heaps []*ranking.Heap, workers int, opts core.Options) error {
 	var err error
 	ds := st.stores[d.info.ID]
 	switch {
 	case ds != nil && ds.cols != nil:
-		err = core.PostorderBatchColumnsInto(qs, ds.cols, heaps, d.offset, workers, opts)
+		err = core.PostorderBatchColumnsInto(qs, ds.cols, labelNodes, heaps, d.offset, workers, opts)
 	case ds != nil:
 		ir := c.readerPool.Get().(*docstore.ImageReader)
 		ir.Reset(ds.img, ds.remap)

@@ -13,7 +13,6 @@ import (
 
 	"tasm/internal/dict"
 	"tasm/internal/postorder"
-	"tasm/internal/prb"
 	"tasm/internal/qtrace"
 	"tasm/internal/race"
 	"tasm/internal/ranking"
@@ -150,8 +149,11 @@ func FuzzColumnsVsStream(f *testing.F) {
 		// The kernel over a batch of 1…4 queries, each at its own τ inside
 		// the shared pass at the largest — Theorem 3's, or (anyTau) arbitrary
 		// ones from 1 to past the document size, where only the two sources
-		// can be compared — in both tie modes.
-		kernel := func(columns bool) ([]*ranking.Heap, scanOutcome) {
+		// can be compared — in both tie modes. The columns are scanned with
+		// the candidate gate on each route: labelNodes nil walks, all zero
+		// reads the postings for every query.
+		walk, postings := []int(nil), make([]int, len(queries))
+		kernel := func(columns bool, labelNodes []int) ([]*ranking.Heap, scanOutcome) {
 			probe, prune := &traceProbe{}, &PruneStats{}
 			ranks := make([]*ranking.Heap, len(queries))
 			for i := range ranks {
@@ -172,7 +174,7 @@ func FuzzColumnsVsStream(f *testing.F) {
 			}
 			var src candidateSource = sc.ring(postorder.NewSliceQueue(items))
 			if columns {
-				src = sc.cursor(cols)
+				src = sc.cursor(cols, labelNodes)
 			}
 			if err := scanCandidates(src, sc, 1000, strict, nil, &o); err != nil {
 				t.Fatalf("columns=%v: %v", columns, err)
@@ -180,9 +182,11 @@ func FuzzColumnsVsStream(f *testing.F) {
 			return ranks, outcome(ranks, prune, probe)
 		}
 		ctx := fmt.Sprintf("batch of %d k=%d strict=%v anyTau=%v", len(queries), k, strict, anyTau)
-		ranks, fromColumns := kernel(true)
-		_, fromRing := kernel(false)
-		fromColumns.mustEqual(t, ctx, fromRing)
+		ranks, fromColumns := kernel(true, walk)
+		_, fromPostings := kernel(true, postings)
+		_, fromRing := kernel(false, nil)
+		fromColumns.mustEqual(t, ctx+" walk", fromRing)
+		fromPostings.mustEqual(t, ctx+" postings", fromRing)
 		if doc, err := postorder.BuildTree(d, postorder.NewSliceQueue(items)); err == nil && !anyTau {
 			for i, q := range queries {
 				mustEqualNaive(t, fmt.Sprintf("%s query %d", ctx, i), ranks[i].Sorted(), q, doc, ranks[i].K(), 1000, strict)
@@ -195,7 +199,7 @@ func FuzzColumnsVsStream(f *testing.F) {
 			rc, rs := ranking.New(k), ranking.New(k)
 			o := opts
 			o.NoTrees = true // at a tie the pool may materialize either representative's tree
-			if err := PostorderBatchColumnsInto(queries[:1], cols, []*ranking.Heap{rc}, 7, workers, o); err != nil {
+			if err := PostorderBatchColumnsInto(queries[:1], cols, postings[:1], []*ranking.Heap{rc}, 7, workers, o); err != nil {
 				t.Fatal(err)
 			}
 			if err := PostorderBatchInto(queries[:1], postorder.NewSliceQueue(items), []*ranking.Heap{rs}, 7, workers, o); err != nil {
@@ -208,54 +212,95 @@ func FuzzColumnsVsStream(f *testing.F) {
 
 // TestColumnKernelsZeroAlloc pins the column scan's steady state: with a
 // cursor, view and computers warm, a whole pass of the kernel over a
-// document — for one query and for a batch of two — allocates nothing,
-// not per candidate and not per document, under a live cancellable
-// context carrying a live trace, the daemon's request shape.
+// document — for one query and for batches of two and four — allocates
+// nothing, not per candidate and not per document, under a live
+// cancellable context carrying a live trace, the daemon's request shape.
+// It does so on both routes of the candidate gate: a document where half
+// the nodes carry a query label walks, one where a tenth do reads the
+// label postings.
 func TestColumnKernelsZeroAlloc(t *testing.T) {
 	d := dict.New()
-	queries := []*tree.Tree{tree.MustParse(d, "{rec{a}{b}}"), tree.MustParse(d, "{rec{a}{b}{c}}")}
-	// Records the queries match interleaved with ones sharing no label
-	// with them, so the histogram gate fires as well as the DP.
-	root := tree.NewNode("root")
-	for i := 0; i < 300; i++ {
-		root.AddChild(tree.NewNode("rec", tree.NewNode("a"), tree.NewNode("b"), tree.NewNode("c")))
-		root.AddChild(tree.NewNode("x", tree.NewNode("y"), tree.NewNode("z"), tree.NewNode("w")))
+	queries := []*tree.Tree{
+		tree.MustParse(d, "{rec{a}{b}}"),
+		tree.MustParse(d, "{rec{a}{b}{c}}"),
+		tree.MustParse(d, "{rec{c}}"),
+		tree.MustParse(d, "{rec{a}{a}}"),
 	}
-	cols, err := postorder.BuildColumns(postorder.FromTree(tree.FromNode(d, root)), 0)
-	if err != nil {
-		t.Fatal(err)
+	// Records the queries match interleaved with ones sharing no label
+	// with them, so the histogram gate fires as well as the DP: one in
+	// two, or one in ten.
+	document := func(every int) *postorder.Columns {
+		root := tree.NewNode("root")
+		for i := 0; i < 300; i++ {
+			if i%every == 0 {
+				root.AddChild(tree.NewNode("rec", tree.NewNode("a"), tree.NewNode("b"), tree.NewNode("c")))
+			} else {
+				root.AddChild(tree.NewNode("x", tree.NewNode("y"), tree.NewNode("z"), tree.NewNode("w")))
+			}
+		}
+		cols, err := postorder.BuildColumns(postorder.FromTree(tree.FromNode(d, root)), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cols
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	tr := qtrace.New()
 	defer qtrace.Release(tr)
 
-	for n := 1; n <= len(queries); n++ {
-		opts := Options{NoTrees: true, CT: 1, Ctx: qtrace.NewContext(ctx, tr), Prune: &PruneStats{}}
-		ranks := make([]*ranking.Heap, n)
-		for i := range ranks {
-			ranks[i] = ranking.New(2)
-		}
-		sc, err := opts.scratch(queries[:n], ranks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cur := prb.NewCursor(cols, sc.tauMax)
-		pass := func() {
-			cur.Reset(cols, sc.tauMax)
-			if err := scanCandidates(cur, sc, 0, true, nil, &opts); err != nil {
+	for _, doc := range []struct {
+		route    string
+		cols     *postorder.Columns
+		postings bool
+	}{{"walk", document(2), false}, {"postings", document(10), true}} {
+		for _, n := range []int{1, 2, 4} {
+			opts := Options{NoTrees: true, CT: 1, Ctx: qtrace.NewContext(ctx, tr), Prune: &PruneStats{}}
+			ranks := make([]*ranking.Heap, n)
+			for i := range ranks {
+				ranks[i] = ranking.New(2)
+			}
+			sc, err := opts.scratch(queries[:n], ranks)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		pass() // warm: grow the view, fill the rankings
-		if h, _, e := opts.Prune.Snapshot(); h == 0 || e == 0 {
-			t.Fatalf("warm-up skipped %d candidates and evaluated %d: the pin must cover both gates", h, e)
-		}
-		if race.Enabled {
-			continue // allocation counts are not meaningful under -race
-		}
-		if allocs := testing.AllocsPerRun(20, pass); allocs != 0 {
-			t.Errorf("column scan for %d queries allocates %.1f objects per document in steady state, want 0", n, allocs)
+			counts := queryLabelNodes(doc.cols, queries[:n])
+			cur := sc.cursor(doc.cols, counts)
+			pass := func() {
+				cur.Reset(doc.cols, sc.tauMax, sc.hists, counts)
+				if err := scanCandidates(cur, sc, 0, true, nil, &opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pass() // warm: grow the cursor and view, fill the rankings
+			if want := map[bool]int{true: n, false: 0}[doc.postings]; cur.PostingRows() != want {
+				t.Fatalf("%s document, %d queries: %d bound rows read postings, want %d", doc.route, n, cur.PostingRows(), want)
+			}
+			if h, _, e := opts.Prune.Snapshot(); h == 0 || e == 0 {
+				t.Fatalf("%s document, %d queries: warm-up skipped %d candidates and evaluated %d: the pin must cover both gates", doc.route, n, h, e)
+			}
+			if race.Enabled {
+				continue // allocation counts are not meaningful under -race
+			}
+			if allocs := testing.AllocsPerRun(20, pass); allocs != 0 {
+				t.Errorf("column scan of the %s document for %d queries allocates %.1f objects per document in steady state, want 0", doc.route, n, allocs)
+			}
 		}
 	}
+}
+
+// queryLabelNodes counts, per query, the nodes of cols that carry one of
+// its labels — what a corpus plan reads off a document's profile.
+func queryLabelNodes(cols *postorder.Columns, queries []*tree.Tree) []int {
+	counts := make([]int, len(queries))
+	for i, q := range queries {
+		seen := map[int]bool{}
+		for _, id := range q.LabelIDs() {
+			if !seen[id] {
+				seen[id] = true
+				counts[i] += len(cols.Postings(id))
+			}
+		}
+	}
+	return counts
 }

@@ -332,14 +332,24 @@ func PostorderBatchInto(queries []*tree.Tree, docQ postorder.Queue, ranks []*ran
 // resident postorder columns: the same kernel, the same strict-margin
 // pruning, the same counters and result bytes, but the candidates come
 // from index arithmetic over the size column (prb.Cursor) instead of a
-// ring buffer fed node by node. The corpus scans every cached document
-// this way.
-func PostorderBatchColumnsInto(queries []*tree.Tree, cols *postorder.Columns, ranks []*ranking.Heap, posOffset, workers int, opts Options) error {
+// ring buffer fed node by node, and the label-histogram gate bounds every
+// candidate before the scan starts. The corpus scans every cached
+// document this way.
+//
+// labelNodes, when non-nil, holds per query the number of the document's
+// nodes that carry one of the query's labels — a corpus plan reads it off
+// the document's label profile — and lets the gate read the label
+// postings instead of walking the label column where they are few; nil
+// walks. It steers speed only: results are the same for any value.
+func PostorderBatchColumnsInto(queries []*tree.Tree, cols *postorder.Columns, labelNodes []int, ranks []*ranking.Heap, posOffset, workers int, opts Options) error {
 	sc, err := opts.scratch(queries, ranks)
 	if err != nil {
 		return err
 	}
-	return scan(sc.cursor(cols), sc, posOffset, workers, true, &opts)
+	if labelNodes != nil && len(labelNodes) != len(queries) {
+		return fmt.Errorf("tasm: %d queries but %d label-node counts", len(queries), len(labelNodes))
+	}
+	return scan(sc.cursor(cols, labelNodes), sc, posOffset, workers, true, &opts)
 }
 
 // streamScan is the shared body of the stream entry points: the scan over
@@ -374,9 +384,9 @@ type candidateSource interface {
 	Leaf() int
 	// LMLOf returns the leftmost leaf of a node inside the candidate.
 	LMLOf(id int) int
-	// LabelBound returns h's lower bound on the distance of every subtree
-	// of the candidate.
-	LabelBound(h *prb.LabelHist) int
+	// LabelBound returns the lower bound of histogram h, query q's, on the
+	// distance of every subtree of the candidate.
+	LabelBound(q int, h *prb.LabelHist) int
 	// FillView copies the subtree spanning nodes from..to into v.
 	FillView(d dict.Dict, v *tree.View, from, to int) error
 }
@@ -406,6 +416,7 @@ func scan(src candidateSource, sc *ScanScratch, posOffset, workers int, strictTi
 //
 //tasm:hotpath
 func scanCandidates(src candidateSource, sc *ScanScratch, posOffset int, strictTies bool, pool *workerPool, opts *Options) error {
+	defer sc.tally.flush(opts.Prune)
 	done := opts.done()
 	for {
 		// Cancellation poll, once per candidate: a non-blocking read of the
@@ -441,10 +452,8 @@ func scanCandidates(src candidateSource, sc *ScanScratch, posOffset int, strictT
 			// skip the candidate without filling a view or touching the DP.
 			// Strict comparison keeps exact boundary ties evaluated, so
 			// results stay byte-identical in both tie-handling modes.
-			if st.hist != nil && !math.IsInf(kth, 1) && float64(src.LabelBound(st.hist)) > kth {
-				if opts.Prune != nil {
-					opts.Prune.HistSkipped.Add(1)
-				}
+			if st.hist != nil && !math.IsInf(kth, 1) && float64(src.LabelBound(i, st.hist)) > kth {
+				sc.tally.histSkipped++
 				continue
 			}
 			m := st.q.Size()
@@ -499,7 +508,7 @@ func scanCandidates(src candidateSource, sc *ScanScratch, posOffset int, strictT
 					// distance — distances at or below it stay exact, anything
 					// above comes back +Inf, which the heap rejects just like
 					// the true value.
-					rankView(st.comp, view, posOffset+lml, kth, math.Inf(1), st.rank, opts)
+					rankView(st.comp, view, posOffset+lml, kth, math.Inf(1), st.rank, opts, &sc.tally)
 				}
 				rt = lml - 1 // skip everything just ranked
 			}
@@ -511,11 +520,12 @@ func scanCandidates(src candidateSource, sc *ScanScratch, posOffset int, strictT
 // distance matrix, bounded by cutoff, ranks every subtree of the view at
 // once into r, the view's first node reported at position base. A match's
 // tree is materialized only when r would retain it and its distance does
-// not exceed published (+Inf: no bound beyond r's own).
+// not exceed published (+Inf: no bound beyond r's own). The evaluation is
+// counted in t.
 //
 //tasm:hotpath
-func rankView(comp *ted.Computer, view *tree.View, base int, cutoff, published float64, r *ranking.Heap, opts *Options) {
-	row := evaluate(comp, view, cutoff, opts)
+func rankView(comp *ted.Computer, view *tree.View, base int, cutoff, published float64, r *ranking.Heap, opts *Options, t *tally) {
+	row := evaluate(comp, view, cutoff, opts, t)
 	sizes := view.Sizes()
 	for j, size := range sizes {
 		e := Match{Dist: row[j], Pos: base + j, Size: size}

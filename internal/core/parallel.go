@@ -67,6 +67,8 @@ func startWorkers(st *queryState, workers int, opts *Options) *workerPool {
 			comp := ted.NewComputer(model, st.q)
 			comp.SetProbe(opts.Probe)
 			local := ranking.New(k)
+			var counts tally
+			defer counts.flush(opts.Prune)
 			for item := range p.work {
 				// The evaluation is bounded by the tighter of the worker's
 				// local k-th distance and the published shared one: a subtree
@@ -84,7 +86,7 @@ func startWorkers(st *queryState, workers int, opts *Options) *workerPool {
 				if local.Full() && local.Max().Dist < cutoff {
 					cutoff = local.Max().Dist
 				}
-				rankView(comp, item.view, item.base, cutoff, published, local, opts)
+				rankView(comp, item.view, item.base, cutoff, published, local, opts, &counts)
 				viewPool.Put(item.view)
 				// Merge-on-improvement: only a local k-th distance that
 				// beats the published shared one can tighten the global

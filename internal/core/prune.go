@@ -13,9 +13,11 @@ import (
 // distance work, and how each evaluation that was started ended — cut
 // short by one of the bounded evaluation's rungs (ted.EvaluateView), or
 // run to completion. The counters are cumulative across scans sharing the
-// struct and safe for concurrent update (the parallel scan's workers add
-// to them directly), so one PruneStats can aggregate a whole corpus query
-// — or a daemon's lifetime.
+// struct and safe for concurrent update (the parallel scan's workers each
+// add their share as they exit), so one PruneStats can aggregate a whole
+// corpus query — or a daemon's lifetime. A document scan has added all of
+// its counts by the time it returns, so per-document deltas read around
+// one are exact.
 type PruneStats struct {
 	// HistSkipped is the number of candidate subtrees skipped whole by
 	// the histogram-intersection lower bound: no view fill, no TED. The
@@ -50,32 +52,58 @@ func (s *PruneStats) Snapshot() (histSkipped, tedAborted, evaluated uint64) {
 	return s.HistSkipped.Load(), s.TEDAborted.Load(), s.Evaluated.Load()
 }
 
+// tally is one scan goroutine's private count of the PruneStats counters:
+// the kernel and every pool worker count into their own with plain
+// increments and flush it once — the kernel when its document scan
+// returns, a worker when it exits — so an event costs a plain increment
+// instead of a locked read-modify-write.
+type tally struct {
+	histSkipped, tedAborted, tedGated, evaluated, memoHits uint64
+}
+
+// flush adds t to p (nil: discards it) and zeroes t. A zero count is
+// not added: a scan of a small document often has several.
+func (t *tally) flush(p *PruneStats) {
+	if p != nil {
+		add(&p.HistSkipped, t.histSkipped)
+		add(&p.TEDAborted, t.tedAborted)
+		add(&p.TEDGated, t.tedGated)
+		add(&p.Evaluated, t.evaluated)
+		add(&p.TEDMemoHits, t.memoHits)
+	}
+	*t = tally{}
+}
+
+func add(c *atomic.Uint64, n uint64) {
+	if n != 0 {
+		c.Add(n)
+	}
+}
+
 // evaluate is the one place a scan — the kernel, or a worker behind it —
 // starts a TASM-dynamic evaluation of a filled view: bounded by
 // cutoff, the caller's current k-th distance bound (+Inf while there is
 // none), unless the early-abort ablation flag makes every evaluation
-// unbounded, with the pipeline counters bumped. The returned row is valid
+// unbounded, with the outcome counted in t. The returned row is valid
 // until the computer's next evaluation.
 //
 //tasm:hotpath
-func evaluate(comp *ted.Computer, view *tree.View, cutoff float64, opts *Options) []float64 {
+func evaluate(comp *ted.Computer, view *tree.View, cutoff float64, opts *Options, t *tally) []float64 {
 	if opts.DisableEarlyAbort {
 		cutoff = math.Inf(1)
 	}
 	row, outcome, memoHit := comp.EvaluateView(view, cutoff)
-	if p := opts.Prune; p != nil {
-		if memoHit {
-			p.TEDMemoHits.Add(1)
-		}
-		switch outcome {
-		case ted.Completed:
-			p.Evaluated.Add(1)
-		case ted.Gated:
-			p.TEDGated.Add(1)
-			p.TEDAborted.Add(1)
-		case ted.Aborted:
-			p.TEDAborted.Add(1)
-		}
+	if memoHit {
+		t.memoHits++
+	}
+	switch outcome {
+	case ted.Completed:
+		t.evaluated++
+	case ted.Gated:
+		t.tedGated++
+		t.tedAborted++
+	case ted.Aborted:
+		t.tedAborted++
 	}
 	return row
 }

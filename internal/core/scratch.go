@@ -30,10 +30,12 @@ type ScanScratch struct {
 	queries []*tree.Tree
 	ranks   []*ranking.Heap
 	states  []queryState
-	tauMax  int // the largest of the states' τ: what the sources enumerate at
+	hists   []*prb.LabelHist // the states' gate-1 histograms, in order; empty when the gate is off
+	tauMax  int              // the largest of the states' τ: what the sources enumerate at
 	view    *tree.View
 	buf     *prb.Buffer
 	cur     *prb.Cursor
+	tally   tally // the kernel's counts, flushed as each document scan returns
 }
 
 // queryState is one query's share of a scan.
@@ -66,7 +68,8 @@ func (s *ScanScratch) Reset() {
 	clear(s.queries)
 	clear(s.ranks)
 	clear(s.states)
-	s.queries, s.ranks, s.states, s.tauMax = s.queries[:0], s.ranks[:0], s.states[:0], 0
+	clear(s.hists)
+	s.queries, s.ranks, s.states, s.hists, s.tauMax = s.queries[:0], s.ranks[:0], s.states[:0], s.hists[:0], 0
 }
 
 // matches reports whether the scratch's states were built for exactly
@@ -93,13 +96,14 @@ func (s *ScanScratch) ring(docQ postorder.Queue) *prb.Buffer {
 	return s.buf
 }
 
-// cursor points the scratch's column cursor at a resident document.
-func (s *ScanScratch) cursor(cols *postorder.Columns) *prb.Cursor {
+// cursor points the scratch's column cursor at a resident document, every
+// candidate bounded against every query's histogram; see prb.Cursor.Reset
+// for labelNodes.
+func (s *ScanScratch) cursor(cols *postorder.Columns, labelNodes []int) *prb.Cursor {
 	if s.cur == nil {
-		s.cur = prb.NewCursor(cols, s.tauMax)
-	} else {
-		s.cur.Reset(cols, s.tauMax)
+		s.cur = new(prb.Cursor)
 	}
+	s.cur.Reset(cols, s.tauMax, s.hists, labelNodes)
 	return s.cur
 }
 
@@ -145,6 +149,7 @@ func (o *Options) scratch(queries []*tree.Tree, ranks []*ranking.Heap) (*ScanScr
 			}
 			if !o.DisableHistogramBound {
 				st.hist = st.comp.LabelHist()
+				sc.hists = append(sc.hists, st.hist)
 			}
 			sc.states = append(sc.states, st)
 			sc.tauMax = max(sc.tauMax, st.tau)

@@ -259,8 +259,10 @@ func TestImageColumnsRejectsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := cols.Sizes(), []int32{1, 2, 1, 2}; !slices.Equal(got, want) || cols.Labels()[3] != 7 || cols.Bytes() != 32 {
-		t.Errorf("columns %v / %v (%d bytes), want sizes %v, labels all 7, 32 bytes", cols.Labels(), got, cols.Bytes(), want)
+	// 12 bytes for each of the 4 nodes, 8 for the one distinct label, 4 for
+	// the final posting offset.
+	if got, want := cols.Sizes(), []int32{1, 2, 1, 2}; !slices.Equal(got, want) || cols.Labels()[3] != 7 || cols.Bytes() != 60 {
+		t.Errorf("columns %v / %v (%d bytes), want sizes %v, labels all 7, 60 bytes", cols.Labels(), got, cols.Bytes(), want)
 	}
 }
 

@@ -259,10 +259,11 @@ func (r *Buffer) LMLOf(id int) int {
 }
 
 // LabelBound returns h's lower bound for the current candidate; see
-// LabelHist.CandidateBound.
+// LabelHist.CandidateBound. The query index, which Cursor needs, is not
+// read.
 //
 //tasm:hotpath
-func (r *Buffer) LabelBound(h *LabelHist) int {
+func (r *Buffer) LabelBound(_ int, h *LabelHist) int {
 	return h.CandidateBound(r, r.Leaf(), r.Root())
 }
 

@@ -2,6 +2,7 @@ package prb
 
 import (
 	"fmt"
+	"slices"
 
 	"tasm/internal/dict"
 	"tasm/internal/postorder"
@@ -11,7 +12,8 @@ import (
 // Cursor enumerates the candidate set cand(T, τ) of a document held as
 // resident postorder columns — the same set, in the same document order,
 // that Buffer produces from a stream, with the same read interface (Next,
-// Root, Leaf, LMLOf, FillView), so the scan kernels run over either.
+// Root, Leaf, LMLOf, LabelBound, FillView), so the scan kernels run over
+// either.
 //
 // The ring buffer exists because a stream can only be dequeued. With the
 // size column addressable there is nothing to buffer: walking right to
@@ -23,43 +25,80 @@ import (
 // nodes larger than τ, never the inside of a candidate, and visiting the
 // roots it found in reverse is document order.
 //
+// With the candidates known up front, the label-histogram bound of every
+// candidate is computed at Reset too, per histogram, in one pass over the
+// document (see gate.go), so LabelBound is a load.
+//
 // A Cursor is owned by one scan goroutine; Reset re-points it, keeping
-// the root scratch, which only ever grows.
+// the root and bound scratch, which only ever grow.
 type Cursor struct {
+	cols   *postorder.Columns
 	labels []int32
 	sizes  []int32
-	roots  []int32 // candidate root ids, right to left
-	next   int     // roots[:next] are still to be visited, last first
-	root   int     // pending candidate's root id, 1-based
+	roots  []int32 // candidate root ids, in document order
+	cur    int     // index of the pending candidate in roots; the next is cur+1
+	// bounds holds row q — one bound per candidate — for the q-th
+	// histogram Reset was given, at [q·len(roots), (q+1)·len(roots)).
+	bounds   []int32
+	postings int // rows the last Reset filled from the label postings
 }
 
-// NewCursor returns a cursor over cols with size threshold tau ≥ 1.
+// NewCursor returns a cursor that enumerates the candidates of cols at
+// size threshold tau ≥ 1, bounding none.
 func NewCursor(cols *postorder.Columns, tau int) *Cursor {
 	c := new(Cursor)
-	c.Reset(cols, tau)
+	c.Reset(cols, tau, nil, nil)
 	return c
 }
 
-// Reset points the cursor at a document and threshold and locates its
-// candidates.
-func (c *Cursor) Reset(cols *postorder.Columns, tau int) {
+// Reset points the cursor at a document and threshold, locates its
+// candidates, and bounds every candidate against every histogram of
+// hists: LabelBound(q, …) then answers for hists[q]. labelNodes, when
+// non-nil, holds per histogram the number of the document's nodes that
+// carry one of its query's labels, from which each histogram's route is
+// chosen (readPostings); nil walks every one. The counts only steer the
+// choice — both routes compute the bounds from the columns — so a wrong
+// count costs time, never a wrong bound. Reset allocates only to grow its
+// scratch.
+func (c *Cursor) Reset(cols *postorder.Columns, tau int, hists []*LabelHist, labelNodes []int) {
 	if tau < 1 {
 		panic(fmt.Sprintf("prb: threshold τ must be ≥ 1, got %d", tau))
 	}
-	c.labels, c.sizes = cols.Labels(), cols.Sizes()
-	roots := c.roots[:0]
+	c.cols, c.labels, c.sizes = cols, cols.Labels(), cols.Sizes()
+	roots, covered := c.roots[:0], 0 // covered: the nodes a walk reads
 	for i := len(c.sizes); i > 0; {
 		if s := int(c.sizes[i-1]); s <= tau {
 			roots = append(roots, int32(i))
+			covered += s
 			i -= s
 		} else {
 			i--
 		}
 	}
-	c.roots = roots
-	c.next = len(roots)
-	c.root = 0
+	slices.Reverse(roots)
+	c.roots, c.cur = roots, -1
+
+	n := len(roots)
+	if need := len(hists) * n; cap(c.bounds) < need {
+		c.bounds = make([]int32, need)
+	}
+	c.bounds = c.bounds[:len(hists)*n]
+	c.postings = 0
+	for q, h := range hists {
+		row := c.bounds[q*n : (q+1)*n]
+		if labelNodes != nil && readPostings(labelNodes[q], covered) {
+			c.postingBounds(h, row)
+			c.postings++
+		} else {
+			c.walkBounds(h, row)
+		}
+	}
 }
+
+// PostingRows reports how many of the histograms given to the last Reset
+// had their bounds read from the label postings; the others walked the
+// label column.
+func (c *Cursor) PostingRows() int { return c.postings }
 
 // Next advances to the next candidate in document order and reports
 // whether there is one. The error is always nil — columns are validated
@@ -67,36 +106,36 @@ func (c *Cursor) Reset(cols *postorder.Columns, tau int) {
 //
 //tasm:hotpath
 func (c *Cursor) Next() (bool, error) {
-	if c.next == 0 {
+	if c.cur+1 >= len(c.roots) {
 		return false, nil
 	}
-	c.next--
-	c.root = int(c.roots[c.next])
+	c.cur++
 	return true, nil
 }
 
 // Root returns the 1-based postorder id of the current candidate's root.
 //
 //tasm:hotpath
-func (c *Cursor) Root() int { return c.root }
+func (c *Cursor) Root() int { return int(c.roots[c.cur]) }
 
 // Leaf returns the 1-based postorder id of the current candidate's
 // leftmost leaf.
 //
 //tasm:hotpath
-func (c *Cursor) Leaf() int { return c.LMLOf(c.root) }
+func (c *Cursor) Leaf() int { return c.LMLOf(c.Root()) }
 
 // LMLOf returns the leftmost leaf id of node id.
 //
 //tasm:hotpath
 func (c *Cursor) LMLOf(id int) int { return id - int(c.sizes[id-1]) + 1 }
 
-// LabelBound returns h's lower bound for the current candidate, read
-// straight off the label column.
+// LabelBound returns the lower bound of the current candidate against the
+// q-th histogram Reset was given — computed there, so the histogram
+// argument, which Buffer needs, is not read.
 //
 //tasm:hotpath
-func (c *Cursor) LabelBound(h *LabelHist) int {
-	return h.Bound(c.labels[c.Leaf()-1 : c.root])
+func (c *Cursor) LabelBound(q int, _ *LabelHist) int {
+	return int(c.bounds[q*len(c.roots)+c.cur])
 }
 
 // FillView fills v with the subtree spanning nodes from..to (inclusive,

@@ -1,0 +1,157 @@
+package prb
+
+// The candidate gate of a column scan: before the scan visits a single
+// candidate, the cursor computes every candidate's histogram-intersection
+// bound (LabelHist) against every query, one pass per (query, document),
+// by whichever of two routes reads less.
+//
+// The walk reads the label column of every candidate, node by node. The
+// postings pass reads only the nodes that carry a query label: for each
+// distinct label of the query it steps through the label's postings
+// (postorder.Columns.Postings) and the candidate roots together — both
+// ascending, the roots galloped over where the postings are sparse — and
+// a run of r postings inside one candidate lets that candidate match
+// min(r, need) query nodes of the label. Candidates are disjoint
+// intervals of the postorder, so a posting lies inside at most one, and
+// one that lies inside none belongs to a node larger than τ. Both routes
+// compute the same number, Σ_label max(0, need − have), the bound
+// CandidateBound computes from the ring; FuzzPostingsBound pins the three
+// equal.
+//
+// What the postings pass saves is the nodes that carry no query label; on
+// a document where most nodes carry one it costs more than the walk, and
+// the choice (readPostings) is made per (query, document) from the two
+// counts it depends on. The count of query-label nodes comes from the
+// caller, who can know it for free — a corpus plan reads each query
+// label's count in each document's label profile to bound the document —
+// where counting it here would cost a binary search per query label and
+// document: on the bench's 130-node DBLP documents as much as the walk.
+
+// postingCost and walkCost are what the two routes pay per posting read
+// and per candidate node walked, in the same unit: a posting costs about
+// four walked nodes, so the postings are read when fewer than a quarter
+// of the candidates' nodes carry a query label. Measured with
+// BenchmarkGate (queries of 8 nodes, τ = 21, drawn from the document) on
+// a 2-vCPU x86-64 VM, Go 1.24, whose absolute times drift by half between
+// runs while their ratio holds: the postings pass costs 6.5–13 ns per
+// posting — a gallop over the candidate roots, a compare against the
+// candidate's leftmost leaf, a run count, and its per-label binary search
+// and row fill spread over them — which is 3.7–4.2 walked nodes on a DBLP
+// bibliography (12-node records, 1.8–3.8 ns per node) and 1.7–2.8 on an
+// XMark document, whose 5-node candidates make the walk's per-candidate
+// wipe and store a larger share (4–6 ns per node). The quarter is DBLP's
+// break-even and conservative for XMark's (about half): on the bench's
+// XMark workloads 13.7–17.0 % of the candidates' nodes carry a query
+// label and the postings are read; on its DBLP churn workload 41 % do and
+// the label column is walked.
+const (
+	postingCost = 4
+	walkCost    = 1
+)
+
+// readPostings reports whether the postings pass is the cheaper route for
+// a query whose labels labelNodes nodes of the document carry — the
+// postings the pass would read — and a document whose candidates cover
+// covered nodes, the nodes the walk would read.
+func readPostings(labelNodes, covered int) bool {
+	return labelNodes*postingCost < covered*walkCost
+}
+
+// walkBounds fills row with h's bound for every candidate by reading each
+// candidate's labels: a node whose label is not in the query costs one
+// load and falls through, one that is counts towards the bound only while
+// the query still wants more of its label, and instead of sliding every
+// node off again the counts are wiped.
+//
+//tasm:hotpath
+func (c *Cursor) walkBounds(h *LabelHist, row []int32) {
+	// Ordinal, spelled out over locals: the stores to have below would
+	// otherwise make every node reload the histogram's slice headers.
+	dense, have, need := h.dense, h.have, h.need
+	for j, r := range c.roots {
+		window := c.labels[r-c.sizes[r-1] : r]
+		missing := h.missing
+		for _, l := range window {
+			var o int
+			if dense != nil {
+				if uint(l) >= uint(len(dense)) {
+					continue
+				}
+				o = int(dense[l])
+			} else {
+				o = h.Ordinal(int(l))
+			}
+			if o == 0 {
+				continue
+			}
+			if have[o] < need[o] {
+				have[o]++
+				missing--
+			}
+		}
+		wipe(h, window)
+		row[j] = int32(missing)
+	}
+}
+
+// postingBounds fills row with h's bound for every candidate from the
+// label postings of the cursor's document.
+//
+//tasm:hotpath
+func (c *Cursor) postingBounds(h *LabelHist, row []int32) {
+	for j := range row {
+		row[j] = int32(h.missing)
+	}
+	roots, sizes := c.roots, c.sizes
+	if len(roots) == 0 {
+		return // an empty document
+	}
+	for o, id := range h.ids[1:] {
+		ids, need := c.cols.Postings(id), int32(h.need[o+1])
+		for j, k := 0, 0; k < len(ids); {
+			p := ids[k]
+			if roots[j] < p {
+				if j = seek(roots, j, p); j == len(roots) {
+					break // every later posting lies past the last candidate
+				}
+			}
+			r := roots[j]
+			if p <= r-sizes[r-1] {
+				k++ // a node larger than τ, left of candidate j
+				continue
+			}
+			e := k + 1
+			for e < len(ids) && ids[e] <= r {
+				e++
+			}
+			row[j] -= min(int32(e-k), need)
+			if k, j = e, j+1; j == len(roots) {
+				break
+			}
+		}
+	}
+}
+
+// seek returns the first index after j whose root is at least p, or
+// len(roots) if there is none; roots ascend and roots[j] < p. It gallops —
+// 1, 2, 4, … candidates ahead — and then bisects the last step, so a
+// posting in the next candidate costs one probe and one far ahead the
+// logarithm of the distance.
+//
+//tasm:hotpath
+func seek(roots []int32, j int, p int32) int {
+	lo, hi, step := j, j+1, 1 // roots[lo] < p throughout
+	for hi < len(roots) && roots[hi] < p {
+		lo, step = hi, 2*step
+		hi = lo + step
+	}
+	hi = min(hi, len(roots)) // now hi == len(roots) or roots[hi] ≥ p
+	for lo+1 < hi {
+		if m := int(uint(lo+hi) >> 1); roots[m] < p {
+			lo = m
+		} else {
+			hi = m
+		}
+	}
+	return hi
+}

@@ -53,6 +53,7 @@ type LabelHist struct {
 	keys    []int
 	ords    []int32
 	mask    int   // len(keys)-1 in sparse mode; len is a power of two ≥ 2·|Q|
+	ids     []int // by ordinal: the label id (ids[0] unused)
 	need    []int // by ordinal: occurrences in the query
 	have    []int // by ordinal: occurrences in the window
 	missing int   // Σ max(0, need − have)
@@ -87,15 +88,16 @@ func NewLabelHist(q *tree.Tree) *LabelHist {
 			h.keys[i] = -1
 		}
 	}
-	// need and have are carved from one backing of the worst-case length;
-	// need[0] stays 0 — ordinal 0 is "not a query label".
-	counts := make([]int, 2*(len(labels)+1))
-	need := counts[:1]
+	// need, have and ids are carved from one backing of the worst-case
+	// length; need[0] stays 0 — ordinal 0 is "not a query label".
+	counts := make([]int, 3*(len(labels)+1))
+	need, ids := counts[:1], counts[2*(len(labels)+1):][:1]
 	for _, id := range labels {
 		o := h.Ordinal(id)
 		if o == 0 {
 			o = len(need)
 			need = need[:o+1]
+			ids = append(ids, id)
 			if h.keys == nil {
 				h.dense[id] = uint16(o)
 			} else {
@@ -105,7 +107,7 @@ func NewLabelHist(q *tree.Tree) *LabelHist {
 		}
 		need[o]++
 	}
-	h.need, h.have = need, counts[len(need):2*len(need)]
+	h.need, h.have, h.ids = need, counts[len(need):2*len(need)], ids
 	return h
 }
 
@@ -174,45 +176,6 @@ func (h *LabelHist) Remove(label int) {
 // that cannot be mapped to an equal-labelled node of the window.
 func (h *LabelHist) Missing() int { return h.missing }
 
-// Bound returns the histogram-intersection lower bound for a window given
-// as a contiguous run of a label column — what CandidateBound computes for
-// a window still inside the ring — in one pass: a node whose label is not
-// in the query costs one load and falls through, one that is counts
-// towards the bound only while the query still wants more of its label,
-// and instead of sliding every node off again the counts are wiped. The
-// window must be empty on entry and is empty again on return, so Bound and
-// CandidateBound can alternate on one histogram. It performs no
-// allocation.
-//
-//tasm:hotpath
-func (h *LabelHist) Bound(labels []int32) int {
-	missing := h.missing
-	// Ordinal, spelled out over locals: the stores to have below would
-	// otherwise make every node reload the histogram's slice headers — a
-	// sixth of this loop, the hottest of a scan-bound query.
-	dense, have, need := h.dense, h.have, h.need
-	for _, l := range labels {
-		var o int
-		if dense != nil {
-			if uint(l) >= uint(len(dense)) {
-				continue
-			}
-			o = int(dense[l])
-		} else {
-			o = h.Ordinal(int(l))
-		}
-		if o == 0 {
-			continue
-		}
-		if have[o] < need[o] {
-			have[o]++
-			missing--
-		}
-	}
-	wipe(h, labels)
-	return missing
-}
-
 // wipe empties the window a one-pass bound over labels filled: it zeroes
 // all counts, unless that is more work than revisiting the labels that can
 // have touched them (a zeroed count costs about an eighth of a revisited
@@ -244,8 +207,10 @@ const (
 	sigPrime = 16777619
 )
 
-// Signature is Bound for a window given as the label and subtree-size
-// arrays of a flat view, and in the same pass derives the view's canonical
+// Signature returns the histogram-intersection lower bound for a window
+// given as the label and subtree-size arrays of a flat view — in one
+// pass, counts wiped instead of slid off, the window empty on entry and
+// on return — and in the same pass derives the view's canonical
 // signature: per node, in postorder, the ordinal of its label and the size
 // of its subtree. The sizes fix the shape of the view and the ordinals say
 // which query label, if any, every node carries, so two views with equal

@@ -33,9 +33,9 @@ func naiveMissing(q, t *tree.Tree) int {
 // TestCandidateBoundMatchesNaive: the sliding histogram's bound for every
 // candidate of a scan must equal the naive per-candidate count, and the
 // window must be clean between candidates (skipping candidates cannot
-// leave residue). A column cursor walks the same document in lockstep on
-// the same histogram: its one-pass Bound must agree and leave the window
-// just as clean, so the two can alternate.
+// leave residue). A column cursor bound against the same histogram walks
+// the same document in lockstep: its precomputed bounds must agree, and
+// computing them must have left the window just as clean.
 func TestCandidateBoundMatchesNaive(t *testing.T) {
 	d := dict.New()
 	rng := rand.New(rand.NewSource(5))
@@ -45,7 +45,7 @@ func TestCandidateBoundMatchesNaive(t *testing.T) {
 		tau := 1 + rng.Intn(20)
 		hist := NewLabelHist(q)
 		buf := New(postorder.NewSliceQueue(postorder.Items(doc)), tau)
-		cur := columnCursor(t, doc, tau)
+		cur := columnCursor(t, doc, tau, hist)
 		for {
 			ok, err := buf.Next()
 			if err != nil {
@@ -68,7 +68,7 @@ func TestCandidateBoundMatchesNaive(t *testing.T) {
 			if hist.Missing() != q.Size() {
 				t.Fatalf("iter %d: window not clean after CandidateBound: missing %d, want |Q|=%d", iter, hist.Missing(), q.Size())
 			}
-			if colGot := cur.LabelBound(hist); colGot != got || hist.Missing() != q.Size() {
+			if colGot := cur.LabelBound(0, hist); colGot != got || hist.Missing() != q.Size() {
 				t.Fatalf("iter %d candidate [%d,%d]: column bound %d (window missing %d), ring bound %d",
 					iter, cur.Leaf(), cur.Root(), colGot, hist.Missing(), got)
 			}
@@ -76,13 +76,30 @@ func TestCandidateBoundMatchesNaive(t *testing.T) {
 	}
 }
 
-func columnCursor(t *testing.T, doc *tree.Tree, tau int) *Cursor {
+// columnCursor returns a cursor over doc's columns bounding every
+// candidate against hists, each by the route its true label-node count
+// picks.
+func columnCursor(t *testing.T, doc *tree.Tree, tau int, hists ...*LabelHist) *Cursor {
 	t.Helper()
 	cols, err := postorder.BuildColumns(postorder.FromTree(doc), doc.Size())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewCursor(cols, tau)
+	c := new(Cursor)
+	c.Reset(cols, tau, hists, labelNodes(cols, hists...))
+	return c
+}
+
+// labelNodes counts, per histogram, the nodes of cols that carry one of
+// its query's labels — what a corpus plan reads off a document's profile.
+func labelNodes(cols *postorder.Columns, hists ...*LabelHist) []int {
+	counts := make([]int, len(hists))
+	for q, h := range hists {
+		for _, id := range h.ids[1:] {
+			counts[q] += len(cols.Postings(id))
+		}
+	}
+	return counts
 }
 
 // TestCandidateBoundSparseMode: with label ids beyond the dense limit
@@ -109,7 +126,7 @@ func TestCandidateBoundSparseMode(t *testing.T) {
 		}
 		tau := 1 + rng.Intn(20)
 		buf := New(postorder.NewSliceQueue(postorder.Items(doc)), tau)
-		cur := columnCursor(t, doc, tau)
+		cur := columnCursor(t, doc, tau, hist)
 		for {
 			ok, err := buf.Next()
 			if err != nil {
@@ -124,7 +141,7 @@ func TestCandidateBoundSparseMode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want, colGot := naiveMissing(q, sub), cur.LabelBound(hist); got != want || colGot != want {
+			if want, colGot := naiveMissing(q, sub), cur.LabelBound(0, hist); got != want || colGot != want {
 				t.Fatalf("iter %d candidate [%d,%d]: sparse bound %d, column bound %d, want %d", iter, buf.Leaf(), buf.Root(), got, colGot, want)
 			}
 		}
@@ -160,8 +177,8 @@ func TestCandidateBoundZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestOnePassBoundsOnAnyWindow: Bound and Signature, the one-pass forms,
-// agree with the naive count on windows far smaller than the query (whose
+// TestOnePassBoundsOnAnyWindow: the cursor's walk and Signature, the
+// one-pass forms, agree with the naive count on windows far smaller than the query (whose
 // counts are wiped label by label), about its size, and larger (wiped
 // whole), back to back on one histogram — a count left behind by one
 // window would surface in the next — in both representations. Signature
@@ -210,8 +227,14 @@ func TestOnePassBoundsOnAnyWindow(t *testing.T) {
 			for id, n := range need {
 				want += max(0, n-have[id])
 			}
-			if got := h.Bound(col[from : from+w]); got != want {
-				t.Fatalf("%s iter %d: Bound of window [%d,%d) = %d, want %d", mode, iter, from, from+w, got, want)
+			// The window as the one candidate of a cursor: its root ends it
+			// and carries its size.
+			colSizes := make([]int32, len(ids))
+			colSizes[from+w-1] = int32(w)
+			cur := &Cursor{labels: col, sizes: colSizes, roots: []int32{int32(from + w)}}
+			var row [1]int32
+			if cur.walkBounds(h, row[:]); int(row[0]) != want || h.Missing() != q.Size() {
+				t.Fatalf("%s iter %d: walked bound of window [%d,%d) = %d (window left at %d), want %d", mode, iter, from, from+w, row[0], h.Missing(), want)
 			}
 			sig := make([]int16, 2*w)
 			got, hash := h.Signature(ids[from:from+w], sizes[from:from+w], sig)
