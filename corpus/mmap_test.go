@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -241,5 +242,54 @@ func TestQueryAllocsIndependentOfDocCount(t *testing.T) {
 		if many > few+16 {
 			t.Errorf("%d queries: %.0f allocs over 180 documents vs %.0f over 4: something allocates per document", queries, many, few)
 		}
+	}
+}
+
+// TestWorkerComputersPerRun: a query run through a worker pool builds its
+// workers' distance computers once per run, not once per document. The
+// bytes a 2-worker TopKBatch allocates grow with the number of documents
+// it scans by far less than one computer — a memo alone is 56 KiB — so a
+// worker's memo also spans the whole run.
+func TestWorkerComputersPerRun(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation sizes are not meaningful under -race")
+	}
+	ctx := context.Background()
+	bytesPerQuery := func(docs int) float64 {
+		dir := t.TempDir()
+		buildMmapCorpus(t, dir, docs)
+		c, err := corpus.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := c.ParseBracket("{l0{l1}{l2}}")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st corpus.Stats
+		run := func() {
+			if _, err := c.TopKBatch(ctx, []*tree.Tree{q}, 3, corpus.WithWorkers(2), corpus.WithoutFilter(), corpus.WithoutTrees(), corpus.WithStats(&st)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the pools
+		if st.Scanned != docs {
+			t.Fatalf("%d documents scanned of %d", st.Scanned, docs)
+		}
+		const rounds = 10
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rounds; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / rounds
+	}
+	few, many := bytesPerQuery(4), bytesPerQuery(40)
+	perDoc := (many - few) / 36
+	t.Logf("2 workers: %.1f KB per query over 4 documents, %.1f KB over 40: %.2f KB per document", few/1e3, many/1e3, perDoc/1e3)
+	if perDoc > 4<<10 {
+		t.Errorf("a 2-worker run allocates %.1f KB per scanned document: the workers' computers are rebuilt per document", perDoc/1e3)
 	}
 }

@@ -400,7 +400,7 @@ func scan(src candidateSource, sc *ScanScratch, posOffset, workers int, strictTi
 	// The workers share the pool's own copy of the options, so only a scan
 	// that starts a pool pays for options that outlive the call frame.
 	o := *opts
-	pool := startWorkers(&sc.states[0], workers, &o)
+	pool := startWorkers(sc, workers, &o)
 	// A cancelled context or a failing source stops production; the pool
 	// drains the few buffered views before its workers exit — no goroutine
 	// outlives the call.

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"tasm/internal/ranking"
-	"tasm/internal/ted"
 	"tasm/internal/tree"
 )
 
@@ -40,12 +39,14 @@ type workItem struct {
 }
 
 // startWorkers starts a pool of workers (≤ 0: GOMAXPROCS) ranking into
-// st.rank. opts is the scan's own copy: its probe, if any, is wrapped so
-// the kernel's and the workers' callbacks are serialized.
-func startWorkers(st *queryState, workers int, opts *Options) *workerPool {
+// the ranking of sc's single query, each on its own of the scratch's
+// worker computers. opts is the scan's own copy: its probe, if any, is
+// wrapped so the kernel's and the workers' callbacks are serialized.
+func startWorkers(sc *ScanScratch, workers int, opts *Options) *workerPool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	st := &sc.states[0]
 	// The shared ranking publishes its k-th distance through a lock-free
 	// cutoff. A publisher attached by the caller (the corpus scan reuses
 	// one across documents so earlier documents tighten later ones) is
@@ -59,13 +60,12 @@ func startWorkers(st *queryState, workers int, opts *Options) *workerPool {
 		opts.Probe = &lockedProbe{p: opts.Probe, mu: &p.mu}
 	}
 	p.work = make(chan workItem, 2*workers) // one item in hand and one queued per worker
-	model, k := opts.model(), st.rank.K()
-	for w := 0; w < workers; w++ {
+	k := st.rank.K()
+	for _, comp := range sc.workerComputers(workers, opts.model()) {
+		comp.SetProbe(opts.Probe)
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
-			comp := ted.NewComputer(model, st.q)
-			comp.SetProbe(opts.Probe)
 			local := ranking.New(k)
 			var counts tally
 			defer counts.flush(opts.Prune)

@@ -14,11 +14,14 @@ import (
 
 // ScanScratch holds the per-document setup state of TASM-postorder scans
 // so a multi-document run builds it once instead of once per document:
-// per query the distance computer and label histogram, and per document
-// size class the candidate sources and flat candidate view (their backing
-// arrays only ever grow). Pass one via Options.Scratch when scanning many
-// documents with the same queries, rankings, model, and configuration;
-// the corpus keeps them in a sync.Pool.
+// per query the distance computer and label histogram, the worker pool's
+// computers, and per document size class the candidate sources and flat
+// candidate view (their backing arrays only ever grow). The distance
+// memos outlive runs: one shared by the states' computers and one per
+// worker, emptied for the next run's computers instead of allocated again.
+// Pass one via Options.Scratch when scanning many documents with the same
+// queries, rankings, model, and configuration; the corpus keeps them in a
+// sync.Pool.
 //
 // A scratch is NOT safe for concurrent use, and the per-query states are
 // keyed by the identity of the run's (queries, rankings): call Reset
@@ -32,6 +35,8 @@ type ScanScratch struct {
 	states  []queryState
 	hists   []*prb.LabelHist // the states' gate-1 histograms, in order; empty when the gate is off
 	tauMax  int              // the largest of the states' τ: what the sources enumerate at
+	workers []*ted.Computer  // the worker pool's computers, one per worker, for the run's single query
+	memos   []*ted.Memo      // memos[0] shared by the states' computers, memos[1+w] worker w's; kept across runs
 	view    *tree.View
 	buf     *prb.Buffer
 	cur     *prb.Cursor
@@ -62,14 +67,37 @@ func (st *queryState) bound(pool *workerPool) float64 {
 }
 
 // Reset detaches the scratch from the previous run's queries so the next
-// scan rebuilds the per-query states. The candidate sources and view keep
-// their grown backing arrays — they carry capacity, not identity.
+// scan rebuilds the per-query states and worker computers. The memos,
+// candidate sources and view keep their storage — they carry capacity,
+// not identity.
 func (s *ScanScratch) Reset() {
 	clear(s.queries)
 	clear(s.ranks)
 	clear(s.states)
 	clear(s.hists)
-	s.queries, s.ranks, s.states, s.hists, s.tauMax = s.queries[:0], s.ranks[:0], s.states[:0], s.hists[:0], 0
+	clear(s.workers)
+	s.queries, s.ranks, s.states, s.hists, s.workers, s.tauMax = s.queries[:0], s.ranks[:0], s.states[:0], s.hists[:0], s.workers[:0], 0
+}
+
+// memo returns the i-th memo of the scratch, emptied for new computers.
+func (s *ScanScratch) memo(i int) **ted.Memo {
+	for len(s.memos) <= i {
+		s.memos = append(s.memos, nil)
+	}
+	if s.memos[i] != nil {
+		s.memos[i].Reset()
+	}
+	return &s.memos[i]
+}
+
+// workerComputers returns the computers of a pool of n workers for the
+// run's single query, built by the first document scan that asks for them
+// and kept for the later ones, so a worker's memo spans the whole run.
+func (s *ScanScratch) workerComputers(n int, model cost.Model) []*ted.Computer {
+	for len(s.workers) < n {
+		s.workers = append(s.workers, ted.NewComputerWith(model, s.states[0].q, s.memo(1+len(s.workers))))
+	}
+	return s.workers[:n]
 }
 
 // matches reports whether the scratch's states were built for exactly
@@ -125,7 +153,7 @@ func (o *Options) scratch(queries []*tree.Tree, ranks []*ranking.Heap) (*ScanScr
 	}
 	if !sc.matches(queries, ranks) {
 		sc.Reset()
-		model := o.model()
+		model, memo := o.model(), sc.memo(0)
 		for i, q := range queries {
 			err := validate(q, ranks[i].K())
 			if err == nil && !dict.Compatible(q.Dict(), queries[0].Dict()) {
@@ -144,7 +172,7 @@ func (o *Options) scratch(queries []*tree.Tree, ranks []*ranking.Heap) (*ScanScr
 			st := queryState{
 				q:    q,
 				tau:  Tau(model, q, ranks[i].K(), o.CT),
-				comp: ted.NewComputer(model, q),
+				comp: ted.NewComputerWith(model, q, memo),
 				rank: ranks[i],
 			}
 			if !o.DisableHistogramBound {

@@ -1,10 +1,6 @@
 package prb
 
-import (
-	"math/bits"
-
-	"tasm/internal/tree"
-)
+import "tasm/internal/tree"
 
 // LabelHist maintains a sliding label histogram over the window of
 // buffered nodes that forms the pending candidate, together with the
@@ -198,15 +194,6 @@ func revisit[L int | int32](h *LabelHist, labels []L) {
 	}
 }
 
-// The signature hash is FNV-1a taken one node — not one byte — at a time,
-// with a rotation before the multiply: a node's word carries its ordinal in
-// the high half, and a multiplication alone never carries those bits down
-// into the low half of the hash.
-const (
-	sigBasis = 2166136261
-	sigPrime = 16777619
-)
-
 // Signature returns the histogram-intersection lower bound for a window
 // given as the label and subtree-size arrays of a flat view — in one
 // pass, counts wiped instead of slid off, the window empty on entry and
@@ -217,28 +204,26 @@ const (
 // signatures are indistinguishable to any computation that compares view
 // labels only against query labels. The signature is written to sig as
 // 2·len(labels) int16s — when sig is that long; a shorter sig (nil) is
-// left alone, for callers that want the bound only — and its hash is
-// returned. Ordinals and sizes of a window whose signature is stored must
-// fit an int16; the hash covers their full values either way.
+// left alone, for callers that want the bound only. Ordinals and sizes of
+// a window whose signature is stored must fit an int16.
 //
 //tasm:hotpath
-func (h *LabelHist) Signature(labels, sizes []int, sig []int16) (bound int, hash uint32) {
+func (h *LabelHist) Signature(labels, sizes []int, sig []int16) (bound int) {
 	store := len(sig) >= 2*len(labels)
 	sizes = sizes[:len(labels)]
-	bound, hash = h.missing, sigBasis
+	bound = h.missing
 	for j, l := range labels {
 		o := h.Ordinal(l)
 		if store {
 			sig[2*j], sig[2*j+1] = int16(o), int16(sizes[j])
 		}
-		hash = bits.RotateLeft32(hash^uint32(o)<<16^uint32(sizes[j]), 5) * sigPrime
 		if h.have[o] < h.need[o] { // never for o = 0: need[0] is 0
 			h.have[o]++
 			bound--
 		}
 	}
 	wipe(h, labels)
-	return bound, hash
+	return bound
 }
 
 // CandidateBound slides the window onto the buffered subtree spanning

@@ -42,12 +42,6 @@ func boundedFixture(tb testing.TB) (*tree.Tree, []*tree.View) {
 	return q, views
 }
 
-// emptyMemo forgets every stored view, as a new query's computer has.
-func emptyMemo(mm *memo) {
-	clear(mm.slots[:])
-	mm.used, mm.free = 0, memoHead
-}
-
 // relevantNodes is the summed size of the subtrees rooted at the keyroots:
 // the rows (query) or columns (view) of all forest-distance matrices.
 func relevantNodes(lml, keyroots []int) int {
@@ -63,10 +57,12 @@ func relevantNodes(lml, keyroots []int) int {
 // fixture, at the k-th distances such a query settles on and unbounded.
 // One iteration is one query's worth of views on a computer whose memo
 // starts empty, as a query's does, so the repeats within the pass — and
-// only those — are memo hits; hits/view is their share. cells/view is the
-// size of the unbounded dynamic program, from the shapes alone — what a
-// cutoff has to beat; gated/view is the share of views rung 0 ends before
-// it.
+// only those — are memo hits; hits/view is the share of views answered
+// from a view entry, pairs/view and keyroot-hits/view what the dynamic
+// programs of the others ran and loaded from keyroot entries. cells/view
+// is the size of the unbounded dynamic program, from the shapes alone —
+// what a cutoff has to beat; gated/view is the share of views rung 0 ends
+// before it.
 func BenchmarkBoundedView(b *testing.B) {
 	q, views := boundedFixture(b)
 	cells := 0
@@ -77,6 +73,7 @@ func BenchmarkBoundedView(b *testing.B) {
 		b.Run(fmt.Sprintf("cutoff=%g", cutoff), func(b *testing.B) {
 			c := NewComputer(cost.Unit{}, q)
 			gated, hits := 0, 0
+			pairs, loaded := c.pairs, c.keyrootHits
 			for _, v := range views { // also grows the scratch
 				switch _, o, hit := c.EvaluateView(v, cutoff); {
 				case o == Gated:
@@ -85,9 +82,10 @@ func BenchmarkBoundedView(b *testing.B) {
 					hits++
 				}
 			}
+			pairs, loaded = c.pairs-pairs, c.keyrootHits-loaded
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				emptyMemo(c.memo)
+				c.memo.Reset()
 				for _, v := range views {
 					c.EvaluateView(v, cutoff)
 				}
@@ -96,15 +94,19 @@ func BenchmarkBoundedView(b *testing.B) {
 			b.ReportMetric(float64(cells)/float64(len(views)), "cells/view")
 			b.ReportMetric(float64(gated)/float64(len(views)), "gated/view")
 			b.ReportMetric(float64(hits)/float64(len(views)), "hits/view")
+			b.ReportMetric(float64(pairs)/float64(len(views)), "pairs/view")
+			b.ReportMetric(float64(loaded)/float64(len(views)), "keyroot-hits/view")
 		})
 	}
 }
 
-// BenchmarkBoundedViewMiss is the memo where it cannot help: the fixture's
-// views reduced to one per signature — as many as the memo holds — so
-// every evaluation pays the signature write, a failed probe and an insert
-// on top of its dynamic program. dp is the same pass on a computer without
-// a memo; the difference is the miss path's cost.
+// BenchmarkBoundedViewMiss is the memo where a view entry cannot help: the
+// fixture's views reduced to one per signature — as many as the memo
+// holds — so every evaluation pays the signature write, a failed probe and
+// an insert on top of its dynamic program. dp is the same pass on a
+// computer without a memo; dp+miss keeps the keyroot entries, which
+// distinct views still share, so the difference is the miss path's cost
+// less what those save (pairs/view, keyroot-hits/view).
 func BenchmarkBoundedViewMiss(b *testing.B) {
 	q, all := boundedFixture(b)
 	c := NewComputer(cost.Unit{}, q)
@@ -128,9 +130,10 @@ func BenchmarkBoundedViewMiss(b *testing.B) {
 				c.EvaluateView(v, 8) // grows the scratch
 			}
 			b.ResetTimer()
+			pairs, loaded := c.pairs, c.keyrootHits
 			for i := 0; i < b.N; i++ {
 				if memoised {
-					emptyMemo(mm)
+					mm.Reset()
 					c.memo = mm
 				}
 				for _, v := range views {
@@ -141,6 +144,8 @@ func BenchmarkBoundedViewMiss(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(views)), "ns/view")
 			b.ReportMetric(float64(len(views)), "views")
+			b.ReportMetric(float64(c.pairs-pairs)/float64(b.N*len(views)), "pairs/view")
+			b.ReportMetric(float64(c.keyrootHits-loaded)/float64(b.N*len(views)), "keyroot-hits/view")
 		})
 	}
 }

@@ -227,23 +227,28 @@ func TestBoundedNoSentinelOverflow(t *testing.T) {
 // TestBoundedViewZeroAlloc: every way a bounded evaluation can end shares
 // the unbounded path's steady-state zero-allocation contract — rejected
 // by the gate, aborted by the row minimum in the integer and in the float
-// kernel, and answered from the memo. A repeated evaluation under
-// cost.Unit is a memo hit reporting the outcome its row was computed
-// with, so the integer kernel's abort is repeated on a computer whose memo
-// is taken away.
+// kernel, answered from the memo's view entry, and computed with keyroot
+// columns loaded from the memo. A repeated evaluation under cost.Unit is a
+// view hit reporting the outcome its row was computed with, so the integer
+// kernel's abort is repeated on a computer whose memo is taken away, and
+// the keyroot path on one whose table is too full to store the repeated
+// view but holds the keyroots of the same document evaluated alone.
 func TestBoundedViewZeroAlloc(t *testing.T) {
 	d := dict.New()
 	rng := rand.New(rand.NewSource(11))
 	q := tree.Random(d, rng, tree.RandomConfig{Nodes: 12, MaxFanout: 3, Labels: 6})
 	doc := tree.Random(d, rng, tree.RandomConfig{Nodes: 80, MaxFanout: 4, Labels: 6})
 	v := viewOf(t, doc)
+	grafted := viewOf(t, tree.FromNode(d, tree.NewNode("r", tree.NewNode("z"), doc.Node(doc.Root())))) // doc behind a left sibling
 	foreign := viewOf(t, tree.MustParse(d, "{x{y}{z}}"))
 	fw, err := cost.NewFanoutWeighted(0.5, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unit, float, bare := NewComputer(cost.Unit{}, q), NewComputer(fw, q), NewComputer(cost.Unit{}, q)
+	unit, float, bare, keyed := NewComputer(cost.Unit{}, q), NewComputer(fw, q), NewComputer(cost.Unit{}, q), NewComputer(cost.Unit{}, q)
 	bare.memo = nil
+	keyed.EvaluateView(v, 1)
+	fillTable(t, keyed)
 	type path struct {
 		name string
 		c    *Computer
@@ -255,6 +260,7 @@ func TestBoundedViewZeroAlloc(t *testing.T) {
 		{"gated", unit, foreign, Gated, false},
 		{"memo-hit", unit, v, Aborted, true}, // the first evaluation aborts in the DP and stores that
 		{"aborted-int", bare, v, Aborted, false},
+		{"keyroot-hit", keyed, grafted, Aborted, false},
 		{"gated-float", float, foreign, Gated, false},
 		{"aborted-float", float, v, Aborted, false},
 	}
@@ -264,8 +270,12 @@ func TestBoundedViewZeroAlloc(t *testing.T) {
 			cutoff = 3
 		}
 		p.c.EvaluateView(p.v, cutoff) // grows the scratch, warms the path
+		loaded := p.c.keyrootHits
 		if _, o, hit := p.c.EvaluateView(p.v, cutoff); o != p.want || hit != p.hit {
 			t.Fatalf("%s: outcome %d (memo hit %v), want %d (%v)", p.name, o, hit, p.want, p.hit)
+		}
+		if loaded := p.c.keyrootHits - loaded; (p.c == keyed) != (loaded > 0) {
+			t.Fatalf("%s: %d keyroots loaded from the memo", p.name, loaded)
 		}
 		if race.Enabled {
 			continue // allocation counts are not meaningful under -race

@@ -3,6 +3,7 @@ package ted
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tasm/internal/cost"
@@ -70,7 +71,7 @@ func FuzzBoundedVsReference(f *testing.F) {
 					refs[i][j] = ReferenceDistance(m, q, docs[i].Subtree(j))
 				}
 			}
-			bound, _ := c.hist.Signature(views[i].LabelIDs(), views[i].Sizes(), nil)
+			bound := c.hist.Signature(views[i].LabelIDs(), views[i].Sizes(), nil)
 			row, outcome, _ := c.EvaluateView(views[i], cutoff)
 			if !(cutoff < math.Inf(1)) {
 				cutoff = math.Inf(1) // NaN is unbounded too
@@ -114,6 +115,11 @@ func FuzzBoundedVsReference(f *testing.F) {
 // different signature), one foreign label swapped for another foreign one
 // (a different tree with the same signature, which must share doc's row),
 // and the children of one node reversed (same labels, different shape).
+// Then doc with one random subtree grafted under a random parent at a
+// random sibling position, twice, and both grafts in one tree: views that
+// share the keyroots inside the graft — and its root, behind a sibling —
+// at other offsets and depths, which the memo's keyroot entries must
+// serve from the one signature slice that covers exactly the graft.
 func nearDuplicates(d dict.Dict, rng *rand.Rand, q, doc *tree.Tree) []*tree.Tree {
 	inQuery := map[string]bool{}
 	for i := 0; i < q.Size(); i++ {
@@ -163,5 +169,18 @@ func nearDuplicates(d dict.Dict, rng *rand.Rand, q, doc *tree.Tree) []*tree.Tree
 			break
 		}
 	}
-	return out
+
+	g := tree.Random(d, rng, tree.RandomConfig{Nodes: 2 + rng.Intn(4), MaxFanout: 2, Labels: 3})
+	graft := func(all []*tree.Node) {
+		p := all[rng.Intn(len(all))]
+		p.Children = slices.Insert(p.Children, rng.Intn(len(p.Children)+1), g.Node(g.Root()))
+	}
+	root, all = node()
+	graft(all)
+	out = append(out, tree.FromNode(d, root))
+	root, all = node()
+	graft(all)
+	out = append(out, tree.FromNode(d, root))
+	graft(all)
+	return append(out, tree.FromNode(d, root))
 }

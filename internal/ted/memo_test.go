@@ -1,6 +1,7 @@
 package ted
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -53,11 +54,56 @@ func flatView(t testing.TB, d dict.Dict, labels []string) *tree.View {
 	return v
 }
 
+// distinctFlat returns the i-th of a family of n-node flat views with
+// pairwise different signatures under the query {a{b}{c}{b}}: i in base 4
+// picks the leaf labels.
+func distinctFlat(t testing.TB, d dict.Dict, i, n int) *tree.View {
+	alphabet := []string{"a", "b", "c", "x"}
+	labels := make([]string, n)
+	for j := range labels {
+		labels[j] = alphabet[i%len(alphabet)]
+		i /= len(alphabet)
+	}
+	return flatView(t, d, labels)
+}
+
+// fillTable fills the slots of c's memo with distinct flat views over the
+// query's labels and one it does not use, evaluated unbounded: none has a
+// keyroot that is memoised, so each takes one slot.
+func fillTable(t testing.TB, c *Computer) {
+	t.Helper()
+	alphabet := []string{"not-a-query-label"}
+	for i := 0; i < c.q.Size(); i++ {
+		if !slices.Contains(alphabet, c.q.Label(i)) {
+			alphabet = append(alphabet, c.q.Label(i))
+		}
+	}
+	labels := make([]string, 12)
+	for i := 0; c.memo.used < memoMaxLoad; i++ {
+		for j, x := 0, i; j < len(labels); j, x = j+1, x/len(alphabet) {
+			labels[j] = alphabet[x%len(alphabet)]
+		}
+		c.EvaluateView(flatView(t, c.q.Dict(), labels), math.Inf(1))
+	}
+}
+
+// entries counts the occupied slots of one kind.
+func entries(mm *Memo, kind memoKind) int {
+	n := 0
+	for _, s := range mm.slots {
+		if s.off != 0 && s.kind == kind {
+			n++
+		}
+	}
+	return n
+}
+
 // TestMemoFitsItsSizeClass: the memo is sized to fill, not spill, the
-// allocator's 24 KiB class — one byte more would cost every query 27 KiB.
+// seven 8 KiB pages the allocator gives it — one byte more would cost
+// every pooled memo a page.
 func TestMemoFitsItsSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(memo{}); size > 24<<10 || size < 24<<10-64 {
-		t.Errorf("memo is %d bytes, want just under %d", size, 24<<10)
+	if size := unsafe.Sizeof(Memo{}); size > 56<<10 || size < 56<<10-64 {
+		t.Errorf("memo is %d bytes, want just under %d", size, 56<<10)
 	}
 	if unsafe.Sizeof(memoSlot{}) != 16 {
 		t.Errorf("memoSlot is %d bytes; memoSlab assumes 16", unsafe.Sizeof(memoSlot{}))
@@ -96,8 +142,8 @@ func TestMemoHitReportsRecordedOutcome(t *testing.T) {
 	if o := evalWant(t, c, v, 1, true, "repeat after an unbounded evaluation"); o != Completed {
 		t.Errorf("hit on the replaced row: outcome %d, want Completed", o)
 	}
-	if c.memo.used != 1 {
-		t.Errorf("one view evaluated eight times occupies %d slots, want 1", c.memo.used)
+	if n := entries(c.memo, viewEntry); n != 1 {
+		t.Errorf("one view evaluated eight times occupies %d view slots, want 1", n)
 	}
 }
 
@@ -127,17 +173,7 @@ func TestMemoSharesRowsAcrossForeignLabels(t *testing.T) {
 func TestMemoCapacity(t *testing.T) {
 	d := dict.New()
 	q := tree.MustParse(d, "{a{b}{c}{b}}")
-	alphabet := []string{"a", "b", "c", "x"}
-	// distinct returns the i-th of a family of n-node flat views with
-	// pairwise different signatures: i in base 4 picks the leaf labels.
-	distinct := func(i, n int) *tree.View {
-		labels := make([]string, n)
-		for j := range labels {
-			labels[j] = alphabet[i%len(alphabet)]
-			i /= len(alphabet)
-		}
-		return flatView(t, d, labels)
-	}
+	distinct := func(i, n int) *tree.View { return distinctFlat(t, d, i, n) }
 	for _, tc := range []struct {
 		name  string
 		nodes int
@@ -212,13 +248,15 @@ func TestMemoHashCollision(t *testing.T) {
 		sizes[j] = 1
 	}
 	sizes[n-1] = n
+	sig := make([]int16, 2*n)
 	seen := map[uint32]int{}
 	first, second := -1, -1
 	for i := 0; i < 1<<22 && first < 0; i++ {
 		for j, l := range labelsOf(i) {
 			ids[j] = d.Intern(l)
 		}
-		_, h := c.hist.Signature(ids, sizes, nil)
+		c.hist.Signature(ids, sizes, sig)
+		h := sigHash(sig)
 		if prev, ok := seen[h]; ok {
 			first, second = prev, i
 		}
@@ -269,4 +307,247 @@ func TestProbeBypassesMemo(t *testing.T) {
 	c.SetProbe(nil)
 	evalWant(t, c, v, 40, false, "first unprobed evaluation")
 	evalWant(t, c, v, 40, true, "second unprobed evaluation")
+}
+
+// mustMatchReference fails unless row is what an evaluation of tr under
+// cutoff must return: δ(Q, T_j) by the recursive reference where that is
+// at or below the cutoff, +Inf elsewhere.
+func mustMatchReference(t *testing.T, what string, q, tr *tree.Tree, row []float64, cutoff float64) {
+	t.Helper()
+	for j := range row {
+		want := ReferenceDistance(cost.Unit{}, q, tr.Subtree(j))
+		if want > cutoff {
+			want = math.Inf(1)
+		}
+		if row[j] != want {
+			t.Fatalf("%s, cutoff %g: row[%d] = %g, want %g", what, cutoff, j, row[j], want)
+		}
+	}
+}
+
+// keyrootSizes lists the sizes of the keyroot subtrees of v, in the order
+// the dynamic program visits them.
+func keyrootSizes(v *tree.View) []int {
+	var sizes []int
+	for _, k := range v.Keyroots() {
+		sizes = append(sizes, k-v.LMLs()[k]+1)
+	}
+	return sizes
+}
+
+// TestKeyrootMemo: the keyroot entries of the memo. A subtree shared by
+// views at different positions and depths is computed once — a later view
+// runs no pair for any keyroot inside it and its row is still the
+// reference's — under the same guard as a view's row (an entry computed
+// under a tighter cutoff is recomputed in place), within the same fixed
+// table (a full table or slab stores nothing more and stays correct),
+// bypassed by a probe, and with the record of an abandoned pair carried
+// into the outcome.
+func TestKeyrootMemo(t *testing.T) {
+	d := dict.New()
+	q := tree.MustParse(d, "{a{b}{c{d}}}")
+	qKeys := len(q.Keyroots())
+	// The shared subtree follows a left sibling in every view, so its root
+	// and the keyroots inside it are keyroots of the view. Two of them, c
+	// and b, are neither a leaf nor the view's root: those are memoised.
+	const shared = "{c{d}{b{a}{x}}{y}}"
+	const sharedKeyroots = 2
+	trees := []*tree.Tree{
+		tree.MustParse(d, "{a{b}"+shared+"}"),             // depth 1, second child
+		tree.MustParse(d, "{r{x{z}{w}"+shared+"}{b}}"),    // depth 2, third child
+		tree.MustParse(d, "{c{d}{e{f}{g{h}"+shared+"}}}"), // depth 3, second child
+	}
+	views := make([]*tree.View, len(trees))
+	for i, tr := range trees {
+		views[i] = viewOf(t, tr)
+	}
+	// eval evaluates view i on c and fails unless its row is the
+	// reference's, it is not a view hit, and exactly hits of its keyroots
+	// were loaded — each one pairs the dynamic program did not run.
+	eval := func(c *Computer, i int, cutoff float64, hits int, what string) Outcome {
+		t.Helper()
+		pairs, loaded := c.pairs, c.keyrootHits
+		row, o, hit := c.EvaluateView(views[i], cutoff)
+		if hit {
+			t.Fatalf("%s: view %d answered from a view entry", what, i)
+		}
+		if got := c.keyrootHits - loaded; got != hits {
+			t.Fatalf("%s: view %d loaded %d keyroots, want %d", what, i, got, hits)
+		}
+		if got, want := c.pairs-pairs, (len(views[i].Keyroots())-hits)*qKeys; got != want {
+			t.Fatalf("%s: view %d ran %d keyroot pairs, want %d", what, i, got, want)
+		}
+		mustMatchReference(t, fmt.Sprintf("%s: view %d", what, i), q, trees[i], row, cutoff)
+		return o
+	}
+
+	t.Run("shared subtree", func(t *testing.T) {
+		c := NewComputer(cost.Unit{}, q)
+		eval(c, 0, math.Inf(1), 0, "first view")
+		eval(c, 1, math.Inf(1), sharedKeyroots, "second view")
+		eval(c, 2, math.Inf(1), sharedKeyroots, "third view")
+		// e and g in the third view are new keyroot subtrees.
+		if n := entries(c.memo, keyrootEntry); n != sharedKeyroots+2 {
+			t.Errorf("%d keyroot entries, want %d", n, sharedKeyroots+2)
+		}
+	})
+
+	t.Run("stored cutoff", func(t *testing.T) {
+		c := NewComputer(cost.Unit{}, q)
+		eval(c, 0, 1, 0, "stored under cutoff 1")
+		stored := entries(c.memo, keyrootEntry)
+		eval(c, 1, math.Inf(1), 0, "looser than the stored cutoff")
+		if n := entries(c.memo, keyrootEntry); n != stored {
+			t.Errorf("recomputing stored keyroots took %d entries, want the %d they had", n, stored)
+		}
+		eval(c, 2, 3, sharedKeyroots, "tighter than the recomputed entries' cutoff")
+	})
+
+	t.Run("full table", func(t *testing.T) {
+		c := NewComputer(cost.Unit{}, q)
+		fillTable(t, c)
+		eval(c, 0, math.Inf(1), 0, "full table")
+		eval(c, 1, math.Inf(1), 0, "full table, shared subtree")
+		if c.memo.used != memoMaxLoad {
+			t.Errorf("a full table took %d entries more", c.memo.used-memoMaxLoad)
+		}
+	})
+
+	t.Run("full slab", func(t *testing.T) {
+		c := NewComputer(cost.Unit{}, q)
+		room := func() int { return memoSlab - memoHead - int(c.memo.free) }
+		i := 0
+		for ; room() >= 3*memoMaxView; i++ {
+			c.EvaluateView(distinctFlat(t, d, i, memoMaxView), 300)
+		}
+		c.EvaluateView(distinctFlat(t, d, i, room()/3), 300)
+		if room() >= 3 || c.memo.used >= memoMaxLoad {
+			t.Fatalf("slab not full (%d entries free) or the table is (%d slots)", room(), c.memo.used)
+		}
+		used := c.memo.used
+		eval(c, 0, math.Inf(1), 0, "full slab")
+		eval(c, 1, math.Inf(1), 0, "full slab, shared subtree")
+		if c.memo.used != used {
+			t.Errorf("a full slab took %d entries more", c.memo.used-used)
+		}
+	})
+
+	t.Run("probe", func(t *testing.T) {
+		c := NewComputer(cost.Unit{}, q)
+		var got []int
+		c.SetProbe(probeFunc(func(size int) { got = append(got, size) }))
+		for _, i := range []int{0, 1, 1, 2} {
+			got = got[:0]
+			eval(c, i, math.Inf(1), 0, "probed")
+			if want := keyrootSizes(views[i]); !slices.Equal(got, want) {
+				t.Fatalf("view %d reported relevant subtrees %v, want %v", i, got, want)
+			}
+		}
+		if c.memo.used != 0 {
+			t.Errorf("a probed evaluation stored %d entries", c.memo.used)
+		}
+	})
+
+	t.Run("abort bit", func(t *testing.T) {
+		// Under cutoff 0 against {a{b}}, the pair of the keyroot y of
+		// {y{x}{b}} is abandoned at its first row (no prefix of x, b hosts
+		// b at cost 0), and no other pair of either view is: every other
+		// keyroot's leftmost leaf is b. So the second view aborts only
+		// through the record stored with y's columns.
+		q := tree.MustParse(d, "{a{b}}")
+		first, second := tree.MustParse(d, "{a{b}{y{x}{b}}}"), tree.MustParse(d, "{a{b}{c{b}{y{x}{b}}}}")
+		v1, v2 := viewOf(t, first), viewOf(t, second)
+		want := freshRow(q, v2, 0)
+		if _, o, _ := NewComputer(cost.Unit{}, q).EvaluateView(v2, 0); o != Aborted {
+			t.Fatalf("second view under cutoff 0 on a fresh computer: outcome %d, want Aborted", o)
+		}
+		c := NewComputer(cost.Unit{}, q)
+		if _, o, _ := c.EvaluateView(v1, 0); o != Aborted {
+			t.Fatalf("first view under cutoff 0: outcome %d, want Aborted", o)
+		}
+		hits := c.keyrootHits
+		row, o, _ := c.EvaluateView(v2, 0)
+		if c.keyrootHits != hits+1 || o != Aborted || !slices.Equal(row, want) {
+			t.Errorf("second view after the first: %d keyroots loaded, outcome %d, row %v; want 1, Aborted, %v", c.keyrootHits-hits, o, row, want)
+		}
+		// Stored under no cutoff, y's columns record no abandoned pair, and
+		// its pair is what would abort: the outcome reads Completed where a
+		// fresh computer's reads Aborted. The row is the same.
+		c = NewComputer(cost.Unit{}, q)
+		c.EvaluateView(v1, math.Inf(1))
+		row, o, _ = c.EvaluateView(v2, 0)
+		if o != Completed || !slices.Equal(row, want) {
+			t.Errorf("second view after the first unbounded: outcome %d, row %v; want Completed, %v", o, row, want)
+		}
+	})
+}
+
+// TestMemoSharedByComputers: computers of different queries lent one memo
+// — a batch's, evaluating one after another — each see only their own
+// entries, views and keyroots alike, however they interleave; a memo that
+// has lent every owner leaves later computers without one; Reset empties
+// it for the next computers.
+func TestMemoSharedByComputers(t *testing.T) {
+	d := dict.New()
+	const shared = "{c{d}{b{a}{x}}{y}}"
+	first, second := viewOf(t, tree.MustParse(d, "{a{b}"+shared+"}")), viewOf(t, tree.MustParse(d, "{r{x{z}{w}"+shared+"}{b}}"))
+	var mm *Memo
+	c1 := NewComputerWith(cost.Unit{}, tree.MustParse(d, "{a{b}{c{d}}}"), &mm)
+	c2 := NewComputerWith(cost.Unit{}, tree.MustParse(d, "{c{b}{y}}"), &mm)
+	if mm == nil || c1.memo != mm || c2.memo != mm || c1.owner == c2.owner {
+		t.Fatalf("two computers lent one memo: memos %p %p of %p, owners %d %d", c1.memo, c2.memo, mm, c1.owner, c2.owner)
+	}
+	for _, step := range []struct {
+		c    *Computer
+		v    *tree.View
+		hit  bool
+		keys int // keyroots loaded from the memo
+		what string
+	}{
+		{c1, first, false, 0, "first query, first view"},
+		{c2, first, false, 0, "second query, the view the first evaluated"},
+		{c1, first, true, 0, "first query again"},
+		{c2, first, true, 0, "second query again"},
+		{c2, second, false, 2, "second query, the shared subtree elsewhere"},
+		{c1, second, false, 2, "first query, the shared subtree elsewhere"},
+	} {
+		loaded := step.c.keyrootHits
+		evalWant(t, step.c, step.v, math.Inf(1), step.hit, step.what)
+		if got := step.c.keyrootHits - loaded; got != step.keys {
+			t.Fatalf("%s: %d keyroots loaded, want %d", step.what, got, step.keys)
+		}
+	}
+
+	// Two queries under which one view has one signature and different
+	// rows, lent owners whose probes start at the same slot for every
+	// hash (the hash is XORed in): only the owner tag keeps the second
+	// from the first one's entry.
+	mm.Reset()
+	near := NewComputerWith(cost.Unit{}, tree.MustParse(d, "{a{b}}"), &mm)
+	for probeStart(0, mm.owners+1) != probeStart(0, near.owner) {
+		mm.owners++
+	}
+	far := NewComputerWith(cost.Unit{}, tree.MustParse(d, "{y{a{b}}}"), &mm)
+	v := viewOf(t, tree.MustParse(d, "{a{b}{b}}"))
+	if probeStart(0, near.owner) != probeStart(0, far.owner) || slices.Equal(freshRow(near.q, v, math.Inf(1)), freshRow(far.q, v, math.Inf(1))) {
+		t.Fatal("the two computers' probes start apart, or their rows are equal: the leg tests nothing")
+	}
+	evalWant(t, near, v, math.Inf(1), false, "one owner")
+	evalWant(t, far, v, math.Inf(1), false, "another owner, same probe start and signature")
+
+	mm.owners = math.MaxUint16 - 1
+	last := NewComputerWith(cost.Unit{}, tree.MustParse(d, "{a{b}}"), &mm)
+	none := NewComputerWith(cost.Unit{}, tree.MustParse(d, "{a{b}}"), &mm)
+	if last.memo != mm || none.memo != nil {
+		t.Fatalf("the last owner: memo %p, the one after it: memo %p; want %p and none", last.memo, none.memo, mm)
+	}
+	evalWant(t, none, first, math.Inf(1), false, "a computer without a memo")
+	evalWant(t, none, first, math.Inf(1), false, "a computer without a memo, again")
+
+	mm.Reset()
+	again := NewComputerWith(cost.Unit{}, tree.MustParse(d, "{a{b}{c{d}}}"), &mm)
+	if again.memo != mm || again.owner != 1 || mm.used != 0 {
+		t.Fatalf("after Reset: owner %d, %d slots occupied; want 1, 0", again.owner, mm.used)
+	}
+	evalWant(t, again, first, math.Inf(1), false, "after Reset")
 }

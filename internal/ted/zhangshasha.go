@@ -57,7 +57,8 @@ const (
 	Completed Outcome = iota
 	// Aborted: the dynamic program started, and at least one keyroot pair
 	// was abandoned because a whole forest-distance row exceeded the
-	// cutoff (rung 1).
+	// cutoff (rung 1) — in this run, or in the one whose keyroot columns
+	// it loaded from the memo.
 	Aborted
 	// Gated: the label-bag bound of the whole view exceeded the cutoff
 	// (rung 0) and the dynamic program never started.
@@ -91,9 +92,15 @@ type Computer struct {
 	// hist is the query's label bag, behind rung 0 of EvaluateView and
 	// lent to the owning scan's candidate gate (LabelHist).
 	hist *prb.LabelHist
-	// memo holds the rows of the views evaluated so far; nil when rows
-	// cannot be memoised (newMemo).
-	memo *memo
+	// memo holds the view rows and keyroot columns computed so far, owner
+	// tagging the computer's own; nil when they cannot be memoised
+	// (memoFits, a non-unit model) or the memo has no owner left to lend.
+	memo  *Memo
+	owner uint16
+	// pairs and keyrootHits count, over the computer's lifetime, the
+	// keyroot pairs its dynamic programs ran and the keyroots whose
+	// columns they loaded from the memo instead.
+	pairs, keyrootHits int
 
 	// Document labels of the current run resolved into the query's
 	// dictionary (-1 for labels the query's dictionary does not know).
@@ -109,8 +116,20 @@ type Computer struct {
 }
 
 // NewComputer returns a Computer for query q under model m.
-// The query must be non-empty.
+// The query must be non-empty. A unit-cost computer allocates a memo of
+// its own; NewComputerWith shares the caller's.
 func NewComputer(m cost.Model, q *tree.Tree) *Computer {
+	var mm *Memo
+	return NewComputerWith(m, q, &mm)
+}
+
+// NewComputerWith is NewComputer on a memo the caller keeps: a computer
+// that memoises shares *mm — allocated first when *mm is nil — with the
+// other computers lent it since its last Reset, each with entries of its
+// own. Computers sharing one memo must not evaluate concurrently. A
+// computer that cannot memoise leaves *mm alone, and one lent a memo that
+// has served 65,535 computers since its last Reset runs without.
+func NewComputerWith(m cost.Model, q *tree.Tree, mm **Memo) *Computer {
 	c := &Computer{model: m, q: q, qKey: q.Keyroots(), qLab: q.LabelIDs(), qLML: q.LMLs(), hist: prb.NewLabelHist(q)}
 	c.qCost = make([]float64, q.Size())
 	for i := range c.qCost {
@@ -118,7 +137,14 @@ func NewComputer(m cost.Model, q *tree.Tree) *Computer {
 	}
 	if _, unit := m.(cost.Unit); unit {
 		c.unit = newKernel[int32](c.qCost, unitOver)
-		c.memo = newMemo(q.Size())
+		if memoFits(q.Size()) {
+			if *mm == nil {
+				*mm = new(Memo)
+			}
+			if owner, ok := (*mm).lend(); ok {
+				c.memo, c.owner = *mm, owner
+			}
+		}
 	} else {
 		c.weighted = newKernel(c.qCost, math.Inf(1))
 	}
@@ -205,15 +231,35 @@ func (c *Computer) SubtreeDistancesViewBounded(v *tree.View, cutoff float64) ([]
 // has an optimal predecessor chain of cells that are themselves ≤ cutoff,
 // hence exact.
 //
-// Between rung 0 and the dynamic program sits the memo (see memo): under
+// Between rung 0 and the dynamic program sits the memo (see Memo): under
 // cost.Unit the row is a function of the view's canonical signature, which
 // the pass that computes rung 0's bound also produces, so a view whose
 // signature the computer has already evaluated under a cutoff at least as
 // loose is answered from the stored row — masked to the current cutoff —
 // without running the dynamic program. Such a hit is still an evaluation:
-// it reports the outcome its row was computed with, and memoHit. A probe
-// (SetProbe) bypasses the memo, so instrumented runs count every relevant
-// subtree the algorithm evaluates.
+// it reports the outcome its row was computed with, and memoHit.
+//
+// Inside the dynamic program the memo works per keyroot. The keyroots of
+// the view are the outer loop (any order in which a keyroot's pairs follow
+// those of the keyroots in its subtree is a Zhang–Shasha order), and
+// before the pairs (·, kt) of a keyroot that is neither the view's root
+// nor a leaf run, the signature of kt's subtree is looked up. The columns
+// those pairs write — δ(Q_i, V_j) for every query node i and every j on
+// kt's left path — are a function of that signature under cost.Unit, and
+// a bounded run leaves each of them exact when it is at or below the
+// cutoff and above the cutoff otherwise (the argument above, applied to
+// the pairs of kt). Columns stored under a cutoff at least as loose as the
+// current one therefore satisfy the current run's invariant as they are:
+// an exact value stays exact whatever the cutoff, and a value stored as
+// over a looser cutoff is over the tighter one too. They are copied into
+// td, the pairs of kt are skipped, and a recorded abandoned pair makes the
+// outcome Aborted, as the pair would have again (its rows were over the
+// looser cutoff). A skipped pair that would abort only under the tighter
+// cutoff does not, so an outcome can read Completed where a run without
+// the memo reads Aborted; the row cannot differ.
+//
+// A probe (SetProbe) bypasses the memo, so instrumented runs count every
+// relevant subtree the algorithm evaluates.
 //
 // The cutoff may be any float64: NaN and +Inf mean unbounded (no rung
 // fires, every entry exact, Completed); a negative cutoff gates every
@@ -233,7 +279,7 @@ func (c *Computer) EvaluateView(v *tree.View, cutoff float64) (row []float64, ou
 	}
 	var slot *memoSlot
 	if mm != nil || cutoff < math.Inf(1) {
-		bound, hash := c.hist.Signature(c.tLab, v.Sizes(), mm.head(n))
+		bound := c.hist.Signature(c.tLab, v.Sizes(), mm.head(n))
 		if float64(bound) > cutoff {
 			row = c.row(n)
 			for j := range row {
@@ -241,7 +287,7 @@ func (c *Computer) EvaluateView(v *tree.View, cutoff float64) (row []float64, ou
 			}
 			return row, Gated, false
 		}
-		if slot = mm.lookup(hash, n); slot != nil && slot.cutoff >= unitCutoff(cutoff) {
+		if slot = mm.view(c.owner, n); slot != nil && slot.cutoff >= unitCutoff(cutoff) {
 			row = c.row(n)
 			mm.load(slot, row, unitCutoff(cutoff))
 			return row, slot.outcome, true
@@ -251,7 +297,7 @@ func (c *Computer) EvaluateView(v *tree.View, cutoff float64) (row []float64, ou
 	if c.weighted != nil {
 		t = v.Tree() //tasm:allow alloc — non-unit cost models read labels through the aliased shell tree; unit-cost scans never take this branch
 	}
-	row, outcome = c.dp(t, v.LMLs(), v.Keyroots(), n, cutoff)
+	row, outcome = c.dp(t, mm, v.LMLs(), v.Keyroots(), n, cutoff)
 	if slot != nil {
 		mm.store(slot, row, unitCutoff(cutoff), outcome)
 	}
@@ -292,15 +338,16 @@ func (c *Computer) row(n int) []float64 {
 // row Q of the tree distance matrix.
 func (c *Computer) run(t *tree.Tree) []float64 {
 	c.resolveLabels(t.Dict(), t.LabelIDs())
-	row, _ := c.dp(t, t.LMLs(), t.Keyroots(), t.Size(), math.Inf(1))
+	row, _ := c.dp(t, nil, t.LMLs(), t.Keyroots(), t.Size(), math.Inf(1))
 	return row
 }
 
 // dp runs the kernel of the computer's model over a document of n nodes
 // given by its leftmost leaves and keyroots, with its labels already
 // resolved, and returns row Q widened to float64. t supplies node costs
-// to a non-unit model.
-func (c *Computer) dp(t *tree.Tree, tLML, tKey []int, n int, cutoff float64) ([]float64, Outcome) {
+// to a non-unit model; mm, when not nil, is the unit-cost memo whose head
+// holds the document's signature.
+func (c *Computer) dp(t *tree.Tree, mm *Memo, tLML, tKey []int, n int, cutoff float64) ([]float64, Outcome) {
 	if c.probe != nil {
 		for _, kt := range tKey {
 			c.probe.RelevantSubtree(kt - tLML[kt] + 1)
@@ -316,14 +363,14 @@ func (c *Computer) dp(t *tree.Tree, tLML, tKey []int, n int, cutoff float64) ([]
 		for j := range k.tCost {
 			k.tCost[j] = 1
 		}
-		aborted = k.run(c, tLML, tKey, row, unitCutoff(cutoff))
+		aborted = k.run(c, mm, tLML, tKey, row, unitCutoff(cutoff))
 	} else {
 		k := c.weighted
 		k.ensure(n)
 		for j := range k.tCost {
 			k.tCost[j] = c.model.Cost(t, j)
 		}
-		aborted = k.run(c, tLML, tKey, row, cutoff)
+		aborted = k.run(c, nil, tLML, tKey, row, cutoff)
 	}
 	if aborted {
 		return row, Aborted
@@ -411,13 +458,18 @@ func (k *kernel[C]) ensure(n int) {
 	k.tCost = k.tCost[:n]
 }
 
-// run is the keyroot double loop over the prepared per-run state,
-// writing row Q of td to dst as float64 with over-cutoff entries as +Inf.
-// The sentinel as cutoff means unbounded; below it, td is first filled
-// with the sentinel, so a tree distance in the abandoned rows of an
-// aborted pair already reads as over the cutoff, to later pairs and in
-// dst. It reports whether any pair aborted.
-func (k *kernel[C]) run(c *Computer, tLML, tKey []int, dst []float64, cutoff C) bool {
+// run is the keyroot double loop over the prepared per-run state, the
+// document's keyroots outside, writing row Q of td to dst as float64 with
+// over-cutoff entries as +Inf. The sentinel as cutoff means unbounded;
+// below it, td is first filled with the sentinel, so a tree distance in
+// the abandoned rows of an aborted pair already reads as over the cutoff,
+// to later pairs and in dst. With a memo (only ever the int32 kernel's),
+// a keyroot that is neither the root nor a leaf is looked up first and its
+// columns loaded instead of computed when they are stored under a cutoff
+// at least as loose; a computed keyroot's columns are stored. It reports
+// whether any pair aborted, or was recorded as aborted with columns it
+// loaded.
+func (k *kernel[C]) run(c *Computer, mm *Memo, tLML, tKey []int, dst []float64, cutoff C) bool {
 	m, n := len(k.qCost), len(k.tCost)
 	if cutoff < k.over {
 		for i := 0; i < m; i++ {
@@ -428,13 +480,35 @@ func (k *kernel[C]) run(c *Computer, tLML, tKey []int, dst []float64, cutoff C) 
 		}
 	}
 	aborted := false
-	for _, kq := range c.qKey {
-		lq := c.qLML[kq]
-		for _, kt := range tKey {
-			if !k.forestDist(c, tLML, kq, lq, kt, tLML[kt], cutoff) {
-				aborted = true
+	for _, kt := range tKey {
+		lt := tLML[kt]
+		var slot *memoSlot
+		size := 0 // the entries of kt's columns, when it is looked up
+		if mm != nil && lt < kt && kt < n-1 {
+			size = m * leftPath(tLML, lt, kt)
+			slot = mm.keyroot(c.owner, lt, kt, size)
+			if slot != nil && slot.cutoff >= int32(cutoff) {
+				k.loadColumns(mm.data(slot, size), tLML, lt, kt)
+				aborted = aborted || slot.outcome == Aborted
+				c.keyrootHits++
+				continue
 			}
 		}
+		ktAborted := false
+		for _, kq := range c.qKey {
+			if !k.forestDist(c, tLML, kq, c.qLML[kq], kt, lt, cutoff) {
+				ktAborted = true
+			}
+		}
+		c.pairs += len(c.qKey)
+		if slot != nil {
+			k.saveColumns(mm.data(slot, size), tLML, lt, kt, cutoff)
+			slot.cutoff, slot.outcome = int32(cutoff), Completed
+			if ktAborted {
+				slot.outcome = Aborted
+			}
+		}
+		aborted = aborted || ktAborted
 	}
 	for j, d := range k.td[(m-1)*k.tdCols : (m-1)*k.tdCols+n] {
 		if d > cutoff {
