@@ -26,7 +26,25 @@
 //
 // The label histogram maps each distinct label to its number of
 // occurrences in the document. Legacy files are distinguished by their
-// leading "TASMPF1\n" pqgram magic.
+// leading "TASMPF1\n" pqgram magic. The grams are listed in strictly
+// ascending hash order and each label once; a file that breaks either
+// rule is corrupt.
+//
+// # Profile index
+//
+// The profile files are read once, at Open or at the document's ingest,
+// into one in-memory index per serving snapshot, and never per query.
+// The index is the profiles inverted: postings sorted by (gram hash,
+// document) and by (label id, document), each with the document's count,
+// plus every document's gram total. A query plan binary-searches the
+// query's own distinct grams and labels and adds their postings into
+// per-document counters, so its cost grows with the postings of the
+// query's keys, not with a probe per document. A snapshot's index is
+// derived from the last one a query built, on the first query that needs
+// it: one pass drops the removed or quarantined documents and shifts
+// later ones down, and the postings of the documents added since are
+// merged in. Commits thus never wait for the index, and a bulk ingest
+// builds it once. The on-disk format above is unchanged by it.
 //
 // # Durability and integrity
 //
@@ -62,8 +80,7 @@
 // # Query answering
 //
 // TopK(q, k) ranks the subtrees of every corpus document in one shared
-// ranking. The profile index built at ingest drives a filter-and-verify
-// scan:
+// ranking. The profile index drives a filter-and-verify scan:
 //
 //   - Ordering (heuristic): documents are scanned in ascending pq-gram
 //     distance to the query, so documents likely to contain close matches
@@ -91,8 +108,10 @@ import (
 	"hash/crc32"
 	"io"
 	"log/slog"
+	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 
@@ -215,9 +234,8 @@ type Corpus struct {
 	mode  VerifyMode
 	mmap  bool
 
-	mu       sync.RWMutex
-	man      *docstore.Manifest
-	profiles map[int]*docProfile // by document id
+	mu  sync.RWMutex
+	man *docstore.Manifest
 	// stores caches each document's loaded store: the mapped (or, under
 	// WithMmap(false), heap-copied) bytes, the header parsed once, the
 	// label remap into the base dictionary, and the items decoded once
@@ -252,14 +270,6 @@ type Corpus struct {
 	scratchPool sync.Pool // *core.ScanScratch
 }
 
-// docProfile is the in-memory profile index entry of one document.
-type docProfile struct {
-	grams *pqgram.Profile
-	// labels maps interned label ids (in the corpus base dictionary) to
-	// the label's occurrence count in the document.
-	labels map[int]int
-}
-
 // docStore is the cached, query-ready form of one document's store file:
 // region keeps the bytes alive (and unmaps them via finalizer once no
 // snapshot references them), img is the header parsed once, remap
@@ -277,9 +287,9 @@ type docStore struct {
 }
 
 // snapshot is one consistent view of the corpus for a single query run:
-// the manifest documents, their profiles, their loaded stores, and the
-// frozen dictionary they were interned in. All of it is published
-// together as one immutable value, so every profile and remap id
+// the manifest documents, the profile index over them, their loaded
+// stores, and the frozen dictionary they were interned in. All of it is
+// published together as one immutable value, so every index and remap id
 // resolves in base and every overlay id above base's watermark is
 // guaranteed fresh with respect to the captured documents. Queries that
 // captured a snapshot before a Remove or quarantine keep scanning the
@@ -288,11 +298,14 @@ type docStore struct {
 // drops it.
 type snapshot struct {
 	docs        []DocInfo
-	profiles    map[int]*docProfile
+	profiles    *lazyIndex // slot i of its index is docs[i]
 	stores      map[int]*docStore
 	base        *dict.Base
 	quarantined int
 }
+
+// index returns the snapshot's profile index, building it on first use.
+func (st *snapshot) index() *profileIndex { return st.profiles.get(st.docs) }
 
 // snapshot returns the prebuilt immutable snapshot for one query run.
 func (c *Corpus) snapshot() *snapshot {
@@ -302,22 +315,27 @@ func (c *Corpus) snapshot() *snapshot {
 }
 
 // publishLocked rebuilds the immutable snapshot from the current
-// manifest, profiles, stores, and dictionary. Call with mu held after
-// every mutation; during Open (c.dict still nil) it is a no-op — Open
-// publishes once at the end.
-func (c *Corpus) publishLocked() {
+// manifest, stores, and dictionary. Its profile index is the previous
+// snapshot's, carried over to the current manifest when a query first
+// needs it: removed and quarantined documents drop out, and the documents
+// new to the manifest enter with their profiles from added (a document
+// absent there is unprofiled). Call with mu held after every mutation;
+// during Open (c.dict still nil) it is a no-op — Open publishes once at
+// the end.
+func (c *Corpus) publishLocked(added map[int]*docProfile) {
 	if c.dict == nil {
 		return
 	}
+	profiles := &lazyIndex{from: &profileIndex{}, added: added}
+	if c.snap != nil {
+		profiles = c.snap.profiles.then(c.snap.docs, added)
+	}
 	st := &snapshot{
 		docs:        c.man.Docs,
-		profiles:    make(map[int]*docProfile, len(c.profiles)),
+		profiles:    profiles,
 		stores:      make(map[int]*docStore, len(c.stores)),
 		base:        c.dict,
 		quarantined: c.man.Quarantined,
-	}
-	for id, p := range c.profiles {
-		st.profiles[id] = p
 	}
 	for id, s := range c.stores {
 		st.stores[id] = s
@@ -390,15 +408,14 @@ func (c *Corpus) MappedBytes() int64 {
 // integrity (per WithVerifyMode), and loads the profile index.
 func Open(dir string, opts ...Option) (*Corpus, error) {
 	c := &Corpus{
-		dir:      dir,
-		model:    cost.Unit{},
-		p:        2,
-		q:        3,
-		fs:       atomicio.OS,
-		log:      slog.Default(),
-		mmap:     true,
-		profiles: map[int]*docProfile{},
-		stores:   map[int]*docStore{},
+		dir:    dir,
+		model:  cost.Unit{},
+		p:      2,
+		q:      3,
+		fs:     atomicio.OS,
+		log:    slog.Default(),
+		mmap:   true,
+		stores: map[int]*docStore{},
 	}
 	c.planPool.New = func() any { return new(queryPlan) }
 	c.readerPool.New = func() any { return new(docstore.ImageReader) }
@@ -437,6 +454,7 @@ func Open(dir string, opts ...Option) (*Corpus, error) {
 		}
 	}
 	base := dict.New()
+	profiles := make(map[int]*docProfile, len(c.man.Docs))
 	for _, d := range c.man.Docs {
 		p, err := c.loadProfile(base, d)
 		if err != nil {
@@ -448,7 +466,7 @@ func Open(dir string, opts ...Option) (*Corpus, error) {
 			// the scrub above has already quarantined those documents.
 			continue
 		}
-		c.profiles[d.ID] = p
+		profiles[d.ID] = p
 	}
 	// Load every surviving store into the cache: map the file, parse the
 	// header once, intern the label table into the still-mutable base,
@@ -462,7 +480,7 @@ func Open(dir string, opts ...Option) (*Corpus, error) {
 		}
 	}
 	c.dict = base.Freeze()
-	c.publishLocked()
+	c.publishLocked(profiles)
 	return c, nil
 }
 
@@ -621,13 +639,12 @@ func (c *Corpus) quarantineLocked(doomed []DocInfo) error {
 	c.man = &man
 	c.gen = man.Generation
 	for id := range dead {
-		delete(c.profiles, id)
 		// Drop the cached store; queries that snapshotted before the
 		// quarantine keep their reference and the mapping keeps the
 		// (renamed) inode readable until they finish.
 		delete(c.stores, id)
 	}
-	c.publishLocked()
+	c.publishLocked(nil)
 	return nil
 }
 
@@ -784,10 +801,8 @@ func (c *Corpus) AddTree(name string, t *tree.Tree) (DocInfo, error) {
 	if err != nil {
 		return DocInfo{}, err
 	}
-	labels := make(map[int]int)
-	for i := 0; i < t.Size(); i++ {
-		labels[t.LabelID(i)]++
-	}
+	prof := &docProfile{grams: grams}
+	prof.labels, prof.counts = countLabels(t.LabelIDs(), nil, nil)
 
 	info := DocInfo{
 		ID:        id,
@@ -807,7 +822,7 @@ func (c *Corpus) AddTree(name string, t *tree.Tree) (DocInfo, error) {
 		return DocInfo{}, err
 	}
 	if err := c.writeFile(info.Profile, func(w io.Writer) error {
-		return writeProfile(w, nd, grams, labels)
+		return writeProfile(w, nd, prof)
 	}); err != nil {
 		c.removeFiles(info.Store)
 		return DocInfo{}, err
@@ -822,7 +837,6 @@ func (c *Corpus) AddTree(name string, t *tree.Tree) (DocInfo, error) {
 		return DocInfo{}, err
 	}
 	c.man = &man
-	c.profiles[id] = &docProfile{grams: grams, labels: labels}
 	// Cache the just-committed store before freezing the clone, so its
 	// label table interns into nd (a no-op: the document's labels are
 	// already there). The file is read back rather than re-encoded from t
@@ -832,7 +846,7 @@ func (c *Corpus) AddTree(name string, t *tree.Tree) (DocInfo, error) {
 	}
 	c.dict = nd.Freeze()
 	c.gen = man.Generation
-	c.publishLocked()
+	c.publishLocked(map[int]*docProfile{id: prof})
 	return info, nil
 }
 
@@ -873,10 +887,9 @@ func (c *Corpus) Remove(name string) error {
 		return err
 	}
 	c.man = &man
-	delete(c.profiles, doomed.ID)
 	delete(c.stores, doomed.ID)
 	c.gen = man.Generation
-	c.publishLocked()
+	c.publishLocked(nil)
 
 	// Best-effort file GC: the manifest no longer references the files, so
 	// a failed unlink merely leaks disk until the next Open's orphan sweep
@@ -907,35 +920,25 @@ func (c *Corpus) removeFiles(rels ...string) {
 }
 
 // writeProfile serializes a document's profile file: the v2 container
-// magic, the pq-gram profile, the label histogram, and the CRC-32C
-// trailer, with labels resolved in d.
-func writeProfile(w io.Writer, d dict.Dict, grams *pqgram.Profile, labels map[int]int) error {
+// magic, the pq-gram profile, the label histogram (ascending label id, so
+// files stay deterministic per ingest history), and the CRC-32C trailer,
+// with labels resolved in d.
+func writeProfile(w io.Writer, d dict.Dict, prof *docProfile) error {
 	h := crc32.New(crcTable)
 	mw := io.MultiWriter(w, h)
 	if _, err := io.WriteString(mw, profileMagicV2); err != nil {
 		return err
 	}
-	if err := grams.Write(mw); err != nil {
+	if err := prof.grams.Write(mw); err != nil {
 		return err
 	}
 	var buf bytes.Buffer
-	// Histogram entries in ascending label id order: ids are assigned in
-	// first-intern order, so files stay deterministic per ingest history.
-	ids := make([]int, 0, len(labels))
-	for id := range labels {
-		ids = append(ids, id)
-	}
-	for i := 1; i < len(ids); i++ { // insertion sort: histograms are small
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	varint.Write(&buf, uint64(len(ids)))
-	for _, id := range ids {
-		label := d.Label(id)
+	varint.Write(&buf, uint64(len(prof.labels)))
+	for i, id := range prof.labels {
+		label := d.Label(int(id))
 		varint.Write(&buf, uint64(len(label)))
 		buf.WriteString(label)
-		varint.Write(&buf, uint64(labels[id]))
+		varint.Write(&buf, uint64(prof.counts[i]))
 	}
 	if _, err := mw.Write(buf.Bytes()); err != nil {
 		return err
@@ -948,9 +951,8 @@ func writeProfile(w io.Writer, d dict.Dict, grams *pqgram.Profile, labels map[in
 	return err
 }
 
-// loadProfile reads a document's profile file into the in-memory index,
-// interning its labels into base (the corpus dictionary under
-// construction at Open).
+// loadProfile reads a document's profile file, interning its labels into
+// base (the corpus dictionary under construction at Open).
 func (c *Corpus) loadProfile(base *dict.Base, d DocInfo) (*docProfile, error) {
 	data, err := os.ReadFile(filepath.Join(c.dir, d.Profile))
 	if err != nil {
@@ -964,7 +966,8 @@ func (c *Corpus) loadProfile(base *dict.Base, d DocInfo) (*docProfile, error) {
 }
 
 // parseProfile decodes a profile payload (container already stripped),
-// interning its labels into base.
+// interning its labels into base. A label listed twice is corruption: the
+// writer lists each of the document's labels once.
 func (c *Corpus) parseProfile(base *dict.Base, d DocInfo, payload []byte) (*docProfile, error) {
 	br := bufio.NewReader(bytes.NewReader(payload))
 	grams, err := pqgram.ReadProfile(br)
@@ -979,7 +982,7 @@ func (c *Corpus) parseProfile(base *dict.Base, d DocInfo, payload []byte) (*docP
 	if err != nil {
 		return nil, fmt.Errorf("reading label histogram size: %w", err)
 	}
-	labels := make(map[int]int, min(n, 4096))
+	prof := &docProfile{grams: grams, labels: make([]int32, 0, min(n, 4096)), counts: make([]int32, 0, min(n, 4096))}
 	for i := uint64(0); i < n; i++ {
 		ln, err := varint.Read(br)
 		if err != nil {
@@ -998,10 +1001,30 @@ func (c *Corpus) parseProfile(base *dict.Base, d DocInfo, payload []byte) (*docP
 		if err != nil {
 			return nil, fmt.Errorf("reading histogram count %d: %w", i, err)
 		}
-		if count < 1 || count > uint64(d.Nodes) {
+		if count < 1 || count > uint64(d.Nodes) || count > math.MaxInt32 {
 			return nil, fmt.Errorf("histogram label %q has count %d of %d nodes", buf, count, d.Nodes)
 		}
-		labels[base.Intern(string(buf))] = int(count)
+		prof.labels = append(prof.labels, int32(base.Intern(string(buf))))
+		prof.counts = append(prof.counts, int32(count))
 	}
-	return &docProfile{grams: grams, labels: labels}, nil
+	// Ids are assigned in first-intern order, which need not follow the
+	// order the file lists the labels in once other documents have
+	// interned some of them first.
+	sort.Sort((*byLabel)(prof))
+	for i := 1; i < len(prof.labels); i++ {
+		if prof.labels[i] == prof.labels[i-1] {
+			return nil, fmt.Errorf("histogram lists label %q twice", base.Label(int(prof.labels[i])))
+		}
+	}
+	return prof, nil
+}
+
+// byLabel sorts a docProfile's label histogram by label id.
+type byLabel docProfile
+
+func (h *byLabel) Len() int           { return len(h.labels) }
+func (h *byLabel) Less(i, j int) bool { return h.labels[i] < h.labels[j] }
+func (h *byLabel) Swap(i, j int) {
+	h.labels[i], h.labels[j] = h.labels[j], h.labels[i]
+	h.counts[i], h.counts[j] = h.counts[j], h.counts[i]
 }

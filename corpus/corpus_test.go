@@ -317,7 +317,9 @@ func TestSelectionAndErrors(t *testing.T) {
 }
 
 // TestConcurrentQueriesAndIngest exercises the server workload: many
-// queries racing with ingests must stay consistent (run with -race).
+// queries racing with ingests and removals must stay consistent (run with
+// -race). The queries build each snapshot's profile index while the
+// writer derives the next snapshot's from it.
 func TestConcurrentQueriesAndIngest(t *testing.T) {
 	c, err := corpus.Open(t.TempDir())
 	if err != nil {
@@ -353,13 +355,19 @@ func TestConcurrentQueriesAndIngest(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			if i%2 == 1 {
+				if err := c.Remove(fmt.Sprintf("extra%d", i-1)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
 		}
 	}()
 	wg.Wait()
-	if c.Len() != 11 {
-		t.Fatalf("corpus has %d docs, want 11", c.Len())
+	if c.Len() != 6 {
+		t.Fatalf("corpus has %d docs, want 6", c.Len())
 	}
-	if c.Generation() != 11 {
-		t.Fatalf("generation %d, want 11", c.Generation())
+	if c.Generation() != 16 {
+		t.Fatalf("generation %d, want 16", c.Generation())
 	}
 }

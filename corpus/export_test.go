@@ -11,5 +11,5 @@ func (c *Corpus) DropColumns() {
 		streamed.cols = nil
 		c.stores[id] = &streamed
 	}
-	c.publishLocked()
+	c.publishLocked(nil)
 }

@@ -235,14 +235,15 @@ func WithBatchCutoffs(cs []*Cutoff) QueryOption {
 	return func(q *QueryConfig) { q.Cutoffs = cs }
 }
 
-// scanDoc is one document of a run's scan plan.
+// scanDoc is one document of a run's scan plan. It is small, so that
+// ordering the plan moves small values.
 type scanDoc struct {
-	info       DocInfo
-	offset     int     // global position offset: Σ nodes of manifest-earlier docs
-	slot       int     // the document's row in queryPlan.bounds
-	bound      float64 // the smallest of the queries' lower bounds (ordering)
-	pqdist     int     // the smallest pq-gram distance of the whole doc to a query (ordering)
-	unprofiled bool    // no usable profile: bounds 0, scanned last, never skipped
+	info       *DocInfo // the manifest entry, in the snapshot's docs
+	offset     int      // global position offset: Σ nodes of manifest-earlier docs
+	slot       int      // position in the snapshot's docs: the profile index slot, and the row in queryPlan.bounds
+	bound      float64  // the smallest of the queries' lower bounds (ordering)
+	pqdist     int      // the smallest pq-gram distance of the whole doc to a query (ordering)
+	unprofiled bool     // no usable profile: bounds 0, scanned last, never skipped
 }
 
 // queryPlan is the pooled scan plan of one run.
@@ -250,8 +251,8 @@ type queryPlan struct {
 	docs []scanDoc // in scan order
 	// bounds holds, per (document, query), a sound lower bound on any
 	// subtree distance in the document: one flat slab, a row of len(queries)
-	// per document at scanDoc.slot, so planning allocates nothing per
-	// document.
+	// per document of the snapshot at scanDoc.slot, so planning allocates
+	// nothing per document.
 	bounds []float64
 	// labelNodes holds, per (document, query) in the same layout, how many
 	// of the document's nodes carry one of the query's labels: what the
@@ -261,6 +262,23 @@ type queryPlan struct {
 	labelNodes []int
 	// byOffset is docs by ascending offset, for resolving global positions.
 	byOffset []scanDoc
+	// Per (document, query) in the same layout, the counters the profile
+	// index fills: Σ min(c_Q, c_D) over the shared pq-grams and over the
+	// shared labels.
+	grams, labels []int
+	// qGrams holds each query's number of pq-grams, |P_Q|.
+	qGrams []int
+	// qLabels and qCounts hold one query's distinct label ids, ascending,
+	// and their multiplicities.
+	qLabels, qCounts []int32
+}
+
+// resetCounts returns s resized to n zeroed counters, reusing its backing
+// array when it is large enough.
+func resetCounts(s []int, n int) []int {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // requestOverlay resolves the queries of one run against a snapshot: trees
@@ -461,19 +479,45 @@ func (c *Corpus) TopKBatch(ctx context.Context, queries []*tree.Tree, k int, opt
 // promising for any query of the batch is scanned early. The queries must
 // already be resolved through an overlay over st.base, so their label ids
 // are commensurable with the profile index's.
+//
+// Both values come from the snapshot's profile index, whose postings list
+// per gram and per label the documents that hold it. For each query the
+// postings of its distinct grams and labels add min(c_Q, c_D) into a
+// per-document counter (and c_D, for the labels, into labelNodes), so
+// that per document
+//
+//	pq-gram distance = |P_Q| + |P_D| − 2·Σ_grams min(c_Q, c_D)
+//	label bound      = |Q| − Σ_labels min(c_Q, c_D) = Σ_labels max(0, c_Q − c_D)
+//
+// The label bound is the number of query nodes that cannot be mapped to an
+// equal-labelled document node. In any edit mapping each such node is
+// deleted (cost ≥ 1) or renamed (cost ≥ 1), so every subtree of the
+// document — whose labels are a sub-bag of the document's — has distance
+// at least this bound under any Definition-4 cost model. A query label the
+// corpus has never seen has no postings and counts as missing everywhere.
 func (c *Corpus) plan(st *snapshot, qs []*tree.Tree, cfg *QueryConfig, p *queryPlan) error {
-	p.docs, p.bounds, p.labelNodes = p.docs[:0], p.bounds[:0], p.labelNodes[:0]
-	qGrams := make([]*pqgram.Profile, len(qs))
-	qLabels := make([]map[int]int, len(qs))
-	for i, q := range qs {
-		g, err := pqgram.New(q, c.p, c.q)
-		if err != nil {
-			return err
-		}
-		qGrams[i] = g
-		qLabels[i] = make(map[int]int, q.Size())
-		for j := 0; j < q.Size(); j++ {
-			qLabels[i][q.LabelID(j)]++
+	nq := len(qs)
+	p.docs = p.docs[:0]
+	filter := !cfg.NoFilter
+	var idx *profileIndex
+	if filter {
+		idx = st.index()
+		n := len(st.docs) * nq
+		p.bounds = slices.Grow(p.bounds[:0], n)[:n]
+		p.labelNodes = resetCounts(p.labelNodes, n)
+		p.grams = resetCounts(p.grams, n)
+		p.labels = resetCounts(p.labels, n)
+		p.qGrams = p.qGrams[:0]
+		for i, q := range qs {
+			g, err := pqgram.New(q, c.p, c.q)
+			if err != nil {
+				return err
+			}
+			p.qGrams = append(p.qGrams, g.Size())
+			hashes, counts := g.Grams()
+			addOverlap(idx.grams, hashes, counts, p.grams, nil, i, nq)
+			p.qLabels, p.qCounts = countLabels(q.LabelIDs(), p.qLabels, p.qCounts)
+			addOverlap(idx.labels, p.qLabels, p.qCounts, p.labels, p.labelNodes, i, nq)
 		}
 	}
 
@@ -490,7 +534,8 @@ func (c *Corpus) plan(st *snapshot, qs []*tree.Tree, cfg *QueryConfig, p *queryP
 	// deterministic tie-break — is a property of the corpus, stable
 	// across selections and scan orders.
 	offset := 0
-	for _, d := range st.docs {
+	for slot := range st.docs {
+		d := &st.docs[slot]
 		include := true
 		if selected != nil {
 			if _, ok := selected[d.Name]; !ok {
@@ -500,22 +545,16 @@ func (c *Corpus) plan(st *snapshot, qs []*tree.Tree, cfg *QueryConfig, p *queryP
 			}
 		}
 		if include {
-			sd := scanDoc{info: d, offset: offset, slot: len(p.docs)}
-			p.bounds = append(p.bounds, make([]float64, len(qs))...)
-			p.labelNodes = append(p.labelNodes, make([]int, len(qs))...)
-			if !cfg.NoFilter {
+			sd := scanDoc{info: d, offset: offset, slot: slot}
+			if filter {
 				sd.pqdist = math.MaxInt
-				if prof := st.profiles[d.ID]; prof != nil {
-					bounds, nodes := p.bounds[len(p.bounds)-len(qs):], p.labelNodes[len(p.labelNodes)-len(qs):]
+				row := slot * nq
+				if total := idx.totals[slot]; total >= 0 {
 					sd.bound = math.Inf(1)
-					for i := range qs {
-						bounds[i], nodes[i] = labelLowerBound(qLabels[i], prof.labels)
-						pqd, err := pqgram.Distance(qGrams[i], prof.grams)
-						if err != nil {
-							return err
-						}
-						sd.pqdist = min(sd.pqdist, pqd)
-						sd.bound = min(sd.bound, bounds[i])
+					for i, q := range qs {
+						p.bounds[row+i] = float64(q.Size() - p.labels[row+i])
+						sd.pqdist = min(sd.pqdist, p.qGrams[i]+total-2*p.grams[row+i])
+						sd.bound = min(sd.bound, p.bounds[row+i])
 					}
 				} else {
 					// A document can lack its profile after a partial
@@ -523,6 +562,7 @@ func (c *Corpus) plan(st *snapshot, qs []*tree.Tree, cfg *QueryConfig, p *queryP
 					// (never skipped) and it sorts to the end of the scan
 					// order, so the run degrades to an unfiltered scan of
 					// this one document instead of crashing.
+					clear(p.bounds[row : row+nq])
 					sd.unprofiled = true
 				}
 			}
@@ -536,10 +576,10 @@ func (c *Corpus) plan(st *snapshot, qs []*tree.Tree, cfg *QueryConfig, p *queryP
 		}
 	}
 	p.byOffset = append(p.byOffset[:0], p.docs...)
-	if !cfg.NoFilter {
-		// Document ids are unique, so the order is total and an unstable
-		// sort yields it as surely as a stable one, moving half as many of
-		// these hundred-byte entries.
+	if filter {
+		// Slots ascend with document ids (the manifest lists documents in
+		// ascending id order), so the order is total and an unstable sort
+		// yields it as surely as a stable one.
 		slices.SortFunc(p.docs, func(a, b scanDoc) int {
 			if c := cmp.Compare(a.pqdist, b.pqdist); c != 0 {
 				return c
@@ -547,30 +587,10 @@ func (c *Corpus) plan(st *snapshot, qs []*tree.Tree, cfg *QueryConfig, p *queryP
 			if c := cmp.Compare(a.bound, b.bound); c != 0 {
 				return c
 			}
-			return cmp.Compare(a.info.ID, b.info.ID)
+			return cmp.Compare(a.slot, b.slot)
 		})
 	}
 	return nil
-}
-
-// labelLowerBound returns Σ_label max(0, count_Q − count_doc): the number
-// of query nodes that cannot be mapped to an equal-labelled document
-// node. In any edit mapping each such node is deleted (cost ≥ 1) or
-// renamed (cost ≥ 1), so every subtree of the document — whose labels are
-// a sub-bag of the document's — has distance at least this bound under
-// any Definition-4 cost model. From the same lookups it also returns
-// Σ_label count_doc, the number of document nodes that carry a query
-// label.
-func labelLowerBound(query map[int]int, doc map[int]int) (bound float64, labelNodes int) {
-	missing := 0
-	for id, cq := range query {
-		cd := doc[id]
-		if cq > cd {
-			missing += cq - cd
-		}
-		labelNodes += cd
-	}
-	return float64(missing), labelNodes
 }
 
 // ScanError wraps a failure to read or scan a persisted document during
@@ -660,7 +680,7 @@ func resolve(heap *ranking.Heap, byOffset []scanDoc) []Match {
 		i := sort.Search(len(byOffset), func(i int) bool { return byOffset[i].offset >= e.Pos }) - 1
 		d := byOffset[i]
 		out = append(out, Match{
-			Doc:  d.info,
+			Doc:  *d.info,
 			Pos:  e.Pos - d.offset,
 			Dist: e.Dist,
 			Size: e.Size,

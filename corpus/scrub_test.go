@@ -6,8 +6,13 @@ package corpus
 // cleanup.
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,8 +20,10 @@ import (
 
 	"tasm/internal/atomicio"
 	"tasm/internal/dict"
+	"tasm/internal/pqgram"
 	"tasm/internal/testenv"
 	"tasm/internal/tree"
+	"tasm/internal/varint"
 )
 
 // buildVictimCorpus creates a three-document corpus and returns its
@@ -409,5 +416,97 @@ func TestV1CorpusStillOpens(t *testing.T) {
 	}
 	if _, err := c.TopK(context.Background(), q, 4); err != nil {
 		t.Fatalf("TopK over legacy files: %v", err)
+	}
+}
+
+// TestScrubQuarantinesDisorderedProfile: a profile whose grams are not in
+// strictly ascending hash order, or whose histogram lists a label twice,
+// was not written by this corpus — even under a valid checksum it fails
+// to load and quarantines under scrub like any other corrupt profile, and
+// with verification off it leaves its document unprofiled.
+func TestScrubQuarantinesDisorderedProfile(t *testing.T) {
+	base, victim := buildVictimCorpus(t)
+	data, err := os.ReadFile(filepath.Join(base, victim.Profile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := profilePayload(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(bytes.NewReader(payload))
+	grams, err := pqgram.ReadProfile(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	histogram, err := io.ReadAll(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashes, counts := grams.Grams()
+	if len(hashes) < 2 {
+		t.Fatalf("victim has %d distinct grams, the test needs two", len(hashes))
+	}
+	// seal re-encodes a profile file from its gram entries and histogram
+	// under a valid checksum, so only the structural parse can object.
+	seal := func(order []int, histogram []byte) []byte {
+		var b bytes.Buffer
+		b.WriteString(profileMagicV2 + "TASMPF1\n")
+		varint.Write(&b, uint64(grams.P()))
+		varint.Write(&b, uint64(grams.Q()))
+		varint.Write(&b, uint64(len(order)))
+		for _, i := range order {
+			varint.Write(&b, hashes[i])
+			varint.Write(&b, uint64(counts[i]))
+		}
+		b.Write(histogram)
+		return binary.LittleEndian.AppendUint32(b.Bytes(), crc32.Checksum(b.Bytes(), crcTable))
+	}
+	ascending := make([]int, len(hashes))
+	for i := range ascending {
+		ascending[i] = i
+	}
+	var twice bytes.Buffer
+	varint.Write(&twice, 2)
+	for range 2 {
+		varint.Write(&twice, 1)
+		twice.WriteString("p")
+		varint.Write(&twice, 1)
+	}
+	cases := map[string][]byte{
+		"descending grams": seal(append([]int{1, 0}, ascending[2:]...), histogram),
+		"duplicate gram":   seal(append([]int{0, 0}, ascending[2:]...), histogram),
+		"duplicate label":  seal(ascending, twice.Bytes()),
+	}
+	// The control: re-sealed unchanged, the file loads.
+	cases["unchanged"] = seal(ascending, histogram)
+	for name, file := range cases {
+		corrupt := name != "unchanged"
+		for _, mode := range []VerifyMode{VerifyScrub, VerifyOff} {
+			dir := t.TempDir()
+			copyDir(t, base, dir)
+			if err := os.WriteFile(filepath.Join(dir, victim.Profile), file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			c, err := Open(dir, WithVerifyMode(mode), WithLogger(quietLogger()))
+			if err != nil {
+				t.Fatalf("%s: Open: %v", name, err)
+			}
+			st := c.snapshot()
+			if !corrupt && c.Len() != 3 {
+				t.Errorf("%s: Len = %d, want 3", name, c.Len())
+			}
+			if mode == VerifyScrub && corrupt {
+				if c.Quarantined() != 1 || c.Len() != 2 {
+					t.Errorf("%s: Quarantined = %d, Len = %d; want 1 and 2", name, c.Quarantined(), c.Len())
+				}
+				continue
+			}
+			for slot, d := range st.docs {
+				if profiled := st.index().totals[slot] >= 0; profiled == (corrupt && d.ID == victim.ID) {
+					t.Errorf("%s, verification off: document %s profiled = %v", name, d.Name, profiled)
+				}
+			}
+		}
 	}
 }

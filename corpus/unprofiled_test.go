@@ -45,8 +45,11 @@ func brokenProfileCorpus(t *testing.T, breakProfile func(t *testing.T, path stri
 	if err != nil {
 		t.Fatalf("Open after breaking a profile: %v (profiles are a derived index; the corpus must stay available)", err)
 	}
-	if _, ok := reopened.profiles[victim.ID]; ok {
-		t.Fatalf("profile of %q unexpectedly loaded after breaking it", victim.Name)
+	st := reopened.snapshot()
+	for slot, d := range st.docs {
+		if d.ID == victim.ID && st.index().totals[slot] >= 0 {
+			t.Fatalf("profile of %q unexpectedly loaded after breaking it", victim.Name)
+		}
 	}
 	return reopened
 }
@@ -133,9 +136,10 @@ func TestTopKCorruptProfileFile(t *testing.T) {
 	}
 }
 
-// TestPlanNilProfileDirect covers the in-memory variant: even when the
-// profile map entry vanishes while the corpus is open (the invariant a
-// partial ingest would break), plan must not dereference a nil profile.
+// TestPlanNilProfileDirect covers the in-memory variant: even when a
+// document's profile vanishes from the index while the corpus is open
+// (the invariant a partial ingest would break), plan must not read
+// postings it does not have.
 func TestPlanNilProfileDirect(t *testing.T) {
 	dir := t.TempDir()
 	c, err := Open(dir)
@@ -151,9 +155,16 @@ func TestPlanNilProfileDirect(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Drop the first document from the index and add it back without a
+	// profile; queries read the prebuilt snapshot.
 	c.mu.Lock()
-	delete(c.profiles, c.man.Docs[0].ID)
-	c.publishLocked() // queries read the prebuilt snapshot, not c.profiles
+	st := c.snap
+	c.snap = &snapshot{
+		docs:     st.docs,
+		profiles: &lazyIndex{from: st.index().next(st.docs, st.docs[1:], nil), fromDocs: st.docs[1:]},
+		stores:   st.stores,
+		base:     st.base,
+	}
 	c.mu.Unlock()
 
 	q, err := c.ParseBracket("{x}")

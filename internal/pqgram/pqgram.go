@@ -15,12 +15,15 @@
 // baseline to contrast with TASM's exact ranking (see the FilterVerify
 // example and benchmarks), and a demonstration that the exactness of
 // TASM-postorder costs little — the approximation is faster per pair but
-// offers no guarantee that the true top-k survive filtering.
+// offers no guarantee that the true top-k survive filtering. The corpus
+// also orders its document scans by pq-gram distance; it reads the
+// distances off an inverted index of the documents' profiles, for which
+// Distance is the reference.
 package pqgram
 
 import (
 	"fmt"
-	"hash/fnv"
+	"slices"
 
 	"tasm/internal/tree"
 )
@@ -30,13 +33,14 @@ import (
 const dummy = -1
 
 // Profile is a pq-gram profile: a bag of grams represented by hash, with
-// multiplicities. Hash collisions are possible in principle (64-bit FNV)
-// and would only perturb the approximate distance, never TASM's exact
-// results.
+// multiplicities, held as two parallel arrays sorted by hash. Hash
+// collisions are possible in principle (64-bit FNV-1a) and would only
+// perturb the approximate distance, never TASM's exact results.
 type Profile struct {
-	p, q  int
-	bag   map[uint64]int
-	total int
+	p, q   int
+	hashes []uint64 // the distinct gram hashes, ascending
+	counts []int32  // counts[i] is the multiplicity of hashes[i]
+	total  int
 }
 
 // P and Q return the profile's shape parameters.
@@ -48,105 +52,153 @@ func (pr *Profile) Q() int { return pr.q }
 // tree's shape.
 func (pr *Profile) Size() int { return pr.total }
 
+// Grams returns the profile's distinct gram hashes in ascending order and
+// their multiplicities. Both slices alias the profile and must not be
+// modified.
+func (pr *Profile) Grams() (hashes []uint64, counts []int32) { return pr.hashes, pr.counts }
+
+// FNV-1a, 64-bit (hash/fnv's New64a): the gram hash is part of the
+// profile file format, so it must never change.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// hashLabel feeds one label to an FNV-1a state as a little-endian 8-byte
+// word; the dummy (-1) stays distinct from every label.
+func hashLabel(h uint64, label int) uint64 {
+	u := uint64(int64(label))
+	for i := 0; i < 8; i++ {
+		h ^= u & 0xff
+		h *= fnvPrime
+		u >>= 8
+	}
+	return h
+}
+
+// hashLabels feeds labels to an FNV-1a state in order.
+func hashLabels(h uint64, labels []int) uint64 {
+	for _, l := range labels {
+		h = hashLabel(h, l)
+	}
+	return h
+}
+
 // New computes the pq-gram profile of t. p ≥ 1 controls stem depth,
 // q ≥ 1 base width; the TODS paper's default (and a good general choice)
 // is p=2, q=3.
+//
+// A gram's hash is FNV-1a over its p stem labels (top ancestor first,
+// ending at the anchor) and its q base labels, each a little-endian 8-byte
+// word. The grams are collected into one slice, sorted and run-length
+// counted, so the cost is a fixed handful of allocations per tree, none
+// per gram.
 func New(t *tree.Tree, p, q int) (*Profile, error) {
 	if p < 1 || q < 1 {
 		return nil, fmt.Errorf("pqgram: p and q must be ≥ 1, got p=%d q=%d", p, q)
 	}
-	pr := &Profile{p: p, q: q, bag: map[uint64]int{}}
-
-	// children[i] lists the child indices of node i in sibling order.
-	children := make([][]int, t.Size())
-	for i := 0; i < t.Size()-1; i++ {
+	n := t.Size()
+	labels := t.LabelIDs()
+	// first[v] and next[v] link each node's children in sibling order:
+	// postorder lists siblings left to right, so walking it backwards and
+	// prepending keeps them in order.
+	links := make([]int, 2*n)
+	first, next := links[:n], links[n:]
+	for i := range first {
+		first[i] = -1
+	}
+	for i := n - 2; i >= 0; i-- {
 		par := t.Parent(i)
-		children[par] = append(children[par], i)
+		next[i] = first[par]
+		first[par] = i
 	}
-
-	// stem holds the labels of the current anchor's p-1 ancestors plus
-	// the anchor itself, padded with dummies at the top.
-	stem := make([]int, p)
-	for i := range stem {
-		stem[i] = dummy
-	}
-	var walk func(node int, stem []int)
-	walk = func(node int, stem []int) {
-		anchorStem := append(append(make([]int, 0, p), stem[1:]...), t.LabelID(node))
-		kids := children[node]
-		// Slide a q-window over the children extended with q−1 dummies
-		// on each side.
-		base := make([]int, q)
+	// stem holds the anchor's p−1 ancestors and the anchor, padded with
+	// dummies above the root; base is the q-window over its children
+	// extended with q−1 dummies on each side.
+	window := make([]int, p+q)
+	stem, base := window[:p], window[p:]
+	// A node with f children contributes f+q−1 windows over its extended
+	// child sequence; a leaf thus contributes q−1 all-dummy windows (none
+	// when q=1).
+	hashes := make([]uint64, 0, (n-1)+(q-1)*n)
+	for v := 0; v < n; v++ {
+		a := v
+		for i := p - 1; i >= 0; i-- {
+			if a < 0 {
+				stem[i] = dummy
+				continue
+			}
+			stem[i] = labels[a]
+			a = t.Parent(a)
+		}
+		hs := hashLabels(fnvOffset, stem)
 		for i := range base {
 			base[i] = dummy
 		}
-		emit := func() {
-			h := fnv.New64a()
-			var b [8]byte
-			write := func(v int) {
-				u := uint64(int64(v)) // dummy (-1) stays distinct from labels
-				for i := 0; i < 8; i++ {
-					b[i] = byte(u >> (8 * i))
-				}
-				h.Write(b[:])
-			}
-			for _, v := range anchorStem {
-				write(v)
-			}
-			for _, v := range base {
-				write(v)
-			}
-			pr.bag[h.Sum64()]++
-			pr.total++
-		}
-		// A node with f children contributes f+q−1 windows over the child
-		// sequence extended with q−1 dummies on each side; a leaf thus
-		// contributes q−1 all-dummy windows (none when q=1).
-		if len(kids) == 0 {
-			for w := 0; w < q-1; w++ {
-				emit()
-			}
-			return
-		}
-		shift := func(label int) {
+		for c := first[v]; c >= 0; c = next[c] {
 			copy(base, base[1:])
-			base[len(base)-1] = label
-		}
-		for _, c := range kids {
-			shift(t.LabelID(c))
-			emit()
+			base[q-1] = labels[c]
+			hashes = append(hashes, hashLabels(hs, base))
 		}
 		for w := 0; w < q-1; w++ {
-			shift(dummy)
-			emit()
-		}
-		for _, c := range kids {
-			walk(c, anchorStem)
+			copy(base, base[1:])
+			base[q-1] = dummy
+			hashes = append(hashes, hashLabels(hs, base))
 		}
 	}
-	walk(t.Root(), stem)
+	pr := &Profile{p: p, q: q, total: len(hashes)}
+	slices.Sort(hashes)
+	pr.counts = make([]int32, 0, len(hashes))
+	for i, h := range hashes {
+		if i > 0 && h == hashes[len(pr.counts)-1] {
+			pr.counts[len(pr.counts)-1]++
+			continue
+		}
+		hashes[len(pr.counts)] = h
+		pr.counts = append(pr.counts, 1)
+	}
+	pr.hashes = hashes[:len(pr.counts):len(pr.counts)]
 	return pr, nil
 }
 
 // Distance returns the bag symmetric difference |P1 ⊎ P2| − 2·|P1 ⊓ P2|
-// between two profiles. It is 0 for identical trees and grows with
-// structural divergence; it approximates (and under the fanout-weighted
-// cost model is related to) the tree edit distance at a fraction of the
-// cost.
+// between two profiles, by one galloping merge of their sorted grams: each
+// gram of the smaller profile is looked up by exponential search from the
+// last match in the larger, so a query's profile against a document's
+// costs O(|P_Q| log(|P_D|/|P_Q|)), not a walk over the document's grams.
+// It is 0 for identical trees and grows with structural divergence; it
+// approximates (and under the fanout-weighted cost model is related to)
+// the tree edit distance at a fraction of the cost.
 func Distance(a, b *Profile) (int, error) {
 	if a.p != b.p || a.q != b.q {
 		return 0, fmt.Errorf("pqgram: incompatible profiles (%d,%d) vs (%d,%d)", a.p, a.q, b.p, b.q)
 	}
-	inter := 0
-	for g, ca := range a.bag {
-		cb := b.bag[g]
-		if cb < ca {
-			inter += cb
-		} else {
-			inter += ca
+	small, large := a, b
+	if len(small.hashes) > len(large.hashes) {
+		small, large = large, small
+	}
+	inter, j := 0, 0
+	for i, h := range small.hashes {
+		if j += gallop(large.hashes[j:], h); j == len(large.hashes) {
+			break
+		}
+		if large.hashes[j] == h {
+			inter += int(min(small.counts[i], large.counts[j]))
 		}
 	}
 	return a.total + b.total - 2*inter, nil
+}
+
+// gallop returns the index of the first hash in s (ascending) that is at
+// least h, or len(s): it doubles a bound until it passes h, then
+// binary-searches the last doubling.
+func gallop(s []uint64, h uint64) int {
+	n := 1
+	for n < len(s) && s[n-1] < h {
+		n *= 2
+	}
+	i, _ := slices.BinarySearch(s[n/2:min(n, len(s))], h)
+	return n/2 + i
 }
 
 // Normalized returns the pq-gram distance scaled to [0, 1]:

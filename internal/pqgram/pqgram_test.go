@@ -7,6 +7,7 @@ import (
 
 	"tasm/internal/cost"
 	"tasm/internal/dict"
+	"tasm/internal/race"
 	"tasm/internal/ted"
 	"tasm/internal/tree"
 )
@@ -34,6 +35,29 @@ func TestProfileSizeFormula(t *testing.T) {
 				t.Errorf("%s q=%d: profile size %d, want %d", s, q, pr.Size(), want)
 			}
 		}
+	}
+}
+
+// TestNewAllocsPerTree: building a profile costs a fixed number of
+// allocations whatever the tree's size — nothing is allocated per gram
+// or per node.
+func TestNewAllocsPerTree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	d := dict.New()
+	rng := rand.New(rand.NewSource(1))
+	allocs := func(n int) float64 {
+		tr := tree.Random(d, rng, tree.RandomConfig{Nodes: n, MaxFanout: 4, Labels: 6})
+		return testing.AllocsPerRun(20, func() {
+			if _, err := New(tr, 2, 3); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(12), allocs(600)
+	if small != large || small > 6 {
+		t.Errorf("New allocates %.0f objects for 12 nodes and %.0f for 600; want the same few", small, large)
 	}
 }
 
@@ -135,6 +159,39 @@ func TestMetricPropertiesQuick(t *testing.T) {
 		return daa == 0 && dab == dba && dab <= dac+dcb
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestDistanceMatchesBagIntersection: the galloping merge counts the same
+// bag intersection as a hash map over one profile, for profiles of equal
+// and of very different sizes, in both argument orders.
+func TestDistanceMatchesBagIntersection(t *testing.T) {
+	f := func(seed int64, aRaw, bRaw uint16) bool {
+		rng := rand.New(rand.NewSource(seed))
+		d := dict.New()
+		mkr := func(raw uint16) *Profile {
+			tr := tree.Random(d, rng, tree.RandomConfig{Nodes: int(raw)%300 + 1, MaxFanout: 4, Labels: 4})
+			p, _ := New(tr, 2, 3)
+			return p
+		}
+		pa, pb := mkr(aRaw), mkr(bRaw%16)
+		bag := map[uint64]int32{}
+		hashes, counts := pa.Grams()
+		for i, h := range hashes {
+			bag[h] = counts[i]
+		}
+		inter := 0
+		hashes, counts = pb.Grams()
+		for i, h := range hashes {
+			inter += int(min(bag[h], counts[i]))
+		}
+		want := pa.Size() + pb.Size() - 2*inter
+		dab, _ := Distance(pa, pb)
+		dba, _ := Distance(pb, pa)
+		return dab == want && dba == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

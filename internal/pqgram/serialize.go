@@ -5,7 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sort"
+	"math"
 
 	"tasm/internal/varint"
 )
@@ -27,15 +27,10 @@ func (pr *Profile) Write(w io.Writer) error {
 	buf.WriteString(profileMagic)
 	varint.Write(&buf, uint64(pr.p))
 	varint.Write(&buf, uint64(pr.q))
-	hashes := make([]uint64, 0, len(pr.bag))
-	for h := range pr.bag {
-		hashes = append(hashes, h)
-	}
-	sort.Slice(hashes, func(i, j int) bool { return hashes[i] < hashes[j] })
-	varint.Write(&buf, uint64(len(hashes)))
-	for _, h := range hashes {
+	varint.Write(&buf, uint64(len(pr.hashes)))
+	for i, h := range pr.hashes {
 		varint.Write(&buf, h)
-		varint.Write(&buf, uint64(pr.bag[h]))
+		varint.Write(&buf, uint64(pr.counts[i]))
 	}
 	_, err := w.Write(buf.Bytes())
 	return err
@@ -49,7 +44,10 @@ func (pr *Profile) Write(w io.Writer) error {
 //
 // All counts in the stream are untrusted: allocations grow with the bytes
 // actually present, so truncated or corrupt input yields an error, not an
-// attacker-sized allocation.
+// attacker-sized allocation. Write has always emitted the grams in
+// strictly ascending hash order, and a stream that does not — a duplicate
+// or out-of-order hash — is rejected as corrupt, so the profile is read
+// straight into its sorted form.
 func ReadProfile(r io.Reader) (*Profile, error) {
 	br, ok := r.(interface {
 		io.Reader
@@ -80,7 +78,8 @@ func ReadProfile(r io.Reader) (*Profile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pqgram: reading gram count: %w", err)
 	}
-	pr := &Profile{p: int(p), q: int(q), bag: make(map[uint64]int, min(count, 4096))}
+	n := min(count, 4096)
+	pr := &Profile{p: int(p), q: int(q), hashes: make([]uint64, 0, n), counts: make([]int32, 0, n)}
 	for i := uint64(0); i < count; i++ {
 		h, err := varint.Read(br)
 		if err != nil {
@@ -90,13 +89,14 @@ func ReadProfile(r io.Reader) (*Profile, error) {
 		if err != nil {
 			return nil, fmt.Errorf("pqgram: reading gram %d multiplicity: %w", i, err)
 		}
-		if mult < 1 || mult > 1<<40 {
+		if mult < 1 || mult > math.MaxInt32 {
 			return nil, fmt.Errorf("pqgram: gram %d has multiplicity %d", i, mult)
 		}
-		if _, dup := pr.bag[h]; dup {
-			return nil, fmt.Errorf("pqgram: duplicate gram hash %#x", h)
+		if i > 0 && h <= pr.hashes[i-1] {
+			return nil, fmt.Errorf("pqgram: gram %d hash %#x does not ascend past %#x", i, h, pr.hashes[i-1])
 		}
-		pr.bag[h] = int(mult)
+		pr.hashes = append(pr.hashes, h)
+		pr.counts = append(pr.counts, int32(mult))
 		pr.total += int(mult)
 	}
 	return pr, nil

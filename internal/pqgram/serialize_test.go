@@ -78,6 +78,13 @@ func TestReadProfileCorrupt(t *testing.T) {
 		"zero p":    []byte("TASMPF1\n\x00\x03\x00"),
 		"huge count no data": append([]byte("TASMPF1\n\x02\x03"),
 			0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01),
+		// Write emits hashes strictly ascending; anything else is corrupt.
+		"descending hashes": []byte("TASMPF1\n\x02\x03\x02\x05\x01\x03\x01"),
+		"duplicate hash":    []byte("TASMPF1\n\x02\x03\x02\x05\x01\x05\x01"),
+		"multiplicity 2^31": []byte("TASMPF1\n\x02\x03\x01\x05\x80\x80\x80\x80\x08"),
+	}
+	if _, err := ReadProfile(bytes.NewReader([]byte("TASMPF1\n\x02\x03\x02\x03\x01\x05\x7f"))); err != nil {
+		t.Fatalf("ascending hashes rejected: %v", err)
 	}
 	for name, data := range cases {
 		if _, err := ReadProfile(bytes.NewReader(data)); err == nil {
