@@ -109,7 +109,7 @@ func main() {
 		maxK          = flag.Int("max-k", 10000, "largest k a request may ask for")
 		maxBatch      = flag.Int("max-batch", 1024, "largest number of queries one batch request may carry")
 		maxBodyBytes  = flag.Int64("max-body-bytes", defaultMaxBodyBytes, "largest request body accepted, in bytes; oversized bodies get 413")
-		verifyMode    = flag.String("verify", "scrub", "startup integrity check over the corpus files: scrub (quarantine corrupt documents), strict (refuse to start), off (orphan sweep only); leaf only")
+		verifyMode    = flag.String("verify", "scrub", "startup integrity check over the corpus files: scrub (quarantine corrupt documents), strict (refuse to start), off (skip checksums; a store that does not decode is still quarantined); leaf only")
 		drain         = flag.Duration("drain", 15*time.Second, "how long shutdown waits for in-flight requests before cancelling them")
 		slowQuery     = flag.Duration("slow-query", 0, "record queries at least this slow in /debug/slowlog (0 disables)")
 		debugAddr     = flag.String("debug-addr", "", "listen address for net/http/pprof (empty disables; keep it private)")

@@ -324,23 +324,36 @@ func TestLRUCacheEviction(t *testing.T) {
 	}
 }
 
-// TestCorruptStoreIs500 pins the status-code split: a store file gone bad
-// on disk is server state (500), not caller error (400).
-func TestCorruptStoreIs500(t *testing.T) {
+// TestTornStoreQuarantinedUnderVerifyOff: a store torn on disk before
+// Open cannot be decoded into columns, the one form a leaf serves a
+// document in. -verify=off skips only the checksums, so the leaf still
+// quarantines the document and answers over the survivors: 200, the loss
+// in stats.quarantined and tasmd_quarantined_docs. (A ScanError still
+// maps to 500: TestRouterShardDownIs500.)
+func TestTornStoreQuarantinedUnderVerifyOff(t *testing.T) {
 	h, c := newTestServer(t, serverConfig{})
 	ingest(t, h, "d1", `<r><a><b>x</b></a></r>`)
+	ingest(t, h, "d2", `<r><a><c>y</c></a></r>`)
 	tearStore(t, c)
-	// Answers come from the copy decoded at load, so the tear has to be on
-	// disk before Open to matter, and the scrub off so the document is
-	// served rather than quarantined: its columns fail to build, it
-	// degrades to the streaming reader, and every scan hits the tear.
 	torn, err := corpus.Open(c.Dir(), corpus.WithVerifyMode(corpus.VerifyOff))
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := doJSON(t, newServer(torn, torn, serverConfig{}), "POST", "/v1/topk", `{"query":"{a{b{x}}}","k":1}`)
-	if w.Code != http.StatusInternalServerError {
-		t.Fatalf("corrupt store: status %d, want 500 (%s)", w.Code, w.Body)
+	th := newServer(torn, torn, serverConfig{})
+	resp := topk(t, th, topkRequest{Query: "{a{b{x}}}", K: 3})
+	if resp.Stats.Quarantined != 1 {
+		t.Errorf("stats.quarantined = %d, want 1", resp.Stats.Quarantined)
+	}
+	if len(resp.Matches) == 0 {
+		t.Fatal("no matches from the surviving document")
+	}
+	for _, m := range resp.Matches {
+		if m.Doc != "d2" {
+			t.Errorf("match from %q, want only the survivor d2", m.Doc)
+		}
+	}
+	if w := doJSON(t, th, "GET", "/metrics", nil); !strings.Contains(w.Body.String(), "\ntasmd_quarantined_docs 1\n") {
+		t.Errorf("/metrics lacks tasmd_quarantined_docs 1:\n%s", w.Body)
 	}
 }
 
@@ -384,9 +397,9 @@ func TestStoreDamageAfterLoadChangesNothing(t *testing.T) {
 	}
 }
 
-// tearStore truncates the first document's store into its item region:
-// the last 4 bytes are the CRC trailer, which no scan reads, so only a
-// structural tear surfaces as a scan error.
+// tearStore truncates the first document's store into its item region,
+// past the 4-byte CRC trailer, so even a load that skips the checksum
+// cannot decode it.
 func tearStore(t *testing.T, c *corpus.Corpus) {
 	t.Helper()
 	store := filepath.Join(c.Dir(), "docs", "1.store")

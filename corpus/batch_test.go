@@ -36,46 +36,39 @@ func TestTopKBatchEquivalence(t *testing.T) {
 		}
 		k := 1 + rng.Intn(6)
 
-		// Once scanning the documents as columns, once with the columns
-		// dropped, streaming them through the ring buffer.
-		for _, columns := range []bool{true, false} {
-			if !columns {
-				c.DropColumns()
-			}
-			var stats corpus.Stats
-			batch, err := c.TopKBatch(context.Background(), queries, k, corpus.WithStats(&stats))
+		var stats corpus.Stats
+		batch, err := c.TopKBatch(context.Background(), queries, k, corpus.WithStats(&stats))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(batch) != len(queries) {
+			t.Fatalf("batch returned %d result sets for %d queries", len(batch), len(queries))
+		}
+		if stats.Scanned+stats.Skipped != nDocs {
+			t.Errorf("trial %d: scanned %d + skipped %d != %d docs", trial, stats.Scanned, stats.Skipped, nDocs)
+		}
+		if stats.BaseDictLabels != c.DictLen() {
+			t.Errorf("BaseDictLabels = %d, want %d", stats.BaseDictLabels, c.DictLen())
+		}
+		for i, q := range queries {
+			single, err := c.TopK(context.Background(), q, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(batch) != len(queries) {
-				t.Fatalf("batch returned %d result sets for %d queries", len(batch), len(queries))
+			if got, want := matchesJSON(t, batch[i]), matchesJSON(t, single); got != want {
+				t.Fatalf("trial %d query %d k=%d: batch != single\n %s\n %s", trial, i, k, got, want)
 			}
-			if stats.Scanned+stats.Skipped != nDocs {
-				t.Errorf("trial %d: scanned %d + skipped %d != %d docs", trial, stats.Scanned, stats.Skipped, nDocs)
-			}
-			if stats.BaseDictLabels != c.DictLen() {
-				t.Errorf("BaseDictLabels = %d, want %d", stats.BaseDictLabels, c.DictLen())
-			}
-			for i, q := range queries {
-				single, err := c.TopK(context.Background(), q, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got, want := matchesJSON(t, batch[i]), matchesJSON(t, single); got != want {
-					t.Fatalf("trial %d columns=%v query %d k=%d: batch != single\n %s\n %s", trial, columns, i, k, got, want)
-				}
-			}
+		}
 
-			// Exhaustive batch is the oracle for the batch-level document
-			// skipping.
-			exhaustive, err := c.TopKBatch(context.Background(), queries, k, corpus.WithoutFilter())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range queries {
-				if got, want := matchesJSON(t, batch[i]), matchesJSON(t, exhaustive[i]); got != want {
-					t.Fatalf("trial %d query %d: filtered batch != exhaustive batch\n %s\n %s", trial, i, got, want)
-				}
+		// Exhaustive batch is the oracle for the batch-level document
+		// skipping.
+		exhaustive, err := c.TopKBatch(context.Background(), queries, k, corpus.WithoutFilter())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range queries {
+			if got, want := matchesJSON(t, batch[i]), matchesJSON(t, exhaustive[i]); got != want {
+				t.Fatalf("trial %d query %d: filtered batch != exhaustive batch\n %s\n %s", trial, i, got, want)
 			}
 		}
 	}

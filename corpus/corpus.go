@@ -11,24 +11,19 @@
 //
 // # Profile file format
 //
-// Since PR 8 profiles are written inside a checksummed container (v2):
+// A profile file is a checksummed container; all integers are unsigned
+// LEB128 varints:
 //
 //	magic "TASMPR2\n"
-//	payload (the legacy v1 profile format below)
-//	crc32c — 4-byte little-endian CRC-32C trailer over magic + payload
-//
-// The payload, and the entire pre-PR-8 profile file format (still
-// readable), is, with all integers unsigned LEB128 varints:
-//
 //	pq-gram profile as written by pqgram.(*Profile).Write:
 //	    magic "TASMPF1\n", p, q, gramCount, gramCount × (hash, mult)
 //	labelCount, then labelCount × (byteLen, bytes, count)
+//	crc32c — 4-byte little-endian CRC-32C trailer over everything before it
 //
 // The label histogram maps each distinct label to its number of
-// occurrences in the document. Legacy files are distinguished by their
-// leading "TASMPF1\n" pqgram magic. The grams are listed in strictly
-// ascending hash order and each label once; a file that breaks either
-// rule is corrupt.
+// occurrences in the document. The grams are listed in strictly ascending
+// hash order and each label once; a file that breaks either rule, or
+// lacks the container, is corrupt.
 //
 // # Profile index
 //
@@ -52,12 +47,15 @@
 // atomicio protocol (temp file, fsync, rename, parent directory fsync),
 // so a crash at any instant leaves each path either at its previous
 // content or its new content, never torn. Open sweeps orphaned temp
-// files and unreferenced store/profile files left by crashes, then (per
-// WithVerifyMode) checksums every referenced file; documents that fail
-// verification are quarantined — their files are moved to the corpus's
-// quarantine/ directory and the manifest is rewritten without them under
-// a bumped generation — so one rotted file costs one document, not the
-// corpus. See Verify for the on-demand scrub.
+// files and unreferenced store/profile files left by crashes, then loads
+// every referenced document in one pass: its store is read once,
+// checksummed (per WithVerifyMode) and decoded into the postorder columns
+// queries scan, its profile checksummed and parsed into the profile
+// index. A document that does not load is quarantined — its files are
+// moved to the corpus's quarantine/ directory and the manifest is
+// rewritten without it under a bumped generation — so one rotted file
+// costs one document, not the corpus, and no document is ever served in a
+// degraded form. See Verify for the on-demand scrub.
 //
 // # Dictionary lifecycle
 //
@@ -172,16 +170,20 @@ func WithPQ(p, q int) Option {
 type VerifyMode int
 
 const (
-	// VerifyScrub (the default) checksums every referenced store and
-	// profile file at Open and quarantines documents that fail — the
-	// corpus opens and serves exact results over the surviving set.
+	// VerifyScrub (the default) checksums and decodes every referenced
+	// store and profile file as Open loads it and quarantines documents
+	// that fail — the corpus opens and serves exact results over the
+	// surviving set.
 	VerifyScrub VerifyMode = iota
 	// VerifyStrict fails Open on the first corrupt document instead of
 	// quarantining — for operators who want a damaged corpus to refuse to
 	// serve rather than silently shrink.
 	VerifyStrict
-	// VerifyOff skips content verification at Open (the orphan sweep
-	// still runs; it is part of crash recovery, not integrity checking).
+	// VerifyOff skips the checksums at Open (the orphan sweep still runs;
+	// it is part of crash recovery, not integrity checking). A store that
+	// does not decode is quarantined even so, since a corpus has no other
+	// form to serve it in; a profile that does not parse leaves its
+	// document unprofiled.
 	VerifyOff
 )
 
@@ -210,12 +212,10 @@ func WithFS(fs atomicio.FS) Option {
 // WithMmap selects how committed store files are loaded for the serving
 // set (default true: memory-mapped read-only, so the file's bytes stay in
 // the page cache rather than the heap). false reads each store whole into
-// the heap instead — the portable fallback, behind the same cached-image
-// interface, and the equivalence oracle for the mapped path. Either way
-// the items are decoded once, at load, into the columns queries scan, and
-// the query path never re-opens or re-parses a store; a store that fails
-// to load at all degrades that one document to per-query streaming
-// reads.
+// the heap instead — the portable fallback, and the equivalence oracle
+// for the mapped path. Either way a store is read once, at load,
+// checksummed and decoded into the columns queries scan, and the query
+// path never re-opens or re-parses it.
 func WithMmap(on bool) Option {
 	return func(c *Corpus) { c.mmap = on }
 }
@@ -236,16 +236,15 @@ type Corpus struct {
 
 	mu  sync.RWMutex
 	man *docstore.Manifest
-	// stores caches each document's loaded store: the mapped (or, under
-	// WithMmap(false), heap-copied) bytes, the header parsed once, the
-	// label remap into the base dictionary, and the items decoded once
-	// into postorder columns. Entries are created when
-	// a document enters the serving set (Open, AddTree) and deleted when
-	// it leaves (Remove, quarantine); a document that fails to load has
-	// no entry and is served by per-query streaming reads instead. The
-	// remap never goes stale: label ids are assigned once and preserved
-	// by every dictionary clone, so a remap computed at load time stays
-	// valid under every later base and every request overlay.
+	// stores holds the loaded store of every document in the manifest:
+	// the mapped (or, under WithMmap(false), heap-copied) bytes and the
+	// items decoded once into postorder columns. An entry is created
+	// before its document enters the serving set — a store that does not
+	// load keeps its document out (AddTree) or quarantines it (Open) — and
+	// deleted when the document leaves (Remove, quarantine). The columns'
+	// label ids never go stale: ids are assigned once and preserved by
+	// every dictionary clone, so ids resolved at load time stay valid
+	// under every later base and every request overlay.
 	stores map[int]*docStore
 	// gen mirrors the manifest's persisted generation: bumped (and
 	// written) on every ingest and removal, monotone across restarts.
@@ -260,42 +259,35 @@ type Corpus struct {
 	// Serving a query is one RLock'd pointer read — no copying.
 	snap *snapshot
 
-	// Per-corpus pools of query-lifetime scan state: plan slices, image
-	// readers, and core scan scratch (distance computer, candidate
-	// source, candidate view). Everything a pool hands out is reset before
-	// use and returned at end of run, so steady-state queries allocate
-	// O(k), not O(corpus).
+	// Per-corpus pools of query-lifetime scan state: plan slices and core
+	// scan scratch (distance computer, candidate source, candidate view).
+	// Everything a pool hands out is reset before use and returned at end
+	// of run, so steady-state queries allocate O(k), not O(corpus).
 	planPool    sync.Pool // *queryPlan
-	readerPool  sync.Pool // *docstore.ImageReader
 	scratchPool sync.Pool // *core.ScanScratch
 }
 
-// docStore is the cached, query-ready form of one document's store file:
-// region keeps the bytes alive (and unmaps them via finalizer once no
-// snapshot references them), img is the header parsed once, remap
-// translates stored label ids to base-dictionary ids. cols is the item
-// region decoded and verified once at load — what every query scans, so
-// answers never depend on the file's bytes after load; it is nil for a
-// store whose items are damaged, which is streamed from img per query and
-// reports the damage there. Immutable after construction; shared by every
-// snapshot that includes the document.
+// docStore is the one form a document is served in: region keeps the
+// store file's bytes (and unmaps them via finalizer once no snapshot
+// references them), cols is its items, checksummed and decoded once at
+// load with labels resolved in the base dictionary — what every query
+// scans, so answers never depend on the file's bytes after load.
+// Immutable after construction; shared by every snapshot that includes
+// the document.
 type docStore struct {
 	region *mmapio.Region
-	img    *docstore.Image
-	remap  []int
 	cols   *postorder.Columns
 }
 
 // snapshot is one consistent view of the corpus for a single query run:
 // the manifest documents, the profile index over them, their loaded
 // stores, and the frozen dictionary they were interned in. All of it is
-// published together as one immutable value, so every index and remap id
-// resolves in base and every overlay id above base's watermark is
-// guaranteed fresh with respect to the captured documents. Queries that
+// published together as one immutable value, so every index and column
+// label id resolves in base and every overlay id above base's watermark
+// is guaranteed fresh with respect to the captured documents. Queries that
 // captured a snapshot before a Remove or quarantine keep scanning the
-// old mapped bytes — a mapping keeps its inode alive past rename and
-// unlink — and the region is unmapped by GC once the last such query
-// drops it.
+// departed document's columns, and its region is unmapped by GC once the
+// last such query drops it.
 type snapshot struct {
 	docs        []DocInfo
 	profiles    *lazyIndex // slot i of its index is docs[i]
@@ -344,46 +336,52 @@ func (c *Corpus) publishLocked(added map[int]*docProfile) {
 }
 
 // loadStore maps (or, under WithMmap(false), reads) a committed store
-// file, parses its header, interns its label table into base — which
-// must still be mutable (Open) or be a private pre-freeze clone
-// (AddTree) — and decodes its items into columns. Failures are not
-// fatal: the document falls back to per-query streaming reads (of the
-// image if only the items are damaged, of the file otherwise), and the
-// degradation is logged.
-func (c *Corpus) loadStore(base *dict.Base, d DocInfo) *docStore {
+// file, checks its CRC-32C trailer (except under VerifyOff), parses its
+// header, interns its label table into base — which must still be
+// mutable (Open) or be a private pre-freeze clone (AddTree) — and decodes
+// its items into columns: the steps docstore.Verify takes, on the bytes
+// the document is then served from. A store that fails any of them
+// cannot be served, and the error says why.
+func (c *Corpus) loadStore(base *dict.Base, d DocInfo) (*docStore, error) {
 	open := mmapio.Map
 	if !c.mmap {
 		open = mmapio.ReadFile
 	}
 	region, err := open(filepath.Join(c.dir, d.Store))
-	if err == nil {
-		var img *docstore.Image
-		if img, err = docstore.ParseImage(region.Bytes()); err == nil {
-			s := &docStore{region: region, img: img, remap: img.Remap(base)}
-			if s.cols, err = img.Columns(s.remap); err != nil {
-				c.log.Warn("corpus: store items not decodable, document degrades to streaming reads",
-					"dir", c.dir, "doc", d.Name, "id", d.ID, "err", err)
-			}
-			return s
-		}
-		region.Close()
+	if err != nil {
+		return nil, err
 	}
-	c.log.Warn("corpus: store not cacheable, document degrades to streaming reads",
-		"dir", c.dir, "doc", d.Name, "id", d.ID, "err", err)
-	return nil
+	cols, err := decodeStore(base, region.Bytes(), c.mode != VerifyOff)
+	if err != nil {
+		region.Close()
+		return nil, err
+	}
+	return &docStore{region: region, cols: cols}, nil
+}
+
+// decodeStore checks a store image's trailer when verify is set, then
+// parses it and decodes its items into columns, labels interned into base.
+func decodeStore(base *dict.Base, data []byte, verify bool) (*postorder.Columns, error) {
+	if verify {
+		if err := checkTrailer(data); err != nil {
+			return nil, err
+		}
+	}
+	img, err := docstore.ParseImage(data)
+	if err != nil {
+		return nil, err
+	}
+	return img.Columns(img.Remap(base))
 }
 
 // ColumnBytes returns the heap bytes held by the decoded postorder
 // columns and their label postings (postorder.Columns.Bytes) of the
-// serving set: 12 per node and 8 per distinct label of every document
-// whose store decoded cleanly at load.
+// serving set: 12 per node and 8 per distinct label of every document.
 func (c *Corpus) ColumnBytes() int64 {
 	st := c.snapshot()
 	var n int64
 	for _, s := range st.stores {
-		if s.cols != nil {
-			n += s.cols.Bytes()
-		}
+		n += s.cols.Bytes()
 	}
 	return n
 }
@@ -404,8 +402,9 @@ func (c *Corpus) MappedBytes() int64 {
 }
 
 // Open opens the corpus directory dir, creating it (and an empty
-// manifest) if it does not exist, sweeps crash debris, verifies file
-// integrity (per WithVerifyMode), and loads the profile index.
+// manifest) if it does not exist, sweeps crash debris, and loads every
+// document — quarantining, or under VerifyStrict refusing to open over,
+// any that does not load (see WithVerifyMode).
 func Open(dir string, opts ...Option) (*Corpus, error) {
 	c := &Corpus{
 		dir:    dir,
@@ -418,7 +417,6 @@ func Open(dir string, opts ...Option) (*Corpus, error) {
 		stores: map[int]*docStore{},
 	}
 	c.planPool.New = func() any { return new(queryPlan) }
-	c.readerPool.New = func() any { return new(docstore.ImageReader) }
 	c.scratchPool.New = func() any { return new(core.ScanScratch) }
 	for _, o := range opts {
 		o(c)
@@ -448,35 +446,24 @@ func Open(dir string, opts ...Option) (*Corpus, error) {
 	// profile files whose manifest commit never happened. The manifest is
 	// the source of truth, so anything it does not reference is debris.
 	c.sweepOrphans()
-	if c.mode != VerifyOff {
-		if _, err := c.verifyLocked(c.mode == VerifyStrict); err != nil {
-			return nil, err
-		}
-	}
 	base := dict.New()
 	profiles := make(map[int]*docProfile, len(c.man.Docs))
+	var doomed []DocInfo
 	for _, d := range c.man.Docs {
-		p, err := c.loadProfile(base, d)
-		if err != nil {
-			// A missing or (under VerifyOff) unreadable profile degrades
-			// that one document to unfiltered scanning (query.go records it
-			// in Stats.Unprofiled) rather than making the whole corpus
-			// unopenable: profiles are a derived index, not source data.
-			// Corrupt profiles never reach this point under VerifyScrub —
-			// the scrub above has already quarantined those documents.
+		err := c.loadDoc(base, d, profiles)
+		if err == nil {
 			continue
 		}
-		profiles[d.ID] = p
+		if c.mode == VerifyStrict {
+			return nil, fmt.Errorf("corpus: document %q failed verification: %w", d.Name, err)
+		}
+		c.log.Warn("corpus: quarantining corrupt document",
+			"dir", c.dir, "doc", d.Name, "id", d.ID, "err", err)
+		doomed = append(doomed, d)
 	}
-	// Load every surviving store into the cache: map the file, parse the
-	// header once, intern the label table into the still-mutable base,
-	// decode the items into columns. For a profiled document the store's
-	// labels are a subset of the profile's, so the dictionary does not
-	// grow here; an unprofiled document contributes its labels now
-	// instead of per query.
-	for _, d := range c.man.Docs {
-		if s := c.loadStore(base, d); s != nil {
-			c.stores[d.ID] = s
+	if len(doomed) > 0 {
+		if err := c.quarantineLocked(doomed); err != nil {
+			return nil, err
 		}
 	}
 	c.dict = base.Freeze()
@@ -484,16 +471,42 @@ func Open(dir string, opts ...Option) (*Corpus, error) {
 	return c, nil
 }
 
+// loadDoc loads one document at Open: its profile into profiles and its
+// store into c.stores, both interning their labels into the still-mutable
+// base. The profile goes first: a profiled document's store labels are a
+// subset of its profile's, so the store adds none, while an unprofiled
+// document's store contributes its labels now instead of per query. A
+// missing profile file, or under VerifyOff one that does not load,
+// leaves the document unprofiled — profiles are a derived index, not
+// source data — and query.go records it in Stats.Unprofiled. Any other
+// failure is returned: the document cannot be served. Its labels may stay
+// in base, as a removed document's do.
+func (c *Corpus) loadDoc(base *dict.Base, d DocInfo, profiles map[int]*docProfile) error {
+	p, err := c.loadProfile(base, d)
+	if err != nil && !os.IsNotExist(err) && c.mode != VerifyOff {
+		return fmt.Errorf("profile: %w", err)
+	}
+	s, err := c.loadStore(base, d)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	c.stores[d.ID] = s
+	if p != nil {
+		profiles[d.ID] = p
+	}
+	return nil
+}
+
 // sweepOrphans removes crash debris: atomicio temp files anywhere in the
-// corpus, legacy manifest temp files, and files in docs/ the manifest
-// does not reference (a crash between a file commit and its manifest
-// commit, or a failed unlink after a removal). Only called while the
-// corpus is unpublished (Open) or under mu.
+// corpus, and files in docs/ the manifest does not reference (a crash
+// between a file commit and its manifest commit, or a failed unlink after
+// a removal). Only called while the corpus is unpublished (Open) or under
+// mu.
 func (c *Corpus) sweepOrphans() {
 	removed := 0
 	if ents, err := os.ReadDir(c.dir); err == nil {
 		for _, e := range ents {
-			if strings.HasPrefix(e.Name(), atomicio.TempPrefix) || strings.HasPrefix(e.Name(), ".manifest-") {
+			if strings.HasPrefix(e.Name(), atomicio.TempPrefix) {
 				if os.Remove(filepath.Join(c.dir, e.Name())) == nil {
 					removed++
 				}
@@ -536,21 +549,14 @@ var errProfileMissing = errors.New("profile file missing")
 
 // Verify scrubs every document in the corpus: each store and profile
 // file is read whole, its CRC-32C trailer verified, and its payload
-// structurally parsed. Documents that fail are quarantined — files moved
-// to quarantine/, manifest rewritten without them under a bumped
-// generation — and reported. In-flight queries that snapshotted the
-// corpus earlier are undisturbed; the shared dictionary is not shrunk
-// (as with Remove).
+// decoded as a load would (docstore.Verify for the store). Documents that
+// fail are quarantined — files moved to quarantine/, manifest rewritten
+// without them under a bumped generation — and reported. In-flight
+// queries that snapshotted the corpus earlier are undisturbed; the shared
+// dictionary is not shrunk (as with Remove).
 func (c *Corpus) Verify() (VerifyReport, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.verifyLocked(false)
-}
-
-// verifyLocked runs the scrub with mu held (or the corpus unpublished,
-// during Open). In strict mode the first corrupt document is an error
-// and nothing is quarantined.
-func (c *Corpus) verifyLocked(strict bool) (VerifyReport, error) {
 	var rep VerifyReport
 	var doomed []DocInfo
 	for _, d := range c.man.Docs {
@@ -558,9 +564,6 @@ func (c *Corpus) verifyLocked(strict bool) (VerifyReport, error) {
 		err := c.checkDoc(d)
 		if err == nil || errors.Is(err, errProfileMissing) {
 			continue
-		}
-		if strict {
-			return rep, fmt.Errorf("corpus: document %q failed verification: %w", d.Name, err)
 		}
 		c.log.Warn("corpus: quarantining corrupt document",
 			"dir", c.dir, "doc", d.Name, "id", d.ID, "err", err)
@@ -597,9 +600,8 @@ func (c *Corpus) checkDoc(d DocInfo) error {
 	if err != nil {
 		return fmt.Errorf("profile: %w", err)
 	}
-	// Structural parse into a throwaway dictionary: checksum-valid (or
-	// legacy, checksum-less) bytes must also decode, or the document
-	// cannot serve.
+	// Parse into a throwaway dictionary: checksum-valid bytes must also
+	// decode, or the document cannot serve.
 	if _, err := c.parseProfile(dict.New(), d, payload); err != nil {
 		return fmt.Errorf("profile: %w", err)
 	}
@@ -639,9 +641,8 @@ func (c *Corpus) quarantineLocked(doomed []DocInfo) error {
 	c.man = &man
 	c.gen = man.Generation
 	for id := range dead {
-		// Drop the cached store; queries that snapshotted before the
-		// quarantine keep their reference and the mapping keeps the
-		// (renamed) inode readable until they finish.
+		// Drop the loaded store; queries that snapshotted before the
+		// quarantine keep their reference until they finish.
 		delete(c.stores, id)
 	}
 	c.publishLocked(nil)
@@ -656,24 +657,32 @@ func (c *Corpus) Quarantined() int {
 	return c.man.Quarantined
 }
 
-// profilePayload validates a profile file image's container and returns
-// the inner payload. v2 containers have their CRC-32C trailer verified
-// (any single flipped byte is detected) and stripped; legacy files —
-// recognized by their leading pqgram payload magic — pass through, their
-// only check being the structural parse the caller performs.
+// profilePayload validates a profile file image's container — its magic
+// and its CRC-32C trailer, which detects any single flipped byte — and
+// returns the payload between them.
 func profilePayload(data []byte) ([]byte, error) {
-	if len(data) >= len(profileMagicV2) && string(data[:len(profileMagicV2)]) == profileMagicV2 {
-		if len(data) < len(profileMagicV2)+4 {
-			return nil, fmt.Errorf("v2 profile of %d bytes is too short for a checksum trailer", len(data))
-		}
-		body := data[:len(data)-4]
-		want := binary.LittleEndian.Uint32(data[len(data)-4:])
-		if got := crc32.Checksum(body, crcTable); got != want {
-			return nil, fmt.Errorf("%w: crc32c %08x, trailer says %08x", docstore.ErrChecksum, got, want)
-		}
-		return data[len(profileMagicV2) : len(data)-4], nil
+	if !bytes.HasPrefix(data, []byte(profileMagicV2)) || len(data) < len(profileMagicV2)+4 {
+		return nil, fmt.Errorf("not a profile container: bad magic %q", data[:min(len(data), len(profileMagicV2))])
 	}
-	return data, nil
+	if err := checkTrailer(data); err != nil {
+		return nil, err
+	}
+	return data[len(profileMagicV2) : len(data)-4], nil
+}
+
+// checkTrailer verifies the 4-byte little-endian CRC-32C trailer that ends
+// both the store and the profile format, computed over everything before
+// it.
+func checkTrailer(data []byte) error {
+	if len(data) < 4 {
+		return fmt.Errorf("%d bytes are too short for a checksum trailer", len(data))
+	}
+	body := data[:len(data)-4]
+	want := binary.LittleEndian.Uint32(data[len(data)-4:])
+	if got := crc32.Checksum(body, crcTable); got != want {
+		return fmt.Errorf("%w: crc32c %08x, trailer says %08x", docstore.ErrChecksum, got, want)
+	}
+	return nil
 }
 
 // Dir returns the corpus directory.
@@ -827,23 +836,28 @@ func (c *Corpus) AddTree(name string, t *tree.Tree) (DocInfo, error) {
 		c.removeFiles(info.Store)
 		return DocInfo{}, err
 	}
+	// Load the committed store back before the manifest names it, so a
+	// manifest entry always has a servable store. The file is read back
+	// rather than re-encoded from t — the document must be served from
+	// exactly the committed bytes. Its label table interns into nd, a
+	// no-op: the document's labels are already there.
+	s, err := c.loadStore(nd, info)
+	if err != nil {
+		c.removeFiles(info.Store, info.Profile)
+		return DocInfo{}, fmt.Errorf("corpus: loading the committed store of %q: %w", name, err)
+	}
 
 	man := *c.man
 	man.Docs = append(append([]DocInfo{}, c.man.Docs...), info)
 	man.NextID = id + 1
 	man.Generation = c.gen + 1
 	if err := docstore.WriteManifestFS(c.fs, filepath.Join(c.dir, manifestFile), &man); err != nil {
+		s.region.Close()
 		c.removeFiles(info.Store, info.Profile)
 		return DocInfo{}, err
 	}
 	c.man = &man
-	// Cache the just-committed store before freezing the clone, so its
-	// label table interns into nd (a no-op: the document's labels are
-	// already there). The file is read back rather than re-encoded from t
-	// — the cache must serve exactly the committed bytes.
-	if s := c.loadStore(nd, info); s != nil {
-		c.stores[id] = s
-	}
+	c.stores[id] = s
 	c.dict = nd.Freeze()
 	c.gen = man.Generation
 	c.publishLocked(map[int]*docProfile{id: prof})
@@ -864,7 +878,8 @@ var ErrNotFound = errors.New("document not found")
 // the corpus has ever ingested, which keeps in-flight scans (that still
 // resolve through it) valid. A query that snapshotted the corpus before
 // the Remove still answers over the old document set: its snapshot holds
-// the document's mapped store, which outlives the unlink.
+// the document's loaded store, columns included, which outlives the
+// unlink.
 func (c *Corpus) Remove(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -894,11 +909,8 @@ func (c *Corpus) Remove(name string) error {
 	// Best-effort file GC: the manifest no longer references the files, so
 	// a failed unlink merely leaks disk until the next Open's orphan sweep
 	// collects it; the manifest is the source of truth. A query that
-	// snapshotted the corpus before this Remove is undisturbed: its
-	// snapshot still references the cached store, whose mapping keeps the
-	// unlinked inode readable until the last such query drops it (only a
-	// document that had degraded to streaming reads can race the GC and
-	// fail with a ScanError).
+	// snapshotted the corpus before this Remove never reads the files: it
+	// scans the columns its snapshot holds.
 	c.removeFiles(doomed.Store, doomed.Profile)
 	return nil
 }

@@ -76,6 +76,12 @@ func answersAt(t *testing.T, dir string) []answer {
 	if err != nil {
 		t.Fatalf("reopening %s: %v", dir, err)
 	}
+	return answersOf(t, c)
+}
+
+// answersOf returns c's TopK answers to the probe query.
+func answersOf(t *testing.T, c *Corpus) []answer {
+	t.Helper()
 	q, err := c.ParseBracket(crashQuery)
 	if err != nil {
 		t.Fatal(err)

@@ -53,11 +53,9 @@ func buildMmapCorpus(t *testing.T, dir string, docs int) {
 	}
 }
 
-// TestMmapFallbackEquivalence pins the contract between the forms a
-// cached document can be served in: mapped or heap-loaded (WithMmap), and
-// scanned as columns or, with the columns dropped, streamed from the
-// image through the ring buffer. Every combination answers every query
-// byte-identically, single and batch, and does the same pruning work.
+// TestMmapFallbackEquivalence pins the contract between the two ways a
+// store can be loaded: mapped or heap-loaded (WithMmap). Both answer every
+// query byte-identically, single and batch, and do the same pruning work.
 func TestMmapFallbackEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	buildMmapCorpus(t, dir, 8)
@@ -68,25 +66,17 @@ func TestMmapFallbackEquivalence(t *testing.T) {
 	}
 	var variants []variant
 	for _, mmap := range []bool{true, false} {
-		for _, columns := range []bool{true, false} {
-			c, err := corpus.Open(dir, corpus.WithMmap(mmap))
-			if err != nil {
-				t.Fatal(err)
-			}
-			// 12 bytes per node (label, size, posting), 8 per distinct label
-			// and 4 per document: between 1 and randBracket's 12 labels each.
-			nodes, docs := int64(totalNodes(c)), int64(c.Len())
-			if got := c.ColumnBytes(); got < 12*nodes+12*docs || got > 12*nodes+100*docs {
-				t.Fatalf("ColumnBytes = %d for %d nodes in %d documents, want 12 per node + 12..100 per document", got, nodes, docs)
-			}
-			if !columns {
-				c.DropColumns()
-				if got := c.ColumnBytes(); got != 0 {
-					t.Fatalf("ColumnBytes = %d after dropping the columns", got)
-				}
-			}
-			variants = append(variants, variant{fmt.Sprintf("mmap=%v columns=%v", mmap, columns), c})
+		c, err := corpus.Open(dir, corpus.WithMmap(mmap))
+		if err != nil {
+			t.Fatal(err)
 		}
+		// 12 bytes per node (label, size, posting), 8 per distinct label
+		// and 4 per document: between 1 and randBracket's 12 labels each.
+		nodes, docs := int64(totalNodes(c)), int64(c.Len())
+		if got := c.ColumnBytes(); got < 12*nodes+12*docs || got > 12*nodes+100*docs {
+			t.Fatalf("ColumnBytes = %d for %d nodes in %d documents, want 12 per node + 12..100 per document", got, nodes, docs)
+		}
+		variants = append(variants, variant{fmt.Sprintf("mmap=%v", mmap), c})
 	}
 
 	queries := []string{"{l0{l1}{l2}}", "{l3{l4{l5}}{l6}}", "{l7}", "{l1{l1{l1}}}"}
@@ -174,7 +164,7 @@ func TestMappedBytes(t *testing.T) {
 // TestTopKAllocBudget pins the corpus-level allocation contract of this
 // change: a TopK over an already-open corpus must not scale allocations
 // with document size — no per-query file opens, label re-interning, or
-// ring-buffer rebuilds — even with a live trace attached. The bound is a
+// decoding — even with a live trace attached. The bound is a
 // regression tripwire with headroom over the measured steady state, not
 // a precise count.
 func TestTopKAllocBudget(t *testing.T) {

@@ -5,14 +5,11 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"slices"
 	"sort"
 
 	"tasm/internal/core"
 	"tasm/internal/dict"
-	"tasm/internal/docstore"
 	"tasm/internal/pqgram"
 	"tasm/internal/qtrace"
 	"tasm/internal/ranking"
@@ -444,14 +441,16 @@ func (c *Corpus) TopKBatch(ctx context.Context, queries []*tree.Tree, k int, opt
 		if !cfg.NoFilter && !d.unprofiled {
 			labelNodes = plan.labelNodes[d.slot*len(qs):][:len(qs)]
 		}
-		err := c.scanInto(qs, ov, st, d, labelNodes, heaps, cfg.Workers, coreOpts)
+		// One form per document: its columns, decoded at load — candidates
+		// by index arithmetic, no ring buffer, no byte of the file read.
+		err := core.PostorderBatchColumnsInto(qs, st.stores[d.info.ID].cols, labelNodes, heaps, d.offset, cfg.Workers, coreOpts)
 		if tr != nil {
 			tr.End(docSpan)
 			h1, a1, e1 := prune.Snapshot()
 			tr.SetPrune(docSpan, h1-h0, a1-a0, e1-e0)
 		}
 		if err != nil {
-			return nil, err
+			return nil, &ScanError{Doc: d.info.Name, Err: err}
 		}
 		stats.Scanned++
 	}
@@ -593,12 +592,11 @@ func (c *Corpus) plan(st *snapshot, qs []*tree.Tree, cfg *QueryConfig, p *queryP
 	return nil
 }
 
-// ScanError wraps a failure to read or scan a persisted document during
-// TopK. It signals corpus-side state problems (missing or corrupt store
-// files) as opposed to bad query input, so servers can map it to an
-// internal error rather than blaming the caller. errors.As surfaces it
-// through any wrapping a scatter-gather merge adds, so a one-shard
-// failure stays attributable to that shard.
+// ScanError wraps a failure to scan a document, or to reach a shard,
+// during TopK. It signals backend-side problems as opposed to bad query
+// input, so servers can map it to an internal error rather than blaming
+// the caller. errors.As surfaces it through any wrapping a scatter-gather
+// merge adds, so a one-shard failure stays attributable to that shard.
 type ScanError struct {
 	// Shard names the backend the failure came from. A single corpus
 	// leaves it empty; a scatter-gather group stamps the failing shard's
@@ -623,54 +621,6 @@ func (e *ScanError) Error() string {
 }
 
 func (e *ScanError) Unwrap() error { return e.Err }
-
-// scanInto scans one document into the queries' shared rankings, by the
-// best form the snapshot holds of it. A store decoded at load is scanned
-// as columns: candidates by index arithmetic, no ring buffer, no byte of
-// the file read. A store whose items failed to decode is streamed from its
-// cached image by a pooled zero-copy reader, and a document with no
-// cached store at all (its load failed at open) from the file, its labels
-// resolving through the request overlay — both through the prefix ring
-// buffer, and both reporting the damage as a ScanError. All three forms
-// answer byte-identically on an intact store (fuzz-pinned in core and
-// docstore). labelNodes steers the column scan's candidate gate; see
-// core.PostorderBatchColumnsInto.
-func (c *Corpus) scanInto(qs []*tree.Tree, ov *dict.Overlay, st *snapshot, d scanDoc, labelNodes []int, heaps []*ranking.Heap, workers int, opts core.Options) error {
-	var err error
-	ds := st.stores[d.info.ID]
-	switch {
-	case ds != nil && ds.cols != nil:
-		err = core.PostorderBatchColumnsInto(qs, ds.cols, labelNodes, heaps, d.offset, workers, opts)
-	case ds != nil:
-		ir := c.readerPool.Get().(*docstore.ImageReader)
-		ir.Reset(ds.img, ds.remap)
-		err = core.PostorderBatchInto(qs, ir, heaps, d.offset, workers, opts)
-		c.readerPool.Put(ir)
-	default:
-		err = c.withFileReader(ov, d, func(r *docstore.Reader) error {
-			return core.PostorderBatchInto(qs, r, heaps, d.offset, workers, opts)
-		})
-	}
-	if err != nil {
-		return &ScanError{Doc: d.info.Name, Err: err}
-	}
-	return nil
-}
-
-// withFileReader opens d's store file as a streaming reader interning
-// into ov, for the documents no cached store serves.
-func (c *Corpus) withFileReader(ov dict.Dict, d scanDoc, scan func(*docstore.Reader) error) error {
-	f, err := os.Open(filepath.Join(c.dir, d.info.Store))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	r, err := docstore.NewReader(ov, f)
-	if err != nil {
-		return err
-	}
-	return scan(r)
-}
 
 // resolve maps one ranking's global positions back to (document, local
 // position) matches, in final ranking order.

@@ -1,14 +1,13 @@
 package corpus
 
 // Tests for the integrity scrub: flip-a-byte quarantine equivalence (the
-// acceptance property of the checksummed format), the Open-time orphan
-// sweep, the explicit Verify pass, strict mode, and AddTree's error-path
-// cleanup.
+// acceptance property of the checksummed format), stores and profiles
+// that cannot be loaded, the Open-time orphan sweep, the explicit Verify
+// pass, strict mode, and AddTree's error-path cleanup.
 
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -20,6 +19,8 @@ import (
 
 	"tasm/internal/atomicio"
 	"tasm/internal/dict"
+	"tasm/internal/docstore"
+	"tasm/internal/postorder"
 	"tasm/internal/pqgram"
 	"tasm/internal/testenv"
 	"tasm/internal/tree"
@@ -57,6 +58,43 @@ func buildVictimCorpus(t *testing.T) (string, DocInfo) {
 	return dir, victim
 }
 
+// answersWithoutVictim returns the probe query's answers over the corpus
+// buildVictimCorpus builds, without its victim: what the survivors must
+// answer once the victim is quarantined.
+func answersWithoutVictim(t *testing.T) []answer {
+	t.Helper()
+	dir := t.TempDir()
+	c, err := Open(dir, WithLogger(quietLogger()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []struct{ name, s string }{
+		{"a", "{r{x{p}{q}}{y}}"},
+		{"c", "{r{w}{y{q}}}"},
+	} {
+		tr, err := c.ParseBracket(d.s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.AddTree(d.name, tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return answersOf(t, c)
+}
+
+// damagedCopy copies the corpus at base into a fresh directory with the
+// file at rel replaced by data, and returns the directory.
+func damagedCopy(t *testing.T, base, rel string, data []byte) string {
+	t.Helper()
+	dir := t.TempDir()
+	copyDir(t, base, dir)
+	if err := os.WriteFile(filepath.Join(dir, rel), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
 // TestScrubFlipAnyByteQuarantines is the acceptance property of PR 8:
 // flipping ANY single byte of a document's store or profile file is
 // detected at Open, quarantines exactly that document, and leaves the
@@ -71,25 +109,7 @@ func TestScrubFlipAnyByteQuarantines(t *testing.T) {
 		stride, bits = 7, []byte{0xff}
 	}
 
-	// Oracle: the same corpus built without the victim document.
-	oracleDir := t.TempDir()
-	oc, err := Open(oracleDir, WithLogger(quietLogger()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range []struct{ name, s string }{
-		{"a", "{r{x{p}{q}}{y}}"},
-		{"c", "{r{w}{y{q}}}"},
-	} {
-		tr, err := oc.ParseBracket(d.s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := oc.AddTree(d.name, tr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	oracle := answersAt(t, oracleDir)
+	oracle := answersWithoutVictim(t)
 
 	for _, rel := range []string{victim.Store, victim.Profile} {
 		data, err := os.ReadFile(filepath.Join(base, rel))
@@ -98,33 +118,16 @@ func TestScrubFlipAnyByteQuarantines(t *testing.T) {
 		}
 		for i := 0; i < len(data); i += stride {
 			for _, bit := range bits {
-				dir := t.TempDir()
-				copyDir(t, base, dir)
 				mut := append([]byte(nil), data...)
 				mut[i] ^= bit
-				if err := os.WriteFile(filepath.Join(dir, rel), mut, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				c, err := Open(dir, WithLogger(quietLogger()))
+				c, err := Open(damagedCopy(t, base, rel, mut), WithLogger(quietLogger()))
 				if err != nil {
 					t.Fatalf("%s byte %d xor %#x: Open failed: %v (scrub mode must quarantine, not fail)", rel, i, bit, err)
 				}
 				if got := c.Quarantined(); got != 1 {
 					t.Fatalf("%s byte %d xor %#x: Quarantined() = %d, want 1 — the flip went undetected", rel, i, bit, got)
 				}
-				q, err := c.ParseBracket(crashQuery)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ms, err := c.TopK(context.Background(), q, 8)
-				if err != nil {
-					t.Fatalf("%s byte %d xor %#x: TopK: %v", rel, i, bit, err)
-				}
-				got := make([]answer, len(ms))
-				for j, m := range ms {
-					got[j] = answer{name: m.Doc.Name, pos: m.Pos, dist: m.Dist, size: m.Size, tree: m.Tree.String()}
-				}
-				if !sameAnswers(got, oracle) {
+				if got := answersOf(t, c); !sameAnswers(got, oracle) {
 					t.Fatalf("%s byte %d xor %#x: survivors answer %v, oracle without victim answers %v", rel, i, bit, got, oracle)
 				}
 			}
@@ -254,7 +257,6 @@ func TestOpenSweepsOrphans(t *testing.T) {
 	dir, victim := buildVictimCorpus(t)
 	junk := []string{
 		filepath.Join(dir, atomicio.TempPrefix+"12345"),
-		filepath.Join(dir, ".manifest-678.json"),
 		filepath.Join(dir, docsDir, atomicio.TempPrefix+"999"),
 		filepath.Join(dir, docsDir, "99.store"),
 		filepath.Join(dir, docsDir, "99.profile"),
@@ -372,50 +374,132 @@ func TestAddTreeCleansUpOnManifestFailure(t *testing.T) {
 	}
 }
 
-// TestV1CorpusStillOpens: a corpus whose store and profile files predate
-// the checksummed format (v1 store magic, containerless profile) opens,
-// scrubs clean, and serves — the format bump is backward compatible.
-func TestV1CorpusStillOpens(t *testing.T) {
-	dir, victim := buildVictimCorpus(t)
-	// Downgrade the victim's files to the legacy encodings.
-	storePath := filepath.Join(dir, victim.Store)
-	store, err := os.ReadFile(storePath)
+// TestLegacyFilesQuarantined: the unchecksummed formats of early builds
+// are not read. A v1 store (magic "TASMPQ1\n", no trailer), a profile
+// outside its checksummed container, and a checksummed store whose
+// version byte was flipped to 1 are each corrupt like any other
+// unreadable file: quarantined under scrub, and strict Open fails over
+// them.
+func TestLegacyFilesQuarantined(t *testing.T) {
+	base, victim := buildVictimCorpus(t)
+	store, err := os.ReadFile(filepath.Join(base, victim.Store))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(string(store), "TASMPQ2\n") {
-		t.Fatalf("fresh store is not v2: %q", store[:8])
-	}
-	v1 := append([]byte("TASMPQ1\n"), store[8:len(store)-4]...)
-	if err := os.WriteFile(storePath, v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	profPath := filepath.Join(dir, victim.Profile)
-	prof, err := os.ReadFile(profPath)
+	prof, err := os.ReadFile(filepath.Join(base, victim.Profile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(string(prof), profileMagicV2) {
-		t.Fatalf("fresh profile is not a v2 container: %q", prof[:8])
+	if !strings.HasPrefix(string(store), "TASMPQ2\n") || !strings.HasPrefix(string(prof), profileMagicV2) {
+		t.Fatalf("fresh files are not in the checksummed formats: %q, %q", store[:8], prof[:8])
 	}
-	legacy := prof[len(profileMagicV2) : len(prof)-4]
-	if err := os.WriteFile(profPath, legacy, 0o644); err != nil {
-		t.Fatal(err)
+	flipped := bytes.Clone(store)
+	flipped[6] = '1'
+	for _, tc := range []struct {
+		name, rel string
+		data      []byte
+	}{
+		{"v1 store", victim.Store, append([]byte("TASMPQ1\n"), store[8:len(store)-4]...)},
+		{"profile without its container", victim.Profile, prof[len(profileMagicV2) : len(prof)-4]},
+		{"v2 store with its version byte flipped to 1", victim.Store, flipped},
+	} {
+		dir := damagedCopy(t, base, tc.rel, tc.data)
+		if _, err := Open(dir, WithVerifyMode(VerifyStrict), WithLogger(quietLogger())); err == nil {
+			t.Errorf("%s: strict Open succeeded", tc.name)
+		}
+		c, err := Open(dir, WithLogger(quietLogger()))
+		if err != nil {
+			t.Fatalf("%s: Open: %v", tc.name, err)
+		}
+		if c.Quarantined() != 1 || c.Len() != 2 {
+			t.Errorf("%s: Quarantined = %d, Len = %d; want 1 and 2", tc.name, c.Quarantined(), c.Len())
+		}
 	}
+}
 
-	c, err := Open(dir, WithLogger(quietLogger()))
-	if err != nil {
-		t.Fatalf("opening corpus with legacy files: %v", err)
+// TestSplitSubtreeStoreQuarantined: a checksum proves a store's bytes are
+// the ones written, not that they form a tree. A store under a valid
+// checksum whose sizes split an earlier subtree cannot be decoded into
+// columns, the one form a corpus serves a document in, so it is
+// quarantined under scrub and with verification off alike, and strict
+// Open fails over it. The survivors answer byte-identically to a corpus
+// that never held it.
+func TestSplitSubtreeStoreQuarantined(t *testing.T) {
+	base, victim := buildVictimCorpus(t)
+	oracle := answersWithoutVictim(t)
+	d := dict.New()
+	p := d.Intern("p")
+	var split bytes.Buffer
+	if err := docstore.WriteItems(&split, d, []postorder.Item{{Label: p, Size: 1}, {Label: p, Size: 2}, {Label: p, Size: 2}}); err != nil {
+		t.Fatal(err)
 	}
-	if c.Quarantined() != 0 || c.Len() != 3 {
-		t.Fatalf("Quarantined = %d, Len = %d; legacy files must pass the scrub", c.Quarantined(), c.Len())
+	for _, mode := range []VerifyMode{VerifyScrub, VerifyOff, VerifyStrict} {
+		c, err := Open(damagedCopy(t, base, victim.Store, split.Bytes()), WithVerifyMode(mode), WithLogger(quietLogger()))
+		if mode == VerifyStrict {
+			if err == nil {
+				t.Error("strict Open over a store that splits a subtree succeeded")
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("mode %d: Open: %v", mode, err)
+		}
+		if c.Quarantined() != 1 || c.Len() != 2 {
+			t.Fatalf("mode %d: Quarantined = %d, Len = %d; want 1 and 2", mode, c.Quarantined(), c.Len())
+		}
+		if got := answersOf(t, c); !sameAnswers(got, oracle) {
+			t.Fatalf("mode %d: survivors answer %v, oracle without the victim answers %v", mode, got, oracle)
+		}
 	}
-	q, err := c.ParseBracket(crashQuery)
+}
+
+// corruptStores is an atomicio.FS that flips a byte in the middle of every
+// store file just before the rename that commits it: a store damaged on
+// its way to disk, after its writer computed the checksum.
+type corruptStores struct{ atomicio.FS }
+
+func (f corruptStores) Rename(oldpath, newpath string) error {
+	if strings.HasSuffix(newpath, ".store") {
+		data, err := os.ReadFile(oldpath)
+		if err != nil {
+			return err
+		}
+		data[len(data)/2] ^= 0xff
+		if err := os.WriteFile(oldpath, data, 0o644); err != nil {
+			return err
+		}
+	}
+	return f.FS.Rename(oldpath, newpath)
+}
+
+// TestAddTreeRefusesStoreThatDoesNotLoad: AddTree loads the committed
+// store back before it commits the manifest, so a manifest entry always
+// has a servable store. A store damaged on its way to disk fails that
+// load: AddTree returns an error and unlinks what it wrote, leaving the
+// manifest and the docs/ listing as they were.
+func TestAddTreeRefusesStoreThatDoesNotLoad(t *testing.T) {
+	dir, _ := buildVictimCorpus(t)
+	manPath := filepath.Join(dir, manifestFile)
+	manBefore, err := os.ReadFile(manPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.TopK(context.Background(), q, 4); err != nil {
-		t.Fatalf("TopK over legacy files: %v", err)
+	filesBefore := docsDirFiles(t, dir)
+	c, err := Open(dir, WithFS(corruptStores{atomicio.OS}), WithLogger(quietLogger()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddTree("d", tree.MustParse(dict.New(), "{r{x}{y}}")); err == nil {
+		t.Fatal("AddTree of a store damaged on its way to disk succeeded")
+	}
+	if manAfter, err := os.ReadFile(manPath); err != nil || !bytes.Equal(manAfter, manBefore) {
+		t.Errorf("the manifest changed (err %v):\n got  %s\n want %s", err, manAfter, manBefore)
+	}
+	if files := docsDirFiles(t, dir); fmt.Sprint(files) != fmt.Sprint(filesBefore) {
+		t.Errorf("docs/ holds %v after the failed ingest, want %v", files, filesBefore)
+	}
+	if c.Len() != 3 {
+		t.Errorf("Len = %d after the failed ingest, want 3", c.Len())
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -248,43 +246,27 @@ func TestGroupDocsAndGeneration(t *testing.T) {
 }
 
 // TestGroupShardFailureAttributed: a failing shard fails the whole query
-// with a *corpus.ScanError naming the shard, reachable through errors.As.
+// with a *corpus.ScanError naming the shard, and the document the shard
+// named, reachable through errors.As.
 func TestGroupShardFailureAttributed(t *testing.T) {
 	_, shards := buildShards(t, fixtureDocs, 3)
-	// Corrupt the middle shard's first store file: truncate into the item
-	// region (past the 4-byte CRC trailer, which no scan reads). An open
-	// corpus answers from the copy it decoded at load, so the shard is
-	// reopened over the damage — with the scrub off, or the file would be
-	// quarantined instead of served — and the document, its columns
-	// refused, degrades to the streaming reader, which hits the tear.
-	victim := shards[1].Docs()[0]
-	path := filepath.Join(shards[1].Dir(), victim.Store)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)-10], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if shards[1], err = corpus.Open(shards[1].Dir(), corpus.WithVerifyMode(corpus.VerifyOff)); err != nil {
-		t.Fatal(err)
-	}
-
-	g := shard.NewGroup(searchers(shards)...)
+	members := searchers(shards)
+	members[1] = &failingSearcher{} // fails with a ScanError for document "broken"
+	g := shard.NewGroup(members...)
 	q := tree.MustParse(dict.New(), "{rec{a}{b}{c}}")
-	_, err = g.TopK(context.Background(), q, 3, corpus.WithoutFilter())
+	_, err := g.TopK(context.Background(), q, 3, corpus.WithoutFilter())
 	if err == nil {
-		t.Fatal("corrupt shard store: want error, got nil")
+		t.Fatal("failing shard: want error, got nil")
 	}
 	var se *corpus.ScanError
 	if !errors.As(err, &se) {
 		t.Fatalf("error %v does not unwrap to *corpus.ScanError", err)
 	}
 	if se.Shard != "shard1" {
-		t.Errorf("ScanError.Shard = %q, want shard1 (the corrupted shard)", se.Shard)
+		t.Errorf("ScanError.Shard = %q, want shard1 (the failing shard)", se.Shard)
 	}
-	if se.Doc != victim.Name {
-		t.Errorf("ScanError.Doc = %q, want %q", se.Doc, victim.Name)
+	if se.Doc != "broken" {
+		t.Errorf("ScanError.Doc = %q, want %q", se.Doc, "broken")
 	}
 }
 

@@ -202,7 +202,7 @@ func FuzzColumnsVsStream(f *testing.F) {
 			if err := PostorderBatchColumnsInto(queries[:1], cols, postings[:1], []*ranking.Heap{rc}, 7, workers, o); err != nil {
 				t.Fatal(err)
 			}
-			if err := PostorderBatchInto(queries[:1], postorder.NewSliceQueue(items), []*ranking.Heap{rs}, 7, workers, o); err != nil {
+			if err := streamScan(queries[:1], postorder.NewSliceQueue(items), []*ranking.Heap{rs}, 7, workers, true, o); err != nil {
 				t.Fatal(err)
 			}
 			mustEqualMatches(t, fmt.Sprintf("PostorderBatchColumnsInto workers=%d", workers), rc.Sorted(), rs.Sorted())

@@ -300,22 +300,25 @@ func first(results [][]Match, err error) ([]Match, error) {
 	return results[0], nil
 }
 
-// PostorderStreamInto is PostorderBatchInto for one query and no workers.
+// PostorderStreamInto runs TASM-postorder for one query over one document
+// stream, pushing its matches into the existing ranking r with every
+// reported position offset by posOffset, under the strict-tie margin
+// documented on PostorderBatchColumnsInto.
 func PostorderStreamInto(q *tree.Tree, docQ postorder.Queue, r *ranking.Heap, posOffset int, opts Options) error {
 	queries, ranks := [1]*tree.Tree{q}, [1]*ranking.Heap{r}
 	return streamScan(queries[:], docQ, ranks[:], posOffset, 0, true, opts)
 }
 
-// PostorderBatchInto runs TASM-postorder over one document stream for
-// every query at once, pushing query i's matches into its existing
-// ranking ranks[i] with every reported position offset by posOffset. It
-// is the corpus building block: scanning several documents into shared
-// rankings lets the running k-th distance of earlier documents tighten
-// the τ′ bound of later ones (Lemma 4 applied across document
-// boundaries), while each document is read and pruned once for the whole
-// batch. workers ≠ 0 fans a single query's distance work out to a pool
-// (< 0 GOMAXPROCS); a batch of several queries ignores it — the shared
-// pass is its parallelism.
+// PostorderBatchColumnsInto runs TASM-postorder over one document held as
+// resident postorder columns for every query at once, pushing query i's
+// matches into its existing ranking ranks[i] with every reported position
+// offset by posOffset. It is the corpus building block: scanning several
+// documents into shared rankings lets the running k-th distance of earlier
+// documents tighten the τ′ bound of later ones (Lemma 4 applied across
+// document boundaries), while each document is read and pruned once for
+// the whole batch. workers ≠ 0 fans a single query's distance work out to
+// a pool (< 0 GOMAXPROCS); a batch of several queries ignores it — the
+// shared pass is its parallelism.
 //
 // Because documents may be scanned in any order (e.g. most-promising
 // first) while ties are broken by the offset position, the τ′ pruning is
@@ -324,17 +327,11 @@ func PostorderStreamInto(q *tree.Tree, docQ postorder.Queue, r *ranking.Heap, po
 // distance. The final rankings are therefore identical to scanning every
 // document with unbounded shared heaps, regardless of scan order — and,
 // with workers, regardless of how they interleave.
-func PostorderBatchInto(queries []*tree.Tree, docQ postorder.Queue, ranks []*ranking.Heap, posOffset, workers int, opts Options) error {
-	return streamScan(queries, docQ, ranks, posOffset, workers, true, opts)
-}
-
-// PostorderBatchColumnsInto is PostorderBatchInto for a document held as
-// resident postorder columns: the same kernel, the same strict-margin
-// pruning, the same counters and result bytes, but the candidates come
-// from index arithmetic over the size column (prb.Cursor) instead of a
-// ring buffer fed node by node, and the label-histogram gate bounds every
-// candidate before the scan starts. The corpus scans every cached
-// document this way.
+//
+// The kernel is the stream scan's, with the same counters and result
+// bytes, but the candidates come from index arithmetic over the size
+// column (prb.Cursor) instead of a ring buffer fed node by node, and the
+// label-histogram gate bounds every candidate before the scan starts.
 //
 // labelNodes, when non-nil, holds per query the number of the document's
 // nodes that carry one of the query's labels — a corpus plan reads it off
@@ -354,7 +351,7 @@ func PostorderBatchColumnsInto(queries []*tree.Tree, cols *postorder.Columns, la
 
 // streamScan is the shared body of the stream entry points: the scan over
 // a ring buffer fed by docQ. strictTies selects the order-independent
-// pruning margin documented on PostorderBatchInto; the plain
+// pruning margin documented on PostorderBatchColumnsInto; the plain
 // single-document forms keep the paper's τ′ = min(τ, max(R)+|Q|)
 // boundary, which is safe there because positions grow monotonically
 // within one scan.

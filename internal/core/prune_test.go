@@ -43,7 +43,7 @@ func mustEqualMatches(t *testing.T, ctx string, got, want []Match) {
 // parallelInto scans one query into r behind a worker pool, under the
 // strict margin.
 func parallelInto(q *tree.Tree, docQ postorder.Queue, r *ranking.Heap, posOffset, workers int, opts Options) error {
-	return PostorderBatchInto([]*tree.Tree{q}, docQ, []*ranking.Heap{r}, posOffset, workers, opts)
+	return streamScan([]*tree.Tree{q}, docQ, []*ranking.Heap{r}, posOffset, workers, true, opts)
 }
 
 // randomInstance draws a (query, document, k) instance.
@@ -356,7 +356,7 @@ func FuzzPrunedVsUnpruned(f *testing.F) {
 			for i := range ranks {
 				ranks[i] = ranking.New(k)
 			}
-			if err := PostorderBatchInto(queries, postorder.NewSliceQueue(items), ranks, 3, workers, opts); err != nil {
+			if err := streamScan(queries, postorder.NewSliceQueue(items), ranks, 3, workers, true, opts); err != nil {
 				t.Fatalf("strict scan (workers %d) failed: %v", workers, err)
 			}
 			out := make([][]Match, len(ranks))

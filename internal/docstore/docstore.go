@@ -11,7 +11,7 @@
 // sequential read with no XML parsing cost, mirroring how a production
 // system would drive TASM from a database rather than a text file.
 //
-// # Store format (v2, current)
+// # Store format
 //
 // All integers are unsigned LEB128 varints:
 //
@@ -21,19 +21,11 @@
 //	crc32c                                           – 4-byte LE trailer
 //
 // The trailer is the CRC-32C (Castagnoli) checksum of everything before
-// it, magic included. Version compatibility:
-//
-//	magic       trailer   written by        read by      Verify
-//	TASMPQ1\n   none      ≤ PR 7            yes          structural parse only
-//	TASMPQ2\n   crc32c    PR 8 and later    yes          checksum, detects any
-//	                                                     single flipped byte
-//
-// WriteItems always writes v2; NewReader accepts both magics, so corpora
-// persisted before the format bump keep loading unchanged. The checksum
-// is verified by Verify (whole-file, at corpus open/scrub time), NOT by
-// Reader on the query scan path — scans stay exactly as cheap as before,
-// and integrity is a property the corpus establishes before a file
-// enters the serving set.
+// it, magic included, so any single flipped byte is detected. This is the
+// only format: a file with any other magic (the unchecksummed "TASMPQ1\n"
+// of early builds included) is corrupt. The checksum is verified by
+// Verify and by the corpus when it loads a store, never by Reader on a
+// scan.
 //
 // Readers treat every count in the stream as untrusted: allocations are
 // bounded by the bytes actually present, label ids must fall inside the
@@ -76,14 +68,9 @@ import (
 	"tasm/internal/varint"
 )
 
-const (
-	// magicV1 is the pre-PR-8 store format: no checksum trailer. Still
-	// readable, never written.
-	magicV1 = "TASMPQ1\n"
-	// magicV2 is the current store format: same body, followed by a
-	// 4-byte little-endian CRC-32C trailer over everything before it.
-	magicV2 = "TASMPQ2\n"
-)
+// magicV2 opens every store; the body is followed by a 4-byte
+// little-endian CRC-32C trailer over everything before it.
+const magicV2 = "TASMPQ2\n"
 
 // crcTable is the Castagnoli polynomial: hardware-accelerated on amd64
 // and arm64, and detects all single-byte (indeed any ≤32-bit burst)
@@ -136,63 +123,30 @@ func WriteItems(w io.Writer, d dict.Dict, items []postorder.Item) error {
 	return err
 }
 
-// Verify checks a whole store file image for corruption. For v2 stores
-// it recomputes the CRC-32C over everything before the trailer and
-// compares — any single flipped byte is detected, returning an error
-// satisfying errors.Is(err, ErrChecksum) — and then structurally parses
-// the body, so Verify passing guarantees the store is loadable, not just
-// bit-identical to what some (possibly buggy) writer produced. Legacy v1
-// stores carry no checksum; they get the structural parse only, which
-// catches truncation and most garbling.
-//
-// Verify is the corpus's open/scrub-time integrity gate; the query scan
-// path never pays for it.
+// Verify checks a whole store file image for corruption: the magic, the
+// CRC-32C trailer over everything before it (a mismatch satisfies
+// errors.Is(err, ErrChecksum); any single flipped byte is one), and then
+// the decode a corpus performs to load the store — ParseImage and
+// Image.Columns. Verify passes exactly when the store can be loaded and
+// served, not merely when its bytes are the ones some writer produced.
 func Verify(data []byte) error {
-	if len(data) >= len(magicV2) && string(data[:len(magicV2)]) == magicV2 {
-		if len(data) < len(magicV2)+4 {
-			return fmt.Errorf("docstore: v2 store of %d bytes is too short for a checksum trailer", len(data))
-		}
-		body := data[:len(data)-4]
-		want := binary.LittleEndian.Uint32(data[len(data)-4:])
-		if got := crc32.Checksum(body, crcTable); got != want {
-			return fmt.Errorf("%w: crc32c %08x, trailer says %08x", ErrChecksum, got, want)
-		}
-		return drain(data)
+	if !bytes.HasPrefix(data, []byte(magicV2)) {
+		return fmt.Errorf("docstore: bad magic %q", data[:min(len(data), len(magicV2))])
 	}
-	if len(data) >= len(magicV1) && string(data[:len(magicV1)]) == magicV1 {
-		return drain(data)
+	if len(data) < len(magicV2)+4 {
+		return fmt.Errorf("docstore: store of %d bytes is too short for a checksum trailer", len(data))
 	}
-	n := min(len(data), len(magicV2))
-	return fmt.Errorf("docstore: bad magic %q", data[:n])
-}
-
-// drain structurally parses an entire store image, discarding the items.
-// For v1 images, bytes after the last item are an error: a genuine v1
-// writer emitted nothing there, so leftovers mean corruption — in
-// particular a v2 store whose magic byte was flipped to read as v1,
-// whose CRC trailer would otherwise dangle unchecked. (v2 images
-// legitimately end with their 4-byte trailer, which Verify has already
-// checked by the time it drains.)
-func drain(data []byte) error {
-	src := bytes.NewReader(data)
-	r, err := NewReader(dict.New(), src)
+	body := data[:len(data)-4]
+	want := binary.LittleEndian.Uint32(data[len(data)-4:])
+	if got := crc32.Checksum(body, crcTable); got != want {
+		return fmt.Errorf("%w: crc32c %08x, trailer says %08x", ErrChecksum, got, want)
+	}
+	im, err := ParseImage(data)
 	if err != nil {
 		return err
 	}
-	for {
-		if _, err := r.Next(); err != nil {
-			if !errors.Is(err, io.EOF) {
-				return err
-			}
-			break
-		}
-	}
-	if string(data[:len(magicV1)]) == magicV1 {
-		if consumed := len(data) - src.Len() - r.br.Buffered(); consumed < len(data) {
-			return fmt.Errorf("docstore: v1 store has %d trailing bytes after the last item", len(data)-consumed)
-		}
-	}
-	return nil
+	_, err = im.Columns(im.Remap(dict.New()))
+	return err
 }
 
 // Reader streams a persisted document as a postorder queue. Labels are
@@ -215,11 +169,10 @@ func NewReader(d dict.Dict, r io.Reader) (*Reader, error) {
 	if _, err := io.ReadFull(br, head); err != nil {
 		return nil, fmt.Errorf("docstore: reading magic: %w", err)
 	}
-	// Both versions share a body layout; v2 additionally carries a CRC
-	// trailer after the last item, which the reader simply never reaches
-	// (Next returns io.EOF once the item count is exhausted). Checksum
-	// verification is Verify's job, off the scan path.
-	if s := string(head); s != magicV1 && s != magicV2 {
+	// The CRC trailer follows the last item, which the reader never
+	// reaches (Next returns io.EOF once the item count is exhausted).
+	// Checksum verification is Verify's job, off the scan path.
+	if string(head) != magicV2 {
 		return nil, fmt.Errorf("docstore: bad magic %q", head)
 	}
 	labelCount, err := varint.Read(br)

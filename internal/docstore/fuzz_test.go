@@ -2,7 +2,9 @@ package docstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"testing"
 
@@ -27,6 +29,21 @@ func validStore(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// splitStore returns a store under a valid checksum whose third item, of
+// size 2, would start inside the subtree of the second. Every size lies in
+// [1, position], so a streaming reader reads it to the end, but no tree
+// has these sizes: the store cannot be decoded into columns.
+func splitStore(t testing.TB) []byte {
+	t.Helper()
+	d := dict.New()
+	x := d.Intern("x")
+	var buf bytes.Buffer
+	if err := WriteItems(&buf, d, []postorder.Item{{Label: x, Size: 1}, {Label: x, Size: 2}, {Label: x, Size: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // FuzzReader feeds arbitrary bytes to NewReader/Next: whatever the input
 // — truncated streams, overlong varints, label ids past the dictionary,
 // impossible subtree sizes, counts claiming gigabytes — the reader must
@@ -35,15 +52,15 @@ func validStore(t testing.TB) []byte {
 func FuzzReader(f *testing.F) {
 	valid := validStore(f)
 	f.Add(valid)
-	f.Add(v1Store(valid))
+	f.Add(splitStore(f))
 	f.Add([]byte{})
-	f.Add([]byte("TASMPQ1\n"))
+	f.Add(append(bytes.Clone(valid), 0))
 	f.Add([]byte("TASMPQ2\n"))
-	// Huge label count with no data behind it.
-	f.Add(append([]byte("TASMPQ1\n"), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01))
+	// Huge label count, then huge node count, with no data behind them.
+	f.Add(append([]byte("TASMPQ2\n"), 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01))
 	f.Add(append([]byte("TASMPQ2\n"), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01))
 	// Varint longer than 64 bits.
-	f.Add(append([]byte("TASMPQ1\n"), bytes.Repeat([]byte{0x80}, 11)...))
+	f.Add(append([]byte("TASMPQ2\n"), bytes.Repeat([]byte{0x80}, 11)...))
 	// Truncations of the valid store at every boundary.
 	for i := 0; i < len(valid); i++ {
 		f.Add(valid[:i])
@@ -67,13 +84,6 @@ func FuzzReader(f *testing.F) {
 			}
 		}
 	})
-}
-
-// v1Store converts a v2 store image to the legacy v1 encoding: swap the
-// magic, drop the 4-byte CRC trailer. The body layout is identical.
-func v1Store(v2 []byte) []byte {
-	v1 := append([]byte("TASMPQ1\n"), v2[8:len(v2)-4]...)
-	return v1
 }
 
 // TestTruncatedStoreIsNotEOF pins a subtle contract: a store whose
@@ -105,10 +115,29 @@ func TestTruncatedStoreIsNotEOF(t *testing.T) {
 	}
 }
 
-// TestVerifyRoundTrip: everything WriteItems produces passes Verify.
+// TestVerifyRoundTrip: everything WriteItems produces passes Verify, and
+// nothing without the store magic does — the unchecksummed "TASMPQ1\n"
+// encoding of early builds included.
 func TestVerifyRoundTrip(t *testing.T) {
-	if err := Verify(validStore(t)); err != nil {
+	valid := validStore(t)
+	if err := Verify(valid); err != nil {
 		t.Fatalf("Verify(fresh store) = %v", err)
+	}
+	v1 := append([]byte("TASMPQ1\n"), valid[8:len(valid)-4]...)
+	for _, data := range [][]byte{nil, []byte("NOTMAGIC"), v1} {
+		if err := Verify(data); err == nil {
+			t.Errorf("Verify accepted %q", data)
+		}
+	}
+}
+
+// TestVerifyRefusesSplitSubtree: a checksum proves the bytes are the ones
+// written, not that they form a tree. A store whose sizes split an earlier
+// subtree cannot be loaded, so Verify, which runs the load's decoder,
+// refuses it.
+func TestVerifyRefusesSplitSubtree(t *testing.T) {
+	if err := Verify(splitStore(t)); err == nil {
+		t.Fatal("Verify accepted a store whose sizes split an earlier subtree")
 	}
 }
 
@@ -118,10 +147,8 @@ func TestVerifyRoundTrip(t *testing.T) {
 // for all ≤32-bit burst errors, which covers every single-byte flip.
 func TestVerifyFlipAnyByte(t *testing.T) {
 	valid := validStore(t)
-	// 0x03 is the downgrade attack: it flips the magic's version byte
-	// '2' to '1', turning a checksummed store into an apparent legacy
-	// one — caught because a real v1 store has no bytes (here: the
-	// dangling CRC trailer) after its last item.
+	// 0x03 flips the magic's version byte '2' to '1', the unchecksummed
+	// format of early builds, which is no longer read: a bad magic.
 	for i := range valid {
 		for _, bit := range []byte{0x01, 0x03, 0x80, 0xff} {
 			mut := append([]byte(nil), valid...)
@@ -133,76 +160,29 @@ func TestVerifyFlipAnyByte(t *testing.T) {
 	}
 }
 
-// TestVerifyV1Fallback: legacy v1 stores have no checksum, but Verify
-// still structurally parses them — intact v1 stores pass, truncated ones
-// fail.
-func TestVerifyV1Fallback(t *testing.T) {
-	v1 := v1Store(validStore(t))
-	if err := Verify(v1); err != nil {
-		t.Fatalf("Verify(intact v1 store) = %v", err)
-	}
-	if err := Verify(v1[:len(v1)-1]); err == nil {
-		t.Fatal("Verify accepted a truncated v1 store")
-	}
-	if err := Verify([]byte("NOTMAGIC")); err == nil {
-		t.Fatal("Verify accepted garbage magic")
-	}
-	if err := Verify(nil); err == nil {
-		t.Fatal("Verify accepted empty input")
-	}
-}
-
-// TestV1StoreStillLoads: corpora persisted before the format bump must
-// keep loading — NewReader accepts the v1 magic and parses the shared
-// body layout.
-func TestV1StoreStillLoads(t *testing.T) {
-	r, err := NewReader(dict.New(), bytes.NewReader(v1Store(validStore(t))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for {
-		if _, err := r.Next(); err != nil {
-			if err != io.EOF {
-				t.Fatal(err)
-			}
-			break
-		}
-		n++
-	}
-	if n != 3 {
-		t.Fatalf("read %d items from v1 store, want 3", n)
-	}
-}
-
-// FuzzVerify feeds arbitrary bytes to Verify. Invariants: Verify never
-// panics, and an image Verify accepts must be fully loadable — every
-// item parses and the stream ends cleanly — because the corpus serves
-// any file its scrub passes.
+// FuzzVerify pins Verify to the load it stands for, in both directions:
+// Verify accepts an image exactly when its CRC-32C trailer matches and
+// ParseImage plus Image.Columns decode it — the steps a corpus takes to
+// serve a store. Verify never panics.
 func FuzzVerify(f *testing.F) {
 	valid := validStore(f)
 	f.Add(valid)
-	f.Add(v1Store(valid))
+	f.Add(splitStore(f))
 	f.Add([]byte{})
 	f.Add([]byte("TASMPQ2\n"))
 	for i := 0; i < len(valid); i++ {
 		f.Add(valid[:i])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := Verify(data); err != nil {
-			return
+		n := len(data)
+		crcOK := n >= len(magicV2)+4 && crc32.Checksum(data[:n-4], crcTable) == binary.LittleEndian.Uint32(data[n-4:])
+		im, decodeErr := ParseImage(data)
+		if decodeErr == nil {
+			_, decodeErr = im.Columns(im.Remap(dict.New()))
 		}
-		r, err := NewReader(dict.New(), bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("Verify passed but NewReader failed: %v", err)
-		}
-		for {
-			if _, err := r.Next(); err != nil {
-				if err != io.EOF {
-					t.Fatalf("Verify passed but item parse failed: %v", err)
-				}
-				break
-			}
+		verifyErr := Verify(data)
+		if (verifyErr == nil) != (crcOK && decodeErr == nil) {
+			t.Fatalf("Verify = %v, but checksum ok = %v and decode = %v", verifyErr, crcOK, decodeErr)
 		}
 	})
 }
@@ -213,7 +193,7 @@ func FuzzVerify(f *testing.F) {
 func TestReaderRejectsCorruptSizes(t *testing.T) {
 	d := dict.New()
 	var buf bytes.Buffer
-	buf.WriteString("TASMPQ1\n")
+	buf.WriteString("TASMPQ2\n")
 	buf.WriteByte(1) // one label
 	buf.WriteByte(1) // of length 1
 	buf.WriteByte('x')

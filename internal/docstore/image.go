@@ -11,12 +11,11 @@ import (
 )
 
 // Image is a store file parsed in place: the label table decoded once,
-// and the item region located but not decoded. It is the one-time-cost
-// half of the zero-copy scan path — the corpus parses each store into an
-// Image at open (or first ingest), computes one label remap per
-// (document, dictionary) with Remap, and every subsequent query walks
-// the raw item bytes through a pooled ImageReader. Nothing per query:
-// no file open, no dictionary re-intern, no buffered reader.
+// and the item region located but not decoded. The corpus parses each
+// store into an Image when it loads it (at Open or ingest), computes one
+// label remap into its dictionary with Remap, and decodes the items once
+// into the columns every query scans (Columns). Verify runs the same
+// three steps, so a store it passes is one the corpus can load.
 //
 // The backing bytes are typically an mmapio.Region; an Image keeps them
 // alive and must not outlive an explicit Close of the region. Label
@@ -41,7 +40,7 @@ func ParseImage(data []byte) (*Image, error) {
 	if len(data) < len(magicV2) {
 		return nil, fmt.Errorf("docstore: bad magic %q", data)
 	}
-	if s := string(data[:len(magicV2)]); s != magicV1 && s != magicV2 {
+	if string(data[:len(magicV2)]) != magicV2 {
 		return nil, fmt.Errorf("docstore: bad magic %q", data[:len(magicV2)])
 	}
 	off := len(magicV2)
@@ -98,11 +97,10 @@ func (im *Image) Remap(d dict.Dict) []int {
 
 // Columns decodes the image's item region once into random-access
 // postorder columns, labels already translated through remap (from
-// Remap). The items are drained through an ImageReader, so its label-range
+// Remap). The items are read through an ImageReader, so its label-range
 // and size checks stay the only decoder, and postorder.BuildColumns adds
 // the whole-document well-formedness proof; any failure returns an error
-// and no columns, and the caller keeps streaming the image, which reports
-// the damage at query time as before.
+// and no columns.
 //
 // The header's node count is untrusted: an item is at least two bytes,
 // so a count the bytes present cannot hold is refused before anything is

@@ -21,27 +21,19 @@ func TestImageRoundTrip(t *testing.T) {
 	if err := WriteItems(&buf, d, postorder.Items(tr)); err != nil {
 		t.Fatal(err)
 	}
-	for _, enc := range []struct {
-		name string
-		data []byte
-	}{
-		{"v2", buf.Bytes()},
-		{"v1", v1Store(buf.Bytes())},
-	} {
-		im, err := ParseImage(enc.data)
-		if err != nil {
-			t.Fatalf("%s: ParseImage: %v", enc.name, err)
-		}
-		d2 := dict.New()
-		var r ImageReader
-		r.Reset(im, im.Remap(d2))
-		got, err := postorder.BuildTree(d2, &r)
-		if err != nil {
-			t.Fatalf("%s: %v", enc.name, err)
-		}
-		if !got.Equal(tr) {
-			t.Errorf("%s: image round trip mismatch: %s vs %s", enc.name, got, tr)
-		}
+	im, err := ParseImage(buf.Bytes())
+	if err != nil {
+		t.Fatalf("ParseImage: %v", err)
+	}
+	d2 := dict.New()
+	var r ImageReader
+	r.Reset(im, im.Remap(d2))
+	got, err := postorder.BuildTree(d2, &r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(tr) {
+		t.Errorf("image round trip mismatch: %s vs %s", got, tr)
 	}
 }
 
@@ -124,7 +116,7 @@ func drainImage(d dict.Dict, data []byte) (items []postorder.Item, clean bool, o
 }
 
 // FuzzImageStreamEquivalence is the byte-identity oracle for the mmap
-// scan path: over ANY input — valid stores, both magics, truncations at
+// scan path: over ANY input — valid stores, truncations at
 // every boundary, corrupt varints, lying counts — the zero-copy image
 // reader and the streaming reader must agree exactly: same open
 // verdict, same item sequence, same clean-vs-corrupt ending. The corpus
@@ -133,12 +125,12 @@ func drainImage(d dict.Dict, data []byte) (items []postorder.Item, clean bool, o
 func FuzzImageStreamEquivalence(f *testing.F) {
 	valid := validStore(f)
 	f.Add(valid)
-	f.Add(v1Store(valid))
+	f.Add(splitStore(f))
 	f.Add([]byte{})
-	f.Add([]byte("TASMPQ1\n"))
+	f.Add(append([]byte("TASMPQ2\n"), 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01))
 	f.Add([]byte("TASMPQ2\n"))
 	f.Add(append([]byte("TASMPQ2\n"), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01))
-	f.Add(append([]byte("TASMPQ1\n"), bytes.Repeat([]byte{0x80}, 11)...))
+	f.Add(append([]byte("TASMPQ2\n"), bytes.Repeat([]byte{0x80}, 11)...))
 	for i := 0; i < len(valid); i++ {
 		f.Add(valid[:i])
 	}
@@ -228,7 +220,7 @@ func TestImageRemapOverlayStable(t *testing.T) {
 // refused by the build.
 func TestImageColumnsRejectsCorrupt(t *testing.T) {
 	header := func(count ...byte) []byte {
-		return append([]byte("TASMPQ1\n\x01\x01x"), count...) // one label "x", then the node count
+		return append([]byte("TASMPQ2\n\x01\x01x"), count...) // one label "x", then the node count
 	}
 	for _, tc := range []struct {
 		name  string

@@ -18,6 +18,16 @@ cleanup() {
 }
 trap cleanup EXIT
 
+stop_leaf() { # waits for the leaf to exit after SIGTERM
+  kill -TERM "$LEAF_PID"
+  for _ in $(seq 1 50); do
+    kill -0 "$LEAF_PID" 2>/dev/null || return 0
+    sleep 0.1
+  done
+  echo "FAIL: leaf would not stop for the corruption leg" >&2
+  return 1
+}
+
 wait_healthy() { # url
   for _ in $(seq 1 100); do
     if curl -sf "$1/healthz" >/dev/null 2>&1; then
@@ -176,13 +186,11 @@ EOF
 curl -sf -X POST "http://127.0.0.1:$LEAF_PORT/v1/docs" \
   -H 'Content-Type: application/json' \
   -d '{"name":"doomed","xml":"<r><rec><a>1</a><b>2</b></rec></r>"}' >/dev/null
+curl -sf -X POST "http://127.0.0.1:$LEAF_PORT/v1/docs" \
+  -H 'Content-Type: application/json' \
+  -d '{"name":"torn","xml":"<r><rec><a>1</a><b>2</b></rec><rec><b>2</b></rec></r>"}' >/dev/null
 
-kill -TERM "$LEAF_PID"
-for _ in $(seq 1 50); do
-  kill -0 "$LEAF_PID" 2>/dev/null || break
-  sleep 0.1
-done
-kill -0 "$LEAF_PID" 2>/dev/null && { echo "FAIL: leaf would not stop for the corruption leg" >&2; exit 1; }
+stop_leaf
 
 # "doomed" was the leaf's second ingest, so its store is docs/2.store.
 python3 - "$WORKDIR/leaf-corpus/docs/2.store" <<'EOF'
@@ -194,7 +202,8 @@ open(path, "wb").write(bytes(data))
 EOF
 
 "$WORKDIR/tasmd" -dir "$WORKDIR/leaf-corpus" -addr "127.0.0.1:$LEAF_PORT" &
-PIDS+=($!)
+LEAF_PID=$!
+PIDS+=($LEAF_PID)
 wait_healthy "http://127.0.0.1:$LEAF_PORT"
 
 RESP="$(curl -sf -X POST "http://127.0.0.1:$ROUTER_PORT/v1/topk" \
@@ -213,6 +222,38 @@ EOF
 
 curl -sf "http://127.0.0.1:$LEAF_PORT/metrics" | grep -q '^tasmd_quarantined_docs 1$' \
   || { echo "FAIL: leaf /metrics lacks tasmd_quarantined_docs 1" >&2; exit 1; }
+
+# Truncate a second store and restart the leaf with -verify=off, which
+# skips only the checksums: a store that does not decode cannot be served
+# in any form, so the leaf still quarantines it, and the router keeps
+# answering with stats.quarantined == 2.
+stop_leaf
+# "torn" was the leaf's third ingest, so its store is docs/3.store.
+python3 - "$WORKDIR/leaf-corpus/docs/3.store" <<'EOF'
+import sys
+path = sys.argv[1]
+data = open(path, "rb").read()
+open(path, "wb").write(data[:-10])
+EOF
+
+"$WORKDIR/tasmd" -dir "$WORKDIR/leaf-corpus" -addr "127.0.0.1:$LEAF_PORT" -verify=off &
+LEAF_PID=$!
+PIDS+=($LEAF_PID)
+wait_healthy "http://127.0.0.1:$LEAF_PORT"
+
+RESP="$(curl -sf -X POST "http://127.0.0.1:$ROUTER_PORT/v1/topk" \
+  -H 'Content-Type: application/json' \
+  -d '{"query":"{rec{a{1}}{b{2}}}","k":6}')"
+echo "post-tear response: $RESP"
+python3 - "$RESP" <<'EOF'
+import json, sys
+resp = json.loads(sys.argv[1])
+docs = [m["doc"] for m in resp["matches"]]
+assert "torn" not in docs, f"torn document still answering: {docs}"
+assert "smoke" in docs, f"survivor vanished after quarantine: {docs}"
+assert resp["stats"].get("quarantined") == 2, \
+    f"router stats do not report both quarantined documents: {resp['stats']}"
+EOF
 
 # The router refuses ingests (leaf-only) ...
 CODE="$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://127.0.0.1:$ROUTER_PORT/v1/docs" \

@@ -81,7 +81,7 @@
 // # Contexts and cancellation
 //
 // Corpus.TopK and Corpus.TopKBatch take a context.Context as their first
-// argument; scans poll it once per ring-buffer candidate, so cancelling a
+// argument; scans poll it once per candidate, so cancelling a
 // request (a disconnected client, a server draining for shutdown, a
 // deadline) stops mid-scan promptly at zero steady-state allocation cost.
 // The single-document Matcher methods keep their context-free signatures
