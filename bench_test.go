@@ -264,25 +264,6 @@ func BenchmarkAblationTauPrime(b *testing.B) {
 	}
 }
 
-// --- Extension: parallel TASM-postorder scaling ---
-
-func BenchmarkParallel(b *testing.B) {
-	f := xmarkFixture(b, 4)
-	q := f.query(b, 32)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opts := core.Options{NoTrees: true}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.PostorderParallel(q, postorder.NewSliceQueue(f.items), 5, workers, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkBatch compares one batched scan of 8 queries against 8
 // individual scans over an XML source: the batch amortizes the repeated
 // document parsing and pruning passes (over an already-decoded in-memory

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -95,7 +96,7 @@ func run(queryBracket, queryXML, docPath, format string, k int, fanoutW, fanoutC
 	}
 
 	start := time.Now()
-	matches, err := m.TopKStream(q, queue, k)
+	matches, err := m.TopKStream(context.Background(), q, queue, k)
 	if err != nil {
 		return err
 	}

@@ -105,7 +105,7 @@ func main() {
 		addr          = flag.String("addr", ":8421", "listen address")
 		cacheSize     = flag.Int("cache", 256, "result cache entries (0 disables)")
 		maxConcurrent = flag.Int("max-concurrent", 2*runtime.GOMAXPROCS(0), "max in-flight top-k computations (0 = unbounded)")
-		workers       = flag.Int("workers", 0, "default per-request worker pool (0 = sequential, -1 = GOMAXPROCS)")
+		workers       = flag.Int("workers", 0, "default number of ranges each document's candidates are split into, scanned concurrently (0 = sequential, -1 = GOMAXPROCS); a /v1/topk request's \"workers\" overrides it")
 		maxK          = flag.Int("max-k", 10000, "largest k a request may ask for")
 		maxBatch      = flag.Int("max-batch", 1024, "largest number of queries one batch request may carry")
 		maxBodyBytes  = flag.Int64("max-body-bytes", defaultMaxBodyBytes, "largest request body accepted, in bytes; oversized bodies get 413")

@@ -33,8 +33,8 @@ type serverConfig struct {
 	// maxConcurrent bounds in-flight top-k computations; ≤ 0 means
 	// unbounded.
 	maxConcurrent int
-	// workers is the per-request worker pool applied when a request does
-	// not choose its own (0 = sequential scan).
+	// workers is the number of ranges each document's candidates are split
+	// into when a request does not choose its own (0 = sequential scan).
 	workers int
 	// maxK rejects requests asking for more results than the server is
 	// willing to rank.
@@ -209,8 +209,8 @@ type topkRequest struct {
 	K        int    `json:"k"`
 	// Docs restricts the query to the named documents; empty means all.
 	Docs []string `json:"docs,omitempty"`
-	// Workers overrides the server's per-request worker pool for this
-	// request (0 = server default, -1 = GOMAXPROCS).
+	// Workers overrides the server's number of ranges per document scan
+	// for this request (0 = server default, -1 = GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
 	// Trees includes each matched subtree in bracket notation.
 	Trees bool `json:"trees,omitempty"`

@@ -143,9 +143,9 @@ func TestFilterSkipsAndMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// TestEquivalenceRandom cross-checks filtered, exhaustive, and parallel
-// scans over random corpora: all three must return byte-identical
-// rankings for every query.
+// TestEquivalenceRandom cross-checks filtered, exhaustive, unpruned and
+// split (every document's candidates in GOMAXPROCS ranges) scans over
+// random corpora: all must return byte-identical rankings for every query.
 func TestEquivalenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 4; trial++ {
@@ -319,7 +319,8 @@ func TestSelectionAndErrors(t *testing.T) {
 // TestConcurrentQueriesAndIngest exercises the server workload: many
 // queries racing with ingests and removals must stay consistent (run with
 // -race). The queries build each snapshot's profile index while the
-// writer derives the next snapshot's from it.
+// writer derives the next snapshot's from it; half the readers split each
+// document's scan into two ranges.
 func TestConcurrentQueriesAndIngest(t *testing.T) {
 	c, err := corpus.Open(t.TempDir())
 	if err != nil {
@@ -339,7 +340,7 @@ func TestConcurrentQueriesAndIngest(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := c.TopK(context.Background(), q, 2, corpus.WithoutTrees()); err != nil {
+				if _, err := c.TopK(context.Background(), q, 2, corpus.WithoutTrees(), corpus.WithWorkers(2*(g%2))); err != nil {
 					t.Error(err)
 					return
 				}

@@ -235,30 +235,33 @@ func TestQueryAllocsIndependentOfDocCount(t *testing.T) {
 	}
 }
 
-// TestWorkerComputersPerRun: a query run through a worker pool builds its
-// workers' distance computers once per run, not once per document. The
-// bytes a 2-worker TopKBatch allocates grow with the number of documents
-// it scans by far less than one computer — a memo alone is 56 KiB — so a
-// worker's memo also spans the whole run.
-func TestWorkerComputersPerRun(t *testing.T) {
+// TestRangeScratchPerRun: a query whose document scans are split into
+// ranges builds the ranges' scratch — distance computers, memos, views —
+// once per run, not once per document. The bytes a 2-range TopKBatch
+// allocates grow with the number of documents it scans by far less than
+// one computer — a memo alone is 56 KiB — so a range's memo also spans the
+// whole run; for one query and for a batch of four.
+func TestRangeScratchPerRun(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation sizes are not meaningful under -race")
 	}
 	ctx := context.Background()
-	bytesPerQuery := func(docs int) float64 {
+	bytesPerQuery := func(docs, queries int) float64 {
 		dir := t.TempDir()
 		buildMmapCorpus(t, dir, docs)
 		c, err := corpus.Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, err := c.ParseBracket("{l0{l1}{l2}}")
-		if err != nil {
-			t.Fatal(err)
+		qs := make([]*tree.Tree, queries)
+		for i := range qs {
+			if qs[i], err = c.ParseBracket(fmt.Sprintf("{l%d{l1}{l2}}", i)); err != nil {
+				t.Fatal(err)
+			}
 		}
 		var st corpus.Stats
 		run := func() {
-			if _, err := c.TopKBatch(ctx, []*tree.Tree{q}, 3, corpus.WithWorkers(2), corpus.WithoutFilter(), corpus.WithoutTrees(), corpus.WithStats(&st)); err != nil {
+			if _, err := c.TopKBatch(ctx, qs, 3, corpus.WithWorkers(2), corpus.WithoutFilter(), corpus.WithoutTrees(), corpus.WithStats(&st)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -276,10 +279,12 @@ func TestWorkerComputersPerRun(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return float64(after.TotalAlloc-before.TotalAlloc) / rounds
 	}
-	few, many := bytesPerQuery(4), bytesPerQuery(40)
-	perDoc := (many - few) / 36
-	t.Logf("2 workers: %.1f KB per query over 4 documents, %.1f KB over 40: %.2f KB per document", few/1e3, many/1e3, perDoc/1e3)
-	if perDoc > 4<<10 {
-		t.Errorf("a 2-worker run allocates %.1f KB per scanned document: the workers' computers are rebuilt per document", perDoc/1e3)
+	for _, queries := range []int{1, 4} {
+		few, many := bytesPerQuery(4, queries), bytesPerQuery(40, queries)
+		perDoc := (many - few) / 36
+		t.Logf("2 ranges, %d queries: %.1f KB per run over 4 documents, %.1f KB over 40: %.2f KB per document", queries, few/1e3, many/1e3, perDoc/1e3)
+		if perDoc > 4<<10 {
+			t.Errorf("a 2-range run of %d queries allocates %.1f KB per scanned document: the ranges' scratch is rebuilt per document", queries, perDoc/1e3)
+		}
 	}
 }

@@ -129,8 +129,8 @@ type QueryOption func(*QueryConfig)
 type QueryConfig struct {
 	// Docs restricts the run to the named documents; nil means all.
 	Docs []string
-	// Workers fans per-document distance work out to a worker pool
-	// (0 sequential, <0 GOMAXPROCS).
+	// Workers splits each document's candidates into that many ranges
+	// scanned concurrently (0 sequential, <0 GOMAXPROCS).
 	Workers int
 	// NoTrees suppresses materialization of matched subtrees.
 	NoTrees bool
@@ -177,9 +177,9 @@ func WithDocs(names ...string) QueryOption {
 	return func(q *QueryConfig) { q.Docs = names }
 }
 
-// WithWorkers fans the per-document distance work out to a worker pool:
-// n > 0 sets the pool size, n < 0 selects GOMAXPROCS, 0 (the default)
-// scans sequentially. Results are identical in all modes.
+// WithWorkers splits each scanned document's candidates into n ranges
+// scanned concurrently (n < 0: GOMAXPROCS; 0, the default: sequentially),
+// for a batch of any size. Results are identical in all modes.
 func WithWorkers(n int) QueryOption {
 	return func(q *QueryConfig) { q.Workers = n }
 }
@@ -338,8 +338,8 @@ func (c *Corpus) TopK(ctx context.Context, q *tree.Tree, k int, opts ...QueryOpt
 // documents and lets its label-histogram lower bound skip documents
 // outright — a document is skipped only when it is prunable for every
 // query. The result is deterministic and identical to an exhaustive scan
-// of every selected document. WithWorkers applies to a batch of one; a
-// larger batch ignores it: the shared pass is its parallelism.
+// of every selected document. WithWorkers splits each document's scan into
+// ranges, for one query or many.
 func (c *Corpus) TopKBatch(ctx context.Context, queries []*tree.Tree, k int, opts ...QueryOption) ([][]Match, error) {
 	cfg := ResolveQueryOptions(opts...)
 	if ctx == nil {
@@ -372,8 +372,8 @@ func (c *Corpus) TopKBatch(ctx context.Context, queries []*tree.Tree, k int, opt
 	for i := range heaps {
 		heaps[i] = ranking.New(k)
 		// Each heap publishes its k-th distance through a lock-free cutoff
-		// shared by every per-document scan: the kernel's heap pushes,
-		// parallel workers' merges, and the document-level skip decision
+		// shared by every per-document scan: the kernel's heap pushes, the
+		// ranges of a split scan, and the document-level skip decision
 		// below all read one atomic, and the bound carries across document
 		// boundaries so earlier documents tighten later ones. Caller-
 		// supplied cutoffs (a scatter-gather group shares them across

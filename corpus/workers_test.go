@@ -1,0 +1,74 @@
+package corpus_test
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"tasm/corpus"
+	"tasm/internal/datagen"
+	"tasm/internal/dict"
+	"tasm/internal/tree"
+)
+
+// BenchmarkWorkers times a corpus query whose document scans are split
+// into w ranges (WithWorkers; w = 0 is the sequential scan) on two
+// fixtures: one XMark(4) document, generated as the root package's
+// benchmarks generate it (seed 1), and 4 × XMark(1), the corpus the
+// serving benchmark's leaves hold at seed 1 (seeds 1000–1003). Queries are
+// |Q|-node subtrees of the fixture's first document, and trees are not
+// materialized.
+//
+//	go test -run='^$' -bench=Workers -cpu=2 ./corpus
+func BenchmarkWorkers(b *testing.B) {
+	ctx := context.Background()
+	for _, fx := range []struct {
+		name string
+		ds   *datagen.Dataset
+		docs int
+		seed int64 // of the first document; the others count up from it
+	}{
+		{"xmark4", datagen.XMark(4), 1, 1},
+		{"4xmark1", datagen.XMark(1), 4, 1000},
+	} {
+		c, err := corpus.Open(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		var first *tree.Tree
+		for i := 0; i < fx.docs; i++ {
+			doc, err := fx.ds.Tree(dict.New(), fx.seed+int64(i))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := c.AddTree(fmt.Sprintf("%s-%d", fx.name, i), doc); err != nil {
+				b.Fatal(err)
+			}
+			if first == nil {
+				first = doc
+			}
+		}
+		for _, size := range []int{12, 16, 32} {
+			q, err := datagen.QueryFromDocument(first, rand.New(rand.NewSource(int64(size))), size)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if q, err = c.ImportTree(q); err != nil {
+				b.Fatal(err)
+			}
+			for _, k := range []int{5, 50} {
+				for _, w := range []int{0, 2, 4} {
+					b.Run(fmt.Sprintf("%s/q=%d/k=%d/w=%d", fx.name, size, k, w), func(b *testing.B) {
+						b.ReportAllocs()
+						for i := 0; i < b.N; i++ {
+							if _, err := c.TopK(ctx, q, k, corpus.WithoutTrees(), corpus.WithWorkers(w)); err != nil {
+								b.Fatal(err)
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}

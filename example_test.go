@@ -1,6 +1,7 @@
 package tasm_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -11,6 +12,7 @@ import (
 // as golden tests for the public API.
 
 func ExampleMatcher_TopK() {
+	ctx := context.Background()
 	m := tasm.New()
 	doc, _ := m.ParseXML(strings.NewReader(
 		`<dblp>
@@ -20,7 +22,7 @@ func ExampleMatcher_TopK() {
 		 </dblp>`))
 	query, _ := m.ParseBracket("{article{author{John}}{title{X1}}}")
 
-	matches, _ := m.TopK(query, doc, 2)
+	matches, _ := m.TopK(ctx, query, doc, 2)
 	for _, match := range matches {
 		fmt.Printf("distance %.0f: %s\n", match.Dist, match.Tree)
 	}
@@ -30,6 +32,7 @@ func ExampleMatcher_TopK() {
 }
 
 func ExampleMatcher_TopKStream() {
+	ctx := context.Background()
 	m := tasm.New()
 	query, _ := m.ParseBracket("{book{title{X2}}}")
 
@@ -38,7 +41,7 @@ func ExampleMatcher_TopKStream() {
 	doc := m.XMLQueue(strings.NewReader(
 		`<dblp><article><title>X1</title></article><book><title>X2</title></book></dblp>`))
 
-	matches, _ := m.TopKStream(query, doc, 1)
+	matches, _ := m.TopKStream(ctx, query, doc, 1)
 	fmt.Printf("best: %s at distance %.0f\n", matches[0].Tree, matches[0].Dist)
 	// Output:
 	// best: {book{title{X2}}} at distance 0

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -48,7 +49,7 @@ func main() {
 	fmt.Printf("query: %d nodes; τ = %d — no subtree larger than τ is ever scored\n\n",
 		query.Size(), m.Tau(query, k))
 
-	matches, err := m.TopK(query, doc, k)
+	matches, err := m.TopK(context.Background(), query, doc, k)
 	if err != nil {
 		log.Fatal(err)
 	}

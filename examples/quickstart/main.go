@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -56,7 +57,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	matches, err := m.TopK(query, doc, 3)
+	matches, err := m.TopK(context.Background(), query, doc, 3)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"runtime"
@@ -38,7 +39,7 @@ func main() {
 
 	// Warm up the dictionary so first-run interning does not pollute the
 	// comparison (real deployments parse many documents per process).
-	if _, err := m.TopKStream(query, datagen.DBLP(2000).Queue(m.Dict(), 99), k); err != nil {
+	if _, err := m.TopKStream(context.Background(), query, datagen.DBLP(2000).Queue(m.Dict(), 99), k); err != nil {
 		log.Fatal(err)
 	}
 
@@ -49,7 +50,7 @@ func main() {
 		var before runtime.MemStats
 		runtime.ReadMemStats(&before)
 
-		matches, err := m.TopKStream(query, queue, k)
+		matches, err := m.TopKStream(context.Background(), query, queue, k)
 		if err != nil {
 			log.Fatal(err)
 		}

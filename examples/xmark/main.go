@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -46,7 +47,7 @@ func main() {
 		tDyn := time.Since(start)
 
 		start = time.Now()
-		pos, err := m.TopK(query, doc, k)
+		pos, err := m.TopK(context.Background(), query, doc, k)
 		if err != nil {
 			log.Fatal(err)
 		}

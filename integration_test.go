@@ -2,20 +2,24 @@ package tasm
 
 // End-to-end integration tests: the full pipeline a production deployment
 // would run — generate → persist → profile → stream-match — with every
-// path (XML, binary store, in-memory, parallel) required to agree.
+// path (XML, binary store, in-memory, a corpus split across ranges)
+// required to agree.
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"os/exec"
 	"strings"
 	"testing"
 
+	"tasm/corpus"
 	"tasm/internal/datagen"
 	"tasm/internal/stats"
 )
 
 func TestPipelineAllPathsAgree(t *testing.T) {
+	ctx := context.Background()
 	m := New()
 
 	// 1. Generate a corpus and keep its postorder items.
@@ -55,7 +59,7 @@ func TestPipelineAllPathsAgree(t *testing.T) {
 	}
 	const k = 7
 
-	inMem, err := m.TopK(q, doc, k)
+	inMem, err := m.TopK(ctx, q, doc, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,17 +71,34 @@ func TestPipelineAllPathsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromStore, err := m.TopKStream(q, storeQ, k)
+	fromStore, err := m.TopKStream(ctx, q, storeQ, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromXML, err := m.TopKStream(q, m.XMLQueue(strings.NewReader(xmlBuf.String())), k)
+	fromXML, err := m.TopKStream(ctx, q, m.XMLQueue(strings.NewReader(xmlBuf.String())), k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := m.TopKParallel(q, NewSliceQueue(items), k, 4)
+	// The library's parallel path: a corpus holding the document, its
+	// candidates split across four ranges.
+	c, err := OpenCorpus(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, err := c.AddTree("dblp", doc); err != nil {
+		t.Fatal(err)
+	}
+	cq, err := c.ImportTree(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromCorpus, err := c.TopK(ctx, cq, k, corpus.WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel := make([]Match, len(fromCorpus))
+	for i, cm := range fromCorpus {
+		parallel[i] = Match{Dist: cm.Dist, Pos: cm.Pos, Size: cm.Size, Tree: cm.Tree}
 	}
 
 	paths := map[string][]Match{

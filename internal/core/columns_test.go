@@ -176,7 +176,7 @@ func FuzzColumnsVsStream(f *testing.F) {
 			if columns {
 				src = sc.cursor(cols, labelNodes)
 			}
-			if err := scanCandidates(src, sc, 1000, strict, nil, &o); err != nil {
+			if err := scanCandidates(src, sc, 1000, strict, &o); err != nil {
 				t.Fatalf("columns=%v: %v", columns, err)
 			}
 			return ranks, outcome(ranks, prune, probe)
@@ -193,19 +193,27 @@ func FuzzColumnsVsStream(f *testing.F) {
 			}
 		}
 
-		// The exported entry points, including the worker pool (whose
-		// counters depend on scheduling; its strict-margin results do not).
-		for _, workers := range []int{0, 2} {
-			rc, rs := ranking.New(k), ranking.New(k)
-			o := opts
-			o.NoTrees = true // at a tie the pool may materialize either representative's tree
-			if err := PostorderBatchColumnsInto(queries[:1], cols, postings[:1], []*ranking.Heap{rc}, 7, workers, o); err != nil {
+		// The exported entry point over the whole batch, sequential and split
+		// into ranges — more of them than candidates, for small documents —
+		// against the strict stream scan: every result byte, trees included.
+		want := make([]*ranking.Heap, len(queries))
+		for i := range want {
+			want[i] = ranking.New(k)
+		}
+		if err := streamScan(queries, postorder.NewSliceQueue(items), want, 7, true, opts); err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{0, 1, 2, 5} {
+			got := make([]*ranking.Heap, len(queries))
+			for i := range got {
+				got[i] = ranking.New(k)
+			}
+			if err := PostorderBatchColumnsInto(queries, cols, postings, got, 7, workers, opts); err != nil {
 				t.Fatal(err)
 			}
-			if err := streamScan(queries[:1], postorder.NewSliceQueue(items), []*ranking.Heap{rs}, 7, workers, true, o); err != nil {
-				t.Fatal(err)
+			for i := range queries {
+				mustEqualTrees(t, fmt.Sprintf("PostorderBatchColumnsInto workers=%d query %d", workers, i), got[i].Sorted(), want[i].Sorted())
 			}
-			mustEqualMatches(t, fmt.Sprintf("PostorderBatchColumnsInto workers=%d", workers), rc.Sorted(), rs.Sorted())
 		}
 	})
 }
@@ -268,7 +276,7 @@ func TestColumnKernelsZeroAlloc(t *testing.T) {
 			cur := sc.cursor(doc.cols, counts)
 			pass := func() {
 				cur.Reset(doc.cols, sc.tauMax, sc.hists, counts)
-				if err := scanCandidates(cur, sc, 0, true, nil, &opts); err != nil {
+				if err := scanCandidates(cur, sc, 0, true, &opts); err != nil {
 					t.Fatal(err)
 				}
 			}

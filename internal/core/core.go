@@ -11,6 +11,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"tasm/internal/cost"
 	"tasm/internal/dict"
@@ -54,7 +57,9 @@ type Options struct {
 	// memory-resident documents the exact maximum is used instead when
 	// it is smaller.
 	CT float64
-	// Probe receives instrumentation callbacks; nil disables them.
+	// Probe receives instrumentation callbacks; nil disables them. A
+	// column scan split into ranges (workers ≠ 0) calls it from several
+	// goroutines at once.
 	Probe Probe
 	// NoTrees suppresses materialization of matched subtrees in the
 	// results (Match.Tree stays nil); benchmarks use it to measure the
@@ -91,16 +96,6 @@ func (o *Options) model() cost.Model {
 		return cost.Unit{}
 	}
 	return o.Model
-}
-
-// done returns the run's cancellation channel, nil when no context was
-// supplied (a nil channel never becomes ready, so the per-candidate poll
-// degenerates to the select's default branch).
-func (o *Options) done() <-chan struct{} {
-	if o.Ctx == nil {
-		return nil
-	}
-	return o.Ctx.Done()
 }
 
 // validate checks the common query/k preconditions.
@@ -232,23 +227,7 @@ func Postorder(q, doc *tree.Tree, k int, opts Options) ([]Match, error) {
 // The queue's item labels must be interned in the query's dictionary;
 // the scan compares label identifiers, not strings.
 func PostorderStream(q *tree.Tree, docQ postorder.Queue, k int, opts Options) ([]Match, error) {
-	return first(streamBatch([]*tree.Tree{q}, docQ, k, 0, opts))
-}
-
-// PostorderParallel is PostorderStream with the tree-edit-distance work
-// fanned out to a pool of workers (workers ≤ 0 selects GOMAXPROCS) — an
-// extension beyond the paper, whose evaluation is explicitly
-// single-threaded; see workerPool. The returned distances are identical
-// to PostorderStream's: subtree evaluations are independent, and every
-// gate only ever discards (or aborts to +Inf) subtrees that cannot beat
-// the current k-th distance, so processing order does not affect the
-// final distance multiset (reported tie positions at the pruning boundary
-// may differ, as Definition 1 permits).
-func PostorderParallel(q *tree.Tree, docQ postorder.Queue, k, workers int, opts Options) ([]Match, error) {
-	if workers == 0 {
-		workers = -1
-	}
-	return first(streamBatch([]*tree.Tree{q}, docQ, k, workers, opts))
+	return first(streamBatch([]*tree.Tree{q}, docQ, k, opts))
 }
 
 // PostorderBatch answers several TASM queries in a single postorder scan
@@ -268,13 +247,13 @@ func PostorderParallel(q *tree.Tree, docQ postorder.Queue, k, workers int, opts 
 // nature). Results for each query are identical to PostorderStream's,
 // which is this function for a batch of one.
 func PostorderBatch(queries []*tree.Tree, docQ postorder.Queue, k int, opts Options) ([][]Match, error) {
-	return streamBatch(queries, docQ, k, 0, opts)
+	return streamBatch(queries, docQ, k, opts)
 }
 
-// streamBatch is the single-document scan behind PostorderStream,
-// PostorderParallel and PostorderBatch: fresh rankings of k, the paper's
-// tie boundary, positions from 1.
-func streamBatch(queries []*tree.Tree, docQ postorder.Queue, k, workers int, opts Options) ([][]Match, error) {
+// streamBatch is the single-document scan behind PostorderStream and
+// PostorderBatch: fresh rankings of k, the paper's tie boundary,
+// positions from 1.
+func streamBatch(queries []*tree.Tree, docQ postorder.Queue, k int, opts Options) ([][]Match, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("tasm: k must be ≥ 1, got %d", k)
 	}
@@ -282,7 +261,7 @@ func streamBatch(queries []*tree.Tree, docQ postorder.Queue, k, workers int, opt
 	for i := range ranks {
 		ranks[i] = ranking.New(k)
 	}
-	if err := streamScan(queries, docQ, ranks, 0, workers, false, opts); err != nil {
+	if err := streamScan(queries, docQ, ranks, 0, false, opts); err != nil {
 		return nil, err
 	}
 	out := make([][]Match, len(ranks))
@@ -306,7 +285,7 @@ func first(results [][]Match, err error) ([]Match, error) {
 // documented on PostorderBatchColumnsInto.
 func PostorderStreamInto(q *tree.Tree, docQ postorder.Queue, r *ranking.Heap, posOffset int, opts Options) error {
 	queries, ranks := [1]*tree.Tree{q}, [1]*ranking.Heap{r}
-	return streamScan(queries[:], docQ, ranks[:], posOffset, 0, true, opts)
+	return streamScan(queries[:], docQ, ranks[:], posOffset, true, opts)
 }
 
 // PostorderBatchColumnsInto runs TASM-postorder over one document held as
@@ -316,9 +295,11 @@ func PostorderStreamInto(q *tree.Tree, docQ postorder.Queue, r *ranking.Heap, po
 // documents into shared rankings lets the running k-th distance of earlier
 // documents tighten the τ′ bound of later ones (Lemma 4 applied across
 // document boundaries), while each document is read and pruned once for
-// the whole batch. workers ≠ 0 fans a single query's distance work out to
-// a pool (< 0 GOMAXPROCS); a batch of several queries ignores it — the
-// shared pass is its parallelism.
+// the whole batch.
+//
+// workers = 0 scans on the calling goroutine; otherwise (< 0: GOMAXPROCS)
+// the candidates are split into ranges scanned concurrently, which
+// cooperate as documents of a corpus do (see scanRanges).
 //
 // Because documents may be scanned in any order (e.g. most-promising
 // first) while ties are broken by the offset position, the τ′ pruning is
@@ -326,7 +307,7 @@ func PostorderStreamInto(q *tree.Tree, docQ postorder.Queue, r *ranking.Heap, po
 // distance provably exceeds — not merely matches — the current k-th
 // distance. The final rankings are therefore identical to scanning every
 // document with unbounded shared heaps, regardless of scan order — and,
-// with workers, regardless of how they interleave.
+// with workers, regardless of how the ranges interleave.
 //
 // The kernel is the stream scan's, with the same counters and result
 // bytes, but the candidates come from index arithmetic over the size
@@ -346,7 +327,78 @@ func PostorderBatchColumnsInto(queries []*tree.Tree, cols *postorder.Columns, la
 	if labelNodes != nil && len(labelNodes) != len(queries) {
 		return fmt.Errorf("tasm: %d queries but %d label-node counts", len(queries), len(labelNodes))
 	}
-	return scan(sc.cursor(cols, labelNodes), sc, posOffset, workers, true, &opts)
+	cur := sc.cursor(cols, labelNodes)
+	if workers == 0 {
+		return scanCandidates(cur, sc, posOffset, true, &opts)
+	}
+	return scanRanges(cur, sc, posOffset, posOffset+cols.Len(), workers, opts)
+}
+
+// rangeChunks is how many chunks of candidates each range of a split scan
+// claims on average, so that no range is left alone with a costly tail.
+const rangeChunks = 4
+
+// scanRanges is the split form of a column scan: workers goroutines (< 0:
+// GOMAXPROCS), never more than there are candidates, claim fixed chunks of
+// the cursor's candidates in document order through one counter and run
+// the unchanged kernel over each on a part of sc (see ScanScratch.split).
+// The ranges cooperate through the cutoffs of the caller's rankings, under
+// the strict margin that makes the outcome independent of how they
+// interleave; once all have returned, each part drains the document's
+// entries, at positions (posOffset, last], into the caller's rankings. The
+// first range to fail stops the claims; the first error in range order is
+// returned. opts is the split's own copy, which the goroutines share, so
+// only a scan that splits pays for options that outlive the call.
+func scanRanges(cur *prb.Cursor, sc *ScanScratch, posOffset, last, workers int, opts Options) error {
+	n := cur.Candidates()
+	if workers < 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers = min(workers, n); workers == 0 {
+		return scanCandidates(cur, sc, posOffset, true, &opts) // no candidate: only the ctx poll
+	}
+	parts, err := sc.split(workers, &opts)
+	if err != nil {
+		return err
+	}
+	chunk := (n + rangeChunks*workers - 1) / (rangeChunks * workers)
+	var next atomic.Int64
+	errs := make([]error, workers)
+	scan := func(i int) {
+		p := parts[i]
+		for {
+			lo := int(next.Add(1)-1) * chunk
+			if lo >= n {
+				return
+			}
+			*p.cur = cur.Range(lo, min(lo+chunk, n))
+			if errs[i] = scanCandidates(p.cur, p, posOffset, true, &opts); errs[i] != nil {
+				next.Store(int64(n)) // nothing left to claim
+				return
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for i := 1; i < workers; i++ {
+		go func() {
+			defer wg.Done()
+			scan(i)
+		}()
+	}
+	scan(0)
+	wg.Wait()
+	for _, p := range parts {
+		for i, r := range p.ranks {
+			sc.ranks[i].Drain(r, posOffset+1, last)
+		}
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // streamScan is the shared body of the stream entry points: the scan over
@@ -354,8 +406,9 @@ func PostorderBatchColumnsInto(queries []*tree.Tree, cols *postorder.Columns, la
 // pruning margin documented on PostorderBatchColumnsInto; the plain
 // single-document forms keep the paper's τ′ = min(τ, max(R)+|Q|)
 // boundary, which is safe there because positions grow monotonically
-// within one scan.
-func streamScan(queries []*tree.Tree, docQ postorder.Queue, ranks []*ranking.Heap, posOffset, workers int, strictTies bool, opts Options) error {
+// within one scan. A stream can only be dequeued in order, so its scan is
+// sequential.
+func streamScan(queries []*tree.Tree, docQ postorder.Queue, ranks []*ranking.Heap, posOffset int, strictTies bool, opts Options) error {
 	if docQ == nil {
 		return fmt.Errorf("tasm: document queue must not be nil")
 	}
@@ -363,7 +416,7 @@ func streamScan(queries []*tree.Tree, docQ postorder.Queue, ranks []*ranking.Hea
 	if err != nil {
 		return err
 	}
-	return scan(sc.ring(docQ), sc, posOffset, workers, strictTies, &opts)
+	return scanCandidates(sc.ring(docQ), sc, posOffset, strictTies, &opts)
 }
 
 // candidateSource enumerates cand(T, τ) of one document in document
@@ -388,33 +441,18 @@ type candidateSource interface {
 	FillView(d dict.Dict, v *tree.View, from, to int) error
 }
 
-// scan runs the kernel over src, behind a worker pool when one is asked
-// for and the scan serves a single query.
-func scan(src candidateSource, sc *ScanScratch, posOffset, workers int, strictTies bool, opts *Options) error {
-	if workers == 0 || len(sc.states) > 1 {
-		return scanCandidates(src, sc, posOffset, strictTies, nil, opts)
-	}
-	// The workers share the pool's own copy of the options, so only a scan
-	// that starts a pool pays for options that outlive the call frame.
-	o := *opts
-	pool := startWorkers(sc, workers, &o)
-	// A cancelled context or a failing source stops production; the pool
-	// drains the few buffered views before its workers exit — no goroutine
-	// outlives the call.
-	err := scanCandidates(src, sc, posOffset, strictTies, pool, &o)
-	pool.wait()
-	return err
-}
-
 // scanCandidates is the kernel: Algorithm 3's loop over the candidates
 // src yields at the scan's largest τ, each offered to every query of
-// sc.states behind that query's own pruning pipeline. A filled view is
-// evaluated and ranked in place, or — with a pool — shipped to a worker.
+// sc.states behind that query's own pruning pipeline; a filled view is
+// evaluated and ranked in place.
 //
 //tasm:hotpath
-func scanCandidates(src candidateSource, sc *ScanScratch, posOffset int, strictTies bool, pool *workerPool, opts *Options) error {
+func scanCandidates(src candidateSource, sc *ScanScratch, posOffset int, strictTies bool, opts *Options) error {
 	defer sc.tally.flush(opts.Prune)
-	done := opts.done()
+	var done <-chan struct{} // nil without a context: never ready
+	if opts.Ctx != nil {
+		done = opts.Ctx.Done()
+	}
 	for {
 		// Cancellation poll, once per candidate: a non-blocking read of the
 		// context's done channel (nil — never ready — without a context),
@@ -440,8 +478,9 @@ func scanCandidates(src candidateSource, sc *ScanScratch, posOffset int, strictT
 			// The bound every gate prunes against: the ranking's own k-th
 			// distance, tightened through its cutoff publisher by any
 			// cooperating scans (other documents of a corpus run, other shards
-			// of a scatter-gather group) that share the publisher.
-			kth := st.bound(pool)
+			// of a scatter-gather group, other ranges of a split document) that
+			// share the publisher.
+			kth := st.rank.KthBound()
 			// Gate 1: the label histogram yields a lower bound on the
 			// distance of EVERY subtree of the candidate (their label bags are
 			// sub-bags of the candidate's). If it strictly exceeds the current
@@ -466,7 +505,7 @@ func scanCandidates(src candidateSource, sc *ScanScratch, posOffset int, strictT
 					rt--
 					continue
 				}
-				kth = st.bound(pool)
+				kth = st.rank.KthBound()
 				// τ′ tightens τ once an intermediate ranking exists
 				// (Lemma 4): subtrees of size ≥ max(R)+|Q| cannot improve it.
 				compute := true
@@ -491,22 +530,14 @@ func scanCandidates(src candidateSource, sc *ScanScratch, posOffset int, strictT
 				}
 				// The view resolves labels in the query's own dictionary, so
 				// the distance computer stays on its aliasing fast path.
-				view := sc.view
-				if pool != nil {
-					view = viewPool.Get().(*tree.View) //tasm:allow poolreset — FillView below rebuilds every field of the view before any read
-				}
-				if err := src.FillView(st.q.Dict(), view, lml, rt); err != nil {
+				if err := src.FillView(st.q.Dict(), sc.view, lml, rt); err != nil {
 					return err
 				}
-				if pool != nil {
-					pool.work <- workItem{view: view, base: posOffset + lml}
-				} else {
-					// Gate 2: the evaluation is bounded by the current k-th
-					// distance — distances at or below it stay exact, anything
-					// above comes back +Inf, which the heap rejects just like
-					// the true value.
-					rankView(st.comp, view, posOffset+lml, kth, math.Inf(1), st.rank, opts, &sc.tally)
-				}
+				// Gate 2: the evaluation is bounded by the current k-th
+				// distance — distances at or below it stay exact, anything
+				// above comes back +Inf, which the heap rejects just like the
+				// true value.
+				rankView(st.comp, sc.view, posOffset+lml, kth, st.rank, opts, &sc.tally)
 				rt = lml - 1 // skip everything just ranked
 			}
 		}
@@ -516,17 +547,16 @@ func scanCandidates(src candidateSource, sc *ScanScratch, posOffset int, strictT
 // rankView is TASM-dynamic on one filled view: the last row of the tree
 // distance matrix, bounded by cutoff, ranks every subtree of the view at
 // once into r, the view's first node reported at position base. A match's
-// tree is materialized only when r would retain it and its distance does
-// not exceed published (+Inf: no bound beyond r's own). The evaluation is
+// tree is materialized only when r would retain it. The evaluation is
 // counted in t.
 //
 //tasm:hotpath
-func rankView(comp *ted.Computer, view *tree.View, base int, cutoff, published float64, r *ranking.Heap, opts *Options, t *tally) {
+func rankView(comp *ted.Computer, view *tree.View, base int, cutoff float64, r *ranking.Heap, opts *Options, t *tally) {
 	row := evaluate(comp, view, cutoff, opts, t)
 	sizes := view.Sizes()
 	for j, size := range sizes {
 		e := Match{Dist: row[j], Pos: base + j, Size: size}
-		if !opts.NoTrees && e.Dist <= published && r.WouldRetain(e) {
+		if !opts.NoTrees && r.WouldRetain(e) {
 			e.Tree = view.Subtree(j) //tasm:allow alloc — match payload materialized only when the candidate enters the top k
 		}
 		r.Push(e)

@@ -63,10 +63,6 @@ func TestScanStopsMidStream(t *testing.T) {
 			_, err := PostorderBatch([]*tree.Tree{q}, docQ, 2, opts)
 			return err
 		}},
-		{"parallel", func(docQ postorder.Queue, opts Options) error {
-			_, err := PostorderParallel(q, docQ, 2, 4, opts)
-			return err
-		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())

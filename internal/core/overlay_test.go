@@ -12,6 +12,7 @@ import (
 	"tasm/internal/dict"
 	"tasm/internal/postorder"
 	"tasm/internal/race"
+	"tasm/internal/ranking"
 	"tasm/internal/tree"
 )
 
@@ -89,20 +90,22 @@ func FuzzOverlayVsShared(f *testing.F) {
 			t.Fatalf("overlay run grew the frozen base to %d labels", base.Len())
 		}
 
-		// The parallel scan must agree too (distance multiset; exact
-		// entries below the boundary), with the overlay dict active.
-		par, err := PostorderParallel(qOverlay, postorder.NewSliceQueue(items), k, 3, opts)
+		// The column scan split into ranges must agree too, with the overlay
+		// dictionary active: byte-identical, trees included, to the strict
+		// stream scan of the shared query.
+		cols, err := postorder.BuildColumns(postorder.NewSliceQueue(items), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(par) != len(gotShared) {
-			t.Fatalf("parallel returned %d matches, want %d", len(par), len(gotShared))
+		want := ranking.New(k)
+		if err := PostorderStreamInto(qShared, postorder.NewSliceQueue(items), want, 0, opts); err != nil {
+			t.Fatal(err)
 		}
-		for i := range par {
-			if par[i].Dist != gotShared[i].Dist {
-				t.Fatalf("parallel match %d dist %g != %g", i, par[i].Dist, gotShared[i].Dist)
-			}
+		par, err := rangesTopK([]*tree.Tree{qOverlay}, cols, k, 3, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
+		mustEqualTrees(t, "overlay ranges", par[0], want.Sorted())
 	})
 }
 

@@ -1,37 +1,86 @@
 package core
 
+// Tests of the split column scan: PostorderBatchColumnsInto with workers ≠ 0
+// cuts a document's candidates into ranges scanned concurrently, each into
+// rankings of its own that cooperate through the shared cutoffs. Under the
+// strict margin the answer must be byte-identical to the sequential scan's,
+// trees included, for any number of ranges.
+
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"tasm/internal/dict"
 	"tasm/internal/postorder"
+	"tasm/internal/ranking"
 	"tasm/internal/tree"
 )
 
-// TestParallelMatchesSequentialQuick: the parallel variant returns the
-// same distance sequence as the sequential algorithm on random instances,
-// for various worker counts.
+// columnsOf builds the resident columns of doc.
+func columnsOf(t testing.TB, doc *tree.Tree) *postorder.Columns {
+	t.Helper()
+	cols, err := postorder.BuildColumns(postorder.FromTree(doc), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cols
+}
+
+// rangesTopK answers queries over cols with fresh rankings of k, the
+// candidates split into workers ranges (0: the sequential scan).
+func rangesTopK(queries []*tree.Tree, cols *postorder.Columns, k, workers int, opts Options) ([][]Match, error) {
+	ranks := make([]*ranking.Heap, len(queries))
+	for i := range ranks {
+		ranks[i] = ranking.New(k)
+	}
+	if err := PostorderBatchColumnsInto(queries, cols, nil, ranks, 0, workers, opts); err != nil {
+		return nil, err
+	}
+	out := make([][]Match, len(ranks))
+	for i, r := range ranks {
+		out[i] = r.Sorted()
+	}
+	return out, nil
+}
+
+// mustEqualTrees fails unless both rankings carry the same subtrees.
+func mustEqualTrees(t *testing.T, ctx string, got, want []Match) {
+	t.Helper()
+	mustEqualMatches(t, ctx, got, want)
+	for i := range want {
+		if fmt.Sprint(got[i].Tree) != fmt.Sprint(want[i].Tree) {
+			t.Fatalf("%s: match %d tree %v, want %v", ctx, i, got[i].Tree, want[i].Tree)
+		}
+	}
+}
+
+// TestParallelMatchesSequentialQuick: on random instances — batches of 1–4
+// queries, up to 8 ranges, often more ranges than candidates — the split
+// scan returns exactly the sequential scan's rankings, trees included.
 func TestParallelMatchesSequentialQuick(t *testing.T) {
-	f := func(seed int64, qRaw, tRaw, kRaw, wRaw uint8) bool {
+	f := func(seed int64, qRaw, tRaw, kRaw, wRaw, bRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		d := dict.New()
-		q := tree.Random(d, rng, tree.RandomConfig{Nodes: int(qRaw)%6 + 1, MaxFanout: 3, Labels: 4})
-		doc := tree.Random(d, rng, tree.RandomConfig{Nodes: int(tRaw)%60 + 1, MaxFanout: 4, Labels: 4})
+		queries := make([]*tree.Tree, int(bRaw)%4+1)
+		for i := range queries {
+			queries[i] = tree.Random(d, rng, tree.RandomConfig{Nodes: int(qRaw)%6 + 1 + i, MaxFanout: 3, Labels: 4})
+		}
+		cols := columnsOf(t, tree.Random(d, rng, tree.RandomConfig{Nodes: int(tRaw)%60 + 1, MaxFanout: 4, Labels: 4}))
 		k := int(kRaw)%6 + 1
-		workers := int(wRaw)%4 + 1
-
-		seq, err1 := Postorder(q, doc, k, Options{NoTrees: true})
-		par, err2 := PostorderParallel(q, postorder.FromTree(doc), k, workers, Options{NoTrees: true})
-		if err1 != nil || err2 != nil || len(seq) != len(par) {
-			return false
+		seq, err1 := rangesTopK(queries, cols, k, 0, Options{})
+		par, err2 := rangesTopK(queries, cols, k, int(wRaw)%8+1, Options{})
+		if err1 != nil || err2 != nil {
+			t.Fatalf("sequential: %v, split: %v", err1, err2)
 		}
 		for i := range seq {
-			if seq[i].Dist != par[i].Dist {
-				return false
-			}
+			mustEqualTrees(t, fmt.Sprintf("seed %d query %d", seed, i), par[i], seq[i])
 		}
 		return true
 	}
@@ -44,104 +93,138 @@ func TestParallelExample2(t *testing.T) {
 	d := dict.New()
 	q := tree.MustParse(d, "{a{b}{c}}")
 	doc := tree.MustParse(d, "{x{a{b}{d}}{a{b}{c}}}")
-	got, err := PostorderParallel(q, postorder.FromTree(doc), 2, 4, Options{})
+	out, err := rangesTopK([]*tree.Tree{q}, columnsOf(t, doc), 2, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := out[0]
 	if len(got) != 2 || got[0].Dist != 0 || got[1].Dist != 1 {
 		t.Errorf("got %+v", got)
 	}
-	// Trees must be materialized and correct in parallel mode too.
+	// Trees must be materialized and correct in split mode too.
 	if got[0].Tree == nil || got[0].Tree.String() != "{a{b}{c}}" {
 		t.Errorf("first match tree = %v", got[0].Tree)
 	}
 }
 
+// TestParallelDefaultWorkers: workers < 0 selects GOMAXPROCS ranges.
 func TestParallelDefaultWorkers(t *testing.T) {
 	d := dict.New()
 	rng := rand.New(rand.NewSource(2))
 	q := tree.Random(d, rng, tree.RandomConfig{Nodes: 4, MaxFanout: 3, Labels: 3})
-	doc := tree.Random(d, rng, tree.RandomConfig{Nodes: 200, MaxFanout: 5, Labels: 5})
-	// workers ≤ 0 must select GOMAXPROCS and still work.
-	got, err := PostorderParallel(q, postorder.FromTree(doc), 3, 0, Options{NoTrees: true})
+	cols := columnsOf(t, tree.Random(d, rng, tree.RandomConfig{Nodes: 200, MaxFanout: 5, Labels: 5}))
+	got, err := rangesTopK([]*tree.Tree{q}, cols, 3, -1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Postorder(q, doc, 3, Options{NoTrees: true})
+	want, err := rangesTopK([]*tree.Tree{q}, cols, 3, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		if got[i].Dist != want[i].Dist {
-			t.Errorf("rank %d: %g vs %g", i, got[i].Dist, want[i].Dist)
-		}
-	}
+	mustEqualTrees(t, "GOMAXPROCS ranges", got[0], want[0])
 }
 
 func TestParallelValidation(t *testing.T) {
 	d := dict.New()
 	q := tree.MustParse(d, "{a}")
-	if _, err := PostorderParallel(nil, postorder.NewSliceQueue(nil), 1, 2, Options{}); err == nil {
+	cols := columnsOf(t, tree.MustParse(d, "{a{b}}"))
+	if _, err := rangesTopK([]*tree.Tree{nil}, cols, 1, 2, Options{}); err == nil {
 		t.Error("nil query accepted")
 	}
-	if _, err := PostorderParallel(q, nil, 1, 2, Options{}); err == nil {
-		t.Error("nil queue accepted")
+	if _, err := rangesTopK(nil, cols, 1, 2, Options{}); err == nil {
+		t.Error("empty batch accepted")
 	}
-	if _, err := PostorderParallel(q, postorder.NewSliceQueue(nil), 0, 2, Options{}); err == nil {
-		t.Error("k=0 accepted")
+	if err := PostorderBatchColumnsInto([]*tree.Tree{q}, cols, nil, []*ranking.Heap{ranking.New(1), ranking.New(1)}, 0, 2, Options{}); err == nil {
+		t.Error("more rankings than queries accepted")
 	}
-}
-
-type failAfterQueue struct {
-	items []postorder.Item
-	pos   int
-	err   error
-}
-
-func (q *failAfterQueue) Next() (postorder.Item, error) {
-	if q.pos >= len(q.items) {
-		return postorder.Item{}, q.err
-	}
-	it := q.items[q.pos]
-	q.pos++
-	return it, nil
-}
-
-func TestParallelQueueError(t *testing.T) {
-	d := dict.New()
-	rng := rand.New(rand.NewSource(3))
-	q := tree.Random(d, rng, tree.RandomConfig{Nodes: 4, MaxFanout: 3, Labels: 3})
-	doc := tree.Random(d, rng, tree.RandomConfig{Nodes: 100, MaxFanout: 4, Labels: 4})
-	boom := errors.New("boom")
-	items := postorder.Items(doc)
-	_, err := PostorderParallel(q, &failAfterQueue{items: items[:50], err: boom}, 2, 3, Options{NoTrees: true})
-	if !errors.Is(err, boom) {
-		t.Errorf("err = %v, want %v", err, boom)
+	if err := PostorderBatchColumnsInto([]*tree.Tree{q}, cols, []int{1, 2}, []*ranking.Heap{ranking.New(1)}, 0, 2, Options{}); err == nil {
+		t.Error("more label-node counts than queries accepted")
 	}
 }
 
 func TestParallelEmptyDocument(t *testing.T) {
 	d := dict.New()
 	q := tree.MustParse(d, "{a}")
-	got, err := PostorderParallel(q, postorder.NewSliceQueue(nil), 2, 3, Options{})
+	cols, err := postorder.BuildColumns(postorder.NewSliceQueue(nil), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 0 {
-		t.Errorf("empty document returned %d matches", len(got))
+	got, err := rangesTopK([]*tree.Tree{q}, cols, 2, 3, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got[0]) != 0 {
+		t.Errorf("empty document returned %d matches", len(got[0]))
 	}
 }
 
+// atomicProbe counts probe callbacks from several goroutines, and cancels
+// a context once it has seen cancelAt candidates.
+type atomicProbe struct {
+	candidates, pruned, relevant atomic.Int64
+	cancelAt                     int64
+	cancel                       context.CancelFunc
+}
+
+func (p *atomicProbe) Candidate(int) {
+	if p.candidates.Add(1) == p.cancelAt {
+		p.cancel()
+	}
+}
+func (p *atomicProbe) Pruned(int)          { p.pruned.Add(1) }
+func (p *atomicProbe) RelevantSubtree(int) { p.relevant.Add(1) }
+
+// TestParallelWithProbe: with ranges, probe callbacks come from several
+// goroutines; every candidate is still reported exactly once.
 func TestParallelWithProbe(t *testing.T) {
 	d := dict.New()
 	rng := rand.New(rand.NewSource(4))
 	q := tree.Random(d, rng, tree.RandomConfig{Nodes: 4, MaxFanout: 3, Labels: 3})
-	doc := tree.Random(d, rng, tree.RandomConfig{Nodes: 300, MaxFanout: 5, Labels: 5})
-	p := &countingProbe{}
-	if _, err := PostorderParallel(q, postorder.FromTree(doc), 2, 4, Options{Probe: p, NoTrees: true}); err != nil {
+	cols := columnsOf(t, tree.Random(d, rng, tree.RandomConfig{Nodes: 300, MaxFanout: 5, Labels: 5}))
+	seq, par := &countingProbe{}, &atomicProbe{}
+	if _, err := rangesTopK([]*tree.Tree{q}, cols, 2, 0, Options{Probe: seq}); err != nil {
 		t.Fatal(err)
 	}
-	if len(p.candidates) == 0 || len(p.relevant) == 0 {
-		t.Errorf("probe: %d candidates, %d relevant", len(p.candidates), len(p.relevant))
+	if _, err := rangesTopK([]*tree.Tree{q}, cols, 2, 4, Options{Probe: par}); err != nil {
+		t.Fatal(err)
+	}
+	if n := par.candidates.Load(); n != int64(len(seq.candidates)) || par.relevant.Load() == 0 {
+		t.Errorf("probe: %d candidates (sequential %d), %d relevant", n, len(seq.candidates), par.relevant.Load())
+	}
+}
+
+// TestParallelCancelled: a context cancelled before or during a split scan
+// makes it return ctx.Err() itself, the ranges stop within a candidate
+// each, and no goroutine outlives the call.
+func TestParallelCancelled(t *testing.T) {
+	d := dict.New()
+	q := tree.MustParse(d, "{rec{a}{b}}")
+	cols, err := postorder.BuildColumns(postorder.NewSliceQueue(recordDoc(t, d, 5000)), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 4
+	before := runtime.NumGoroutine()
+	for _, cancelAt := range []int64{0, 100} {
+		ctx, cancel := context.WithCancel(context.Background())
+		p := &atomicProbe{cancelAt: cancelAt, cancel: cancel}
+		if cancelAt == 0 {
+			cancel()
+		}
+		_, err := rangesTopK([]*tree.Tree{q}, cols, 2, workers, Options{Ctx: ctx, Probe: p, CT: 1})
+		if err != ctx.Err() || !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel after %d candidates: err = %v, want ctx.Err()", cancelAt, err)
+		}
+		if n := p.candidates.Load(); n > cancelAt+workers {
+			t.Errorf("cancel after %d candidates: %d candidates scanned, want at most one more per range", cancelAt, n)
+		}
+	}
+	// The goroutines of a returned scan have finished; give them a moment
+	// to leave the scheduler's count.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the cancelled scans, %d before", n, before)
 	}
 }

@@ -13,9 +13,9 @@ import (
 // distance work, and how each evaluation that was started ended — cut
 // short by one of the bounded evaluation's rungs (ted.EvaluateView), or
 // run to completion. The counters are cumulative across scans sharing the
-// struct and safe for concurrent update (the parallel scan's workers each
-// add their share as they exit), so one PruneStats can aggregate a whole
-// corpus query — or a daemon's lifetime. A document scan has added all of
+// struct and safe for concurrent update (each range of a split scan adds
+// its share as it finishes a chunk), so one PruneStats can aggregate a
+// whole corpus query — or a daemon's lifetime. A document scan has added all of
 // its counts by the time it returns, so per-document deltas read around
 // one are exact.
 type PruneStats struct {
@@ -53,10 +53,9 @@ func (s *PruneStats) Snapshot() (histSkipped, tedAborted, evaluated uint64) {
 }
 
 // tally is one scan goroutine's private count of the PruneStats counters:
-// the kernel and every pool worker count into their own with plain
-// increments and flush it once — the kernel when its document scan
-// returns, a worker when it exits — so an event costs a plain increment
-// instead of a locked read-modify-write.
+// the kernel counts into its scratch's with plain increments and flushes
+// it once, when its pass over a document (or a range of one) returns, so
+// an event costs a plain increment instead of a locked read-modify-write.
 type tally struct {
 	histSkipped, tedAborted, tedGated, evaluated, memoHits uint64
 }
@@ -80,8 +79,7 @@ func add(c *atomic.Uint64, n uint64) {
 	}
 }
 
-// evaluate is the one place a scan — the kernel, or a worker behind it —
-// starts a TASM-dynamic evaluation of a filled view: bounded by
+// evaluate is the one place a scan starts a TASM-dynamic evaluation of a filled view: bounded by
 // cutoff, the caller's current k-th distance bound (+Inf while there is
 // none), unless the early-abort ablation flag makes every evaluation
 // unbounded, with the outcome counted in t. The returned row is valid

@@ -2,11 +2,12 @@ package core
 
 // Equivalence tests of the candidate pruning pipeline: with every gate
 // enabled (the default), results must be byte-identical to the unpruned
-// scan for one query, for a batch, and behind the worker pool in the
+// scan for one query, for a batch, and split into ranges in the
 // order-independent (strict-ties) form — and the pipeline's counters must
 // report what fired.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -40,10 +41,10 @@ func mustEqualMatches(t *testing.T, ctx string, got, want []Match) {
 	}
 }
 
-// parallelInto scans one query into r behind a worker pool, under the
-// strict margin.
-func parallelInto(q *tree.Tree, docQ postorder.Queue, r *ranking.Heap, posOffset, workers int, opts Options) error {
-	return streamScan([]*tree.Tree{q}, docQ, []*ranking.Heap{r}, posOffset, workers, true, opts)
+// rangesInto scans one query into r over the columns of doc, the
+// candidates split into workers ranges.
+func rangesInto(t testing.TB, q, doc *tree.Tree, r *ranking.Heap, posOffset, workers int, opts Options) error {
+	return PostorderBatchColumnsInto([]*tree.Tree{q}, columnsOf(t, doc), nil, []*ranking.Heap{r}, posOffset, workers, opts)
 }
 
 // randomInstance draws a (query, document, k) instance.
@@ -99,9 +100,9 @@ func TestPrunedVsUnprunedBatch(t *testing.T) {
 	}
 }
 
-// TestPrunedVsUnprunedParallelStrict: the order-independent parallel form
-// (the corpus building block) is fully deterministic — byte-identical to
-// the unpruned sequential strict scan for any worker count.
+// TestPrunedVsUnprunedParallelStrict: the order-independent split column
+// scan (the corpus building block) is fully deterministic — byte-identical
+// to the unpruned sequential strict scan for any number of ranges.
 func TestPrunedVsUnprunedParallelStrict(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for iter := 0; iter < 60; iter++ {
@@ -111,7 +112,7 @@ func TestPrunedVsUnprunedParallelStrict(t *testing.T) {
 		opts := Options{NoTrees: true}
 
 		par := ranking.New(k)
-		if err := parallelInto(q, postorder.FromTree(doc), par, 7, workers, opts); err != nil {
+		if err := rangesInto(t, q, doc, par, 7, workers, opts); err != nil {
 			t.Fatal(err)
 		}
 		seq := ranking.New(k)
@@ -144,7 +145,7 @@ func TestPrunedVsUnprunedQuick(t *testing.T) {
 			}
 		}
 		par := ranking.New(k)
-		if err := parallelInto(q, postorder.FromTree(doc), par, 0, int(wRaw)%3+1, opts); err != nil {
+		if err := rangesInto(t, q, doc, par, 0, int(wRaw)%3+1, opts); err != nil {
 			return false
 		}
 		parSorted := par.Sorted()
@@ -197,14 +198,14 @@ func TestPruneStatsFire(t *testing.T) {
 		t.Error("no evaluation ran to completion")
 	}
 
-	// The parallel strict path must report through the same counters.
+	// The split column scan must report through the same counters.
 	pstats := &PruneStats{}
 	heap := ranking.New(1)
-	if err := parallelInto(q, postorder.FromTree(doc), heap, 0, 2, Options{NoTrees: true, Prune: pstats}); err != nil {
+	if err := rangesInto(t, q, doc, heap, 0, 2, Options{NoTrees: true, Prune: pstats}); err != nil {
 		t.Fatal(err)
 	}
 	if h, _, e := pstats.Snapshot(); h+e == 0 {
-		t.Error("parallel scan reported no pruning activity at all")
+		t.Error("split scan reported no pruning activity at all")
 	}
 }
 
@@ -281,7 +282,7 @@ func TestTEDGateCounted(t *testing.T) {
 		},
 		"parallel": func(opts Options) ([]Match, error) {
 			r := ranking.New(k)
-			err := parallelInto(q, postorder.FromTree(doc), r, 0, 1, opts)
+			err := rangesInto(t, q, doc, r, 0, 2, opts)
 			return r.Sorted(), err
 		},
 	}
@@ -298,10 +299,15 @@ func TestTEDGateCounted(t *testing.T) {
 		if gated > aborted {
 			t.Errorf("%s: TEDGated %d not counted inside TEDAborted %d", name, gated, aborted)
 		}
-		// One worker may be handed whole records before the exact match's
-		// distance is published, and answer their repeats from its memo too.
+		// Each of the two ranges has a memo of its own, so each may compute
+		// the near match once, and may scan whole records before the other
+		// publishes the exact match's distance.
 		hits, started := stats.TEDMemoHits.Load(), aborted+stats.Evaluated.Load()
-		if hits < nearMatches-1 || (name != "parallel" && hits != nearMatches-1) {
+		misses := uint64(1)
+		if name == "parallel" {
+			misses = 2
+		}
+		if hits < nearMatches-misses || (name != "parallel" && hits != nearMatches-1) {
 			t.Errorf("%s: %d memo hits, want %d: every repeat of the near match and nothing else", name, hits, nearMatches-1)
 		}
 		if gated+hits > started {
@@ -327,8 +333,9 @@ func TestTEDGateCounted(t *testing.T) {
 // FuzzPrunedVsUnpruned fuzzes the equivalence property over arbitrary
 // well-formed documents and batches of 1…4 queries of mixed size: the
 // full pipeline must reproduce the unpruned ranking exactly — under the
-// strict margin (for one query also behind a worker pool) and under the
-// paper's boundary — and both must agree with the exhaustive oracle.
+// strict margin (also over the document's columns, split into wRaw%6
+// ranges) and under the paper's boundary — and both must agree with the
+// exhaustive oracle.
 func FuzzPrunedVsUnpruned(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x10, 0x22, 0x31, 0x04}, uint8(1), uint8(3), uint8(2), uint8(0))
 	f.Add([]byte{0x05, 0x0a, 0x21, 0x00, 0x13}, uint8(2), uint8(5), uint8(1), uint8(1))
@@ -351,13 +358,13 @@ func FuzzPrunedVsUnpruned(f *testing.F) {
 		k := int(kRaw)%5 + 1
 		opts := Options{NoTrees: true}
 
-		strict := func(workers int, opts Options) [][]Match {
+		strict := func(opts Options) [][]Match {
 			ranks := make([]*ranking.Heap, len(queries))
 			for i := range ranks {
 				ranks[i] = ranking.New(k)
 			}
-			if err := streamScan(queries, postorder.NewSliceQueue(items), ranks, 3, workers, true, opts); err != nil {
-				t.Fatalf("strict scan (workers %d) failed: %v", workers, err)
+			if err := streamScan(queries, postorder.NewSliceQueue(items), ranks, 3, true, opts); err != nil {
+				t.Fatalf("strict scan failed: %v", err)
 			}
 			out := make([][]Match, len(ranks))
 			for i, r := range ranks {
@@ -365,7 +372,7 @@ func FuzzPrunedVsUnpruned(f *testing.F) {
 			}
 			return out
 		}
-		pruned, unpruned := strict(0, opts), strict(0, unprunedOpts(opts))
+		pruned, unpruned := strict(opts), strict(unprunedOpts(opts))
 		plain, err := PostorderBatch(queries, postorder.NewSliceQueue(items), k, opts)
 		if err != nil {
 			t.Fatalf("pruned scan failed: %v", err)
@@ -380,8 +387,20 @@ func FuzzPrunedVsUnpruned(f *testing.F) {
 			mustEqualMatches(t, "fuzz-plain", plain[i], plainUnpruned[i])
 			mustEqualNaive(t, "fuzz-plain", plain[i], q, doc, k, 0, false)
 		}
-		if len(queries) == 1 {
-			mustEqualMatches(t, "fuzz-parallel-strict", strict(int(wRaw)%3+1, opts)[0], unpruned[0])
+		cols, err := postorder.BuildColumns(postorder.NewSliceQueue(items), 0)
+		if err != nil {
+			t.Fatalf("decodeDoc emitted a stream the column builder refuses: %v", err)
+		}
+		ranks := make([]*ranking.Heap, len(queries))
+		for i := range ranks {
+			ranks[i] = ranking.New(k)
+		}
+		workers := int(wRaw) % 6
+		if err := PostorderBatchColumnsInto(queries, cols, nil, ranks, 3, workers, opts); err != nil {
+			t.Fatalf("column scan (%d ranges) failed: %v", workers, err)
+		}
+		for i, r := range ranks {
+			mustEqualMatches(t, fmt.Sprintf("fuzz-ranges-strict (%d ranges)", workers), r.Sorted(), unpruned[i])
 		}
 	})
 }

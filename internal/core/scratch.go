@@ -14,11 +14,12 @@ import (
 
 // ScanScratch holds the per-document setup state of TASM-postorder scans
 // so a multi-document run builds it once instead of once per document:
-// per query the distance computer and label histogram, the worker pool's
-// computers, and per document size class the candidate sources and flat
-// candidate view (their backing arrays only ever grow). The distance
-// memos outlive runs: one shared by the states' computers and one per
-// worker, emptied for the next run's computers instead of allocated again.
+// per query the distance computer and label histogram, and per document
+// size class the candidate sources and flat candidate view (their backing
+// arrays only ever grow). Each range of a split scan runs on a part, a
+// scratch of its own built by the run's first split document and kept
+// until Reset, so its memo spans the run. The distance memos outlive
+// runs: emptied for the next run's computers instead of allocated again.
 // Pass one via Options.Scratch when scanning many documents with the same
 // queries, rankings, model, and configuration; the corpus keeps them in a
 // sync.Pool.
@@ -35,8 +36,8 @@ type ScanScratch struct {
 	states  []queryState
 	hists   []*prb.LabelHist // the states' gate-1 histograms, in order; empty when the gate is off
 	tauMax  int              // the largest of the states' τ: what the sources enumerate at
-	workers []*ted.Computer  // the worker pool's computers, one per worker, for the run's single query
-	memos   []*ted.Memo      // memos[0] shared by the states' computers, memos[1+w] worker w's; kept across runs
+	memo    *ted.Memo        // shared by the states' computers; kept across runs
+	parts   []*ScanScratch   // the ranges' scratches of a split scan; kept across runs, reset with this one
 	view    *tree.View
 	buf     *prb.Buffer
 	cur     *prb.Cursor
@@ -52,52 +53,55 @@ type queryState struct {
 	rank *ranking.Heap
 }
 
-// bound returns the k-th distance the query's gates prune against. Behind
-// a worker pool only the lock-free published bound may be read — the
-// ranking itself is the workers' to mutate, under the pool's lock. It may
-// lag merges still in flight, but it only ever tightens, so a stale read
-// merely evaluates a subtree a fresher bound would have skipped.
-//
-//tasm:hotpath
-func (st *queryState) bound(pool *workerPool) float64 {
-	if pool != nil {
-		return pool.cut.Load()
-	}
-	return st.rank.KthBound()
-}
-
-// Reset detaches the scratch from the previous run's queries so the next
-// scan rebuilds the per-query states and worker computers. The memos,
-// candidate sources and view keep their storage — they carry capacity,
+// Reset detaches the scratch and its parts from the previous run's
+// queries so the next scan rebuilds the per-query states. The memos,
+// candidate sources and views keep their storage — they carry capacity,
 // not identity.
 func (s *ScanScratch) Reset() {
 	clear(s.queries)
 	clear(s.ranks)
 	clear(s.states)
 	clear(s.hists)
-	clear(s.workers)
-	s.queries, s.ranks, s.states, s.hists, s.workers, s.tauMax = s.queries[:0], s.ranks[:0], s.states[:0], s.hists[:0], s.workers[:0], 0
+	s.queries, s.ranks, s.states, s.hists, s.tauMax = s.queries[:0], s.ranks[:0], s.states[:0], s.hists[:0], 0
+	for _, p := range s.parts {
+		p.Reset()
+	}
 }
 
-// memo returns the i-th memo of the scratch, emptied for new computers.
-func (s *ScanScratch) memo(i int) **ted.Memo {
-	for len(s.memos) <= i {
-		s.memos = append(s.memos, nil)
+// split returns the parts of a scan split into n ranges, pointed at the
+// run's queries with one ranking of their own per query. Each starts the
+// document as a copy of the run's ranking, so a range prunes against the
+// earlier documents' results merged with its own, as the sequential scan
+// does, and publishes to the run's cutoff (attached first where there is
+// none), so the ranges prune against each other's results too.
+func (s *ScanScratch) split(n int, opts *Options) ([]*ScanScratch, error) {
+	for _, r := range s.ranks {
+		if r.CutoffPublisher() == nil {
+			r.PublishTo(ranking.NewCutoff())
+		}
 	}
-	if s.memos[i] != nil {
-		s.memos[i].Reset()
+	for len(s.parts) < n {
+		s.parts = append(s.parts, &ScanScratch{cur: new(prb.Cursor)})
 	}
-	return &s.memos[i]
-}
-
-// workerComputers returns the computers of a pool of n workers for the
-// run's single query, built by the first document scan that asks for them
-// and kept for the later ones, so a worker's memo spans the whole run.
-func (s *ScanScratch) workerComputers(n int, model cost.Model) []*ted.Computer {
-	for len(s.workers) < n {
-		s.workers = append(s.workers, ted.NewComputerWith(model, s.states[0].q, s.memo(1+len(s.workers))))
+	for _, p := range s.parts[:n] {
+		ranks := p.ranks
+		if len(ranks) == 0 {
+			ranks = make([]*ranking.Heap, len(s.ranks))
+			for q, r := range s.ranks {
+				ranks[q] = ranking.New(r.K())
+				ranks[q].PublishTo(r.CutoffPublisher())
+			}
+		}
+		o := *opts
+		o.Scratch = p
+		if _, err := o.scratch(s.queries, ranks); err != nil {
+			return nil, err
+		}
+		for q, r := range ranks {
+			r.Merge(s.ranks[q])
+		}
 	}
-	return s.workers[:n]
+	return s.parts[:n], nil
 }
 
 // matches reports whether the scratch's states were built for exactly
@@ -153,7 +157,10 @@ func (o *Options) scratch(queries []*tree.Tree, ranks []*ranking.Heap) (*ScanScr
 	}
 	if !sc.matches(queries, ranks) {
 		sc.Reset()
-		model, memo := o.model(), sc.memo(0)
+		if sc.memo != nil {
+			sc.memo.Reset()
+		}
+		model := o.model()
 		for i, q := range queries {
 			err := validate(q, ranks[i].K())
 			if err == nil && !dict.Compatible(q.Dict(), queries[0].Dict()) {
@@ -172,7 +179,7 @@ func (o *Options) scratch(queries []*tree.Tree, ranks []*ranking.Heap) (*ScanScr
 			st := queryState{
 				q:    q,
 				tau:  Tau(model, q, ranks[i].K(), o.CT),
-				comp: ted.NewComputerWith(model, q, memo),
+				comp: ted.NewComputerWith(model, q, &sc.memo),
 				rank: ranks[i],
 			}
 			if !o.DisableHistogramBound {

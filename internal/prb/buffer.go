@@ -89,8 +89,8 @@ func New(q postorder.Queue, tau int) *Buffer {
 // indistinguishable from one freshly returned by New: the ring contents
 // are never read before being written (every node's slots are filled on
 // append), so stale values from the previous document are harmless. This
-// is the pooling hook for corpus scans, which open one buffer per worker
-// and re-point it at every document of a run.
+// is the reuse hook of core.ScanScratch, which keeps one buffer and
+// re-points it at every stream it scans.
 func (r *Buffer) Reset(q postorder.Queue, tau int) {
 	if tau < 1 {
 		panic(fmt.Sprintf("prb: threshold τ must be ≥ 1, got %d", tau))

@@ -37,6 +37,7 @@ type Cursor struct {
 	sizes  []int32
 	roots  []int32 // candidate root ids, in document order
 	cur    int     // index of the pending candidate in roots; the next is cur+1
+	end    int     // index in roots past the cursor's last candidate
 	// bounds holds row q — one bound per candidate — for the q-th
 	// histogram Reset was given, at [q·len(roots), (q+1)·len(roots)).
 	bounds   []int32
@@ -76,7 +77,7 @@ func (c *Cursor) Reset(cols *postorder.Columns, tau int, hists []*LabelHist, lab
 		}
 	}
 	slices.Reverse(roots)
-	c.roots, c.cur = roots, -1
+	c.roots, c.cur, c.end = roots, -1, len(roots)
 
 	n := len(roots)
 	if need := len(hists) * n; cap(c.bounds) < need {
@@ -95,18 +96,32 @@ func (c *Cursor) Reset(cols *postorder.Columns, tau int, hists []*LabelHist, lab
 	}
 }
 
+// Candidates returns the number of candidates the last Reset located.
+func (c *Cursor) Candidates() int { return len(c.roots) }
+
+// Range returns a cursor over candidates [lo, hi) of the last Reset,
+// bounds included. It shares c's columns, roots and bounds, which no
+// range writes, so ranges of one cursor may scan concurrently; it must
+// not itself be Reset.
+func (c *Cursor) Range(lo, hi int) Cursor {
+	r := *c
+	r.cur, r.end = lo-1, hi
+	return r
+}
+
 // PostingRows reports how many of the histograms given to the last Reset
 // had their bounds read from the label postings; the others walked the
 // label column.
 func (c *Cursor) PostingRows() int { return c.postings }
 
-// Next advances to the next candidate in document order and reports
-// whether there is one. The error is always nil — columns are validated
+// Next advances to the next candidate of the cursor's range in document
+// order and reports whether there is one. The error is always nil —
+// columns are validated
 // when built — and is returned only to share Buffer.Next's signature.
 //
 //tasm:hotpath
 func (c *Cursor) Next() (bool, error) {
-	if c.cur+1 >= len(c.roots) {
+	if c.cur+1 >= c.end {
 		return false, nil
 	}
 	c.cur++

@@ -7,12 +7,12 @@ import (
 
 // Cutoff publishes a monotonically tightening upper bound on the distance
 // any entry must beat to enter a ranking — the current k-th best distance
-// of the heap it is attached to. It is the lock-free communication channel
-// of the candidate pruning pipeline: the producer's histogram and size
-// gates, the early-abort TED evaluations, and the per-worker rankings of
-// the parallel scan all read the bound with a single atomic load, while
-// the shared heap (whose Push already runs under the owner's lock, or
-// single-threaded) publishes updates with a single atomic store.
+// of the heaps attached to it. It is the lock-free communication channel
+// of the candidate pruning pipeline: the kernel's histogram and size gates
+// and the early-abort TED evaluations of every scan sharing it — later
+// documents of a corpus run, the ranges of a split document, the shards
+// of a group — read the bound with a single atomic load, and every heap
+// attached to it publishes its k-th distance with a compare-and-swap.
 //
 // The published value only ever decreases (Tighten is a monotonic min),
 // so a stale read is always a looser bound: a reader acting on it may
@@ -36,11 +36,6 @@ func NewCutoff() *Cutoff {
 //tasm:hotpath
 func (c *Cutoff) Load() float64 {
 	return math.Float64frombits(c.bits.Load())
-}
-
-// Active reports whether a finite bound has been published.
-func (c *Cutoff) Active() bool {
-	return !math.IsInf(c.Load(), 1)
 }
 
 // Tighten lowers the published bound to d if d is smaller; larger values

@@ -11,9 +11,6 @@ func TestCutoffMonotone(t *testing.T) {
 	if !math.IsInf(c.Load(), 1) {
 		t.Fatalf("fresh cutoff = %g, want +Inf", c.Load())
 	}
-	if c.Active() {
-		t.Error("fresh cutoff reports Active")
-	}
 	c.Tighten(5)
 	if got := c.Load(); got != 5 {
 		t.Fatalf("after Tighten(5): %g", got)
@@ -25,9 +22,6 @@ func TestCutoffMonotone(t *testing.T) {
 	c.Tighten(2)
 	if got := c.Load(); got != 2 {
 		t.Fatalf("after Tighten(2): %g", got)
-	}
-	if !c.Active() {
-		t.Error("tightened cutoff not Active")
 	}
 }
 
@@ -65,7 +59,7 @@ func TestHeapPublishes(t *testing.T) {
 	c := NewCutoff()
 	h.PublishTo(c)
 	h.Push(Entry{Dist: 9, Pos: 1})
-	if c.Active() {
+	if !math.IsInf(c.Load(), 1) {
 		t.Error("published before the ranking was full")
 	}
 	h.Push(Entry{Dist: 4, Pos: 2})
@@ -98,7 +92,8 @@ func TestHeapPublishToWhenAlreadyFull(t *testing.T) {
 	}
 }
 
-// TestDrain: draining moves entries exactly once and empties the source.
+// TestDrain: draining moves the entries inside the position window
+// exactly once and empties the source.
 func TestDrain(t *testing.T) {
 	dst := New(3)
 	src := New(3)
@@ -106,7 +101,8 @@ func TestDrain(t *testing.T) {
 		src.Push(Entry{Dist: d, Pos: i + 1})
 	}
 	dst.Push(Entry{Dist: 2, Pos: 10})
-	dst.Drain(src)
+	src.Push(Entry{Dist: 0, Pos: 11}) // outside the window: not drained
+	dst.Drain(src, 1, 3)
 	if src.Len() != 0 {
 		t.Fatalf("source holds %d entries after Drain, want 0", src.Len())
 	}
@@ -121,7 +117,7 @@ func TestDrain(t *testing.T) {
 		}
 	}
 	// A second drain of the now-empty source must be a no-op.
-	dst.Drain(src)
+	dst.Drain(src, 1, 3)
 	if dst.Len() != 3 {
 		t.Errorf("second drain changed the destination: %d entries", dst.Len())
 	}

@@ -76,17 +76,6 @@ func (h *Heap) Max() Entry {
 	return h.es[0]
 }
 
-// KthDist returns the current k-th best distance (Max().Dist) and true
-// when the ranking is full, or (0, false) otherwise. It is the bound that
-// corpus scans consult to prune whole documents: a document whose best
-// achievable distance exceeds it cannot change the ranking.
-func (h *Heap) KthDist() (float64, bool) {
-	if len(h.es) < h.k {
-		return 0, false
-	}
-	return h.es[0].Dist, true
-}
-
 // PublishTo attaches a cutoff publisher: from now on, whenever the
 // ranking is full, its current k-th distance is published through c (the
 // value only tightens — see Cutoff). Attaching publishes the current
@@ -150,13 +139,15 @@ func (h *Heap) Push(e Entry) bool {
 	return true
 }
 
-// Drain moves every retained entry of other into h and empties other
-// (other keeps its capacity and its k). It is the merge step of the
-// per-worker rankings: a worker's local heap is drained into the shared
-// one, so no entry is ever pushed twice.
-func (h *Heap) Drain(other *Heap) {
+// Drain pushes the entries of other at positions [lo, hi] into h and
+// empties other, which keeps its capacity and k. A split scan's range
+// ranks into a copy of the shared heap (Merge) and drains back only its
+// document's positions, so no entry is pushed twice.
+func (h *Heap) Drain(other *Heap, lo, hi int) {
 	for _, e := range other.es {
-		h.Push(e)
+		if lo <= e.Pos && e.Pos <= hi {
+			h.Push(e)
+		}
 	}
 	other.es = other.es[:0]
 }

@@ -25,7 +25,7 @@ import (
 //
 // The slices returned by the accessors alias the View's internal buffers:
 // they are invalidated by the next Reset and must not be mutated. A View
-// is not safe for concurrent use; pool Views (one per goroutine) instead.
+// is not safe for concurrent use; keep one View per goroutine instead.
 type View struct {
 	dict   dict.Dict
 	labels []int

@@ -56,9 +56,6 @@ type Option func(*Search)
 // WithK sets the number of results (default 10).
 func WithK(k int) Option { return func(s *Search) { s.k = k } }
 
-// WithWorkers enables parallel matching with the given pool size.
-func WithWorkers(n int) Option { return func(s *Search) { s.workers = n } }
-
 // WithKeywordWeight sets the node cost of keyword leaves (≥ 1). Higher
 // weights favour coverage (answers containing all keywords even if large);
 // weight 1 favours conciseness to the point that single-keyword leaves win.
@@ -72,7 +69,6 @@ type Search struct {
 	keywords []string
 	query    *tree.Tree
 	k        int
-	workers  int
 	weight   float64
 }
 
@@ -143,13 +139,7 @@ func (s *Search) Run(doc postorder.Queue) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := core.Options{Model: model}
-	var matches []core.Match
-	if s.workers > 1 {
-		matches, err = core.PostorderParallel(s.query, doc, s.k, s.workers, opts)
-	} else {
-		matches, err = core.PostorderStream(s.query, doc, s.k, opts)
-	}
+	matches, err := core.PostorderStream(s.query, doc, s.k, core.Options{Model: model})
 	if err != nil {
 		return nil, err
 	}

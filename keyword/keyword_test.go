@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"tasm/internal/dict"
-	"tasm/internal/postorder"
 	"tasm/internal/tree"
 )
 
@@ -96,35 +95,6 @@ func TestPerfectCoverScoresLow(t *testing.T) {
 	}
 	if res[0].Tree.String() != "{z{k1}{k2}}" {
 		t.Errorf("best = %s", res[0].Tree)
-	}
-}
-
-func TestParallelAgrees(t *testing.T) {
-	d := dict.New()
-	doc := library(t, d)
-	seq, err := New(d, []string{"Knuth", "1968"}, WithK(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := New(d, []string{"Knuth", "1968"}, WithK(4), WithWorkers(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := seq.Run(postorder.FromTree(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := par.Run(postorder.FromTree(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("lengths differ")
-	}
-	for i := range a {
-		if a[i].Score != b[i].Score {
-			t.Errorf("rank %d: %g vs %g", i, a[i].Score, b[i].Score)
-		}
 	}
 }
 

@@ -6,6 +6,7 @@ package tasm
 // boundaries, and quadratic traps.
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -199,6 +200,7 @@ func TestBoundaryTaus(t *testing.T) {
 }
 
 func TestManyQueriesOneDocument(t *testing.T) {
+	ctx := context.Background()
 	// Reusing one Matcher across many queries must stay consistent
 	// (dictionary growth, computer reuse inside TopK).
 	m := New()
@@ -212,7 +214,7 @@ func TestManyQueriesOneDocument(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := m.TopK(q, doc, 2)
+		got, err := m.TopK(ctx, q, doc, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

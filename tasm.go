@@ -19,14 +19,14 @@
 //	m := tasm.New()
 //	query, _ := m.ParseBracket("{article{author}{title}}")
 //	doc, _ := m.ParseXML(file)
-//	matches, _ := m.TopK(query, doc, 5)
+//	matches, _ := m.TopK(ctx, query, doc, 5)
 //	for _, match := range matches {
 //	    fmt.Println(match.Pos, match.Dist, match.Tree)
 //	}
 //
 // For documents too large to hold in memory, stream them:
 //
-//	matches, _ := m.TopKStream(query, m.XMLQueue(bigFile), 5)
+//	matches, _ := m.TopKStream(ctx, query, m.XMLQueue(bigFile), 5)
 //
 // All trees compared by one Matcher share its label dictionary; create one
 // Matcher per corpus (they are cheap) and parse both query and document
@@ -42,7 +42,7 @@
 //	c.AddXML("dblp", dblpFile)
 //	c.AddXML("psd", psdFile)
 //	q, _ := c.ParseBracket("{article{author}{title}}")
-//	matches, _ := c.TopK(q, 5)
+//	matches, _ := c.TopK(ctx, q, 5)
 //	for _, match := range matches {
 //	    fmt.Println(match.Doc.Name, match.Pos, match.Dist)
 //	}
@@ -80,13 +80,11 @@
 //
 // # Contexts and cancellation
 //
-// Corpus.TopK and Corpus.TopKBatch take a context.Context as their first
-// argument; scans poll it once per candidate, so cancelling a
-// request (a disconnected client, a server draining for shutdown, a
-// deadline) stops mid-scan promptly at zero steady-state allocation cost.
-// The single-document Matcher methods keep their context-free signatures
-// and gained *Ctx variants (TopKCtx, TopKStreamCtx, TopKParallelCtx,
-// TopKBatchCtx); the old names delegate with context.Background().
+// Every scanning query method — Matcher.TopK, TopKStream and TopKBatch,
+// Corpus.TopK and TopKBatch — takes a context.Context as its first
+// argument; scans poll it once per candidate, so cancelling a request (a
+// disconnected client, a server draining for shutdown, a deadline) stops
+// mid-scan promptly at zero steady-state allocation cost.
 package tasm
 
 import (
@@ -326,28 +324,20 @@ func (m *Matcher) Tau(q *Tree, k int) int {
 // TopK returns the k subtrees of doc closest to q, ascending by distance
 // (ties broken by document position), using TASM-postorder. The document
 // tree is streamed internally; memory beyond the document itself is
-// O(|q|² + |q|·k).
-func (m *Matcher) TopK(q, doc *Tree, k int) ([]Match, error) {
-	return m.TopKCtx(context.Background(), q, doc, k)
-}
-
-// TopKCtx is TopK under a context: the scan polls ctx once per candidate
-// and returns ctx.Err() promptly when it is cancelled or its deadline
-// passes.
-func (m *Matcher) TopKCtx(ctx context.Context, q, doc *Tree, k int) ([]Match, error) {
-	return core.Postorder(q, doc, k, m.optionsCtx(ctx))
+// O(|q|² + |q|·k). The scan polls ctx once per candidate and returns
+// ctx.Err() promptly when it is cancelled or its deadline passes.
+func (m *Matcher) TopK(ctx context.Context, q, doc *Tree, k int) ([]Match, error) {
+	return core.Postorder(q, doc, k, m.options(ctx))
 }
 
 // TopKStream is TopK over a streaming document: total memory is
 // independent of the document size (Theorem 5 of the paper). The queue is
-// consumed; stream a fresh one per query.
-func (m *Matcher) TopKStream(q *Tree, doc Queue, k int) ([]Match, error) {
-	return m.TopKStreamCtx(context.Background(), q, doc, k)
-}
-
-// TopKStreamCtx is TopKStream under a context; see TopKCtx.
-func (m *Matcher) TopKStreamCtx(ctx context.Context, q *Tree, doc Queue, k int) ([]Match, error) {
-	return core.PostorderStream(q, doc, k, m.optionsCtx(ctx))
+// consumed; stream a fresh one per query. The scan is sequential — a
+// stream can only be dequeued in order; a corpus (OpenCorpus) queried with
+// corpus.WithWorkers splits the candidates of its resident documents
+// across goroutines.
+func (m *Matcher) TopKStream(ctx context.Context, q *Tree, doc Queue, k int) ([]Match, error) {
+	return core.PostorderStream(q, doc, k, m.options(ctx))
 }
 
 // TopKBatch answers several queries in a single scan of the document
@@ -355,42 +345,17 @@ func (m *Matcher) TopKStreamCtx(ctx context.Context, q *Tree, doc Queue, k int) 
 // are matched against one corpus. Result i corresponds to queries[i] and
 // is identical to an individual TopKStream run; the document is parsed
 // and pruned only once.
-func (m *Matcher) TopKBatch(queries []*Tree, doc Queue, k int) ([][]Match, error) {
-	return m.TopKBatchCtx(context.Background(), queries, doc, k)
-}
-
-// TopKBatchCtx is TopKBatch under a context; see TopKCtx.
-func (m *Matcher) TopKBatchCtx(ctx context.Context, queries []*Tree, doc Queue, k int) ([][]Match, error) {
-	return core.PostorderBatch(queries, doc, k, m.optionsCtx(ctx))
-}
-
-// TopKParallel is TopKStream with the distance computations fanned out to
-// a worker pool (workers ≤ 0 selects GOMAXPROCS) — an extension beyond
-// the single-threaded paper. Distances are identical to TopKStream;
-// reported positions of exact ties at the pruning boundary may differ.
-func (m *Matcher) TopKParallel(q *Tree, doc Queue, k, workers int) ([]Match, error) {
-	return m.TopKParallelCtx(context.Background(), q, doc, k, workers)
-}
-
-// TopKParallelCtx is TopKParallel under a context: a cancelled ctx stops
-// the producer, drains the workers and returns ctx.Err(); see TopKCtx.
-func (m *Matcher) TopKParallelCtx(ctx context.Context, q *Tree, doc Queue, k, workers int) ([]Match, error) {
-	return core.PostorderParallel(q, doc, k, workers, m.optionsCtx(ctx))
+func (m *Matcher) TopKBatch(ctx context.Context, queries []*Tree, doc Queue, k int) ([][]Match, error) {
+	return core.PostorderBatch(queries, doc, k, m.options(ctx))
 }
 
 // TopKDynamic runs the TASM-dynamic baseline (Section IV-F of the paper):
 // one Zhang–Shasha pass over the whole document. It needs O(|q|·|doc|)
 // memory and exists for comparison and for small documents.
 func (m *Matcher) TopKDynamic(q, doc *Tree, k int) ([]Match, error) {
-	return core.Dynamic(q, doc, k, m.options())
+	return core.Dynamic(q, doc, k, m.options(context.Background()))
 }
 
-func (m *Matcher) options() core.Options {
-	return core.Options{Model: m.model, CT: m.ct, Probe: m.probe}
-}
-
-func (m *Matcher) optionsCtx(ctx context.Context) core.Options {
-	o := m.options()
-	o.Ctx = ctx
-	return o
+func (m *Matcher) options(ctx context.Context) core.Options {
+	return core.Options{Ctx: ctx, Model: m.model, CT: m.ct, Probe: m.probe}
 }

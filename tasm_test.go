@@ -5,6 +5,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"tasm/corpus"
 )
 
 const sampleXML = `<dblp>
@@ -15,6 +17,7 @@ const sampleXML = `<dblp>
 </dblp>`
 
 func TestTopKOnXML(t *testing.T) {
+	ctx := context.Background()
 	m := New()
 	doc, err := m.ParseXML(strings.NewReader(sampleXML))
 	if err != nil {
@@ -24,7 +27,7 @@ func TestTopKOnXML(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.TopK(q, doc, 2)
+	got, err := m.TopK(ctx, q, doc, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,6 +46,7 @@ func TestTopKOnXML(t *testing.T) {
 }
 
 func TestTopKStreamMatchesTopK(t *testing.T) {
+	ctx := context.Background()
 	m := New()
 	doc, err := m.ParseXML(strings.NewReader(sampleXML))
 	if err != nil {
@@ -52,11 +56,11 @@ func TestTopKStreamMatchesTopK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inMem, err := m.TopK(q, doc, 3)
+	inMem, err := m.TopK(ctx, q, doc, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := m.TopKStream(q, m.XMLQueue(strings.NewReader(sampleXML)), 3)
+	stream, err := m.TopKStream(ctx, q, m.XMLQueue(strings.NewReader(sampleXML)), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,6 +76,7 @@ func TestTopKStreamMatchesTopK(t *testing.T) {
 }
 
 func TestDynamicAgrees(t *testing.T) {
+	ctx := context.Background()
 	m := New()
 	doc, err := m.ParseXML(strings.NewReader(sampleXML))
 	if err != nil {
@@ -81,7 +86,7 @@ func TestDynamicAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := m.TopK(q, doc, 4)
+	a, err := m.TopK(ctx, q, doc, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,6 +102,7 @@ func TestDynamicAgrees(t *testing.T) {
 }
 
 func TestStoreRoundTrip(t *testing.T) {
+	ctx := context.Background()
 	m := New()
 	doc, err := m.ParseXML(strings.NewReader(sampleXML))
 	if err != nil {
@@ -114,11 +120,11 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromStore, err := m.TopKStream(q, queue, 2)
+	fromStore, err := m.TopKStream(ctx, q, queue, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := m.TopK(q, doc, 2)
+	direct, err := m.TopK(ctx, q, doc, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,19 +201,20 @@ func TestFromNode(t *testing.T) {
 }
 
 func TestProbeViaPublicAPI(t *testing.T) {
+	ctx := context.Background()
 	m := New()
 	doc, _ := m.ParseXML(strings.NewReader(sampleXML))
 	q, _ := m.ParseBracket("{article{author}{title}}")
 	p := &recordingProbe{}
 	m.SetProbe(p)
-	if _, err := m.TopK(q, doc, 1); err != nil {
+	if _, err := m.TopK(ctx, q, doc, 1); err != nil {
 		t.Fatal(err)
 	}
 	if p.candidates == 0 || p.relevant == 0 {
 		t.Errorf("probe saw %d candidates, %d relevant subtrees", p.candidates, p.relevant)
 	}
 	m.SetProbe(nil)
-	if _, err := m.TopK(q, doc, 1); err != nil {
+	if _, err := m.TopK(ctx, q, doc, 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -218,28 +225,39 @@ func (p *recordingProbe) RelevantSubtree(int) { p.relevant++ }
 func (p *recordingProbe) Candidate(int)       { p.candidates++ }
 func (p *recordingProbe) Pruned(int)          { p.pruned++ }
 
+// TestTopKParallelPublic: the library's parallel entry point is a corpus
+// queried with corpus.WithWorkers; split into ranges, it answers exactly
+// as a sequential Matcher scan of the same document, trees included.
 func TestTopKParallelPublic(t *testing.T) {
+	ctx := context.Background()
 	m := New()
 	doc, err := m.ParseXML(strings.NewReader(sampleXML))
 	if err != nil {
 		t.Fatal(err)
 	}
 	q, _ := m.ParseBracket("{article{author}{title}}")
-	items, err := CollectQueue(m.XMLQueue(strings.NewReader(sampleXML)))
+	seq, err := m.TopK(ctx, q, doc, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := m.TopKParallel(q, NewSliceQueue(items), 3, 3)
+	c, err := OpenCorpus(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := m.TopK(q, doc, 3)
+	if _, err := c.AddTree("dblp", doc); err != nil {
+		t.Fatal(err)
+	}
+	par, err := c.TopK(ctx, q, 3, corpus.WithWorkers(3))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(par) != len(seq) {
+		t.Fatalf("%d matches split into ranges, %d sequential", len(par), len(seq))
 	}
 	for i := range seq {
-		if seq[i].Dist != par[i].Dist {
-			t.Errorf("rank %d: %g vs %g", i, par[i].Dist, seq[i].Dist)
+		if par[i].Dist != seq[i].Dist || par[i].Pos != seq[i].Pos || par[i].Tree.String() != seq[i].Tree.String() {
+			t.Errorf("rank %d: split {%g %d %s}, sequential {%g %d %s}", i,
+				par[i].Dist, par[i].Pos, par[i].Tree, seq[i].Dist, seq[i].Pos, seq[i].Tree)
 		}
 	}
 }
@@ -264,6 +282,7 @@ func TestWriteXMLRoundTrip(t *testing.T) {
 }
 
 func TestTopKBatch(t *testing.T) {
+	ctx := context.Background()
 	m := New()
 	doc, err := m.ParseXML(strings.NewReader(sampleXML))
 	if err != nil {
@@ -275,7 +294,7 @@ func TestTopKBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := m.TopKBatch([]*Tree{q1, q2}, NewSliceQueue(items), 3)
+	batch, err := m.TopKBatch(ctx, []*Tree{q1, q2}, NewSliceQueue(items), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +302,7 @@ func TestTopKBatch(t *testing.T) {
 		t.Fatalf("got %d result sets", len(batch))
 	}
 	for i, q := range []*Tree{q1, q2} {
-		single, err := m.TopK(q, doc, 3)
+		single, err := m.TopK(ctx, q, doc, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,6 +321,7 @@ func TestTopKBatch(t *testing.T) {
 // package root: ingest through the public API, query across documents,
 // and agree with a per-document Matcher scan.
 func TestOpenCorpus(t *testing.T) {
+	ctx := context.Background()
 	c, err := OpenCorpus(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +350,7 @@ func TestOpenCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := m.TopK(mq, doc, 3)
+	single, err := m.TopK(ctx, mq, doc, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
