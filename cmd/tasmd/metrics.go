@@ -126,7 +126,6 @@ type serverMetrics struct {
 	// Aggregated corpus.Stats of every computed (non-cached) run.
 	docsScanned     atomic.Uint64
 	docsSkipped     atomic.Uint64
-	docsUnprofiled  atomic.Uint64
 	candHistSkipped atomic.Uint64
 	tedAborted      atomic.Uint64
 	tedGated        atomic.Uint64
@@ -153,7 +152,6 @@ type serverMetrics struct {
 func (m *serverMetrics) observe(s *corpus.Stats) {
 	m.docsScanned.Add(uint64(s.Scanned))
 	m.docsSkipped.Add(uint64(s.Skipped))
-	m.docsUnprofiled.Add(uint64(s.Unprofiled))
 	m.candHistSkipped.Add(s.HistSkipped)
 	m.tedAborted.Add(s.TEDAborted)
 	m.tedGated.Add(s.TEDGated)
@@ -189,7 +187,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"tasmd_traced_queries_total", "counter", "Queries that requested a per-response trace block (?trace=1).", m.tracedQueries.Load()},
 		{"tasmd_docs_scanned_total", "counter", "Documents streamed through TASM-postorder.", m.docsScanned.Load()},
 		{"tasmd_docs_skipped_total", "counter", "Documents skipped by the document-level label lower bound.", m.docsSkipped.Load()},
-		{"tasmd_docs_unprofiled_total", "counter", "Documents scanned without a usable profile.", m.docsUnprofiled.Load()},
 		{"tasmd_candidates_hist_skipped_total", "counter", "Candidate subtrees skipped by the histogram-intersection lower bound.", m.candHistSkipped.Load()},
 		{"tasmd_ted_evals_aborted_total", "counter", "Subtree evaluations cut short by a lower bound of the bounded Zhang-Shasha evaluation (gated ones included).", m.tedAborted.Load()},
 		{"tasmd_ted_evals_gated_total", "counter", "Aborted subtree evaluations rejected by the view's label bag before the DP started.", m.tedGated.Load()},
@@ -230,7 +227,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "# HELP tasmd_corpus_column_bytes Heap bytes of the postorder columns and label postings decoded from the stores at load and scanned by every query (12 per node and 8 per distinct label of a document; a document whose store failed to decode holds none and is streamed instead).\n# TYPE tasmd_corpus_column_bytes gauge\ntasmd_corpus_column_bytes %d\n", cb.ColumnBytes())
 	}
 	if s.cfg.openDuration > 0 {
-		fmt.Fprintf(w, "# HELP tasmd_corpus_open_seconds Cold-start cost of opening the backend (manifest load, scrub, profile decode, store mapping and column decode).\n# TYPE tasmd_corpus_open_seconds gauge\ntasmd_corpus_open_seconds %g\n", s.cfg.openDuration.Seconds())
+		fmt.Fprintf(w, "# HELP tasmd_corpus_open_seconds Cold-start cost of opening the backend (manifest load, orphan sweep, store mapping, checksum and column decode).\n# TYPE tasmd_corpus_open_seconds gauge\ntasmd_corpus_open_seconds %g\n", s.cfg.openDuration.Seconds())
 	}
 	m.topkLatency.write(w, "tasmd_topk_latency_seconds", "Per-request latency of POST /v1/topk (cache hits included).")
 	m.batchLatency.write(w, "tasmd_topk_batch_latency_seconds", "Per-request latency of POST /v1/topk-batch (cache hits included).")

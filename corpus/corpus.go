@@ -3,59 +3,51 @@
 // multi-document serving layer above the single-document tasm library.
 //
 // A corpus directory contains a manifest (manifest.json, documented in
-// the docstore package) and, per ingested document, a binary postorder
-// store plus a profile file built at ingest:
+// the docstore package) and, per ingested document, one file: a binary
+// postorder store (docstore format, checksummed), written at ingest and
+// never rewritten.
 //
-//	docs/<id>.store    – postorder queue + label dictionary (docstore format)
-//	docs/<id>.profile  – pq-gram profile, then a label histogram
-//
-// # Profile file format
-//
-// A profile file is a checksummed container; all integers are unsigned
-// LEB128 varints:
-//
-//	magic "TASMPR2\n"
-//	pq-gram profile as written by pqgram.(*Profile).Write:
-//	    magic "TASMPF1\n", p, q, gramCount, gramCount × (hash, mult)
-//	labelCount, then labelCount × (byteLen, bytes, count)
-//	crc32c — 4-byte little-endian CRC-32C trailer over everything before it
-//
-// The label histogram maps each distinct label to its number of
-// occurrences in the document. The grams are listed in strictly ascending
-// hash order and each label once; a file that breaks either rule, or
-// lacks the container, is corrupt.
+//	docs/<id>.store    – postorder queue + the document's labels
 //
 // # Profile index
 //
-// The profile files are read once, at Open or at the document's ingest,
-// into one in-memory index per serving snapshot, and never per query.
-// The index is the profiles inverted: postings sorted by (gram hash,
-// document) and by (label id, document), each with the document's count,
-// plus every document's gram total. A query plan binary-searches the
-// query's own distinct grams and labels and adds their postings into
-// per-document counters, so its cost grows with the postings of the
-// query's keys, not with a probe per document. A snapshot's index is
-// derived from the last one a query built, on the first query that needs
-// it: one pass drops the removed or quarantined documents and shifts
-// later ones down, and the postings of the documents added since are
-// merged in. Commits thus never wait for the index, and a bulk ingest
-// builds it once. The on-disk format above is unchanged by it.
+// The pq-gram profile and the label histogram that order and skip
+// documents are functions of a document's postorder, so they are not
+// stored: they are derived from the columns its store is decoded into, in
+// the label ids of the snapshot that reads them, into one in-memory index
+// per serving snapshot, and never per query. The index is the profiles
+// inverted: postings sorted by (gram hash, document) and by (label id,
+// document), each with the document's count, plus every document's gram
+// total. A query plan binary-searches the query's own distinct grams and
+// labels and adds their postings into per-document counters, so its cost
+// grows with the postings of the query's keys, not with a probe per
+// document. A snapshot's index is derived from the last one a query
+// built, on the first query that needs it: one pass drops the removed or
+// quarantined documents and shifts later ones down, and the postings of
+// the documents added since — every document, for the first query after
+// Open — are derived from their columns and merged in. Commits thus never
+// wait for the index, and a bulk ingest builds it once.
 //
 // # Durability and integrity
 //
-// Every file commit — store, profile, manifest — goes through the
-// atomicio protocol (temp file, fsync, rename, parent directory fsync),
-// so a crash at any instant leaves each path either at its previous
-// content or its new content, never torn. Open sweeps orphaned temp
-// files and unreferenced store/profile files left by crashes, then loads
-// every referenced document in one pass: its store is read once,
-// checksummed (per WithVerifyMode) and decoded into the postorder columns
-// queries scan, its profile checksummed and parsed into the profile
-// index. A document that does not load is quarantined — its files are
-// moved to the corpus's quarantine/ directory and the manifest is
-// rewritten without it under a bumped generation — so one rotted file
-// costs one document, not the corpus, and no document is ever served in a
-// degraded form. See Verify for the on-demand scrub.
+// Every file commit — store, manifest — goes through the atomicio
+// protocol (temp file, fsync, rename, parent directory fsync), so a crash
+// at any instant leaves each path either at its previous content or its
+// new content, never torn. Open sweeps orphaned temp files and files in
+// docs/ the manifest does not reference, left by crashes (and the profile
+// files earlier versions wrote beside each store), then loads every
+// referenced document in one pass: its store is read once, checksummed
+// (per WithVerifyMode) and decoded into the postorder columns queries
+// scan. A document that does not load is quarantined — its store is moved
+// to the corpus's quarantine/ directory and the manifest is rewritten
+// without it under a bumped generation — so one rotted file costs one
+// document, not the corpus, and no document is ever served in a degraded
+// form. See Verify for the on-demand scrub.
+//
+// A directory an earlier version wrote opens as it is: its manifest's
+// "profile" keys are ignored, its profile files are swept by Open, and the
+// next commit rewrites the manifest without the keys. Earlier versions
+// cannot read a manifest so rewritten, since they require the keys.
 //
 // # Dictionary lifecycle
 //
@@ -98,18 +90,12 @@
 package corpus
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"log/slog"
-	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 
@@ -120,29 +106,20 @@ import (
 	"tasm/internal/docstore"
 	"tasm/internal/mmapio"
 	"tasm/internal/postorder"
-	"tasm/internal/pqgram"
 	"tasm/internal/tree"
-	"tasm/internal/varint"
 	"tasm/internal/xmlstream"
 )
 
 // manifestFile is the manifest's name inside the corpus directory.
 const manifestFile = "manifest.json"
 
-// docsDir is the subdirectory holding store and profile files.
+// docsDir is the subdirectory holding the store files.
 const docsDir = "docs"
 
 // quarantineDir is the subdirectory corrupt documents' files are moved
 // to. Nothing in it is ever read or deleted by the corpus: it exists for
 // operators to inspect, restore from backup, or discard.
 const quarantineDir = "quarantine"
-
-// profileMagicV2 marks the checksummed profile container; legacy profile
-// files start directly with the pqgram payload magic "TASMPF1\n".
-const profileMagicV2 = "TASMPR2\n"
-
-// crcTable is CRC-32C (Castagnoli), matching the docstore trailer.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // DocInfo describes one corpus document (the manifest entry).
 type DocInfo = docstore.ManifestDoc
@@ -158,8 +135,8 @@ func WithCostModel(m cost.Model) Option {
 	return func(c *Corpus) { c.model = m }
 }
 
-// WithPQ sets the pq-gram shape used for profile building when creating a
-// new corpus (default p=2, q=3). Opening an existing corpus keeps the
+// WithPQ sets the pq-gram shape documents and queries are profiled with
+// when creating a new corpus (default p=2, q=3). Opening an existing corpus keeps the
 // shape recorded in its manifest; profiles of different shapes are not
 // comparable.
 func WithPQ(p, q int) Option {
@@ -171,9 +148,8 @@ type VerifyMode int
 
 const (
 	// VerifyScrub (the default) checksums and decodes every referenced
-	// store and profile file as Open loads it and quarantines documents
-	// that fail — the corpus opens and serves exact results over the
-	// surviving set.
+	// store as Open loads it and quarantines documents that fail — the
+	// corpus opens and serves exact results over the surviving set.
 	VerifyScrub VerifyMode = iota
 	// VerifyStrict fails Open on the first corrupt document instead of
 	// quarantining — for operators who want a damaged corpus to refuse to
@@ -182,14 +158,15 @@ const (
 	// VerifyOff skips the checksums at Open (the orphan sweep still runs;
 	// it is part of crash recovery, not integrity checking). A store that
 	// does not decode is quarantined even so, since a corpus has no other
-	// form to serve it in; a profile that does not parse leaves its
-	// document unprofiled.
+	// form to serve it in.
 	VerifyOff
 )
 
 // WithVerifyMode selects the Open-time integrity behaviour (default
-// VerifyScrub). The explicit Verify method always scrubs, regardless of
-// mode.
+// VerifyScrub): whether Open checks each store's checksum, and whether a
+// store that does not load quarantines its document or fails Open. A
+// store is the only file of a document Open reads. The explicit Verify
+// method always scrubs, regardless of mode.
 func WithVerifyMode(m VerifyMode) Option {
 	return func(c *Corpus) { c.mode = m }
 }
@@ -252,7 +229,7 @@ type Corpus struct {
 	// dict is the frozen corpus base dictionary. It is replaced wholesale
 	// on every ingest (clone → intern → freeze → publish), never mutated
 	// in place, so snapshots taken under mu stay internally consistent
-	// with the manifest and profiles captured alongside them.
+	// with the manifest and stores captured alongside them.
 	dict *dict.Base
 	// snap is the prebuilt immutable snapshot queries run against,
 	// rebuilt by publishLocked after every mutation (generation bump).
@@ -296,8 +273,9 @@ type snapshot struct {
 	quarantined int
 }
 
-// index returns the snapshot's profile index, building it on first use.
-func (st *snapshot) index() *profileIndex { return st.profiles.get(st.docs) }
+// index returns the snapshot's profile index for the pq-gram shape (p, q),
+// building it on first use.
+func (st *snapshot) index(p, q int) (*profileIndex, error) { return st.profiles.get(st, p, q) }
 
 // snapshot returns the prebuilt immutable snapshot for one query run.
 func (c *Corpus) snapshot() *snapshot {
@@ -310,17 +288,16 @@ func (c *Corpus) snapshot() *snapshot {
 // manifest, stores, and dictionary. Its profile index is the previous
 // snapshot's, carried over to the current manifest when a query first
 // needs it: removed and quarantined documents drop out, and the documents
-// new to the manifest enter with their profiles from added (a document
-// absent there is unprofiled). Call with mu held after every mutation;
-// during Open (c.dict still nil) it is a no-op — Open publishes once at
-// the end.
-func (c *Corpus) publishLocked(added map[int]*docProfile) {
+// new to the manifest enter with profiles derived from their columns.
+// Call with mu held after every mutation; during Open (c.dict still nil)
+// it is a no-op — Open publishes once at the end.
+func (c *Corpus) publishLocked() {
 	if c.dict == nil {
 		return
 	}
-	profiles := &lazyIndex{from: &profileIndex{}, added: added}
+	profiles := &lazyIndex{from: &profileIndex{}}
 	if c.snap != nil {
-		profiles = c.snap.profiles.then(c.snap.docs, added)
+		profiles = c.snap.profiles.then(c.snap.docs)
 	}
 	st := &snapshot{
 		docs:        c.man.Docs,
@@ -336,12 +313,13 @@ func (c *Corpus) publishLocked(added map[int]*docProfile) {
 }
 
 // loadStore maps (or, under WithMmap(false), reads) a committed store
-// file, checks its CRC-32C trailer (except under VerifyOff), parses its
-// header, interns its label table into base — which must still be
-// mutable (Open) or be a private pre-freeze clone (AddTree) — and decodes
-// its items into columns: the steps docstore.Verify takes, on the bytes
-// the document is then served from. A store that fails any of them
-// cannot be served, and the error says why.
+// file and decodes it (docstore.Decode): checks its CRC-32C trailer
+// (except under VerifyOff), parses its header, interns its label table
+// into base — which must still be mutable (Open) or be a private
+// pre-freeze clone (AddTree) — and decodes its items into columns: the
+// steps docstore.Verify takes, on the bytes the document is then served
+// from. A store that fails any of them cannot be served, and the error
+// says why.
 func (c *Corpus) loadStore(base *dict.Base, d DocInfo) (*docStore, error) {
 	open := mmapio.Map
 	if !c.mmap {
@@ -351,27 +329,12 @@ func (c *Corpus) loadStore(base *dict.Base, d DocInfo) (*docStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	cols, err := decodeStore(base, region.Bytes(), c.mode != VerifyOff)
+	cols, err := docstore.Decode(base, region.Bytes(), c.mode != VerifyOff)
 	if err != nil {
 		region.Close()
 		return nil, err
 	}
 	return &docStore{region: region, cols: cols}, nil
-}
-
-// decodeStore checks a store image's trailer when verify is set, then
-// parses it and decodes its items into columns, labels interned into base.
-func decodeStore(base *dict.Base, data []byte, verify bool) (*postorder.Columns, error) {
-	if verify {
-		if err := checkTrailer(data); err != nil {
-			return nil, err
-		}
-	}
-	img, err := docstore.ParseImage(data)
-	if err != nil {
-		return nil, err
-	}
-	return img.Columns(img.Remap(base))
 }
 
 // ColumnBytes returns the heap bytes held by the decoded postorder
@@ -442,16 +405,16 @@ func Open(dir string, opts ...Option) (*Corpus, error) {
 	}
 	c.man = man
 	c.gen = man.Generation
-	// Crash recovery: a crash can strand temp files and committed store or
-	// profile files whose manifest commit never happened. The manifest is
-	// the source of truth, so anything it does not reference is debris.
+	// Crash recovery: a crash can strand temp files and committed stores
+	// whose manifest commit never happened. The manifest is the source of
+	// truth, so anything it does not reference is debris.
 	c.sweepOrphans()
 	base := dict.New()
-	profiles := make(map[int]*docProfile, len(c.man.Docs))
 	var doomed []DocInfo
 	for _, d := range c.man.Docs {
-		err := c.loadDoc(base, d, profiles)
+		s, err := c.loadStore(base, d)
 		if err == nil {
+			c.stores[d.ID] = s
 			continue
 		}
 		if c.mode == VerifyStrict {
@@ -467,41 +430,15 @@ func Open(dir string, opts ...Option) (*Corpus, error) {
 		}
 	}
 	c.dict = base.Freeze()
-	c.publishLocked(profiles)
+	c.publishLocked()
 	return c, nil
-}
-
-// loadDoc loads one document at Open: its profile into profiles and its
-// store into c.stores, both interning their labels into the still-mutable
-// base. The profile goes first: a profiled document's store labels are a
-// subset of its profile's, so the store adds none, while an unprofiled
-// document's store contributes its labels now instead of per query. A
-// missing profile file, or under VerifyOff one that does not load,
-// leaves the document unprofiled — profiles are a derived index, not
-// source data — and query.go records it in Stats.Unprofiled. Any other
-// failure is returned: the document cannot be served. Its labels may stay
-// in base, as a removed document's do.
-func (c *Corpus) loadDoc(base *dict.Base, d DocInfo, profiles map[int]*docProfile) error {
-	p, err := c.loadProfile(base, d)
-	if err != nil && !os.IsNotExist(err) && c.mode != VerifyOff {
-		return fmt.Errorf("profile: %w", err)
-	}
-	s, err := c.loadStore(base, d)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	c.stores[d.ID] = s
-	if p != nil {
-		profiles[d.ID] = p
-	}
-	return nil
 }
 
 // sweepOrphans removes crash debris: atomicio temp files anywhere in the
 // corpus, and files in docs/ the manifest does not reference (a crash
-// between a file commit and its manifest commit, or a failed unlink after
-// a removal). Only called while the corpus is unpublished (Open) or under
-// mu.
+// between a store commit and its manifest commit, a failed unlink after a
+// removal, or a profile file an earlier version wrote). Only called while
+// the corpus is unpublished (Open) or under mu.
 func (c *Corpus) sweepOrphans() {
 	removed := 0
 	if ents, err := os.ReadDir(c.dir); err == nil {
@@ -513,10 +450,9 @@ func (c *Corpus) sweepOrphans() {
 			}
 		}
 	}
-	ref := make(map[string]bool, 2*len(c.man.Docs))
+	ref := make(map[string]bool, len(c.man.Docs))
 	for _, d := range c.man.Docs {
 		ref[filepath.Base(d.Store)] = true
-		ref[filepath.Base(d.Profile)] = true
 	}
 	if ents, err := os.ReadDir(filepath.Join(c.dir, docsDir)); err == nil {
 		for _, e := range ents {
@@ -529,7 +465,7 @@ func (c *Corpus) sweepOrphans() {
 		}
 	}
 	if removed > 0 {
-		c.log.Warn("corpus: swept orphaned files left by an interrupted operation",
+		c.log.Warn("corpus: swept files the manifest does not reference (crash debris, or profile files of an earlier version)",
 			"dir", c.dir, "removed", removed)
 	}
 }
@@ -542,15 +478,9 @@ type VerifyReport struct {
 	Quarantined []string
 }
 
-// errProfileMissing marks a document whose profile file does not exist —
-// a degradation (unfiltered scan), not corruption, so it never
-// quarantines; see the dictionary-lifecycle notes on Open.
-var errProfileMissing = errors.New("profile file missing")
-
-// Verify scrubs every document in the corpus: each store and profile
-// file is read whole, its CRC-32C trailer verified, and its payload
-// decoded as a load would (docstore.Verify for the store). Documents that
-// fail are quarantined — files moved to quarantine/, manifest rewritten
+// Verify scrubs every document in the corpus: each store is read whole,
+// its CRC-32C trailer verified, and its payload decoded as a load would
+// (docstore.Verify). Documents that fail are quarantined — files moved to quarantine/, manifest rewritten
 // without them under a bumped generation — and reported. In-flight
 // queries that snapshotted the corpus earlier are undisturbed; the shared
 // dictionary is not shrunk (as with Remove).
@@ -561,8 +491,11 @@ func (c *Corpus) Verify() (VerifyReport, error) {
 	var doomed []DocInfo
 	for _, d := range c.man.Docs {
 		rep.Checked++
-		err := c.checkDoc(d)
-		if err == nil || errors.Is(err, errProfileMissing) {
+		data, err := os.ReadFile(filepath.Join(c.dir, d.Store))
+		if err == nil {
+			err = docstore.Verify(data)
+		}
+		if err == nil {
 			continue
 		}
 		c.log.Warn("corpus: quarantining corrupt document",
@@ -578,37 +511,7 @@ func (c *Corpus) Verify() (VerifyReport, error) {
 	return rep, nil
 }
 
-// checkDoc verifies one document's files. A nil return means both files
-// are intact; errProfileMissing means the store is intact and the
-// profile file is absent; anything else is corruption.
-func (c *Corpus) checkDoc(d DocInfo) error {
-	data, err := os.ReadFile(filepath.Join(c.dir, d.Store))
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := docstore.Verify(data); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	pdata, err := os.ReadFile(filepath.Join(c.dir, d.Profile))
-	if os.IsNotExist(err) {
-		return errProfileMissing
-	}
-	if err != nil {
-		return fmt.Errorf("profile: %w", err)
-	}
-	payload, err := profilePayload(pdata)
-	if err != nil {
-		return fmt.Errorf("profile: %w", err)
-	}
-	// Parse into a throwaway dictionary: checksum-valid bytes must also
-	// decode, or the document cannot serve.
-	if _, err := c.parseProfile(dict.New(), d, payload); err != nil {
-		return fmt.Errorf("profile: %w", err)
-	}
-	return nil
-}
-
-// quarantineLocked moves the doomed documents' files into quarantine/
+// quarantineLocked moves the doomed documents' stores into quarantine/
 // and commits a manifest without them. File moves happen first: if the
 // process dies between move and manifest commit, the next Open finds
 // the stores missing and re-quarantines the same documents — the two
@@ -621,10 +524,9 @@ func (c *Corpus) quarantineLocked(doomed []DocInfo) error {
 	dead := make(map[int]bool, len(doomed))
 	for _, d := range doomed {
 		dead[d.ID] = true
-		// Best-effort: a file may already be missing (that can be why the
-		// document is being quarantined).
+		// Best-effort: the store may already be missing (that can be why
+		// the document is being quarantined).
 		os.Rename(filepath.Join(c.dir, d.Store), filepath.Join(qdir, filepath.Base(d.Store)))
-		os.Rename(filepath.Join(c.dir, d.Profile), filepath.Join(qdir, filepath.Base(d.Profile)))
 	}
 	man := *c.man
 	man.Docs = make([]DocInfo, 0, len(c.man.Docs)-len(doomed))
@@ -645,7 +547,7 @@ func (c *Corpus) quarantineLocked(doomed []DocInfo) error {
 		// quarantine keep their reference until they finish.
 		delete(c.stores, id)
 	}
-	c.publishLocked(nil)
+	c.publishLocked()
 	return nil
 }
 
@@ -655,34 +557,6 @@ func (c *Corpus) Quarantined() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.man.Quarantined
-}
-
-// profilePayload validates a profile file image's container — its magic
-// and its CRC-32C trailer, which detects any single flipped byte — and
-// returns the payload between them.
-func profilePayload(data []byte) ([]byte, error) {
-	if !bytes.HasPrefix(data, []byte(profileMagicV2)) || len(data) < len(profileMagicV2)+4 {
-		return nil, fmt.Errorf("not a profile container: bad magic %q", data[:min(len(data), len(profileMagicV2))])
-	}
-	if err := checkTrailer(data); err != nil {
-		return nil, err
-	}
-	return data[len(profileMagicV2) : len(data)-4], nil
-}
-
-// checkTrailer verifies the 4-byte little-endian CRC-32C trailer that ends
-// both the store and the profile format, computed over everything before
-// it.
-func checkTrailer(data []byte) error {
-	if len(data) < 4 {
-		return fmt.Errorf("%d bytes are too short for a checksum trailer", len(data))
-	}
-	body := data[:len(data)-4]
-	want := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if got := crc32.Checksum(body, crcTable); got != want {
-		return fmt.Errorf("%w: crc32c %08x, trailer says %08x", docstore.ErrChecksum, got, want)
-	}
-	return nil
 }
 
 // Dir returns the corpus directory.
@@ -757,8 +631,7 @@ func (c *Corpus) queryOverlay() *dict.Overlay {
 }
 
 // AddXML ingests an XML document under the given name: the document is
-// parsed, persisted as a postorder store, profiled, and added to the
-// manifest. Names must be unique within the corpus.
+// parsed, persisted as a postorder store, and added to the manifest. Names must be unique within the corpus.
 func (c *Corpus) AddXML(name string, r io.Reader) (DocInfo, error) {
 	t, err := xmlstream.ParseTree(c.queryOverlay(), r)
 	if err != nil {
@@ -806,34 +679,20 @@ func (c *Corpus) AddTree(name string, t *tree.Tree) (DocInfo, error) {
 	nd := c.dict.Clone()
 	t = t.Reintern(nd)
 
-	grams, err := pqgram.New(t, c.p, c.q)
-	if err != nil {
-		return DocInfo{}, err
-	}
-	prof := &docProfile{grams: grams}
-	prof.labels, prof.counts = countLabels(t.LabelIDs(), nil, nil)
-
 	info := DocInfo{
 		ID:        id,
 		Name:      name,
 		Nodes:     t.Size(),
 		RootLabel: t.Label(t.Root()),
 		Store:     filepath.Join(docsDir, fmt.Sprintf("%d.store", id)),
-		Profile:   filepath.Join(docsDir, fmt.Sprintf("%d.profile", id)),
 	}
-	// Until the manifest commits below, the store and profile files are
-	// unreferenced — so every error path unlinks whatever this ingest has
-	// committed so far, rather than leaving debris for the next Open's
-	// sweep. (A crash still leaves debris; the sweep remains the backstop.)
+	// Until the manifest commits below, the store is unreferenced — so
+	// every error path after its commit unlinks it, rather than leaving
+	// debris for the next Open's sweep. (A crash still leaves debris; the
+	// sweep remains the backstop.)
 	if err := c.writeFile(info.Store, func(w io.Writer) error {
 		return docstore.WriteItems(w, nd, postorder.Items(t))
 	}); err != nil {
-		return DocInfo{}, err
-	}
-	if err := c.writeFile(info.Profile, func(w io.Writer) error {
-		return writeProfile(w, nd, prof)
-	}); err != nil {
-		c.removeFiles(info.Store)
 		return DocInfo{}, err
 	}
 	// Load the committed store back before the manifest names it, so a
@@ -843,7 +702,7 @@ func (c *Corpus) AddTree(name string, t *tree.Tree) (DocInfo, error) {
 	// no-op: the document's labels are already there.
 	s, err := c.loadStore(nd, info)
 	if err != nil {
-		c.removeFiles(info.Store, info.Profile)
+		c.removeFile(info.Store)
 		return DocInfo{}, fmt.Errorf("corpus: loading the committed store of %q: %w", name, err)
 	}
 
@@ -853,14 +712,14 @@ func (c *Corpus) AddTree(name string, t *tree.Tree) (DocInfo, error) {
 	man.Generation = c.gen + 1
 	if err := docstore.WriteManifestFS(c.fs, filepath.Join(c.dir, manifestFile), &man); err != nil {
 		s.region.Close()
-		c.removeFiles(info.Store, info.Profile)
+		c.removeFile(info.Store)
 		return DocInfo{}, err
 	}
 	c.man = &man
 	c.stores[id] = s
 	c.dict = nd.Freeze()
 	c.gen = man.Generation
-	c.publishLocked(map[int]*docProfile{id: prof})
+	c.publishLocked()
 	return info, nil
 }
 
@@ -870,9 +729,9 @@ var ErrNotFound = errors.New("document not found")
 
 // Remove deletes the named document from the corpus: the manifest entry
 // is tombstoned (rewritten without the document — NextID is untouched, so
-// ids are never reused and generation-keyed caches stay valid), the
-// profile index entry is dropped, and the store and profile files are
-// garbage-collected best-effort after the manifest commit.
+// ids are never reused and generation-keyed caches stay valid), its
+// postings leave the profile index, and its store is garbage-collected
+// best-effort after the manifest commit.
 //
 // The shared dictionary is not shrunk: it stays bounded by every label
 // the corpus has ever ingested, which keeps in-flight scans (that still
@@ -904,14 +763,14 @@ func (c *Corpus) Remove(name string) error {
 	c.man = &man
 	delete(c.stores, doomed.ID)
 	c.gen = man.Generation
-	c.publishLocked(nil)
+	c.publishLocked()
 
-	// Best-effort file GC: the manifest no longer references the files, so
+	// Best-effort file GC: the manifest no longer references the store, so
 	// a failed unlink merely leaks disk until the next Open's orphan sweep
 	// collects it; the manifest is the source of truth. A query that
-	// snapshotted the corpus before this Remove never reads the files: it
+	// snapshotted the corpus before this Remove never reads the file: it
 	// scans the columns its snapshot holds.
-	c.removeFiles(doomed.Store, doomed.Profile)
+	c.removeFile(doomed.Store)
 	return nil
 }
 
@@ -921,122 +780,9 @@ func (c *Corpus) writeFile(rel string, fill func(io.Writer) error) error {
 	return atomicio.WriteFile(c.fs, filepath.Join(c.dir, rel), fill)
 }
 
-// removeFiles best-effort unlinks corpus-relative files — the cleanup of
-// AddTree's error paths. Failures are ignored: the manifest does not
-// reference these files, so anything left behind is debris the next
-// Open's orphan sweep collects.
-func (c *Corpus) removeFiles(rels ...string) {
-	for _, rel := range rels {
-		c.fs.Remove(filepath.Join(c.dir, rel))
-	}
-}
-
-// writeProfile serializes a document's profile file: the v2 container
-// magic, the pq-gram profile, the label histogram (ascending label id, so
-// files stay deterministic per ingest history), and the CRC-32C trailer,
-// with labels resolved in d.
-func writeProfile(w io.Writer, d dict.Dict, prof *docProfile) error {
-	h := crc32.New(crcTable)
-	mw := io.MultiWriter(w, h)
-	if _, err := io.WriteString(mw, profileMagicV2); err != nil {
-		return err
-	}
-	if err := prof.grams.Write(mw); err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	varint.Write(&buf, uint64(len(prof.labels)))
-	for i, id := range prof.labels {
-		label := d.Label(int(id))
-		varint.Write(&buf, uint64(len(label)))
-		buf.WriteString(label)
-		varint.Write(&buf, uint64(prof.counts[i]))
-	}
-	if _, err := mw.Write(buf.Bytes()); err != nil {
-		return err
-	}
-	// The trailer covers everything hashed so far and goes straight to w:
-	// it must not feed back into the hash.
-	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], h.Sum32())
-	_, err := w.Write(trailer[:])
-	return err
-}
-
-// loadProfile reads a document's profile file, interning its labels into
-// base (the corpus dictionary under construction at Open).
-func (c *Corpus) loadProfile(base *dict.Base, d DocInfo) (*docProfile, error) {
-	data, err := os.ReadFile(filepath.Join(c.dir, d.Profile))
-	if err != nil {
-		return nil, err
-	}
-	payload, err := profilePayload(data)
-	if err != nil {
-		return nil, err
-	}
-	return c.parseProfile(base, d, payload)
-}
-
-// parseProfile decodes a profile payload (container already stripped),
-// interning its labels into base. A label listed twice is corruption: the
-// writer lists each of the document's labels once.
-func (c *Corpus) parseProfile(base *dict.Base, d DocInfo, payload []byte) (*docProfile, error) {
-	br := bufio.NewReader(bytes.NewReader(payload))
-	grams, err := pqgram.ReadProfile(br)
-	if err != nil {
-		return nil, err
-	}
-	if grams.P() != c.p || grams.Q() != c.q {
-		return nil, fmt.Errorf("profile shape (%d,%d) does not match corpus (%d,%d)",
-			grams.P(), grams.Q(), c.p, c.q)
-	}
-	n, err := varint.Read(br)
-	if err != nil {
-		return nil, fmt.Errorf("reading label histogram size: %w", err)
-	}
-	prof := &docProfile{grams: grams, labels: make([]int32, 0, min(n, 4096)), counts: make([]int32, 0, min(n, 4096))}
-	for i := uint64(0); i < n; i++ {
-		ln, err := varint.Read(br)
-		if err != nil {
-			return nil, fmt.Errorf("reading histogram label %d: %w", i, err)
-		}
-		if ln > uint64(d.Nodes)*64+1024 {
-			// A label longer than the document could plausibly hold is
-			// corruption; refuse before allocating.
-			return nil, fmt.Errorf("histogram label %d claims %d bytes", i, ln)
-		}
-		buf := make([]byte, ln)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("reading histogram label %d: %w", i, err)
-		}
-		count, err := varint.Read(br)
-		if err != nil {
-			return nil, fmt.Errorf("reading histogram count %d: %w", i, err)
-		}
-		if count < 1 || count > uint64(d.Nodes) || count > math.MaxInt32 {
-			return nil, fmt.Errorf("histogram label %q has count %d of %d nodes", buf, count, d.Nodes)
-		}
-		prof.labels = append(prof.labels, int32(base.Intern(string(buf))))
-		prof.counts = append(prof.counts, int32(count))
-	}
-	// Ids are assigned in first-intern order, which need not follow the
-	// order the file lists the labels in once other documents have
-	// interned some of them first.
-	sort.Sort((*byLabel)(prof))
-	for i := 1; i < len(prof.labels); i++ {
-		if prof.labels[i] == prof.labels[i-1] {
-			return nil, fmt.Errorf("histogram lists label %q twice", base.Label(int(prof.labels[i])))
-		}
-	}
-	return prof, nil
-}
-
-// byLabel sorts a docProfile's label histogram by label id.
-type byLabel docProfile
-
-func (h *byLabel) Len() int           { return len(h.labels) }
-func (h *byLabel) Less(i, j int) bool { return h.labels[i] < h.labels[j] }
-func (h *byLabel) Swap(i, j int) {
-	h.labels[i], h.labels[j] = h.labels[j], h.labels[i]
-	h.counts[i], h.counts[j] = h.counts[j], h.counts[i]
+// removeFile best-effort unlinks a corpus-relative file. Failures are
+// ignored: the manifest does not reference the file, so anything left
+// behind is debris the next Open's orphan sweep collects.
+func (c *Corpus) removeFile(rel string) {
+	c.fs.Remove(filepath.Join(c.dir, rel))
 }

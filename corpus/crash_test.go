@@ -206,8 +206,8 @@ func TestCrashPointsIngest(t *testing.T) {
 		t.Fatal("test is vacuous: ingest does not change the probe query's answers")
 	}
 
-	// Three durable commits (store, profile, manifest) at ~9 steps each.
-	sweepCrashPoints(t, base, pre, post, 20, newDoc)
+	// Two durable commits (store, manifest) at ~9 steps each.
+	sweepCrashPoints(t, base, pre, post, 16, newDoc)
 }
 
 // TestCrashPointsRemove: every crash point of Remove recovers to the

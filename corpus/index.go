@@ -2,7 +2,6 @@ package corpus
 
 import (
 	"cmp"
-	"maps"
 	"math"
 	"slices"
 	"sync"
@@ -26,49 +25,46 @@ type profileIndex struct {
 	grams  []posting[uint64] // 16 bytes each
 	labels []posting[int32]  // 12 bytes each
 	// totals holds, per slot, the number of the document's pq-grams with
-	// multiplicity, or -1 when the document has no usable profile.
+	// multiplicity.
 	totals []int
 }
 
 // lazyIndex is a snapshot's profile index, built on first use from the
 // last index an earlier snapshot built (from, the index of fromDocs) and
-// the profiles of the documents added since. A run of commits with no
-// query between them — a bulk ingest — builds one index, not one per
-// commit, and no commit waits for a build. Once built, the index is all
-// it holds: the profiles it was built from are dropped.
+// the columns of the documents added since. A run of commits with no
+// query between them — a bulk ingest, or Open — builds one index, not one
+// per commit, and no commit waits for a build.
 type lazyIndex struct {
 	mu       sync.Mutex
 	built    *profileIndex
 	from     *profileIndex
 	fromDocs []DocInfo
-	added    map[int]*docProfile
 }
 
-// get returns the index of docs, building it on the first call.
-func (l *lazyIndex) get(docs []DocInfo) *profileIndex {
+// get returns the index of st, building it on the first call.
+func (l *lazyIndex) get(st *snapshot, p, q int) (*profileIndex, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.built == nil {
-		l.built = l.from.next(l.fromDocs, docs, l.added)
-		l.from, l.fromDocs, l.added = nil, nil, nil
+		x, err := l.from.next(l.fromDocs, st, p, q)
+		if err != nil {
+			return nil, err
+		}
+		l.built, l.from, l.fromDocs = x, nil, nil
 	}
-	return l.built
+	return l.built, nil
 }
 
-// then returns the lazy index of the snapshot that follows l's, whose
-// commit added the documents with the profiles in added; docs are the
-// documents of l's snapshot. It starts from l's index if a query has
+// then returns the lazy index of the snapshot that follows l's; docs are
+// the documents of l's snapshot. It starts from l's index if a query has
 // built it, and from where l starts otherwise.
-func (l *lazyIndex) then(docs []DocInfo, added map[int]*docProfile) *lazyIndex {
+func (l *lazyIndex) then(docs []DocInfo) *lazyIndex {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.built != nil {
-		return &lazyIndex{from: l.built, fromDocs: docs, added: added}
+		return &lazyIndex{from: l.built, fromDocs: docs}
 	}
-	pending := make(map[int]*docProfile, len(l.added)+len(added))
-	maps.Copy(pending, l.added)
-	maps.Copy(pending, added)
-	return &lazyIndex{from: l.from, fromDocs: l.fromDocs, added: pending}
+	return &lazyIndex{from: l.from, fromDocs: l.fromDocs}
 }
 
 // posting is one (key, document) entry of a profileIndex.
@@ -85,20 +81,11 @@ func comparePostings[K uint64 | int32](a, b posting[K]) int {
 	return cmp.Compare(a.slot, b.slot)
 }
 
-// docProfile is one document's profile on its way into the index: as
-// AddTree builds it, or as Open reads it from the document's profile file.
-// Its label histogram is laid out as the pq-gram profile is: labels[i], a
-// label id in the corpus dictionary, occurs counts[i] times, and the ids
-// ascend and are distinct.
-type docProfile struct {
-	grams          *pqgram.Profile
-	labels, counts []int32
-}
-
-// countLabels returns the histogram of a tree's label ids in the layout of
-// docProfile's, reusing the backing arrays of labels and counts. An id
-// beyond int32 is left out: no dictionary holds that many labels, and a
-// request-local label that large has no postings either way.
+// countLabels returns the histogram of a tree's label ids — labels[i]
+// occurs counts[i] times, the ids ascending and distinct — reusing the
+// backing arrays of labels and counts. An id beyond int32 is left out: no
+// dictionary holds that many labels, and a request-local label that large
+// has no postings either way.
 func countLabels(ids []int, labels, counts []int32) ([]int32, []int32) {
 	labels, counts = labels[:0], counts[:0]
 	for _, id := range ids {
@@ -120,17 +107,17 @@ func countLabels(ids []int, labels, counts []int32) ([]int32, []int32) {
 	return labels[:n], counts
 }
 
-// next returns the index of docs, given that x is the index of prevDocs.
-// Both lists are manifests, in ascending id order: docs keeps some of
-// prevDocs and may add others. One pass over x drops the postings of the
-// documents docs no longer holds and moves the rest to their new slots;
-// the postings of the documents new to docs, built from their profiles in
-// added (a document without one there is unprofiled), are merged in.
-func (x *profileIndex) next(prevDocs, docs []DocInfo, added map[int]*docProfile) *profileIndex {
+// next returns the index of st.docs, given that x is the index of
+// prevDocs. Both lists are manifests, in ascending id order: st.docs keeps
+// some of prevDocs and may add others. One pass over x drops the postings
+// of the documents st.docs no longer holds and moves the rest to their new
+// slots; the postings of the documents new to st.docs are derived from
+// their columns — the pq-gram profile from the label and size columns,
+// the label histogram from the label postings — with label ids in st's
+// base, and merged in.
+func (x *profileIndex) next(prevDocs []DocInfo, st *snapshot, p, q int) (*profileIndex, error) {
+	docs := st.docs
 	nx := &profileIndex{totals: make([]int, len(docs))}
-	for s := range nx.totals {
-		nx.totals[s] = -1
-	}
 	remap := make([]int32, len(prevDocs))
 	kept := make([]bool, len(docs))
 	moved := false // whether any document left or changed slot
@@ -148,32 +135,29 @@ func (x *profileIndex) next(prevDocs, docs []DocInfo, added map[int]*docProfile)
 	if !moved {
 		remap = nil
 	}
-	nGrams, nLabels := 0, 0
+	var grams []posting[uint64]
+	var labels []posting[int32]
 	for s, d := range docs {
-		if prof := added[d.ID]; !kept[s] && prof != nil {
-			hashes, _ := prof.grams.Grams()
-			nGrams, nLabels = nGrams+len(hashes), nLabels+len(prof.labels)
-		}
-	}
-	grams := make([]posting[uint64], 0, nGrams)
-	labels := make([]posting[int32], 0, nLabels)
-	for s, d := range docs {
-		prof := added[d.ID]
-		if kept[s] || prof == nil {
+		if kept[s] {
 			continue
 		}
-		nx.totals[s] = prof.grams.Size()
-		hashes, counts := prof.grams.Grams()
+		cols := st.stores[d.ID].cols
+		prof, err := pqgram.FromPostorder(cols.Labels(), cols.Sizes(), p, q)
+		if err != nil {
+			return nil, err
+		}
+		nx.totals[s] = prof.Size()
+		hashes, counts := prof.Grams()
 		for k, h := range hashes {
 			grams = append(grams, posting[uint64]{key: h, slot: int32(s), count: counts[k]})
 		}
-		for k, l := range prof.labels {
-			labels = append(labels, posting[int32]{key: l, slot: int32(s), count: prof.counts[k]})
+		for l, n := range cols.LabelCounts() {
+			labels = append(labels, posting[int32]{key: l, slot: int32(s), count: n})
 		}
 	}
 	nx.grams = nextPostings(x.grams, grams, remap)
 	nx.labels = nextPostings(x.labels, labels, remap)
-	return nx
+	return nx, nil
 }
 
 // nextPostings filters old through remap (old slot → new slot, -1 for a

@@ -1,12 +1,9 @@
 package corpus
 
 import (
-	"bufio"
-	"bytes"
 	"cmp"
 	"context"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -17,22 +14,22 @@ import (
 	"tasm/internal/dict"
 	"tasm/internal/pqgram"
 	"tasm/internal/tree"
-	"tasm/internal/varint"
 )
 
-// FuzzProfileIndex pins the profile index against the per-document
-// profiles it replaced. A fuzz input is a sequence of corpus operations
-// over small random documents — ingest, remove, flip a byte of a store or
-// profile and reopen (the document is quarantined), delete a profile file
-// and reopen (the document is unprofiled), plain reopen — so the index is
-// carried through every kind of publish and rebuilt by Open. After each
-// step whose op byte has bit 3 clear (a set bit lets the next commit
-// start from an index no query has built yet), for random batches of queries with repeated labels, labels only
-// the request overlay knows and random document selections, every
-// (pq-gram distance, label bound, label nodes) the plan reads equals what
-// pqgram.Distance and the old per-document map walk compute from the
-// profile files, and the plan's scan order is the order those values give.
-// The plan is pooled across the whole sequence, as a corpus pools it.
+// FuzzProfileIndex pins the profile index against profiles recomputed
+// from each document's tree. A fuzz input is a sequence of corpus
+// operations over small random documents — ingest, remove, flip a byte of
+// a store and reopen (the document is quarantined), plain reopen — so the
+// index is carried through every kind of publish and rebuilt by Open.
+// After each step whose op byte has bit 3 clear (a set bit lets the next
+// commit start from an index no query has built yet), for random batches
+// of queries with repeated labels, labels only the request overlay knows
+// and random document selections, every (pq-gram distance, label bound,
+// label nodes) the plan reads equals what pqgram.Distance and a
+// per-document map walk compute from the document's tree re-interned
+// under the snapshot's base (pqgram.New and countLabels), and the plan's
+// scan order is the order those values give. The plan is pooled across
+// the whole sequence, as a corpus pools it.
 func FuzzProfileIndex(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 6, 0, 3, 7, 1})
 	f.Add([]byte{0, 1, 2, 5, 0, 4, 6, 3, 7, 2})
@@ -53,6 +50,7 @@ func FuzzProfileIndex(f *testing.F) {
 		}
 		c := open()
 		var p queryPlan
+		trees := map[string]*tree.Tree{} // every document ever ingested, by name
 		for step, op := range ops {
 			rng := rand.New(rand.NewSource(int64(step)<<8 | int64(op)))
 			docs := c.Docs()
@@ -62,8 +60,9 @@ func FuzzProfileIndex(f *testing.F) {
 			}
 			switch op % 8 {
 			case 0, 1, 2, 6:
-				tr := tree.Random(dict.New(), rng, tree.RandomConfig{Nodes: 1 + rng.Intn(14), MaxFanout: 3, Labels: 5})
-				if _, err := c.AddTree(fmt.Sprintf("d%d", step), tr); err != nil {
+				name := fmt.Sprintf("d%d", step)
+				trees[name] = tree.Random(dict.New(), rng, tree.RandomConfig{Nodes: 1 + rng.Intn(14), MaxFanout: 3, Labels: 5})
+				if _, err := c.AddTree(name, trees[name]); err != nil {
 					t.Fatal(err)
 				}
 			case 3:
@@ -74,11 +73,7 @@ func FuzzProfileIndex(f *testing.F) {
 				}
 			case 4:
 				if len(docs) > 0 {
-					rel := victim.Profile
-					if _, err := os.Stat(filepath.Join(dir, rel)); err != nil || rng.Intn(2) == 0 {
-						rel = victim.Store
-					}
-					path := filepath.Join(dir, rel)
+					path := filepath.Join(dir, victim.Store)
 					data, err := os.ReadFile(path)
 					if err != nil {
 						t.Fatal(err)
@@ -89,80 +84,41 @@ func FuzzProfileIndex(f *testing.F) {
 					}
 					c = open()
 					if c.Len() != len(docs)-1 {
-						t.Fatalf("step %d: flipping a byte of %s left %d of %d documents", step, rel, c.Len(), len(docs))
+						t.Fatalf("step %d: flipping a byte of %s left %d of %d documents", step, victim.Store, c.Len(), len(docs))
 					}
 				}
-			case 5:
-				if len(docs) > 0 {
-					os.Remove(filepath.Join(dir, victim.Profile))
-					c = open()
-				}
-			case 7:
+			case 5, 7:
 				c = open()
 			}
 			if op&0x08 != 0 {
 				continue // no query: the next commit starts from an unbuilt index
 			}
 			for range 3 {
-				checkPlan(t, c, &p, rng)
+				checkPlan(t, c, &p, rng, trees)
 			}
 		}
 	})
 }
 
-// fileProfile is one document's profile as its file holds it, the label
-// histogram keyed by base-dictionary id; grams is nil for a document
-// without a profile file.
-type fileProfile struct {
-	grams  *pqgram.Profile
-	labels map[int]int
-}
-
-// readFileProfile parses d's profile file independently of the corpus's
-// loader, resolving the histogram's labels in base.
-func readFileProfile(t *testing.T, c *Corpus, base dict.Dict, d DocInfo) fileProfile {
+// treeProfile is the oracle's profile of one document: its pq-gram
+// profile and its label histogram, keyed by base-dictionary id, both
+// computed from the document's tree re-interned under base.
+func treeProfile(t *testing.T, c *Corpus, base *dict.Base, tr *tree.Tree) (*pqgram.Profile, map[int]int) {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join(c.dir, d.Profile))
-	if os.IsNotExist(err) {
-		return fileProfile{}
-	}
+	tr = tr.Reintern(dict.NewOverlay(base))
+	grams, err := pqgram.New(tr, c.p, c.q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := profilePayload(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(bytes.NewReader(payload))
-	grams, err := pqgram.ReadProfile(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := varint.Read(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	labels := make(map[int]int)
-	for range n {
-		ln, err := varint.Read(br)
-		if err != nil {
-			t.Fatal(err)
+	ids, counts := countLabels(tr.LabelIDs(), nil, nil)
+	labels := make(map[int]int, len(ids))
+	for i, id := range ids {
+		if id >= int32(base.Len()) {
+			t.Fatalf("label %q of a document is not in the corpus dictionary", tr.Dict().Label(int(id)))
 		}
-		label := make([]byte, ln)
-		if _, err := io.ReadFull(br, label); err != nil {
-			t.Fatal(err)
-		}
-		count, err := varint.Read(br)
-		if err != nil {
-			t.Fatal(err)
-		}
-		id, ok := base.Lookup(string(label))
-		if !ok {
-			t.Fatalf("document %s: label %q of its profile is not in the corpus dictionary", d.Name, label)
-		}
-		labels[id] = int(count)
+		labels[int(id)] = int(counts[i])
 	}
-	return fileProfile{grams: grams, labels: labels}
+	return grams, labels
 }
 
 // mapLabelBound is the per-document map walk the profile index replaced,
@@ -182,7 +138,7 @@ func mapLabelBound(query, doc map[int]int) (bound float64, labelNodes int) {
 
 // checkPlan plans a random batch of queries over c's snapshot into p and
 // compares every value the plan reads, and its order, with the oracle.
-func checkPlan(t *testing.T, c *Corpus, p *queryPlan, rng *rand.Rand) {
+func checkPlan(t *testing.T, c *Corpus, p *queryPlan, rng *rand.Rand, trees map[string]*tree.Tree) {
 	t.Helper()
 	st := c.snapshot()
 	// Documents use labels l0…l4; l5 and l6 are known to the overlay only.
@@ -228,19 +184,15 @@ func checkPlan(t *testing.T, c *Corpus, p *queryPlan, rng *rand.Rand) {
 		if cfg.Docs != nil && !slices.Contains(cfg.Docs, d.Name) {
 			continue
 		}
-		e := entry{slot: slot, pqdist: math.MaxInt, bounds: make([]float64, len(qs)), labelNodes: make([]int, len(qs))}
-		if prof := readFileProfile(t, c, st.base, d); prof.grams != nil {
-			e.bound = math.Inf(1)
-			for i := range qs {
-				pqd, err := pqgram.Distance(qGrams[i], prof.grams)
-				if err != nil {
-					t.Fatal(err)
-				}
-				e.bounds[i], e.labelNodes[i] = mapLabelBound(qLabels[i], prof.labels)
-				e.pqdist, e.bound = min(e.pqdist, pqd), min(e.bound, e.bounds[i])
+		e := entry{slot: slot, pqdist: math.MaxInt, bound: math.Inf(1), bounds: make([]float64, len(qs)), labelNodes: make([]int, len(qs))}
+		grams, labels := treeProfile(t, c, st.base, trees[d.Name])
+		for i := range qs {
+			pqd, err := pqgram.Distance(qGrams[i], grams)
+			if err != nil {
+				t.Fatal(err)
 			}
-		} else {
-			e.labelNodes = nil
+			e.bounds[i], e.labelNodes[i] = mapLabelBound(qLabels[i], labels)
+			e.pqdist, e.bound = min(e.pqdist, pqd), min(e.bound, e.bounds[i])
 		}
 		want = append(want, e)
 	}
@@ -263,15 +215,14 @@ func checkPlan(t *testing.T, c *Corpus, p *queryPlan, rng *rand.Rand) {
 		if got.slot != w.slot || got.info.ID != st.docs[w.slot].ID {
 			t.Fatalf("scan position %d holds %s (%d %g), want %s (%d %g)", k, got.info.Name, got.pqdist, got.bound, name, w.pqdist, w.bound)
 		}
-		if got.pqdist != w.pqdist || got.bound != w.bound || got.unprofiled != (w.labelNodes == nil) {
-			t.Fatalf("document %s: plan reads pqdist %d bound %g unprofiled %v, oracle %d %g %v",
-				name, got.pqdist, got.bound, got.unprofiled, w.pqdist, w.bound, w.labelNodes == nil)
+		if got.pqdist != w.pqdist || got.bound != w.bound {
+			t.Fatalf("document %s: plan reads pqdist %d bound %g, oracle %d %g", name, got.pqdist, got.bound, w.pqdist, w.bound)
 		}
 		row := w.slot * len(qs)
 		if !slices.Equal(p.bounds[row:row+len(qs)], w.bounds) {
 			t.Fatalf("document %s: plan bounds %v, oracle %v", name, p.bounds[row:row+len(qs)], w.bounds)
 		}
-		if w.labelNodes != nil && !slices.Equal(p.labelNodes[row:row+len(qs)], w.labelNodes) {
+		if !slices.Equal(p.labelNodes[row:row+len(qs)], w.labelNodes) {
 			t.Fatalf("document %s: plan label nodes %v, oracle %v", name, p.labelNodes[row:row+len(qs)], w.labelNodes)
 		}
 	}

@@ -64,3 +64,45 @@ func TestPlanLabelNodes(t *testing.T) {
 		t.Fatal("no query label occurs in any document: the test checks nothing")
 	}
 }
+
+// TestPlanAfterRemoveReopen: a document's pq-gram profile is hashed in
+// the label ids of the snapshot that reads it. Removing the first
+// document and reopening assigns the survivor's labels other ids than
+// its ingest did, and a query equal to the survivor must still be at
+// pq-gram distance 0 from it.
+func TestPlanAfterRemoveReopen(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const b = "{s{t{u}{v}}{w}}"
+	for name, doc := range map[string]string{"a": "{r{x{p}{q}}{y}}", "b": b} {
+		tr, err := c.ParseBracket(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.AddTree(name, tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Remove("a"); err != nil {
+		t.Fatal(err)
+	}
+	if c, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	q, err := c.ParseBracket(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := c.snapshot()
+	_, qs := requestOverlay(st, []*tree.Tree{q})
+	var p queryPlan
+	if err := c.plan(st, qs, &QueryConfig{}, &p); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.docs) != 1 || p.docs[0].pqdist != 0 {
+		t.Fatalf("plan %+v; want b alone at pq-gram distance 0", p.docs)
+	}
+}

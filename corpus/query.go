@@ -34,12 +34,6 @@ type Stats struct {
 	// Skipped is the number of documents pruned by the label-histogram
 	// lower bound without being opened.
 	Skipped int
-	// Unprofiled is the number of documents scanned without a usable
-	// profile (missing or corrupt profile file, e.g. after a partial
-	// ingest). Such documents are scanned unconditionally — their lower
-	// bound is 0 and they sort to the end of the scan order — so results
-	// stay exact while the degradation is visible to operators.
-	Unprofiled int
 	// Quarantined is the number of documents the integrity scrub has
 	// removed from this backend's serving set (files moved to the corpus
 	// quarantine directory after failing checksum verification). It
@@ -235,12 +229,11 @@ func WithBatchCutoffs(cs []*Cutoff) QueryOption {
 // scanDoc is one document of a run's scan plan. It is small, so that
 // ordering the plan moves small values.
 type scanDoc struct {
-	info       *DocInfo // the manifest entry, in the snapshot's docs
-	offset     int      // global position offset: Σ nodes of manifest-earlier docs
-	slot       int      // position in the snapshot's docs: the profile index slot, and the row in queryPlan.bounds
-	bound      float64  // the smallest of the queries' lower bounds (ordering)
-	pqdist     int      // the smallest pq-gram distance of the whole doc to a query (ordering)
-	unprofiled bool     // no usable profile: bounds 0, scanned last, never skipped
+	info   *DocInfo // the manifest entry, in the snapshot's docs
+	offset int      // global position offset: Σ nodes of manifest-earlier docs
+	slot   int      // position in the snapshot's docs: the profile index slot, and the row in queryPlan.bounds
+	bound  float64  // the smallest of the queries' lower bounds (ordering)
+	pqdist int      // the smallest pq-gram distance of the whole doc to a query (ordering)
 }
 
 // queryPlan is the pooled scan plan of one run.
@@ -254,8 +247,7 @@ type queryPlan struct {
 	// labelNodes holds, per (document, query) in the same layout, how many
 	// of the document's nodes carry one of the query's labels: what the
 	// scan's candidate gate would read from the document's label postings
-	// (core.PostorderBatchColumnsInto). Rows of unprofiled documents are 0
-	// and unused.
+	// (core.PostorderBatchColumnsInto).
 	labelNodes []int
 	// byOffset is docs by ascending offset, for resolving global positions.
 	byOffset []scanDoc
@@ -425,9 +417,6 @@ func (c *Corpus) TopKBatch(ctx context.Context, queries []*tree.Tree, k int, opt
 				stats.Skipped++
 				continue
 			}
-			if d.unprofiled {
-				stats.Unprofiled++
-			}
 		}
 		var h0, a0, e0 uint64
 		docSpan := -1
@@ -435,10 +424,10 @@ func (c *Corpus) TopKBatch(ctx context.Context, queries []*tree.Tree, k int, opt
 			h0, a0, e0 = prune.Snapshot()
 			docSpan = tr.Begin(qtrace.SpanScan, d.info.Name)
 		}
-		// The label-node counts the plan read off the profile steer the
-		// candidate gate; without them (no filter, no profile) it walks.
+		// The label-node counts the plan read off the profile index steer
+		// the candidate gate; without them (no filter) it walks.
 		var labelNodes []int
-		if !cfg.NoFilter && !d.unprofiled {
+		if !cfg.NoFilter {
 			labelNodes = plan.labelNodes[d.slot*len(qs):][:len(qs)]
 		}
 		// One form per document: its columns, decoded at load — candidates
@@ -500,7 +489,10 @@ func (c *Corpus) plan(st *snapshot, qs []*tree.Tree, cfg *QueryConfig, p *queryP
 	filter := !cfg.NoFilter
 	var idx *profileIndex
 	if filter {
-		idx = st.index()
+		var err error
+		if idx, err = st.index(c.p, c.q); err != nil {
+			return err
+		}
 		n := len(st.docs) * nq
 		p.bounds = slices.Grow(p.bounds[:0], n)[:n]
 		p.labelNodes = resetCounts(p.labelNodes, n)
@@ -546,23 +538,12 @@ func (c *Corpus) plan(st *snapshot, qs []*tree.Tree, cfg *QueryConfig, p *queryP
 		if include {
 			sd := scanDoc{info: d, offset: offset, slot: slot}
 			if filter {
-				sd.pqdist = math.MaxInt
+				sd.pqdist, sd.bound = math.MaxInt, math.Inf(1)
 				row := slot * nq
-				if total := idx.totals[slot]; total >= 0 {
-					sd.bound = math.Inf(1)
-					for i, q := range qs {
-						p.bounds[row+i] = float64(q.Size() - p.labels[row+i])
-						sd.pqdist = min(sd.pqdist, p.qGrams[i]+total-2*p.grams[row+i])
-						sd.bound = min(sd.bound, p.bounds[row+i])
-					}
-				} else {
-					// A document can lack its profile after a partial
-					// ingest or a corrupt profile file. Its bounds stay 0
-					// (never skipped) and it sorts to the end of the scan
-					// order, so the run degrades to an unfiltered scan of
-					// this one document instead of crashing.
-					clear(p.bounds[row : row+nq])
-					sd.unprofiled = true
+				for i, q := range qs {
+					p.bounds[row+i] = float64(q.Size() - p.labels[row+i])
+					sd.pqdist = min(sd.pqdist, p.qGrams[i]+idx.totals[slot]-2*p.grams[row+i])
+					sd.bound = min(sd.bound, p.bounds[row+i])
 				}
 			}
 			p.docs = append(p.docs, sd)

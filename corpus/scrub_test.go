@@ -1,17 +1,13 @@
 package corpus
 
 // Tests for the integrity scrub: flip-a-byte quarantine equivalence (the
-// acceptance property of the checksummed format), stores and profiles
-// that cannot be loaded, the Open-time orphan sweep, the explicit Verify
-// pass, strict mode, and AddTree's error-path cleanup.
+// acceptance property of the checksummed format), stores that cannot be
+// loaded, the Open-time orphan sweep, the explicit Verify pass, strict
+// mode, and AddTree's error-path cleanup.
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,10 +17,8 @@ import (
 	"tasm/internal/dict"
 	"tasm/internal/docstore"
 	"tasm/internal/postorder"
-	"tasm/internal/pqgram"
 	"tasm/internal/testenv"
 	"tasm/internal/tree"
-	"tasm/internal/varint"
 )
 
 // buildVictimCorpus creates a three-document corpus and returns its
@@ -95,13 +89,13 @@ func damagedCopy(t *testing.T, base, rel string, data []byte) string {
 	return dir
 }
 
-// TestScrubFlipAnyByteQuarantines is the acceptance property of PR 8:
-// flipping ANY single byte of a document's store or profile file is
+// TestScrubFlipAnyByteQuarantines is the acceptance property of the
+// checksummed store: flipping ANY single byte of a document's store is
 // detected at Open, quarantines exactly that document, and leaves the
 // survivors answering byte-identically to a corpus that never held the
-// victim. Every byte offset of both files is swept; under TASM_QUICK
-// (the CI -race configuration) the sweep samples every seventh offset
-// with a single bit pattern instead.
+// victim. Every byte offset is swept; under TASM_QUICK (the CI -race
+// configuration) the sweep samples every seventh offset with a single bit
+// pattern instead.
 func TestScrubFlipAnyByteQuarantines(t *testing.T) {
 	base, victim := buildVictimCorpus(t)
 	stride, bits := 1, []byte{0x01, 0xff}
@@ -111,25 +105,24 @@ func TestScrubFlipAnyByteQuarantines(t *testing.T) {
 
 	oracle := answersWithoutVictim(t)
 
-	for _, rel := range []string{victim.Store, victim.Profile} {
-		data, err := os.ReadFile(filepath.Join(base, rel))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < len(data); i += stride {
-			for _, bit := range bits {
-				mut := append([]byte(nil), data...)
-				mut[i] ^= bit
-				c, err := Open(damagedCopy(t, base, rel, mut), WithLogger(quietLogger()))
-				if err != nil {
-					t.Fatalf("%s byte %d xor %#x: Open failed: %v (scrub mode must quarantine, not fail)", rel, i, bit, err)
-				}
-				if got := c.Quarantined(); got != 1 {
-					t.Fatalf("%s byte %d xor %#x: Quarantined() = %d, want 1 — the flip went undetected", rel, i, bit, got)
-				}
-				if got := answersOf(t, c); !sameAnswers(got, oracle) {
-					t.Fatalf("%s byte %d xor %#x: survivors answer %v, oracle without victim answers %v", rel, i, bit, got, oracle)
-				}
+	rel := victim.Store
+	data, err := os.ReadFile(filepath.Join(base, rel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(data); i += stride {
+		for _, bit := range bits {
+			mut := append([]byte(nil), data...)
+			mut[i] ^= bit
+			c, err := Open(damagedCopy(t, base, rel, mut), WithLogger(quietLogger()))
+			if err != nil {
+				t.Fatalf("%s byte %d xor %#x: Open failed: %v (scrub mode must quarantine, not fail)", rel, i, bit, err)
+			}
+			if got := c.Quarantined(); got != 1 {
+				t.Fatalf("%s byte %d xor %#x: Quarantined() = %d, want 1 — the flip went undetected", rel, i, bit, got)
+			}
+			if got := answersOf(t, c); !sameAnswers(got, oracle) {
+				t.Fatalf("%s byte %d xor %#x: survivors answer %v, oracle without victim answers %v", rel, i, bit, got, oracle)
 			}
 		}
 	}
@@ -203,7 +196,7 @@ func TestVerifyMethodScrubsLiveCorpus(t *testing.T) {
 		t.Fatalf("clean corpus: report %+v, want 3 checked, none quarantined", rep)
 	}
 
-	path := filepath.Join(dir, victim.Profile)
+	path := filepath.Join(dir, victim.Store)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -250,9 +243,9 @@ func TestVerifyStrictFailsOpen(t *testing.T) {
 	}
 }
 
-// TestOpenSweepsOrphans: temp files and committed-but-unreferenced
-// store/profile files (crash debris) are removed at Open; referenced
-// files survive.
+// TestOpenSweepsOrphans: temp files and committed-but-unreferenced files
+// in docs/ (crash debris, or a profile file an earlier version wrote) are
+// removed at Open; referenced files survive.
 func TestOpenSweepsOrphans(t *testing.T) {
 	dir, victim := buildVictimCorpus(t)
 	junk := []string{
@@ -285,7 +278,7 @@ func TestOpenSweepsOrphans(t *testing.T) {
 
 // failNthCreate is an atomicio.FS that fails the n-th CreateTemp call
 // (1-based) and passes everything else through — a clean injection of
-// "the profile write failed" or "the manifest write failed" that, unlike
+// "the store write failed" or "the manifest write failed" that, unlike
 // a crash, leaves the process alive to run its cleanup path.
 type failNthCreate struct {
 	atomicio.FS
@@ -315,38 +308,12 @@ func docsDirFiles(t *testing.T, dir string) []string {
 	return names
 }
 
-// TestAddTreeCleansUpOnProfileFailure: if the profile write fails after
-// the store committed, AddTree unlinks the store on its own error path —
-// no debris waits for the next Open's sweep.
-func TestAddTreeCleansUpOnProfileFailure(t *testing.T) {
-	dir := t.TempDir()
-	// CreateTemp #1 is the initial manifest; #2 the store; #3 the profile.
-	c, err := Open(dir, WithFS(&failNthCreate{FS: atomicio.OS, n: 3}), WithLogger(quietLogger()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := tree.MustParse(dict.New(), "{r{x}{y}}")
-	if _, err := c.AddTree("doc", tr); err == nil {
-		t.Fatal("AddTree with failing profile write succeeded")
-	}
-	if files := docsDirFiles(t, dir); len(files) != 0 {
-		t.Errorf("docs/ holds %v after a failed ingest; the error path must unlink the store", files)
-	}
-	if c.Len() != 0 {
-		t.Errorf("Len = %d after failed ingest, want 0", c.Len())
-	}
-	// The corpus stays usable: the same name ingests cleanly afterwards.
-	if _, err := c.AddTree("doc", tr); err != nil {
-		t.Fatalf("re-ingest after failure: %v", err)
-	}
-}
-
 // TestAddTreeCleansUpOnManifestFailure: if the manifest commit fails
-// after both files committed, AddTree unlinks both.
+// after the store committed, AddTree unlinks the store.
 func TestAddTreeCleansUpOnManifestFailure(t *testing.T) {
 	dir := t.TempDir()
-	// CreateTemp #1 initial manifest; #2 store; #3 profile; #4 manifest.
-	c, err := Open(dir, WithFS(&failNthCreate{FS: atomicio.OS, n: 4}), WithLogger(quietLogger()))
+	// CreateTemp #1 initial manifest; #2 store; #3 manifest.
+	c, err := Open(dir, WithFS(&failNthCreate{FS: atomicio.OS, n: 3}), WithLogger(quietLogger()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +322,7 @@ func TestAddTreeCleansUpOnManifestFailure(t *testing.T) {
 		t.Fatal("AddTree with failing manifest write succeeded")
 	}
 	if files := docsDirFiles(t, dir); len(files) != 0 {
-		t.Errorf("docs/ holds %v after a failed ingest; the error path must unlink store and profile", files)
+		t.Errorf("docs/ holds %v after a failed ingest; the error path must unlink the store", files)
 	}
 	if _, err := c.AddTree("doc", tr); err != nil {
 		t.Fatalf("re-ingest after failure: %v", err)
@@ -374,24 +341,19 @@ func TestAddTreeCleansUpOnManifestFailure(t *testing.T) {
 	}
 }
 
-// TestLegacyFilesQuarantined: the unchecksummed formats of early builds
-// are not read. A v1 store (magic "TASMPQ1\n", no trailer), a profile
-// outside its checksummed container, and a checksummed store whose
-// version byte was flipped to 1 are each corrupt like any other
-// unreadable file: quarantined under scrub, and strict Open fails over
-// them.
+// TestLegacyFilesQuarantined: the unchecksummed store format of early
+// builds is not read. A v1 store (magic "TASMPQ1\n", no trailer) and a
+// checksummed store whose version byte was flipped to 1 are each corrupt
+// like any other unreadable file: quarantined under scrub, and strict
+// Open fails over them.
 func TestLegacyFilesQuarantined(t *testing.T) {
 	base, victim := buildVictimCorpus(t)
 	store, err := os.ReadFile(filepath.Join(base, victim.Store))
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := os.ReadFile(filepath.Join(base, victim.Profile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(store), "TASMPQ2\n") || !strings.HasPrefix(string(prof), profileMagicV2) {
-		t.Fatalf("fresh files are not in the checksummed formats: %q, %q", store[:8], prof[:8])
+	if !strings.HasPrefix(string(store), "TASMPQ2\n") {
+		t.Fatalf("a fresh store is not in the checksummed format: %q", store[:8])
 	}
 	flipped := bytes.Clone(store)
 	flipped[6] = '1'
@@ -400,7 +362,6 @@ func TestLegacyFilesQuarantined(t *testing.T) {
 		data      []byte
 	}{
 		{"v1 store", victim.Store, append([]byte("TASMPQ1\n"), store[8:len(store)-4]...)},
-		{"profile without its container", victim.Profile, prof[len(profileMagicV2) : len(prof)-4]},
 		{"v2 store with its version byte flipped to 1", victim.Store, flipped},
 	} {
 		dir := damagedCopy(t, base, tc.rel, tc.data)
@@ -500,97 +461,5 @@ func TestAddTreeRefusesStoreThatDoesNotLoad(t *testing.T) {
 	}
 	if c.Len() != 3 {
 		t.Errorf("Len = %d after the failed ingest, want 3", c.Len())
-	}
-}
-
-// TestScrubQuarantinesDisorderedProfile: a profile whose grams are not in
-// strictly ascending hash order, or whose histogram lists a label twice,
-// was not written by this corpus — even under a valid checksum it fails
-// to load and quarantines under scrub like any other corrupt profile, and
-// with verification off it leaves its document unprofiled.
-func TestScrubQuarantinesDisorderedProfile(t *testing.T) {
-	base, victim := buildVictimCorpus(t)
-	data, err := os.ReadFile(filepath.Join(base, victim.Profile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := profilePayload(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(bytes.NewReader(payload))
-	grams, err := pqgram.ReadProfile(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	histogram, err := io.ReadAll(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hashes, counts := grams.Grams()
-	if len(hashes) < 2 {
-		t.Fatalf("victim has %d distinct grams, the test needs two", len(hashes))
-	}
-	// seal re-encodes a profile file from its gram entries and histogram
-	// under a valid checksum, so only the structural parse can object.
-	seal := func(order []int, histogram []byte) []byte {
-		var b bytes.Buffer
-		b.WriteString(profileMagicV2 + "TASMPF1\n")
-		varint.Write(&b, uint64(grams.P()))
-		varint.Write(&b, uint64(grams.Q()))
-		varint.Write(&b, uint64(len(order)))
-		for _, i := range order {
-			varint.Write(&b, hashes[i])
-			varint.Write(&b, uint64(counts[i]))
-		}
-		b.Write(histogram)
-		return binary.LittleEndian.AppendUint32(b.Bytes(), crc32.Checksum(b.Bytes(), crcTable))
-	}
-	ascending := make([]int, len(hashes))
-	for i := range ascending {
-		ascending[i] = i
-	}
-	var twice bytes.Buffer
-	varint.Write(&twice, 2)
-	for range 2 {
-		varint.Write(&twice, 1)
-		twice.WriteString("p")
-		varint.Write(&twice, 1)
-	}
-	cases := map[string][]byte{
-		"descending grams": seal(append([]int{1, 0}, ascending[2:]...), histogram),
-		"duplicate gram":   seal(append([]int{0, 0}, ascending[2:]...), histogram),
-		"duplicate label":  seal(ascending, twice.Bytes()),
-	}
-	// The control: re-sealed unchanged, the file loads.
-	cases["unchanged"] = seal(ascending, histogram)
-	for name, file := range cases {
-		corrupt := name != "unchanged"
-		for _, mode := range []VerifyMode{VerifyScrub, VerifyOff} {
-			dir := t.TempDir()
-			copyDir(t, base, dir)
-			if err := os.WriteFile(filepath.Join(dir, victim.Profile), file, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			c, err := Open(dir, WithVerifyMode(mode), WithLogger(quietLogger()))
-			if err != nil {
-				t.Fatalf("%s: Open: %v", name, err)
-			}
-			st := c.snapshot()
-			if !corrupt && c.Len() != 3 {
-				t.Errorf("%s: Len = %d, want 3", name, c.Len())
-			}
-			if mode == VerifyScrub && corrupt {
-				if c.Quarantined() != 1 || c.Len() != 2 {
-					t.Errorf("%s: Quarantined = %d, Len = %d; want 1 and 2", name, c.Quarantined(), c.Len())
-				}
-				continue
-			}
-			for slot, d := range st.docs {
-				if profiled := st.index().totals[slot] >= 0; profiled == (corrupt && d.ID == victim.ID) {
-					t.Errorf("%s, verification off: document %s profiled = %v", name, d.Name, profiled)
-				}
-			}
-		}
 	}
 }

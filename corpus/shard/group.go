@@ -411,7 +411,6 @@ func mergeStats(stats []corpus.Stats) corpus.Stats {
 		s := &stats[i]
 		out.Scanned += s.Scanned
 		out.Skipped += s.Skipped
-		out.Unprofiled += s.Unprofiled
 		out.Quarantined += s.Quarantined
 		out.HistSkipped += s.HistSkipped
 		out.TEDAborted += s.TEDAborted

@@ -1,6 +1,6 @@
 // Package atomicio owns the crash-safe file commit protocol shared by
-// every piece of persistent corpus state (postorder stores, pq-gram
-// profiles, the manifest):
+// every piece of persistent corpus state (postorder stores, the
+// manifest):
 //
 //	create temp in the target directory
 //	fill it with the payload

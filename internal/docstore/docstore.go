@@ -16,16 +16,21 @@
 // All integers are unsigned LEB128 varints:
 //
 //	magic "TASMPQ2\n"
-//	labelCount, then labelCount × (byteLen, bytes)   – the dictionary
+//	labelCount, then labelCount × (byteLen, bytes)   – the label table
 //	nodeCount, then nodeCount × (labelID, size)      – the postorder queue
 //	crc32c                                           – 4-byte LE trailer
+//
+// A labelID is a position in the label table. WriteItems lists only the
+// labels its items use, in ascending dictionary id order; readers accept
+// any table, and stores of earlier builds list the writer's whole
+// dictionary.
 //
 // The trailer is the CRC-32C (Castagnoli) checksum of everything before
 // it, magic included, so any single flipped byte is detected. This is the
 // only format: a file with any other magic (the unchecksummed "TASMPQ1\n"
 // of early builds included) is corrupt. The checksum is verified by
-// Verify and by the corpus when it loads a store, never by Reader on a
-// scan.
+// Decode — which Verify and the corpus's store load both call — never by
+// Reader on a scan.
 //
 // Readers treat every count in the stream as untrusted: allocations are
 // bounded by the bytes actually present, label ids must fall inside the
@@ -40,18 +45,19 @@
 //
 //	{
 //	  "version": 1,
-//	  "p": 2, "q": 3,          // pq-gram shape shared by all profiles
+//	  "p": 2, "q": 3,          // pq-gram shape of every profile
 //	  "next_id": 3,            // ids are never reused
 //	  "docs": [
 //	    {"id": 1, "name": "dblp", "nodes": 123, "root_label": "dblp",
-//	     "store": "docs/1.store", "profile": "docs/1.profile"},
+//	     "store": "docs/1.store"},
 //	    ...
 //	  ]
 //	}
 //
-// Store and profile paths are relative to the corpus directory. The
-// manifest is rewritten atomically (temp file + rename) on every ingest;
-// the profile file format is documented in the corpus package.
+// Store paths are relative to the corpus directory. The manifest is
+// rewritten atomically (temp file + rename) on every ingest, removal and
+// quarantine. Manifests of earlier builds carry a "profile" path per
+// document as well; it is ignored, and the next rewrite drops it.
 package docstore
 
 import (
@@ -62,6 +68,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"tasm/internal/dict"
 	"tasm/internal/postorder"
@@ -77,25 +84,40 @@ const magicV2 = "TASMPQ2\n"
 // errors — the acceptance bar for the corpus scrub.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrChecksum reports that a store or profile file's content does not
-// match its CRC-32C trailer; test with errors.Is.
+// ErrChecksum reports that a store file's content does not match its
+// CRC-32C trailer; test with errors.Is.
 var ErrChecksum = errors.New("docstore: checksum mismatch")
 
 // WriteItems persists a postorder queue (as a materialized item slice
-// using label identifiers from d) to w in the v2 format. The dictionary
+// using label identifiers from d) to w in the v2 format. The label table
+// holds only the labels the items use, in ascending id order, and an item
+// names its label by its position in that table, so a store's size
+// follows its document, not the dictionary it was parsed under. The table
 // is stored ahead of the items, so it must be complete first — which is
 // why this takes a slice rather than a live Queue: sources that discover
 // labels on the fly must finish scanning before their dictionary is
 // final.
 func WriteItems(w io.Writer, d dict.Dict, items []postorder.Item) error {
+	ids := make([]int, len(items))
+	for i, it := range items {
+		if it.Label < 0 || it.Label >= d.Len() {
+			return fmt.Errorf("docstore: item has label id %d outside dictionary of %d", it.Label, d.Len())
+		}
+		if it.Size < 1 {
+			return fmt.Errorf("docstore: item has size %d, want ≥ 1", it.Size)
+		}
+		ids[i] = it.Label
+	}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
 	h := crc32.New(crcTable)
 	bw := bufio.NewWriter(io.MultiWriter(w, h))
 	if _, err := bw.WriteString(magicV2); err != nil {
 		return err
 	}
-	varint.Write(bw, uint64(d.Len()))
-	for i := 0; i < d.Len(); i++ {
-		l := d.Label(i)
+	varint.Write(bw, uint64(len(ids)))
+	for _, id := range ids {
+		l := d.Label(id)
 		varint.Write(bw, uint64(len(l)))
 		if _, err := bw.WriteString(l); err != nil {
 			return err
@@ -103,13 +125,8 @@ func WriteItems(w io.Writer, d dict.Dict, items []postorder.Item) error {
 	}
 	varint.Write(bw, uint64(len(items)))
 	for _, it := range items {
-		if it.Label < 0 || it.Label >= d.Len() {
-			return fmt.Errorf("docstore: item has label id %d outside dictionary of %d", it.Label, d.Len())
-		}
-		if it.Size < 1 {
-			return fmt.Errorf("docstore: item has size %d, want ≥ 1", it.Size)
-		}
-		varint.Write(bw, uint64(it.Label))
+		j, _ := slices.BinarySearch(ids, it.Label)
+		varint.Write(bw, uint64(j))
 		varint.Write(bw, uint64(it.Size))
 	}
 	if err := bw.Flush(); err != nil {
@@ -123,30 +140,39 @@ func WriteItems(w io.Writer, d dict.Dict, items []postorder.Item) error {
 	return err
 }
 
-// Verify checks a whole store file image for corruption: the magic, the
-// CRC-32C trailer over everything before it (a mismatch satisfies
-// errors.Is(err, ErrChecksum); any single flipped byte is one), and then
-// the decode a corpus performs to load the store — ParseImage and
-// Image.Columns. Verify passes exactly when the store can be loaded and
-// served, not merely when its bytes are the ones some writer produced.
+// Verify checks a whole store file image for corruption: Decode with the
+// checksum verified, into a scratch dictionary. A checksum mismatch
+// satisfies errors.Is(err, ErrChecksum); any single flipped byte is one.
+// Verify passes exactly when the store can be loaded and served, not
+// merely when its bytes are the ones some writer produced.
 func Verify(data []byte) error {
-	if !bytes.HasPrefix(data, []byte(magicV2)) {
-		return fmt.Errorf("docstore: bad magic %q", data[:min(len(data), len(magicV2))])
-	}
-	if len(data) < len(magicV2)+4 {
-		return fmt.Errorf("docstore: store of %d bytes is too short for a checksum trailer", len(data))
-	}
-	body := data[:len(data)-4]
-	want := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if got := crc32.Checksum(body, crcTable); got != want {
-		return fmt.Errorf("%w: crc32c %08x, trailer says %08x", ErrChecksum, got, want)
+	_, err := Decode(dict.New(), data, true)
+	return err
+}
+
+// Decode loads a whole store image the way a corpus serves it: when
+// verify is set it first checks the magic and the CRC-32C trailer over
+// everything before it, then parses the image (ParseImage), interns its
+// label table into d and decodes its items into columns (Image.Columns).
+func Decode(d dict.Dict, data []byte, verify bool) (*postorder.Columns, error) {
+	if verify {
+		if !bytes.HasPrefix(data, []byte(magicV2)) {
+			return nil, fmt.Errorf("docstore: bad magic %q", data[:min(len(data), len(magicV2))])
+		}
+		if len(data) < len(magicV2)+4 {
+			return nil, fmt.Errorf("docstore: store of %d bytes is too short for a checksum trailer", len(data))
+		}
+		body := data[:len(data)-4]
+		want := binary.LittleEndian.Uint32(data[len(data)-4:])
+		if got := crc32.Checksum(body, crcTable); got != want {
+			return nil, fmt.Errorf("%w: crc32c %08x, trailer says %08x", ErrChecksum, got, want)
+		}
 	}
 	im, err := ParseImage(data)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	_, err = im.Columns(im.Remap(dict.New()))
-	return err
+	return im.Columns(im.Remap(d))
 }
 
 // Reader streams a persisted document as a postorder queue. Labels are

@@ -2,7 +2,9 @@ package docstore
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tasm/internal/dict"
@@ -31,6 +33,43 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if !got.Equal(tr) {
 		t.Errorf("round trip mismatch: %s vs %s", got, tr)
+	}
+}
+
+// TestStoreHoldsOnlyItsLabels: a store written under a large dictionary
+// lists only the labels its items use, in ascending id order, and reads
+// back as the same document.
+func TestStoreHoldsOnlyItsLabels(t *testing.T) {
+	d := dict.New()
+	for i := range 10000 {
+		d.Intern(fmt.Sprintf("l%d", i))
+	}
+	tr := tree.MustParse(d, "{l9000{l42}{l9000}}")
+	var buf bytes.Buffer
+	if err := WriteItems(&buf, d, postorder.Items(tr)); err != nil {
+		t.Fatal(err)
+	}
+	im, err := ParseImage(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := im.Labels(); !slices.Equal(got, []string{"l42", "l9000"}) {
+		t.Fatalf("label table %q, want [l42 l9000]", got)
+	}
+	if err := Verify(buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	d2 := dict.New()
+	r, err := NewReader(d2, bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := postorder.BuildTree(d2, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != tr.String() {
+		t.Errorf("round trip %s, want %s", got, tr)
 	}
 }
 

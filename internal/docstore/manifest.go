@@ -13,15 +13,14 @@ import (
 const ManifestVersion = 1
 
 // Manifest is the census of a corpus directory: every persisted document
-// with its identity, size, and the relative paths of its store and
-// pq-gram profile files. It is stored as pretty-printed JSON (the one
-// human-edited, human-debugged file of the corpus format; the store and
-// profile files it points at are binary).
+// with its identity, size, and the relative path of its store file. It is
+// stored as pretty-printed JSON (the one human-edited, human-debugged file
+// of the corpus format; the stores it points at are binary).
 type Manifest struct {
 	// Version is the manifest schema version, ManifestVersion.
 	Version int `json:"version"`
-	// P and Q are the pq-gram shape parameters every profile in the
-	// corpus was built with; profiles with different shapes are not
+	// P and Q are the pq-gram shape parameters the corpus profiles its
+	// documents and queries with; profiles with different shapes are not
 	// comparable, so the shape is fixed per corpus at creation.
 	P int `json:"p"`
 	Q int `json:"q"`
@@ -57,9 +56,6 @@ type ManifestDoc struct {
 	// Store is the document's postorder store file, relative to the
 	// corpus directory.
 	Store string `json:"store"`
-	// Profile is the document's pq-gram profile file, relative to the
-	// corpus directory.
-	Profile string `json:"profile"`
 }
 
 // NewManifest returns an empty manifest for a corpus with the given
@@ -99,8 +95,8 @@ func ReadManifest(path string) (*Manifest, error) {
 		if d.Nodes < 1 {
 			return nil, fmt.Errorf("docstore: manifest %s: doc %q has node count %d", path, d.Name, d.Nodes)
 		}
-		if d.Store == "" || d.Profile == "" {
-			return nil, fmt.Errorf("docstore: manifest %s: doc %q is missing store or profile path", path, d.Name)
+		if d.Store == "" {
+			return nil, fmt.Errorf("docstore: manifest %s: doc %q is missing its store path", path, d.Name)
 		}
 	}
 	return &m, nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"iter"
 	"math"
 	"slices"
 )
@@ -57,6 +58,19 @@ func (c *Columns) Postings(label int) []int32 {
 		return nil
 	}
 	return c.post[c.offs[j]:c.offs[j+1]]
+}
+
+// LabelCounts yields every distinct label id of the document, ascending,
+// with the number of nodes that carry it: the label histogram, read off
+// the postings.
+func (c *Columns) LabelCounts() iter.Seq2[int32, int32] {
+	return func(yield func(label, count int32) bool) {
+		for j, l := range c.keys {
+			if !yield(l, c.offs[j+1]-c.offs[j]) {
+				return
+			}
+		}
+	}
 }
 
 // Bytes returns the heap footprint of the columns and postings: 12 bytes

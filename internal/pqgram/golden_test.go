@@ -9,13 +9,14 @@ import (
 	"tasm/internal/datagen"
 	"tasm/internal/dict"
 	"tasm/internal/tree"
+	"tasm/internal/varint"
 )
 
 // TestProfileHashesGolden pins every gram hash and multiplicity bit for
-// bit. Profile files on disk were hashed by earlier builds and are never
-// rewritten, and a query's profile must keep matching them, so the hash
-// of a gram is part of the file format. Each digest is the SHA-256 of
-// Write's output for a fixed tree; they were recorded from the
+// bit. Each digest is the SHA-256 of the profile in the byte layout of
+// the profile files earlier builds wrote (magic "TASMPF1\n", then p, q,
+// the number of distinct grams and each gram's hash and multiplicity in
+// ascending hash order, all LEB128 varints); they were recorded from the
 // map-and-closure implementation (hash/fnv over the stem and base labels
 // as little-endian 8-byte words) that the current one replaced.
 func TestProfileHashesGolden(t *testing.T) {
@@ -56,8 +57,14 @@ func TestProfileHashesGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := pr.Write(&buf); err != nil {
-			t.Fatal(err)
+		buf.WriteString("TASMPF1\n")
+		hashes, counts := pr.Grams()
+		for _, v := range []int{c.p, c.q, len(hashes)} {
+			varint.Write(&buf, uint64(v))
+		}
+		for i, h := range hashes {
+			varint.Write(&buf, h)
+			varint.Write(&buf, uint64(counts[i]))
 		}
 		sum := sha256.Sum256(buf.Bytes())
 		if got := hex.EncodeToString(sum[:]); got != c.want || pr.Size() != c.size {

@@ -57,8 +57,8 @@ func (pr *Profile) Size() int { return pr.total }
 // modified.
 func (pr *Profile) Grams() (hashes []uint64, counts []int32) { return pr.hashes, pr.counts }
 
-// FNV-1a, 64-bit (hash/fnv's New64a): the gram hash is part of the
-// profile file format, so it must never change.
+// FNV-1a, 64-bit (hash/fnv's New64a). TestProfileHashesGolden pins every
+// gram hash: a query's profile and a document's must hash alike.
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
@@ -84,33 +84,43 @@ func hashLabels(h uint64, labels []int) uint64 {
 	return h
 }
 
-// New computes the pq-gram profile of t. p ≥ 1 controls stem depth,
-// q ≥ 1 base width; the TODS paper's default (and a good general choice)
-// is p=2, q=3.
+// New computes the pq-gram profile of t: FromPostorder over its label
+// and subtree-size arrays. p ≥ 1 controls stem depth, q ≥ 1 base width;
+// the TODS paper's default (and a good general choice) is p=2, q=3.
+func New(t *tree.Tree, p, q int) (*Profile, error) {
+	return FromPostorder(t.LabelIDs(), t.Sizes(), p, q)
+}
+
+// FromPostorder computes the pq-gram profile of the tree whose node i, in
+// postorder, has label labels[i] and subtree size sizes[i] — a tree.Tree's
+// arrays, or a document's postorder.Columns. The sizes must tile as the
+// subtree sizes of a postorder do, which both types guarantee; a forest's
+// roots are anchored under no parent, as the root of a tree is.
 //
 // A gram's hash is FNV-1a over its p stem labels (top ancestor first,
 // ending at the anchor) and its q base labels, each a little-endian 8-byte
 // word. The grams are collected into one slice, sorted and run-length
 // counted, so the cost is a fixed handful of allocations per tree, none
 // per gram.
-func New(t *tree.Tree, p, q int) (*Profile, error) {
+func FromPostorder[L int | int32](labels, sizes []L, p, q int) (*Profile, error) {
 	if p < 1 || q < 1 {
 		return nil, fmt.Errorf("pqgram: p and q must be ≥ 1, got p=%d q=%d", p, q)
 	}
-	n := t.Size()
-	labels := t.LabelIDs()
-	// first[v] and next[v] link each node's children in sibling order:
-	// postorder lists siblings left to right, so walking it backwards and
-	// prepending keeps them in order.
-	links := make([]int, 2*n)
-	first, next := links[:n], links[n:]
-	for i := range first {
-		first[i] = -1
-	}
-	for i := n - 2; i >= 0; i-- {
-		par := t.Parent(i)
-		next[i] = first[par]
-		first[par] = i
+	n := len(labels)
+	// parent[v] is v's parent (-1 for a root), and first[v] and next[v]
+	// link its children in sibling order. One pass keeps a stack (open) of
+	// the roots of the subtrees completed so far: node v adopts from its
+	// top every root inside its own subtree, its children right to left,
+	// so prepending keeps them in order.
+	links := make([]int, 4*n)
+	parent, first, next, open := links[:n], links[n:2*n], links[2*n:3*n], links[3*n:3*n]
+	for v := range n {
+		parent[v], first[v] = -1, -1
+		for lml := v - int(sizes[v]) + 1; len(open) > 0 && open[len(open)-1] >= lml; open = open[:len(open)-1] {
+			c := open[len(open)-1]
+			parent[c], next[c], first[v] = v, first[v], c
+		}
+		open = append(open, v)
 	}
 	// stem holds the anchor's p−1 ancestors and the anchor, padded with
 	// dummies above the root; base is the q-window over its children
@@ -120,7 +130,7 @@ func New(t *tree.Tree, p, q int) (*Profile, error) {
 	// A node with f children contributes f+q−1 windows over its extended
 	// child sequence; a leaf thus contributes q−1 all-dummy windows (none
 	// when q=1).
-	hashes := make([]uint64, 0, (n-1)+(q-1)*n)
+	hashes := make([]uint64, 0, q*n)
 	for v := 0; v < n; v++ {
 		a := v
 		for i := p - 1; i >= 0; i-- {
@@ -128,8 +138,8 @@ func New(t *tree.Tree, p, q int) (*Profile, error) {
 				stem[i] = dummy
 				continue
 			}
-			stem[i] = labels[a]
-			a = t.Parent(a)
+			stem[i] = int(labels[a])
+			a = parent[a]
 		}
 		hs := hashLabels(fnvOffset, stem)
 		for i := range base {
@@ -137,7 +147,7 @@ func New(t *tree.Tree, p, q int) (*Profile, error) {
 		}
 		for c := first[v]; c >= 0; c = next[c] {
 			copy(base, base[1:])
-			base[q-1] = labels[c]
+			base[q-1] = int(labels[c])
 			hashes = append(hashes, hashLabels(hs, base))
 		}
 		for w := 0; w < q-1; w++ {

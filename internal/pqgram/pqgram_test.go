@@ -1,12 +1,16 @@
 package pqgram
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"tasm/internal/cost"
 	"tasm/internal/dict"
+	"tasm/internal/docstore"
+	"tasm/internal/postorder"
 	"tasm/internal/race"
 	"tasm/internal/ted"
 	"tasm/internal/tree"
@@ -221,5 +225,47 @@ func TestCorrelatesWithTED(t *testing.T) {
 	}
 	if agree < trials*6/10 {
 		t.Errorf("pq-gram agreed with TED ordering only %d/%d times", agree, trials)
+	}
+}
+
+// TestProfileRoundTrip: a document's profile derived from its store — the
+// tree written with docstore.WriteItems, decoded back into columns under
+// a dictionary that assigns its labels other ids — equals the profile of
+// the tree re-interned into that dictionary, gram for gram. A forest of
+// single nodes, which columns may hold, profiles as its roots do.
+func TestProfileRoundTrip(t *testing.T) {
+	f := func(seed int64, raw uint16) bool {
+		rng := rand.New(rand.NewSource(seed))
+		tr := tree.Random(dict.New(), rng, tree.RandomConfig{Nodes: int(raw)%200 + 1, MaxFanout: 4, Labels: 6})
+		var store bytes.Buffer
+		if err := docstore.WriteItems(&store, tr.Dict(), postorder.Items(tr)); err != nil {
+			t.Fatal(err)
+		}
+		d := dict.New()
+		d.Intern("unrelated")
+		im, err := docstore.ParseImage(store.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols, err := im.Columns(im.Remap(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := FromPostorder(cols.Labels(), cols.Sizes(), 2, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := New(tr.Reintern(d), 2, 3)
+		gh, gc := got.Grams()
+		wh, wc := want.Grams()
+		return got.Size() == want.Size() && slices.Equal(gh, wh) && slices.Equal(gc, wc)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+	forest, _ := FromPostorder([]int32{0, 1}, []int32{1, 1}, 2, 3)
+	a, _ := New(mk(t, dict.New(), "{a}"), 2, 3)
+	if dist, _ := Distance(forest, a); forest.Size() != 2*a.Size() || dist != a.Size() {
+		t.Errorf("forest {a}{b}: %d grams at distance %d from {a}; want %d and %d", forest.Size(), dist, 2*a.Size(), a.Size())
 	}
 }

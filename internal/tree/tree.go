@@ -64,6 +64,10 @@ func (t *Tree) Parent(i int) int { t.check(i); return t.parent[i] }
 // per-node method calls.
 func (t *Tree) LabelIDs() []int { return t.labels }
 
+// Sizes returns the subtree sizes of all nodes in postorder. Read-only
+// alias; see LabelIDs.
+func (t *Tree) Sizes() []int { return t.sizes }
+
 // LMLs returns the leftmost-leaf indices of all nodes in postorder.
 // Read-only alias; see LabelIDs.
 func (t *Tree) LMLs() []int { return t.lml }

@@ -1,7 +1,6 @@
-// Package varint implements the unsigned LEB128 integer encoding shared
-// by every binary format in this repository (document stores, pq-gram
-// profiles, corpus label histograms). One codec, one set of limits: a
-// fix here fixes every reader.
+// Package varint implements the unsigned LEB128 integer encoding of the
+// document store format, for its writer and both its readers. One codec,
+// one set of limits: a fix here fixes every reader.
 package varint
 
 import (

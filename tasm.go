@@ -36,7 +36,7 @@
 //
 // To query across many documents, ingest them into a Corpus — a managed
 // directory of persisted postorder stores under a manifest, indexed by
-// pq-gram profiles built at ingest:
+// pq-gram profiles derived from the stores:
 //
 //	c, _ := tasm.OpenCorpus("./corpus")
 //	c.AddXML("dblp", dblpFile)
