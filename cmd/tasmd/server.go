@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"runtime"
 	"strings"
 	"time"
 
@@ -34,7 +35,8 @@ type serverConfig struct {
 	// unbounded.
 	maxConcurrent int
 	// workers is the number of ranges each document's candidates are split
-	// into when a request does not choose its own (0 = sequential scan).
+	// into when a request does not choose its own (0 = sequential scan, -1 =
+	// GOMAXPROCS); checkWorkers bounds it and every request's.
 	workers int
 	// maxK rejects requests asking for more results than the server is
 	// willing to rank.
@@ -210,7 +212,8 @@ type topkRequest struct {
 	// Docs restricts the query to the named documents; empty means all.
 	Docs []string `json:"docs,omitempty"`
 	// Workers overrides the server's number of ranges per document scan
-	// for this request (0 = server default, -1 = GOMAXPROCS).
+	// for this request (0 = server default, -1 = GOMAXPROCS, at most
+	// GOMAXPROCS; see checkWorkers).
 	Workers int `json:"workers,omitempty"`
 	// Trees includes each matched subtree in bracket notation.
 	Trees bool `json:"trees,omitempty"`
@@ -362,6 +365,19 @@ func (s *server) checkK(w http.ResponseWriter, k int) bool {
 	return true
 }
 
+// checkWorkers accepts a number of ranges per document scan from -1
+// (GOMAXPROCS) through GOMAXPROCS, 0 being the sequential scan. More
+// ranges than processors would not run at once, and each keeps distance
+// computers and a 56 KiB memo of its own in the pooled scan scratch for
+// as long as the scratch lives, so the value a client or flag may ask
+// for is bounded here, at the edge.
+func checkWorkers(n int) error {
+	if procs := runtime.GOMAXPROCS(0); n < -1 || n > procs {
+		return fmt.Errorf("workers must lie in [-1, %d] (GOMAXPROCS), got %d", procs, n)
+	}
+	return nil
+}
+
 func (s *server) decodeTopK(w http.ResponseWriter, r *http.Request) (*queryRequest, bool) {
 	var req topkRequest
 	if !s.decodeBody(w, r, &req) {
@@ -372,6 +388,10 @@ func (s *server) decodeTopK(w http.ResponseWriter, r *http.Request) (*queryReque
 		return nil, false
 	}
 	if !s.checkK(w, req.K) {
+		return nil, false
+	}
+	if err := checkWorkers(req.Workers); err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return nil, false
 	}
 	s.metrics.topkRequests.Add(1)

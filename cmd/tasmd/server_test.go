@@ -9,9 +9,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"tasm/corpus"
 )
@@ -158,6 +160,39 @@ func TestBadInput(t *testing.T) {
 	ingest(t, h, "x", "<a/>")
 	if w := doJSON(t, h, "POST", "/v1/docs", ingestRequest{Name: "x", XML: "<a/>"}); w.Code != http.StatusConflict {
 		t.Errorf("duplicate name: status %d, want 409", w.Code)
+	}
+}
+
+// TestWorkersBounded pins the edge bound on ranges per document scan: a
+// /v1/topk "workers" outside [-1, GOMAXPROCS] is a 400 — each range keeps
+// computers and a memo of its own in the pooled scratch, so an unbounded
+// value is unbounded memory — and so is a -workers flag at startup.
+func TestWorkersBounded(t *testing.T) {
+	h, _ := newTestServer(t, serverConfig{})
+	ingest(t, h, "d", `<r><a><b>x</b></a><a><b>y</b></a></r>`)
+	procs := runtime.GOMAXPROCS(0)
+	for _, c := range []struct {
+		workers, want int
+	}{
+		{-1, http.StatusOK},
+		{0, http.StatusOK},
+		{procs, http.StatusOK},
+		{-2, http.StatusBadRequest},
+		{procs + 1, http.StatusBadRequest},
+		{100000, http.StatusBadRequest},
+	} {
+		body := fmt.Sprintf(`{"query":"{a{b}}","k":2,"workers":%d}`, c.workers)
+		if w := doJSON(t, h, "POST", "/v1/topk", body); w.Code != c.want {
+			t.Errorf("workers %d: status %d, want %d (%s)", c.workers, w.Code, c.want, w.Body)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, n := range []int{-2, procs + 1} {
+		err := run(ctx, t.TempDir(), "", 0, "127.0.0.1:0", "", corpus.VerifyScrub, serverConfig{workers: n}, time.Millisecond)
+		if err == nil || !strings.Contains(err.Error(), "-workers") {
+			t.Errorf("-workers %d: run returned %v, want a -workers error", n, err)
+		}
 	}
 }
 

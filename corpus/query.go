@@ -321,8 +321,9 @@ func (c *Corpus) TopK(ctx context.Context, q *tree.Tree, k int, opts ...QueryOpt
 //
 // The context carries cancellation and deadline: a cancelled ctx stops
 // the run between documents and mid-scan (the candidate loop polls it
-// once per candidate) and returns ctx.Err(). A nil ctx is treated as
-// context.Background().
+// once per visited candidate; a run of candidates the label-histogram
+// gate steps over unvisited is a bounded loop over one document) and
+// returns ctx.Err(). A nil ctx is treated as context.Background().
 //
 // Documents are scanned most-promising-first (ascending smallest pq-gram
 // distance to any query) into one shared ranking per query, so each

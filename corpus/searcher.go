@@ -18,7 +18,7 @@ import (
 //
 // TopK and TopKBatch accept a context carrying cancellation and deadline;
 // implementations stop promptly (the local scans poll the context once
-// per candidate) and return ctx.Err(). Queries may come from
+// per visited candidate) and return ctx.Err(). Queries may come from
 // any label dictionary: implementations re-intern them through
 // request-scoped overlays (or, across process boundaries, serialize them
 // as bracket strings), so the query's dictionary never constrains the

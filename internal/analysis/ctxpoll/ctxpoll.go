@@ -1,7 +1,7 @@
 // Package ctxpoll implements the ctxpoll analyzer: scan entry points
 // shaped like corpus.Searcher (methods named TopK/TopKBatch whose
 // first parameter is a context.Context) must poll their context —
-// pinning the PR 5 cancellation contract ("ctx polled once per
+// pinning the cancellation contract ("ctx polled once per visited
 // candidate") structurally, so a refactor cannot silently drop the
 // poll from a scan loop.
 //

@@ -115,6 +115,9 @@ func FuzzColumnsVsStream(f *testing.F) {
 	f.Add([]byte{0x01, 0x11, 0x01, 0x21, 0x02}, uint8(0), uint8(2), uint8(0), uint8(4), uint16(0x0002), uint8(0))    // size 0
 	f.Add([]byte{0x01, 0x11, 0x01, 0x21, 0x02}, uint8(0), uint8(2), uint8(0), uint8(4), uint16(0x0901), uint8(2))    // size > position
 	f.Add([]byte{0x01, 0x11, 0x01, 0x11, 0x02}, uint8(1), uint8(3), uint8(1), uint8(5|32), uint16(0x0203), uint8(1)) // crossing
+
+	// A batch of two steps over a candidate without a probe: a skip per query.
+	f.Add([]byte{0x30, 0x00, 0x30, 0x00, 0x30, 0x00, 0x04}, uint8(0x3c), uint8(0xa2), uint8(0x4d), uint8(1|32), uint16(0), uint8(0x4d))
 	f.Fuzz(func(t *testing.T, data []byte, qSel, tauRaw, kRaw, flags uint8, mut uint16, width uint8) {
 		d := dict.New()
 		queries := fuzzQueries(d, qSel, width)
@@ -151,16 +154,22 @@ func FuzzColumnsVsStream(f *testing.F) {
 		// ones from 1 to past the document size, where only the two sources
 		// can be compared — in both tie modes. The columns are scanned with
 		// the candidate gate on each route: labelNodes nil walks, all zero
-		// reads the postings for every query.
+		// reads the postings for every query. Without a probe the column
+		// scan steps over gated runs of candidates (prb.Cursor.Skip) instead
+		// of visiting each, and must still count every skip: it is held to
+		// the ring scan without a probe, which visits every candidate.
 		walk, postings := []int(nil), make([]int, len(queries))
-		kernel := func(columns bool, labelNodes []int) ([]*ranking.Heap, scanOutcome) {
+		kernel := func(columns, probed bool, labelNodes []int) ([]*ranking.Heap, scanOutcome) {
 			probe, prune := &traceProbe{}, &PruneStats{}
 			ranks := make([]*ranking.Heap, len(queries))
 			for i := range ranks {
 				ranks[i] = ranking.New(k + i%2)
 			}
 			o := opts
-			o.Probe, o.Prune = probe, prune
+			o.Prune = prune
+			if probed {
+				o.Probe = probe
+			}
 			sc, err := o.scratch(queries, ranks)
 			if err != nil {
 				t.Fatal(err)
@@ -182,11 +191,16 @@ func FuzzColumnsVsStream(f *testing.F) {
 			return ranks, outcome(ranks, prune, probe)
 		}
 		ctx := fmt.Sprintf("batch of %d k=%d strict=%v anyTau=%v", len(queries), k, strict, anyTau)
-		ranks, fromColumns := kernel(true, walk)
-		_, fromPostings := kernel(true, postings)
-		_, fromRing := kernel(false, nil)
+		ranks, fromColumns := kernel(true, true, walk)
+		_, fromPostings := kernel(true, true, postings)
+		_, fromRing := kernel(false, true, nil)
 		fromColumns.mustEqual(t, ctx+" walk", fromRing)
 		fromPostings.mustEqual(t, ctx+" postings", fromRing)
+		_, skippingWalk := kernel(true, false, walk)
+		_, skippingPostings := kernel(true, false, postings)
+		_, fromRingUnprobed := kernel(false, false, nil)
+		skippingWalk.mustEqual(t, ctx+" walk, no probe", fromRingUnprobed)
+		skippingPostings.mustEqual(t, ctx+" postings, no probe", fromRingUnprobed)
 		if doc, err := postorder.BuildTree(d, postorder.NewSliceQueue(items)); err == nil && !anyTau {
 			for i, q := range queries {
 				mustEqualNaive(t, fmt.Sprintf("%s query %d", ctx, i), ranks[i].Sorted(), q, doc, ranks[i].K(), 1000, strict)

@@ -47,8 +47,10 @@ type Options struct {
 	// Model is the node cost model; nil means the unit cost model.
 	Model cost.Model
 	// Ctx carries cancellation and deadline for the scan; nil means
-	// context.Background(). The scan polls it once per candidate (a
-	// non-blocking channel read, no allocation), so a cancelled request
+	// context.Background(). The scan polls it once per visited candidate
+	// (a non-blocking channel read, no allocation) — a column scan steps
+	// over runs of candidates the histogram gate rejects between polls, a
+	// bounded loop over one document's bounds — so a cancelled request
 	// stops mid-scan promptly and returns ctx.Err() without breaking the
 	// zero-allocations-per-candidate invariant.
 	Ctx context.Context
@@ -434,6 +436,11 @@ type candidateSource interface {
 	Leaf() int
 	// LMLOf returns the leftmost leaf of a node inside the candidate.
 	LMLOf(id int) int
+	// Skip steps over the following candidates whose bound exceeds, for
+	// every query q, limits[q], and returns how many it stepped over; a
+	// source that knows no bound before a candidate is visited steps over
+	// none.
+	Skip(limits []int32) int
 	// LabelBound returns the lower bound of histogram h, query q's, on the
 	// distance of every subtree of the candidate.
 	LabelBound(q int, h *prb.LabelHist) int
@@ -453,14 +460,32 @@ func scanCandidates(src candidateSource, sc *ScanScratch, posOffset int, strictT
 	if opts.Ctx != nil {
 		done = opts.Ctx.Done()
 	}
+	// Gate 1 is applied to runs of candidates before any is visited
+	// (src.Skip) wherever the bounds are known up front, unless a probe must
+	// see every candidate; with the gate off there are no bounds.
+	skip := opts.Probe == nil && len(sc.hists) > 0
+	limits := sc.limits[:len(sc.states)]
 	for {
-		// Cancellation poll, once per candidate: a non-blocking read of the
-		// context's done channel (nil — never ready — without a context),
-		// so a cancelled request abandons the scan mid-document.
+		// Cancellation poll, once per visited candidate: a non-blocking read
+		// of the context's done channel (nil — never ready — without a
+		// context), so a cancelled request abandons the scan mid-document.
+		// A skipped run is a bounded loop over one document's candidates.
 		select {
 		case <-done:
 			return opts.Ctx.Err()
 		default:
+		}
+		if skip {
+			// Step over the following candidates gate 1 rejects for every
+			// query: the integer form of its test below, against the same
+			// k-th bounds, which in a sequential scan move only when it
+			// pushes. A bound a cooperating scan tightens after it is read
+			// here only ends the run early; the test below still runs on
+			// every visited candidate.
+			for i := range sc.states {
+				limits[i] = gateLimit(sc.states[i].rank.KthBound())
+			}
+			sc.tally.histSkipped += uint64(src.Skip(limits) * len(sc.states))
 		}
 		ok, err := src.Next()
 		if err != nil {
@@ -542,6 +567,18 @@ func scanCandidates(src candidateSource, sc *ScanScratch, posOffset int, strictT
 			}
 		}
 	}
+}
+
+// gateLimit is a k-th distance bound as the integer limit gate 1 skips
+// above: an integer bound exceeds kth exactly when it exceeds ⌊kth⌋, and
+// none exceeds math.MaxInt32, the limit of an open ranking (+Inf).
+//
+//tasm:hotpath
+func gateLimit(kth float64) int32 {
+	if kth < math.MaxInt32 {
+		return int32(kth) // the floor: distances are never negative
+	}
+	return math.MaxInt32
 }
 
 // rankView is TASM-dynamic on one filled view: the last row of the tree

@@ -1,9 +1,11 @@
 package core
 
-// Context plumbing tests: scans poll their context once per ring-buffer
-// candidate, so a cancelled request stops mid-scan (without draining the
-// document stream) — and the poll costs no allocations (see alloc_test.go
-// for the AllocsPerRun pin with a context installed).
+// Context plumbing tests: scans poll their context once per visited
+// candidate — every ring-buffer candidate; a column scan steps over runs
+// of gated candidates between polls — so a cancelled request stops
+// mid-scan (without draining the document stream) — and the poll costs no
+// allocations (see alloc_test.go for the AllocsPerRun pin with a context
+// installed).
 
 import (
 	"context"

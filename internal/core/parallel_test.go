@@ -228,3 +228,65 @@ func TestParallelCancelled(t *testing.T) {
 		t.Errorf("%d goroutines after the cancelled scans, %d before", n, before)
 	}
 }
+
+// TestRangesSkipGatedRuns: without a probe, a scan steps over the runs of
+// candidates the histogram gate rejects (prb.Cursor.Skip), and the ranges
+// of a split scan do so concurrently over the one bounds row they share.
+// The sequential scan counts exactly what the ring-buffer scan, which
+// visits every candidate, counts; every split answers as it does.
+func TestRangesSkipGatedRuns(t *testing.T) {
+	d := dict.New()
+	root := tree.NewNode("root")
+	for i := 0; i < 400; i++ {
+		if i%7 == 0 {
+			root.AddChild(tree.NewNode("rec", tree.NewNode("a"), tree.NewNode("b")))
+		} else {
+			root.AddChild(tree.NewNode("x", tree.NewNode("y"), tree.NewNode("z")))
+		}
+	}
+	doc := tree.FromNode(d, root)
+	cols := columnsOf(t, doc)
+	queries := []*tree.Tree{
+		tree.MustParse(d, "{rec{a}{b}}"),
+		tree.MustParse(d, "{rec{b}}"),
+		tree.MustParse(d, "{rec{a}{a}{c}}"),
+	}
+	const k = 3
+	for _, n := range []int{1, 3} {
+		batch := queries[:n]
+		var seqStats, ringStats PruneStats
+		seq, err := rangesTopK(batch, cols, k, 0, Options{Prune: &seqStats})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ring := make([]*ranking.Heap, n)
+		for i := range ring {
+			ring[i] = ranking.New(k)
+		}
+		if err := streamScan(batch, postorder.FromTree(doc), ring, 0, true, Options{Prune: &ringStats}); err != nil {
+			t.Fatal(err)
+		}
+		for i := range batch {
+			mustEqualTrees(t, fmt.Sprintf("batch of %d, query %d: columns vs ring", n, i), seq[i], ring[i].Sorted())
+		}
+		s, r := [3]uint64{}, [3]uint64{}
+		s[0], s[1], s[2] = seqStats.Snapshot()
+		r[0], r[1], r[2] = ringStats.Snapshot()
+		if s != r || s[0] == 0 {
+			t.Fatalf("batch of %d: (histSkipped, tedAborted, evaluated) columns %v, ring %v; the gate must fire", n, s, r)
+		}
+		for _, workers := range []int{2, 4, 8} {
+			var stats PruneStats
+			par, err := rangesTopK(batch, cols, k, workers, Options{Prune: &stats})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range batch {
+				mustEqualTrees(t, fmt.Sprintf("batch of %d, %d ranges, query %d", n, workers, i), par[i], seq[i])
+			}
+			if stats.HistSkipped.Load() == 0 {
+				t.Errorf("batch of %d, %d ranges: the gate never fired", n, workers)
+			}
+		}
+	}
+}

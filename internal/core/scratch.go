@@ -35,6 +35,7 @@ type ScanScratch struct {
 	ranks   []*ranking.Heap
 	states  []queryState
 	hists   []*prb.LabelHist // the states' gate-1 histograms, in order; empty when the gate is off
+	limits  []int32          // the kernel's gate-1 limits, one per state; only ever grows
 	tauMax  int              // the largest of the states' τ: what the sources enumerate at
 	memo    *ted.Memo        // shared by the states' computers; kept across runs
 	parts   []*ScanScratch   // the ranges' scratches of a split scan; kept across runs, reset with this one
@@ -191,6 +192,9 @@ func (o *Options) scratch(queries []*tree.Tree, ranks []*ranking.Heap) (*ScanScr
 		}
 		sc.queries = append(sc.queries, queries...)
 		sc.ranks = append(sc.ranks, ranks...)
+		if cap(sc.limits) < len(sc.states) {
+			sc.limits = make([]int32, len(sc.states))
+		}
 	}
 	for i := range sc.states {
 		sc.states[i].comp.SetProbe(o.Probe) // nil clears a probe from a previous run

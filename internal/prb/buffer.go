@@ -258,6 +258,13 @@ func (r *Buffer) LMLOf(id int) int {
 	return id // a leaf is its own leftmost leaf
 }
 
+// Skip steps over no candidate and returns 0: a stream candidate's bound
+// is known only once it is buffered, so every candidate is visited and
+// gated one by one. It exists to share Cursor.Skip's signature.
+//
+//tasm:hotpath
+func (r *Buffer) Skip([]int32) int { return 0 }
+
 // LabelBound returns h's lower bound for the current candidate; see
 // LabelHist.CandidateBound. The query index, which Cursor needs, is not
 // read.

@@ -27,7 +27,8 @@ import (
 //
 // With the candidates known up front, the label-histogram bound of every
 // candidate is computed at Reset too, per histogram, in one pass over the
-// document (see gate.go), so LabelBound is a load.
+// document (see gate.go), so LabelBound is a load, and Skip steps over a
+// run of candidates every histogram gates without visiting them.
 //
 // A Cursor is owned by one scan goroutine; Reset re-points it, keeping
 // the root and bound scratch, which only ever grow.
@@ -126,6 +127,38 @@ func (c *Cursor) Next() (bool, error) {
 	}
 	c.cur++
 	return true, nil
+}
+
+// Skip steps over the candidates after the pending one whose bound
+// against the q-th histogram Reset was given exceeds limits[q] for every
+// q — one limit per histogram; bounds are integers, so a limit is the
+// floor of a k-th distance, and math.MaxInt32 gates nothing — and returns
+// how many it stepped over. It stops before the first candidate some
+// histogram admits or at the end of the cursor's range, so the next Next
+// visits that candidate or reports the end.
+//
+//tasm:hotpath
+func (c *Cursor) Skip(limits []int32) int {
+	from := c.cur + 1
+	j := from
+	if len(limits) == 1 {
+		row, limit := c.bounds[:c.end], limits[0]
+		for j < len(row) && row[j] > limit {
+			j++
+		}
+	} else {
+		n := len(c.roots)
+	runs:
+		for ; j < c.end; j++ {
+			for q, limit := range limits {
+				if c.bounds[q*n+j] <= limit {
+					break runs
+				}
+			}
+		}
+	}
+	c.cur = j - 1
+	return j - from
 }
 
 // Root returns the 1-based postorder id of the current candidate's root.

@@ -82,9 +82,9 @@
 //
 // Every scanning query method — Matcher.TopK, TopKStream and TopKBatch,
 // Corpus.TopK and TopKBatch — takes a context.Context as its first
-// argument; scans poll it once per candidate, so cancelling a request (a
-// disconnected client, a server draining for shutdown, a deadline) stops
-// mid-scan promptly at zero steady-state allocation cost.
+// argument; scans poll it once per visited candidate, so cancelling a
+// request (a disconnected client, a server draining for shutdown, a
+// deadline) stops mid-scan promptly at zero steady-state allocation cost.
 package tasm
 
 import (
