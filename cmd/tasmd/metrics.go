@@ -131,6 +131,7 @@ type serverMetrics struct {
 	tedGated        atomic.Uint64
 	evaluated       atomic.Uint64
 	tedMemoHits     atomic.Uint64
+	candSetMisses   atomic.Uint64
 	// overlayLabels totals the request-local labels computed runs held in
 	// their per-request dictionary overlays — labels that on a shared
 	// mutable dictionary would have leaked into process memory forever.
@@ -157,6 +158,7 @@ func (m *serverMetrics) observe(s *corpus.Stats) {
 	m.tedGated.Add(s.TEDGated)
 	m.evaluated.Add(s.Evaluated)
 	m.tedMemoHits.Add(s.TEDMemoHits)
+	m.candSetMisses.Add(s.CandidateSetMisses)
 	m.overlayLabels.Add(uint64(s.OverlayLabels))
 	m.retries.Add(s.Retries)
 	m.hedges.Add(s.Hedges)
@@ -185,13 +187,14 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"tasmd_removes_total", "counter", "Documents removed.", m.removes.Load()},
 		{"tasmd_slow_queries_total", "counter", "Queries that took at least the -slow-query threshold (recorded in /debug/slowlog).", m.slowQueries.Load()},
 		{"tasmd_traced_queries_total", "counter", "Queries that requested a per-response trace block (?trace=1).", m.tracedQueries.Load()},
-		{"tasmd_docs_scanned_total", "counter", "Documents streamed through TASM-postorder.", m.docsScanned.Load()},
+		{"tasmd_docs_scanned_total", "counter", "Documents scanned by TASM-postorder from their resident columns.", m.docsScanned.Load()},
 		{"tasmd_docs_skipped_total", "counter", "Documents skipped by the document-level label lower bound.", m.docsSkipped.Load()},
 		{"tasmd_candidates_hist_skipped_total", "counter", "Candidate subtrees skipped by the histogram-intersection lower bound.", m.candHistSkipped.Load()},
 		{"tasmd_ted_evals_aborted_total", "counter", "Subtree evaluations cut short by a lower bound of the bounded Zhang-Shasha evaluation (gated ones included).", m.tedAborted.Load()},
 		{"tasmd_ted_evals_gated_total", "counter", "Aborted subtree evaluations rejected by the view's label bag before the DP started.", m.tedGated.Load()},
 		{"tasmd_ted_evals_completed_total", "counter", "Subtree evaluations run to completion.", m.evaluated.Load()},
 		{"tasmd_ted_evals_memo_total", "counter", "Subtree evaluations (counted as aborted or completed too) answered from the row of an identical view evaluated earlier in the query.", m.tedMemoHits.Load()},
+		{"tasmd_candidate_set_misses_total", "counter", "Scanned documents whose size threshold found both candidate-cache slots held by other thresholds, so their candidates were located afresh.", m.candSetMisses.Load()},
 		{"tasmd_overlay_labels_total", "counter", "Request-local labels held in per-request dictionary overlays (released with each request).", m.overlayLabels.Load()},
 		{"tasmd_shard_retries_total", "counter", "Extra per-shard request attempts after retryable failures.", m.retries.Load()},
 		{"tasmd_shard_hedges_total", "counter", "Hedge and failover requests fired at replicas of replicated shards.", m.hedges.Load()},
@@ -222,9 +225,10 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "# HELP tasmd_corpus_mapped_bytes Committed store bytes served from read-only memory mappings (0 when mmap is disabled or unsupported).\n# TYPE tasmd_corpus_mapped_bytes gauge\ntasmd_corpus_mapped_bytes %d\n", mb.MappedBytes())
 	}
 	// Decoded postorder columns: the heap copy of every store's items
-	// that queries actually scan, 8 bytes per node.
+	// that queries actually scan, with the candidate sets cached beside
+	// them.
 	if cb, ok := s.src.(interface{ ColumnBytes() int64 }); ok {
-		fmt.Fprintf(w, "# HELP tasmd_corpus_column_bytes Heap bytes of the postorder columns and label postings decoded from the stores at load and scanned by every query (12 per node and 8 per distinct label of a document; a document whose store failed to decode holds none and is streamed instead).\n# TYPE tasmd_corpus_column_bytes gauge\ntasmd_corpus_column_bytes %d\n", cb.ColumnBytes())
+		fmt.Fprintf(w, "# HELP tasmd_corpus_column_bytes Heap bytes of the postorder columns and label postings decoded from the stores at load and scanned by every query (12 per node and 8 per distinct label of a document), and of the candidate sets cached beside them (about 1 per node and 4 per candidate, for each of up to two size thresholds per document).\n# TYPE tasmd_corpus_column_bytes gauge\ntasmd_corpus_column_bytes %d\n", cb.ColumnBytes())
 	}
 	if s.cfg.openDuration > 0 {
 		fmt.Fprintf(w, "# HELP tasmd_corpus_open_seconds Cold-start cost of opening the backend (manifest load, orphan sweep, store mapping, checksum and column decode).\n# TYPE tasmd_corpus_open_seconds gauge\ntasmd_corpus_open_seconds %g\n", s.cfg.openDuration.Seconds())

@@ -308,9 +308,13 @@ func TestMetricsExpositionLeaf(t *testing.T) {
 		t.Errorf("expected 2 observed topk requests, exposition:\n%s", body)
 	}
 	// Both documents decoded at ingest: 7 + 4 nodes at 12 bytes each
-	// (label, size, posting), 6 + 4 distinct labels at 8, 4 per document.
-	if !strings.Contains(body, "tasmd_corpus_column_bytes 220\n") {
-		t.Errorf("expected 220 column bytes for 11 nodes and 10 labels, exposition:\n%s", body)
+	// (label, size, posting), 6 + 4 distinct labels at 8, 4 per document:
+	// 220. Both scanned at τ = 5 ({a{b}}, k = 2) and τ = 4 (the batch,
+	// k = 1), each τ caching a candidate set per document: 4 bytes per
+	// candidate, 1 per node, 4 per block of 64 nodes — d1's two records,
+	// d2 whole: 2 × ((8 + 7 + 4) + (4 + 4 + 4)).
+	if !strings.Contains(body, "tasmd_corpus_column_bytes 282\n") {
+		t.Errorf("expected 220 column bytes for 11 nodes and 10 labels and 62 for two candidate sets per document, exposition:\n%s", body)
 	}
 }
 

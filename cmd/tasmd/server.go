@@ -246,6 +246,9 @@ type topkStats struct {
 	TEDGated    uint64 `json:"tedGated"`
 	Evaluated   uint64 `json:"evaluated"`
 	TEDMemoHits uint64 `json:"tedMemoHits"`
+	// CandidateSetMisses counts the scanned documents whose τ found their
+	// candidate cache full of other τ values (see corpus.Stats).
+	CandidateSetMisses uint64 `json:"candidateSetMisses,omitempty"`
 	// Dictionary accounting: the frozen corpus dictionary's size and the
 	// request-local labels the query overlay held (released with the
 	// request; see corpus.Stats).
@@ -270,22 +273,23 @@ type topkStats struct {
 // statsOf converts a run's corpus.Stats to the response shape.
 func statsOf(stats *corpus.Stats) topkStats {
 	return topkStats{
-		Scanned:        stats.Scanned,
-		Skipped:        stats.Skipped,
-		HistSkipped:    stats.HistSkipped,
-		TEDAborted:     stats.TEDAborted,
-		TEDGated:       stats.TEDGated,
-		Evaluated:      stats.Evaluated,
-		TEDMemoHits:    stats.TEDMemoHits,
-		BaseDictLabels: stats.BaseDictLabels,
-		OverlayLabels:  stats.OverlayLabels,
-		Quarantined:    stats.Quarantined,
-		Retries:        stats.Retries,
-		Hedges:         stats.Hedges,
-		Retried:        stats.Retried,
-		Hedged:         stats.Hedged,
-		BreakerSkipped: stats.BreakerSkipped,
-		Degraded:       stats.Degraded,
+		Scanned:            stats.Scanned,
+		Skipped:            stats.Skipped,
+		HistSkipped:        stats.HistSkipped,
+		TEDAborted:         stats.TEDAborted,
+		TEDGated:           stats.TEDGated,
+		Evaluated:          stats.Evaluated,
+		TEDMemoHits:        stats.TEDMemoHits,
+		CandidateSetMisses: stats.CandidateSetMisses,
+		BaseDictLabels:     stats.BaseDictLabels,
+		OverlayLabels:      stats.OverlayLabels,
+		Quarantined:        stats.Quarantined,
+		Retries:            stats.Retries,
+		Hedges:             stats.Hedges,
+		Retried:            stats.Retried,
+		Hedged:             stats.Hedged,
+		BreakerSkipped:     stats.BreakerSkipped,
+		Degraded:           stats.Degraded,
 	}
 }
 

@@ -273,3 +273,39 @@ func TestInflightQueries(t *testing.T) {
 		t.Errorf("completed query still listed in /debug/queries: %+v", out.Queries)
 	}
 }
+
+// TestCandidateSetMissesReported: a document keeps its candidates for two
+// thresholds τ, so the third τ a leaf sees finds both slots taken on every
+// document it scans. The response stats count those scans, each scan span
+// of a traced request marks its own, and /metrics totals them.
+func TestCandidateSetMissesReported(t *testing.T) {
+	h, _ := newTestServer(t, serverConfig{})
+	ingest(t, h, "d1", `<r><a><b>x</b></a><a><c>y</c></a></r>`)
+	ingest(t, h, "d2", `<r><a><b>z</b></a></r>`)
+	// τ = 2|Q| + k: 5 and 6 take the two slots of both documents.
+	for k := 1; k <= 2; k++ {
+		if resp := topk(t, h, topkRequest{Query: "{a{b}}", K: k}); resp.Stats.CandidateSetMisses != 0 {
+			t.Fatalf("k=%d: %d candidate-set misses with a free slot", k, resp.Stats.CandidateSetMisses)
+		}
+	}
+	w := doJSON(t, h, "POST", "/v1/topk?trace=1", topkRequest{Query: "{a{b}}", K: 3})
+	if w.Code != http.StatusOK {
+		t.Fatalf("traced topk: status %d: %s", w.Code, w.Body)
+	}
+	var resp topkResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Stats.Scanned != 2 || resp.Stats.CandidateSetMisses != 2 {
+		t.Fatalf("τ = 7 scanned %d documents with %d candidate-set misses, want 2 and 2", resp.Stats.Scanned, resp.Stats.CandidateSetMisses)
+	}
+	for _, s := range resp.Trace.Spans {
+		if s.Name == qtrace.SpanScan && (s.Prune == nil || s.Prune.CandidateSetMisses != 1) {
+			t.Errorf("scan span of %s does not mark its candidate-set miss: %+v", s.Detail, s.Prune)
+		}
+	}
+	body, _ := scrapeMetrics(t, h)
+	if got := metricLine(body, "tasmd_candidate_set_misses_total"); got != "2" {
+		t.Errorf("tasmd_candidate_set_misses_total = %q, want 2", got)
+	}
+}

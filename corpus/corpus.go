@@ -106,6 +106,7 @@ import (
 	"tasm/internal/docstore"
 	"tasm/internal/mmapio"
 	"tasm/internal/postorder"
+	"tasm/internal/prb"
 	"tasm/internal/tree"
 	"tasm/internal/xmlstream"
 )
@@ -248,12 +249,15 @@ type Corpus struct {
 // store file's bytes (and unmaps them via finalizer once no snapshot
 // references them), cols is its items, checksummed and decoded once at
 // load with labels resolved in the base dictionary — what every query
-// scans, so answers never depend on the file's bytes after load.
-// Immutable after construction; shared by every snapshot that includes
-// the document.
+// scans, so answers never depend on the file's bytes after load — and
+// cands its candidate sets, derived from cols by the first scans at each
+// of up to two τ and dropped with the document. Region and columns are
+// immutable after construction, the cache only ever gains a set; shared
+// by every snapshot that includes the document.
 type docStore struct {
 	region *mmapio.Region
 	cols   *postorder.Columns
+	cands  prb.CandidateCache
 }
 
 // snapshot is one consistent view of the corpus for a single query run:
@@ -339,12 +343,14 @@ func (c *Corpus) loadStore(base *dict.Base, d DocInfo) (*docStore, error) {
 
 // ColumnBytes returns the heap bytes held by the decoded postorder
 // columns and their label postings (postorder.Columns.Bytes) of the
-// serving set: 12 per node and 8 per distinct label of every document.
+// serving set — 12 per node and 8 per distinct label of every document —
+// and by the candidate sets queries have cached beside them
+// (prb.CandidateCache.Bytes): about 1 per node and 4 per candidate of each.
 func (c *Corpus) ColumnBytes() int64 {
 	st := c.snapshot()
 	var n int64
 	for _, s := range st.stores {
-		n += s.cols.Bytes()
+		n += s.cols.Bytes() + s.cands.Bytes()
 	}
 	return n
 }

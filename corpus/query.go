@@ -29,7 +29,8 @@ type Match struct {
 
 // Stats reports what a TopK run did, for observability and tests.
 type Stats struct {
-	// Scanned is the number of documents streamed through TASM-postorder.
+	// Scanned is the number of documents scanned by TASM-postorder, each
+	// from its resident columns.
 	Scanned int
 	// Skipped is the number of documents pruned by the label-histogram
 	// lower bound without being opened.
@@ -60,6 +61,12 @@ type Stats struct {
 	// in TEDAborted or Evaluated) answered from the row an earlier
 	// evaluation of an identical view stored, without a DP.
 	TEDMemoHits uint64
+	// CandidateSetMisses is the number of scanned documents whose τ found
+	// both slots of the document's candidate cache held by other τ values,
+	// so their candidates were located and searched afresh. A steady
+	// non-zero rate means the traffic uses more τ values than a document
+	// keeps.
+	CandidateSetMisses uint64
 	// BaseDictLabels is the size of the frozen corpus base dictionary the
 	// run scanned against. It grows only with ingests, never with
 	// queries.
@@ -97,6 +104,7 @@ type Stats struct {
 func (s *Stats) setPrune(p *core.PruneStats) {
 	s.HistSkipped, s.TEDAborted, s.Evaluated = p.Snapshot()
 	s.TEDGated, s.TEDMemoHits = p.TEDGated.Load(), p.TEDMemoHits.Load()
+	s.CandidateSetMisses = p.CandidateSetMisses.Load()
 }
 
 // MergeFault folds another run's fault-tolerance accounting into s:
@@ -419,10 +427,11 @@ func (c *Corpus) TopKBatch(ctx context.Context, queries []*tree.Tree, k int, opt
 				continue
 			}
 		}
-		var h0, a0, e0 uint64
+		var h0, a0, e0, m0 uint64
 		docSpan := -1
 		if tr != nil {
 			h0, a0, e0 = prune.Snapshot()
+			m0 = prune.CandidateSetMisses.Load()
 			docSpan = tr.Begin(qtrace.SpanScan, d.info.Name)
 		}
 		// The label-node counts the plan read off the profile index steer
@@ -433,11 +442,12 @@ func (c *Corpus) TopKBatch(ctx context.Context, queries []*tree.Tree, k int, opt
 		}
 		// One form per document: its columns, decoded at load — candidates
 		// by index arithmetic, no ring buffer, no byte of the file read.
-		err := core.PostorderBatchColumnsInto(qs, st.stores[d.info.ID].cols, labelNodes, heaps, d.offset, cfg.Workers, coreOpts)
+		ds := st.stores[d.info.ID]
+		err := core.PostorderBatchColumnsInto(qs, ds.cols, &ds.cands, labelNodes, heaps, d.offset, cfg.Workers, coreOpts)
 		if tr != nil {
 			tr.End(docSpan)
 			h1, a1, e1 := prune.Snapshot()
-			tr.SetPrune(docSpan, h1-h0, a1-a0, e1-e0)
+			tr.SetPrune(docSpan, h1-h0, a1-a0, e1-e0, prune.CandidateSetMisses.Load()-m0)
 		}
 		if err != nil {
 			return nil, &ScanError{Doc: d.info.Name, Err: err}

@@ -213,43 +213,45 @@ type wireMatch struct {
 }
 
 type wireStats struct {
-	Scanned        int      `json:"scanned"`
-	Skipped        int      `json:"skipped"`
-	HistSkipped    uint64   `json:"histSkipped"`
-	TEDAborted     uint64   `json:"tedAborted"`
-	TEDGated       uint64   `json:"tedGated"`
-	Evaluated      uint64   `json:"evaluated"`
-	TEDMemoHits    uint64   `json:"tedMemoHits"`
-	BaseDictLabels int      `json:"baseDictLabels"`
-	OverlayLabels  int      `json:"overlayLabels"`
-	Quarantined    int      `json:"quarantined,omitempty"`
-	Retries        uint64   `json:"retries,omitempty"`
-	Hedges         uint64   `json:"hedges,omitempty"`
-	Retried        []string `json:"retried,omitempty"`
-	Hedged         []string `json:"hedged,omitempty"`
-	BreakerSkipped []string `json:"breakerSkipped,omitempty"`
-	Degraded       []string `json:"degraded,omitempty"`
-	Cached         bool     `json:"cached"`
+	Scanned            int      `json:"scanned"`
+	Skipped            int      `json:"skipped"`
+	HistSkipped        uint64   `json:"histSkipped"`
+	TEDAborted         uint64   `json:"tedAborted"`
+	TEDGated           uint64   `json:"tedGated"`
+	Evaluated          uint64   `json:"evaluated"`
+	TEDMemoHits        uint64   `json:"tedMemoHits"`
+	CandidateSetMisses uint64   `json:"candidateSetMisses,omitempty"`
+	BaseDictLabels     int      `json:"baseDictLabels"`
+	OverlayLabels      int      `json:"overlayLabels"`
+	Quarantined        int      `json:"quarantined,omitempty"`
+	Retries            uint64   `json:"retries,omitempty"`
+	Hedges             uint64   `json:"hedges,omitempty"`
+	Retried            []string `json:"retried,omitempty"`
+	Hedged             []string `json:"hedged,omitempty"`
+	BreakerSkipped     []string `json:"breakerSkipped,omitempty"`
+	Degraded           []string `json:"degraded,omitempty"`
+	Cached             bool     `json:"cached"`
 }
 
 func (s *wireStats) stats() corpus.Stats {
 	return corpus.Stats{
-		Scanned:        s.Scanned,
-		Skipped:        s.Skipped,
-		HistSkipped:    s.HistSkipped,
-		TEDAborted:     s.TEDAborted,
-		TEDGated:       s.TEDGated,
-		Evaluated:      s.Evaluated,
-		TEDMemoHits:    s.TEDMemoHits,
-		BaseDictLabels: s.BaseDictLabels,
-		OverlayLabels:  s.OverlayLabels,
-		Quarantined:    s.Quarantined,
-		Retries:        s.Retries,
-		Hedges:         s.Hedges,
-		Retried:        s.Retried,
-		Hedged:         s.Hedged,
-		BreakerSkipped: s.BreakerSkipped,
-		Degraded:       s.Degraded,
+		Scanned:            s.Scanned,
+		Skipped:            s.Skipped,
+		HistSkipped:        s.HistSkipped,
+		TEDAborted:         s.TEDAborted,
+		TEDGated:           s.TEDGated,
+		Evaluated:          s.Evaluated,
+		TEDMemoHits:        s.TEDMemoHits,
+		CandidateSetMisses: s.CandidateSetMisses,
+		BaseDictLabels:     s.BaseDictLabels,
+		OverlayLabels:      s.OverlayLabels,
+		Quarantined:        s.Quarantined,
+		Retries:            s.Retries,
+		Hedges:             s.Hedges,
+		Retried:            s.Retried,
+		Hedged:             s.Hedged,
+		BreakerSkipped:     s.BreakerSkipped,
+		Degraded:           s.Degraded,
 	}
 }
 

@@ -417,6 +417,7 @@ func mergeStats(stats []corpus.Stats) corpus.Stats {
 		out.TEDGated += s.TEDGated
 		out.Evaluated += s.Evaluated
 		out.TEDMemoHits += s.TEDMemoHits
+		out.CandidateSetMisses += s.CandidateSetMisses
 		out.BaseDictLabels += s.BaseDictLabels
 		out.OverlayLabels += s.OverlayLabels
 		out.MergeFault(s)

@@ -13,6 +13,7 @@ import (
 
 	"tasm/internal/dict"
 	"tasm/internal/postorder"
+	"tasm/internal/prb"
 	"tasm/internal/qtrace"
 	"tasm/internal/race"
 	"tasm/internal/ranking"
@@ -183,7 +184,7 @@ func FuzzColumnsVsStream(f *testing.F) {
 			}
 			var src candidateSource = sc.ring(postorder.NewSliceQueue(items))
 			if columns {
-				src = sc.cursor(cols, labelNodes)
+				src = sc.cursor(cols, nil, labelNodes)
 			}
 			if err := scanCandidates(src, sc, 1000, strict, &o); err != nil {
 				t.Fatalf("columns=%v: %v", columns, err)
@@ -217,12 +218,15 @@ func FuzzColumnsVsStream(f *testing.F) {
 		if err := streamScan(queries, postorder.NewSliceQueue(items), want, 7, true, opts); err != nil {
 			t.Fatal(err)
 		}
+		// The first scan fills the document's candidate cache, the others
+		// read the set it built.
+		cache := new(prb.CandidateCache)
 		for _, workers := range []int{0, 1, 2, 5} {
 			got := make([]*ranking.Heap, len(queries))
 			for i := range got {
 				got[i] = ranking.New(k)
 			}
-			if err := PostorderBatchColumnsInto(queries, cols, postings, got, 7, workers, opts); err != nil {
+			if err := PostorderBatchColumnsInto(queries, cols, cache, postings, got, 7, workers, opts); err != nil {
 				t.Fatal(err)
 			}
 			for i := range queries {
@@ -239,7 +243,9 @@ func FuzzColumnsVsStream(f *testing.F) {
 // cancellable context carrying a live trace, the daemon's request shape.
 // It does so on both routes of the candidate gate: a document where half
 // the nodes carry a query label walks, one where a tenth do reads the
-// label postings.
+// label postings; and with no candidate cache, with one that holds the
+// scan's τ (filled by the warm-up pass), and with one whose two slots
+// hold other thresholds.
 func TestColumnKernelsZeroAlloc(t *testing.T) {
 	d := dict.New()
 	queries := []*tree.Tree{
@@ -277,35 +283,50 @@ func TestColumnKernelsZeroAlloc(t *testing.T) {
 		postings bool
 	}{{"walk", document(2), false}, {"postings", document(10), true}} {
 		for _, n := range []int{1, 2, 4} {
-			opts := Options{NoTrees: true, CT: 1, Ctx: qtrace.NewContext(ctx, tr), Prune: &PruneStats{}}
-			ranks := make([]*ranking.Heap, n)
-			for i := range ranks {
-				ranks[i] = ranking.New(2)
-			}
-			sc, err := opts.scratch(queries[:n], ranks)
-			if err != nil {
-				t.Fatal(err)
-			}
-			counts := queryLabelNodes(doc.cols, queries[:n])
-			cur := sc.cursor(doc.cols, counts)
-			pass := func() {
-				cur.Reset(doc.cols, sc.tauMax, sc.hists, counts)
-				if err := scanCandidates(cur, sc, 0, true, &opts); err != nil {
+			for _, caching := range []string{"uncached", "cache hit", "cache full"} {
+				opts := Options{NoTrees: true, CT: 1, Ctx: qtrace.NewContext(ctx, tr), Prune: &PruneStats{}}
+				ranks := make([]*ranking.Heap, n)
+				for i := range ranks {
+					ranks[i] = ranking.New(2)
+				}
+				sc, err := opts.scratch(queries[:n], ranks)
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			pass() // warm: grow the cursor and view, fill the rankings
-			if want := map[bool]int{true: n, false: 0}[doc.postings]; cur.PostingRows() != want {
-				t.Fatalf("%s document, %d queries: %d bound rows read postings, want %d", doc.route, n, cur.PostingRows(), want)
-			}
-			if h, _, e := opts.Prune.Snapshot(); h == 0 || e == 0 {
-				t.Fatalf("%s document, %d queries: warm-up skipped %d candidates and evaluated %d: the pin must cover both gates", doc.route, n, h, e)
-			}
-			if race.Enabled {
-				continue // allocation counts are not meaningful under -race
-			}
-			if allocs := testing.AllocsPerRun(20, pass); allocs != 0 {
-				t.Errorf("column scan of the %s document for %d queries allocates %.1f objects per document in steady state, want 0", doc.route, n, allocs)
+				var cache *prb.CandidateCache
+				if caching != "uncached" {
+					cache = new(prb.CandidateCache)
+				}
+				if caching == "cache full" {
+					for _, tau := range []int{sc.tauMax + 1, sc.tauMax + 2} {
+						new(prb.Cursor).Reset(doc.cols, cache, tau, nil, nil)
+					}
+				}
+				counts := queryLabelNodes(doc.cols, queries[:n])
+				cur := sc.cursor(doc.cols, cache, counts)
+				pass := func() {
+					cur.Reset(doc.cols, cache, sc.tauMax, sc.hists, counts)
+					if err := scanCandidates(cur, sc, 0, true, &opts); err != nil {
+						t.Fatal(err)
+					}
+				}
+				pass() // warm: grow the cursor and view, fill the rankings
+				what := fmt.Sprintf("%s document, %d queries, %s", doc.route, n, caching)
+				if cur.Missed() != (caching == "cache full") {
+					t.Fatalf("%s: Missed = %v", what, cur.Missed())
+				}
+				if want := map[bool]int{true: n, false: 0}[doc.postings]; cur.PostingRows() != want {
+					t.Fatalf("%s: %d bound rows read postings, want %d", what, cur.PostingRows(), want)
+				}
+				if h, _, e := opts.Prune.Snapshot(); h == 0 || e == 0 {
+					t.Fatalf("%s: warm-up skipped %d candidates and evaluated %d: the pin must cover both gates", what, h, e)
+				}
+				if race.Enabled {
+					continue // allocation counts are not meaningful under -race
+				}
+				if allocs := testing.AllocsPerRun(20, pass); allocs != 0 {
+					t.Errorf("column scan of the %s allocates %.1f objects per document in steady state, want 0", what, allocs)
+				}
 			}
 		}
 	}

@@ -316,12 +316,19 @@ func PostorderStreamInto(q *tree.Tree, docQ postorder.Queue, r *ranking.Heap, po
 // column (prb.Cursor) instead of a ring buffer fed node by node, and the
 // label-histogram gate bounds every candidate before the scan starts.
 //
+// cache, when non-nil, is the document's prb.CandidateCache, which keeps
+// its candidates per τ across scans, so that a scan at a τ it holds
+// neither locates the candidates nor searches them for the label
+// postings. A scan whose τ finds every slot taken runs as with no cache
+// and is counted in opts.Prune's CandidateSetMisses.
+//
 // labelNodes, when non-nil, holds per query the number of the document's
 // nodes that carry one of the query's labels — a corpus plan reads it off
 // the document's label profile — and lets the gate read the label
 // postings instead of walking the label column where they are few; nil
-// walks. It steers speed only: results are the same for any value.
-func PostorderBatchColumnsInto(queries []*tree.Tree, cols *postorder.Columns, labelNodes []int, ranks []*ranking.Heap, posOffset, workers int, opts Options) error {
+// walks. Neither steers more than speed: results are the same for any
+// value.
+func PostorderBatchColumnsInto(queries []*tree.Tree, cols *postorder.Columns, cache *prb.CandidateCache, labelNodes []int, ranks []*ranking.Heap, posOffset, workers int, opts Options) error {
 	sc, err := opts.scratch(queries, ranks)
 	if err != nil {
 		return err
@@ -329,7 +336,10 @@ func PostorderBatchColumnsInto(queries []*tree.Tree, cols *postorder.Columns, la
 	if labelNodes != nil && len(labelNodes) != len(queries) {
 		return fmt.Errorf("tasm: %d queries but %d label-node counts", len(queries), len(labelNodes))
 	}
-	cur := sc.cursor(cols, labelNodes)
+	cur := sc.cursor(cols, cache, labelNodes)
+	if cur.Missed() && opts.Prune != nil {
+		opts.Prune.CandidateSetMisses.Add(1)
+	}
 	if workers == 0 {
 		return scanCandidates(cur, sc, posOffset, true, &opts)
 	}

@@ -40,7 +40,7 @@ func rangesTopK(queries []*tree.Tree, cols *postorder.Columns, k, workers int, o
 	for i := range ranks {
 		ranks[i] = ranking.New(k)
 	}
-	if err := PostorderBatchColumnsInto(queries, cols, nil, ranks, 0, workers, opts); err != nil {
+	if err := PostorderBatchColumnsInto(queries, cols, nil, nil, ranks, 0, workers, opts); err != nil {
 		return nil, err
 	}
 	out := make([][]Match, len(ranks))
@@ -134,10 +134,10 @@ func TestParallelValidation(t *testing.T) {
 	if _, err := rangesTopK(nil, cols, 1, 2, Options{}); err == nil {
 		t.Error("empty batch accepted")
 	}
-	if err := PostorderBatchColumnsInto([]*tree.Tree{q}, cols, nil, []*ranking.Heap{ranking.New(1), ranking.New(1)}, 0, 2, Options{}); err == nil {
+	if err := PostorderBatchColumnsInto([]*tree.Tree{q}, cols, nil, nil, []*ranking.Heap{ranking.New(1), ranking.New(1)}, 0, 2, Options{}); err == nil {
 		t.Error("more rankings than queries accepted")
 	}
-	if err := PostorderBatchColumnsInto([]*tree.Tree{q}, cols, []int{1, 2}, []*ranking.Heap{ranking.New(1)}, 0, 2, Options{}); err == nil {
+	if err := PostorderBatchColumnsInto([]*tree.Tree{q}, cols, nil, []int{1, 2}, []*ranking.Heap{ranking.New(1)}, 0, 2, Options{}); err == nil {
 		t.Error("more label-node counts than queries accepted")
 	}
 }

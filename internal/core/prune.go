@@ -44,6 +44,10 @@ type PruneStats struct {
 	// differ from what the dynamic program would have reported, their sum
 	// cannot.
 	TEDMemoHits atomic.Uint64
+	// CandidateSetMisses is the number of document scans whose τ found
+	// every slot of the document's candidate cache held by another τ, so
+	// that the scan located and searched the candidates itself.
+	CandidateSetMisses atomic.Uint64
 }
 
 // Snapshot returns the current counter values (hist-skipped, TED-aborted,

@@ -44,7 +44,7 @@ func mustEqualMatches(t *testing.T, ctx string, got, want []Match) {
 // rangesInto scans one query into r over the columns of doc, the
 // candidates split into workers ranges.
 func rangesInto(t testing.TB, q, doc *tree.Tree, r *ranking.Heap, posOffset, workers int, opts Options) error {
-	return PostorderBatchColumnsInto([]*tree.Tree{q}, columnsOf(t, doc), nil, []*ranking.Heap{r}, posOffset, workers, opts)
+	return PostorderBatchColumnsInto([]*tree.Tree{q}, columnsOf(t, doc), nil, nil, []*ranking.Heap{r}, posOffset, workers, opts)
 }
 
 // randomInstance draws a (query, document, k) instance.
@@ -396,7 +396,7 @@ func FuzzPrunedVsUnpruned(f *testing.F) {
 			ranks[i] = ranking.New(k)
 		}
 		workers := int(wRaw) % 6
-		if err := PostorderBatchColumnsInto(queries, cols, nil, ranks, 3, workers, opts); err != nil {
+		if err := PostorderBatchColumnsInto(queries, cols, nil, nil, ranks, 3, workers, opts); err != nil {
 			t.Fatalf("column scan (%d ranges) failed: %v", workers, err)
 		}
 		for i, r := range ranks {

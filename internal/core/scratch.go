@@ -131,12 +131,12 @@ func (s *ScanScratch) ring(docQ postorder.Queue) *prb.Buffer {
 
 // cursor points the scratch's column cursor at a resident document, every
 // candidate bounded against every query's histogram; see prb.Cursor.Reset
-// for labelNodes.
-func (s *ScanScratch) cursor(cols *postorder.Columns, labelNodes []int) *prb.Cursor {
+// for cache and labelNodes.
+func (s *ScanScratch) cursor(cols *postorder.Columns, cache *prb.CandidateCache, labelNodes []int) *prb.Cursor {
 	if s.cur == nil {
 		s.cur = new(prb.Cursor)
 	}
-	s.cur.Reset(cols, s.tauMax, s.hists, labelNodes)
+	s.cur.Reset(cols, cache, s.tauMax, s.hists, labelNodes)
 	return s.cur
 }
 

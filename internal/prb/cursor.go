@@ -2,7 +2,6 @@ package prb
 
 import (
 	"fmt"
-	"slices"
 
 	"tasm/internal/dict"
 	"tasm/internal/postorder"
@@ -12,18 +11,15 @@ import (
 // Cursor enumerates the candidate set cand(T, τ) of a document held as
 // resident postorder columns — the same set, in the same document order,
 // that Buffer produces from a stream, with the same read interface (Next,
-// Root, Leaf, LMLOf, LabelBound, FillView), so the scan kernels run over
-// either.
+// Skip, Root, Leaf, LMLOf, LabelBound, FillView), so the scan kernels run
+// over either.
 //
 // The ring buffer exists because a stream can only be dequeued. With the
-// size column addressable there is nothing to buffer: walking right to
-// left from the last node, a node of size ≤ τ is a candidate root — every
-// node the walk has stepped over instead of jumping is an ancestor larger
-// than τ, and those are all its ancestors — and the walk jumps over its
-// whole subtree; a node larger than τ is stepped over to its last child,
-// the node just before it. The walk touches only candidate roots and
-// nodes larger than τ, never the inside of a candidate, and visiting the
-// roots it found in reverse is document order.
+// size column addressable there is nothing to buffer: the candidate roots
+// are found by a walk over the size column that touches only the roots
+// and the nodes larger than τ (locate), or read from the document's
+// CandidateCache, which keeps them — and which candidate holds each node —
+// per τ.
 //
 // With the candidates known up front, the label-histogram bound of every
 // candidate is computed at Reset too, per histogram, in one pass over the
@@ -36,51 +32,63 @@ type Cursor struct {
 	cols   *postorder.Columns
 	labels []int32
 	sizes  []int32
-	roots  []int32 // candidate root ids, in document order
+	roots  []int32 // candidate root ids, in document order: own, or a cached set's
+	own    []int32 // the roots a Reset without a cached set locates; never a set's
 	cur    int     // index of the pending candidate in roots; the next is cur+1
 	end    int     // index in roots past the cursor's last candidate
 	// bounds holds row q — one bound per candidate — for the q-th
 	// histogram Reset was given, at [q·len(roots), (q+1)·len(roots)).
 	bounds   []int32
-	postings int // rows the last Reset filled from the label postings
+	postings int  // rows the last Reset filled from the label postings
+	missed   bool // the last Reset found every slot of its cache taken
 }
 
 // NewCursor returns a cursor that enumerates the candidates of cols at
 // size threshold tau ≥ 1, bounding none.
 func NewCursor(cols *postorder.Columns, tau int) *Cursor {
 	c := new(Cursor)
-	c.Reset(cols, tau, nil, nil)
+	c.Reset(cols, nil, tau, nil, nil)
 	return c
 }
 
 // Reset points the cursor at a document and threshold, locates its
 // candidates, and bounds every candidate against every histogram of
-// hists: LabelBound(q, …) then answers for hists[q]. labelNodes, when
-// non-nil, holds per histogram the number of the document's nodes that
-// carry one of its query's labels, from which each histogram's route is
-// chosen (readPostings); nil walks every one. The counts only steer the
-// choice — both routes compute the bounds from the columns — so a wrong
-// count costs time, never a wrong bound. Reset allocates only to grow its
-// scratch.
-func (c *Cursor) Reset(cols *postorder.Columns, tau int, hists []*LabelHist, labelNodes []int) {
+// hists: LabelBound(q, …) then answers for hists[q].
+//
+// cache, when non-nil, is the document's CandidateCache: the candidates
+// are read from its set at tau, built there first if a slot is free. A
+// histogram whose route is the postings then finds each posting's
+// candidate with two loads of the set's node map. When every slot holds
+// another τ the cursor locates the candidates itself and searches the
+// candidate roots for the postings, as with no cache, and Missed reports
+// it.
+//
+// labelNodes, when non-nil, holds per histogram the number of the
+// document's nodes that carry one of its query's labels, from which each
+// histogram's route is chosen (readPostings); nil walks every one. The
+// counts only steer the choice — every route computes the bounds from the
+// columns — so a wrong count costs time, never a wrong bound. Reset
+// allocates only to grow its scratch and to fill a free cache slot.
+func (c *Cursor) Reset(cols *postorder.Columns, cache *CandidateCache, tau int, hists []*LabelHist, labelNodes []int) {
 	if tau < 1 {
 		panic(fmt.Sprintf("prb: threshold τ must be ≥ 1, got %d", tau))
 	}
 	c.cols, c.labels, c.sizes = cols, cols.Labels(), cols.Sizes()
-	roots, covered := c.roots[:0], 0 // covered: the nodes a walk reads
-	for i := len(c.sizes); i > 0; {
-		if s := int(c.sizes[i-1]); s <= tau {
-			roots = append(roots, int32(i))
-			covered += s
-			i -= s
-		} else {
-			i--
-		}
+	var set *candidateSet
+	if cache != nil {
+		set = cache.set(cols, tau, &c.own)
 	}
-	slices.Reverse(roots)
-	c.roots, c.cur, c.end = roots, -1, len(roots)
+	c.missed = cache != nil && set == nil
+	covered := 0 // the nodes a walk reads
+	if set != nil {
+		c.roots, covered = set.roots, set.covered
+	} else {
+		c.own, covered = locate(c.own, c.sizes, tau)
+		c.roots = c.own
+	}
+	c.cur, c.end = -1, len(c.roots)
 
-	n := len(roots)
+	n := len(c.roots)
 	if need := len(hists) * n; cap(c.bounds) < need {
 		c.bounds = make([]int32, need)
 	}
@@ -88,11 +96,15 @@ func (c *Cursor) Reset(cols *postorder.Columns, tau int, hists []*LabelHist, lab
 	c.postings = 0
 	for q, h := range hists {
 		row := c.bounds[q*n : (q+1)*n]
-		if labelNodes != nil && readPostings(labelNodes[q], covered) {
+		switch {
+		case labelNodes == nil || !readPostings(labelNodes[q], covered):
+			c.walkBounds(h, row)
+		case set != nil:
+			c.mapBounds(h, row, set)
+			c.postings++
+		default:
 			c.postingBounds(h, row)
 			c.postings++
-		} else {
-			c.walkBounds(h, row)
 		}
 	}
 }
@@ -114,6 +126,11 @@ func (c *Cursor) Range(lo, hi int) Cursor {
 // had their bounds read from the label postings; the others walked the
 // label column.
 func (c *Cursor) PostingRows() int { return c.postings }
+
+// Missed reports whether the last Reset was given a cache whose slots all
+// held another τ, so that it located and bounded the candidates as with
+// no cache.
+func (c *Cursor) Missed() bool { return c.missed }
 
 // Next advances to the next candidate of the cursor's range in document
 // order and reports whether there is one. The error is always nil —

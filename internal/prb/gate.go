@@ -8,15 +8,17 @@ package prb
 // The walk reads the label column of every candidate, node by node. The
 // postings pass reads only the nodes that carry a query label: for each
 // distinct label of the query it steps through the label's postings
-// (postorder.Columns.Postings) and the candidate roots together — both
-// ascending, the roots galloped over where the postings are sparse — and
-// a run of r postings inside one candidate lets that candidate match
-// min(r, need) query nodes of the label. Candidates are disjoint
-// intervals of the postorder, so a posting lies inside at most one, and
-// one that lies inside none belongs to a node larger than τ. Both routes
-// compute the same number, Σ_label max(0, need − have), the bound
-// CandidateBound computes from the ring; FuzzPostingsBound pins the three
-// equal.
+// (postorder.Columns.Postings), and a run of r postings inside one
+// candidate lets that candidate match min(r, need) query nodes of the
+// label. Candidates are disjoint intervals of the postorder, so a posting
+// lies inside at most one, and one that lies inside none belongs to a node
+// larger than τ. The pass finds a posting's candidate in one of two ways:
+// with the document's cached candidate set at τ (CandidateCache), by two
+// loads of its node map (mapBounds); without one, by stepping through the
+// ascending candidate roots beside the postings, galloping where the
+// postings are sparse (postingBounds). Every route computes the same
+// number, Σ_label max(0, need − have), the bound CandidateBound computes
+// from the ring; FuzzPostingsBound pins them all equal.
 //
 // What the postings pass saves is the nodes that carry no query label; on
 // a document where most nodes carry one it costs more than the walk, and
@@ -31,19 +33,24 @@ package prb
 // and per candidate node walked, in the same unit: a posting costs about
 // four walked nodes, so the postings are read when fewer than a quarter
 // of the candidates' nodes carry a query label. Measured with
-// BenchmarkGate (queries of 8 nodes, τ = 21, drawn from the document) on
-// a 2-vCPU x86-64 VM, Go 1.24, whose absolute times drift by half between
-// runs while their ratio holds: the postings pass costs 6.5–13 ns per
-// posting — a gallop over the candidate roots, a compare against the
-// candidate's leftmost leaf, a run count, and its per-label binary search
-// and row fill spread over them — which is 3.7–4.2 walked nodes on a DBLP
-// bibliography (12-node records, 1.8–3.8 ns per node) and 1.7–2.8 on an
-// XMark document, whose 5-node candidates make the walk's per-candidate
-// wipe and store a larger share (4–6 ns per node). The quarter is DBLP's
-// break-even and conservative for XMark's (about half): on the bench's
-// XMark workloads 13.7–17.0 % of the candidates' nodes carry a query
-// label and the postings are read; on its DBLP churn workload 41 % do and
-// the label column is walked.
+// BenchmarkGate (queries of 8 nodes, τ = 21, drawn from the document; four
+// runs) on a 2-vCPU x86-64 VM, Go 1.24, whose absolute times drift by half
+// between runs while their ratios hold. Searching the roots costs 6.5–15.4
+// ns per posting — a gallop over the candidate roots, a compare against
+// the candidate's leftmost leaf, a run count, and its per-label binary
+// search and row fill spread over them — which is 1.7–3.1 walked nodes on
+// a DBLP bibliography (12-node records, 2.1–4.0 ns per node) and 1.1–2.1
+// on an XMark document, whose 5-node candidates make the walk's
+// per-candidate wipe and store a larger share (5.0–7.2 ns per node). The
+// node map of a cached set costs 3.0–5.7 ns per posting on XMark, 0.4–0.8
+// walked nodes and about a third of the search, but 5.7–10.4 on DBLP,
+// 1.5–3.1 walked nodes, where nearly every posting is a run of its own;
+// building the set costs 3–8 ns per document node, once per (document,
+// τ). The quarter is DBLP's break-even and conservative for XMark's, so
+// one choice serves both ways of locating the postings: on the bench's
+// XMark workloads 13.7–17.0 % of the candidates' nodes carry a query label
+// and the postings are read; on its DBLP churn workload 41 % do and the
+// label column is walked, a cached set sparing it only the root walk.
 const (
 	postingCost = 4
 	walkCost    = 1
@@ -128,6 +135,40 @@ func (c *Cursor) postingBounds(h *LabelHist, row []int32) {
 			if k, j = e, j+1; j == len(roots) {
 				break
 			}
+		}
+	}
+}
+
+// mapBounds is postingBounds for a cursor whose candidates come from a
+// cached set s: the candidate of each posting is two independent loads of
+// its node map instead of a search over the roots, and a run is the
+// postings that map to one candidate.
+//
+//tasm:hotpath
+func (c *Cursor) mapBounds(h *LabelHist, row []int32, s *candidateSet) {
+	for j := range row {
+		row[j] = int32(h.missing)
+	}
+	first, local := s.first, s.local
+	for o, id := range h.ids[1:] {
+		need := int32(h.need[o+1])
+		last, run := -1, int32(0)
+		for _, p := range c.cols.Postings(id) {
+			i := p - 1
+			d := local[i]
+			if d == aboveTau {
+				continue // a node larger than τ
+			}
+			if j := int(first[i>>blockShift]) + int(d); j != last {
+				if last >= 0 {
+					row[last] -= min(run, need)
+				}
+				last, run = j, 0
+			}
+			run++
+		}
+		if last >= 0 {
+			row[last] -= min(run, need)
 		}
 	}
 }

@@ -3,7 +3,9 @@ package prb
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"tasm/internal/datagen"
 	"tasm/internal/dict"
@@ -57,10 +59,12 @@ func newLabelSpace(sparse bool) labelSpace {
 
 // FuzzPostingsBound: over any forest, any τ ≥ 1 and any query — labels
 // repeated, labels no node carries, a single node — the bound the cursor
-// computes for every candidate from the label postings equals the one its
-// walk computes, the ring buffer's sliding CandidateBound, and the naive
-// count over the materialised subtree. Both label-histogram
-// representations are covered, and so is the route Reset picks itself.
+// computes for every candidate from the label postings through a candidate
+// set cached at the fuzzed τ equals the one it computes from the postings
+// by searching the roots, the one its walk computes, the ring buffer's
+// sliding CandidateBound, and the naive count over the materialised
+// subtree. Both label-histogram representations are covered, and so is
+// the route Reset picks itself, with and without the cache.
 func FuzzPostingsBound(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x0a, 0x03, 0x1c, 0x05}, []byte{0x0a, 0x01}, uint8(2), false)
 	f.Add([]byte{0x02}, []byte{0x02}, uint8(1), false)                                           // one node, one query node
@@ -96,12 +100,19 @@ func checkPostingsBound(t *testing.T, sp labelSpace, docData, queryData []byte, 
 		t.Fatalf("BuildColumns refused a well-formed forest: %v", err)
 	}
 	h := NewLabelHist(q)
-	auto := new(Cursor)
-	auto.Reset(cols, tau, []*LabelHist{h}, labelNodes(cols, h))
+	hists, counts := []*LabelHist{h}, labelNodes(cols, h)
+	auto, autoCached, cache := new(Cursor), new(Cursor), new(CandidateCache)
+	auto.Reset(cols, nil, tau, hists, counts)
+	autoCached.Reset(cols, cache, tau, hists, counts)
+	set := cache.slots[0].Load()
 	cur := NewCursor(cols, tau)
-	fromPostings, walked := make([]int32, len(cur.roots)), make([]int32, len(cur.roots))
+	if autoCached.Missed() || set == nil || !slices.Equal(set.roots, cur.roots) {
+		t.Fatalf("τ=%d: the cache's set holds roots %v, the walk locates %v", tau, set, cur.roots)
+	}
+	fromPostings, walked, fromMap := make([]int32, len(cur.roots)), make([]int32, len(cur.roots)), make([]int32, len(cur.roots))
 	cur.postingBounds(h, fromPostings)
 	cur.walkBounds(h, walked)
+	cur.mapBounds(h, fromMap, set)
 	if h.Missing() != q.Size() {
 		t.Fatalf("the walk left the window at %d, want |Q| = %d", h.Missing(), q.Size())
 	}
@@ -114,6 +125,9 @@ func checkPostingsBound(t *testing.T, sp labelSpace, docData, queryData []byte, 
 		}
 		if more, _ := auto.Next(); more != ok {
 			t.Fatalf("candidate %d: ring has one=%v, cursor=%v", j, ok, more)
+		}
+		if more, _ := autoCached.Next(); more != ok {
+			t.Fatalf("candidate %d: ring has one=%v, cached cursor=%v", j, ok, more)
 		}
 		if !ok {
 			if j != len(cur.roots) {
@@ -130,9 +144,10 @@ func checkPostingsBound(t *testing.T, sp labelSpace, docData, queryData []byte, 
 		}
 		want := naiveMissing(q, sub)
 		ring := h.CandidateBound(buf, buf.Leaf(), buf.Root())
-		if int(fromPostings[j]) != want || int(walked[j]) != want || ring != want || auto.LabelBound(0, h) != want {
-			t.Fatalf("candidate %d [%d,%d] of τ=%d: postings %d, walk %d, ring %d, chosen route %d, naive %d\nitems %v\nquery %v",
-				j, buf.Leaf(), buf.Root(), tau, fromPostings[j], walked[j], ring, auto.LabelBound(0, h), want, items, q)
+		if int(fromMap[j]) != want || int(fromPostings[j]) != want || int(walked[j]) != want || ring != want ||
+			auto.LabelBound(0, h) != want || autoCached.LabelBound(0, h) != want {
+			t.Fatalf("candidate %d [%d,%d] of τ=%d: map %d, postings %d, walk %d, ring %d, chosen route %d (cached %d), naive %d\nitems %v\nquery %v",
+				j, buf.Leaf(), buf.Root(), tau, fromMap[j], fromPostings[j], walked[j], ring, auto.LabelBound(0, h), autoCached.LabelBound(0, h), want, items, q)
 		}
 	}
 }
@@ -174,32 +189,26 @@ func TestPostingsRouteChoice(t *testing.T) {
 		t.Fatalf("%d bound rows read postings, want 1 (the rare query's)", cur.PostingRows())
 	}
 	hists := []*LabelHist{common, rare, rare}
-	if cur.Reset(cur.cols, 4, hists, labelNodes(cur.cols, hists...)); cur.PostingRows() != 2 {
+	if cur.Reset(cur.cols, nil, 4, hists, labelNodes(cur.cols, hists...)); cur.PostingRows() != 2 {
 		t.Fatalf("%d bound rows read postings, want 2", cur.PostingRows())
 	}
-	if cur.Reset(cur.cols, 4, hists, nil); cur.PostingRows() != 0 {
+	if cur.Reset(cur.cols, nil, 4, hists, nil); cur.PostingRows() != 0 {
 		t.Fatalf("%d bound rows read postings without label-node counts, want 0", cur.PostingRows())
 	}
 }
 
-// BenchmarkGate times the two routes over the bench's fixture shapes — an
+// BenchmarkGate times the routes over the bench's fixture shapes — an
 // XMark document and a DBLP bibliography — for queries drawn from them,
 // and reports what readPostings' constants are made of: the walk's cost
-// per candidate node and the postings pass's cost per posting read.
+// per candidate node and the postings pass's cost per posting read, by
+// searching the roots (postings) and through a cached candidate set's
+// node map (map, which also reports what building the set costs per
+// document node).
+//
+//	go test -run='^$' -bench Gate -benchtime 4000x ./internal/prb
 func BenchmarkGate(b *testing.B) {
-	for _, fx := range []struct {
-		name string
-		ds   *datagen.Dataset
-	}{{"xmark", datagen.XMark(1)}, {"dblp", datagen.DBLP(10)}} {
-		d := dict.New()
-		doc, err := fx.ds.Tree(d, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cols, err := postorder.BuildColumns(postorder.FromTree(doc), doc.Size())
-		if err != nil {
-			b.Fatal(err)
-		}
+	for _, fx := range fixtures(b) {
+		doc, cols := fx.doc, fx.cols
 		rng := rand.New(rand.NewSource(1))
 		var hists []*LabelHist
 		for len(hists) < 32 {
@@ -232,6 +241,21 @@ func BenchmarkGate(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(float64(postings)/float64(len(hists))), "ns/posting")
 			b.ReportMetric(float64(postings)/float64(len(hists))/float64(covered), "share")
+		})
+		b.Run(fx.name+"/map", func(b *testing.B) {
+			set := newCandidateSet(cols, tau, new([]int32))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cur.mapBounds(hists[i%len(hists)], row, set)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(float64(postings)/float64(len(hists))), "ns/posting")
+			b.StopTimer()
+			const builds = 50
+			start := time.Now()
+			for range builds {
+				newCandidateSet(cols, tau, new([]int32))
+			}
+			b.ReportMetric(float64(time.Since(start).Nanoseconds())/builds/float64(cols.Len()), "build-ns/node")
 		})
 	}
 }

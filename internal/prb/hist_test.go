@@ -87,7 +87,7 @@ func columnCursor(t *testing.T, doc *tree.Tree, tau int, hists ...*LabelHist) *C
 		t.Fatal(err)
 	}
 	c := new(Cursor)
-	c.Reset(cols, tau, hists, labelNodes(cols, hists...))
+	c.Reset(cols, nil, tau, hists, labelNodes(cols, hists...))
 	return c
 }
 

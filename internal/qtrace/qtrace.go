@@ -71,8 +71,8 @@ type Span struct {
 
 	// Candidate-pruning deltas of this span (set for per-document scan
 	// spans; see core.PruneStats).
-	prune                              bool
-	HistSkipped, TEDAborted, Evaluated uint64
+	prune                                                  bool
+	HistSkipped, TEDAborted, Evaluated, CandidateSetMisses uint64
 }
 
 // Trace records the spans of one request. It is safe for concurrent use:
@@ -267,7 +267,7 @@ func (t *Trace) End(h int) {
 // SetPrune attaches candidate-pruning counter deltas to the span.
 //
 //tasm:hotpath
-func (t *Trace) SetPrune(h int, histSkipped, tedAborted, evaluated uint64) {
+func (t *Trace) SetPrune(h int, histSkipped, tedAborted, evaluated, candidateSetMisses uint64) {
 	if t == nil || h < 0 {
 		return
 	}
@@ -279,6 +279,7 @@ func (t *Trace) SetPrune(h int, histSkipped, tedAborted, evaluated uint64) {
 	s := &t.spans[h]
 	s.prune = true
 	s.HistSkipped, s.TEDAborted, s.Evaluated = histSkipped, tedAborted, evaluated
+	s.CandidateSetMisses = candidateSetMisses
 }
 
 // Active returns the most recently begun span that has not ended — the
@@ -333,10 +334,13 @@ type WireSpan struct {
 }
 
 // WirePrune carries a scan span's candidate-pruning counter deltas.
+// CandidateSetMisses is 1 on the scan of a document whose candidate cache
+// held other τ values in both slots (see corpus.Stats), else omitted.
 type WirePrune struct {
-	HistSkipped uint64 `json:"histSkipped"`
-	TEDAborted  uint64 `json:"tedAborted"`
-	Evaluated   uint64 `json:"evaluated"`
+	HistSkipped        uint64 `json:"histSkipped"`
+	TEDAborted         uint64 `json:"tedAborted"`
+	Evaluated          uint64 `json:"evaluated"`
+	CandidateSetMisses uint64 `json:"candidateSetMisses,omitempty"`
 }
 
 // Export snapshots the trace as its wire form (nil on nil). Spans still
@@ -369,7 +373,7 @@ func (t *Trace) Export() *Wire {
 			DurUs:   float64(dur.Nanoseconds()) / 1e3,
 		}
 		if s.prune {
-			ws.Prune = &WirePrune{HistSkipped: s.HistSkipped, TEDAborted: s.TEDAborted, Evaluated: s.Evaluated}
+			ws.Prune = &WirePrune{HistSkipped: s.HistSkipped, TEDAborted: s.TEDAborted, Evaluated: s.Evaluated, CandidateSetMisses: s.CandidateSetMisses}
 		}
 		w.Spans[i] = ws
 	}

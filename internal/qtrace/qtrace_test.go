@@ -16,7 +16,7 @@ func TestNilTraceIsSafe(t *testing.T) {
 		t.Fatalf("nil Begin returned %d, want -1", h)
 	}
 	tr.End(h)
-	tr.SetPrune(h, 1, 2, 3)
+	tr.SetPrune(h, 1, 2, 3, 0)
 	tr.AddChild(&Wire{})
 	tr.SetPropagate(true)
 	if tr.Propagate() {
@@ -43,7 +43,7 @@ func TestSpanLifecycle(t *testing.T) {
 	if name, detail, ok := tr.Active(); !ok || name != SpanScan || detail != "doc0" {
 		t.Errorf("Active = (%q, %q, %v), want (scan, doc0, true)", name, detail, ok)
 	}
-	tr.SetPrune(s, 10, 2, 7)
+	tr.SetPrune(s, 10, 2, 7, 0)
 	tr.End(s)
 	if _, _, ok := tr.Active(); ok {
 		t.Error("Active reported an open span after all spans ended")
@@ -178,7 +178,7 @@ func TestConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				h := tr.Begin(SpanShard, "s")
-				tr.SetPrune(h, 1, 1, 1)
+				tr.SetPrune(h, 1, 1, 1, 0)
 				tr.End(h)
 			}
 		}()
@@ -206,7 +206,7 @@ func TestWireJSONShape(t *testing.T) {
 	tr := New()
 	defer Release(tr)
 	h := tr.Begin(SpanScan, "doc0")
-	tr.SetPrune(h, 1, 2, 3)
+	tr.SetPrune(h, 1, 2, 3, 0)
 	tr.End(h)
 	tr.AddChild(&Wire{TraceID: tr.TraceID().String(), SpanID: "aaaaaaaaaaaaaaaa", ParentID: tr.SpanID().String()})
 	data, err := json.Marshal(tr.Export())
@@ -252,7 +252,7 @@ func TestEndPastSlabIsNoOp(t *testing.T) {
 	tr := New()
 	defer Release(tr)
 	tr.End(somethingStale)
-	tr.SetPrune(somethingStale, 1, 2, 3)
+	tr.SetPrune(somethingStale, 1, 2, 3, 0)
 	if w := tr.Export(); len(w.Spans) != 0 {
 		t.Errorf("stale End materialized a span: %+v", w)
 	}
