@@ -1,7 +1,9 @@
 // Command tasmbench regenerates the evaluation figures of the TASM paper
 // (Section VII) at reproduction scale and prints the series each figure
-// plots. See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
-// recorded paper-vs-measured outcomes.
+// plots. -fig names the figure (9a, 9b, 9c, 10, 11, 12, or the ablation
+// of the τ′ bound and the prefix ring buffer); each has one runner in
+// internal/experiments, whose package comment states the scale reduction
+// and the claims it preserves.
 //
 // Usage:
 //

@@ -5,15 +5,17 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"tasm/corpus/shard"
 )
 
-func topkBatch(t *testing.T, h http.Handler, req topkBatchRequest) topkBatchResponse {
+func topkBatch(t *testing.T, h http.Handler, req shard.Request) shard.BatchResponse {
 	t.Helper()
 	w := doJSON(t, h, "POST", "/v1/topk-batch", req)
 	if w.Code != http.StatusOK {
 		t.Fatalf("topk-batch: status %d: %s", w.Code, w.Body)
 	}
-	var resp topkBatchResponse
+	var resp shard.BatchResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatalf("topk-batch: %v in %s", err, w.Body)
 	}
@@ -33,12 +35,12 @@ func TestBatchEndpoint(t *testing.T) {
 		"{book{title{graphs}}}",
 		"{inproceedings{author{nobody-has-this-label}}}",
 	}
-	resp := topkBatch(t, h, topkBatchRequest{Queries: queries, K: 3, Trees: true})
+	resp := topkBatch(t, h, shard.Request{Queries: queries, K: 3, Trees: true})
 	if len(resp.Results) != len(queries) {
 		t.Fatalf("batch returned %d result sets for %d queries", len(resp.Results), len(queries))
 	}
 	for i, q := range queries {
-		single := topk(t, h, topkRequest{Query: q, K: 3, Trees: true})
+		single := topk(t, h, shard.Request{Query: q, K: 3, Trees: true})
 		sj, _ := json.Marshal(single.Matches)
 		bj, _ := json.Marshal(resp.Results[i])
 		if string(sj) != string(bj) {
@@ -55,7 +57,7 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 
 	// Identical batch: served from the generation-keyed cache.
-	again := topkBatch(t, h, topkBatchRequest{Queries: queries, K: 3, Trees: true})
+	again := topkBatch(t, h, shard.Request{Queries: queries, K: 3, Trees: true})
 	if !again.Stats.Cached {
 		t.Error("identical batch was not served from the cache")
 	}
@@ -69,10 +71,10 @@ func TestBatchBadInput(t *testing.T) {
 		req  any
 		want int
 	}{
-		{"no queries", topkBatchRequest{K: 2}, http.StatusBadRequest},
-		{"k=0", topkBatchRequest{Queries: []string{"{a}"}}, http.StatusBadRequest},
-		{"bad query", topkBatchRequest{Queries: []string{"{unclosed"}, K: 1}, http.StatusBadRequest},
-		{"unknown doc", topkBatchRequest{Queries: []string{"{a}"}, K: 1, Docs: []string{"nope"}}, http.StatusBadRequest},
+		{"no queries", shard.Request{K: 2}, http.StatusBadRequest},
+		{"k=0", shard.Request{Queries: []string{"{a}"}}, http.StatusBadRequest},
+		{"bad query", shard.Request{Queries: []string{"{unclosed"}, K: 1}, http.StatusBadRequest},
+		{"unknown doc", shard.Request{Queries: []string{"{a}"}, K: 1, Docs: []string{"nope"}}, http.StatusBadRequest},
 	} {
 		w := doJSON(t, h, "POST", "/v1/topk-batch", tc.req)
 		if w.Code != tc.want {
@@ -86,8 +88,8 @@ func TestBatchBadInput(t *testing.T) {
 func TestLatencyHistogramExported(t *testing.T) {
 	h, _ := newTestServer(t, serverConfig{})
 	ingest(t, h, "a", "<r><c>x</c></r>")
-	topk(t, h, topkRequest{Query: "{r{c}}", K: 1})
-	topkBatch(t, h, topkBatchRequest{Queries: []string{"{r{c}}", "{c{x}}"}, K: 1})
+	topk(t, h, shard.Request{Query: "{r{c}}", K: 1})
+	topkBatch(t, h, shard.Request{Queries: []string{"{r{c}}", "{c{x}}"}, K: 1})
 
 	w := doJSON(t, h, "GET", "/metrics", nil)
 	body := w.Body.String()

@@ -99,7 +99,7 @@ func TestAdminVerifyQuarantines(t *testing.T) {
 	}
 
 	// The survivor still answers, and the response accounts for the loss.
-	resp := topk(t, h, topkRequest{Query: "{a{b{keep}}}", K: 2})
+	resp := topk(t, h, shard.Request{Query: "{a{b{keep}}}", K: 2})
 	if len(resp.Matches) == 0 || resp.Matches[0].Doc != "good" {
 		t.Fatalf("post-quarantine topk: %+v", resp.Matches)
 	}

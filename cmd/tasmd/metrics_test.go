@@ -276,9 +276,9 @@ func TestMetricsExpositionLeaf(t *testing.T) {
 	h, _ := newTestServer(t, serverConfig{cacheSize: 8, slowQuery: 1})
 	ingest(t, h, "d1", `<r><a><b>x</b></a><a><c>y</c></a></r>`)
 	ingest(t, h, "d2", `<r><a><b>z</b></a></r>`)
-	topk(t, h, topkRequest{Query: "{a{b}}", K: 2})
-	topk(t, h, topkRequest{Query: "{a{b}}", K: 2}) // cache hit path
-	doJSON(t, h, "POST", "/v1/topk-batch", topkBatchRequest{Queries: []string{"{a{b}}", "{a{c}}"}, K: 1})
+	topk(t, h, shard.Request{Query: "{a{b}}", K: 2})
+	topk(t, h, shard.Request{Query: "{a{b}}", K: 2}) // cache hit path
+	doJSON(t, h, "POST", "/v1/topk-batch", shard.Request{Queries: []string{"{a{b}}", "{a{c}}"}, K: 1})
 
 	body, families := scrapeMetrics(t, h)
 	for _, want := range []string{
@@ -329,7 +329,7 @@ func TestMetricsExpositionRouter(t *testing.T) {
 		&instrumentedShard{Client: cl1, st: sts[1]},
 	)
 	router := newServer(group, nil, serverConfig{shards: sts})
-	topk(t, router, topkRequest{Query: "{a{b}}", K: 2})
+	topk(t, router, shard.Request{Query: "{a{b}}", K: 2})
 
 	body, families := scrapeMetrics(t, router)
 	for _, want := range []string{

@@ -71,7 +71,7 @@ func TestRouterOverLeaves(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("router topk: status %d: %s", w.Code, w.Body)
 	}
-	var got topkResponse
+	var got shard.TopKResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestRouterOverLeaves(t *testing.T) {
 	if bw.Code != http.StatusOK {
 		t.Fatalf("router batch: status %d: %s", bw.Code, bw.Body)
 	}
-	var batch topkBatchResponse
+	var batch shard.BatchResponse
 	if err := json.Unmarshal(bw.Body.Bytes(), &batch); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestGatedEvalsReportedThroughTiers(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("router topk: status %d: %s", w.Code, w.Body)
 	}
-	var got topkResponse
+	var got shard.TopKResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestRemoveEndpoint(t *testing.T) {
 	ingest(t, h, "keep", `<r><a><b>x</b></a></r>`)
 	ingest(t, h, "drop", `<r><a><b>x</b></a></r>`)
 
-	req := topkRequest{Query: "{a{b{x}}}", K: 2}
+	req := shard.Request{Query: "{a{b{x}}}", K: 2}
 	first := topk(t, h, req)
 	if len(first.Matches) != 2 {
 		t.Fatalf("want 2 matches before removal, got %d", len(first.Matches))
@@ -307,7 +307,7 @@ func TestRouterPartialDegradation(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("partial mode: status %d (%s)", w.Code, w.Body)
 	}
-	var resp topkResponse
+	var resp shard.TopKResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestRouterPartialDegradation(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("partial batch: status %d (%s)", w.Code, w.Body)
 	}
-	var bresp topkBatchResponse
+	var bresp shard.BatchResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &bresp); err != nil {
 		t.Fatal(err)
 	}

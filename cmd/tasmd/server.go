@@ -8,11 +8,13 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"reflect"
 	"runtime"
 	"strings"
 	"time"
 
 	"tasm/corpus"
+	"tasm/corpus/shard"
 	"tasm/internal/dict"
 	"tasm/internal/qtrace"
 	"tasm/internal/tree"
@@ -113,14 +115,8 @@ func newServer(src corpus.Searcher, ing corpus.Ingester, cfg serverConfig) http.
 		s.sem = make(chan struct{}, cfg.maxConcurrent)
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/topk", s.handleQuery(&queryEndpoint{
-		path: "/v1/topk", latency: &s.metrics.topkLatency,
-		decode: s.decodeTopK, encode: encodeTopK,
-	}))
-	mux.HandleFunc("POST /v1/topk-batch", s.handleQuery(&queryEndpoint{
-		path: "/v1/topk-batch", latency: &s.metrics.batchLatency,
-		decode: s.decodeTopKBatch, encode: func(a topkBatchResponse) any { return a },
-	}))
+	mux.HandleFunc("POST /v1/topk", s.handleQuery("/v1/topk", true, &s.metrics.topkLatency))
+	mux.HandleFunc("POST /v1/topk-batch", s.handleQuery("/v1/topk-batch", false, &s.metrics.batchLatency))
 	mux.HandleFunc("POST /v1/docs", s.handleIngest)
 	mux.HandleFunc("GET /v1/docs", s.handleListDocs)
 	mux.HandleFunc("DELETE /v1/docs/{name}", s.handleRemove)
@@ -203,111 +199,36 @@ func (s *server) parseXML(r io.Reader) (*tree.Tree, error) {
 	return xmlstream.ParseTree(dict.New(), r)
 }
 
-// topkRequest is the body of POST /v1/topk. Exactly one of Query
-// (bracket notation) and QueryXML must be set.
-type topkRequest struct {
-	Query    string `json:"query,omitempty"`
-	QueryXML string `json:"queryXml,omitempty"`
-	K        int    `json:"k"`
-	// Docs restricts the query to the named documents; empty means all.
-	Docs []string `json:"docs,omitempty"`
-	// Workers overrides the server's number of ranges per document scan
-	// for this request (0 = server default, -1 = GOMAXPROCS, at most
-	// GOMAXPROCS; see checkWorkers).
-	Workers int `json:"workers,omitempty"`
-	// Trees includes each matched subtree in bracket notation.
-	Trees bool `json:"trees,omitempty"`
-	// Exhaustive disables the pq-gram prefilter for this request; the
-	// results are identical, only slower. Meant for debugging and
-	// verification.
-	Exhaustive bool `json:"exhaustive,omitempty"`
-	// Partial opts into best-effort degradation on a router: if a shard
-	// (with all its replicas) is down, the surviving shards' merged
-	// results are returned and stats.degraded names what was missing.
-	// Default is fail-loud.
-	Partial bool `json:"partial,omitempty"`
-}
-
-type topkMatch struct {
-	Doc   string  `json:"doc"`
-	DocID int     `json:"docId"`
-	Pos   int     `json:"pos"`
-	Dist  float64 `json:"dist"`
-	Size  int     `json:"size"`
-	Tree  string  `json:"tree,omitempty"`
-}
-
-type topkStats struct {
-	Scanned int `json:"scanned"`
-	Skipped int `json:"skipped"`
-	// Candidate-level pruning counters of this run (see corpus.Stats).
-	HistSkipped uint64 `json:"histSkipped"`
-	TEDAborted  uint64 `json:"tedAborted"`
-	TEDGated    uint64 `json:"tedGated"`
-	Evaluated   uint64 `json:"evaluated"`
-	TEDMemoHits uint64 `json:"tedMemoHits"`
-	// CandidateSetMisses counts the scanned documents whose τ found their
-	// candidate cache full of other τ values (see corpus.Stats).
-	CandidateSetMisses uint64 `json:"candidateSetMisses,omitempty"`
-	// Dictionary accounting: the frozen corpus dictionary's size and the
-	// request-local labels the query overlay held (released with the
-	// request; see corpus.Stats).
-	BaseDictLabels int `json:"baseDictLabels"`
-	OverlayLabels  int `json:"overlayLabels"`
-	// Quarantined is the backend's lifetime count of documents its
-	// integrity scrub removed from serving (summed across shards on a
-	// router); non-zero means results are exact over a reduced corpus.
-	Quarantined int  `json:"quarantined,omitempty"`
-	Cached      bool `json:"cached"`
-	// Fault-tolerance accounting of a router run (see corpus.Stats):
-	// retry/hedge totals and, by shard name, who was retried, hedged,
-	// skipped by an open breaker, or degraded out of a partial answer.
-	Retries        uint64   `json:"retries,omitempty"`
-	Hedges         uint64   `json:"hedges,omitempty"`
-	Retried        []string `json:"retried,omitempty"`
-	Hedged         []string `json:"hedged,omitempty"`
-	BreakerSkipped []string `json:"breakerSkipped,omitempty"`
-	Degraded       []string `json:"degraded,omitempty"`
-}
-
-// statsOf converts a run's corpus.Stats to the response shape.
-func statsOf(stats *corpus.Stats) topkStats {
-	return topkStats{
-		Scanned:            stats.Scanned,
-		Skipped:            stats.Skipped,
-		HistSkipped:        stats.HistSkipped,
-		TEDAborted:         stats.TEDAborted,
-		TEDGated:           stats.TEDGated,
-		Evaluated:          stats.Evaluated,
-		TEDMemoHits:        stats.TEDMemoHits,
-		CandidateSetMisses: stats.CandidateSetMisses,
-		BaseDictLabels:     stats.BaseDictLabels,
-		OverlayLabels:      stats.OverlayLabels,
-		Quarantined:        stats.Quarantined,
-		Retries:            stats.Retries,
-		Hedges:             stats.Hedges,
-		Retried:            stats.Retried,
-		Hedged:             stats.Hedged,
-		BreakerSkipped:     stats.BreakerSkipped,
-		Degraded:           stats.Degraded,
-	}
-}
-
-type topkResponse struct {
-	Matches []topkMatch `json:"matches"`
-	Stats   topkStats   `json:"stats"`
-	// Trace is the request's span tree, present only for ?trace=1
-	// requests. A router's trace embeds each leaf's block under shards.
-	Trace *qtrace.Wire `json:"trace,omitempty"`
-}
-
-// queryRequest is what the body of either query endpoint decodes to: a
-// batch request, plus what only /v1/topk carries.
+// queryRequest is a decoded request of either query endpoint: the shared
+// wire request, with a /v1/topk bracket query moved into Queries.
 type queryRequest struct {
-	topkBatchRequest
-	QueryXML string // the alternative to one bracket query
-	Workers  int
-	single   bool // decoded from /v1/topk
+	shard.Request
+	single bool // decoded from /v1/topk
+}
+
+// rejectField shadows a shared request field the endpoint does not take:
+// its mere presence in a body, whatever the value, fails the decode as an
+// unknown field would.
+type rejectField struct{}
+
+var rejectFieldType = reflect.TypeFor[rejectField]()
+
+func (*rejectField) UnmarshalJSON([]byte) error {
+	return &json.UnmarshalTypeError{Value: "field", Type: rejectFieldType}
+}
+
+// topkBody and batchBody are the shared request as /v1/topk and
+// /v1/topk-batch decode it.
+type topkBody struct {
+	*shard.Request
+	Queries rejectField `json:"queries"`
+}
+
+type batchBody struct {
+	*shard.Request
+	Query    rejectField `json:"query"`
+	QueryXML rejectField `json:"queryXml"`
+	Workers  rejectField `json:"workers"`
 }
 
 // reportedQueries is the "queries" of log and debug entries: the batch
@@ -330,45 +251,6 @@ func (q *queryRequest) preview() string {
 	return queryPreview(q.Queries[0])
 }
 
-// queryEndpoint is everything that tells POST /v1/topk and POST
-// /v1/topk-batch apart: a request decoder, a response encoder, and their
-// counters. What happens in between is handleQuery.
-type queryEndpoint struct {
-	path    string
-	latency *latencyHistogram
-	// decode reads and validates the request body and counts the accepted
-	// request; on failure it has answered and returns false.
-	decode func(w http.ResponseWriter, r *http.Request) (*queryRequest, bool)
-	// encode shapes an answer, held in the batch endpoint's form, as the
-	// endpoint's own response.
-	encode func(topkBatchResponse) any
-}
-
-// decodeBody decodes a JSON request body into req, answering 400 (or 413
-// past -max-body-bytes) on failure.
-func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, req any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(req); err != nil {
-		httpError(w, bodyErrStatus(err), "invalid JSON body: %v", err)
-		return false
-	}
-	return true
-}
-
-// checkK answers 400 unless 1 ≤ k ≤ the server limit.
-func (s *server) checkK(w http.ResponseWriter, k int) bool {
-	if k < 1 {
-		httpError(w, http.StatusBadRequest, "k must be ≥ 1, got %d", k)
-		return false
-	}
-	if k > s.cfg.maxK {
-		httpError(w, http.StatusBadRequest, "k %d exceeds the server limit %d", k, s.cfg.maxK)
-		return false
-	}
-	return true
-}
-
 // checkWorkers accepts a number of ranges per document scan from -1
 // (GOMAXPROCS) through GOMAXPROCS, 0 being the sequential scan. More
 // ranges than processors would not run at once, and each keeps distance
@@ -382,65 +264,79 @@ func checkWorkers(n int) error {
 	return nil
 }
 
-func (s *server) decodeTopK(w http.ResponseWriter, r *http.Request) (*queryRequest, bool) {
-	var req topkRequest
-	if !s.decodeBody(w, r, &req) {
+// decodeQuery reads a request body of /v1/topk (single) or
+// /v1/topk-batch, validates it and counts the accepted request. On
+// failure it has answered — 400, or 413 past -max-body-bytes — and
+// returns false.
+func (s *server) decodeQuery(w http.ResponseWriter, r *http.Request, single bool) (*queryRequest, bool) {
+	req := &queryRequest{single: single}
+	var body any = &batchBody{Request: &req.Request}
+	if single {
+		body = &topkBody{Request: &req.Request}
+	}
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(body); err != nil {
+		var te *json.UnmarshalTypeError
+		if errors.As(err, &te) && te.Type == rejectFieldType {
+			err = fmt.Errorf("json: unknown field %q", te.Field)
+		}
+		httpError(w, bodyErrStatus(err), "invalid JSON body: %v", err)
 		return nil, false
 	}
-	if (req.Query == "") == (req.QueryXML == "") {
-		httpError(w, http.StatusBadRequest, "exactly one of query and queryXml is required")
-		return nil, false
-	}
-	if !s.checkK(w, req.K) {
-		return nil, false
-	}
-	if err := checkWorkers(req.Workers); err != nil {
+	if err := s.validate(req); err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return nil, false
 	}
-	s.metrics.topkRequests.Add(1)
-	q := &queryRequest{QueryXML: req.QueryXML, Workers: req.Workers, single: true}
-	q.K, q.Docs, q.Trees, q.Exhaustive, q.Partial = req.K, req.Docs, req.Trees, req.Exhaustive, req.Partial
-	if req.Query != "" {
-		q.Queries = []string{req.Query}
+	if single {
+		s.metrics.topkRequests.Add(1)
+		if req.Query != "" {
+			req.Queries = []string{req.Query}
+		}
+	} else {
+		s.metrics.batchRequests.Add(1)
+		s.metrics.batchQueries.Add(uint64(len(req.Queries)))
 	}
-	return q, true
-}
-
-func encodeTopK(a topkBatchResponse) any {
-	return topkResponse{Matches: a.Results[0], Stats: a.Stats, Trace: a.Trace}
-}
-
-func (s *server) decodeTopKBatch(w http.ResponseWriter, r *http.Request) (*queryRequest, bool) {
-	req := &queryRequest{}
-	if !s.decodeBody(w, r, &req.topkBatchRequest) {
-		return nil, false
-	}
-	if len(req.Queries) == 0 {
-		httpError(w, http.StatusBadRequest, "queries must not be empty")
-		return nil, false
-	}
-	if !s.checkK(w, req.K) {
-		return nil, false
-	}
-	if len(req.Queries) > s.cfg.maxBatch {
-		httpError(w, http.StatusBadRequest, "batch of %d queries exceeds the server limit %d", len(req.Queries), s.cfg.maxBatch)
-		return nil, false
-	}
-	s.metrics.batchRequests.Add(1)
-	s.metrics.batchQueries.Add(uint64(len(req.Queries)))
 	return req, true
 }
 
-// handleQuery is the one query handler: it serves the request ep decoded
-// from the cache or, admitted under the concurrency limit, from the
-// backend — a single query as a batch of one — and logs, caches and
-// answers in ep's response shape.
-func (s *server) handleQuery(ep *queryEndpoint) http.HandlerFunc {
+// validate checks a decoded request against its endpoint and the
+// server's limits.
+func (s *server) validate(req *queryRequest) error {
+	switch {
+	case req.single && (req.Query == "") == (req.QueryXML == ""):
+		return errors.New("exactly one of query and queryXml is required")
+	case !req.single && len(req.Queries) == 0:
+		return errors.New("queries must not be empty")
+	case req.K < 1:
+		return fmt.Errorf("k must be ≥ 1, got %d", req.K)
+	case req.K > s.cfg.maxK:
+		return fmt.Errorf("k %d exceeds the server limit %d", req.K, s.cfg.maxK)
+	case len(req.Queries) > s.cfg.maxBatch:
+		return fmt.Errorf("batch of %d queries exceeds the server limit %d", len(req.Queries), s.cfg.maxBatch)
+	}
+	return checkWorkers(req.Workers)
+}
+
+// response shapes an answer, held in the batch endpoint's form, as the
+// response of the endpoint the request came through.
+func (req *queryRequest) response(a *shard.BatchResponse) any {
+	if req.single {
+		return &shard.TopKResponse{Matches: a.Results[0], Stats: a.Stats, Trace: a.Trace}
+	}
+	return a
+}
+
+// handleQuery is the one query handler of both endpoints (single is
+// /v1/topk): it serves the decoded request from the cache or, admitted
+// under the concurrency limit, from the backend — a single query as a
+// batch of one — and logs, caches and answers in the endpoint's response
+// shape.
+func (s *server) handleQuery(path string, single bool, latency *latencyHistogram) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		defer func() { ep.latency.observe(time.Since(start)) }()
-		req, ok := ep.decode(w, r)
+		defer func() { latency.observe(time.Since(start)) }()
+		req, ok := s.decodeQuery(w, r, single)
 		if !ok {
 			return
 		}
@@ -449,14 +345,14 @@ func (s *server) handleQuery(ep *queryEndpoint) http.HandlerFunc {
 		// cached answer has no spans to show, and a response carrying a trace
 		// block must never be replayed to a request that asked for none.
 		wantTrace := r.URL.Query().Get("trace") == "1"
-		key := s.cacheKey(ep.path, req)
+		key := s.cacheKey(path, req)
 		if !wantTrace {
 			if cached, ok := s.cache.get(key); ok {
-				var answer topkBatchResponse
+				var answer shard.BatchResponse
 				if err := json.Unmarshal(cached, &answer); err == nil {
 					s.metrics.cacheHits.Add(1)
 					answer.Stats.Cached = true
-					writeJSON(w, http.StatusOK, ep.encode(answer))
+					writeJSON(w, http.StatusOK, req.response(&answer))
 					return
 				}
 			}
@@ -468,7 +364,7 @@ func (s *server) handleQuery(ep *queryEndpoint) http.HandlerFunc {
 		// Registered before admission so a query stuck waiting for a slot is
 		// visible in /debug/queries (with no active stage yet).
 		inflightID := s.inflight.register(&inflightEntry{
-			reqID: requestIDFrom(ctx), endpoint: ep.path,
+			reqID: requestIDFrom(ctx), endpoint: path,
 			query: req.preview(), queries: req.reportedQueries(), k: req.K, start: start, trace: tr,
 		})
 		defer s.inflight.deregister(inflightID)
@@ -517,7 +413,7 @@ func (s *server) handleQuery(ep *queryEndpoint) http.HandlerFunc {
 		results, err := s.src.TopKBatch(ctx, queries, req.K, opts...)
 		entry := slowEntry{
 			Time: start, ReqID: requestIDFrom(ctx), TraceID: tr.TraceID().String(),
-			Endpoint: ep.path, Query: req.preview(), Queries: req.reportedQueries(), K: req.K,
+			Endpoint: path, Query: req.preview(), Queries: req.reportedQueries(), K: req.K,
 			Scanned: stats.Scanned, Skipped: stats.Skipped, Evaluated: stats.Evaluated,
 			Retried: stats.Retried, Hedged: stats.Hedged,
 			BreakerSkipped: stats.BreakerSkipped, Degraded: stats.Degraded,
@@ -532,9 +428,9 @@ func (s *server) handleQuery(ep *queryEndpoint) http.HandlerFunc {
 		}
 
 		s.metrics.observe(&stats)
-		answer := topkBatchResponse{
-			Results: make([][]topkMatch, len(results)),
-			Stats:   statsOf(&stats),
+		answer := shard.BatchResponse{
+			Results: make([][]shard.Match, len(results)),
+			Stats:   stats,
 		}
 		for i, ms := range results {
 			answer.Results[i] = matchesOf(ms)
@@ -549,7 +445,7 @@ func (s *server) handleQuery(ep *queryEndpoint) http.HandlerFunc {
 				s.cache.put(key, data)
 			}
 		}
-		writeJSON(w, http.StatusOK, ep.encode(answer))
+		writeJSON(w, http.StatusOK, req.response(&answer))
 	}
 }
 
@@ -571,10 +467,10 @@ func (s *server) queryError(w http.ResponseWriter, r *http.Request, err error) {
 }
 
 // matchesOf converts corpus matches to the response shape.
-func matchesOf(matches []corpus.Match) []topkMatch {
-	out := make([]topkMatch, len(matches))
+func matchesOf(matches []corpus.Match) []shard.Match {
+	out := make([]shard.Match, len(matches))
 	for i, m := range matches {
-		out[i] = topkMatch{
+		out[i] = shard.Match{
 			Doc: m.Doc.Name, DocID: m.Doc.ID, Pos: m.Pos, Dist: m.Dist, Size: m.Size,
 		}
 		if m.Tree != nil {
@@ -582,32 +478,6 @@ func matchesOf(matches []corpus.Match) []topkMatch {
 		}
 	}
 	return out
-}
-
-// topkBatchRequest is the body of POST /v1/topk-batch: many queries
-// answered in one corpus scan (each document is read once for the whole
-// batch, and all queries share one request-scoped dictionary overlay).
-type topkBatchRequest struct {
-	// Queries are the batch's queries in bracket notation.
-	Queries []string `json:"queries"`
-	K       int      `json:"k"`
-	// Docs restricts the batch to the named documents; empty means all.
-	Docs []string `json:"docs,omitempty"`
-	// Trees includes each matched subtree in bracket notation.
-	Trees bool `json:"trees,omitempty"`
-	// Exhaustive disables the pq-gram prefilter for this request.
-	Exhaustive bool `json:"exhaustive,omitempty"`
-	// Partial opts into best-effort degradation; see topkRequest.Partial.
-	Partial bool `json:"partial,omitempty"`
-}
-
-// topkBatchResponse answers a batch: Results[i] ranks queries[i], and the
-// stats describe the single shared scan.
-type topkBatchResponse struct {
-	Results [][]topkMatch `json:"results"`
-	Stats   topkStats     `json:"stats"`
-	// Trace is the batch's span tree, present only for ?trace=1 requests.
-	Trace *qtrace.Wire `json:"trace,omitempty"`
 }
 
 // cacheKey identifies a query result: the endpoint, the corpus generation

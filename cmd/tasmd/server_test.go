@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"tasm/corpus"
+	"tasm/corpus/shard"
 )
 
 func newTestServer(t *testing.T, cfg serverConfig) (http.Handler, *corpus.Corpus) {
@@ -57,13 +58,13 @@ func ingest(t *testing.T, h http.Handler, name, xml string) {
 	}
 }
 
-func topk(t *testing.T, h http.Handler, req topkRequest) topkResponse {
+func topk(t *testing.T, h http.Handler, req shard.Request) shard.TopKResponse {
 	t.Helper()
 	w := doJSON(t, h, "POST", "/v1/topk", req)
 	if w.Code != http.StatusOK {
 		t.Fatalf("topk: status %d: %s", w.Code, w.Body)
 	}
-	var resp topkResponse
+	var resp shard.TopKResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatalf("topk: %v in %s", err, w.Body)
 	}
@@ -77,7 +78,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	ingest(t, h, "a", "<dblp><article><author>smith</author><title>trees</title></article></dblp>")
 	ingest(t, h, "b", "<dblp><book><title>graphs</title></book></dblp>")
 	// Two identical queries: the second must be a cache hit.
-	req := topkRequest{Query: "{article{author{smith}}}", K: 2}
+	req := shard.Request{Query: "{article{author{smith}}}", K: 2}
 	topk(t, h, req)
 	resp := topk(t, h, req)
 	if !resp.Stats.Cached {
@@ -129,24 +130,40 @@ func metricLine(body, name string) string {
 }
 
 func TestBadInput(t *testing.T) {
-	h, _ := newTestServer(t, serverConfig{})
+	h, _ := newTestServer(t, serverConfig{maxBatch: 2})
 	cases := []struct {
 		name string
+		path string
 		body string
 		want int
 	}{
-		{"not json", `{{{`, http.StatusBadRequest},
-		{"no query", `{"k":3}`, http.StatusBadRequest},
-		{"both queries", `{"query":"{a}","queryXml":"<a/>","k":3}`, http.StatusBadRequest},
-		{"k zero", `{"query":"{a}","k":0}`, http.StatusBadRequest},
-		{"k negative", `{"query":"{a}","k":-2}`, http.StatusBadRequest},
-		{"k over limit", `{"query":"{a}","k":1000000}`, http.StatusBadRequest},
-		{"unknown field", `{"query":"{a}","k":1,"nope":true}`, http.StatusBadRequest},
-		{"bad bracket query", `{"query":"{a","k":1}`, http.StatusBadRequest},
-		{"unknown doc", `{"query":"{a}","k":1,"docs":["ghost"]}`, http.StatusBadRequest},
+		{"not json", "/v1/topk", `{{{`, http.StatusBadRequest},
+		{"no query", "/v1/topk", `{"k":3}`, http.StatusBadRequest},
+		{"both queries", "/v1/topk", `{"query":"{a}","queryXml":"<a/>","k":3}`, http.StatusBadRequest},
+		{"k zero", "/v1/topk", `{"query":"{a}","k":0}`, http.StatusBadRequest},
+		{"k negative", "/v1/topk", `{"query":"{a}","k":-2}`, http.StatusBadRequest},
+		{"k over limit", "/v1/topk", `{"query":"{a}","k":1000000}`, http.StatusBadRequest},
+		{"unknown field", "/v1/topk", `{"query":"{a}","k":1,"nope":true}`, http.StatusBadRequest},
+		{"bad bracket query", "/v1/topk", `{"query":"{a","k":1}`, http.StatusBadRequest},
+		{"unknown doc", "/v1/topk", `{"query":"{a}","k":1,"docs":["ghost"]}`, http.StatusBadRequest},
+		// Each endpoint takes its own subset of the shared request fields;
+		// carrying one of the other endpoint's fields, even empty, is a 400.
+		{"topk with queries", "/v1/topk", `{"query":"{a}","queries":["{a}"],"k":1}`, http.StatusBadRequest},
+		{"topk with queries only", "/v1/topk", `{"queries":["{a}"],"k":1}`, http.StatusBadRequest},
+		{"topk with empty queries", "/v1/topk", `{"query":"{a}","queries":[],"k":1}`, http.StatusBadRequest},
+		{"topk with null queries", "/v1/topk", `{"query":"{a}","queries":null,"k":1}`, http.StatusBadRequest},
+		{"batch with query", "/v1/topk-batch", `{"queries":["{a}"],"query":"{a}","k":1}`, http.StatusBadRequest},
+		{"batch with empty query", "/v1/topk-batch", `{"queries":["{a}"],"query":"","k":1}`, http.StatusBadRequest},
+		{"batch with queryXml", "/v1/topk-batch", `{"queries":["{a}"],"queryXml":"<a/>","k":1}`, http.StatusBadRequest},
+		{"batch with workers", "/v1/topk-batch", `{"queries":["{a}"],"k":1,"workers":1}`, http.StatusBadRequest},
+		{"batch with zero workers", "/v1/topk-batch", `{"queries":["{a}"],"k":1,"workers":0}`, http.StatusBadRequest},
+		{"batch with empty queries", "/v1/topk-batch", `{"queries":[],"k":1}`, http.StatusBadRequest},
+		{"batch without queries", "/v1/topk-batch", `{"k":1}`, http.StatusBadRequest},
+		{"batch over max-batch", "/v1/topk-batch", `{"queries":["{a}","{b}","{c}"],"k":1}`, http.StatusBadRequest},
+		{"batch unknown field", "/v1/topk-batch", `{"queries":["{a}"],"k":1,"nope":true}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
-		if w := doJSON(t, h, "POST", "/v1/topk", tc.body); w.Code != tc.want {
+		if w := doJSON(t, h, "POST", tc.path, tc.body); w.Code != tc.want {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, w.Code, tc.want, w.Body)
 		}
 	}
@@ -221,7 +238,7 @@ func TestIngestListQueryHealthz(t *testing.T) {
 		t.Fatalf("healthz: %s (err %v)", hw.Body, err)
 	}
 
-	resp := topk(t, h, topkRequest{Query: "{a{b{x}}}", K: 2, Trees: true})
+	resp := topk(t, h, shard.Request{Query: "{a{b{x}}}", K: 2, Trees: true})
 	if len(resp.Matches) != 2 || resp.Matches[0].Dist != 0 || resp.Matches[0].Doc != "d1" {
 		t.Fatalf("unexpected matches: %+v", resp.Matches)
 	}
@@ -245,7 +262,7 @@ func TestFilterSkipsOverHTTP(t *testing.T) {
 	if filtered.Code != http.StatusOK || exhaustive.Code != http.StatusOK {
 		t.Fatalf("status %d / %d", filtered.Code, exhaustive.Code)
 	}
-	var fr, er topkResponse
+	var fr, er shard.TopKResponse
 	if err := json.Unmarshal(filtered.Body.Bytes(), &fr); err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +294,7 @@ func TestFilterSkipsOverHTTP(t *testing.T) {
 func TestCacheHitsAndInvalidation(t *testing.T) {
 	h, _ := newTestServer(t, serverConfig{cacheSize: 16})
 	ingest(t, h, "d1", `<r><a><b>x</b></a></r>`)
-	req := topkRequest{Query: "{a{b{x}}}", K: 1}
+	req := shard.Request{Query: "{a{b{x}}}", K: 1}
 
 	first := topk(t, h, req)
 	if first.Stats.Cached {
@@ -375,7 +392,7 @@ func TestTornStoreQuarantinedUnderVerifyOff(t *testing.T) {
 		t.Fatal(err)
 	}
 	th := newServer(torn, torn, serverConfig{})
-	resp := topk(t, th, topkRequest{Query: "{a{b{x}}}", K: 3})
+	resp := topk(t, th, shard.Request{Query: "{a{b{x}}}", K: 3})
 	if resp.Stats.Quarantined != 1 {
 		t.Errorf("stats.quarantined = %d, want 1", resp.Stats.Quarantined)
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"tasm/corpus"
+	"tasm/corpus/shard"
 	"tasm/internal/tree"
 )
 
@@ -124,7 +125,7 @@ func TestGracefulShutdownDrainsFastQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tr topkResponse
+	var tr shard.TopKResponse
 	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
 		t.Fatal(err)
 	}

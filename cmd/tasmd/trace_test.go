@@ -32,19 +32,19 @@ func TestTraceBlock(t *testing.T) {
 	ingest(t, h, "d1", `<r><a><b>x</b></a><a><c>y</c></a></r>`)
 	ingest(t, h, "d2", `<r><a><b>z</b></a></r>`)
 
-	plain := topk(t, h, topkRequest{Query: "{a{b}}", K: 2})
+	plain := topk(t, h, shard.Request{Query: "{a{b}}", K: 2})
 	if plain.Trace != nil {
 		t.Fatalf("untraced request returned a trace block")
 	}
-	if !topk(t, h, topkRequest{Query: "{a{b}}", K: 2}).Stats.Cached {
+	if !topk(t, h, shard.Request{Query: "{a{b}}", K: 2}).Stats.Cached {
 		t.Fatalf("repeat request not served from cache")
 	}
 
-	w := doJSON(t, h, "POST", "/v1/topk?trace=1", topkRequest{Query: "{a{b}}", K: 2})
+	w := doJSON(t, h, "POST", "/v1/topk?trace=1", shard.Request{Query: "{a{b}}", K: 2})
 	if w.Code != http.StatusOK {
 		t.Fatalf("traced topk: status %d: %s", w.Code, w.Body)
 	}
-	var resp topkResponse
+	var resp shard.TopKResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestTraceBlock(t *testing.T) {
 
 	// The traced response must not have been cached: the next plain
 	// request must carry no trace block even when served from cache.
-	again := topk(t, h, topkRequest{Query: "{a{b}}", K: 2})
+	again := topk(t, h, shard.Request{Query: "{a{b}}", K: 2})
 	if again.Trace != nil {
 		t.Fatalf("trace block leaked into the cached plain response")
 	}
@@ -112,7 +112,7 @@ func TestTraceparentContinuation(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body)
 	}
-	var resp topkResponse
+	var resp shard.TopKResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +135,11 @@ func TestRouterTraceStitching(t *testing.T) {
 	cl, _ := newLeaf(t, map[string]string{"a1": `<r><a><b>x</b></a></r>`})
 	router := newServer(shard.NewGroup(cl), nil, serverConfig{})
 
-	w := doJSON(t, router, "POST", "/v1/topk?trace=1", topkRequest{Query: "{a{b}}", K: 1})
+	w := doJSON(t, router, "POST", "/v1/topk?trace=1", shard.Request{Query: "{a{b}}", K: 1})
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body)
 	}
-	var resp topkResponse
+	var resp shard.TopKResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -173,8 +173,8 @@ func TestRouterTraceStitching(t *testing.T) {
 func TestSlowlog(t *testing.T) {
 	h, _ := newTestServer(t, serverConfig{slowQuery: time.Nanosecond})
 	ingest(t, h, "d1", `<r><a><b>x</b></a></r>`)
-	topk(t, h, topkRequest{Query: "{a{b}}", K: 1})
-	topk(t, h, topkRequest{Query: "{a{c}}", K: 1})
+	topk(t, h, shard.Request{Query: "{a{b}}", K: 1})
+	topk(t, h, shard.Request{Query: "{a{c}}", K: 1})
 
 	w := doJSON(t, h, "GET", "/debug/slowlog", nil)
 	if w.Code != http.StatusOK {
@@ -238,7 +238,7 @@ func TestInflightQueries(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		doJSON(t, h, "POST", "/v1/topk", topkRequest{Query: "{a}", K: 1})
+		doJSON(t, h, "POST", "/v1/topk", shard.Request{Query: "{a}", K: 1})
 	}()
 	<-b.entered
 
@@ -284,15 +284,15 @@ func TestCandidateSetMissesReported(t *testing.T) {
 	ingest(t, h, "d2", `<r><a><b>z</b></a></r>`)
 	// τ = 2|Q| + k: 5 and 6 take the two slots of both documents.
 	for k := 1; k <= 2; k++ {
-		if resp := topk(t, h, topkRequest{Query: "{a{b}}", K: k}); resp.Stats.CandidateSetMisses != 0 {
+		if resp := topk(t, h, shard.Request{Query: "{a{b}}", K: k}); resp.Stats.CandidateSetMisses != 0 {
 			t.Fatalf("k=%d: %d candidate-set misses with a free slot", k, resp.Stats.CandidateSetMisses)
 		}
 	}
-	w := doJSON(t, h, "POST", "/v1/topk?trace=1", topkRequest{Query: "{a{b}}", K: 3})
+	w := doJSON(t, h, "POST", "/v1/topk?trace=1", shard.Request{Query: "{a{b}}", K: 3})
 	if w.Code != http.StatusOK {
 		t.Fatalf("traced topk: status %d: %s", w.Code, w.Body)
 	}
-	var resp topkResponse
+	var resp shard.TopKResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}

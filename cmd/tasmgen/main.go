@@ -1,5 +1,6 @@
 // Command tasmgen generates the synthetic evaluation corpora (XMark-like,
-// DBLP-like, PSD-like; see DESIGN.md §3) as XML files or binary postorder
+// DBLP-like, PSD-like stand-ins for the paper's Section VII corpora; see
+// the internal/datagen package comment) as XML files or binary postorder
 // stores.
 //
 // Usage:

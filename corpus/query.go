@@ -27,14 +27,50 @@ type Match struct {
 	Tree *tree.Tree
 }
 
-// Stats reports what a TopK run did, for observability and tests.
+// Stats reports what a TopK run did, for observability and tests. Its
+// JSON form is the "stats" object of tasmd's query responses, which
+// shard.Client decodes back into a Stats, so a counter added here needs
+// its JSON tag and its line in Merge, and no other declaration.
 type Stats struct {
 	// Scanned is the number of documents scanned by TASM-postorder, each
 	// from its resident columns.
-	Scanned int
+	Scanned int `json:"scanned"`
 	// Skipped is the number of documents pruned by the label-histogram
 	// lower bound without being opened.
-	Skipped int
+	Skipped int `json:"skipped"`
+	// HistSkipped is the number of candidate subtrees (within scanned
+	// documents) skipped whole by the per-candidate label-histogram lower
+	// bound — the candidate-scope analogue of Skipped.
+	HistSkipped uint64 `json:"histSkipped"`
+	// TEDAborted is the number of subtree evaluations the bounded
+	// Zhang–Shasha evaluation cut short once a lower bound crossed the
+	// k-th distance; TEDAborted + Evaluated evaluations were started.
+	TEDAborted uint64 `json:"tedAborted"`
+	// TEDGated is the part of TEDAborted rejected by the label bag of the
+	// whole view before the DP touched a cell.
+	TEDGated uint64 `json:"tedGated"`
+	// Evaluated is the number of subtree evaluations that ran to
+	// completion.
+	Evaluated uint64 `json:"evaluated"`
+	// TEDMemoHits is the number of started evaluations (each also counted
+	// in TEDAborted or Evaluated) answered from the row an earlier
+	// evaluation of an identical view stored, without a DP.
+	TEDMemoHits uint64 `json:"tedMemoHits"`
+	// CandidateSetMisses is the number of scanned documents whose τ found
+	// both slots of the document's candidate cache held by other τ values,
+	// so their candidates were located and searched afresh. A steady
+	// non-zero rate means the traffic uses more τ values than a document
+	// keeps.
+	CandidateSetMisses uint64 `json:"candidateSetMisses,omitempty"`
+	// BaseDictLabels is the size of the frozen corpus base dictionary the
+	// run scanned against. It grows only with ingests, never with
+	// queries.
+	BaseDictLabels int `json:"baseDictLabels"`
+	// OverlayLabels is the number of request-local labels held by the
+	// query's copy-on-write overlay when the run finished — query labels
+	// the corpus has never seen. They are released with the overlay; a
+	// TopK run never adds a label to the shared dictionary.
+	OverlayLabels int `json:"overlayLabels"`
 	// Quarantined is the number of documents the integrity scrub has
 	// removed from this backend's serving set (files moved to the corpus
 	// quarantine directory after failing checksum verification). It
@@ -42,40 +78,12 @@ type Stats struct {
 	// work: a non-zero value means the corpus is serving exact results
 	// over a smaller document set until an operator restores or re-ingests
 	// the lost documents.
-	Quarantined int
-	// HistSkipped is the number of candidate subtrees (within scanned
-	// documents) skipped whole by the per-candidate label-histogram lower
-	// bound — the candidate-scope analogue of Skipped.
-	HistSkipped uint64
-	// TEDAborted is the number of subtree evaluations the bounded
-	// Zhang–Shasha evaluation cut short once a lower bound crossed the
-	// k-th distance; TEDAborted + Evaluated evaluations were started.
-	TEDAborted uint64
-	// TEDGated is the part of TEDAborted rejected by the label bag of the
-	// whole view before the DP touched a cell.
-	TEDGated uint64
-	// Evaluated is the number of subtree evaluations that ran to
-	// completion.
-	Evaluated uint64
-	// TEDMemoHits is the number of started evaluations (each also counted
-	// in TEDAborted or Evaluated) answered from the row an earlier
-	// evaluation of an identical view stored, without a DP.
-	TEDMemoHits uint64
-	// CandidateSetMisses is the number of scanned documents whose τ found
-	// both slots of the document's candidate cache held by other τ values,
-	// so their candidates were located and searched afresh. A steady
-	// non-zero rate means the traffic uses more τ values than a document
-	// keeps.
-	CandidateSetMisses uint64
-	// BaseDictLabels is the size of the frozen corpus base dictionary the
-	// run scanned against. It grows only with ingests, never with
-	// queries.
-	BaseDictLabels int
-	// OverlayLabels is the number of request-local labels held by the
-	// query's copy-on-write overlay when the run finished — query labels
-	// the corpus has never seen. They are released with the overlay; a
-	// TopK run never adds a label to the shared dictionary.
-	OverlayLabels int
+	Quarantined int `json:"quarantined,omitempty"`
+	// Cached is set only by a serving layer's result cache (tasmd), when
+	// it answered from a stored result instead of running the query. No
+	// Searcher sets it, and Merge leaves it alone: each serving layer
+	// reports its own cache.
+	Cached bool `json:"cached"`
 
 	// The remaining fields are the fault-tolerance accounting of the
 	// router tier (shard.Group, shard.ReplicaSet, shard.Client). A single
@@ -83,21 +91,21 @@ type Stats struct {
 
 	// Retries is the number of extra remote attempts performed after
 	// retryable failures (connect errors, gateway-class 5xx responses).
-	Retries uint64
+	Retries uint64 `json:"retries,omitempty"`
 	// Hedges is the number of hedge or failover requests replica sets
 	// fired beyond the primary attempt.
-	Hedges uint64
+	Hedges uint64 `json:"hedges,omitempty"`
 	// Retried names the shards that needed at least one retry.
-	Retried []string
+	Retried []string `json:"retried,omitempty"`
 	// Hedged names the replica sets where a hedge or failover fired.
-	Hedged []string
+	Hedged []string `json:"hedged,omitempty"`
 	// BreakerSkipped names the shards or replicas an open circuit breaker
 	// skipped without a network round trip.
-	BreakerSkipped []string
+	BreakerSkipped []string `json:"breakerSkipped,omitempty"`
 	// Degraded names the shards whose results are missing from this
 	// answer. It is only ever non-empty under WithPartialResults; the
 	// default error policy fails the query instead.
-	Degraded []string
+	Degraded []string `json:"degraded,omitempty"`
 }
 
 // setPrune records a finished run's candidate-pipeline counters.
@@ -105,6 +113,24 @@ func (s *Stats) setPrune(p *core.PruneStats) {
 	s.HistSkipped, s.TEDAborted, s.Evaluated = p.Snapshot()
 	s.TEDGated, s.TEDMemoHits = p.TEDGated.Load(), p.TEDMemoHits.Load()
 	s.CandidateSetMisses = p.CandidateSetMisses.Load()
+}
+
+// Merge folds another backend's statistics of the same run into s: every
+// counter adds (the dictionary gauges too — each shard owns a frozen base
+// of its own) and every name list concatenates. Cached is not merged.
+func (s *Stats) Merge(o *Stats) {
+	s.Scanned += o.Scanned
+	s.Skipped += o.Skipped
+	s.HistSkipped += o.HistSkipped
+	s.TEDAborted += o.TEDAborted
+	s.TEDGated += o.TEDGated
+	s.Evaluated += o.Evaluated
+	s.TEDMemoHits += o.TEDMemoHits
+	s.CandidateSetMisses += o.CandidateSetMisses
+	s.BaseDictLabels += o.BaseDictLabels
+	s.OverlayLabels += o.OverlayLabels
+	s.Quarantined += o.Quarantined
+	s.MergeFault(o)
 }
 
 // MergeFault folds another run's fault-tolerance accounting into s:

@@ -189,79 +189,6 @@ func (c *Client) Name() string { return c.name }
 // telemetry (a router exports it per shard on /metrics).
 func (c *Client) BreakerState() BreakerState { return c.breaker.snapshot() }
 
-// The wire shapes mirror cmd/tasmd's JSON API. One request and one
-// response shape serve both query endpoints: a field the chosen endpoint
-// does not know stays empty and is omitted (tasmd rejects unknown fields).
-type wireRequest struct {
-	Query      string   `json:"query,omitempty"`   // /v1/topk
-	Queries    []string `json:"queries,omitempty"` // /v1/topk-batch
-	K          int      `json:"k"`
-	Docs       []string `json:"docs,omitempty"`
-	Workers    int      `json:"workers,omitempty"` // /v1/topk
-	Trees      bool     `json:"trees,omitempty"`
-	Exhaustive bool     `json:"exhaustive,omitempty"`
-	Partial    bool     `json:"partial,omitempty"`
-}
-
-type wireMatch struct {
-	Doc   string  `json:"doc"`
-	DocID int     `json:"docId"`
-	Pos   int     `json:"pos"`
-	Dist  float64 `json:"dist"`
-	Size  int     `json:"size"`
-	Tree  string  `json:"tree,omitempty"`
-}
-
-type wireStats struct {
-	Scanned            int      `json:"scanned"`
-	Skipped            int      `json:"skipped"`
-	HistSkipped        uint64   `json:"histSkipped"`
-	TEDAborted         uint64   `json:"tedAborted"`
-	TEDGated           uint64   `json:"tedGated"`
-	Evaluated          uint64   `json:"evaluated"`
-	TEDMemoHits        uint64   `json:"tedMemoHits"`
-	CandidateSetMisses uint64   `json:"candidateSetMisses,omitempty"`
-	BaseDictLabels     int      `json:"baseDictLabels"`
-	OverlayLabels      int      `json:"overlayLabels"`
-	Quarantined        int      `json:"quarantined,omitempty"`
-	Retries            uint64   `json:"retries,omitempty"`
-	Hedges             uint64   `json:"hedges,omitempty"`
-	Retried            []string `json:"retried,omitempty"`
-	Hedged             []string `json:"hedged,omitempty"`
-	BreakerSkipped     []string `json:"breakerSkipped,omitempty"`
-	Degraded           []string `json:"degraded,omitempty"`
-	Cached             bool     `json:"cached"`
-}
-
-func (s *wireStats) stats() corpus.Stats {
-	return corpus.Stats{
-		Scanned:            s.Scanned,
-		Skipped:            s.Skipped,
-		HistSkipped:        s.HistSkipped,
-		TEDAborted:         s.TEDAborted,
-		TEDGated:           s.TEDGated,
-		Evaluated:          s.Evaluated,
-		TEDMemoHits:        s.TEDMemoHits,
-		CandidateSetMisses: s.CandidateSetMisses,
-		BaseDictLabels:     s.BaseDictLabels,
-		OverlayLabels:      s.OverlayLabels,
-		Quarantined:        s.Quarantined,
-		Retries:            s.Retries,
-		Hedges:             s.Hedges,
-		Retried:            s.Retried,
-		Hedged:             s.Hedged,
-		BreakerSkipped:     s.BreakerSkipped,
-		Degraded:           s.Degraded,
-	}
-}
-
-type wireResponse struct {
-	Matches []wireMatch   `json:"matches"` // /v1/topk
-	Results [][]wireMatch `json:"results"` // /v1/topk-batch
-	Stats   wireStats     `json:"stats"`
-	Trace   *qtrace.Wire  `json:"trace,omitempty"`
-}
-
 // TopK is TopKBatch for a batch of one.
 func (c *Client) TopK(ctx context.Context, q *tree.Tree, k int, opts ...corpus.QueryOption) ([]corpus.Match, error) {
 	if err := corpus.ValidateQuery(q, k); err != nil {
@@ -284,28 +211,29 @@ func (c *Client) TopKBatch(ctx context.Context, queries []*tree.Tree, k int, opt
 	if err := corpus.ValidateBatch(queries, k, &cfg); err != nil {
 		return nil, err
 	}
-	req := wireRequest{
+	req := Request{
 		K:          k,
 		Docs:       cfg.Docs,
 		Trees:      !cfg.NoTrees,
 		Exhaustive: cfg.NoFilter,
 		Partial:    cfg.Partial,
 	}
-	path := "/v1/topk-batch"
+	var resp BatchResponse
+	var attempts int
+	var err error
 	if len(queries) == 1 {
-		path, req.Query, req.Workers = "/v1/topk", queries[0].String(), cfg.Workers
+		req.Query, req.Workers = queries[0].String(), cfg.Workers
+		var single TopKResponse
+		attempts, err = c.post(ctx, "/v1/topk", req, &single)
+		resp = BatchResponse{Results: [][]Match{single.Matches}, Stats: single.Stats, Trace: single.Trace}
 	} else {
 		req.Queries = make([]string, len(queries))
 		for i, q := range queries {
 			req.Queries[i] = q.String()
 		}
+		attempts, err = c.post(ctx, "/v1/topk-batch", req, &resp)
 	}
-	var resp wireResponse
-	attempts, err := c.post(ctx, path, req, &resp)
 	results := resp.Results
-	if len(queries) == 1 {
-		results = [][]wireMatch{resp.Matches}
-	}
 	if err == nil && len(results) != len(queries) {
 		err = &corpus.ScanError{Shard: c.name, Err: fmt.Errorf("%d result lists for %d queries", len(results), len(queries))}
 	}
@@ -319,7 +247,10 @@ func (c *Client) TopKBatch(ctx context.Context, queries []*tree.Tree, k int, opt
 	}
 	qtrace.FromContext(ctx).AddChild(resp.Trace)
 	if cfg.Stats != nil {
-		*cfg.Stats = resp.Stats.stats()
+		*cfg.Stats = resp.Stats
+		// The remote's result cache is its own: whoever serves this answer
+		// reports its own cache.
+		cfg.Stats.Cached = false
 		c.recordAttempts(cfg.Stats, attempts)
 	}
 	out := make([][]corpus.Match, len(results))
@@ -450,7 +381,7 @@ func (c *Client) NumDocs() (int, bool) {
 // remote manifest (refreshed once per call on a miss — e.g. after a
 // remote ingest). A document that vanished between the response and the
 // refresh keeps the id and name the response carried.
-func (c *Client) matches(ctx context.Context, ws []wireMatch) ([]corpus.Match, error) {
+func (c *Client) matches(ctx context.Context, ws []Match) ([]corpus.Match, error) {
 	out := make([]corpus.Match, len(ws))
 	refreshed := false
 	var d dict.Dict // one response-local dictionary for returned trees

@@ -226,7 +226,10 @@ func (g *Group) TopKBatch(ctx context.Context, queries []*tree.Tree, k int, opts
 		return nil, err
 	}
 	if cfg.Stats != nil {
-		*cfg.Stats = mergeStats(stats)
+		*cfg.Stats = corpus.Stats{}
+		for i := range stats {
+			cfg.Stats.Merge(&stats[i])
+		}
 		g.noteDegraded(cfg.Stats, degraded)
 	}
 	tr := qtrace.FromContext(ctx)
@@ -400,29 +403,6 @@ func attribute(name string, err error) error {
 		return &corpus.ScanError{Shard: name, Doc: se.Doc, Err: se.Err}
 	}
 	return fmt.Errorf("shard %s: %w", name, err)
-}
-
-// mergeStats folds the per-shard statistics of one fan-out into the
-// group-level totals (dictionary gauges sum over shards: each shard owns
-// a frozen base of its own).
-func mergeStats(stats []corpus.Stats) corpus.Stats {
-	var out corpus.Stats
-	for i := range stats {
-		s := &stats[i]
-		out.Scanned += s.Scanned
-		out.Skipped += s.Skipped
-		out.Quarantined += s.Quarantined
-		out.HistSkipped += s.HistSkipped
-		out.TEDAborted += s.TEDAborted
-		out.TEDGated += s.TEDGated
-		out.Evaluated += s.Evaluated
-		out.TEDMemoHits += s.TEDMemoHits
-		out.CandidateSetMisses += s.CandidateSetMisses
-		out.BaseDictLabels += s.BaseDictLabels
-		out.OverlayLabels += s.OverlayLabels
-		out.MergeFault(s)
-	}
-	return out
 }
 
 // mergeRanked merges per-shard rankings (each already sorted in its

@@ -4,7 +4,7 @@
 // multi-gigabyte downloads unavailable offline; these generators preserve
 // the structural properties the experiments depend on — node count linear
 // in the scale parameter, constant height, shallow-and-wide data-centric
-// shape — as documented in DESIGN.md.
+// shape.
 //
 // Documents are produced as postorder queues by a pull-based emitter whose
 // memory is bounded by one record plus the wrapper stack, so the memory

@@ -16,8 +16,7 @@ import (
 // listitem/text/keyword/emph plus the text leaf).
 //
 // scale 1 yields roughly 30k nodes; the paper's 112MB base document has
-// 3.4M nodes, so one paper-MB corresponds to about scale 0.27 here (the
-// substitution is documented in DESIGN.md).
+// 3.4M nodes, so one paper-MB corresponds to about scale 0.27 here.
 func XMark(scale int) *Dataset {
 	if scale < 1 {
 		scale = 1

@@ -2,7 +2,8 @@
 // (Section VII): one runner per figure, each generating its workload,
 // sweeping the figure's parameter, and reporting the same series the paper
 // plots. Document scales are reduced ~100× relative to the paper's
-// multi-gigabyte corpora (see DESIGN.md §3); every claim the figures
+// multi-gigabyte corpora (internal/datagen generates stand-ins that keep
+// their node-count growth, height and shape); every claim the figures
 // support — linear runtime, document-size-independent memory, bounded TED
 // work, insensitivity to k — is scale-free.
 package experiments
