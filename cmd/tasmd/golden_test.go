@@ -20,7 +20,8 @@ var updateGolden = os.Getenv("TASMD_UPDATE_GOLDEN") == "1"
 // TestGoldenResponses pins the exact bytes both query endpoints answer
 // with — on a leaf (trees on and off, an empty result, k beyond the
 // match count, a cache-hit replay) and on a router (a partial answer
-// with a degraded shard over a leaf that quarantined a document). Any
+// with a degraded shard over a leaf that quarantined a document, and a
+// cache-hit replay of the router's own result cache). Any
 // change to the wire schema's field names, order or omission rules
 // shows up here as a byte difference.
 func TestGoldenResponses(t *testing.T) {
@@ -32,7 +33,7 @@ func TestGoldenResponses(t *testing.T) {
 	ingest(t, leaf, "a", docA)
 	ingest(t, leaf, "b", docB)
 	empty, _ := newTestServer(t, serverConfig{})
-	router := goldenRouter(t, docA, docB)
+	router, cachedRouter := goldenRouters(t, docA, docB)
 
 	type step struct {
 		h    http.Handler
@@ -62,6 +63,14 @@ func TestGoldenResponses(t *testing.T) {
 		}},
 		{"router_partial", []step{{router, "/v1/topk", `{"query":"{rec{x{1}}}","k":2,"trees":true,"partial":true}`}}},
 		{"router_batch_partial", []step{{router, "/v1/topk-batch", `{"queries":["{rec{x{1}}}","{other}"],"k":2,"partial":true}`}}},
+		{"router_topk_cache_hit", []step{
+			{cachedRouter, "/v1/topk", `{"query":"{rec{x{1}}}","k":2,"trees":true}`},
+			{cachedRouter, "/v1/topk", `{"query":"{rec{x{1}}}","k":2,"trees":true}`},
+		}},
+		{"router_batch_cache_hit", []step{
+			{cachedRouter, "/v1/topk-batch", `{"queries":["{rec{x{1}}}","{other}"],"k":2}`},
+			{cachedRouter, "/v1/topk-batch", `{"queries":["{rec{x{1}}}","{other}"],"k":2}`},
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var w *httptest.ResponseRecorder
@@ -91,10 +100,11 @@ func TestGoldenResponses(t *testing.T) {
 	}
 }
 
-// goldenRouter is a router over two shards: a live leaf holding docA,
-// docB and a third document its scrub quarantined, and a shard named
-// "dead" that nothing answers for.
-func goldenRouter(t *testing.T, docA, docB string) http.Handler {
+// goldenRouters returns two routers over a live leaf holding docA, docB
+// and a third document its scrub quarantined: the first also routes to a
+// shard named "dead" that nothing answers for, the second routes to the
+// live leaf alone and caches its (undegraded) results.
+func goldenRouters(t *testing.T, docA, docB string) (partial, cached http.Handler) {
 	t.Helper()
 	c, err := corpus.Open(t.TempDir())
 	if err != nil {
@@ -130,5 +140,6 @@ func goldenRouter(t *testing.T, docA, docB string) http.Handler {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newServer(shard.NewGroup(live, dead), nil, serverConfig{})
+	return newServer(shard.NewGroup(live, dead), nil, serverConfig{}),
+		newServer(shard.NewGroup(live), nil, serverConfig{cacheSize: 8})
 }

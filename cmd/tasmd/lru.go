@@ -5,7 +5,7 @@ import (
 	"sync"
 )
 
-// lruCache is a bounded LRU of marshaled query results. Keys embed the
+// lruCache is a bounded LRU of encoded hit responses. Keys embed the
 // corpus generation, so entries from before an ingest can never be
 // served afterwards — they simply stop being looked up and age out.
 type lruCache struct {

@@ -90,6 +90,7 @@ import (
 	"os/signal"
 	"runtime"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -284,6 +285,15 @@ func serve(ctx context.Context, l net.Listener, handler http.Handler, drain time
 		WriteTimeout:      5 * time.Minute,
 		IdleTimeout:       2 * time.Minute,
 	}
+	// Shutdown counts a connection that has not sent its first request (a
+	// client's spare dial) as busy for 5 s; close those with the idle ones.
+	var fresh sync.Map // connections in StateNew
+	srv.ConnState = func(c net.Conn, st http.ConnState) {
+		if fresh.Delete(c); st == http.StateNew {
+			fresh.Store(c, nil)
+		}
+	}
+	srv.RegisterOnShutdown(func() { fresh.Range(func(c, _ any) bool { c.(net.Conn).Close(); return true }) })
 	shutdownDone := make(chan error, 1)
 	go func() {
 		<-ctx.Done()

@@ -347,14 +347,12 @@ func (s *server) handleQuery(path string, single bool, latency *latencyHistogram
 		wantTrace := r.URL.Query().Get("trace") == "1"
 		key := s.cacheKey(path, req)
 		if !wantTrace {
-			if cached, ok := s.cache.get(key); ok {
-				var answer shard.BatchResponse
-				if err := json.Unmarshal(cached, &answer); err == nil {
-					s.metrics.cacheHits.Add(1)
-					answer.Stats.Cached = true
-					writeJSON(w, http.StatusOK, req.response(&answer))
-					return
-				}
+			if body, ok := s.cache.get(key); ok {
+				s.metrics.cacheHits.Add(1)
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(http.StatusOK)
+				_, _ = w.Write(body) // headers are sent: a failed write has no one to report to
+				return
 			}
 		}
 
@@ -440,10 +438,12 @@ func (s *server) handleQuery(path string, single bool, latency *latencyHistogram
 		} else if len(stats.Degraded) == 0 {
 			// Degraded answers are never cached: they are not THE answer for
 			// this generation, only the best one available while a shard was
-			// down.
-			if data, err := json.Marshal(answer); err == nil {
-				s.cache.put(key, data)
+			// down. An entry is the exact body a hit replays, marked cached.
+			answer.Stats.Cached = true
+			if data, err := json.Marshal(req.response(&answer)); err == nil {
+				s.cache.put(key, append(data, '\n'))
 			}
+			answer.Stats.Cached = false
 		}
 		writeJSON(w, http.StatusOK, req.response(&answer))
 	}

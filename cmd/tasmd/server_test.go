@@ -291,28 +291,60 @@ func TestFilterSkipsOverHTTP(t *testing.T) {
 	}
 }
 
+// TestCacheHitsAndInvalidation checks, on both query endpoints, that a
+// repeat query is answered from the cache with the miss's exact bytes
+// except for "cached":true, that an entry keeps replaying those bytes
+// while other queries are cached and served after it (an entry must not
+// alias a buffer a later answer reuses), and that an ingest makes every
+// entry stale.
 func TestCacheHitsAndInvalidation(t *testing.T) {
 	h, _ := newTestServer(t, serverConfig{cacheSize: 16})
 	ingest(t, h, "d1", `<r><a><b>x</b></a></r>`)
-	req := shard.Request{Query: "{a{b{x}}}", K: 1}
-
-	first := topk(t, h, req)
-	if first.Stats.Cached {
-		t.Fatal("first answer cannot be cached")
+	post := func(path, body string) []byte {
+		t.Helper()
+		w := doJSON(t, h, "POST", path, body)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", path, body, w.Code, w.Body)
+		}
+		return w.Body.Bytes()
 	}
-	second := topk(t, h, req)
-	if !second.Stats.Cached {
-		t.Fatal("identical repeat query must be served from cache")
+	type entry struct{ path, body string }
+	entries := []entry{
+		{"/v1/topk", `{"query":"{a{b{x}}}","k":1,"trees":true}`},
+		{"/v1/topk-batch", `{"queries":["{a{b{x}}}","{b{x}}"],"k":2}`},
 	}
-	second.Stats.Cached = false
-	if fmt.Sprintf("%+v", first) != fmt.Sprintf("%+v", second) {
-		t.Fatalf("cached answer differs: %+v vs %+v", first, second)
+	hits := make([][]byte, len(entries))
+	for i, e := range entries {
+		miss := post(e.path, e.body)
+		if n := bytes.Count(miss, []byte(`"cached":false`)); n != 1 {
+			t.Fatalf("%s: first answer must be a miss, found %d \"cached\":false in %s", e.path, n, miss)
+		}
+		want := bytes.Replace(miss, []byte(`"cached":false`), []byte(`"cached":true`), 1)
+		if hits[i] = post(e.path, e.body); !bytes.Equal(hits[i], want) {
+			t.Fatalf("%s: cache hit differs from the miss beyond \"cached\":\n got: %s\nwant: %s", e.path, hits[i], want)
+		}
 	}
-	// Ingest bumps the generation: the cache entry must stop being used.
+	for i := 0; i < 12; i++ {
+		e := entry{"/v1/topk", fmt.Sprintf(`{"query":"{a{b{x%d}}}","k":%d}`, i, 1+i%3)}
+		if i%2 == 1 {
+			e = entry{"/v1/topk-batch", fmt.Sprintf(`{"queries":["{a{x%d}}","{b}"],"k":%d,"trees":true}`, i, 1+i%3)}
+		}
+		post(e.path, e.body)
+		if hit := post(e.path, e.body); !bytes.Contains(hit, []byte(`"cached":true`)) {
+			t.Fatalf("%s %s: repeat not served from cache: %s", e.path, e.body, hit)
+		}
+	}
+	for i, e := range entries {
+		if got := post(e.path, e.body); !bytes.Equal(got, hits[i]) {
+			t.Fatalf("%s: entry changed after later answers were cached:\n got: %s\nwant: %s", e.path, got, hits[i])
+		}
+	}
+	// Ingest bumps the generation: no entry may be used any more.
 	ingest(t, h, "d2", `<r><a><b>x</b></a></r>`)
-	third := topk(t, h, req)
-	if third.Stats.Cached {
-		t.Fatal("cache must miss after ingest")
+	for _, e := range entries {
+		if got := post(e.path, e.body); !bytes.Contains(got, []byte(`"cached":false`)) {
+			t.Fatalf("%s: cache must miss after ingest: %s", e.path, got)
+		}
 	}
 }
 

@@ -143,3 +143,56 @@ func TestGracefulShutdownDrainsFastQueries(t *testing.T) {
 		t.Fatal("serve did not return after drain with no in-flight work")
 	}
 }
+
+// TestGracefulShutdownSpareConnection: a connection that has not sent a
+// request yet — the spare a client's connection pool dials when two
+// requests race for one connection — must not hold up shutdown. net/http
+// counts such a connection as busy until it is 5 s old, so without
+// closing it serve would return after 5 s instead of at once.
+func TestGracefulShutdownSpareConnection(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := corpus.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, trigger := context.WithCancel(context.Background())
+	serveDone := make(chan error, 1)
+	go func() {
+		serveDone <- serve(ctx, l, newServer(c, c, serverConfig{}), 15*time.Second)
+	}()
+	spare, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer spare.Close()
+	// The server accepts connections in order, so once a request on a
+	// later connection is answered, the spare one has been accepted.
+	client := &http.Client{Transport: &http.Transport{}}
+	resp, err := client.Get("http://" + l.Addr().String() + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+
+	start := time.Now()
+	trigger()
+	select {
+	case err := <-serveDone:
+		if err != nil {
+			t.Fatalf("serve returned %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("serve did not return within 2s: a connection with no request held up shutdown")
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("shutdown took %v with only a spare and an idle connection open", d)
+	}
+	spare.SetReadDeadline(time.Now().Add(time.Second))
+	if n, err := spare.Read(make([]byte, 1)); err == nil {
+		t.Errorf("spare connection still open after shutdown (read %d bytes)", n)
+	}
+}

@@ -102,10 +102,14 @@ EOF
 # The router's /metrics exposition: runtime gauges and the shard-labelled
 # router telemetry must be present, and the latency histogram's _count
 # must equal its +Inf bucket (the scrape-tear regression check).
+# Bodies are grepped from a here-string, never through a pipe: under
+# pipefail, `curl … | grep -q` or `echo … | grep -q` fails whenever grep
+# exits at its match before the writer is done and the writer takes
+# SIGPIPE.
 METRICS="$(curl -sf "http://127.0.0.1:$ROUTER_PORT/metrics")"
-echo "$METRICS" | grep -q '^tasmd_process_start_time_seconds ' \
+grep -q '^tasmd_process_start_time_seconds ' <<<"$METRICS" \
   || { echo "FAIL: router /metrics lacks tasmd_process_start_time_seconds" >&2; exit 1; }
-echo "$METRICS" | grep -q '^tasmd_shard_latency_seconds_bucket{shard="' \
+grep -q '^tasmd_shard_latency_seconds_bucket{shard="' <<<"$METRICS" \
   || { echo "FAIL: router /metrics lacks per-shard latency series" >&2; exit 1; }
 INF="$(echo "$METRICS" | sed -n 's/^tasmd_topk_latency_seconds_bucket{le="+Inf"} //p')"
 COUNT="$(echo "$METRICS" | sed -n 's/^tasmd_topk_latency_seconds_count //p')"
@@ -220,7 +224,8 @@ assert resp["stats"].get("quarantined") == 1, \
     f"router stats do not report the quarantined document: {resp['stats']}"
 EOF
 
-curl -sf "http://127.0.0.1:$LEAF_PORT/metrics" | grep -q '^tasmd_quarantined_docs 1$' \
+METRICS="$(curl -sf "http://127.0.0.1:$LEAF_PORT/metrics")"
+grep -q '^tasmd_quarantined_docs 1$' <<<"$METRICS" \
   || { echo "FAIL: leaf /metrics lacks tasmd_quarantined_docs 1" >&2; exit 1; }
 
 # Truncate a second store and restart the leaf with -verify=off, which
