@@ -4,13 +4,16 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"tasm/corpus"
 	"tasm/corpus/shard"
+	"tasm/internal/work"
 )
 
 // processStart anchors tasmd_process_start_time_seconds: the moment the
@@ -109,9 +112,10 @@ type shardStats struct {
 }
 
 // serverMetrics accumulates the daemon's lifetime counters, exported on
-// GET /metrics in Prometheus text exposition format. Everything is a
-// plain atomic counter updated on the request path, so scraping never
-// contends with query answering.
+// GET /metrics in Prometheus text exposition format. Everything but the
+// scan work is a plain atomic counter updated on the request path; the
+// work counts are one work.Counts under a mutex held for one Add, so
+// scraping contends with query answering for no longer than a copy.
 type serverMetrics struct {
 	topkRequests  atomic.Uint64 // top-k requests accepted (cache hits included)
 	batchRequests atomic.Uint64 // batch requests accepted (cache hits included)
@@ -124,14 +128,10 @@ type serverMetrics struct {
 	tracedQueries atomic.Uint64 // queries that requested a trace block (?trace=1)
 
 	// Aggregated corpus.Stats of every computed (non-cached) run.
-	docsScanned     atomic.Uint64
-	docsSkipped     atomic.Uint64
-	candHistSkipped atomic.Uint64
-	tedAborted      atomic.Uint64
-	tedGated        atomic.Uint64
-	evaluated       atomic.Uint64
-	tedMemoHits     atomic.Uint64
-	candSetMisses   atomic.Uint64
+	docsScanned atomic.Uint64
+	docsSkipped atomic.Uint64
+	workMu      sync.Mutex
+	work        work.Counts // exported as one row per counter, from its tags
 	// overlayLabels totals the request-local labels computed runs held in
 	// their per-request dictionary overlays — labels that on a shared
 	// mutable dictionary would have leaked into process memory forever.
@@ -153,12 +153,9 @@ type serverMetrics struct {
 func (m *serverMetrics) observe(s *corpus.Stats) {
 	m.docsScanned.Add(uint64(s.Scanned))
 	m.docsSkipped.Add(uint64(s.Skipped))
-	m.candHistSkipped.Add(s.HistSkipped)
-	m.tedAborted.Add(s.TEDAborted)
-	m.tedGated.Add(s.TEDGated)
-	m.evaluated.Add(s.Evaluated)
-	m.tedMemoHits.Add(s.TEDMemoHits)
-	m.candSetMisses.Add(s.CandidateSetMisses)
+	m.workMu.Lock()
+	m.work.Add(s.Counts)
+	m.workMu.Unlock()
 	m.overlayLabels.Add(uint64(s.OverlayLabels))
 	m.retries.Add(s.Retries)
 	m.hedges.Add(s.Hedges)
@@ -174,10 +171,11 @@ func (m *serverMetrics) observe(s *corpus.Stats) {
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	m := &s.metrics
-	for _, c := range []struct {
+	type row struct {
 		name, kind, help string
 		value            uint64
-	}{
+	}
+	rows := []row{
 		{"tasmd_topk_requests_total", "counter", "Top-k requests accepted.", m.topkRequests.Load()},
 		{"tasmd_topk_batch_requests_total", "counter", "Batch top-k requests accepted.", m.batchRequests.Load()},
 		{"tasmd_topk_batch_queries_total", "counter", "Queries carried by batch top-k requests.", m.batchQueries.Load()},
@@ -189,12 +187,17 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"tasmd_traced_queries_total", "counter", "Queries that requested a per-response trace block (?trace=1).", m.tracedQueries.Load()},
 		{"tasmd_docs_scanned_total", "counter", "Documents scanned by TASM-postorder from their resident columns.", m.docsScanned.Load()},
 		{"tasmd_docs_skipped_total", "counter", "Documents skipped by the document-level label lower bound.", m.docsSkipped.Load()},
-		{"tasmd_candidates_hist_skipped_total", "counter", "Candidate subtrees skipped by the histogram-intersection lower bound.", m.candHistSkipped.Load()},
-		{"tasmd_ted_evals_aborted_total", "counter", "Subtree evaluations cut short by a lower bound of the bounded Zhang-Shasha evaluation (gated ones included).", m.tedAborted.Load()},
-		{"tasmd_ted_evals_gated_total", "counter", "Aborted subtree evaluations rejected by the view's label bag before the DP started.", m.tedGated.Load()},
-		{"tasmd_ted_evals_completed_total", "counter", "Subtree evaluations run to completion.", m.evaluated.Load()},
-		{"tasmd_ted_evals_memo_total", "counter", "Subtree evaluations (counted as aborted or completed too) answered from the row of an identical view evaluated earlier in the query.", m.tedMemoHits.Load()},
-		{"tasmd_candidate_set_misses_total", "counter", "Scanned documents whose size threshold found both candidate-cache slots held by other thresholds, so their candidates were located afresh.", m.candSetMisses.Load()},
+	}
+	// The scan's work: one row per work.Counts field, named and described
+	// by its tags.
+	m.workMu.Lock()
+	totals := reflect.ValueOf(m.work)
+	m.workMu.Unlock()
+	for i := range totals.NumField() {
+		f := totals.Type().Field(i)
+		rows = append(rows, row{f.Tag.Get("metric"), "counter", f.Tag.Get("help"), totals.Field(i).Uint()})
+	}
+	rows = append(rows, []row{
 		{"tasmd_overlay_labels_total", "counter", "Request-local labels held in per-request dictionary overlays (released with each request).", m.overlayLabels.Load()},
 		{"tasmd_shard_retries_total", "counter", "Extra per-shard request attempts after retryable failures.", m.retries.Load()},
 		{"tasmd_shard_hedges_total", "counter", "Hedge and failover requests fired at replicas of replicated shards.", m.hedges.Load()},
@@ -204,7 +207,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"tasmd_inflight_queries", "gauge", "Queries currently executing (see /debug/queries).", uint64(s.inflight.len())},
 		{"tasmd_corpus_docs", "gauge", "Documents currently served (all shards for a router; cached, eventually consistent there).", uint64(s.numDocs())},
 		{"tasmd_corpus_generation", "gauge", "Backend generation (changes whenever the document set does).", s.src.Generation()},
-	} {
+	}...)
+	for _, c := range rows {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", c.name, c.help, c.name, c.kind, c.name, c.value)
 	}
 	// The base-dictionary gauge only exists for backends that own one (a

@@ -117,17 +117,12 @@ type slowEntry struct {
 	Queries int     `json:"queries,omitempty"` // batch size; 0 for single
 	K       int     `json:"k"`
 	DurMs   float64 `json:"durMs"`
-	// Scanned/Skipped/Evaluated summarize where the time went.
-	Scanned   int    `json:"scanned"`
-	Skipped   int    `json:"skipped"`
-	Evaluated uint64 `json:"evaluated"`
-	// Fault-tolerance accounting, by shard name: a slow query that was
-	// retried or hedged usually explains itself.
-	Retried        []string `json:"retried,omitempty"`
-	Hedged         []string `json:"hedged,omitempty"`
-	BreakerSkipped []string `json:"breakerSkipped,omitempty"`
-	Degraded       []string `json:"degraded,omitempty"`
-	Error          string   `json:"error,omitempty"`
+	// Stats is the run's: the documents and candidates it scanned say
+	// where the time went, and a slow query that was retried or hedged
+	// (the fault-tolerance accounting, by shard name) usually explains
+	// itself.
+	corpus.Stats
+	Error string `json:"error,omitempty"`
 }
 
 // slowLog is a fixed-size ring of the most recent queries that ran for

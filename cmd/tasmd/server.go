@@ -412,9 +412,7 @@ func (s *server) handleQuery(path string, single bool, latency *latencyHistogram
 		entry := slowEntry{
 			Time: start, ReqID: requestIDFrom(ctx), TraceID: tr.TraceID().String(),
 			Endpoint: path, Query: req.preview(), Queries: req.reportedQueries(), K: req.K,
-			Scanned: stats.Scanned, Skipped: stats.Skipped, Evaluated: stats.Evaluated,
-			Retried: stats.Retried, Hedged: stats.Hedged,
-			BreakerSkipped: stats.BreakerSkipped, Degraded: stats.Degraded,
+			Stats: stats,
 		}
 		if err != nil {
 			entry.Error = err.Error()

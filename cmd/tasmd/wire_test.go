@@ -20,13 +20,14 @@ import (
 // field holds, offset by base: counters get numbers, name lists one name
 // each. Cached is left false — only a serving layer's own cache sets it.
 // A field of any other kind fails the test, so a new field cannot escape
-// the wire and merge contracts below by its type.
+// the wire and merge contracts below by its type. The fields of an
+// embedded struct (the scan's work.Counts) count as Stats's own.
 func distinctStats(t *testing.T, base int) corpus.Stats {
 	t.Helper()
 	var s corpus.Stats
 	v := reflect.ValueOf(&s).Elem()
-	for i := range v.NumField() {
-		f, sf := v.Field(i), v.Type().Field(i)
+	for i, sf := range statsFields() {
+		f := v.FieldByIndex(sf.Index)
 		if tag := sf.Tag.Get("json"); tag == "" || tag == "-" {
 			t.Fatalf("corpus.Stats.%s has no JSON name: it would not travel the wire", sf.Name)
 		}
@@ -46,6 +47,18 @@ func distinctStats(t *testing.T, base int) corpus.Stats {
 		}
 	}
 	return s
+}
+
+// statsFields lists corpus.Stats's fields, those of embedded structs in
+// their place.
+func statsFields() []reflect.StructField {
+	var out []reflect.StructField
+	for _, sf := range reflect.VisibleFields(reflect.TypeOf(corpus.Stats{})) {
+		if !sf.Anonymous {
+			out = append(out, sf)
+		}
+	}
+	return out
 }
 
 // statsSearcher answers every query with empty rankings and fixed stats.
@@ -110,8 +123,8 @@ func TestStatsMerge(t *testing.T) {
 	m := s
 	m.Merge(&o)
 	sv, ov, mv := reflect.ValueOf(s), reflect.ValueOf(o), reflect.ValueOf(m)
-	for i := range mv.NumField() {
-		sf, of, mf := sv.Field(i), ov.Field(i), mv.Field(i)
+	for _, field := range statsFields() {
+		sf, of, mf := sv.FieldByIndex(field.Index), ov.FieldByIndex(field.Index), mv.FieldByIndex(field.Index)
 		var ok bool
 		switch sf.Kind() {
 		case reflect.Int:
@@ -125,7 +138,7 @@ func TestStatsMerge(t *testing.T) {
 			ok = mf.Bool() == sf.Bool()
 		}
 		if !ok {
-			t.Errorf("Merge: %s = %v from %v and %v", mv.Type().Field(i).Name, mf, sf, of)
+			t.Errorf("Merge: %s = %v from %v and %v", field.Name, mf, sf, of)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"tasm/internal/qtrace"
 	"tasm/internal/ranking"
 	"tasm/internal/tree"
+	"tasm/internal/work"
 )
 
 // Match is one ranked subtree of a corpus query: the document it came
@@ -30,7 +31,8 @@ type Match struct {
 // Stats reports what a TopK run did, for observability and tests. Its
 // JSON form is the "stats" object of tasmd's query responses, which
 // shard.Client decodes back into a Stats, so a counter added here needs
-// its JSON tag and its line in Merge, and no other declaration.
+// its JSON tag and its line in Merge, and no other declaration; a scan
+// counter is declared in work.Counts instead.
 type Stats struct {
 	// Scanned is the number of documents scanned by TASM-postorder, each
 	// from its resident columns.
@@ -38,30 +40,10 @@ type Stats struct {
 	// Skipped is the number of documents pruned by the label-histogram
 	// lower bound without being opened.
 	Skipped int `json:"skipped"`
-	// HistSkipped is the number of candidate subtrees (within scanned
-	// documents) skipped whole by the per-candidate label-histogram lower
-	// bound — the candidate-scope analogue of Skipped.
-	HistSkipped uint64 `json:"histSkipped"`
-	// TEDAborted is the number of subtree evaluations the bounded
-	// Zhang–Shasha evaluation cut short once a lower bound crossed the
-	// k-th distance; TEDAborted + Evaluated evaluations were started.
-	TEDAborted uint64 `json:"tedAborted"`
-	// TEDGated is the part of TEDAborted rejected by the label bag of the
-	// whole view before the DP touched a cell.
-	TEDGated uint64 `json:"tedGated"`
-	// Evaluated is the number of subtree evaluations that ran to
-	// completion.
-	Evaluated uint64 `json:"evaluated"`
-	// TEDMemoHits is the number of started evaluations (each also counted
-	// in TEDAborted or Evaluated) answered from the row an earlier
-	// evaluation of an identical view stored, without a DP.
-	TEDMemoHits uint64 `json:"tedMemoHits"`
-	// CandidateSetMisses is the number of scanned documents whose τ found
-	// both slots of the document's candidate cache held by other τ values,
-	// so their candidates were located and searched afresh. A steady
-	// non-zero rate means the traffic uses more τ values than a document
-	// keeps.
-	CandidateSetMisses uint64 `json:"candidateSetMisses,omitempty"`
+	// Counts is the work of the scans of the run's documents: candidates
+	// gated, evaluations aborted, completed and answered from the memo,
+	// candidate-cache misses (see work.Counts).
+	work.Counts
 	// BaseDictLabels is the size of the frozen corpus base dictionary the
 	// run scanned against. It grows only with ingests, never with
 	// queries.
@@ -108,25 +90,13 @@ type Stats struct {
 	Degraded []string `json:"degraded,omitempty"`
 }
 
-// setPrune records a finished run's candidate-pipeline counters.
-func (s *Stats) setPrune(p *core.PruneStats) {
-	s.HistSkipped, s.TEDAborted, s.Evaluated = p.Snapshot()
-	s.TEDGated, s.TEDMemoHits = p.TEDGated.Load(), p.TEDMemoHits.Load()
-	s.CandidateSetMisses = p.CandidateSetMisses.Load()
-}
-
 // Merge folds another backend's statistics of the same run into s: every
 // counter adds (the dictionary gauges too — each shard owns a frozen base
 // of its own) and every name list concatenates. Cached is not merged.
 func (s *Stats) Merge(o *Stats) {
 	s.Scanned += o.Scanned
 	s.Skipped += o.Skipped
-	s.HistSkipped += o.HistSkipped
-	s.TEDAborted += o.TEDAborted
-	s.TEDGated += o.TEDGated
-	s.Evaluated += o.Evaluated
-	s.TEDMemoHits += o.TEDMemoHits
-	s.CandidateSetMisses += o.CandidateSetMisses
+	s.Counts.Add(o.Counts)
 	s.BaseDictLabels += o.BaseDictLabels
 	s.OverlayLabels += o.OverlayLabels
 	s.Quarantined += o.Quarantined
@@ -412,7 +382,9 @@ func (c *Corpus) TopKBatch(ctx context.Context, queries []*tree.Tree, k int, opt
 		heaps[i].PublishTo(cut)
 	}
 	stats := Stats{}
-	prune := &core.PruneStats{}
+	// Each document scan counts its work into doc, which is added to the
+	// run's and becomes its trace span's.
+	var doc work.Counts
 	// Per-document scan state — distance computers, histograms, candidate
 	// source, candidate view — comes from the corpus pool and is reused
 	// across every document of this run (and across runs, for the parts
@@ -428,7 +400,7 @@ func (c *Corpus) TopKBatch(ctx context.Context, queries []*tree.Tree, k int, opt
 		Ctx:                   ctx,
 		Model:                 c.model,
 		NoTrees:               cfg.NoTrees,
-		Prune:                 prune,
+		Prune:                 &doc,
 		DisableHistogramBound: cfg.NoPrune,
 		DisableEarlyAbort:     cfg.NoPrune,
 		Scratch:               scratch,
@@ -453,13 +425,7 @@ func (c *Corpus) TopKBatch(ctx context.Context, queries []*tree.Tree, k int, opt
 				continue
 			}
 		}
-		var h0, a0, e0, m0 uint64
-		docSpan := -1
-		if tr != nil {
-			h0, a0, e0 = prune.Snapshot()
-			m0 = prune.CandidateSetMisses.Load()
-			docSpan = tr.Begin(qtrace.SpanScan, d.info.Name)
-		}
+		docSpan := tr.Begin(qtrace.SpanScan, d.info.Name)
 		// The label-node counts the plan read off the profile index steer
 		// the candidate gate; without them (no filter) it walks.
 		var labelNodes []int
@@ -469,18 +435,16 @@ func (c *Corpus) TopKBatch(ctx context.Context, queries []*tree.Tree, k int, opt
 		// One form per document: its columns, decoded at load — candidates
 		// by index arithmetic, no ring buffer, no byte of the file read.
 		ds := st.stores[d.info.ID]
+		doc = work.Counts{}
 		err := core.PostorderBatchColumnsInto(qs, ds.cols, &ds.cands, labelNodes, heaps, d.offset, cfg.Workers, coreOpts)
-		if tr != nil {
-			tr.End(docSpan)
-			h1, a1, e1 := prune.Snapshot()
-			tr.SetPrune(docSpan, h1-h0, a1-a0, e1-e0, prune.CandidateSetMisses.Load()-m0)
-		}
+		tr.End(docSpan)
+		tr.SetPrune(docSpan, doc)
+		stats.Counts.Add(doc)
 		if err != nil {
 			return nil, &ScanError{Doc: d.info.Name, Err: err}
 		}
 		stats.Scanned++
 	}
-	stats.setPrune(prune)
 	stats.BaseDictLabels = st.base.Len()
 	stats.OverlayLabels = ov.Added()
 	stats.Quarantined = st.quarantined

@@ -18,6 +18,7 @@ import (
 	"tasm/internal/race"
 	"tasm/internal/ranking"
 	"tasm/internal/tree"
+	"tasm/internal/work"
 )
 
 // traceProbe records every probe callback in order.
@@ -30,11 +31,11 @@ func (p *traceProbe) RelevantSubtree(size int) { p.events = append(p.events, 3, 
 // scanOutcome is everything a scan is compared on.
 type scanOutcome struct {
 	results string
-	prune   [3]uint64
+	prune   work.Counts
 	events  []int
 }
 
-func outcome(ranks []*ranking.Heap, prune *PruneStats, probe *traceProbe) scanOutcome {
+func outcome(ranks []*ranking.Heap, prune work.Counts, probe *traceProbe) scanOutcome {
 	var b strings.Builder
 	for _, r := range ranks {
 		for _, m := range r.Sorted() {
@@ -44,7 +45,7 @@ func outcome(ranks []*ranking.Heap, prune *PruneStats, probe *traceProbe) scanOu
 	}
 	var o scanOutcome
 	o.results = b.String()
-	o.prune[0], o.prune[1], o.prune[2] = prune.Snapshot()
+	o.prune = prune
 	o.events = probe.events
 	return o
 }
@@ -55,7 +56,7 @@ func (o scanOutcome) mustEqual(t *testing.T, ctx string, ring scanOutcome) {
 		t.Fatalf("%s: results differ\n columns %s\n ring    %s", ctx, o.results, ring.results)
 	}
 	if o.prune != ring.prune {
-		t.Fatalf("%s: (histSkipped, tedAborted, evaluated) columns %v, ring %v", ctx, o.prune, ring.prune)
+		t.Fatalf("%s: work counts columns %+v, ring %+v", ctx, o.prune, ring.prune)
 	}
 	if fmt.Sprint(o.events) != fmt.Sprint(ring.events) {
 		t.Fatalf("%s: candidate/pruned/evaluated sequence differs\n columns %v\n ring    %v", ctx, o.events, ring.events)
@@ -161,13 +162,12 @@ func FuzzColumnsVsStream(f *testing.F) {
 		// the ring scan without a probe, which visits every candidate.
 		walk, postings := []int(nil), make([]int, len(queries))
 		kernel := func(columns, probed bool, labelNodes []int) ([]*ranking.Heap, scanOutcome) {
-			probe, prune := &traceProbe{}, &PruneStats{}
+			probe := &traceProbe{}
 			ranks := make([]*ranking.Heap, len(queries))
 			for i := range ranks {
 				ranks[i] = ranking.New(k + i%2)
 			}
 			o := opts
-			o.Prune = prune
 			if probed {
 				o.Probe = probe
 			}
@@ -189,7 +189,7 @@ func FuzzColumnsVsStream(f *testing.F) {
 			if err := scanCandidates(src, sc, 1000, strict, &o); err != nil {
 				t.Fatalf("columns=%v: %v", columns, err)
 			}
-			return ranks, outcome(ranks, prune, probe)
+			return ranks, outcome(ranks, sc.counts, probe)
 		}
 		ctx := fmt.Sprintf("batch of %d k=%d strict=%v anyTau=%v", len(queries), k, strict, anyTau)
 		ranks, fromColumns := kernel(true, true, walk)
@@ -284,7 +284,7 @@ func TestColumnKernelsZeroAlloc(t *testing.T) {
 	}{{"walk", document(2), false}, {"postings", document(10), true}} {
 		for _, n := range []int{1, 2, 4} {
 			for _, caching := range []string{"uncached", "cache hit", "cache full"} {
-				opts := Options{NoTrees: true, CT: 1, Ctx: qtrace.NewContext(ctx, tr), Prune: &PruneStats{}}
+				opts := Options{NoTrees: true, CT: 1, Ctx: qtrace.NewContext(ctx, tr)}
 				ranks := make([]*ranking.Heap, n)
 				for i := range ranks {
 					ranks[i] = ranking.New(2)
@@ -318,8 +318,8 @@ func TestColumnKernelsZeroAlloc(t *testing.T) {
 				if want := map[bool]int{true: n, false: 0}[doc.postings]; cur.PostingRows() != want {
 					t.Fatalf("%s: %d bound rows read postings, want %d", what, cur.PostingRows(), want)
 				}
-				if h, _, e := opts.Prune.Snapshot(); h == 0 || e == 0 {
-					t.Fatalf("%s: warm-up skipped %d candidates and evaluated %d: the pin must cover both gates", what, h, e)
+				if c := sc.counts; c.HistSkipped == 0 || c.Evaluated == 0 {
+					t.Fatalf("%s: warm-up skipped %d candidates and evaluated %d: the pin must cover both gates", what, c.HistSkipped, c.Evaluated)
 				}
 				if race.Enabled {
 					continue // allocation counts are not meaningful under -race

@@ -22,6 +22,7 @@ import (
 	"tasm/internal/ranking"
 	"tasm/internal/ted"
 	"tasm/internal/tree"
+	"tasm/internal/work"
 )
 
 // Match is one ranked subtree of the document.
@@ -83,8 +84,11 @@ type Options struct {
 	// minimum; see ted.EvaluateView): each evaluation is the unbounded
 	// DP. Results are unchanged; it exists for ablation and benchmarking.
 	DisableEarlyAbort bool
-	// Prune, when non-nil, receives the pruning pipeline's counters.
-	Prune *PruneStats
+	// Prune, when non-nil, receives the scan's work counts: a document
+	// scan adds its own when it returns, on the calling goroutine (a
+	// split scan sums its ranges' first), so a corpus run reads a
+	// document's share off a Counts of its own.
+	Prune *work.Counts
 	// Scratch, when non-nil, supplies reusable per-document scan state, so
 	// a run over many documents builds its distance computers, histograms,
 	// candidate source, and candidate view once instead of once per
@@ -320,7 +324,7 @@ func PostorderStreamInto(q *tree.Tree, docQ postorder.Queue, r *ranking.Heap, po
 // its candidates per τ across scans, so that a scan at a τ it holds
 // neither locates the candidates nor searches them for the label
 // postings. A scan whose τ finds every slot taken runs as with no cache
-// and is counted in opts.Prune's CandidateSetMisses.
+// and is counted in its CandidateSetMisses.
 //
 // labelNodes, when non-nil, holds per query the number of the document's
 // nodes that carry one of the query's labels — a corpus plan reads it off
@@ -336,9 +340,10 @@ func PostorderBatchColumnsInto(queries []*tree.Tree, cols *postorder.Columns, ca
 	if labelNodes != nil && len(labelNodes) != len(queries) {
 		return fmt.Errorf("tasm: %d queries but %d label-node counts", len(queries), len(labelNodes))
 	}
+	defer sc.report(opts.Prune)
 	cur := sc.cursor(cols, cache, labelNodes)
-	if cur.Missed() && opts.Prune != nil {
-		opts.Prune.CandidateSetMisses.Add(1)
+	if cur.Missed() {
+		sc.counts.CandidateSetMisses++
 	}
 	if workers == 0 {
 		return scanCandidates(cur, sc, posOffset, true, &opts)
@@ -401,6 +406,7 @@ func scanRanges(cur *prb.Cursor, sc *ScanScratch, posOffset, last, workers int, 
 	scan(0)
 	wg.Wait()
 	for _, p := range parts {
+		p.report(&sc.counts)
 		for i, r := range p.ranks {
 			sc.ranks[i].Drain(r, posOffset+1, last)
 		}
@@ -428,6 +434,7 @@ func streamScan(queries []*tree.Tree, docQ postorder.Queue, ranks []*ranking.Hea
 	if err != nil {
 		return err
 	}
+	defer sc.report(opts.Prune)
 	return scanCandidates(sc.ring(docQ), sc, posOffset, strictTies, &opts)
 }
 
@@ -465,7 +472,6 @@ type candidateSource interface {
 //
 //tasm:hotpath
 func scanCandidates(src candidateSource, sc *ScanScratch, posOffset int, strictTies bool, opts *Options) error {
-	defer sc.tally.flush(opts.Prune)
 	var done <-chan struct{} // nil without a context: never ready
 	if opts.Ctx != nil {
 		done = opts.Ctx.Done()
@@ -495,7 +501,7 @@ func scanCandidates(src candidateSource, sc *ScanScratch, posOffset int, strictT
 			for i := range sc.states {
 				limits[i] = gateLimit(sc.states[i].rank.KthBound())
 			}
-			sc.tally.histSkipped += uint64(src.Skip(limits) * len(sc.states))
+			sc.counts.HistSkipped += uint64(src.Skip(limits) * len(sc.states))
 		}
 		ok, err := src.Next()
 		if err != nil {
@@ -524,7 +530,7 @@ func scanCandidates(src candidateSource, sc *ScanScratch, posOffset int, strictT
 			// Strict comparison keeps exact boundary ties evaluated, so
 			// results stay byte-identical in both tie-handling modes.
 			if st.hist != nil && !math.IsInf(kth, 1) && float64(src.LabelBound(i, st.hist)) > kth {
-				sc.tally.histSkipped++
+				sc.counts.HistSkipped++
 				continue
 			}
 			m := st.q.Size()
@@ -572,7 +578,7 @@ func scanCandidates(src candidateSource, sc *ScanScratch, posOffset int, strictT
 				// distance — distances at or below it stay exact, anything
 				// above comes back +Inf, which the heap rejects just like the
 				// true value.
-				rankView(st.comp, sc.view, posOffset+lml, kth, st.rank, opts, &sc.tally)
+				rankView(st.comp, sc.view, posOffset+lml, kth, st.rank, opts, &sc.counts)
 				rt = lml - 1 // skip everything just ranked
 			}
 		}
@@ -595,11 +601,11 @@ func gateLimit(kth float64) int32 {
 // distance matrix, bounded by cutoff, ranks every subtree of the view at
 // once into r, the view's first node reported at position base. A match's
 // tree is materialized only when r would retain it. The evaluation is
-// counted in t.
+// counted in c.
 //
 //tasm:hotpath
-func rankView(comp *ted.Computer, view *tree.View, base int, cutoff float64, r *ranking.Heap, opts *Options, t *tally) {
-	row := evaluate(comp, view, cutoff, opts, t)
+func rankView(comp *ted.Computer, view *tree.View, base int, cutoff float64, r *ranking.Heap, opts *Options, c *work.Counts) {
+	row := evaluate(comp, view, cutoff, opts, c)
 	sizes := view.Sizes()
 	for j, size := range sizes {
 		e := Match{Dist: row[j], Pos: base + j, Size: size}

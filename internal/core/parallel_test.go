@@ -21,6 +21,7 @@ import (
 	"tasm/internal/postorder"
 	"tasm/internal/ranking"
 	"tasm/internal/tree"
+	"tasm/internal/work"
 )
 
 // columnsOf builds the resident columns of doc.
@@ -254,7 +255,7 @@ func TestRangesSkipGatedRuns(t *testing.T) {
 	const k = 3
 	for _, n := range []int{1, 3} {
 		batch := queries[:n]
-		var seqStats, ringStats PruneStats
+		var seqStats, ringStats work.Counts
 		seq, err := rangesTopK(batch, cols, k, 0, Options{Prune: &seqStats})
 		if err != nil {
 			t.Fatal(err)
@@ -269,14 +270,11 @@ func TestRangesSkipGatedRuns(t *testing.T) {
 		for i := range batch {
 			mustEqualTrees(t, fmt.Sprintf("batch of %d, query %d: columns vs ring", n, i), seq[i], ring[i].Sorted())
 		}
-		s, r := [3]uint64{}, [3]uint64{}
-		s[0], s[1], s[2] = seqStats.Snapshot()
-		r[0], r[1], r[2] = ringStats.Snapshot()
-		if s != r || s[0] == 0 {
-			t.Fatalf("batch of %d: (histSkipped, tedAborted, evaluated) columns %v, ring %v; the gate must fire", n, s, r)
+		if seqStats != ringStats || seqStats.HistSkipped == 0 {
+			t.Fatalf("batch of %d: work counts columns %+v, ring %+v; the gate must fire", n, seqStats, ringStats)
 		}
 		for _, workers := range []int{2, 4, 8} {
-			var stats PruneStats
+			var stats work.Counts
 			par, err := rangesTopK(batch, cols, k, workers, Options{Prune: &stats})
 			if err != nil {
 				t.Fatal(err)
@@ -284,7 +282,7 @@ func TestRangesSkipGatedRuns(t *testing.T) {
 			for i := range batch {
 				mustEqualTrees(t, fmt.Sprintf("batch of %d, %d ranges, query %d", n, workers, i), par[i], seq[i])
 			}
-			if stats.HistSkipped.Load() == 0 {
+			if stats.HistSkipped == 0 {
 				t.Errorf("batch of %d, %d ranges: the gate never fired", n, workers)
 			}
 		}

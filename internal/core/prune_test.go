@@ -16,6 +16,7 @@ import (
 	"tasm/internal/postorder"
 	"tasm/internal/ranking"
 	"tasm/internal/tree"
+	"tasm/internal/work"
 )
 
 // unprunedOpts returns opts with every pipeline gate disabled (τ′ stays:
@@ -182,7 +183,7 @@ func TestPruneStatsFire(t *testing.T) {
 	}
 	doc := tree.FromNode(d, root)
 
-	stats := &PruneStats{}
+	stats := &work.Counts{}
 	got, err := Postorder(q, doc, 1, Options{NoTrees: true, Prune: stats})
 	if err != nil {
 		t.Fatal(err)
@@ -190,21 +191,20 @@ func TestPruneStatsFire(t *testing.T) {
 	if got[0].Dist != 0 {
 		t.Fatalf("top-1 dist = %g, want 0", got[0].Dist)
 	}
-	hist, _, evaluated := stats.Snapshot()
-	if hist == 0 {
+	if stats.HistSkipped == 0 {
 		t.Error("histogram gate never fired on foreign-label records")
 	}
-	if evaluated == 0 {
+	if stats.Evaluated == 0 {
 		t.Error("no evaluation ran to completion")
 	}
 
 	// The split column scan must report through the same counters.
-	pstats := &PruneStats{}
+	pstats := &work.Counts{}
 	heap := ranking.New(1)
 	if err := rangesInto(t, q, doc, heap, 0, 2, Options{NoTrees: true, Prune: pstats}); err != nil {
 		t.Fatal(err)
 	}
-	if h, _, e := pstats.Snapshot(); h+e == 0 {
+	if pstats.HistSkipped+pstats.Evaluated == 0 {
 		t.Error("split scan reported no pruning activity at all")
 	}
 }
@@ -225,12 +225,12 @@ func TestTEDAbortFires(t *testing.T) {
 	}
 	doc := tree.FromNode(d, root)
 
-	stats := &PruneStats{}
+	stats := &work.Counts{}
 	pruned, err := Postorder(q, doc, 1, Options{NoTrees: true, Prune: stats})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, abortedN, _ := stats.Snapshot(); abortedN == 0 {
+	if stats.TEDAborted == 0 {
 		t.Error("early-abort TED never fired on far candidates")
 	}
 	unpruned, err := Postorder(q, doc, 1, unprunedOpts(Options{NoTrees: true}))
@@ -287,12 +287,12 @@ func TestTEDGateCounted(t *testing.T) {
 		},
 	}
 	for name, scan := range scans {
-		stats := &PruneStats{}
+		stats := &work.Counts{}
 		pruned, err := scan(Options{NoTrees: true, Prune: stats})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gated, aborted := stats.TEDGated.Load(), stats.TEDAborted.Load()
+		gated, aborted := stats.TEDGated, stats.TEDAborted
 		if gated == 0 {
 			t.Errorf("%s: no evaluation ended at the view's label bag", name)
 		}
@@ -302,7 +302,7 @@ func TestTEDGateCounted(t *testing.T) {
 		// Each of the two ranges has a memo of its own, so each may compute
 		// the near match once, and may scan whole records before the other
 		// publishes the exact match's distance.
-		hits, started := stats.TEDMemoHits.Load(), aborted+stats.Evaluated.Load()
+		hits, started := stats.TEDMemoHits, aborted+stats.Evaluated
 		misses := uint64(1)
 		if name == "parallel" {
 			misses = 2
@@ -314,17 +314,17 @@ func TestTEDGateCounted(t *testing.T) {
 			t.Errorf("%s: %d gated + %d memo hits exceed the %d evaluations started", name, gated, hits, started)
 		}
 
-		off := &PruneStats{}
+		off := &work.Counts{}
 		unpruned, err := scan(Options{NoTrees: true, Prune: off, DisableEarlyAbort: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g, a := off.TEDGated.Load(), off.TEDAborted.Load(); g != 0 || a != 0 {
+		if g, a := off.TEDGated, off.TEDAborted; g != 0 || a != 0 {
 			t.Errorf("%s: early abort disabled but %d evaluations gated, %d aborted", name, g, a)
 		}
-		if started := off.Evaluated.Load(); name != "parallel" && started != aborted+stats.Evaluated.Load() {
+		if started := off.Evaluated; name != "parallel" && started != aborted+stats.Evaluated {
 			t.Errorf("%s: %d evaluations started unbounded, %d bounded: the ladder must end evaluations, not skip them",
-				name, started, aborted+stats.Evaluated.Load())
+				name, started, aborted+stats.Evaluated)
 		}
 		mustEqualMatches(t, name, pruned, unpruned)
 	}

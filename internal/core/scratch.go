@@ -10,6 +10,7 @@ import (
 	"tasm/internal/ranking"
 	"tasm/internal/ted"
 	"tasm/internal/tree"
+	"tasm/internal/work"
 )
 
 // ScanScratch holds the per-document setup state of TASM-postorder scans
@@ -42,7 +43,7 @@ type ScanScratch struct {
 	view    *tree.View
 	buf     *prb.Buffer
 	cur     *prb.Cursor
-	tally   tally // the kernel's counts, flushed as each document scan returns
+	counts  work.Counts // the kernel's counts, reported as each document scan returns
 }
 
 // queryState is one query's share of a scan.
@@ -67,6 +68,15 @@ func (s *ScanScratch) Reset() {
 	for _, p := range s.parts {
 		p.Reset()
 	}
+}
+
+// report adds the counts of the scan that just returned to c (nil: drops
+// them) and zeroes the scratch's for the next.
+func (s *ScanScratch) report(c *work.Counts) {
+	if c != nil {
+		c.Add(s.counts)
+	}
+	s.counts = work.Counts{}
 }
 
 // split returns the parts of a scan split into n ranges, pointed at the

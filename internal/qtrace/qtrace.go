@@ -30,6 +30,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"tasm/internal/work"
 )
 
 // TraceID identifies one end-to-end request across every tier (16 bytes,
@@ -60,8 +62,7 @@ const spanCap = 192
 // vocabulary — "parse", "plan", "scan", "shard", "merge"), an optional
 // detail (the document or shard the stage worked on; always a string
 // that already existed, never concatenated), offsets from the trace
-// start, and optionally the candidate-pruning counter deltas the stage
-// produced.
+// start, and optionally the scan work the stage did.
 type Span struct {
 	Name   string
 	Detail string
@@ -69,10 +70,10 @@ type Span struct {
 	Dur    time.Duration // valid once done
 	done   bool
 
-	// Candidate-pruning deltas of this span (set for per-document scan
-	// spans; see core.PruneStats).
-	prune                                                  bool
-	HistSkipped, TEDAborted, Evaluated, CandidateSetMisses uint64
+	// Work is the scan work of this span, set (prune) for per-document
+	// scan spans.
+	prune bool
+	Work  work.Counts
 }
 
 // Trace records the spans of one request. It is safe for concurrent use:
@@ -264,10 +265,10 @@ func (t *Trace) End(h int) {
 	s.done = true
 }
 
-// SetPrune attaches candidate-pruning counter deltas to the span.
+// SetPrune attaches a scan's work counts to the span.
 //
 //tasm:hotpath
-func (t *Trace) SetPrune(h int, histSkipped, tedAborted, evaluated, candidateSetMisses uint64) {
+func (t *Trace) SetPrune(h int, c work.Counts) {
 	if t == nil || h < 0 {
 		return
 	}
@@ -277,9 +278,7 @@ func (t *Trace) SetPrune(h int, histSkipped, tedAborted, evaluated, candidateSet
 		return
 	}
 	s := &t.spans[h]
-	s.prune = true
-	s.HistSkipped, s.TEDAborted, s.Evaluated = histSkipped, tedAborted, evaluated
-	s.CandidateSetMisses = candidateSetMisses
+	s.prune, s.Work = true, c
 }
 
 // Active returns the most recently begun span that has not ended — the
@@ -324,23 +323,14 @@ type Wire struct {
 }
 
 // WireSpan is one span of a trace block. Times are microseconds relative
-// to the owning trace's start.
+// to the owning trace's start. Prune is a scan span's work, in the keys
+// of a response's stats.
 type WireSpan struct {
-	Name    string     `json:"name"`
-	Detail  string     `json:"detail,omitempty"`
-	StartUs float64    `json:"startUs"`
-	DurUs   float64    `json:"durUs"`
-	Prune   *WirePrune `json:"prune,omitempty"`
-}
-
-// WirePrune carries a scan span's candidate-pruning counter deltas.
-// CandidateSetMisses is 1 on the scan of a document whose candidate cache
-// held other τ values in both slots (see corpus.Stats), else omitted.
-type WirePrune struct {
-	HistSkipped        uint64 `json:"histSkipped"`
-	TEDAborted         uint64 `json:"tedAborted"`
-	Evaluated          uint64 `json:"evaluated"`
-	CandidateSetMisses uint64 `json:"candidateSetMisses,omitempty"`
+	Name    string       `json:"name"`
+	Detail  string       `json:"detail,omitempty"`
+	StartUs float64      `json:"startUs"`
+	DurUs   float64      `json:"durUs"`
+	Prune   *work.Counts `json:"prune,omitempty"`
 }
 
 // Export snapshots the trace as its wire form (nil on nil). Spans still
@@ -373,7 +363,8 @@ func (t *Trace) Export() *Wire {
 			DurUs:   float64(dur.Nanoseconds()) / 1e3,
 		}
 		if s.prune {
-			ws.Prune = &WirePrune{HistSkipped: s.HistSkipped, TEDAborted: s.TEDAborted, Evaluated: s.Evaluated, CandidateSetMisses: s.CandidateSetMisses}
+			c := s.Work
+			ws.Prune = &c
 		}
 		w.Spans[i] = ws
 	}

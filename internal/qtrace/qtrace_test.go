@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"tasm/internal/work"
 )
 
 func TestNilTraceIsSafe(t *testing.T) {
@@ -16,7 +18,7 @@ func TestNilTraceIsSafe(t *testing.T) {
 		t.Fatalf("nil Begin returned %d, want -1", h)
 	}
 	tr.End(h)
-	tr.SetPrune(h, 1, 2, 3, 0)
+	tr.SetPrune(h, work.Counts{HistSkipped: 1, TEDAborted: 2, Evaluated: 3})
 	tr.AddChild(&Wire{})
 	tr.SetPropagate(true)
 	if tr.Propagate() {
@@ -43,7 +45,8 @@ func TestSpanLifecycle(t *testing.T) {
 	if name, detail, ok := tr.Active(); !ok || name != SpanScan || detail != "doc0" {
 		t.Errorf("Active = (%q, %q, %v), want (scan, doc0, true)", name, detail, ok)
 	}
-	tr.SetPrune(s, 10, 2, 7, 0)
+	want := work.Counts{HistSkipped: 10, TEDAborted: 2, TEDGated: 1, Evaluated: 7, TEDMemoHits: 3}
+	tr.SetPrune(s, want)
 	tr.End(s)
 	if _, _, ok := tr.Active(); ok {
 		t.Error("Active reported an open span after all spans ended")
@@ -55,9 +58,8 @@ func TestSpanLifecycle(t *testing.T) {
 	if w.Spans[0].Name != SpanPlan || w.Spans[1].Name != SpanScan {
 		t.Errorf("span names = %q, %q", w.Spans[0].Name, w.Spans[1].Name)
 	}
-	if w.Spans[1].Prune == nil || w.Spans[1].Prune.HistSkipped != 10 ||
-		w.Spans[1].Prune.TEDAborted != 2 || w.Spans[1].Prune.Evaluated != 7 {
-		t.Errorf("scan span prune = %+v, want {10 2 7}", w.Spans[1].Prune)
+	if w.Spans[1].Prune == nil || *w.Spans[1].Prune != want {
+		t.Errorf("scan span prune = %+v, want %+v", w.Spans[1].Prune, want)
 	}
 	if w.Spans[0].Prune != nil {
 		t.Error("plan span has prune counters it was never given")
@@ -178,7 +180,7 @@ func TestConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				h := tr.Begin(SpanShard, "s")
-				tr.SetPrune(h, 1, 1, 1, 0)
+				tr.SetPrune(h, work.Counts{HistSkipped: 1, TEDAborted: 1, Evaluated: 1})
 				tr.End(h)
 			}
 		}()
@@ -206,7 +208,7 @@ func TestWireJSONShape(t *testing.T) {
 	tr := New()
 	defer Release(tr)
 	h := tr.Begin(SpanScan, "doc0")
-	tr.SetPrune(h, 1, 2, 3, 0)
+	tr.SetPrune(h, work.Counts{HistSkipped: 1, TEDAborted: 2, Evaluated: 3})
 	tr.End(h)
 	tr.AddChild(&Wire{TraceID: tr.TraceID().String(), SpanID: "aaaaaaaaaaaaaaaa", ParentID: tr.SpanID().String()})
 	data, err := json.Marshal(tr.Export())
@@ -252,7 +254,7 @@ func TestEndPastSlabIsNoOp(t *testing.T) {
 	tr := New()
 	defer Release(tr)
 	tr.End(somethingStale)
-	tr.SetPrune(somethingStale, 1, 2, 3, 0)
+	tr.SetPrune(somethingStale, work.Counts{HistSkipped: 1, TEDAborted: 2, Evaluated: 3})
 	if w := tr.Export(); len(w.Spans) != 0 {
 		t.Errorf("stale End materialized a span: %+v", w)
 	}
