@@ -501,7 +501,9 @@ func scanCandidates(src candidateSource, sc *ScanScratch, posOffset int, strictT
 			for i := range sc.states {
 				limits[i] = gateLimit(sc.states[i].rank.KthBound())
 			}
-			sc.counts.HistSkipped += uint64(src.Skip(limits) * len(sc.states))
+			n := src.Skip(limits)
+			sc.counts.Candidates += uint64(n)
+			sc.counts.HistSkipped += uint64(n * len(sc.states))
 		}
 		ok, err := src.Next()
 		if err != nil {
@@ -510,6 +512,7 @@ func scanCandidates(src candidateSource, sc *ScanScratch, posOffset int, strictT
 		if !ok {
 			return nil
 		}
+		sc.counts.Candidates++
 		rootID, leafID := src.Root(), src.Leaf()
 		if opts.Probe != nil {
 			opts.Probe.Candidate(rootID - leafID + 1)

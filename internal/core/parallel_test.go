@@ -194,6 +194,54 @@ func TestParallelWithProbe(t *testing.T) {
 	}
 }
 
+// TestCandidatesCounted: the Candidates count is the number of
+// Probe.Candidate calls — cand(T, τmax), once per candidate — on the ring
+// scan and the column scan, sequential or split into ranges, and whether
+// a column scan visits each candidate (probed) or steps over gated runs.
+func TestCandidatesCounted(t *testing.T) {
+	d := dict.New()
+	root := tree.NewNode("root")
+	for i := 0; i < 300; i++ {
+		if i%9 == 0 {
+			root.AddChild(tree.NewNode("rec", tree.NewNode("a"), tree.NewNode("b")))
+		} else {
+			root.AddChild(tree.NewNode("x", tree.NewNode("y", tree.NewNode("z"))))
+		}
+	}
+	doc := tree.FromNode(d, root)
+	cols := columnsOf(t, doc)
+	queries := []*tree.Tree{tree.MustParse(d, "{rec{a}{b}}"), tree.MustParse(d, "{rec{b}}")}
+	for n := 1; n <= len(queries); n++ {
+		batch := queries[:n]
+		probe := &atomicProbe{}
+		var ring work.Counts
+		ranks := []*ranking.Heap{ranking.New(2), ranking.New(2)}[:n]
+		if err := streamScan(batch, postorder.FromTree(doc), ranks, 0, true, Options{Probe: probe, Prune: &ring}); err != nil {
+			t.Fatal(err)
+		}
+		want := uint64(probe.candidates.Load())
+		if want == 0 || ring.Candidates != want {
+			t.Fatalf("batch of %d: ring scan counted %d candidates, the probe saw %d", n, ring.Candidates, want)
+		}
+		for _, workers := range []int{0, 2, 4} {
+			for _, probed := range []bool{true, false} {
+				var c work.Counts
+				opts := Options{Prune: &c}
+				if probed {
+					opts.Probe = &atomicProbe{}
+				}
+				if _, err := rangesTopK(batch, cols, 2, workers, opts); err != nil {
+					t.Fatal(err)
+				}
+				if c.Candidates != want || c.HistSkipped == 0 {
+					t.Errorf("batch of %d, %d ranges, probed %v: %d candidates (the probe saw %d), %d gated",
+						n, workers, probed, c.Candidates, want, c.HistSkipped)
+				}
+			}
+		}
+	}
+}
+
 // TestParallelCancelled: a context cancelled before or during a split scan
 // makes it return ctx.Err() itself, the ranges stop within a candidate
 // each, and no goroutine outlives the call.

@@ -9,6 +9,10 @@ package work
 // Counts is the work of one or more scans. Every field is a uint64
 // counter that adds across scans, documents, shards and requests.
 type Counts struct {
+	// Candidates is the number of candidate subtrees, cand(T, τ) at the
+	// scan's largest τ, that document scans enumerated: visited, or
+	// stepped over whole by the label-histogram gate.
+	Candidates uint64 `json:"candidates" metric:"tasmd_candidates_total" help:"Candidate subtrees enumerated by document scans at their largest size threshold."`
 	// HistSkipped is the number of candidate subtrees skipped whole by
 	// the label-histogram lower bound: no view fill, no TED. The gate
 	// runs once per (query, candidate) pair, so one candidate skipped
@@ -44,6 +48,7 @@ type Counts struct {
 
 // Add adds o's counters to c's.
 func (c *Counts) Add(o Counts) {
+	c.Candidates += o.Candidates
 	c.HistSkipped += o.HistSkipped
 	c.TEDAborted += o.TEDAborted
 	c.TEDGated += o.TEDGated
