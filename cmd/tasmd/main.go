@@ -59,7 +59,7 @@
 //
 // Every query request may add ?trace=1 to receive a "trace" block in the
 // response: a span tree covering parse, plan, each scanned document (with
-// its pruning counters), each shard fan-out leg, and the merge. A router
+// its work counts), each shard fan-out leg, and the merge. A router
 // forwards the trace context to its leaves with a W3C traceparent header,
 // so the leaves' blocks nest under the router's with one shared trace id.
 // Requests are logged structured (JSON, stderr); -debug-addr exposes

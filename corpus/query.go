@@ -350,11 +350,11 @@ func (c *Corpus) TopKBatch(ctx context.Context, queries []*tree.Tree, k int, opt
 	ov, qs := requestOverlay(st, queries)
 
 	// A trace in the context records stage spans: planning, every scanned
-	// document (with its pruning-counter deltas), and the final merge.
-	// Spans stay at document granularity — the candidate loop below this
-	// layer never sees the trace, so its 0 allocs/candidate invariant is
-	// untouched. All qtrace methods are nil-safe; an untraced run pays a
-	// nil check per document.
+	// document (with its work counts), and the final merge. Spans stay
+	// at document granularity — the candidate loop below this layer never
+	// sees the trace, so its 0 allocs/candidate invariant is untouched.
+	// All qtrace methods are nil-safe; an untraced run pays three nil
+	// checks per document.
 	tr := qtrace.FromContext(ctx)
 	planSpan := tr.Begin(qtrace.SpanPlan, "")
 	plan := c.planPool.Get().(*queryPlan)
