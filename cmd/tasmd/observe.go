@@ -135,10 +135,16 @@ type slowLog struct {
 	total     uint64
 }
 
+// records reports whether a query that ran for d is one the log records,
+// so that a caller builds its entry only then.
+func (l *slowLog) records(d time.Duration) bool {
+	return l != nil && l.threshold > 0 && d >= l.threshold
+}
+
 // observe records the query if it ran for at least the threshold;
 // reports whether it did.
 func (l *slowLog) observe(d time.Duration, e slowEntry) bool {
-	if l == nil || l.threshold <= 0 || d < l.threshold {
+	if !l.records(d) {
 		return false
 	}
 	e.DurMs = float64(d.Microseconds()) / 1000

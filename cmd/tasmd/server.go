@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -409,15 +410,17 @@ func (s *server) handleQuery(path string, single bool, latency *latencyHistogram
 			opts = append(opts, corpus.WithWorkers(workers))
 		}
 		results, err := s.src.TopKBatch(ctx, queries, req.K, opts...)
-		entry := slowEntry{
-			Time: start, ReqID: requestIDFrom(ctx), TraceID: tr.TraceID().String(),
-			Endpoint: path, Query: req.preview(), Queries: req.reportedQueries(), K: req.K,
-			Stats: stats,
+		if d := time.Since(start); s.slow.records(d) {
+			entry := slowEntry{
+				Time: start, ReqID: requestIDFrom(ctx), TraceID: tr.TraceID().String(),
+				Endpoint: path, Query: req.preview(), Queries: req.reportedQueries(), K: req.K,
+				Stats: stats,
+			}
+			if err != nil {
+				entry.Error = err.Error()
+			}
+			s.observeSlow(d, entry)
 		}
-		if err != nil {
-			entry.Error = err.Error()
-		}
-		s.observeSlow(time.Since(start), entry)
 		if err != nil {
 			s.queryError(w, r, err)
 			return
@@ -431,20 +434,46 @@ func (s *server) handleQuery(path string, single bool, latency *latencyHistogram
 		for i, ms := range results {
 			answer.Results[i] = matchesOf(ms)
 		}
-		if wantTrace {
-			answer.Trace = tr.Export()
-		} else if len(stats.Degraded) == 0 {
+		if wantTrace || len(stats.Degraded) > 0 {
 			// Degraded answers are never cached: they are not THE answer for
 			// this generation, only the best one available while a shard was
-			// down. An entry is the exact body a hit replays, marked cached.
-			answer.Stats.Cached = true
-			if data, err := json.Marshal(req.response(&answer)); err == nil {
-				s.cache.put(key, append(data, '\n'))
+			// down.
+			if wantTrace {
+				answer.Trace = tr.Export()
 			}
-			answer.Stats.Cached = false
+			writeJSON(w, http.StatusOK, req.response(&answer))
+			return
 		}
-		writeJSON(w, http.StatusOK, req.response(&answer))
+		// An entry is the exact body a hit replays, marked cached; the miss
+		// answers the same bytes with cached false, encoded once.
+		answer.Stats.Cached = true
+		body, err := json.Marshal(req.response(&answer))
+		if err != nil { // not cacheable: answered as writeJSON answers it
+			answer.Stats.Cached = false
+			writeJSON(w, http.StatusOK, req.response(&answer))
+			return
+		}
+		body = append(body, '\n')
+		s.cache.put(key, body)
+		writeMiss(w, body)
 	}
+}
+
+// cachedTrue is how a cache entry's stats mark it, and cachedFalse how a
+// computed answer's do; Stats.Cached is never omitted, and a quote inside
+// a JSON string is escaped, so a body holds the key exactly once.
+var cachedTrue, cachedFalse = []byte(`"cached":true`), []byte(`"cached":false`)
+
+// writeMiss answers a computed request with body, a cache entry, as
+// writeJSON would answer it: cached false.
+func writeMiss(w http.ResponseWriter, body []byte) {
+	i := bytes.LastIndex(body, cachedTrue)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// Headers are sent: a failed write has no one to report to.
+	_, _ = w.Write(body[:i])
+	_, _ = w.Write(cachedFalse)
+	_, _ = w.Write(body[i+len(cachedTrue):])
 }
 
 // queryError maps a query failure to an HTTP status: cancellation and

@@ -11,6 +11,7 @@ import (
 
 	"tasm/corpus"
 	"tasm/corpus/shard"
+	"tasm/internal/prb"
 	"tasm/internal/qtrace"
 	"tasm/internal/tree"
 )
@@ -274,21 +275,23 @@ func TestInflightQueries(t *testing.T) {
 	}
 }
 
-// TestCandidateSetMissesReported: a document keeps its candidates for two
-// thresholds τ, so the third τ a leaf sees finds both slots taken on every
-// document it scans. The response stats count those scans, each scan span
-// of a traced request marks its own, and /metrics totals them.
+// TestCandidateSetMissesReported: a document keeps its candidates for
+// prb.CandidateSlots thresholds τ, so the next τ a leaf sees finds every
+// slot taken on every document it scans. The response stats count those
+// scans, each scan span of a traced request marks its own, and /metrics
+// totals them.
 func TestCandidateSetMissesReported(t *testing.T) {
 	h, _ := newTestServer(t, serverConfig{})
 	ingest(t, h, "d1", `<r><a><b>x</b></a><a><c>y</c></a></r>`)
 	ingest(t, h, "d2", `<r><a><b>z</b></a></r>`)
-	// τ = 2|Q| + k: 5 and 6 take the two slots of both documents.
-	for k := 1; k <= 2; k++ {
+	// τ = 2|Q| + k: k = 1 … CandidateSlots take every slot of both
+	// documents.
+	for k := 1; k <= prb.CandidateSlots; k++ {
 		if resp := topk(t, h, shard.Request{Query: "{a{b}}", K: k}); resp.Stats.CandidateSetMisses != 0 {
 			t.Fatalf("k=%d: %d candidate-set misses with a free slot", k, resp.Stats.CandidateSetMisses)
 		}
 	}
-	w := doJSON(t, h, "POST", "/v1/topk?trace=1", shard.Request{Query: "{a{b}}", K: 3})
+	w := doJSON(t, h, "POST", "/v1/topk?trace=1", shard.Request{Query: "{a{b}}", K: prb.CandidateSlots + 1})
 	if w.Code != http.StatusOK {
 		t.Fatalf("traced topk: status %d: %s", w.Code, w.Body)
 	}
@@ -297,7 +300,7 @@ func TestCandidateSetMissesReported(t *testing.T) {
 		t.Fatal(err)
 	}
 	if resp.Stats.Scanned != 2 || resp.Stats.CandidateSetMisses != 2 {
-		t.Fatalf("τ = 7 scanned %d documents with %d candidate-set misses, want 2 and 2", resp.Stats.Scanned, resp.Stats.CandidateSetMisses)
+		t.Fatalf("τ = %d scanned %d documents with %d candidate-set misses, want 2 and 2", 5+prb.CandidateSlots, resp.Stats.Scanned, resp.Stats.CandidateSetMisses)
 	}
 	for _, s := range resp.Trace.Spans {
 		if s.Name == qtrace.SpanScan && (s.Prune == nil || s.Prune.CandidateSetMisses != 1) {

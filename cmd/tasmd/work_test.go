@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"tasm/corpus/shard"
+	"tasm/internal/prb"
 	"tasm/internal/qtrace"
 	"tasm/internal/work"
 )
@@ -19,16 +20,26 @@ import (
 // split into ranges, the counters summed over a traced response's scan
 // spans equal its stats; /metrics exports each counter under its tags,
 // summed over every computed request; README's counter table names it.
-// The fixture is the benchmark's XMark leaf corpus with queries at three
-// τ, so that every counter, candidate-set misses included, fires.
+// The fixture is the benchmark's XMark leaf corpus with queries at one τ
+// more than a document's candidate cache has slots, so that every
+// counter, candidate-set misses included, fires.
 func TestWorkCountsContract(t *testing.T) {
 	c, docs := allocFixture(t)
 	fields := reflect.VisibleFields(reflect.TypeOf(work.Counts{}))
+	// τ = 2|Q| + k: 21, 27 (the batch's largest query has 11 nodes) and
+	// 66, then single queries at further k until the last τ finds every
+	// slot taken.
+	shapes := []struct{ qsize, k, batch int }{{8, 5, 1}, {8, 5, 4}, {8, 50, 1}}
+	for k := 6; len(shapes) <= prb.CandidateSlots; k++ {
+		if 2*8+k != 27 {
+			shapes = append(shapes, struct{ qsize, k, batch int }{8, k, 1})
+		}
+	}
 	var total work.Counts
 	for _, workers := range []int{0, 2} {
 		h := newServer(c, c, serverConfig{workers: workers})
 		var served work.Counts
-		for _, shape := range []struct{ qsize, k, batch int }{{8, 5, 1}, {8, 5, 4}, {8, 50, 1}} {
+		for _, shape := range shapes {
 			path, bodies := queryBodies(t, docs, 3, shape.qsize, shape.k, shape.batch)
 			for _, body := range bodies {
 				what := fmt.Sprintf("%s, %d workers, %s", path, workers, body)

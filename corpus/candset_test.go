@@ -13,6 +13,7 @@ import (
 	"tasm/internal/core"
 	"tasm/internal/cost"
 	"tasm/internal/dict"
+	"tasm/internal/prb"
 	"tasm/internal/ranking"
 	"tasm/internal/tree"
 )
@@ -78,10 +79,10 @@ func render(ms []corpus.Match) string {
 	return b.String()
 }
 
-// TestCandidateCacheConcurrent: queries at three thresholds τ run
-// concurrently over one corpus, sequentially and split into two ranges,
-// while the documents' candidate caches — two slots each — fill, so one
-// τ always finds both slots taken. Every answer is byte-identical to the
+// TestCandidateCacheConcurrent: queries at one threshold τ more than a
+// document's candidate cache has slots run concurrently over one corpus,
+// sequentially and split into two ranges, while the caches fill, so one τ
+// always finds every slot taken. Every answer is byte-identical to the
 // exhaustive oracle, the full-slot scans are counted, and once the caches
 // are full no scan writes into a cached set.
 func TestCandidateCacheConcurrent(t *testing.T) {
@@ -109,8 +110,9 @@ func TestCandidateCacheConcurrent(t *testing.T) {
 		want    string
 	}
 	var jobs []job
-	// τ = 2|Q| + k under unit costs: 10, 12 and 13.
-	for _, shape := range []struct{ fields, k int }{{3, 2}, {4, 2}, {3, 5}} {
+	// τ = 2|Q| + k under unit costs: 10, 11, … — one per slot and one more.
+	for i := 0; i <= prb.CandidateSlots; i++ {
+		shape := struct{ fields, k int }{3 + i%2, 2 + i - 2*(i%2)}
 		for kind := 0; kind < 3; kind++ {
 			var b strings.Builder
 			fmt.Fprintf(&b, "{rec%d", kind)
@@ -123,8 +125,8 @@ func TestCandidateCacheConcurrent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tau := core.Tau(cost.Unit{}, q, shape.k, 0); tau != 2*q.Size()+shape.k {
-				t.Fatalf("τ = %d for |Q| = %d, k = %d", tau, q.Size(), shape.k)
+			if tau := core.Tau(cost.Unit{}, q, shape.k, 0); tau != 10+i {
+				t.Fatalf("τ = %d for |Q| = %d, k = %d, want %d", tau, q.Size(), shape.k, 10+i)
 			}
 			for _, w := range []int{0, 2} {
 				jobs = append(jobs, job{q, shape.k, w, want})
@@ -169,7 +171,7 @@ func TestCandidateCacheConcurrent(t *testing.T) {
 	}
 	before := c.CandidateChecksums()
 	if misses := run("warm"); misses == 0 {
-		t.Error("no scan found both slots of its document's cache taken, with three thresholds over two slots")
+		t.Errorf("no scan found every slot of its document's cache taken, with %d thresholds over %d slots", prb.CandidateSlots+1, prb.CandidateSlots)
 	}
 	if after := c.CandidateChecksums(); !slices.Equal(before, after) {
 		t.Errorf("cached candidate sets changed under concurrent scans: %x, then %x", before, after)

@@ -111,46 +111,63 @@ func TestWorkLedger(t *testing.T) {
 	}
 }
 
-func runLedger(t *testing.T) map[string]ledgerEntry {
-	ctx := context.Background()
-	c, err := corpus.Open(t.TempDir())
+// ledgerCorpus is the ledger's fixture: 4 × XMark(1) at seeds 1000–1003,
+// ingested as XML, with the documents' trees to draw queries from.
+func ledgerCorpus(tb testing.TB) (*corpus.Corpus, []*tree.Tree) {
+	c, err := corpus.Open(tb.TempDir())
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	ds := datagen.XMark(1)
 	var docs []*tree.Tree
 	for i := 0; i < 4; i++ {
 		doc, err := ds.Tree(dict.New(), 1000+int64(i))
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		var sb strings.Builder
 		if err := xmlstream.WriteTree(&sb, doc); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		if _, err := c.AddXML(fmt.Sprintf("%s-%03d", ds.Name(), i), strings.NewReader(sb.String())); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		docs = append(docs, doc)
 	}
+	return c, docs
+}
+
+// parseRequests parses a pool's requests in c's dictionary.
+func parseRequests(tb testing.TB, c *corpus.Corpus, pool [][]string) [][]*tree.Tree {
+	out := make([][]*tree.Tree, len(pool))
+	for r, qs := range pool {
+		out[r] = make([]*tree.Tree, len(qs))
+		for i, s := range qs {
+			q, err := c.ParseBracket(s)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			out[r][i] = q
+		}
+	}
+	return out
+}
+
+func runLedger(t *testing.T) map[string]ledgerEntry {
+	ctx := context.Background()
+	c, docs := ledgerCorpus(t)
 	out := map[string]ledgerEntry{}
 	for _, p := range ledgerPools {
 		pool := drawRequests(t, docs, p.qsize, p.batch, p.requests)
 		e := ledgerEntry{Requests: len(pool), Sums: map[string]uint64{}}
 		h := sha256.New()
-		for _, qs := range pool {
-			queries := make([]*tree.Tree, len(qs))
-			for i, s := range qs {
-				if queries[i], err = c.ParseBracket(s); err != nil {
-					t.Fatal(err)
-				}
-			}
+		for _, queries := range parseRequests(t, c, pool) {
 			var stats corpus.Stats
 			res, err := c.TopKBatch(ctx, queries, p.k, corpus.WithoutTrees(), corpus.WithStats(&stats))
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.Queries += len(qs)
+			e.Queries += len(queries)
 			sumNumeric(e.Sums, reflect.ValueOf(stats))
 			for _, ms := range res {
 				for _, m := range ms {
@@ -165,12 +182,44 @@ func runLedger(t *testing.T) map[string]ledgerEntry {
 	return out
 }
 
+// BenchmarkLedgerPools times the work ledger's pools in process: the
+// ledger's fixture, each pool's requests run one after another as
+// TestWorkLedger runs them (no trees), on one corpus that keeps its
+// candidate caches across pools and iterations. It reports the time and
+// the view fills per query, so a change to the scan kernel can be timed
+// against its parent without the serving benchmark:
+//
+//	go test -run='^$' -bench=LedgerPools -benchtime=5x ./corpus
+func BenchmarkLedgerPools(b *testing.B) {
+	ctx := context.Background()
+	c, docs := ledgerCorpus(b)
+	for _, p := range ledgerPools {
+		pool := parseRequests(b, c, drawRequests(b, docs, p.qsize, p.batch, p.requests))
+		b.Run(p.name, func(b *testing.B) {
+			var fills uint64
+			queries := 0
+			for i := 0; i < b.N; i++ {
+				for _, qs := range pool {
+					var stats corpus.Stats
+					if _, err := c.TopKBatch(ctx, qs, p.k, corpus.WithoutTrees(), corpus.WithStats(&stats)); err != nil {
+						b.Fatal(err)
+					}
+					fills += stats.ViewFills
+					queries += len(qs)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(queries), "µs/query")
+			b.ReportMetric(float64(fills)/float64(queries), "fills/query")
+		})
+	}
+}
+
 // drawRequests draws n distinct requests of batch distinct bracket
 // queries each, the first of qsize nodes and the others one node larger
 // apiece, from docs at seed 1, as the serving benchmark's pool does: a
 // run of n draws yielding nothing new spreads the wanted size upwards by
 // one node.
-func drawRequests(t *testing.T, docs []*tree.Tree, qsize, batch, n int) [][]string {
+func drawRequests(t testing.TB, docs []*tree.Tree, qsize, batch, n int) [][]string {
 	rng := rand.New(rand.NewSource(1))
 	seen := map[string]bool{}
 	var pool [][]string

@@ -75,11 +75,12 @@ func BenchmarkWorkers(b *testing.B) {
 }
 
 // BenchmarkMixedTau times queries at many thresholds over one corpus, the
-// traffic a per-document candidate cache of two slots serves worst: 4 ×
-// XMark(1) (the serving benchmark's leaf corpus at seed 1), four queries
-// of each size |Q| ∈ {4, 8, 16} drawn from its first document, each asked
-// at k ∈ {1, 5, 50} — nine values of τ = 2|Q| + k, seven of which find
-// both slots of every document taken by the first two. It reports the
+// traffic a per-document candidate cache serves worst: 4 × XMark(1) (the
+// serving benchmark's leaf corpus at seed 1), four queries of each size
+// |Q| ∈ {4, 8, 16} drawn from its first document, each asked at
+// k ∈ {1, 5, 50} — nine values of τ = 2|Q| + k, one more than a cache's
+// prb.CandidateSlots, so the last (82) finds every slot of every document
+// taken by the first eight. It reports the
 // time per query and logs a digest of every answer, trees included, so
 // that two builds can be shown to answer byte for byte alike.
 //

@@ -8,6 +8,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"io"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -236,41 +238,60 @@ func FuzzColumnsVsStream(f *testing.F) {
 	})
 }
 
-// TestColumnKernelsZeroAlloc pins the column scan's steady state: with a
-// cursor, view and computers warm, a whole pass of the kernel over a
-// document — for one query and for batches of two and four — allocates
-// nothing, not per candidate and not per document, under a live
+// TestColumnKernelsZeroAlloc pins the scan kernel's steady state: with a
+// candidate source, view and computers warm, a whole pass of the kernel
+// over a document — for one query and for batches of two and four —
+// allocates nothing, not per candidate and not per document, under a live
 // cancellable context carrying a live trace, the daemon's request shape.
-// It does so on both routes of the candidate gate: a document where half
-// the nodes carry a query label walks, one where a tenth do reads the
-// label postings; and with no candidate cache, with one that holds the
-// scan's τ (filled by the warm-up pass), and with one whose two slots
-// hold other thresholds.
+// Every measured pass takes each branch of an evaluation — gated by the
+// window's label bag, answered by the memo, and run through the dynamic
+// program on a filled view — on both candidate sources: the column cursor
+// and the ring buffer. The cursor runs on both routes of the candidate
+// gate — a document where half the records carry query labels walks, one
+// where a tenth do reads the label postings — and with no candidate
+// cache, with one that holds the scan's τ (filled by the warm-up pass),
+// and with one whose every slot holds another threshold.
 func TestColumnKernelsZeroAlloc(t *testing.T) {
 	d := dict.New()
 	queries := []*tree.Tree{
-		tree.MustParse(d, "{rec{a}{b}}"),
-		tree.MustParse(d, "{rec{a}{b}{c}}"),
-		tree.MustParse(d, "{rec{c}}"),
-		tree.MustParse(d, "{rec{a}{a}}"),
+		tree.MustParse(d, "{rec{a{b}}{c}{d{e}}{f}}"),
+		tree.MustParse(d, "{rec{a}{b}{c}{d}{e}{f}}"),
+		tree.MustParse(d, "{rec{c{d}}{e}}"),
+		tree.MustParse(d, "{rec{a}{a}{b{c}}}"),
 	}
 	// Records the queries match interleaved with ones sharing no label
-	// with them, so the histogram gate fires as well as the DP: one in
-	// two, or one in ten.
-	document := func(every int) *postorder.Columns {
+	// with them, so the histogram gate fires as well as the evaluation:
+	// one in two, or one in ten. Most matching records are random, in
+	// more shapes than a memo holds, so the dynamic program keeps running
+	// once it is full; one in four is the same record, which the memo
+	// answers; and the larger ones exceed a query's τ′, so that the kernel
+	// descends to windows the label bag gates.
+	document := func(every int) []postorder.Item {
+		rng := rand.New(rand.NewSource(int64(every)))
+		labels := []string{"a", "b", "c", "d", "e", "f", "y"}
+		var record func(label string, nodes int) *tree.Node
+		record = func(label string, nodes int) *tree.Node {
+			n := tree.NewNode(label)
+			for nodes > 1 {
+				c := 1 + rng.Intn(nodes-1)
+				n.AddChild(record(labels[rng.Intn(len(labels))], c))
+				nodes -= c
+			}
+			return n
+		}
+		same := tree.MustParse(d, "{rec{a}{b}{c}{y}}")
 		root := tree.NewNode("root")
-		for i := 0; i < 300; i++ {
-			if i%every == 0 {
-				root.AddChild(tree.NewNode("rec", tree.NewNode("a"), tree.NewNode("b"), tree.NewNode("c")))
-			} else {
+		for i := 0; i < 300*every; i++ {
+			switch {
+			case i%(4*every) == 0:
+				root.AddChild(same.Node(same.Root()))
+			case i%every == 0:
+				root.AddChild(record("rec", 3+rng.Intn(12)))
+			default:
 				root.AddChild(tree.NewNode("x", tree.NewNode("y"), tree.NewNode("z"), tree.NewNode("w")))
 			}
 		}
-		cols, err := postorder.BuildColumns(postorder.FromTree(tree.FromNode(d, root)), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cols
+		return postorder.Items(tree.FromNode(d, root))
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -279,57 +300,95 @@ func TestColumnKernelsZeroAlloc(t *testing.T) {
 
 	for _, doc := range []struct {
 		route    string
-		cols     *postorder.Columns
+		items    []postorder.Item
 		postings bool
 	}{{"walk", document(2), false}, {"postings", document(10), true}} {
+		cols, err := postorder.BuildColumns(postorder.NewSliceQueue(doc.items), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, n := range []int{1, 2, 4} {
-			for _, caching := range []string{"uncached", "cache hit", "cache full"} {
+			for _, source := range []string{"uncached", "cache hit", "cache full", "ring"} {
 				opts := Options{NoTrees: true, CT: 1, Ctx: qtrace.NewContext(ctx, tr)}
 				ranks := make([]*ranking.Heap, n)
 				for i := range ranks {
-					ranks[i] = ranking.New(2)
+					ranks[i] = ranking.New(50)
 				}
 				sc, err := opts.scratch(queries[:n], ranks)
 				if err != nil {
 					t.Fatal(err)
 				}
 				var cache *prb.CandidateCache
-				if caching != "uncached" {
+				if source == "cache hit" || source == "cache full" {
 					cache = new(prb.CandidateCache)
 				}
-				if caching == "cache full" {
-					for _, tau := range []int{sc.tauMax + 1, sc.tauMax + 2} {
-						new(prb.Cursor).Reset(doc.cols, cache, tau, nil, nil)
+				if source == "cache full" {
+					for i := 1; i <= prb.CandidateSlots; i++ {
+						new(prb.Cursor).Reset(cols, cache, sc.tauMax+i, nil, nil)
 					}
 				}
-				counts := queryLabelNodes(doc.cols, queries[:n])
-				cur := sc.cursor(doc.cols, cache, counts)
+				counts := queryLabelNodes(cols, queries[:n])
+				stream := &rewindQueue{items: doc.items}
+				var src candidateSource
+				if source == "ring" {
+					src = sc.ring(stream)
+				} else {
+					src = sc.cursor(cols, cache, counts)
+				}
 				pass := func() {
-					cur.Reset(doc.cols, cache, sc.tauMax, sc.hists, counts)
-					if err := scanCandidates(cur, sc, 0, true, &opts); err != nil {
+					if source == "ring" {
+						stream.pos = 0
+						sc.buf.Reset(stream, sc.tauMax)
+					} else {
+						sc.cur.Reset(cols, cache, sc.tauMax, sc.hists, counts)
+					}
+					if err := scanCandidates(src, sc, 0, true, &opts); err != nil {
 						t.Fatal(err)
 					}
 				}
-				pass() // warm: grow the cursor and view, fill the rankings
-				what := fmt.Sprintf("%s document, %d queries, %s", doc.route, n, caching)
-				if cur.Missed() != (caching == "cache full") {
-					t.Fatalf("%s: Missed = %v", what, cur.Missed())
+				pass() // warm: grow the sources and view, fill the rankings and memo
+				what := fmt.Sprintf("%s document, %d queries, %s", doc.route, n, source)
+				if source != "ring" {
+					if sc.cur.Missed() != (source == "cache full") {
+						t.Fatalf("%s: Missed = %v", what, sc.cur.Missed())
+					}
+					if want := map[bool]int{true: n, false: 0}[doc.postings]; sc.cur.PostingRows() != want {
+						t.Fatalf("%s: %d bound rows read postings, want %d", what, sc.cur.PostingRows(), want)
+					}
 				}
-				if want := map[bool]int{true: n, false: 0}[doc.postings]; cur.PostingRows() != want {
-					t.Fatalf("%s: %d bound rows read postings, want %d", what, cur.PostingRows(), want)
+				sc.counts = work.Counts{}
+				pass()
+				c := sc.counts
+				if c.HistSkipped == 0 || c.TEDGated == 0 || c.TEDMemoHits == 0 || c.ViewFills == 0 {
+					t.Fatalf("%s: a warm pass skipped %d candidates, gated %d windows, answered %d from the memo and filled %d views: the pin must cover every branch", what, c.HistSkipped, c.TEDGated, c.TEDMemoHits, c.ViewFills)
 				}
-				if c := sc.counts; c.HistSkipped == 0 || c.Evaluated == 0 {
-					t.Fatalf("%s: warm-up skipped %d candidates and evaluated %d: the pin must cover both gates", what, c.HistSkipped, c.Evaluated)
+				if started := c.Evaluated + c.TEDAborted; c.ViewFills != started-c.TEDGated-c.TEDMemoHits {
+					t.Fatalf("%s: %d view fills for %d evaluations, %d gated and %d from the memo", what, c.ViewFills, started, c.TEDGated, c.TEDMemoHits)
 				}
 				if race.Enabled {
 					continue // allocation counts are not meaningful under -race
 				}
 				if allocs := testing.AllocsPerRun(20, pass); allocs != 0 {
-					t.Errorf("column scan of the %s allocates %.1f objects per document in steady state, want 0", what, allocs)
+					t.Errorf("kernel pass of the %s allocates %.1f objects per document in steady state, want 0", what, allocs)
 				}
 			}
 		}
 	}
+}
+
+// rewindQueue is a postorder queue over items that a test rewinds between
+// scans without allocating.
+type rewindQueue struct {
+	items []postorder.Item
+	pos   int
+}
+
+func (q *rewindQueue) Next() (postorder.Item, error) {
+	if q.pos >= len(q.items) {
+		return postorder.Item{}, io.EOF
+	}
+	q.pos++
+	return q.items[q.pos-1], nil
 }
 
 // queryLabelNodes counts, per query, the nodes of cols that carry one of
@@ -346,4 +405,41 @@ func queryLabelNodes(cols *postorder.Columns, queries []*tree.Tree) []int {
 		}
 	}
 	return counts
+}
+
+// TestGatedWindowPushesNothing: a window rung 0 gates adds nothing to the
+// ranking, even one that is not full — its finite bound a cutoff
+// published by a cooperating scan — on both candidate sources. The query
+// {a{b}} at that bound 0.5 admits the one candidate {x{a}{b}}, skips its
+// root by τ′ and gates both leaves, each lacking one query label.
+func TestGatedWindowPushesNothing(t *testing.T) {
+	d := dict.New()
+	q := tree.MustParse(d, "{a{b}}")
+	doc := tree.MustParse(d, "{x{a}{b}}")
+	cols, err := postorder.BuildColumns(postorder.FromTree(doc), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, source := range []string{"columns", "ring"} {
+		r := ranking.New(10)
+		cut := ranking.NewCutoff()
+		cut.Tighten(0.5)
+		r.PublishTo(cut)
+		var counts work.Counts
+		opts := Options{Prune: &counts}
+		if source == "columns" {
+			err = PostorderBatchColumnsInto([]*tree.Tree{q}, cols, nil, nil, []*ranking.Heap{r}, 0, 0, opts)
+		} else {
+			err = PostorderStreamInto(q, postorder.FromTree(doc), r, 0, opts)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if counts.TEDGated != 2 || counts.Evaluated+counts.TEDAborted != 2 {
+			t.Fatalf("%s: %+v, want the two leaves gated and nothing else evaluated", source, counts)
+		}
+		if r.Len() != 0 {
+			t.Errorf("%s: gated windows pushed %v", source, r.Sorted())
+		}
+	}
 }

@@ -461,8 +461,10 @@ type candidateSource interface {
 	// LabelBound returns the lower bound of histogram h, query q's, on the
 	// distance of every subtree of the candidate.
 	LabelBound(q int, h *prb.LabelHist) int
-	// FillView copies the subtree spanning nodes from..to into v.
-	FillView(d dict.Dict, v *tree.View, from, to int) error
+	// Window returns the labels and subtree sizes of the subtree spanning
+	// nodes from..to, valid until the next Window or Next: slices of the
+	// columns (Cursor) or a copy into the source's scratch (Buffer).
+	Window(from, to int) (labels, sizes []int32)
 }
 
 // scanCandidates is the kernel: Algorithm 3's loop over the candidates
@@ -572,16 +574,14 @@ func scanCandidates(src candidateSource, sc *ScanScratch, posOffset int, strictT
 					rt-- // descend to the next subtree in reverse postorder
 					continue
 				}
-				// The view resolves labels in the query's own dictionary, so
-				// the distance computer stays on its aliasing fast path.
-				if err := src.FillView(st.q.Dict(), sc.view, lml, rt); err != nil {
-					return err
-				}
 				// Gate 2: the evaluation is bounded by the current k-th
 				// distance — distances at or below it stay exact, anything
 				// above comes back +Inf, which the heap rejects just like the
 				// true value.
-				rankView(st.comp, sc.view, posOffset+lml, kth, st.rank, opts, &sc.counts)
+				labels, sizes := src.Window(lml, rt)
+				if err := rankWindow(st, sc, labels, sizes, posOffset+lml, kth, opts); err != nil {
+					return err
+				}
 				rt = lml - 1 // skip everything just ranked
 			}
 		}
@@ -600,21 +600,56 @@ func gateLimit(kth float64) int32 {
 	return math.MaxInt32
 }
 
-// rankView is TASM-dynamic on one filled view: the last row of the tree
-// distance matrix, bounded by cutoff, ranks every subtree of the view at
-// once into r, the view's first node reported at position base. A match's
-// tree is materialized only when r would retain it. The evaluation is
-// counted in c.
+// rankWindow is TASM-dynamic on one subtree of a candidate, given by its
+// labels and sizes (src.Window): the last row of the tree distance
+// matrix, bounded by cutoff, ranks every subtree of the window at once
+// into st's ranking, the window's first node reported at position base.
+// The probe (ted.ProbeWindow) reads the window where it lies; only when
+// it leaves the evaluation open is the window filled into sc.view and
+// built for the dynamic program. A gated window pushes nothing, as a
+// candidate gate 1 skips pushes nothing: its row is all +Inf, which a
+// full ranking rejects, and a ranking that is not full has its finite
+// bound from a cooperating scan, whose k entries at or below it outrank
+// every +Inf one in the merge. A memo hit pushes its stored row. A
+// match's tree is materialized only when the ranking would retain it,
+// from the view, filled first if the dynamic program did not need it.
+// The evaluation is counted in sc.counts.
 //
 //tasm:hotpath
-func rankView(comp *ted.Computer, view *tree.View, base int, cutoff float64, r *ranking.Heap, opts *Options, c *work.Counts) {
-	row := evaluate(comp, view, cutoff, opts, c)
-	sizes := view.Sizes()
+func rankWindow(st *queryState, sc *ScanScratch, labels, sizes []int32, base int, cutoff float64, opts *Options) error {
+	if opts.DisableEarlyAbort {
+		cutoff = math.Inf(1)
+	}
+	r := st.rank
+	p := ted.ProbeWindow(st.comp, labels, sizes, cutoff)
+	row, filled := p.Row, false
+	switch {
+	case p.Outcome == ted.Gated:
+		count(&sc.counts, ted.Gated, false)
+		return nil
+	case p.MemoHit:
+		count(&sc.counts, p.Outcome, true)
+	default:
+		if err := sc.fill(st.q.Dict(), labels, sizes); err != nil {
+			return err
+		}
+		var outcome ted.Outcome
+		row, outcome = st.comp.Run(&p, sc.view)
+		filled = true
+		count(&sc.counts, outcome, false)
+	}
 	for j, size := range sizes {
-		e := Match{Dist: row[j], Pos: base + j, Size: size}
+		e := Match{Dist: row[j], Pos: base + j, Size: int(size)}
 		if !opts.NoTrees && r.WouldRetain(e) {
-			e.Tree = view.Subtree(j) //tasm:allow alloc — match payload materialized only when the candidate enters the top k
+			if !filled {
+				if err := sc.fill(st.q.Dict(), labels, sizes); err != nil {
+					return err
+				}
+				filled = true
+			}
+			e.Tree = sc.view.Subtree(j) //tasm:allow alloc — match payload materialized only when the candidate enters the top k
 		}
 		r.Push(e)
 	}
+	return nil
 }

@@ -129,6 +129,23 @@ func (s *ScanScratch) matches(queries []*tree.Tree, ranks []*ranking.Heap) bool 
 	return true
 }
 
+// fill copies a window of the document — labels interned in d — into the
+// scratch's view and builds it, counting the fill: the one place a scan
+// fills a view.
+//
+//tasm:hotpath
+func (s *ScanScratch) fill(d dict.Dict, labels, sizes []int32) error {
+	s.counts.ViewFills++
+	ls, ss := s.view.Reset(d, len(labels))
+	for j, l := range labels {
+		ls[j] = int(l)
+	}
+	for j, z := range sizes {
+		ss[j] = int(z)
+	}
+	return s.view.Build()
+}
+
 // ring points the scratch's ring buffer at a document stream.
 func (s *ScanScratch) ring(docQ postorder.Queue) *prb.Buffer {
 	if s.buf == nil {

@@ -22,12 +22,13 @@
 // to "entry ≥ own id".
 //
 // Consumers read the pending candidate either by materializing a
-// tree.Tree (Subtree — allocates per call) or, on the hot path, by
-// filling a reusable flat tree.View in place (FillView — allocation-free
-// once the view's buffers have grown to the candidate sizes of the scan).
-// The buffered nodes stay valid until the next call to Next, so one
-// candidate may be read any number of times (e.g. once per subtree the τ′
-// bound retains).
+// tree.Tree (Subtree — allocates per call), by reading the labels and
+// sizes of one of its subtrees (Window — the scan kernel's read, a copy
+// into scratch sized with the ring), or by filling a reusable flat
+// tree.View in place (FillView — allocation-free once the view's buffers
+// have grown to the candidate sizes of the scan). The buffered nodes stay
+// valid until the next call to Next, so one candidate may be read any
+// number of times (e.g. once per subtree the τ′ bound retains).
 //
 // The ring buffer is what a stream needs. A document already resident as
 // postorder columns needs no buffer at all: Cursor enumerates the same
@@ -63,7 +64,8 @@ type Buffer struct {
 
 	pending bool // a candidate is at the start, not yet consumed
 
-	scratchL, scratchS []int // reusable buffers for Subtree
+	scratchL, scratchS []int   // reusable buffers for Subtree
+	winL, winS         []int32 // Window's buffers, of the ring's capacity
 }
 
 // New returns a prefix ring buffer pruning the document streamed by q with
@@ -74,13 +76,15 @@ func New(q postorder.Queue, tau int) *Buffer {
 	}
 	b := tau + 1
 	return &Buffer{
-		tau: tau,
-		b:   b,
-		lbl: make([]int, b),
-		pfx: make([]int, b),
-		s:   1,
-		e:   1,
-		q:   q,
+		tau:  tau,
+		b:    b,
+		lbl:  make([]int, b),
+		pfx:  make([]int, b),
+		s:    1,
+		e:    1,
+		q:    q,
+		winL: make([]int32, b),
+		winS: make([]int32, b),
 	}
 }
 
@@ -99,6 +103,8 @@ func (r *Buffer) Reset(q postorder.Queue, tau int) {
 	if cap(r.lbl) < b {
 		r.lbl = make([]int, b)
 		r.pfx = make([]int, b)
+		r.winL = make([]int32, b)
+		r.winS = make([]int32, b)
 	} else {
 		r.lbl = r.lbl[:b]
 		r.pfx = r.pfx[:b]
@@ -288,6 +294,24 @@ func (r *Buffer) AppendItems(dst []postorder.Item, from, to int) []postorder.Ite
 		dst = append(dst, postorder.Item{Label: r.Label(id), Size: r.SizeOf(id)})
 	}
 	return dst
+}
+
+// Window returns the labels and subtree sizes of the buffered nodes
+// from..to (inclusive, 1-based document postorder ids) — a subtree of the
+// current candidate, so at most τ nodes — copied into the buffer's own
+// scratch, sized with the ring: the ring is not contiguous, so, unlike
+// Cursor.Window, the window cannot be a slice of it. The slices are valid
+// until the next call to Window or Next and must not be written to.
+//
+//tasm:hotpath
+func (r *Buffer) Window(from, to int) (labels, sizes []int32) {
+	n := to - from + 1
+	labels, sizes = r.winL[:n], r.winS[:n]
+	for id := from; id <= to; id++ {
+		labels[id-from] = int32(r.Label(id))
+		sizes[id-from] = int32(r.SizeOf(id))
+	}
+	return labels, sizes
 }
 
 // FillView fills v with the buffered subtree spanning nodes from..to

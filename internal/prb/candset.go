@@ -9,11 +9,15 @@ import (
 	"tasm/internal/postorder"
 )
 
-// candidateSlots is how many τ values a CandidateCache holds. Two, not an
-// option: every slot costs about a byte per node of every resident
-// document, and a τ that finds both taken costs what an uncached scan
-// does.
-const candidateSlots = 2
+// CandidateSlots is how many τ values a CandidateCache holds. A constant,
+// not an option: a filled slot costs about a byte per node of its resident
+// document (plus 4 bytes per candidate and per 64-node block), against
+// the 12 bytes per node of the document's columns, and is filled only by
+// traffic that uses its τ; a τ that finds every slot taken costs what an
+// uncached scan does and allocates nothing. Every query shape of the
+// serving benchmark uses three to five τ (2|Q|+k over a spread of query
+// sizes), so eight hold a shape's thresholds with room for a second one.
+const CandidateSlots = 8
 
 // blockShift sets the block of a candidate set's node map: 1<<blockShift
 // document nodes, so that no more candidates than fit in a byte start in
@@ -116,13 +120,15 @@ func (s *candidateSet) Bytes() int64 {
 }
 
 // CandidateCache holds the candidate sets of one resident document at up
-// to candidateSlots values of τ. The first scan that needs a τ builds its
+// to CandidateSlots values of τ. The first scan that needs a τ builds its
 // set into a free slot; slots are never evicted, so a set, once there,
 // serves every later scan at its τ, and a τ that finds every slot taken
-// is located by the cursor as if there were no cache. The zero value is
+// is located by the cursor as if there were no cache, allocating nothing
+// and replacing nothing. A lookup reads the filled slots in order, one
+// atomic load each. The zero value is
 // an empty cache. Safe for concurrent use; it must not be copied.
 type CandidateCache struct {
-	slots [candidateSlots]atomic.Pointer[candidateSet]
+	slots [CandidateSlots]atomic.Pointer[candidateSet]
 }
 
 // set returns the cache's set of cols at tau, building it into a free slot

@@ -96,13 +96,17 @@ func TestCandidateSetMatchesDefinition(t *testing.T) {
 	}
 }
 
-// TestCandidateCacheOtherTau: a cache whose two slots hold τ = 21 and
-// τ = 27 serves τ = 22 by the uncached route — the cursor locates the
-// roots into its own scratch, never a set's, and searches the roots for
-// the postings — with bounds equal to a cursor given no cache, reports
-// the miss, allocates nothing, and leaves both sets as they were; τ = 21
-// and 27 are then served from their sets.
+// TestCandidateCacheOtherTau: a cache whose CandidateSlots slots hold
+// τ = 21, 27 and the thresholds after them serves τ = 22 by the uncached
+// route — the cursor locates the roots into its own scratch, never a
+// set's, and searches the roots for the postings — with bounds equal to a
+// cursor given no cache, reports the miss, allocates nothing, and leaves
+// every set as it was; each held τ is then served from its own set.
 func TestCandidateCacheOtherTau(t *testing.T) {
+	taus := []int{21, 27}
+	for len(taus) < CandidateSlots {
+		taus = append(taus, 30+3*len(taus))
+	}
 	for _, fx := range fixtures(t) {
 		rng := rand.New(rand.NewSource(1))
 		var hists []*LabelHist
@@ -116,14 +120,16 @@ func TestCandidateCacheOtherTau(t *testing.T) {
 		counts := labelNodes(fx.cols, hists...)
 		cache := new(CandidateCache)
 		cur := new(Cursor)
-		for _, tau := range []int{21, 27} {
+		for _, tau := range taus {
 			if cur.Reset(fx.cols, cache, tau, hists, counts); cur.Missed() {
 				t.Fatalf("%s: τ=%d missed a cache with a free slot", fx.name, tau)
 			}
 		}
-		sets := [2]*candidateSet{cache.slots[0].Load(), cache.slots[1].Load()}
-		if sets[0].tau != 21 || sets[1].tau != 27 {
-			t.Fatalf("%s: slots hold τ=%d and τ=%d, want 21 and 27", fx.name, sets[0].tau, sets[1].tau)
+		var sets [CandidateSlots]*candidateSet
+		for i := range sets {
+			if sets[i] = cache.slots[i].Load(); sets[i] == nil || sets[i].tau != taus[i] {
+				t.Fatalf("%s: slot %d does not hold τ=%d", fx.name, i, taus[i])
+			}
 		}
 		sum := cache.Checksum()
 
@@ -150,12 +156,14 @@ func TestCandidateCacheOtherTau(t *testing.T) {
 			}
 		}
 		check(22, nil)
-		check(21, sets[0])
-		check(22, nil)
-		check(27, sets[1])
-		check(22, nil)
-		if cache.slots[0].Load() != sets[0] || cache.slots[1].Load() != sets[1] {
-			t.Fatalf("%s: a miss replaced a slot", fx.name)
+		for i, tau := range taus {
+			check(tau, sets[i])
+			check(22, nil)
+		}
+		for i := range sets {
+			if cache.slots[i].Load() != sets[i] {
+				t.Fatalf("%s: a miss replaced slot %d", fx.name, i)
+			}
 		}
 		if cache.Checksum() != sum {
 			t.Fatalf("%s: the cached sets changed under scans at other thresholds", fx.name)
@@ -164,7 +172,7 @@ func TestCandidateCacheOtherTau(t *testing.T) {
 			continue // allocation counts are not meaningful under -race
 		}
 		if allocs := testing.AllocsPerRun(20, func() { cur.Reset(fx.cols, cache, 22, hists, counts) }); allocs != 0 {
-			t.Fatalf("%s: a Reset whose τ finds both slots taken allocates %.1f objects, want 0", fx.name, allocs)
+			t.Fatalf("%s: a Reset whose τ finds every slot taken allocates %.1f objects, want 0", fx.name, allocs)
 		}
 	}
 }

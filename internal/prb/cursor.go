@@ -3,15 +3,13 @@ package prb
 import (
 	"fmt"
 
-	"tasm/internal/dict"
 	"tasm/internal/postorder"
-	"tasm/internal/tree"
 )
 
 // Cursor enumerates the candidate set cand(T, τ) of a document held as
 // resident postorder columns — the same set, in the same document order,
 // that Buffer produces from a stream, with the same read interface (Next,
-// Skip, Root, Leaf, LMLOf, LabelBound, FillView), so the scan kernels run
+// Skip, Root, Leaf, LMLOf, LabelBound, Window), so the scan kernels run
 // over either.
 //
 // The ring buffer exists because a stream can only be dequeued. With the
@@ -203,18 +201,14 @@ func (c *Cursor) LabelBound(q int, _ *LabelHist) int {
 	return int(c.bounds[q*len(c.roots)+c.cur])
 }
 
-// FillView fills v with the subtree spanning nodes from..to (inclusive,
-// 1-based document postorder ids), whose labels resolve in d: two column
-// slices widened into the view. Allocation-free once v has grown.
+// Window returns the labels and subtree sizes of nodes from..to
+// (inclusive, 1-based document postorder ids) — a subtree of the current
+// candidate — as sub-slices of the document's columns: nothing is copied.
+// Inside a subtree a node's size column entry is its size in the subtree,
+// so the window is the subtree's postorder arrays as a view holds them.
+// The slices must not be written to.
 //
 //tasm:hotpath
-func (c *Cursor) FillView(d dict.Dict, v *tree.View, from, to int) error {
-	labels, sizes := v.Reset(d, to-from+1)
-	for j, l := range c.labels[from-1 : to] {
-		labels[j] = int(l)
-	}
-	for j, s := range c.sizes[from-1 : to] {
-		sizes[j] = int(s)
-	}
-	return v.Build()
+func (c *Cursor) Window(from, to int) (labels, sizes []int32) {
+	return c.labels[from-1 : to], c.sizes[from-1 : to]
 }

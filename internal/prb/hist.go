@@ -194,26 +194,29 @@ func revisit[L int | int32](h *LabelHist, labels []L) {
 	}
 }
 
-// Signature returns the histogram-intersection lower bound for a window
+// Signature returns h's histogram-intersection lower bound for a window
 // given as the label and subtree-size arrays of a flat view — in one
 // pass, counts wiped instead of slid off, the window empty on entry and
-// on return — and in the same pass derives the view's canonical
+// on return — and in the same pass derives the window's canonical
 // signature: per node, in postorder, the ordinal of its label and the size
-// of its subtree. The sizes fix the shape of the view and the ordinals say
-// which query label, if any, every node carries, so two views with equal
-// signatures are indistinguishable to any computation that compares view
-// labels only against query labels. The signature is written to sig as
-// 2·len(labels) int16s — when sig is that long; a shorter sig (nil) is
+// of its subtree. The sizes fix the shape of the window and the ordinals
+// say which query label, if any, every node carries, so two windows with
+// equal signatures are indistinguishable to any computation that compares
+// their labels only against query labels. The signature is written to sig
+// as 2·len(labels) int16s — when sig is that long; a shorter sig (nil) is
 // left alone, for callers that want the bound only. Ordinals and sizes of
 // a window whose signature is stored must fit an int16.
 //
+// The arrays may be a view's (int) or slices of a document's postorder
+// columns (int32): a resident document's window is read in place.
+//
 //tasm:hotpath
-func (h *LabelHist) Signature(labels, sizes []int, sig []int16) (bound int) {
+func Signature[L int | int32](h *LabelHist, labels, sizes []L, sig []int16) (bound int) {
 	store := len(sig) >= 2*len(labels)
 	sizes = sizes[:len(labels)]
 	bound = h.missing
 	for j, l := range labels {
-		o := h.Ordinal(l)
+		o := h.Ordinal(int(l))
 		if store {
 			sig[2*j], sig[2*j+1] = int16(o), int16(sizes[j])
 		}

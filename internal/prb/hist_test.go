@@ -238,7 +238,7 @@ func TestOnePassBoundsOnAnyWindow(t *testing.T) {
 				t.Fatalf("%s iter %d: walked bound of window [%d,%d) = %d (window left at %d), want %d", mode, iter, from, from+w, row[0], h.Missing(), want)
 			}
 			sig := make([]int16, 2*w)
-			got := h.Signature(ids[from:from+w], sizes[from:from+w], sig)
+			got := Signature(h, ids[from:from+w], sizes[from:from+w], sig)
 			if got != want || h.Missing() != q.Size() {
 				t.Fatalf("%s iter %d: Signature bound of window [%d,%d) = %d (window left at %d), want %d", mode, iter, from, from+w, got, h.Missing(), want)
 			}
@@ -255,7 +255,7 @@ func TestOnePassBoundsOnAnyWindow(t *testing.T) {
 				}
 			}
 			twinSig := make([]int16, 2*w)
-			if h.Signature(twin, sizes[from:from+w], twinSig); !slices.Equal(twinSig, sig) {
+			if Signature(h, twin, sizes[from:from+w], twinSig); !slices.Equal(twinSig, sig) {
 				t.Fatalf("%s iter %d: foreign labels changed the signature: %v, want %v", mode, iter, twinSig, sig)
 			}
 		}

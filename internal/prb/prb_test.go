@@ -211,22 +211,27 @@ func roots(cs []Candidate) []int {
 }
 
 // cursorCandidates is Candidates over resident columns: the candidate set
-// as a Cursor enumerates it, each subtree materialized through FillView.
+// as a Cursor enumerates it, each subtree materialized from its Window.
 func cursorCandidates(d dict.Dict, tr *tree.Tree, tau int) ([]Candidate, error) {
 	cols, err := postorder.BuildColumns(postorder.FromTree(tr), tr.Size())
 	if err != nil {
 		return nil, err
 	}
 	var out []Candidate
-	var v tree.View
 	for cur := NewCursor(cols, tau); ; {
 		if ok, _ := cur.Next(); !ok {
 			return out, nil
 		}
-		if err := cur.FillView(d, &v, cur.Leaf(), cur.Root()); err != nil {
+		labels, sizes := cur.Window(cur.Leaf(), cur.Root())
+		ls, ss := make([]int, len(labels)), make([]int, len(sizes))
+		for j := range labels {
+			ls[j], ss[j] = int(labels[j]), int(sizes[j])
+		}
+		sub, err := tree.FromPostorder(d, ls, ss)
+		if err != nil {
 			return out, err
 		}
-		out = append(out, Candidate{Root: cur.Root(), Tree: v.Subtree(v.Size() - 1)})
+		out = append(out, Candidate{Root: cur.Root(), Tree: sub})
 	}
 }
 

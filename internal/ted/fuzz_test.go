@@ -1,6 +1,7 @@
 package ted
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -8,6 +9,7 @@ import (
 
 	"tasm/internal/cost"
 	"tasm/internal/dict"
+	"tasm/internal/prb"
 	"tasm/internal/tree"
 )
 
@@ -71,7 +73,7 @@ func FuzzBoundedVsReference(f *testing.F) {
 					refs[i][j] = ReferenceDistance(m, q, docs[i].Subtree(j))
 				}
 			}
-			bound := c.hist.Signature(views[i].LabelIDs(), views[i].Sizes(), nil)
+			bound := prb.Signature(c.hist, views[i].LabelIDs(), views[i].Sizes(), nil)
 			row, outcome, _ := c.EvaluateView(views[i], cutoff)
 			if !(cutoff < math.Inf(1)) {
 				cutoff = math.Inf(1) // NaN is unbounded too
@@ -183,4 +185,108 @@ func nearDuplicates(d dict.Dict, rng *rand.Rand, q, doc *tree.Tree) []*tree.Tree
 	out = append(out, tree.FromNode(d, root))
 	graft(all)
 	return append(out, tree.FromNode(d, root))
+}
+
+// FuzzProbeRunVsEvaluate pins EvaluateView's two halves to their
+// composition: on one computer, ProbeWindow over a window's labels and
+// sizes — as []int and as the []int32 of a document's columns — then, when
+// it does not answer, Run over the window filled into a view, returns the
+// row, the outcome and the memo hit that EvaluateView returns on a second
+// computer fed the same sequence. The windows are random subtrees of a
+// random document, the whole of it included, which can exceed
+// memoMaxView; the cutoffs tighten, loosen behind the memo's back and
+// take every degenerate value (+Inf, NaN, negative, fractional), so the
+// memo states of both computers go through gated windows, hits, stores
+// under tighter and looser cutoffs, and bypasses.
+func FuzzProbeRunVsEvaluate(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint16(20), uint16(8), uint8(0))
+	f.Add(int64(2), uint8(5), uint16(290), uint16(65535), uint8(0))
+	f.Add(int64(3), uint8(1), uint16(7), uint16(2), uint8(1))
+	f.Add(int64(4), uint8(4), uint16(60), uint16(13), uint8(2))
+	fw, err := cost.NewFanoutWeighted(0.5, 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	models := []cost.Model{cost.Unit{}, fw}
+	f.Fuzz(func(t *testing.T, seed int64, qRaw uint8, tRaw, cutoffRaw uint16, modelSel uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		d := dict.New()
+		q := tree.Random(d, rng, tree.RandomConfig{Nodes: int(qRaw)%6 + 1, MaxFanout: 3, Labels: 3})
+		doc := tree.Random(d, rng, tree.RandomConfig{Nodes: int(tRaw)%300 + 1, MaxFanout: 3, Labels: 4})
+		m := models[int(modelSel)%len(models)]
+		cutoff := float64(cutoffRaw) / 4
+		if cutoffRaw == math.MaxUint16 {
+			cutoff = math.Inf(1)
+		}
+		want, got := NewComputer(m, q), NewComputer(m, q)
+		var wantView, gotView tree.View
+		fill := func(v *tree.View, labels, sizes []int) {
+			ls, ss := v.Reset(d, len(labels))
+			copy(ls, labels)
+			copy(ss, sizes)
+			if err := v.Build(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		labels32, sizes32 := make([]int32, doc.Size()), make([]int32, doc.Size())
+		for j := range labels32 {
+			labels32[j], sizes32[j] = int32(doc.LabelID(j)), int32(doc.SubtreeSize(j))
+		}
+		for step := 0; step < 24; step++ {
+			rt := rng.Intn(doc.Size())
+			if rng.Intn(4) == 0 {
+				rt = doc.Root()
+			}
+			lml := rt - doc.SubtreeSize(rt) + 1
+			labels, sizes := doc.LabelIDs()[lml:rt+1], doc.Sizes()[lml:rt+1]
+			what := fmt.Sprintf("step %d, window [%d,%d] of %d nodes, cutoff %g", step, lml, rt, doc.Size(), cutoff)
+
+			fill(&wantView, labels, sizes)
+			wantRow, wantOutcome, wantHit := want.EvaluateView(&wantView, cutoff)
+			wantRow = slices.Clone(wantRow)
+
+			var p Probed
+			if step%2 == 0 {
+				p = ProbeWindow(got, labels, sizes, cutoff)
+			} else {
+				p = ProbeWindow(got, labels32[lml:rt+1], sizes32[lml:rt+1], cutoff)
+			}
+			gotRow, gotOutcome := p.Row, p.Outcome
+			switch {
+			case p.Outcome == Gated:
+				if p.Row != nil || p.MemoHit {
+					t.Fatalf("%s: a gated probe carries a row or a memo hit", what)
+				}
+				gotRow = make([]float64, len(labels))
+				for j := range gotRow {
+					gotRow[j] = math.Inf(1)
+				}
+			case !p.Answered():
+				if p.Row != nil {
+					t.Fatalf("%s: an open probe carries a row", what)
+				}
+				fill(&gotView, labels, sizes)
+				gotRow, gotOutcome = got.Run(&p, &gotView)
+			}
+			if gotOutcome != wantOutcome || p.MemoHit != wantHit {
+				t.Fatalf("%s: probe+run outcome %d, memo hit %v; EvaluateView %d, %v", what, gotOutcome, p.MemoHit, wantOutcome, wantHit)
+			}
+			if !slices.Equal(gotRow, wantRow) {
+				t.Fatalf("%s: probe+run row %v, EvaluateView %v", what, gotRow, wantRow)
+			}
+
+			switch r := rng.Intn(10); {
+			case r < 5 && cutoff < math.Inf(1):
+				cutoff -= float64(rng.Intn(5)) / 4
+			case r < 7:
+				cutoff += float64(1+rng.Intn(24)) / 4
+			case r == 7:
+				cutoff = math.Inf(1)
+			case r == 8:
+				cutoff = math.NaN()
+			default:
+				cutoff = float64(rng.Intn(12)) - 2
+			}
+		}
+	})
 }

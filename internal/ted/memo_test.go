@@ -10,6 +10,7 @@ import (
 
 	"tasm/internal/cost"
 	"tasm/internal/dict"
+	"tasm/internal/prb"
 	"tasm/internal/tree"
 )
 
@@ -255,7 +256,7 @@ func TestMemoHashCollision(t *testing.T) {
 		for j, l := range labelsOf(i) {
 			ids[j] = d.Intern(l)
 		}
-		c.hist.Signature(ids, sizes, sig)
+		prb.Signature(c.hist, ids, sizes, sig)
 		h := sigHash(sig)
 		if prev, ok := seen[h]; ok {
 			first, second = prev, i

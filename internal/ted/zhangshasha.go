@@ -28,6 +28,13 @@
 // cutoff — +Inf for the exact distances — behind a ladder of sound lower
 // bounds that end hopeless work early (EvaluateView), and it is written
 // over a cell type: int32 under the unit cost model, float64 otherwise.
+//
+// An evaluation has two halves, which a scan calls apart: ProbeWindow
+// reads only the labels and subtree sizes of the document window — in a
+// scan of resident columns, slices of them, copied nowhere — and answers
+// most evaluations from rung 0 or the memo; Run completes the others with
+// the dynamic program over the window built as a view. EvaluateView is
+// their composition.
 package ted
 
 import (
@@ -266,42 +273,115 @@ func (c *Computer) SubtreeDistancesViewBounded(v *tree.View, cutoff float64) ([]
 // view; a fractional one is exact at and below itself; one at or above
 // every possible distance behaves as unbounded.
 //
+// EvaluateView is the composition of its two halves, which a scan calls
+// apart: ProbeWindow, which reads only the view's labels and sizes (rung
+// 0, the signature, the memo), and Run, the dynamic program over the
+// built view.
+//
 //tasm:hotpath
 func (c *Computer) EvaluateView(v *tree.View, cutoff float64) (row []float64, outcome Outcome, memoHit bool) {
 	c.resolveLabels(v.Dict(), v.LabelIDs())
-	n := v.Size()
-	mm := c.memo
+	p := ProbeWindow(c, c.tLab, v.Sizes(), cutoff)
+	switch {
+	case p.Outcome == Gated:
+		row = c.row(p.n)
+		for j := range row {
+			row[j] = math.Inf(1)
+		}
+		return row, Gated, false
+	case p.MemoHit:
+		return p.Row, p.Outcome, true
+	}
+	row, outcome = c.runView(&p, v)
+	return row, outcome, false
+}
+
+// Probed is what ProbeWindow found out about a window. Either it answered
+// the evaluation — Gated, or a memo hit whose row is Row — or the dynamic
+// program must run (Run), and Probed carries the cutoff and the memo slot
+// that run stores into.
+type Probed struct {
+	// Row is a memo hit's row, as EvaluateView would return it; nil
+	// otherwise. It is valid until the computer's next evaluation and must
+	// not be written to.
+	Row []float64
+	// Outcome is Gated when rung 0 fired, a memo hit's stored outcome, and
+	// Completed when the dynamic program must run.
+	Outcome Outcome
+	MemoHit bool
+
+	mm     *Memo     // the memo the run looks keyroots up in; nil: none
+	slot   *memoSlot // the view's slot, to store the run's row into; nil: none
+	cutoff float64   // the cutoff, NaN as +Inf
+	n      int       // the window's nodes
+}
+
+// Answered reports whether the probe answered the evaluation — rung 0
+// gated it, or the memo held its row — so that no dynamic program runs.
+func (p *Probed) Answered() bool { return p.Outcome == Gated || p.MemoHit }
+
+// ProbeWindow is the part of EvaluateView that reads nothing but a
+// window's labels and subtree sizes: rung 0's label-bag bound, the
+// window's canonical signature and the lookup of its row in the memo, all
+// in one pass. The labels must be interned in the query's dictionary (an
+// id it does not know matches no query label). A scan calls it on a
+// window of the document's columns, in place, and fills and builds a view
+// only when the probe did not answer (Run). The cutoff is EvaluateView's.
+//
+//tasm:hotpath
+func ProbeWindow[L int | int32](c *Computer, labels, sizes []L, cutoff float64) Probed {
+	n := len(labels)
+	p := Probed{mm: c.memo, cutoff: cutoff, n: n}
 	if c.probe != nil || n > memoMaxView {
-		mm = nil
+		p.mm = nil
 	}
 	if !(cutoff < math.Inf(1)) { // +Inf or NaN
-		cutoff = math.Inf(1)
+		p.cutoff = math.Inf(1)
 	}
-	var slot *memoSlot
-	if mm != nil || cutoff < math.Inf(1) {
-		bound := c.hist.Signature(c.tLab, v.Sizes(), mm.head(n))
-		if float64(bound) > cutoff {
-			row = c.row(n)
-			for j := range row {
-				row[j] = math.Inf(1)
-			}
-			return row, Gated, false
-		}
-		if slot = mm.view(c.owner, n); slot != nil && slot.cutoff >= unitCutoff(cutoff) {
-			row = c.row(n)
-			mm.load(slot, row, unitCutoff(cutoff))
-			return row, slot.outcome, true
-		}
+	if p.mm == nil && p.cutoff == math.Inf(1) {
+		return p // nothing to bound and nothing to look up
+	}
+	if bound := prb.Signature(c.hist, labels, sizes, p.mm.head(n)); float64(bound) > p.cutoff {
+		p.Outcome = Gated
+		return p
+	}
+	limit := unitCutoff(p.cutoff)
+	if p.slot = p.mm.view(c.owner, n); p.slot != nil && p.slot.cutoff >= limit {
+		p.Row = c.row(n)
+		p.mm.load(p.slot, p.Row, limit)
+		p.Outcome, p.MemoHit = p.slot.outcome, true
+	}
+	return p
+}
+
+// Run completes an evaluation that ProbeWindow did not answer: the
+// dynamic program over v, the probed window filled and built as a view,
+// bounded by the probe's cutoff, its row stored into the memo slot the
+// probe found. No evaluation on a computer sharing the memo may come
+// between the probe and Run: the memo's head still holds the window's
+// signature, whose slices key the keyroot entries. The row is
+// EvaluateView's.
+//
+//tasm:hotpath
+func (c *Computer) Run(p *Probed, v *tree.View) ([]float64, Outcome) {
+	c.resolveLabels(v.Dict(), v.LabelIDs())
+	return c.runView(p, v)
+}
+
+// runView is Run with the view's labels already resolved.
+func (c *Computer) runView(p *Probed, v *tree.View) ([]float64, Outcome) {
+	if p.Answered() || v.Size() != p.n {
+		panic("ted: Run on a window the probe answered, or on another window")
 	}
 	var t *tree.Tree
 	if c.weighted != nil {
 		t = v.Tree() //tasm:allow alloc — non-unit cost models read labels through the aliased shell tree; unit-cost scans never take this branch
 	}
-	row, outcome = c.dp(t, mm, v.LMLs(), v.Keyroots(), n, cutoff)
-	if slot != nil {
-		mm.store(slot, row, unitCutoff(cutoff), outcome)
+	row, outcome := c.dp(t, p.mm, v.LMLs(), v.Keyroots(), p.n, p.cutoff)
+	if p.slot != nil {
+		p.mm.store(p.slot, row, unitCutoff(p.cutoff), outcome)
 	}
-	return row, outcome, false
+	return row, outcome
 }
 
 // Matrix returns the full tree distance matrix td where td[i][j] is the

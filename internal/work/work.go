@@ -38,12 +38,20 @@ type Counts struct {
 	// differ from what the dynamic program would have reported, their sum
 	// cannot.
 	TEDMemoHits uint64 `json:"tedMemoHits" metric:"tasmd_ted_evals_memo_total" help:"Subtree evaluations (counted as aborted or completed too) answered from the row of an identical view evaluated earlier in the query."`
+	// ViewFills is the number of candidate subtrees copied into a flat
+	// view and built (leftmost leaves, keyroots): one per evaluation that
+	// runs the dynamic program, plus one per memo-answered evaluation
+	// with a match to materialize when trees were requested. Rung 0 and
+	// the memo read the subtree's labels and sizes where they lie, so
+	// with no trees requested ViewFills = Evaluated + TEDAborted −
+	// TEDGated − TEDMemoHits.
+	ViewFills uint64 `json:"viewFills" metric:"tasmd_view_fills_total" help:"Candidate subtrees copied into a view and built for the dynamic program or a materialized match."`
 	// CandidateSetMisses is the number of document scans whose τ found
-	// both slots of the document's candidate cache held by other τ
+	// every slot of the document's candidate cache held by other τ
 	// values, so that the scan located and searched the candidates
 	// itself. A steady non-zero rate means the traffic uses more τ values
 	// than a document keeps.
-	CandidateSetMisses uint64 `json:"candidateSetMisses,omitempty" metric:"tasmd_candidate_set_misses_total" help:"Scanned documents whose size threshold found both candidate-cache slots held by other thresholds, so their candidates were located afresh."`
+	CandidateSetMisses uint64 `json:"candidateSetMisses,omitempty" metric:"tasmd_candidate_set_misses_total" help:"Scanned documents whose size threshold found every candidate-cache slot held by other thresholds, so their candidates were located afresh."`
 }
 
 // Add adds o's counters to c's.
@@ -54,5 +62,6 @@ func (c *Counts) Add(o Counts) {
 	c.TEDGated += o.TEDGated
 	c.Evaluated += o.Evaluated
 	c.TEDMemoHits += o.TEDMemoHits
+	c.ViewFills += o.ViewFills
 	c.CandidateSetMisses += o.CandidateSetMisses
 }
