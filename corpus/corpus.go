@@ -238,7 +238,7 @@ type Corpus struct {
 	snap *snapshot
 
 	// Per-corpus pools of query-lifetime scan state: plan slices and core
-	// scan scratch (distance computer, candidate source, candidate view).
+	// scan scratch (distance computer, cursor, candidate view).
 	// Everything a pool hands out is reset before use and returned at end
 	// of run, so steady-state queries allocate O(k), not O(corpus).
 	planPool    sync.Pool // *queryPlan

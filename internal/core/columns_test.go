@@ -1,9 +1,11 @@
 package core
 
-// The column scan's oracle is the ring-buffer scan: over any document the
-// column builder accepts, the same kernel run over a prb.Cursor and over
-// a prb.Buffer must agree on every result byte, on the pruning counters,
-// and on the exact sequence of candidates and τ′-pruned subtrees.
+// The column scan's oracle is the stream scan: over any document the
+// column builder accepts, the kernel run over a prb.Cursor on the whole
+// document and the stream scan — a prb.Buffer yielding each candidate,
+// the kernel run over a cursor on its window — must agree on every
+// result byte, on the pruning counters, and on the exact sequence of
+// candidates and τ′-pruned subtrees.
 
 import (
 	"context"
@@ -155,13 +157,14 @@ func FuzzColumnsVsStream(f *testing.F) {
 
 		// The kernel over a batch of 1…4 queries, each at its own τ inside
 		// the shared pass at the largest — Theorem 3's, or (anyTau) arbitrary
-		// ones from 1 to past the document size, where only the two sources
+		// ones from 1 to past the document size, where only the two scans
 		// can be compared — in both tie modes. The columns are scanned with
 		// the candidate gate on each route: labelNodes nil walks, all zero
-		// reads the postings for every query. Without a probe the column
-		// scan steps over gated runs of candidates (prb.Cursor.Skip) instead
-		// of visiting each, and must still count every skip: it is held to
-		// the ring scan without a probe, which visits every candidate.
+		// reads the postings for every query through a candidate set the
+		// scan caches. Without a probe the column scan steps over gated runs
+		// of candidates (prb.Cursor.Skip) instead of visiting each, and must
+		// still count every skip: it is held to the stream scan without a
+		// probe, whose cursor holds one candidate at a time.
 		walk, postings := []int(nil), make([]int, len(queries))
 		kernel := func(columns, probed bool, labelNodes []int) ([]*ranking.Heap, scanOutcome) {
 			probe := &traceProbe{}
@@ -184,12 +187,25 @@ func FuzzColumnsVsStream(f *testing.F) {
 					sc.tauMax = max(sc.tauMax, sc.states[i].tau)
 				}
 			}
-			var src candidateSource = sc.ring(postorder.NewSliceQueue(items))
-			if columns {
-				src = sc.cursor(cols, nil, labelNodes)
+			if !columns {
+				var counts work.Counts
+				o.Scratch, o.Prune = sc, &counts
+				if err := streamScan(queries, postorder.NewSliceQueue(items), ranks, 1000, strict, o); err != nil {
+					t.Fatalf("stream: %v", err)
+				}
+				return ranks, outcome(ranks, counts, probe)
 			}
-			if err := scanCandidates(src, sc, 1000, strict, &o); err != nil {
-				t.Fatalf("columns=%v: %v", columns, err)
+			var cache *prb.CandidateCache
+			if labelNodes != nil {
+				cache = new(prb.CandidateCache)
+			}
+			cur := sc.cur
+			cur.Reset(cols, cache, sc.tauMax, sc.hists, labelNodes)
+			if want := map[bool]int{true: len(queries)}[labelNodes != nil]; cur.PostingRows() != want {
+				t.Fatalf("%d of %d bound rows read the postings, want %d", cur.PostingRows(), len(queries), want)
+			}
+			if err := scanCandidates(cur, sc, 1000, strict, &o); err != nil {
+				t.Fatalf("columns: %v", err)
 			}
 			return ranks, outcome(ranks, sc.counts, probe)
 		}
@@ -239,18 +255,20 @@ func FuzzColumnsVsStream(f *testing.F) {
 }
 
 // TestColumnKernelsZeroAlloc pins the scan kernel's steady state: with a
-// candidate source, view and computers warm, a whole pass of the kernel
+// cursor (or ring), view and computers warm, a whole pass of the kernel
 // over a document — for one query and for batches of two and four —
 // allocates nothing, not per candidate and not per document, under a live
 // cancellable context carrying a live trace, the daemon's request shape.
 // Every measured pass takes each branch of an evaluation — gated by the
 // window's label bag, answered by the memo, and run through the dynamic
-// program on a filled view — on both candidate sources: the column cursor
-// and the ring buffer. The cursor runs on both routes of the candidate
-// gate — a document where half the records carry query labels walks, one
-// where a tenth do reads the label postings — and with no candidate
-// cache, with one that holds the scan's τ (filled by the warm-up pass),
-// and with one whose every slot holds another threshold.
+// program on a filled view — on both scans: the column cursor over the
+// whole document, and the stream scan, whose ring buffer hands the
+// cursor one candidate window at a time. The column scan runs with no
+// candidate cache, with one that holds the scan's τ (filled by the
+// warm-up pass), and with one whose every slot holds another threshold;
+// with the cached set it takes both routes of the candidate gate — a
+// document where half the records carry query labels walks, one where a
+// tenth do reads the label postings — and otherwise walks.
 func TestColumnKernelsZeroAlloc(t *testing.T) {
 	d := dict.New()
 	queries := []*tree.Tree{
@@ -329,20 +347,18 @@ func TestColumnKernelsZeroAlloc(t *testing.T) {
 				}
 				counts := queryLabelNodes(cols, queries[:n])
 				stream := &rewindQueue{items: doc.items}
-				var src candidateSource
-				if source == "ring" {
-					src = sc.ring(stream)
-				} else {
-					src = sc.cursor(cols, cache, counts)
-				}
+				sc.buf = prb.New(stream, sc.tauMax)
 				pass := func() {
+					var err error
 					if source == "ring" {
 						stream.pos = 0
 						sc.buf.Reset(stream, sc.tauMax)
+						err = scanStream(sc.buf, sc, 0, true, &opts)
 					} else {
 						sc.cur.Reset(cols, cache, sc.tauMax, sc.hists, counts)
+						err = scanCandidates(sc.cur, sc, 0, true, &opts)
 					}
-					if err := scanCandidates(src, sc, 0, true, &opts); err != nil {
+					if err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -352,7 +368,7 @@ func TestColumnKernelsZeroAlloc(t *testing.T) {
 					if sc.cur.Missed() != (source == "cache full") {
 						t.Fatalf("%s: Missed = %v", what, sc.cur.Missed())
 					}
-					if want := map[bool]int{true: n, false: 0}[doc.postings]; sc.cur.PostingRows() != want {
+					if want := map[bool]int{true: n}[doc.postings && source == "cache hit"]; sc.cur.PostingRows() != want {
 						t.Fatalf("%s: %d bound rows read postings, want %d", what, sc.cur.PostingRows(), want)
 					}
 				}

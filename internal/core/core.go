@@ -91,9 +91,10 @@ type Options struct {
 	Prune *work.Counts
 	// Scratch, when non-nil, supplies reusable per-document scan state, so
 	// a run over many documents builds its distance computers, histograms,
-	// candidate source, and candidate view once instead of once per
-	// document. See ScanScratch for the reuse contract. Nil means fresh
-	// state per call (the single-document behavior).
+	// cursor (and, for streams, ring buffer), and candidate view once
+	// instead of once per document. See ScanScratch for the reuse
+	// contract. Nil means fresh state per call (the single-document
+	// behavior).
 	Scratch *ScanScratch
 }
 
@@ -218,11 +219,14 @@ func Postorder(q, doc *tree.Tree, k int, opts Options) ([]Match, error) {
 // document given only as a postorder queue. Space is O(m²·cQ + m·k·cT) —
 // independent of the document size (Theorem 5) — and time is O(m²·n).
 //
-// The queue must encode a single well-formed tree (Definition 2).
-// Inconsistent subtree sizes are detected during the scan and returned as
-// errors; a stream encoding a forest of several roots is not detectable
-// in one pass and is ranked as if the roots were siblings — use
-// postorder.Validate when the source is untrusted.
+// The queue must encode a single well-formed tree (Definition 2). The
+// scan returns an error for a node whose subtree size lies outside
+// 1..its position, and for a node of size ≤ τ whose subtree does not nest
+// in the nodes before it (its children do not tile it exactly). It
+// cannot see, in memory bounded by τ, a node larger than τ that splits an
+// earlier subtree, nor a forest of several roots, which is ranked as if
+// the roots were siblings — use postorder.Validate when the source is
+// untrusted.
 //
 // The candidate subtrees within the τ bound of Theorem 3 are enumerated by
 // the prefix ring buffer; each candidate's subtrees are traversed in
@@ -288,7 +292,9 @@ func first(results [][]Match, err error) ([]Match, error) {
 // PostorderStreamInto runs TASM-postorder for one query over one document
 // stream, pushing its matches into the existing ranking r with every
 // reported position offset by posOffset, under the strict-tie margin
-// documented on PostorderBatchColumnsInto.
+// documented on PostorderBatchColumnsInto. Corpus documents are scanned
+// as columns, so bench/layers.go, which times it against its replica of
+// the scan loop, is its only caller outside tests.
 func PostorderStreamInto(q *tree.Tree, docQ postorder.Queue, r *ranking.Heap, posOffset int, opts Options) error {
 	queries, ranks := [1]*tree.Tree{q}, [1]*ranking.Heap{r}
 	return streamScan(queries[:], docQ, ranks[:], posOffset, true, opts)
@@ -316,22 +322,23 @@ func PostorderStreamInto(q *tree.Tree, docQ postorder.Queue, r *ranking.Heap, po
 // with workers, regardless of how the ranges interleave.
 //
 // The kernel is the stream scan's, with the same counters and result
-// bytes, but the candidates come from index arithmetic over the size
-// column (prb.Cursor) instead of a ring buffer fed node by node, and the
-// label-histogram gate bounds every candidate before the scan starts.
+// bytes, but it runs once over every candidate, found by index arithmetic
+// over the size column (prb.Cursor), instead of once per candidate a ring
+// buffer fed node by node yields, and the label-histogram gate bounds
+// every candidate before the scan starts.
 //
 // cache, when non-nil, is the document's prb.CandidateCache, which keeps
 // its candidates per τ across scans, so that a scan at a τ it holds
-// neither locates the candidates nor searches them for the label
-// postings. A scan whose τ finds every slot taken runs as with no cache
-// and is counted in its CandidateSetMisses.
+// neither locates the candidates nor walks their labels where the label
+// postings are few. A scan whose τ finds every slot taken runs as with no
+// cache and is counted in its CandidateSetMisses.
 //
 // labelNodes, when non-nil, holds per query the number of the document's
 // nodes that carry one of the query's labels — a corpus plan reads it off
 // the document's label profile — and lets the gate read the label
-// postings instead of walking the label column where they are few; nil
-// walks. Neither steers more than speed: results are the same for any
-// value.
+// postings through the cached set instead of walking the label column
+// where they are few; nil walks. Neither steers more than speed: results
+// are the same for any value.
 func PostorderBatchColumnsInto(queries []*tree.Tree, cols *postorder.Columns, cache *prb.CandidateCache, labelNodes []int, ranks []*ranking.Heap, posOffset, workers int, opts Options) error {
 	sc, err := opts.scratch(queries, ranks)
 	if err != nil {
@@ -341,7 +348,8 @@ func PostorderBatchColumnsInto(queries []*tree.Tree, cols *postorder.Columns, ca
 		return fmt.Errorf("tasm: %d queries but %d label-node counts", len(queries), len(labelNodes))
 	}
 	defer sc.report(opts.Prune)
-	cur := sc.cursor(cols, cache, labelNodes)
+	cur := sc.cur
+	cur.Reset(cols, cache, sc.tauMax, sc.hists, labelNodes)
 	if cur.Missed() {
 		sc.counts.CandidateSetMisses++
 	}
@@ -419,13 +427,16 @@ func scanRanges(cur *prb.Cursor, sc *ScanScratch, posOffset, last, workers int, 
 	return nil
 }
 
-// streamScan is the shared body of the stream entry points: the scan over
-// a ring buffer fed by docQ. strictTies selects the order-independent
-// pruning margin documented on PostorderBatchColumnsInto; the plain
-// single-document forms keep the paper's τ′ = min(τ, max(R)+|Q|)
-// boundary, which is safe there because positions grow monotonically
-// within one scan. A stream can only be dequeued in order, so its scan is
-// sequential.
+// streamScan is the shared body of the stream entry points: the prefix
+// ring buffer fed by docQ (Algorithm 2) yields each candidate, which is
+// copied out once (Buffer.Window) and scanned by the kernel as a document
+// of one candidate (Cursor.ResetWindow) at its own position offset, so a
+// stream holds the ring and one window of at most τ nodes. strictTies
+// selects the order-independent pruning margin documented on
+// PostorderBatchColumnsInto; the plain single-document forms keep the
+// paper's τ′ = min(τ, max(R)+|Q|) boundary, which is safe there because
+// positions grow monotonically within one scan. A stream can only be
+// dequeued in order, so its scan is sequential.
 func streamScan(queries []*tree.Tree, docQ postorder.Queue, ranks []*ranking.Heap, posOffset int, strictTies bool, opts Options) error {
 	if docQ == nil {
 		return fmt.Errorf("tasm: document queue must not be nil")
@@ -435,52 +446,50 @@ func streamScan(queries []*tree.Tree, docQ postorder.Queue, ranks []*ranking.Hea
 		return err
 	}
 	defer sc.report(opts.Prune)
-	return scanCandidates(sc.ring(docQ), sc, posOffset, strictTies, &opts)
+	if opts.Ctx != nil && opts.Ctx.Err() != nil {
+		return opts.Ctx.Err() // before the stream is touched; the kernel polls once per candidate
+	}
+	if sc.buf == nil {
+		sc.buf = new(prb.Buffer)
+	}
+	sc.buf.Reset(docQ, sc.tauMax)
+	return scanStream(sc.buf, sc, posOffset, strictTies, &opts)
 }
 
-// candidateSource enumerates cand(T, τ) of one document in document
-// postorder and serves reads of the pending candidate. The scan kernel is
-// written against it once and runs over either implementation:
-// *prb.Buffer when the document is a stream, *prb.Cursor when it is
-// resident columns.
-type candidateSource interface {
-	// Next advances to the next candidate; false with a nil error after
-	// the last one.
-	Next() (bool, error)
-	// Root and Leaf return the candidate's root and leftmost leaf as
-	// 1-based document postorder ids.
-	Root() int
-	Leaf() int
-	// LMLOf returns the leftmost leaf of a node inside the candidate.
-	LMLOf(id int) int
-	// Skip steps over the following candidates whose bound exceeds, for
-	// every query q, limits[q], and returns how many it stepped over; a
-	// source that knows no bound before a candidate is visited steps over
-	// none.
-	Skip(limits []int32) int
-	// LabelBound returns the lower bound of histogram h, query q's, on the
-	// distance of every subtree of the candidate.
-	LabelBound(q int, h *prb.LabelHist) int
-	// Window returns the labels and subtree sizes of the subtree spanning
-	// nodes from..to, valid until the next Window or Next: slices of the
-	// columns (Cursor) or a copy into the source's scratch (Buffer).
-	Window(from, to int) (labels, sizes []int32)
+// scanStream is streamScan's loop: the kernel over each candidate buf
+// yields, as a document of one candidate at the candidate's position.
+//
+//tasm:hotpath
+func scanStream(buf *prb.Buffer, sc *ScanScratch, posOffset int, strictTies bool, opts *Options) error {
+	for {
+		ok, err := buf.Next()
+		if !ok || err != nil {
+			return err
+		}
+		leaf := buf.Leaf()
+		labels, sizes := buf.Window(leaf, buf.Root())
+		sc.cur.ResetWindow(labels, sizes, sc.hists)
+		if err := scanCandidates(sc.cur, sc, posOffset+leaf-1, strictTies, opts); err != nil {
+			return err
+		}
+	}
 }
 
 // scanCandidates is the kernel: Algorithm 3's loop over the candidates
-// src yields at the scan's largest τ, each offered to every query of
+// cur yields at the scan's largest τ — a resident document's, or one
+// candidate of a stream (streamScan) — each offered to every query of
 // sc.states behind that query's own pruning pipeline; a filled view is
 // evaluated and ranked in place.
 //
 //tasm:hotpath
-func scanCandidates(src candidateSource, sc *ScanScratch, posOffset int, strictTies bool, opts *Options) error {
+func scanCandidates(cur *prb.Cursor, sc *ScanScratch, posOffset int, strictTies bool, opts *Options) error {
 	var done <-chan struct{} // nil without a context: never ready
 	if opts.Ctx != nil {
 		done = opts.Ctx.Done()
 	}
 	// Gate 1 is applied to runs of candidates before any is visited
-	// (src.Skip) wherever the bounds are known up front, unless a probe must
-	// see every candidate; with the gate off there are no bounds.
+	// (cur.Skip), unless a probe must see every candidate; with the gate off
+	// there are no bounds.
 	skip := opts.Probe == nil && len(sc.hists) > 0
 	limits := sc.limits[:len(sc.states)]
 	for {
@@ -503,19 +512,15 @@ func scanCandidates(src candidateSource, sc *ScanScratch, posOffset int, strictT
 			for i := range sc.states {
 				limits[i] = gateLimit(sc.states[i].rank.KthBound())
 			}
-			n := src.Skip(limits)
+			n := cur.Skip(limits)
 			sc.counts.Candidates += uint64(n)
 			sc.counts.HistSkipped += uint64(n * len(sc.states))
 		}
-		ok, err := src.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
+		if !cur.Next() {
 			return nil
 		}
 		sc.counts.Candidates++
-		rootID, leafID := src.Root(), src.Leaf()
+		rootID, leafID := cur.Root(), cur.Leaf()
 		if opts.Probe != nil {
 			opts.Probe.Candidate(rootID - leafID + 1)
 		}
@@ -534,7 +539,7 @@ func scanCandidates(src candidateSource, sc *ScanScratch, posOffset int, strictT
 			// skip the candidate without filling a view or touching the DP.
 			// Strict comparison keeps exact boundary ties evaluated, so
 			// results stay byte-identical in both tie-handling modes.
-			if st.hist != nil && !math.IsInf(kth, 1) && float64(src.LabelBound(i, st.hist)) > kth {
+			if st.hist != nil && !math.IsInf(kth, 1) && float64(cur.LabelBound(i)) > kth {
 				sc.counts.HistSkipped++
 				continue
 			}
@@ -542,7 +547,7 @@ func scanCandidates(src candidateSource, sc *ScanScratch, posOffset int, strictT
 			// Traverse the subtrees of the candidate in reverse postorder
 			// (Algorithm 3, lines 8–18).
 			for rt := rootID; rt >= leafID; {
-				lml := src.LMLOf(rt)
+				lml := cur.LMLOf(rt)
 				size := rt - lml + 1
 				// Descend until the subtree fits this query's own τ; never
 				// taken by the query whose τ sized the candidates — a single
@@ -578,7 +583,7 @@ func scanCandidates(src candidateSource, sc *ScanScratch, posOffset int, strictT
 				// distance — distances at or below it stay exact, anything
 				// above comes back +Inf, which the heap rejects just like the
 				// true value.
-				labels, sizes := src.Window(lml, rt)
+				labels, sizes := cur.Window(lml, rt)
 				if err := rankWindow(st, sc, labels, sizes, posOffset+lml, kth, opts); err != nil {
 					return err
 				}
@@ -601,7 +606,7 @@ func gateLimit(kth float64) int32 {
 }
 
 // rankWindow is TASM-dynamic on one subtree of a candidate, given by its
-// labels and sizes (src.Window): the last row of the tree distance
+// labels and sizes (Cursor.Window): the last row of the tree distance
 // matrix, bounded by cutoff, ranks every subtree of the window at once
 // into st's ranking, the window's first node reported at position base.
 // The probe (ted.ProbeWindow) reads the window where it lies; only when

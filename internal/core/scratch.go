@@ -5,7 +5,6 @@ import (
 
 	"tasm/internal/cost"
 	"tasm/internal/dict"
-	"tasm/internal/postorder"
 	"tasm/internal/prb"
 	"tasm/internal/ranking"
 	"tasm/internal/ted"
@@ -15,9 +14,9 @@ import (
 
 // ScanScratch holds the per-document setup state of TASM-postorder scans
 // so a multi-document run builds it once instead of once per document:
-// per query the distance computer and label histogram, and per document
-// size class the candidate sources and flat candidate view (their backing
-// arrays only ever grow). Each range of a split scan runs on a part, a
+// per query the distance computer and label histogram, and the ring
+// buffer, column cursor and flat candidate view (their backing arrays only
+// ever grow). Each range of a split scan runs on a part, a
 // scratch of its own built by the run's first split document and kept
 // until Reset, so its memo spans the run. The distance memos outlive
 // runs: emptied for the next run's computers instead of allocated again.
@@ -37,12 +36,12 @@ type ScanScratch struct {
 	states  []queryState
 	hists   []*prb.LabelHist // the states' gate-1 histograms, in order; empty when the gate is off
 	limits  []int32          // the kernel's gate-1 limits, one per state; only ever grows
-	tauMax  int              // the largest of the states' τ: what the sources enumerate at
+	tauMax  int              // the largest of the states' τ: what the ring and the cursor enumerate at
 	memo    *ted.Memo        // shared by the states' computers; kept across runs
 	parts   []*ScanScratch   // the ranges' scratches of a split scan; kept across runs, reset with this one
 	view    *tree.View
-	buf     *prb.Buffer
-	cur     *prb.Cursor
+	buf     *prb.Buffer // a stream's ring, built by its first stream scan
+	cur     *prb.Cursor // the kernel's: over a document's columns, or over one stream candidate at a time
 	counts  work.Counts // the kernel's counts, reported as each document scan returns
 }
 
@@ -57,7 +56,7 @@ type queryState struct {
 
 // Reset detaches the scratch and its parts from the previous run's
 // queries so the next scan rebuilds the per-query states. The memos,
-// candidate sources and views keep their storage — they carry capacity,
+// ring, cursor and views keep their storage — they carry capacity,
 // not identity.
 func (s *ScanScratch) Reset() {
 	clear(s.queries)
@@ -92,7 +91,7 @@ func (s *ScanScratch) split(n int, opts *Options) ([]*ScanScratch, error) {
 		}
 	}
 	for len(s.parts) < n {
-		s.parts = append(s.parts, &ScanScratch{cur: new(prb.Cursor)})
+		s.parts = append(s.parts, new(ScanScratch))
 	}
 	for _, p := range s.parts[:n] {
 		ranks := p.ranks
@@ -146,32 +145,11 @@ func (s *ScanScratch) fill(d dict.Dict, labels, sizes []int32) error {
 	return s.view.Build()
 }
 
-// ring points the scratch's ring buffer at a document stream.
-func (s *ScanScratch) ring(docQ postorder.Queue) *prb.Buffer {
-	if s.buf == nil {
-		s.buf = prb.New(docQ, s.tauMax)
-	} else {
-		s.buf.Reset(docQ, s.tauMax)
-	}
-	return s.buf
-}
-
-// cursor points the scratch's column cursor at a resident document, every
-// candidate bounded against every query's histogram; see prb.Cursor.Reset
-// for cache and labelNodes.
-func (s *ScanScratch) cursor(cols *postorder.Columns, cache *prb.CandidateCache, labelNodes []int) *prb.Cursor {
-	if s.cur == nil {
-		s.cur = new(prb.Cursor)
-	}
-	s.cur.Reset(cols, cache, s.tauMax, s.hists, labelNodes)
-	return s.cur
-}
-
 // scratch is the per-scan setup: it points the scan scratch — the
 // caller's, or a fresh one — at the run's queries and rankings. The
 // per-query states (τ, computer, histogram) are rebuilt only when this
 // exact (queries, rankings) combination hasn't been seen — once per run;
-// the view only ever grows.
+// the cursor and the view only ever grow.
 func (o *Options) scratch(queries []*tree.Tree, ranks []*ranking.Heap) (*ScanScratch, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("tasm: batch needs at least one query")
@@ -227,7 +205,7 @@ func (o *Options) scratch(queries []*tree.Tree, ranks []*ranking.Heap) (*ScanScr
 		sc.states[i].comp.SetProbe(o.Probe) // nil clears a probe from a previous run
 	}
 	if sc.view == nil {
-		sc.view = &tree.View{}
+		sc.view, sc.cur = &tree.View{}, new(prb.Cursor)
 	}
 	return sc, nil
 }

@@ -22,18 +22,20 @@
 // to "entry ≥ own id".
 //
 // Consumers read the pending candidate either by materializing a
-// tree.Tree (Subtree — allocates per call), by reading the labels and
-// sizes of one of its subtrees (Window — the scan kernel's read, a copy
-// into scratch sized with the ring), or by filling a reusable flat
-// tree.View in place (FillView — allocation-free once the view's buffers
-// have grown to the candidate sizes of the scan). The buffered nodes stay
-// valid until the next call to Next, so one candidate may be read any
-// number of times (e.g. once per subtree the τ′ bound retains).
+// tree.Tree (Subtree — allocates per call), by copying out the labels and
+// sizes of the candidate or one of its subtrees (Window — a copy into
+// scratch sized with the ring), or by filling a reusable flat tree.View in
+// place (FillView — allocation-free once the view's buffers have grown to
+// the candidate sizes of the scan). The buffered nodes stay valid until
+// the next call to Next, so one candidate may be read any number of times.
 //
 // The ring buffer is what a stream needs. A document already resident as
 // postorder columns needs no buffer at all: Cursor enumerates the same
 // candidate set in the same order by index arithmetic over the size
-// column and serves the same reads, so the scan kernels take either.
+// column. The scan kernel reads only a Cursor: a stream's scan copies each
+// candidate the ring yields out with Window and points a cursor at the
+// copy (Cursor.ResetWindow), so a stream costs the ring and one window of
+// at most τ nodes.
 package prb
 
 import (
@@ -71,30 +73,18 @@ type Buffer struct {
 // New returns a prefix ring buffer pruning the document streamed by q with
 // size threshold tau ≥ 1.
 func New(q postorder.Queue, tau int) *Buffer {
-	if tau < 1 {
-		panic(fmt.Sprintf("prb: threshold τ must be ≥ 1, got %d", tau))
-	}
-	b := tau + 1
-	return &Buffer{
-		tau:  tau,
-		b:    b,
-		lbl:  make([]int, b),
-		pfx:  make([]int, b),
-		s:    1,
-		e:    1,
-		q:    q,
-		winL: make([]int32, b),
-		winS: make([]int32, b),
-	}
+	r := new(Buffer)
+	r.Reset(q, tau)
+	return r
 }
 
 // Reset re-points the buffer at a new postorder queue with threshold tau,
-// reusing the ring arrays when they are large enough. A reset buffer is
-// indistinguishable from one freshly returned by New: the ring contents
-// are never read before being written (every node's slots are filled on
-// append), so stale values from the previous document are harmless. This
-// is the reuse hook of core.ScanScratch, which keeps one buffer and
-// re-points it at every stream it scans.
+// reusing the ring arrays when they are large enough; New is Reset on an
+// empty buffer. The ring contents are never read before being written
+// (every node's slots are filled on append), so stale values from the
+// previous document are harmless. This is the reuse hook of
+// core.ScanScratch, which keeps one buffer and re-points it at every
+// stream it scans.
 func (r *Buffer) Reset(q postorder.Queue, tau int) {
 	if tau < 1 {
 		panic(fmt.Sprintf("prb: threshold τ must be ≥ 1, got %d", tau))
@@ -118,9 +108,6 @@ func (r *Buffer) Reset(q postorder.Queue, tau int) {
 	r.done = false
 	r.pending = false
 }
-
-// Tau returns the size threshold τ.
-func (r *Buffer) Tau() int { return r.tau }
 
 // NodesScanned returns the number of document nodes consumed so far.
 func (r *Buffer) NodesScanned() int { return r.c }
@@ -162,10 +149,12 @@ func (r *Buffer) startID() int { return r.c + 1 - r.buffered() }
 // Next advances the scan to the next candidate subtree (the paper's
 // prb-next, Algorithm 2) and reports whether one is available. When it
 // returns true the candidate occupies the buffer start; inspect it with
-// Root, Leaf, Entry, Label, SizeOf and Subtree, then call Next again — the
-// previous candidate is removed automatically (Algorithm 1, line 7). Next
-// returns false with a nil error after the last candidate and false with
-// the error if the underlying queue fails.
+// Root, Leaf, Label, LMLOf, SizeOf, Window and Subtree, then call Next
+// again — the previous candidate is removed automatically (Algorithm 1,
+// line 7). Next returns false with a nil error after the last candidate
+// and false with the error if the underlying queue fails or a node's size
+// lies outside 1..its position or, for a node of size ≤ τ, does not nest
+// (nests); the error is sticky.
 //
 //tasm:hotpath
 func (r *Buffer) Next() (bool, error) {
@@ -184,12 +173,12 @@ func (r *Buffer) Next() (bool, error) {
 			it, err := r.q.Next()
 			switch {
 			case err == nil:
-				if it.Size < 1 || it.Size > r.c+1 {
-					r.qErr = fmt.Errorf("prb: node %d has invalid subtree size %d", r.c+1, it.Size) //tasm:allow alloc — cold error path: corrupt input only
-					return false, r.qErr
-				}
 				// The new node, id c+1, goes to the end slot e.
 				id := r.c + 1
+				if it.Size < 1 || it.Size > id || !r.nests(id, it.Size) {
+					r.qErr = fmt.Errorf("prb: node %d has subtree size %d, which does not nest in the nodes before it", id, it.Size) //tasm:allow alloc — cold error path: corrupt input only
+					return false, r.qErr
+				}
 				r.lbl[r.e] = it.Label
 				r.pfx[r.e] = id - it.Size + 1
 				if it.Size <= r.tau {
@@ -231,6 +220,40 @@ func (r *Buffer) Next() (bool, error) {
 	return false, nil
 }
 
+// nests reports whether node id of the given size, about to be appended,
+// nests in the nodes before it: whether its children — the node before
+// it, the node before that one's leftmost leaf, and so on — tile its
+// subtree exactly, none reaching left of its leftmost leaf id−size+1. A
+// node larger than τ may span nodes the ring no longer holds and is
+// taken as it comes. A stream that passes for every node of size ≤ τ
+// never redirects the entry of a node that is not a leaf, so every
+// candidate it yields is a well-formed subtree; a split made by a larger
+// node cannot be seen in bounded memory (postorder.Validate sees it).
+// Every node is stepped over once, by its parent. The walk goes by slot:
+// every child lies fewer than τ nodes back, so the ring still holds it.
+//
+//tasm:hotpath
+func (r *Buffer) nests(id, size int) bool {
+	if size == 1 || size > r.tau {
+		return true
+	}
+	lml := id - size + 1
+	c, x := id-1, r.e-1 // a child and its slot: first the node before id
+	if x < 0 {
+		x += r.b
+	}
+	for {
+		l := min(r.pfx[x], c) // c's leftmost leaf: a leaf's entry is ≥ c
+		if l <= lml {
+			return l == lml
+		}
+		if x -= c - l + 1; x < 0 { // to the child before c, node l−1
+			x += r.b
+		}
+		c = l - 1
+	}
+}
+
 // Root returns the 1-based postorder id of the current candidate's root:
 // the prefix-array entry of its leftmost leaf.
 //
@@ -248,13 +271,9 @@ func (r *Buffer) Leaf() int { return r.startID() }
 //tasm:hotpath
 func (r *Buffer) Label(id int) int { return r.lbl[r.slot(id)] }
 
-// Entry returns the prefix-array entry of buffered node id: lml for a
-// non-leaf, the largest recorded ancestor (≥ id) for a leaf.
-//
-//tasm:hotpath
-func (r *Buffer) Entry(id int) int { return r.pfx[r.slot(id)] }
-
-// LMLOf returns the leftmost leaf id of buffered node id.
+// LMLOf returns the leftmost leaf id of buffered node id. Outside this
+// package only bench/layers.go's replica of the ring scan, and tests,
+// read it: the scan reads a candidate through its window.
 //
 //tasm:hotpath
 func (r *Buffer) LMLOf(id int) int {
@@ -264,41 +283,16 @@ func (r *Buffer) LMLOf(id int) int {
 	return id // a leaf is its own leftmost leaf
 }
 
-// Skip steps over no candidate and returns 0: a stream candidate's bound
-// is known only once it is buffered, so every candidate is visited and
-// gated one by one. It exists to share Cursor.Skip's signature.
-//
-//tasm:hotpath
-func (r *Buffer) Skip([]int32) int { return 0 }
-
-// LabelBound returns h's lower bound for the current candidate; see
-// LabelHist.CandidateBound. The query index, which Cursor needs, is not
-// read.
-//
-//tasm:hotpath
-func (r *Buffer) LabelBound(_ int, h *LabelHist) int {
-	return h.CandidateBound(r, r.Leaf(), r.Root())
-}
-
 // SizeOf returns the subtree size of buffered node id, derived from the
 // prefix array: id − lml(id) + 1.
 //
 //tasm:hotpath
 func (r *Buffer) SizeOf(id int) int { return id - r.LMLOf(id) + 1 }
 
-// AppendItems appends the (label, size) postorder items of nodes from..to
-// (inclusive, 1-based ids within the current candidate) to dst and returns
-// it. This is the paper's prb-subtree.
-func (r *Buffer) AppendItems(dst []postorder.Item, from, to int) []postorder.Item {
-	for id := from; id <= to; id++ {
-		dst = append(dst, postorder.Item{Label: r.Label(id), Size: r.SizeOf(id)})
-	}
-	return dst
-}
-
 // Window returns the labels and subtree sizes of the buffered nodes
-// from..to (inclusive, 1-based document postorder ids) — a subtree of the
-// current candidate, so at most τ nodes — copied into the buffer's own
+// from..to (inclusive, 1-based document postorder ids) — the paper's
+// prb-subtree: the current candidate or one of its subtrees, so at most τ
+// nodes — copied into the buffer's own
 // scratch, sized with the ring: the ring is not contiguous, so, unlike
 // Cursor.Window, the window cannot be a slice of it. The slices are valid
 // until the next call to Window or Next and must not be written to.
@@ -307,25 +301,28 @@ func (r *Buffer) AppendItems(dst []postorder.Item, from, to int) []postorder.Ite
 func (r *Buffer) Window(from, to int) (labels, sizes []int32) {
 	n := to - from + 1
 	labels, sizes = r.winL[:n], r.winS[:n]
-	for id := from; id <= to; id++ {
-		labels[id-from] = int32(r.Label(id))
-		sizes[id-from] = int32(r.SizeOf(id))
+	x := r.slot(from)
+	for j := range labels {
+		id := from + j
+		labels[j] = int32(r.lbl[x])
+		sizes[j] = int32(id - min(r.pfx[x], id) + 1) // SizeOf, by slot
+		if x++; x == r.b {
+			x = 0
+		}
 	}
 	return labels, sizes
 }
 
 // FillView fills v with the buffered subtree spanning nodes from..to
-// (inclusive, 1-based document postorder ids), whose labels resolve in d.
-// It performs no allocation once v's buffers have grown to the largest
-// subtree filled, which makes it the hot-path alternative to Subtree.
+// (inclusive, 1-based document postorder ids), whose labels resolve in d;
+// an empty range fills nothing, which v's Build refuses. It performs no
+// allocation once v's buffers have grown to the largest subtree filled.
+// The scan reads windows instead (Window), so bench/layers.go's replica
+// of the scan loop is its only caller outside tests.
 //
 //tasm:hotpath
 func (r *Buffer) FillView(d dict.Dict, v *tree.View, from, to int) error {
-	n := to - from + 1
-	if n < 1 {
-		return fmt.Errorf("prb: empty subtree range [%d,%d]", from, to) //tasm:allow alloc — cold error path: caller bug only
-	}
-	labels, sizes := v.Reset(d, n)
+	labels, sizes := v.Reset(d, max(to-from+1, 0))
 	for id := from; id <= to; id++ {
 		labels[id-from] = r.Label(id)
 		sizes[id-from] = r.SizeOf(id)

@@ -8,26 +8,28 @@ import (
 
 // Cursor enumerates the candidate set cand(T, τ) of a document held as
 // resident postorder columns — the same set, in the same document order,
-// that Buffer produces from a stream, with the same read interface (Next,
-// Skip, Root, Leaf, LMLOf, LabelBound, Window), so the scan kernels run
-// over either.
+// that Buffer produces from a stream — and serves the reads of the scan
+// kernel (Next, Skip, Root, Leaf, LMLOf, LabelBound, Window), which runs
+// over nothing else.
 //
 // The ring buffer exists because a stream can only be dequeued. With the
 // size column addressable there is nothing to buffer: the candidate roots
 // are found by a walk over the size column that touches only the roots
 // and the nodes larger than τ (locate), or read from the document's
 // CandidateCache, which keeps them — and which candidate holds each node —
-// per τ.
+// per τ. A stream reaches the kernel one candidate at a time: the ring
+// yields it, Buffer.Window copies it out, and ResetWindow points the
+// cursor at the copy as a document of one candidate.
 //
 // With the candidates known up front, the label-histogram bound of every
 // candidate is computed at Reset too, per histogram, in one pass over the
 // document (see gate.go), so LabelBound is a load, and Skip steps over a
 // run of candidates every histogram gates without visiting them.
 //
-// A Cursor is owned by one scan goroutine; Reset re-points it, keeping
-// the root and bound scratch, which only ever grow.
+// A Cursor is owned by one scan goroutine; Reset and ResetWindow re-point
+// it, keeping the root and bound scratch, which only ever grow.
 type Cursor struct {
-	cols   *postorder.Columns
+	cols   *postorder.Columns // nil after ResetWindow
 	labels []int32
 	sizes  []int32
 	roots  []int32 // candidate root ids, in document order: own, or a cached set's
@@ -51,19 +53,18 @@ func NewCursor(cols *postorder.Columns, tau int) *Cursor {
 
 // Reset points the cursor at a document and threshold, locates its
 // candidates, and bounds every candidate against every histogram of
-// hists: LabelBound(q, …) then answers for hists[q].
+// hists: LabelBound(q) then answers for hists[q].
 //
 // cache, when non-nil, is the document's CandidateCache: the candidates
-// are read from its set at tau, built there first if a slot is free. A
-// histogram whose route is the postings then finds each posting's
-// candidate with two loads of the set's node map. When every slot holds
-// another τ the cursor locates the candidates itself and searches the
-// candidate roots for the postings, as with no cache, and Missed reports
-// it.
+// are read from its set at tau, built there first if a slot is free. When
+// every slot holds another τ the cursor locates the candidates itself, as
+// with no cache, and Missed reports it.
 //
 // labelNodes, when non-nil, holds per histogram the number of the
 // document's nodes that carry one of its query's labels, from which each
-// histogram's route is chosen (readPostings); nil walks every one. The
+// histogram's route is chosen (readPostings): the postings, each found in
+// its candidate by two loads of the cached set's node map, or the walk
+// over the label column. nil, or no cached set, walks every one. The
 // counts only steer the choice — every route computes the bounds from the
 // columns — so a wrong count costs time, never a wrong bound. Reset
 // allocates only to grow its scratch and to fill a free cache slot.
@@ -84,27 +85,59 @@ func (c *Cursor) Reset(cols *postorder.Columns, cache *CandidateCache, tau int, 
 		c.own, covered = locate(c.own, c.sizes, tau)
 		c.roots = c.own
 	}
-	c.cur, c.end = -1, len(c.roots)
-
+	c.rows(len(hists))
 	n := len(c.roots)
-	if need := len(hists) * n; cap(c.bounds) < need {
-		c.bounds = make([]int32, need)
-	}
-	c.bounds = c.bounds[:len(hists)*n]
-	c.postings = 0
 	for q, h := range hists {
 		row := c.bounds[q*n : (q+1)*n]
-		switch {
-		case labelNodes == nil || !readPostings(labelNodes[q], covered):
-			c.walkBounds(h, row)
-		case set != nil:
+		if set != nil && labelNodes != nil && readPostings(labelNodes[q], covered) {
 			c.mapBounds(h, row, set)
 			c.postings++
-		default:
-			c.postingBounds(h, row)
-			c.postings++
+		} else {
+			c.walkBounds(h, row)
 		}
 	}
+}
+
+// ResetWindow points the cursor at one subtree given as its labels and
+// subtree sizes in postorder — a stream's candidate, copied out of the
+// ring buffer by Buffer.Window — as a document of one candidate, whose
+// node ids are the window's, 1 to len(labels), and bounds it against
+// every histogram of hists by walking its labels. The sizes must nest,
+// the last node being the root of them all, as Buffer.Next makes sure of
+// for every candidate it yields. The cursor reads the slices until its
+// next reset. ResetWindow allocates only to grow its scratch.
+//
+//tasm:hotpath
+func (c *Cursor) ResetWindow(labels, sizes []int32, hists []*LabelHist) {
+	c.cols, c.labels, c.sizes = nil, labels, sizes
+	c.own = grow(c.own, 1)
+	c.own[0] = int32(len(labels))
+	c.roots, c.missed = c.own, false
+	c.rows(len(hists))
+	for q, h := range hists {
+		c.walkBounds(h, c.bounds[q:q+1])
+	}
+}
+
+// rows rewinds the cursor to before its first candidate and sizes its
+// bounds for the given number of histograms, one row of len(roots) each.
+//
+//tasm:hotpath
+func (c *Cursor) rows(hists int) {
+	c.cur, c.end = -1, len(c.roots)
+	c.bounds = grow(c.bounds, hists*len(c.roots))
+	c.postings = 0
+}
+
+// grow returns s resized to n, reallocated only when n exceeds its
+// capacity.
+//
+//tasm:hotpath
+func grow(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n) //tasm:allow alloc — grow-only scratch: reallocates only when n exceeds every prior size
+	}
+	return s[:n]
 }
 
 // Candidates returns the number of candidates the last Reset located.
@@ -131,17 +164,15 @@ func (c *Cursor) PostingRows() int { return c.postings }
 func (c *Cursor) Missed() bool { return c.missed }
 
 // Next advances to the next candidate of the cursor's range in document
-// order and reports whether there is one. The error is always nil —
-// columns are validated
-// when built — and is returned only to share Buffer.Next's signature.
+// order and reports whether there is one.
 //
 //tasm:hotpath
-func (c *Cursor) Next() (bool, error) {
+func (c *Cursor) Next() bool {
 	if c.cur+1 >= c.end {
-		return false, nil
+		return false
 	}
 	c.cur++
-	return true, nil
+	return true
 }
 
 // Skip steps over the candidates after the pending one whose bound
@@ -193,11 +224,10 @@ func (c *Cursor) Leaf() int { return c.LMLOf(c.Root()) }
 func (c *Cursor) LMLOf(id int) int { return id - int(c.sizes[id-1]) + 1 }
 
 // LabelBound returns the lower bound of the current candidate against the
-// q-th histogram Reset was given — computed there, so the histogram
-// argument, which Buffer needs, is not read.
+// q-th histogram the last reset was given, computed there.
 //
 //tasm:hotpath
-func (c *Cursor) LabelBound(q int, _ *LabelHist) int {
+func (c *Cursor) LabelBound(q int) int {
 	return int(c.bounds[q*len(c.roots)+c.cur])
 }
 

@@ -12,13 +12,13 @@ package prb
 // candidate lets that candidate match min(r, need) query nodes of the
 // label. Candidates are disjoint intervals of the postorder, so a posting
 // lies inside at most one, and one that lies inside none belongs to a node
-// larger than τ. The pass finds a posting's candidate in one of two ways:
-// with the document's cached candidate set at τ (CandidateCache), by two
-// loads of its node map (mapBounds); without one, by stepping through the
-// ascending candidate roots beside the postings, galloping where the
-// postings are sparse (postingBounds). Every route computes the same
-// number, Σ_label max(0, need − have), the bound CandidateBound computes
-// from the ring; FuzzPostingsBound pins them all equal.
+// larger than τ. The pass finds a posting's candidate by two loads of the
+// node map of the document's cached candidate set at τ (CandidateCache,
+// mapBounds), so only a cursor that reads such a set takes it; one that
+// locates its own candidates — no cache, or a cache whose every slot
+// holds another τ — walks. Both routes compute the same number,
+// Σ_label max(0, need − have), the bound CandidateBound computes from the
+// ring; FuzzPostingsBound pins them equal.
 //
 // What the postings pass saves is the nodes that carry no query label; on
 // a document where most nodes carry one it costs more than the walk, and
@@ -35,22 +35,20 @@ package prb
 // of the candidates' nodes carry a query label. Measured with
 // BenchmarkGate (queries of 8 nodes, τ = 21, drawn from the document; four
 // runs) on a 2-vCPU x86-64 VM, Go 1.24, whose absolute times drift by half
-// between runs while their ratios hold. Searching the roots costs 6.5–15.4
-// ns per posting — a gallop over the candidate roots, a compare against
-// the candidate's leftmost leaf, a run count, and its per-label binary
-// search and row fill spread over them — which is 1.7–3.1 walked nodes on
-// a DBLP bibliography (12-node records, 2.1–4.0 ns per node) and 1.1–2.1
-// on an XMark document, whose 5-node candidates make the walk's
-// per-candidate wipe and store a larger share (5.0–7.2 ns per node). The
-// node map of a cached set costs 3.0–5.7 ns per posting on XMark, 0.4–0.8
-// walked nodes and about a third of the search, but 5.7–10.4 on DBLP,
-// 1.5–3.1 walked nodes, where nearly every posting is a run of its own;
-// building the set costs 3–8 ns per document node, once per (document,
-// τ). The quarter is DBLP's break-even and conservative for XMark's, so
-// one choice serves both ways of locating the postings: on the bench's
-// XMark workloads 13.7–17.0 % of the candidates' nodes carry a query label
-// and the postings are read; on its DBLP churn workload 41 % do and the
-// label column is walked, a cached set sparing it only the root walk.
+// between runs while their ratios hold. The walk costs 2.1–4.0 ns per node
+// on a DBLP bibliography (12-node records) and 5.0–7.2 on an XMark
+// document, whose 5-node candidates make its per-candidate wipe and store
+// a larger share. The node map of a cached set costs 3.0–5.7 ns per
+// posting on XMark, 0.4–0.8 walked nodes, but 5.7–10.4 on DBLP, 1.5–3.1
+// walked nodes, where nearly every posting is a run of its own; building
+// the set costs 3–8 ns per document node, once per (document, τ). The
+// quarter was set when a second postings route, a gallop over the
+// candidate roots at 1.7–3.1 walked nodes per posting, served documents
+// without a set; it is conservative for the map on both shapes. On the
+// bench's XMark workloads 13.7–17.0 % of the candidates' nodes carry a
+// query label and the postings are read; on its DBLP churn workload 41 %
+// do and the label column is walked, a cached set sparing it only the
+// root walk.
 const (
 	postingCost = 4
 	walkCost    = 1
@@ -101,48 +99,11 @@ func (c *Cursor) walkBounds(h *LabelHist, row []int32) {
 	}
 }
 
-// postingBounds fills row with h's bound for every candidate from the
-// label postings of the cursor's document.
-//
-//tasm:hotpath
-func (c *Cursor) postingBounds(h *LabelHist, row []int32) {
-	for j := range row {
-		row[j] = int32(h.missing)
-	}
-	roots, sizes := c.roots, c.sizes
-	if len(roots) == 0 {
-		return // an empty document
-	}
-	for o, id := range h.ids[1:] {
-		ids, need := c.cols.Postings(id), int32(h.need[o+1])
-		for j, k := 0, 0; k < len(ids); {
-			p := ids[k]
-			if roots[j] < p {
-				if j = seek(roots, j, p); j == len(roots) {
-					break // every later posting lies past the last candidate
-				}
-			}
-			r := roots[j]
-			if p <= r-sizes[r-1] {
-				k++ // a node larger than τ, left of candidate j
-				continue
-			}
-			e := k + 1
-			for e < len(ids) && ids[e] <= r {
-				e++
-			}
-			row[j] -= min(int32(e-k), need)
-			if k, j = e, j+1; j == len(roots) {
-				break
-			}
-		}
-	}
-}
-
-// mapBounds is postingBounds for a cursor whose candidates come from a
-// cached set s: the candidate of each posting is two independent loads of
-// its node map instead of a search over the roots, and a run is the
-// postings that map to one candidate.
+// mapBounds fills row with h's bound for every candidate of a cursor whose
+// candidates come from the cached set s, from the label postings of the
+// cursor's document: the candidate of each posting is two independent
+// loads of the set's node map, and a run is the postings that map to one
+// candidate.
 //
 //tasm:hotpath
 func (c *Cursor) mapBounds(h *LabelHist, row []int32, s *candidateSet) {
@@ -171,28 +132,4 @@ func (c *Cursor) mapBounds(h *LabelHist, row []int32, s *candidateSet) {
 			row[last] -= min(run, need)
 		}
 	}
-}
-
-// seek returns the first index after j whose root is at least p, or
-// len(roots) if there is none; roots ascend and roots[j] < p. It gallops —
-// 1, 2, 4, … candidates ahead — and then bisects the last step, so a
-// posting in the next candidate costs one probe and one far ahead the
-// logarithm of the distance.
-//
-//tasm:hotpath
-func seek(roots []int32, j int, p int32) int {
-	lo, hi, step := j, j+1, 1 // roots[lo] < p throughout
-	for hi < len(roots) && roots[hi] < p {
-		lo, step = hi, 2*step
-		hi = lo + step
-	}
-	hi = min(hi, len(roots)) // now hi == len(roots) or roots[hi] ≥ p
-	for lo+1 < hi {
-		if m := int(uint(lo+hi) >> 1); roots[m] < p {
-			lo = m
-		} else {
-			hi = m
-		}
-	}
-	return hi
 }

@@ -60,11 +60,11 @@ func newLabelSpace(sparse bool) labelSpace {
 // FuzzPostingsBound: over any forest, any τ ≥ 1 and any query — labels
 // repeated, labels no node carries, a single node — the bound the cursor
 // computes for every candidate from the label postings through a candidate
-// set cached at the fuzzed τ equals the one it computes from the postings
-// by searching the roots, the one its walk computes, the ring buffer's
-// sliding CandidateBound, and the naive count over the materialised
-// subtree. Both label-histogram representations are covered, and so is
-// the route Reset picks itself, with and without the cache.
+// set cached at the fuzzed τ equals the one its walk computes, the ring
+// buffer's sliding CandidateBound, the one a cursor reset on the
+// candidate's window alone computes, and the naive count over the
+// materialised subtree. Both label-histogram representations are covered,
+// and so is the route Reset picks itself, with and without the cache.
 func FuzzPostingsBound(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x0a, 0x03, 0x1c, 0x05}, []byte{0x0a, 0x01}, uint8(2), false)
 	f.Add([]byte{0x02}, []byte{0x02}, uint8(1), false)                                           // one node, one query node
@@ -109,24 +109,23 @@ func checkPostingsBound(t *testing.T, sp labelSpace, docData, queryData []byte, 
 	if autoCached.Missed() || set == nil || !slices.Equal(set.roots, cur.roots) {
 		t.Fatalf("τ=%d: the cache's set holds roots %v, the walk locates %v", tau, set, cur.roots)
 	}
-	fromPostings, walked, fromMap := make([]int32, len(cur.roots)), make([]int32, len(cur.roots)), make([]int32, len(cur.roots))
-	cur.postingBounds(h, fromPostings)
+	walked, fromMap := make([]int32, len(cur.roots)), make([]int32, len(cur.roots))
 	cur.walkBounds(h, walked)
 	cur.mapBounds(h, fromMap, set)
 	if h.Missing() != q.Size() {
 		t.Fatalf("the walk left the window at %d, want |Q| = %d", h.Missing(), q.Size())
 	}
 
-	buf := New(postorder.NewSliceQueue(items), tau)
+	buf, window := New(postorder.NewSliceQueue(items), tau), new(Cursor)
 	for j := 0; ; j++ {
 		ok, err := buf.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if more, _ := auto.Next(); more != ok {
+		if more := auto.Next(); more != ok {
 			t.Fatalf("candidate %d: ring has one=%v, cursor=%v", j, ok, more)
 		}
-		if more, _ := autoCached.Next(); more != ok {
+		if more := autoCached.Next(); more != ok {
 			t.Fatalf("candidate %d: ring has one=%v, cached cursor=%v", j, ok, more)
 		}
 		if !ok {
@@ -144,18 +143,27 @@ func checkPostingsBound(t *testing.T, sp labelSpace, docData, queryData []byte, 
 		}
 		want := naiveMissing(q, sub)
 		ring := h.CandidateBound(buf, buf.Leaf(), buf.Root())
-		if int(fromMap[j]) != want || int(fromPostings[j]) != want || int(walked[j]) != want || ring != want ||
-			auto.LabelBound(0, h) != want || autoCached.LabelBound(0, h) != want {
-			t.Fatalf("candidate %d [%d,%d] of τ=%d: map %d, postings %d, walk %d, ring %d, chosen route %d (cached %d), naive %d\nitems %v\nquery %v",
-				j, buf.Leaf(), buf.Root(), tau, fromMap[j], fromPostings[j], walked[j], ring, auto.LabelBound(0, h), autoCached.LabelBound(0, h), want, items, q)
+		labels, sizes := buf.Window(buf.Leaf(), buf.Root())
+		window.ResetWindow(labels, sizes, hists)
+		if !window.Next() || window.Leaf() != 1 || window.Root() != len(labels) {
+			t.Fatalf("candidate %d: a cursor over its window of %d nodes has no candidate [1,%d]", j, len(labels), len(labels))
+		}
+		if int(fromMap[j]) != want || int(walked[j]) != want || ring != want || window.LabelBound(0) != want ||
+			auto.LabelBound(0) != want || autoCached.LabelBound(0) != want {
+			t.Fatalf("candidate %d [%d,%d] of τ=%d: map %d, walk %d, ring %d, window %d, chosen route %d (cached %d), naive %d\nitems %v\nquery %v",
+				j, buf.Leaf(), buf.Root(), tau, fromMap[j], walked[j], ring, window.LabelBound(0), auto.LabelBound(0), autoCached.LabelBound(0), want, items, q)
+		}
+		if window.Next() {
+			t.Fatalf("candidate %d: a cursor over its window has a second candidate", j)
 		}
 	}
 }
 
 // TestPostingsRouteChoice pins readPostings on both sides of its
-// break-even share, and Reset's use of it: a query whose labels a tenth
-// of the document carries reads the postings, one whose labels half of
-// it carries walks, in one batch; without counts every query walks.
+// break-even share, and Reset's use of it on a cached candidate set: a
+// query whose labels a tenth of the document carries reads the postings,
+// one whose labels half of it carries walks, in one batch; without counts,
+// or without a cached set, every query walks.
 func TestPostingsRouteChoice(t *testing.T) {
 	for _, c := range []struct {
 		postings, covered int
@@ -184,26 +192,39 @@ func TestPostingsRouteChoice(t *testing.T) {
 	}
 	doc := tree.FromNode(d, root)
 	rare, common := NewLabelHist(tree.MustParse(d, "{rare}")), NewLabelHist(tree.MustParse(d, "{rec{common}}"))
-	cur := columnCursor(t, doc, 4, rare, common)
-	if cur.PostingRows() != 1 {
-		t.Fatalf("%d bound rows read postings, want 1 (the rare query's)", cur.PostingRows())
+	cols, err := postorder.BuildColumns(postorder.FromTree(doc), doc.Size())
+	if err != nil {
+		t.Fatal(err)
 	}
-	hists := []*LabelHist{common, rare, rare}
-	if cur.Reset(cur.cols, nil, 4, hists, labelNodes(cur.cols, hists...)); cur.PostingRows() != 2 {
-		t.Fatalf("%d bound rows read postings, want 2", cur.PostingRows())
-	}
-	if cur.Reset(cur.cols, nil, 4, hists, nil); cur.PostingRows() != 0 {
-		t.Fatalf("%d bound rows read postings without label-node counts, want 0", cur.PostingRows())
+	cache, cur := new(CandidateCache), new(Cursor)
+	for _, c := range []struct {
+		hists  []*LabelHist
+		counts bool
+		cache  *CandidateCache
+		want   int
+	}{
+		{[]*LabelHist{rare, common}, true, cache, 1}, // the rare query's
+		{[]*LabelHist{common, rare, rare}, true, cache, 2},
+		{[]*LabelHist{common, rare, rare}, false, cache, 0}, // no label-node counts
+		{[]*LabelHist{common, rare, rare}, true, nil, 0},    // no cached set
+	} {
+		var counts []int
+		if c.counts {
+			counts = labelNodes(cols, c.hists...)
+		}
+		if cur.Reset(cols, c.cache, 4, c.hists, counts); cur.PostingRows() != c.want {
+			t.Fatalf("%d histograms, counts %v, cache %v: %d bound rows read postings, want %d", len(c.hists), counts, c.cache != nil, cur.PostingRows(), c.want)
+		}
 	}
 }
 
 // BenchmarkGate times the routes over the bench's fixture shapes — an
 // XMark document and a DBLP bibliography — for queries drawn from them,
 // and reports what readPostings' constants are made of: the walk's cost
-// per candidate node and the postings pass's cost per posting read, by
-// searching the roots (postings) and through a cached candidate set's
-// node map (map, which also reports what building the set costs per
-// document node).
+// per candidate node and the postings pass's cost per posting read
+// through a cached candidate set's node map (map, which also reports the
+// share of the candidates' nodes that carry a query label and what
+// building the set costs per document node).
 //
 //	go test -run='^$' -bench Gate -benchtime 4000x ./internal/prb
 func BenchmarkGate(b *testing.B) {
@@ -235,13 +256,6 @@ func BenchmarkGate(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(covered), "ns/node")
 		})
-		b.Run(fx.name+"/postings", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cur.postingBounds(hists[i%len(hists)], row)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(float64(postings)/float64(len(hists))), "ns/posting")
-			b.ReportMetric(float64(postings)/float64(len(hists))/float64(covered), "share")
-		})
 		b.Run(fx.name+"/map", func(b *testing.B) {
 			set := newCandidateSet(cols, tau, new([]int32))
 			b.ResetTimer()
@@ -249,6 +263,7 @@ func BenchmarkGate(b *testing.B) {
 				cur.mapBounds(hists[i%len(hists)], row, set)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(float64(postings)/float64(len(hists))), "ns/posting")
+			b.ReportMetric(float64(postings)/float64(len(hists))/float64(covered), "share")
 			b.StopTimer()
 			const builds = 50
 			start := time.Now()

@@ -235,7 +235,10 @@ func Signature[L int | int32](h *LabelHist, labels, sizes []L, sig []int16) (bou
 // again before returning, so consecutive candidates need no coordination
 // and the histogram state cannot go stale when candidates are skipped;
 // because candidates are disjoint this costs the same node-delta work as
-// an explicitly persistent window. It performs no allocation.
+// an explicitly persistent window. It performs no allocation. The scan
+// bounds a stream's candidates on the cursor over its window instead
+// (Cursor.ResetWindow), so bench/layers.go's replica of the ring scan is
+// its only caller outside tests.
 //
 //tasm:hotpath
 func (h *LabelHist) CandidateBound(b *Buffer, from, to int) int {

@@ -52,7 +52,7 @@ func TestCandidateBoundMatchesNaive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if more, _ := cur.Next(); more != ok {
+			if more := cur.Next(); more != ok {
 				t.Fatalf("iter %d: ring has a candidate=%v, cursor=%v", iter, ok, more)
 			}
 			if !ok {
@@ -69,7 +69,7 @@ func TestCandidateBoundMatchesNaive(t *testing.T) {
 			if hist.Missing() != q.Size() {
 				t.Fatalf("iter %d: window not clean after CandidateBound: missing %d, want |Q|=%d", iter, hist.Missing(), q.Size())
 			}
-			if colGot := cur.LabelBound(0, hist); colGot != got || hist.Missing() != q.Size() {
+			if colGot := cur.LabelBound(0); colGot != got || hist.Missing() != q.Size() {
 				t.Fatalf("iter %d candidate [%d,%d]: column bound %d (window missing %d), ring bound %d",
 					iter, cur.Leaf(), cur.Root(), colGot, hist.Missing(), got)
 			}
@@ -142,7 +142,7 @@ func TestCandidateBoundSparseMode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want, colGot := naiveMissing(q, sub), cur.LabelBound(0, hist); got != want || colGot != want {
+			if want, colGot := naiveMissing(q, sub), cur.LabelBound(0); got != want || colGot != want {
 				t.Fatalf("iter %d candidate [%d,%d]: sparse bound %d, column bound %d, want %d", iter, buf.Leaf(), buf.Root(), got, colGot, want)
 			}
 		}

@@ -201,6 +201,27 @@ func TestMalformedSizeRejected(t *testing.T) {
 	}
 }
 
+// TestSplitWithinTauRejected: sizes that each lie in 1..position but do
+// not nest are refused when the splitting node is within τ — here node 4
+// claims nodes 2–4, cutting node 3's subtree 1–3 in two. Its leftmost
+// node, 2, is a leaf, and the candidate 1–3 the ring yields first is well
+// formed, so only the tiling of node 4's children shows the split. With
+// τ = 2 both nodes of size 3 lie beyond what the ring checks, and the
+// stream is scanned.
+func TestSplitWithinTauRejected(t *testing.T) {
+	d := dict.New()
+	l := d.Intern("a")
+	items := []postorder.Item{{Label: l, Size: 1}, {Label: l, Size: 1}, {Label: l, Size: 3}, {Label: l, Size: 3}}
+	for _, tau := range []int{3, 4, 10} {
+		if _, err := Candidates(d, postorder.NewSliceQueue(items), tau); err == nil {
+			t.Errorf("τ=%d: node 4 splits node 3's subtree, yet the stream was accepted", tau)
+		}
+	}
+	if _, err := Candidates(d, postorder.NewSliceQueue(items), 2); err != nil {
+		t.Errorf("τ=2: %v", err)
+	}
+}
+
 // roots extracts the root positions of a candidate list.
 func roots(cs []Candidate) []int {
 	out := make([]int, len(cs))
@@ -219,7 +240,7 @@ func cursorCandidates(d dict.Dict, tr *tree.Tree, tau int) ([]Candidate, error) 
 	}
 	var out []Candidate
 	for cur := NewCursor(cols, tau); ; {
-		if ok, _ := cur.Next(); !ok {
+		if !cur.Next() {
 			return out, nil
 		}
 		labels, sizes := cur.Window(cur.Leaf(), cur.Root())
@@ -359,7 +380,7 @@ func TestSimplePrunerBuffersMore(t *testing.T) {
 	}
 }
 
-// TestBufferAccessorsDuringScan exercises Root/Leaf/Label/SizeOf/Entry on
+// TestBufferAccessorsDuringScan exercises Root/Leaf/Label/SizeOf/LMLOf on
 // the worked ring-buffer trace of Example 7 (Figure 6).
 func TestBufferAccessorsDuringScan(t *testing.T) {
 	d, tr := paperD(t)
@@ -414,20 +435,24 @@ func TestNewPanicsOnBadTau(t *testing.T) {
 	New(postorder.NewSliceQueue(nil), 0)
 }
 
-// TestAppendItems round-trips a candidate through AppendItems + BuildTree.
-func TestAppendItems(t *testing.T) {
+// TestWindowRoundTrip round-trips a candidate through Window + BuildTree.
+func TestWindowRoundTrip(t *testing.T) {
 	d, tr := paperD(t)
 	buf := New(postorder.FromTree(tr), 6)
 	ok, err := buf.Next()
 	if err != nil || !ok {
 		t.Fatal(err)
 	}
-	items := buf.AppendItems(nil, buf.Leaf(), buf.Root())
+	labels, sizes := buf.Window(buf.Leaf(), buf.Root())
+	items := make([]postorder.Item, len(labels))
+	for i := range items {
+		items[i] = postorder.Item{Label: int(labels[i]), Size: int(sizes[i])}
+	}
 	got, err := postorder.BuildTree(d, postorder.NewSliceQueue(items))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.String() != "{article{auth{John}}{title{X1}}}" {
-		t.Errorf("AppendItems round trip = %s", got)
+		t.Errorf("Window round trip = %s", got)
 	}
 }

@@ -65,7 +65,7 @@ func FuzzCursorSkip(f *testing.F) {
 		}
 		gated := func(c *Cursor) bool {
 			for q, limit := range limits {
-				if c.LabelBound(q, nil) <= int(limit) {
+				if c.LabelBound(q) <= int(limit) {
 					return false
 				}
 			}
@@ -80,7 +80,7 @@ func FuzzCursorSkip(f *testing.F) {
 			}
 			want, more := 0, false
 			for {
-				if more, _ = ref.Next(); !more || !gated(&ref) {
+				if more = ref.Next(); !more || !gated(&ref) {
 					break
 				}
 				want++
@@ -88,7 +88,7 @@ func FuzzCursorSkip(f *testing.F) {
 			if skipped != want {
 				t.Fatalf("step %d of range [%d,%d), %d rows, limits %v: Skip stepped over %d candidates, the per-candidate loop %d", step, lo, hi, rows, limits, skipped, want)
 			}
-			got, _ := cur.Next()
+			got := cur.Next()
 			if got != more {
 				t.Fatalf("step %d: after Skip, Next reports a candidate=%v, the per-candidate loop %v", step, got, more)
 			}
