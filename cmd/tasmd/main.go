@@ -181,7 +181,7 @@ func run(ctx context.Context, dir, shards string, hedgeDelay time.Duration, addr
 		// columnBytes is the decoded columns with their label postings: 12
 		// bytes per node and 8 per distinct label of each document.
 		logger.Info("serving corpus", "dir", dir, "docs", c.Len(), "quarantined", c.Quarantined(),
-			"openDuration", cfg.openDuration.String(), "mappedBytes", c.MappedBytes(), "columnBytes", c.ColumnBytes(), "addr", addr)
+			"openDuration", cfg.openDuration.String(), "columnBytes", c.ColumnBytes(), "addr", addr)
 	} else {
 		replicas := 0
 		children := make([]corpus.Searcher, 0, 4)

@@ -222,12 +222,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if q, ok := s.src.(interface{ Quarantined() int }); ok {
 		fmt.Fprintf(w, "# HELP tasmd_quarantined_docs Documents quarantined by the integrity scrub (files preserved under quarantine/; non-zero means data loss pending operator action).\n# TYPE tasmd_quarantined_docs gauge\ntasmd_quarantined_docs %d\n", q.Quarantined())
 	}
-	// Memory-mapped store bytes: file-backed pages the kernel can evict
-	// under pressure, so they are not heap (compare tasmd_heap_bytes).
-	// Exists only for backends that map local stores.
-	if mb, ok := s.src.(interface{ MappedBytes() int64 }); ok {
-		fmt.Fprintf(w, "# HELP tasmd_corpus_mapped_bytes Committed store bytes served from read-only memory mappings (0 when mmap is disabled or unsupported).\n# TYPE tasmd_corpus_mapped_bytes gauge\ntasmd_corpus_mapped_bytes %d\n", mb.MappedBytes())
-	}
 	// Decoded postorder columns: the heap copy of every store's items
 	// that queries actually scan, with the candidate sets cached beside
 	// them.
@@ -235,7 +229,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "# HELP tasmd_corpus_column_bytes Heap bytes of the postorder columns and label postings decoded from the stores at load and scanned by every query (12 per node and 8 per distinct label of a document), and of the candidate sets cached beside them (about 1 per node and 4 per candidate, for each of up to eight size thresholds per document).\n# TYPE tasmd_corpus_column_bytes gauge\ntasmd_corpus_column_bytes %d\n", cb.ColumnBytes())
 	}
 	if s.cfg.openDuration > 0 {
-		fmt.Fprintf(w, "# HELP tasmd_corpus_open_seconds Cold-start cost of opening the backend (manifest load, orphan sweep, store mapping, checksum and column decode).\n# TYPE tasmd_corpus_open_seconds gauge\ntasmd_corpus_open_seconds %g\n", s.cfg.openDuration.Seconds())
+		fmt.Fprintf(w, "# HELP tasmd_corpus_open_seconds Cold-start cost of opening the backend (manifest load, orphan sweep, store read, checksum and column decode).\n# TYPE tasmd_corpus_open_seconds gauge\ntasmd_corpus_open_seconds %g\n", s.cfg.openDuration.Seconds())
 	}
 	m.topkLatency.write(w, "tasmd_topk_latency_seconds", "Per-request latency of POST /v1/topk (cache hits included).")
 	m.batchLatency.write(w, "tasmd_topk_batch_latency_seconds", "Per-request latency of POST /v1/topk-batch (cache hits included).")

@@ -290,7 +290,6 @@ func TestMetricsExpositionLeaf(t *testing.T) {
 		"tasmd_traced_queries_total",
 		"tasmd_inflight_queries",
 		"tasmd_dict_base_labels",
-		"tasmd_corpus_mapped_bytes",
 		"tasmd_corpus_column_bytes",
 		"tasmd_goroutines",
 		"tasmd_gomaxprocs",
@@ -352,8 +351,8 @@ func TestMetricsExpositionRouter(t *testing.T) {
 	if families["tasmd_dict_base_labels"] != nil {
 		t.Errorf("router must not export the leaf-only base dictionary gauge")
 	}
-	if families["tasmd_corpus_mapped_bytes"] != nil || families["tasmd_corpus_column_bytes"] != nil {
-		t.Errorf("router must not export the leaf-only mapped-bytes and column-bytes gauges")
+	if families["tasmd_corpus_column_bytes"] != nil {
+		t.Errorf("router must not export the leaf-only column-bytes gauge")
 	}
 }
 

@@ -56,7 +56,7 @@ type serverConfig struct {
 	// entry per shard, exported on /metrics); nil for a leaf.
 	shards []*shardStats
 	// openDuration is the cold-start cost of the backend (corpus.Open:
-	// manifest load, orphan sweep, store mapping, checksum and column
+	// manifest load, orphan sweep, store read, checksum and column
 	// decode); zero when the backend has no local open phase (a shard
 	// router).
 	openDuration time.Duration

@@ -443,8 +443,8 @@ func TestTornStoreQuarantinedUnderVerifyOff(t *testing.T) {
 
 // TestStoreDamageAfterLoadChangesNothing is the converse: once a document
 // is loaded, nothing done to its file changes an answer or crashes a scan
-// — not a tear that shortens the mapping's backing pages, not a flipped
-// label id — while the scrub still sees the damage and quarantines it.
+// — not unlinking it, not a flipped label id, not a tear — while the
+// scrub still sees the damage and quarantines it.
 func TestStoreDamageAfterLoadChangesNothing(t *testing.T) {
 	h, c := newTestServer(t, serverConfig{})
 	ingest(t, h, "d1", `<r><a><b>x</b></a></r>`)
@@ -462,13 +462,23 @@ func TestStoreDamageAfterLoadChangesNothing(t *testing.T) {
 	}
 	flipped := bytes.Clone(data)
 	flipped[len(flipped)-12] ^= 0x01 // the label id of the first of the 4 items: x, the best match's leaf
-	for name, damaged := range map[string][]byte{"flipped label id": flipped, "torn": data[:len(data)-10]} {
-		if err := os.WriteFile(store, damaged, 0o644); err != nil {
+	write := func(damaged []byte) func() error {
+		return func() error { return os.WriteFile(store, damaged, 0o644) }
+	}
+	for _, step := range []struct {
+		name   string
+		damage func() error
+	}{
+		{"unlinked", func() error { return os.Remove(store) }},
+		{"flipped label id", write(flipped)},
+		{"torn", write(data[:len(data)-10])},
+	} {
+		if err := step.damage(); err != nil {
 			t.Fatal(err)
 		}
 		after := doJSON(t, h, "POST", "/v1/topk", query)
 		if after.Code != http.StatusOK || after.Body.String() != before.Body.String() {
-			t.Fatalf("%s after load: status %d\n got  %s want %s", name, after.Code, after.Body, before.Body)
+			t.Fatalf("%s after load: status %d\n got  %s want %s", step.name, after.Code, after.Body, before.Body)
 		}
 	}
 

@@ -33,9 +33,8 @@ func randBracket(rng *rand.Rand, n int) string {
 	return b.String()
 }
 
-// buildMmapCorpus populates dir with docs random documents so the same
-// directory can be reopened under different load modes.
-func buildMmapCorpus(t *testing.T, dir string, docs int) {
+// buildRandomCorpus populates dir with docs random documents.
+func buildRandomCorpus(t *testing.T, dir string, docs int) {
 	t.Helper()
 	c, err := corpus.Open(dir)
 	if err != nil {
@@ -53,72 +52,27 @@ func buildMmapCorpus(t *testing.T, dir string, docs int) {
 	}
 }
 
-// TestMmapFallbackEquivalence pins the contract between the two ways a
-// store can be loaded: mapped or heap-loaded (WithMmap). Both answer every
-// query byte-identically, single and batch, and do the same pruning work.
-func TestMmapFallbackEquivalence(t *testing.T) {
+// TestColumnBytes checks the serving set's accounting: 12 bytes per node
+// (label, size, posting), 8 per distinct label and 4 per document, with
+// between 1 and randBracket's 12 labels each; a removed document's
+// columns leave the figure.
+func TestColumnBytes(t *testing.T) {
 	dir := t.TempDir()
-	buildMmapCorpus(t, dir, 8)
-
-	type variant struct {
-		name string
-		c    *corpus.Corpus
+	buildRandomCorpus(t, dir, 8)
+	c, err := corpus.Open(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var variants []variant
-	for _, mmap := range []bool{true, false} {
-		c, err := corpus.Open(dir, corpus.WithMmap(mmap))
-		if err != nil {
-			t.Fatal(err)
-		}
-		// 12 bytes per node (label, size, posting), 8 per distinct label
-		// and 4 per document: between 1 and randBracket's 12 labels each.
-		nodes, docs := int64(totalNodes(c)), int64(c.Len())
-		if got := c.ColumnBytes(); got < 12*nodes+12*docs || got > 12*nodes+100*docs {
-			t.Fatalf("ColumnBytes = %d for %d nodes in %d documents, want 12 per node + 12..100 per document", got, nodes, docs)
-		}
-		variants = append(variants, variant{fmt.Sprintf("mmap=%v", mmap), c})
+	nodes, docs := int64(totalNodes(c)), int64(c.Len())
+	before := c.ColumnBytes()
+	if before < 12*nodes+12*docs || before > 12*nodes+100*docs {
+		t.Fatalf("ColumnBytes = %d for %d nodes in %d documents, want 12 per node + 12..100 per document", before, nodes, docs)
 	}
-
-	queries := []string{"{l0{l1}{l2}}", "{l3{l4{l5}}{l6}}", "{l7}", "{l1{l1{l1}}}"}
-	ctx := context.Background()
-	// answers renders one variant's answer to everything: each query
-	// alone at two k, then the batch, with the pruning counters.
-	answers := func(c *corpus.Corpus) []string {
-		var out []string
-		var batch []*tree.Tree
-		for _, qs := range queries {
-			q, err := c.ParseBracket(qs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batch = append(batch, q)
-			for _, k := range []int{1, 5} {
-				var st corpus.Stats
-				ms, err := c.TopK(ctx, q, k, corpus.WithStats(&st))
-				if err != nil {
-					t.Fatal(err)
-				}
-				out = append(out, fmt.Sprintf("%s k=%d: %s skipped=%d aborted=%d evaluated=%d",
-					qs, k, matchesJSON(t, ms), st.HistSkipped, st.TEDAborted, st.Evaluated))
-			}
-		}
-		var st corpus.Stats
-		rs, err := c.TopKBatch(ctx, batch, 4, corpus.WithStats(&st))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, ms := range rs {
-			out = append(out, fmt.Sprintf("batch %d: %s", i, matchesJSON(t, ms)))
-		}
-		return append(out, fmt.Sprintf("batch skipped=%d aborted=%d evaluated=%d", st.HistSkipped, st.TEDAborted, st.Evaluated))
+	if err := c.Remove("doc00"); err != nil {
+		t.Fatal(err)
 	}
-	want := answers(variants[0].c)
-	for _, v := range variants[1:] {
-		for i, got := range answers(v.c) {
-			if got != want[i] {
-				t.Fatalf("%s disagrees with %s\n got  %s\n want %s", v.name, variants[0].name, got, want[i])
-			}
-		}
+	if after := c.ColumnBytes(); after >= before-12*(nodes-int64(totalNodes(c))) {
+		t.Fatalf("ColumnBytes = %d after a remove, %d before: the removed document's columns still count", after, before)
 	}
 }
 
@@ -130,37 +84,6 @@ func totalNodes(c *corpus.Corpus) int {
 	return n
 }
 
-// TestMappedBytes checks the serving-tier accounting: a mapped corpus
-// reports its store bytes, the heap fallback reports zero, and removal
-// shrinks the figure.
-func TestMappedBytes(t *testing.T) {
-	dir := t.TempDir()
-	buildMmapCorpus(t, dir, 4)
-
-	heap, err := corpus.Open(dir, corpus.WithMmap(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := heap.MappedBytes(); got != 0 {
-		t.Fatalf("WithMmap(false) corpus reports %d mapped bytes, want 0", got)
-	}
-
-	mapped, err := corpus.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := mapped.MappedBytes()
-	if before <= 0 {
-		t.Skip("platform without mmap support: MappedBytes is 0 by design")
-	}
-	if err := mapped.Remove("doc00"); err != nil {
-		t.Fatal(err)
-	}
-	if after := mapped.MappedBytes(); after >= before {
-		t.Fatalf("MappedBytes did not shrink after Remove: before=%d after=%d", before, after)
-	}
-}
-
 // TestTopKAllocBudget pins the corpus-level allocation contract of this
 // change: a TopK over an already-open corpus must not scale allocations
 // with document size — no per-query file opens, label re-interning, or
@@ -169,7 +92,7 @@ func TestMappedBytes(t *testing.T) {
 // a precise count.
 func TestTopKAllocBudget(t *testing.T) {
 	dir := t.TempDir()
-	buildMmapCorpus(t, dir, 6)
+	buildRandomCorpus(t, dir, 6)
 	c, err := corpus.Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +130,7 @@ func TestQueryAllocsIndependentOfDocCount(t *testing.T) {
 	ctx := context.Background()
 	allocs := func(docs, queries int) float64 {
 		dir := t.TempDir()
-		buildMmapCorpus(t, dir, docs)
+		buildRandomCorpus(t, dir, docs)
 		c, err := corpus.Open(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -248,7 +171,7 @@ func TestRangeScratchPerRun(t *testing.T) {
 	ctx := context.Background()
 	bytesPerQuery := func(docs, queries int) float64 {
 		dir := t.TempDir()
-		buildMmapCorpus(t, dir, docs)
+		buildRandomCorpus(t, dir, docs)
 		c, err := corpus.Open(dir)
 		if err != nil {
 			t.Fatal(err)

@@ -104,7 +104,6 @@ import (
 	"tasm/internal/cost"
 	"tasm/internal/dict"
 	"tasm/internal/docstore"
-	"tasm/internal/mmapio"
 	"tasm/internal/postorder"
 	"tasm/internal/prb"
 	"tasm/internal/tree"
@@ -134,14 +133,6 @@ type Option func(*Corpus)
 // all node costs ≥ 1.
 func WithCostModel(m cost.Model) Option {
 	return func(c *Corpus) { c.model = m }
-}
-
-// WithPQ sets the pq-gram shape documents and queries are profiled with
-// when creating a new corpus (default p=2, q=3). Opening an existing corpus keeps the
-// shape recorded in its manifest; profiles of different shapes are not
-// comparable.
-func WithPQ(p, q int) Option {
-	return func(c *Corpus) { c.p, c.q = p, q }
 }
 
 // VerifyMode selects what Open does about file integrity.
@@ -187,17 +178,6 @@ func WithFS(fs atomicio.FS) Option {
 	return func(c *Corpus) { c.fs = fs }
 }
 
-// WithMmap selects how committed store files are loaded for the serving
-// set (default true: memory-mapped read-only, so the file's bytes stay in
-// the page cache rather than the heap). false reads each store whole into
-// the heap instead — the portable fallback, and the equivalence oracle
-// for the mapped path. Either way a store is read once, at load,
-// checksummed and decoded into the columns queries scan, and the query
-// path never re-opens or re-parses it.
-func WithMmap(on bool) Option {
-	return func(c *Corpus) { c.mmap = on }
-}
-
 // Corpus is an open corpus directory. It is safe for concurrent use:
 // queries may run while documents are ingested, and ingests are
 // serialized internally. The read path of a query never locks the label
@@ -210,13 +190,11 @@ type Corpus struct {
 	fs    atomicio.FS
 	log   *slog.Logger
 	mode  VerifyMode
-	mmap  bool
 
 	mu  sync.RWMutex
 	man *docstore.Manifest
 	// stores holds the loaded store of every document in the manifest:
-	// the mapped (or, under WithMmap(false), heap-copied) bytes and the
-	// items decoded once into postorder columns. An entry is created
+	// its items decoded once into postorder columns. An entry is created
 	// before its document enters the serving set — a store that does not
 	// load keeps its document out (AddTree) or quarantines it (Open) — and
 	// deleted when the document leaves (Remove, quarantine). The columns'
@@ -245,19 +223,17 @@ type Corpus struct {
 	scratchPool sync.Pool // *core.ScanScratch
 }
 
-// docStore is the one form a document is served in: region keeps the
-// store file's bytes (and unmaps them via finalizer once no snapshot
-// references them), cols is its items, checksummed and decoded once at
-// load with labels resolved in the base dictionary — what every query
-// scans, so answers never depend on the file's bytes after load — and
-// cands its candidate sets, derived from cols by the first scans at each
-// of up to two τ and dropped with the document. Region and columns are
+// docStore is the one form a document is served in: cols is its store's
+// items, checksummed and decoded once at load with labels resolved in the
+// base dictionary — what every query scans; the file's bytes are dropped
+// after load, so no answer depends on them — and cands its candidate
+// sets, derived from cols by the first scans at each of up to
+// prb.CandidateSlots τ and dropped with the document. The columns are
 // immutable after construction, the cache only ever gains a set; shared
 // by every snapshot that includes the document.
 type docStore struct {
-	region *mmapio.Region
-	cols   *postorder.Columns
-	cands  prb.CandidateCache
+	cols  *postorder.Columns
+	cands prb.CandidateCache
 }
 
 // snapshot is one consistent view of the corpus for a single query run:
@@ -267,8 +243,8 @@ type docStore struct {
 // label id resolves in base and every overlay id above base's watermark
 // is guaranteed fresh with respect to the captured documents. Queries that
 // captured a snapshot before a Remove or quarantine keep scanning the
-// departed document's columns, and its region is unmapped by GC once the
-// last such query drops it.
+// departed document's columns, which the collector frees once the last
+// such query drops them.
 type snapshot struct {
 	docs        []DocInfo
 	profiles    *lazyIndex // slot i of its index is docs[i]
@@ -316,29 +292,23 @@ func (c *Corpus) publishLocked() {
 	c.snap = st
 }
 
-// loadStore maps (or, under WithMmap(false), reads) a committed store
-// file and decodes it (docstore.Decode): checks its CRC-32C trailer
-// (except under VerifyOff), parses its header, interns its label table
-// into base — which must still be mutable (Open) or be a private
-// pre-freeze clone (AddTree) — and decodes its items into columns: the
-// steps docstore.Verify takes, on the bytes the document is then served
-// from. A store that fails any of them cannot be served, and the error
-// says why.
+// loadStore reads a committed store file and decodes it
+// (docstore.Decode): checks its CRC-32C trailer (except under VerifyOff),
+// parses its header, interns its label table into base — which must
+// still be mutable (Open) or be a private pre-freeze clone (AddTree) —
+// and decodes its items into columns: the steps docstore.Verify takes. A
+// store that fails any of them cannot be served, and the error says why.
+// The file's bytes are garbage once it returns.
 func (c *Corpus) loadStore(base *dict.Base, d DocInfo) (*docStore, error) {
-	open := mmapio.Map
-	if !c.mmap {
-		open = mmapio.ReadFile
-	}
-	region, err := open(filepath.Join(c.dir, d.Store))
+	data, err := os.ReadFile(filepath.Join(c.dir, d.Store))
 	if err != nil {
 		return nil, err
 	}
-	cols, err := docstore.Decode(base, region.Bytes(), c.mode != VerifyOff)
+	cols, err := docstore.Decode(base, data, c.mode != VerifyOff)
 	if err != nil {
-		region.Close()
 		return nil, err
 	}
-	return &docStore{region: region, cols: cols}, nil
+	return &docStore{cols: cols}, nil
 }
 
 // ColumnBytes returns the heap bytes held by the decoded postorder
@@ -355,20 +325,9 @@ func (c *Corpus) ColumnBytes() int64 {
 	return n
 }
 
-// MappedBytes returns the total size of store bytes the corpus currently
-// serves from read-only file mappings — memory visible to the process
-// but owned by the page cache, not the heap. Heap-loaded stores (the
-// WithMmap(false) fallback and non-unix platforms) do not count.
-func (c *Corpus) MappedBytes() int64 {
-	st := c.snapshot()
-	var n int64
-	for _, s := range st.stores {
-		if s.region.Mapped() {
-			n += int64(s.region.Len())
-		}
-	}
-	return n
-}
+// MappedBytes returns 0: a corpus maps no file. It remains because
+// bench/layers.go reports it (ROADMAP 1(c)).
+func (c *Corpus) MappedBytes() int64 { return 0 }
 
 // Open opens the corpus directory dir, creating it (and an empty
 // manifest) if it does not exist, sweeps crash debris, and loads every
@@ -382,16 +341,12 @@ func Open(dir string, opts ...Option) (*Corpus, error) {
 		q:      3,
 		fs:     atomicio.OS,
 		log:    slog.Default(),
-		mmap:   true,
 		stores: map[int]*docStore{},
 	}
 	c.planPool.New = func() any { return new(queryPlan) }
 	c.scratchPool.New = func() any { return new(core.ScanScratch) }
 	for _, o := range opts {
 		o(c)
-	}
-	if c.p < 1 || c.q < 1 {
-		return nil, fmt.Errorf("corpus: pq-gram shape must be ≥ 1, got (%d,%d)", c.p, c.q)
 	}
 	if err := os.MkdirAll(filepath.Join(dir, docsDir), 0o755); err != nil {
 		return nil, err
@@ -717,7 +672,6 @@ func (c *Corpus) AddTree(name string, t *tree.Tree) (DocInfo, error) {
 	man.NextID = id + 1
 	man.Generation = c.gen + 1
 	if err := docstore.WriteManifestFS(c.fs, filepath.Join(c.dir, manifestFile), &man); err != nil {
-		s.region.Close()
 		c.removeFile(info.Store)
 		return DocInfo{}, err
 	}

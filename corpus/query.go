@@ -222,14 +222,6 @@ func WithStats(s *Stats) QueryOption {
 	return func(q *QueryConfig) { q.Stats = s }
 }
 
-// WithBatchCutoffs shares k-th-distance bounds between this run and other
-// runs holding the same cutoffs: cs[i] is shared by query i across the
-// cooperating runs; see Cutoff. len(cs) must equal the number of queries.
-// Results are unchanged.
-func WithBatchCutoffs(cs []*Cutoff) QueryOption {
-	return func(q *QueryConfig) { q.Cutoffs = cs }
-}
-
 // scanDoc is one document of a run's scan plan. It is small, so that
 // ordering the plan moves small values.
 type scanDoc struct {

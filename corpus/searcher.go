@@ -78,7 +78,7 @@ func ValidateQuery(q *tree.Tree, k int) error {
 }
 
 // ValidateBatch is ValidateQuery for Searcher.TopKBatch: at least one
-// query, all non-empty, k ≥ 1, and a Cutoffs option (when present)
+// query, all non-empty, k ≥ 1, and cfg.Cutoffs (when set)
 // matching the query count.
 func ValidateBatch(queries []*tree.Tree, k int, cfg *QueryConfig) error {
 	if len(queries) == 0 {

@@ -453,6 +453,7 @@ func streamScan(queries []*tree.Tree, docQ postorder.Queue, ranks []*ranking.Hea
 		sc.buf = new(prb.Buffer)
 	}
 	sc.buf.Reset(docQ, sc.tauMax)
+	defer sc.buf.Reset(nil, sc.tauMax) // a kept scratch must not keep the stream, and what it reads, alive
 	return scanStream(sc.buf, sc, posOffset, strictTies, &opts)
 }
 

@@ -22,7 +22,7 @@ import (
 // runs: emptied for the next run's computers instead of allocated again.
 // Pass one via Options.Scratch when scanning many documents with the same
 // queries, rankings, model, and configuration; the corpus keeps them in a
-// sync.Pool.
+// sync.Pool, and a tasm.Matcher keeps one for all its runs.
 //
 // A scratch is NOT safe for concurrent use, and the per-query states are
 // keyed by the identity of the run's (queries, rankings): call Reset

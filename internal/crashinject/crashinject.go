@@ -77,13 +77,6 @@ func (in *Injector) Disarm() {
 	in.crashed = false
 }
 
-// Steps reports how many operations have run (or crashed) since Arm.
-func (in *Injector) Steps() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.step
-}
-
 // Crashed reports whether the armed crash has been delivered.
 func (in *Injector) Crashed() bool {
 	in.mu.Lock()

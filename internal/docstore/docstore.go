@@ -30,7 +30,7 @@
 // only format: a file with any other magic (the unchecksummed "TASMPQ1\n"
 // of early builds included) is corrupt. The checksum is verified by
 // Decode — which Verify and the corpus's store load both call — never by
-// Reader on a scan.
+// Reader.
 //
 // Readers treat every count in the stream as untrusted: allocations are
 // bounded by the bytes actually present, label ids must fall inside the
@@ -175,11 +175,26 @@ func Decode(d dict.Dict, data []byte, verify bool) (*postorder.Columns, error) {
 	return im.Columns(im.Remap(d))
 }
 
-// Reader streams a persisted document as a postorder queue. Labels are
-// re-interned into the target dictionary on open, so identifiers are
-// compatible with queries interned in the same dictionary.
+// source is what a Reader decodes: a buffered stream (NewReader) or the
+// item region of an in-memory Image (Reset).
+type source interface {
+	io.Reader
+	io.ByteReader
+}
+
+// Reader decodes a persisted document as a postorder queue. It is the
+// format's one decoder: NewReader streams a store from any io.Reader, and
+// Reset points a Reader at the items of a parsed Image, which is how
+// Image.Columns decodes a store at load. Labels are translated into the
+// caller's dictionary (NewReader interns them; Reset takes a remap from
+// Image.Remap), so identifiers are compatible with queries interned in
+// the same dictionary. A Reader reset from an Image allocates nothing;
+// pool and reuse it across documents.
 type Reader struct {
-	br *bufio.Reader
+	src source
+	// items is the source after Reset: a Reader over an Image's item
+	// region, kept in the Reader so a Reset allocates nothing.
+	items bytes.Reader
 	// remap translates stored label ids to ids in the caller's dict.
 	remap []int
 	n     uint64 // remaining items
@@ -187,78 +202,111 @@ type Reader struct {
 	err   error
 }
 
+// ImageReader is an alias of Reader, kept only because bench/layers.go
+// names it (ROADMAP 1(c)).
+type ImageReader = Reader
+
 // NewReader opens a persisted document from r, merging its dictionary
 // into d.
 func NewReader(d dict.Dict, r io.Reader) (*Reader, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	head := make([]byte, len(magicV2))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("docstore: reading magic: %w", err)
+	labels, count, err := readHeader(br)
+	if err != nil {
+		return nil, err
 	}
 	// The CRC trailer follows the last item, which the reader never
 	// reaches (Next returns io.EOF once the item count is exhausted).
 	// Checksum verification is Verify's job, off the scan path.
-	if string(head) != magicV2 {
-		return nil, fmt.Errorf("docstore: bad magic %q", head)
+	return &Reader{src: br, remap: intern(d, labels), n: count}, nil
+}
+
+// Reset points r at an image's item region with the given label remap
+// (from Image.Remap, possibly cached) and clears all progress state.
+//
+//tasm:hotpath
+func (r *Reader) Reset(im *Image, remap []int) {
+	r.items.Reset(im.data[im.itemsOff:])
+	r.src = &r.items
+	r.remap = remap
+	r.n = im.count
+	r.pos = 0
+	r.err = nil
+}
+
+// readHeader reads a store's header from src: the magic, the label table
+// and the node count.
+func readHeader(src source) (labels []string, count uint64, err error) {
+	head := make([]byte, len(magicV2))
+	if _, err := io.ReadFull(src, head); err != nil {
+		return nil, 0, fmt.Errorf("docstore: reading magic: %w", err)
 	}
-	labelCount, err := varint.Read(br)
+	if string(head) != magicV2 {
+		return nil, 0, fmt.Errorf("docstore: bad magic %q", head)
+	}
+	labelCount, err := varint.Read(src)
 	if err != nil {
-		return nil, fmt.Errorf("docstore: reading label count: %w", err)
+		return nil, 0, fmt.Errorf("docstore: reading label count: %w", err)
 	}
 	// The counts in the header are untrusted: a corrupt or truncated
 	// stream may claim arbitrarily many labels or bytes. Allocations are
 	// therefore driven by the bytes actually present — capped initial
 	// capacities, chunked label reads — so garbage input produces an
 	// error, never an attacker-sized allocation.
-	remap := make([]int, 0, min(labelCount, 4096))
+	labels = make([]string, 0, min(labelCount, 4096))
+	var buf []byte
 	for i := uint64(0); i < labelCount; i++ {
-		n, err := varint.Read(br)
+		n, err := varint.Read(src)
 		if err != nil {
-			return nil, fmt.Errorf("docstore: reading label %d: %w", i, err)
+			return nil, 0, fmt.Errorf("docstore: reading label %d: %w", i, err)
 		}
-		label, err := readLabel(br, n)
+		var label string
+		label, buf, err = readLabel(src, n, buf)
 		if err != nil {
-			return nil, fmt.Errorf("docstore: reading label %d: %w", i, err)
+			return nil, 0, fmt.Errorf("docstore: reading label %d: %w", i, err)
 		}
-		remap = append(remap, d.Intern(label))
+		labels = append(labels, label)
 	}
-	count, err := varint.Read(br)
+	count, err = varint.Read(src)
 	if err != nil {
-		return nil, fmt.Errorf("docstore: reading node count: %w", err)
+		return nil, 0, fmt.Errorf("docstore: reading node count: %w", err)
 	}
-	return &Reader{br: br, remap: remap, n: count}, nil
+	return labels, count, nil
 }
 
-// readLabel reads an n-byte label. Sane lengths — anything up to the
-// chunk size, i.e. every label a real writer produces — are read once
-// into a right-sized buffer and converted, with no intermediate copy.
-// Larger claimed lengths are untrusted (a corrupt header can promise
-// gigabytes): those fall back to bounded chunks, so the allocation is
-// driven by bytes actually present and a lying header fails with an
-// error once the stream runs dry.
-func readLabel(br *bufio.Reader, n uint64) (string, error) {
+// intern interns a store's label table into d and returns the stored-id
+// → d-id translation.
+func intern(d dict.Dict, labels []string) []int {
+	remap := make([]int, len(labels))
+	for i, l := range labels {
+		remap[i] = d.Intern(l)
+	}
+	return remap
+}
+
+// readLabel reads an n-byte label through buf, which it grows as needed
+// and returns for the next label, so a label costs one allocation: its
+// string. A claimed length is untrusted (a corrupt header can promise
+// gigabytes), so buf grows by at most one chunk ahead of the bytes
+// actually read, and a lying header fails with an error once the stream
+// runs dry.
+func readLabel(src io.Reader, n uint64, buf []byte) (string, []byte, error) {
 	const chunkSize = 64 << 10
-	if n <= chunkSize {
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
-	}
-	var sb []byte
+	buf = buf[:0]
 	for n > 0 {
-		c := min(n, chunkSize)
-		buf := make([]byte, c)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return "", err
+		c := int(min(n, chunkSize))
+		buf = slices.Grow(buf, c)
+		if _, err := io.ReadFull(src, buf[len(buf):len(buf)+c]); err != nil {
+			return "", buf, err
 		}
-		sb = append(sb, buf...)
-		n -= c
+		buf = buf[:len(buf)+c]
+		n -= uint64(c)
 	}
-	return string(sb), nil
+	return string(buf), buf, nil
 }
 
 // Next implements postorder.Queue.
+//
+//tasm:hotpath
 func (r *Reader) Next() (postorder.Item, error) {
 	if r.err != nil {
 		return postorder.Item{}, r.err
@@ -266,18 +314,18 @@ func (r *Reader) Next() (postorder.Item, error) {
 	if r.n == 0 {
 		return postorder.Item{}, io.EOF
 	}
-	label, err := varint.Read(r.br)
+	label, err := varint.Read(r.src)
 	if err != nil {
-		r.err = fmt.Errorf("docstore: reading item label: %w", noEOF(err))
+		r.err = fmt.Errorf("docstore: reading item label: %w", noEOF(err)) //tasm:allow alloc — cold error path: corrupt input only
 		return postorder.Item{}, r.err
 	}
-	size, err := varint.Read(r.br)
+	size, err := varint.Read(r.src)
 	if err != nil {
-		r.err = fmt.Errorf("docstore: reading item size: %w", noEOF(err))
+		r.err = fmt.Errorf("docstore: reading item size: %w", noEOF(err)) //tasm:allow alloc — cold error path: corrupt input only
 		return postorder.Item{}, r.err
 	}
 	if label >= uint64(len(r.remap)) {
-		r.err = fmt.Errorf("docstore: label id %d outside dictionary of %d", label, len(r.remap))
+		r.err = fmt.Errorf("docstore: label id %d outside dictionary of %d", label, len(r.remap)) //tasm:allow alloc — cold error path: corrupt input only
 		return postorder.Item{}, r.err
 	}
 	r.pos++
@@ -286,7 +334,7 @@ func (r *Reader) Next() (postorder.Item, error) {
 	// well-formed document, only from corruption, and rejecting it here
 	// keeps downstream int conversions and buffer sizing safe.
 	if size < 1 || size > r.pos {
-		r.err = fmt.Errorf("docstore: item %d has subtree size %d, want 1..%d", r.pos, size, r.pos)
+		r.err = fmt.Errorf("docstore: item %d has subtree size %d, want 1..%d", r.pos, size, r.pos) //tasm:allow alloc — cold error path: corrupt input only
 		return postorder.Item{}, r.err
 	}
 	r.n--

@@ -26,7 +26,7 @@ func TestImageRoundTrip(t *testing.T) {
 		t.Fatalf("ParseImage: %v", err)
 	}
 	d2 := dict.New()
-	var r ImageReader
+	var r Reader
 	r.Reset(im, im.Remap(d2))
 	got, err := postorder.BuildTree(d2, &r)
 	if err != nil {
@@ -37,9 +37,9 @@ func TestImageRoundTrip(t *testing.T) {
 	}
 }
 
-// TestImageReaderReuse pins the pooling contract: one ImageReader reset
-// across several documents yields the same items as fresh streaming
-// readers, and the drain itself performs zero allocations.
+// TestImageReaderReuse pins the pooling contract: one Reader reset onto
+// several images yields every item of each, and the drain itself performs
+// zero allocations.
 func TestImageReaderReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	d := dict.New()
@@ -58,7 +58,7 @@ func TestImageReaderReuse(t *testing.T) {
 		images = append(images, im)
 		remaps = append(remaps, im.Remap(d))
 	}
-	var r ImageReader
+	var r Reader
 	allocs := testing.AllocsPerRun(10, func() {
 		for i, im := range images {
 			r.Reset(im, remaps[i])
@@ -78,7 +78,7 @@ func TestImageReaderReuse(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("ImageReader drain allocated %.1f times per run, want 0", allocs)
+		t.Errorf("Reader drain allocated %.1f times per run, want 0", allocs)
 	}
 }
 
@@ -98,13 +98,13 @@ func drainStream(d dict.Dict, data []byte) (items []postorder.Item, clean bool, 
 	}
 }
 
-// drainImage does the same through ParseImage + ImageReader.
+// drainImage does the same through ParseImage and Reader.Reset.
 func drainImage(d dict.Dict, data []byte) (items []postorder.Item, clean bool, openErr bool) {
 	im, err := ParseImage(data)
 	if err != nil {
 		return nil, false, true
 	}
-	var r ImageReader
+	var r Reader
 	r.Reset(im, im.Remap(d))
 	for {
 		it, err := r.Next()
@@ -115,13 +115,13 @@ func drainImage(d dict.Dict, data []byte) (items []postorder.Item, clean bool, o
 	}
 }
 
-// FuzzImageStreamEquivalence is the byte-identity oracle for the mmap
-// scan path: over ANY input — valid stores, truncations at
-// every boundary, corrupt varints, lying counts — the zero-copy image
-// reader and the streaming reader must agree exactly: same open
-// verdict, same item sequence, same clean-vs-corrupt ending. The corpus
-// picks between the two paths by platform and configuration, so any
-// divergence here is a silent cross-platform answer change.
+// FuzzImageStreamEquivalence pins the one decoder over its two sources:
+// over ANY input — valid stores, truncations at every boundary, corrupt
+// varints, lying counts — a Reader streaming through NewReader and a
+// Reader reset onto ParseImage's item region must agree exactly: same
+// open verdict, same item sequence, same clean-vs-corrupt ending. The
+// corpus loads through the second, tasm.Matcher.OpenStore and the CLIs
+// stream through the first.
 func FuzzImageStreamEquivalence(f *testing.F) {
 	valid := validStore(f)
 	f.Add(valid)
@@ -199,7 +199,7 @@ func TestImageRemapOverlayStable(t *testing.T) {
 
 	ov := dict.NewOverlay(frozen)
 	ov.Intern("query-only-label")
-	var r ImageReader
+	var r Reader
 	r.Reset(im, remap)
 	for {
 		it, err := r.Next()

@@ -102,16 +102,11 @@ func ReadManifest(path string) (*Manifest, error) {
 	return &m, nil
 }
 
-// WriteManifest durably persists a manifest via the atomicio commit
-// protocol (temp file, fsync, rename, directory fsync), so a crash at
-// any point leaves either the previous manifest or the new one — never
-// a torn or unflushed file.
-func WriteManifest(path string, m *Manifest) error {
-	return WriteManifestFS(atomicio.OS, path, m)
-}
-
-// WriteManifestFS is WriteManifest against an explicit filesystem, so
-// crash-injection harnesses can script failures at every commit step.
+// WriteManifestFS durably persists a manifest via the atomicio commit
+// protocol (temp file, fsync, rename, directory fsync) on fs, so a crash
+// at any point leaves either the previous manifest or the new one —
+// never a torn or unflushed file. Crash-injection harnesses pass an fs
+// that scripts failures at every commit step.
 func WriteManifestFS(fs atomicio.FS, path string, m *Manifest) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {

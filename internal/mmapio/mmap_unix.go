@@ -34,7 +34,7 @@ func Map(path string) (*Region, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mmapio: mmap %s: %w", path, err)
 	}
-	r := &Region{data: data, mapped: true}
+	r := &Region{data: data}
 	// Unmap when the collector proves the region unreachable, so owners
 	// may drop the last reference instead of proving reader quiescence
 	// for an explicit Close (see the package comment).
@@ -47,8 +47,8 @@ func (r *Region) finalize() { _ = r.Close() }
 func (r *Region) release() error {
 	data := r.data
 	r.data = nil
-	if !r.mapped {
-		return nil
+	if data == nil {
+		return nil // an empty file's region maps nothing
 	}
 	runtime.SetFinalizer(r, nil)
 	if err := syscall.Munmap(data); err != nil {

@@ -1,24 +1,18 @@
 // Package mmapio maps files into memory read-only, with a portable
 // read-into-heap fallback behind the same interface.
 //
-// It exists for the corpus serving path: persisted postorder stores are
-// mapped once at corpus open and scanned zero-copy by every query, so a
-// leaf can serve corpora whose stores exceed its heap — the kernel pages
-// store bytes in and out on demand, cold start touches only the headers,
-// and a scan allocates nothing for document bytes.
+// The corpus does not use it: a store is read once at load, decoded into
+// columns and its bytes dropped. bench/layers.go maps stores with it to
+// time the decoder over bytes the page cache holds.
 //
 // Two implementations sit behind Map, selected by build tag:
 //
 //   - unix (linux, darwin, …): mmap(2) with PROT_READ. The file
 //     descriptor is closed immediately after mapping; the mapping keeps
-//     the inode alive, so the file may be renamed or unlinked (corpus
-//     remove, quarantine) while readers are mid-scan.
+//     the inode alive, so the file may be renamed or unlinked while its
+//     bytes are read.
 //   - everything else: the file is read whole into the heap. Same
 //     interface, same lifetime rules, no page-cache sharing.
-//
-// ReadFile always takes the heap path regardless of platform — the
-// explicit fallback for callers that want to rule mmap out (tests pin
-// byte-identity between the two).
 //
 // # Lifetime
 //
@@ -27,35 +21,21 @@
 // goroutine still reads the bytes is a use-after-free (SIGSEGV on the
 // mmap path). Owners that cannot prove quiescence should simply drop the
 // Region instead — a finalizer unmaps it once the garbage collector
-// proves nothing references it anymore, which is exactly the "last
-// in-flight query snapshot released" condition a serving corpus needs.
+// proves nothing references it anymore.
 package mmapio
 
-import (
-	"fmt"
-	"os"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Region is a read-only byte region backed by a file mapping or a heap
 // copy of the file.
 type Region struct {
 	data   []byte
-	mapped bool
 	closed atomic.Bool
 }
 
 // Bytes returns the region's bytes. The slice must not be written to and
 // must not be used after Close.
 func (r *Region) Bytes() []byte { return r.data }
-
-// Len returns the region's size in bytes.
-func (r *Region) Len() int { return len(r.data) }
-
-// Mapped reports whether the region is a live file mapping (true) or a
-// heap copy (false). Gauges use it to report how many bytes a process
-// serves without owning heap for them.
-func (r *Region) Mapped() bool { return r.mapped }
 
 // Close releases the region: the mapping is unmapped, or the heap copy
 // is released to the collector. Idempotent. See the package comment for
@@ -66,14 +46,4 @@ func (r *Region) Close() error {
 		return nil
 	}
 	return r.release()
-}
-
-// ReadFile returns a Region holding a heap copy of the file — the
-// portable fallback path, available on every platform.
-func ReadFile(path string) (*Region, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("mmapio: %w", err)
-	}
-	return &Region{data: data}, nil
 }

@@ -18,9 +18,8 @@ func writeTemp(t *testing.T, data []byte) string {
 	return path
 }
 
-// Map and ReadFile must serve identical bytes for the same file — the
-// corpus relies on the two paths being interchangeable.
-func TestMapReadFileEquivalence(t *testing.T) {
+// Map serves the file's bytes.
+func TestMapBytes(t *testing.T) {
 	want := make([]byte, 123457)
 	if _, err := rand.Read(want); err != nil {
 		t.Fatal(err)
@@ -32,74 +31,47 @@ func TestMapReadFileEquivalence(t *testing.T) {
 		t.Fatalf("Map: %v", err)
 	}
 	defer m.Close()
-	h, err := ReadFile(path)
-	if err != nil {
-		t.Fatalf("ReadFile: %v", err)
-	}
-	defer h.Close()
-
 	if !bytes.Equal(m.Bytes(), want) {
 		t.Error("mapped bytes differ from file contents")
-	}
-	if !bytes.Equal(h.Bytes(), want) {
-		t.Error("heap bytes differ from file contents")
-	}
-	if m.Len() != len(want) || h.Len() != len(want) {
-		t.Errorf("Len: mapped %d, heap %d, want %d", m.Len(), h.Len(), len(want))
-	}
-	if h.Mapped() {
-		t.Error("ReadFile region reports Mapped()")
 	}
 }
 
 func TestEmptyFile(t *testing.T) {
-	path := writeTemp(t, nil)
-	for name, open := range map[string]func(string) (*Region, error){"Map": Map, "ReadFile": ReadFile} {
-		r, err := open(path)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if r.Len() != 0 {
-			t.Errorf("%s: Len = %d, want 0", name, r.Len())
-		}
-		if err := r.Close(); err != nil {
-			t.Errorf("%s: Close: %v", name, err)
-		}
+	r, err := Map(writeTemp(t, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(r.Bytes()); n != 0 {
+		t.Errorf("%d bytes, want 0", n)
+	}
+	if err := r.Close(); err != nil {
+		t.Errorf("Close: %v", err)
 	}
 }
 
 func TestMissingFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "nope")
-	if _, err := Map(path); err == nil {
+	if _, err := Map(filepath.Join(t.TempDir(), "nope")); err == nil {
 		t.Error("Map of missing file succeeded")
-	}
-	if _, err := ReadFile(path); err == nil {
-		t.Error("ReadFile of missing file succeeded")
 	}
 }
 
 func TestCloseIdempotent(t *testing.T) {
-	path := writeTemp(t, []byte("hello"))
-	for name, open := range map[string]func(string) (*Region, error){"Map": Map, "ReadFile": ReadFile} {
-		r, err := open(path)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	r, err := Map(writeTemp(t, []byte("hello")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := r.Close(); err != nil {
+			t.Errorf("Close #%d: %v", i+1, err)
 		}
-		for i := 0; i < 3; i++ {
-			if err := r.Close(); err != nil {
-				t.Errorf("%s: Close #%d: %v", name, i+1, err)
-			}
-		}
-		var nilRegion *Region
-		if err := nilRegion.Close(); err != nil {
-			t.Errorf("nil Close: %v", err)
-		}
+	}
+	var nilRegion *Region
+	if err := nilRegion.Close(); err != nil {
+		t.Errorf("nil Close: %v", err)
 	}
 }
 
-// The corpus removes and renames store files while queries may still be
-// scanning a snapshot that references them; the mapping must keep
-// serving the old bytes.
+// A file renamed or unlinked while mapped keeps serving its old bytes.
 func TestReadableAfterUnlink(t *testing.T) {
 	want := []byte("survives unlink")
 	path := writeTemp(t, want)
@@ -116,8 +88,7 @@ func TestReadableAfterUnlink(t *testing.T) {
 	}
 }
 
-// Concurrent readers over one region — the whole point of sharing a
-// mapping across queries. Run under -race in CI.
+// Concurrent readers over one region. Run under -race in CI.
 func TestConcurrentReaders(t *testing.T) {
 	data := make([]byte, 1<<16)
 	for i := range data {

@@ -1,6 +1,5 @@
 // Package varint implements the unsigned LEB128 integer encoding of the
-// document store format, for its writer and both its readers. One codec,
-// one set of limits: a fix here fixes every reader.
+// document store format, for its writer and its reader.
 package varint
 
 import (
@@ -22,29 +21,6 @@ func Write(w io.ByteWriter, v uint64) error {
 		v >>= 7
 	}
 	return w.WriteByte(byte(v))
-}
-
-// Decode decodes one varint from the front of b, returning the value and
-// the number of bytes consumed. It is the in-memory counterpart of Read
-// for zero-copy readers that walk a byte slice directly: no reader
-// indirection, no per-byte interface call. A slice that ends mid-varint
-// yields io.ErrUnexpectedEOF (there is no "clean end" reading from a
-// region a header promised more items in), an over-long encoding
-// ErrTooLong.
-func Decode(b []byte) (uint64, int, error) {
-	var v uint64
-	var shift uint
-	for i, by := range b {
-		if shift >= 64 {
-			return 0, 0, ErrTooLong
-		}
-		v |= uint64(by&0x7f) << shift
-		if by < 0x80 {
-			return v, i + 1, nil
-		}
-		shift += 7
-	}
-	return 0, 0, io.ErrUnexpectedEOF
 }
 
 // Read decodes one varint from r. It returns ErrTooLong for encodings

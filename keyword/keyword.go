@@ -44,11 +44,12 @@ const WildcardLabel = "\x00*"
 // minimum the cost model admits.
 const wildcardCost = 1
 
-// DefaultKeywordWeight balances coverage against conciseness: missing a
-// keyword costs 8 while each extra content node in an answer costs 1, so
-// an answer may carry up to 7 nodes of surrounding context per keyword it
-// covers before a smaller partial answer overtakes it.
-const DefaultKeywordWeight = 8
+// KeywordWeight is the node cost of keyword leaves. It balances coverage
+// against conciseness: missing a keyword costs 8 while each extra content
+// node in an answer costs 1, so an answer may carry up to 7 nodes of
+// surrounding context per keyword it covers before a smaller partial
+// answer overtakes it.
+const KeywordWeight = 8
 
 // Option configures a Search.
 type Option func(*Search)
@@ -56,20 +57,12 @@ type Option func(*Search)
 // WithK sets the number of results (default 10).
 func WithK(k int) Option { return func(s *Search) { s.k = k } }
 
-// WithKeywordWeight sets the node cost of keyword leaves (≥ 1). Higher
-// weights favour coverage (answers containing all keywords even if large);
-// weight 1 favours conciseness to the point that single-keyword leaves win.
-// This is the content-vs-structure dial of the XML keyword search
-// literature, expressed as a cost model instead of a score combination.
-func WithKeywordWeight(w float64) Option { return func(s *Search) { s.weight = w } }
-
 // Search is a prepared keyword query.
 type Search struct {
 	dict     dict.Dict
 	keywords []string
 	query    *tree.Tree
 	k        int
-	weight   float64
 }
 
 // Result is one ranked answer subtree.
@@ -105,16 +98,12 @@ func New(d dict.Dict, keywords []string, opts ...Option) (*Search, error) {
 		keywords: append([]string(nil), keywords...),
 		query:    tree.FromNode(d, root),
 		k:        10,
-		weight:   DefaultKeywordWeight,
 	}
 	for _, o := range opts {
 		o(s)
 	}
 	if s.k < 1 {
 		return nil, fmt.Errorf("keyword: k must be ≥ 1, got %d", s.k)
-	}
-	if s.weight < 1 {
-		return nil, fmt.Errorf("keyword: keyword weight must be ≥ 1, got %g", s.weight)
 	}
 	return s, nil
 }
@@ -124,11 +113,11 @@ func (s *Search) Query() *tree.Tree { return s.query }
 
 // model returns the cost model: the wildcard root at the Definition 4
 // minimum (its rename is as cheap as the model admits), keyword leaves at
-// the configured weight (missing one is expensive), everything else unit.
+// KeywordWeight (missing one is expensive), everything else unit.
 func (s *Search) model() (cost.Model, error) {
 	table := map[string]float64{WildcardLabel: wildcardCost}
 	for _, kw := range s.keywords {
-		table[kw] = s.weight
+		table[kw] = KeywordWeight
 	}
 	return cost.NewPerLabel(table, 1)
 }

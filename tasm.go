@@ -204,6 +204,10 @@ type Matcher struct {
 	model CostModel
 	ct    float64
 	probe Probe
+	// scratch is the scan state every run reuses — distance computers,
+	// their memo, ring, cursor and view — reset after each run so it
+	// holds no query between runs.
+	scratch core.ScanScratch
 }
 
 // Option configures a Matcher.
@@ -327,6 +331,7 @@ func (m *Matcher) Tau(q *Tree, k int) int {
 // O(|q|² + |q|·k). The scan polls ctx once per candidate and returns
 // ctx.Err() promptly when it is cancelled or its deadline passes.
 func (m *Matcher) TopK(ctx context.Context, q, doc *Tree, k int) ([]Match, error) {
+	defer m.scratch.Reset()
 	return core.Postorder(q, doc, k, m.options(ctx))
 }
 
@@ -337,6 +342,7 @@ func (m *Matcher) TopK(ctx context.Context, q, doc *Tree, k int) ([]Match, error
 // corpus.WithWorkers splits the candidates of its resident documents
 // across goroutines.
 func (m *Matcher) TopKStream(ctx context.Context, q *Tree, doc Queue, k int) ([]Match, error) {
+	defer m.scratch.Reset()
 	return core.PostorderStream(q, doc, k, m.options(ctx))
 }
 
@@ -346,6 +352,7 @@ func (m *Matcher) TopKStream(ctx context.Context, q *Tree, doc Queue, k int) ([]
 // is identical to an individual TopKStream run; the document is parsed
 // and pruned only once.
 func (m *Matcher) TopKBatch(ctx context.Context, queries []*Tree, doc Queue, k int) ([][]Match, error) {
+	defer m.scratch.Reset()
 	return core.PostorderBatch(queries, doc, k, m.options(ctx))
 }
 
@@ -357,5 +364,5 @@ func (m *Matcher) TopKDynamic(q, doc *Tree, k int) ([]Match, error) {
 }
 
 func (m *Matcher) options(ctx context.Context) core.Options {
-	return core.Options{Ctx: ctx, Model: m.model, CT: m.ct, Probe: m.probe}
+	return core.Options{Ctx: ctx, Model: m.model, CT: m.ct, Probe: m.probe, Scratch: &m.scratch}
 }

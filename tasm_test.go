@@ -3,10 +3,14 @@ package tasm
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"strings"
 	"testing"
+	"weak"
 
 	"tasm/corpus"
+	"tasm/internal/postorder"
+	"tasm/internal/race"
 )
 
 const sampleXML = `<dblp>
@@ -361,4 +365,65 @@ func TestOpenCorpus(t *testing.T) {
 			t.Fatalf("rank %d: corpus %+v vs single %+v", i, matches[i], single[i])
 		}
 	}
+}
+
+// TestMatcherReusesScratch pins that a Matcher keeps its scan state
+// across runs: a warm TopK, TopKStream or TopKBatch allocates its answer
+// and a few per-query objects, not a fresh distance memo (56 KiB alone).
+func TestMatcherReusesScratch(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation sizes are not meaningful under -race")
+	}
+	ctx := context.Background()
+	m := New()
+	doc, err := m.ParseXML(strings.NewReader(sampleXML))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := m.ParseBracket("{article{author}{title}}")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func() error{
+		"TopK": func() error { _, err := m.TopK(ctx, q, doc, 3); return err },
+		"TopKStream": func() error {
+			_, err := m.TopKStream(ctx, q, postorder.FromTree(doc), 3)
+			return err
+		},
+		"TopKBatch": func() error {
+			_, err := m.TopKBatch(ctx, []*Tree{q, q}, postorder.FromTree(doc), 3)
+			return err
+		},
+	} {
+		if err := run(); err != nil { // warm the scratch
+			t.Fatal(err)
+		}
+		const rounds = 20
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for range rounds {
+			if err := run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perRun := (after.TotalAlloc - before.TotalAlloc) / rounds
+		t.Logf("%s on a %d-node document: %d B per run", name, doc.Size(), perRun)
+		if perRun > 16<<10 {
+			t.Errorf("%s allocates %d B per warm run: the Matcher's scan state is rebuilt per run", name, perRun)
+		}
+	}
+	// The kept state holds no document stream once a run returns.
+	stream := postorder.NewSliceQueue(postorder.Items(doc))
+	ref := weak.Make(stream)
+	if _, err := m.TopKStream(ctx, q, stream, 3); err != nil {
+		t.Fatal(err)
+	}
+	stream = nil
+	runtime.GC()
+	if ref.Value() != nil {
+		t.Error("the Matcher keeps the last stream it scanned reachable")
+	}
+	runtime.KeepAlive(m)
 }
