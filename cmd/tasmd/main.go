@@ -38,7 +38,9 @@
 //	                          share one request-scoped dictionary overlay
 //	POST   /v1/docs         – ingest a document: JSON {"name":…,"xml":…} or a
 //	                          raw XML body with ?name=… (leaf only)
-//	GET    /v1/docs         – list the corpus manifest
+//	GET    /v1/docs         – list the corpus manifest (a router lists its
+//	                          shards' in shard order, and answers 500
+//	                          naming a shard that cannot list)
 //	DELETE /v1/docs/{name}  – remove a document: the manifest entry is
 //	                          tombstoned (ids never reused, caches stay
 //	                          valid) and the files GC'd best-effort (leaf only)
@@ -167,8 +169,8 @@ func run(ctx context.Context, dir, shards string, hedgeDelay time.Duration, addr
 		logger = slog.Default()
 	}
 	var (
-		src corpus.Searcher
-		ing corpus.Ingester
+		src  corpus.Searcher
+		leaf *corpus.Corpus
 	)
 	if dir != "" {
 		start := time.Now()
@@ -177,7 +179,7 @@ func run(ctx context.Context, dir, shards string, hedgeDelay time.Duration, addr
 			return err
 		}
 		cfg.openDuration = time.Since(start)
-		src, ing = c, c
+		src, leaf = c, c
 		// columnBytes is the decoded columns with their label postings: 12
 		// bytes per node and 8 per distinct label of each document.
 		logger.Info("serving corpus", "dir", dir, "docs", c.Len(), "quarantined", c.Quarantined(),
@@ -230,7 +232,7 @@ func run(ctx context.Context, dir, shards string, hedgeDelay time.Duration, addr
 	if err != nil {
 		return err
 	}
-	return serve(ctx, l, newServer(src, ing, cfg), drain)
+	return serve(ctx, l, newServer(src, leaf, cfg), drain)
 }
 
 // serveDebug starts the private debug listener: net/http/pprof on its

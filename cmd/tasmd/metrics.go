@@ -211,22 +211,16 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, c := range rows {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", c.name, c.help, c.name, c.kind, c.name, c.value)
 	}
-	// The base-dictionary gauge only exists for backends that own one (a
-	// local corpus); a router's shards each export their own.
-	if d, ok := s.src.(interface{ DictLen() int }); ok {
-		fmt.Fprintf(w, "# HELP tasmd_dict_base_labels Labels in the frozen corpus base dictionary (grows only on ingest, never on queries).\n# TYPE tasmd_dict_base_labels gauge\ntasmd_dict_base_labels %d\n", d.DictLen())
-	}
-	// The quarantine gauge likewise exists only for backends with local
-	// files: it reports the corpus's lifetime count of documents its
-	// integrity scrub removed from serving. Alert on it being non-zero.
-	if q, ok := s.src.(interface{ Quarantined() int }); ok {
-		fmt.Fprintf(w, "# HELP tasmd_quarantined_docs Documents quarantined by the integrity scrub (files preserved under quarantine/; non-zero means data loss pending operator action).\n# TYPE tasmd_quarantined_docs gauge\ntasmd_quarantined_docs %d\n", q.Quarantined())
-	}
-	// Decoded postorder columns: the heap copy of every store's items
-	// that queries actually scan, with the candidate sets cached beside
-	// them.
-	if cb, ok := s.src.(interface{ ColumnBytes() int64 }); ok {
-		fmt.Fprintf(w, "# HELP tasmd_corpus_column_bytes Heap bytes of the postorder columns and label postings decoded from the stores at load and scanned by every query (12 per node and 8 per distinct label of a document), and of the candidate sets cached beside them (about 1 per node and 4 per candidate, for each of up to eight size thresholds per document).\n# TYPE tasmd_corpus_column_bytes gauge\ntasmd_corpus_column_bytes %d\n", cb.ColumnBytes())
+	// The leaf-only gauges: a router's shards each export their own.
+	// tasmd_quarantined_docs is the corpus's lifetime count of documents
+	// its integrity scrub removed from serving; alert on it being
+	// non-zero. tasmd_corpus_column_bytes is the heap copy of every
+	// store's items that queries scan, with the candidate sets cached
+	// beside them.
+	if s.leaf != nil {
+		fmt.Fprintf(w, "# HELP tasmd_dict_base_labels Labels in the frozen corpus base dictionary (grows only on ingest, never on queries).\n# TYPE tasmd_dict_base_labels gauge\ntasmd_dict_base_labels %d\n", s.leaf.DictLen())
+		fmt.Fprintf(w, "# HELP tasmd_quarantined_docs Documents quarantined by the integrity scrub (files preserved under quarantine/; non-zero means data loss pending operator action).\n# TYPE tasmd_quarantined_docs gauge\ntasmd_quarantined_docs %d\n", s.leaf.Quarantined())
+		fmt.Fprintf(w, "# HELP tasmd_corpus_column_bytes Heap bytes of the postorder columns and label postings decoded from the stores at load and scanned by every query (12 per node and 8 per distinct label of a document), and of the candidate sets cached beside them (about 1 per node and 4 per candidate, for each of up to eight size thresholds per document).\n# TYPE tasmd_corpus_column_bytes gauge\ntasmd_corpus_column_bytes %d\n", s.leaf.ColumnBytes())
 	}
 	if s.cfg.openDuration > 0 {
 		fmt.Fprintf(w, "# HELP tasmd_corpus_open_seconds Cold-start cost of opening the backend (manifest load, orphan sweep, store read, checksum and column decode).\n# TYPE tasmd_corpus_open_seconds gauge\ntasmd_corpus_open_seconds %g\n", s.cfg.openDuration.Seconds())

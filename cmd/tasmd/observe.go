@@ -296,9 +296,9 @@ func (r *inflightRegistry) snapshot() []inflightQuery {
 
 // instrumentedShard wraps a router's *shard.Client with per-shard
 // telemetry: request/error counters, an in-flight gauge and a latency
-// histogram, exported as shard-labelled series on /metrics. The embedded
-// client keeps its Name/Docs/DocsContext/NumDocs/Generation methods
-// promoted, so shard.Group still sees everything it type-asserts for.
+// histogram, exported as shard-labelled series on /metrics. Only the
+// queries are counted: Docs, NumDocs and Generation are the embedded
+// client's, and so is Name, which shard.Group names the shard by.
 type instrumentedShard struct {
 	*shard.Client
 	st *shardStats

@@ -191,8 +191,8 @@ func TestGatedEvalsReportedThroughTiers(t *testing.T) {
 	}
 }
 
-// TestRouterShardDownIs500: an unreachable leaf fails the query with a
-// 500 naming the shard.
+// TestRouterShardDownIs500: an unreachable leaf fails the query and the
+// listing with a 500 naming the shard, while /healthz still answers.
 func TestRouterShardDownIs500(t *testing.T) {
 	cl0, _ := newLeaf(t, map[string]string{"a1": `<r><rec><x>1</x></rec></r>`})
 	dead := httptest.NewServer(http.NotFoundHandler())
@@ -209,6 +209,16 @@ func TestRouterShardDownIs500(t *testing.T) {
 	}
 	if !strings.Contains(w.Body.String(), deadURL) {
 		t.Errorf("error does not name the dead shard %s: %s", deadURL, w.Body)
+	}
+	w = doJSON(t, router, "GET", "/v1/docs", nil)
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("listing with a dead shard: status %d, want 500 (%s)", w.Code, w.Body)
+	}
+	if !strings.Contains(w.Body.String(), deadURL) {
+		t.Errorf("listing error does not name the dead shard %s: %s", deadURL, w.Body)
+	}
+	if w := doJSON(t, router, "GET", "/healthz", nil); w.Code != http.StatusOK {
+		t.Errorf("healthz with a dead shard: status %d, want 200 (%s)", w.Code, w.Body)
 	}
 }
 

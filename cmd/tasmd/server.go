@@ -62,23 +62,14 @@ type serverConfig struct {
 	openDuration time.Duration
 }
 
-// queryParser is the optional backend interface for parsing queries in
-// the backend's own dictionary context. *corpus.Corpus implements it
-// (queries then resolve through an overlay over the corpus dictionary);
-// backends without one — a shard group, a remote client — fall back to a
-// fresh per-request dictionary, which the Searcher contract re-interns.
-type queryParser interface {
-	ParseBracket(s string) (*tree.Tree, error)
-	ParseXML(r io.Reader) (*tree.Tree, error)
-}
-
 // server routes the tasmd HTTP API over one shared Searcher backend: a
 // local corpus directory, or a scatter-gather group of remote shards.
-// Ingest endpoints require the backend to also be an Ingester (a local
-// corpus); a router serves queries only.
+// Ingest, removal, verification, the leaf-only gauges and parsing in the
+// corpus dictionary need the local corpus, leaf; a router has none and
+// serves queries and listings only.
 type server struct {
 	src      corpus.Searcher
-	ing      corpus.Ingester // nil: read-only backend (shard router)
+	leaf     *corpus.Corpus // src itself on a leaf, nil on a router
 	cfg      serverConfig
 	cache    *lruCache
 	sem      chan struct{}
@@ -89,9 +80,9 @@ type server struct {
 	shards   []*shardStats
 }
 
-// newServer returns the daemon's http.Handler over the given backend.
-// ing may be nil for read-only backends.
-func newServer(src corpus.Searcher, ing corpus.Ingester, cfg serverConfig) http.Handler {
+// newServer returns the daemon's http.Handler over the given backend:
+// a leaf passes its corpus as both src and leaf, a router a nil leaf.
+func newServer(src corpus.Searcher, leaf *corpus.Corpus, cfg serverConfig) http.Handler {
 	if cfg.maxK <= 0 {
 		cfg.maxK = 10000
 	}
@@ -106,7 +97,7 @@ func newServer(src corpus.Searcher, ing corpus.Ingester, cfg serverConfig) http.
 		logger = slog.New(slog.DiscardHandler)
 	}
 	s := &server{
-		src: src, ing: ing, cfg: cfg, cache: newLRUCache(cfg.cacheSize),
+		src: src, leaf: leaf, cfg: cfg, cache: newLRUCache(cfg.cacheSize),
 		log:      logger,
 		slow:     &slowLog{threshold: cfg.slowQuery},
 		inflight: newInflightRegistry(),
@@ -160,11 +151,12 @@ func (s *server) observeSlow(d time.Duration, e slowEntry) {
 	}
 }
 
-// parseBracket parses a bracket-notation query in the backend's
-// dictionary context when it offers one, a fresh dictionary otherwise.
+// parseBracket parses a bracket-notation query in a leaf's corpus
+// dictionary (an overlay over it), and in a fresh dictionary on a router,
+// whose Searcher re-interns it.
 func (s *server) parseBracket(q string) (*tree.Tree, error) {
-	if p, ok := s.src.(queryParser); ok {
-		return p.ParseBracket(q)
+	if s.leaf != nil {
+		return s.leaf.ParseBracket(q)
 	}
 	return tree.Parse(dict.New(), q)
 }
@@ -194,8 +186,8 @@ func (s *server) parseQueries(req *queryRequest) ([]*tree.Tree, error) {
 
 // parseXML is parseBracket for XML queries.
 func (s *server) parseXML(r io.Reader) (*tree.Tree, error) {
-	if p, ok := s.src.(queryParser); ok {
-		return p.ParseXML(r)
+	if s.leaf != nil {
+		return s.leaf.ParseXML(r)
 	}
 	return xmlstream.ParseTree(dict.New(), r)
 }
@@ -541,7 +533,7 @@ type ingestRequest struct {
 }
 
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if s.ing == nil {
+	if s.leaf == nil {
 		httpError(w, http.StatusNotImplemented,
 			"this tasmd serves a shard group and is read-only; ingest into the shard that should own the document")
 		return
@@ -567,7 +559,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "document name is required (JSON field \"name\" or ?name=)")
 		return
 	}
-	info, err := s.ing.AddXML(name, xml)
+	info, err := s.leaf.AddXML(name, xml)
 	if err != nil {
 		s.metrics.ingestErrors.Add(1)
 		status := http.StatusBadRequest
@@ -598,25 +590,18 @@ func bodyErrStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// verifier is the optional backend interface behind POST
-// /v1/admin/verify; *corpus.Corpus implements it. Routers do not — each
-// leaf scrubs its own disk.
-type verifier interface {
-	Verify() (corpus.VerifyReport, error)
-}
-
 // handleVerify serves POST /v1/admin/verify: an on-demand integrity
 // scrub of the backing corpus. Corrupt documents are quarantined and
 // reported; the response's quarantinedTotal is the corpus's lifetime
-// count (also exported as the tasmd_quarantined_docs gauge).
+// count (also exported as the tasmd_quarantined_docs gauge). A router
+// has no files of its own: each leaf scrubs its own disk.
 func (s *server) handleVerify(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.src.(verifier)
-	if !ok {
+	if s.leaf == nil {
 		httpError(w, http.StatusNotImplemented,
 			"this tasmd serves a shard group with no local files; verify each shard directly")
 		return
 	}
-	rep, err := v.Verify()
+	rep, err := s.leaf.Verify()
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "verify: %v", err)
 		return
@@ -625,14 +610,10 @@ func (s *server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	if quarantined == nil {
 		quarantined = []string{}
 	}
-	total := 0
-	if q, ok := s.src.(interface{ Quarantined() int }); ok {
-		total = q.Quarantined()
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"checked":          rep.Checked,
 		"quarantined":      quarantined,
-		"quarantinedTotal": total,
+		"quarantinedTotal": s.leaf.Quarantined(),
 	})
 }
 
@@ -640,13 +621,13 @@ func (s *server) handleVerify(w http.ResponseWriter, r *http.Request) {
 // tombstoned (ids are never reused, so generation-keyed caches stay
 // valid) and the backing files garbage-collected best-effort.
 func (s *server) handleRemove(w http.ResponseWriter, r *http.Request) {
-	if s.ing == nil {
+	if s.leaf == nil {
 		httpError(w, http.StatusNotImplemented,
 			"this tasmd serves a shard group and is read-only; delete on the shard that owns the document")
 		return
 	}
 	name := r.PathValue("name")
-	if err := s.ing.Remove(name); err != nil {
+	if err := s.leaf.Remove(name); err != nil {
 		if errors.Is(err, corpus.ErrNotFound) {
 			httpError(w, http.StatusNotFound, "%v", err)
 			return
@@ -658,29 +639,32 @@ func (s *server) handleRemove(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"removed": name})
 }
 
+// handleListDocs serves GET /v1/docs. A router whose shard cannot list
+// fails as a query does (queryError: 500 naming the shard), never with a
+// stale or partial listing.
 func (s *server) handleListDocs(w http.ResponseWriter, r *http.Request) {
 	// The generation is read before the listing: if an ingest lands in
 	// between, clients cache the newer listing under the older generation
 	// and simply refetch next time — stale-listing-as-current can never
 	// happen. shard.Client keys its listing cache on this field.
 	gen := s.src.Generation()
-	docs := s.src.Docs()
+	docs, err := s.src.Docs(r.Context())
+	if err != nil {
+		s.queryError(w, r, err)
+		return
+	}
 	if docs == nil {
 		docs = []corpus.DocInfo{}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"generation": gen, "docs": docs})
 }
 
-// numDocs returns the backend's document count without blocking on
-// remote shards when the backend supports it (every corpus/shard backend
-// does); routers report a cached, eventually consistent count so a dead
-// leaf cannot stall liveness probes or metric scrapes.
+// numDocs returns the backend's document count without blocking: a
+// router reports its shards' cached, eventually consistent counts, so a
+// dead leaf cannot stall liveness probes or metric scrapes.
 func (s *server) numDocs() int {
-	if nd, ok := s.src.(interface{ NumDocs() (int, bool) }); ok {
-		n, _ := nd.NumDocs()
-		return n
-	}
-	return len(s.src.Docs())
+	n, _ := s.src.NumDocs()
+	return n
 }
 
 // handleSlowlog serves GET /debug/slowlog: the most recent slow queries

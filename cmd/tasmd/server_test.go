@@ -486,7 +486,7 @@ func TestStoreDamageAfterLoadChangesNothing(t *testing.T) {
 	if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"d1"`) {
 		t.Fatalf("verify after damage: status %d, want d1 quarantined (%s)", w.Code, w.Body)
 	}
-	if docs := c.Docs(); len(docs) != 1 || docs[0].Name != "d2" {
+	if docs, _ := c.Docs(context.Background()); len(docs) != 1 || docs[0].Name != "d2" {
 		t.Fatalf("after verify the corpus serves %v, want only d2", docs)
 	}
 }

@@ -38,8 +38,9 @@ func (s *slowSearcher) TopKBatch(ctx context.Context, qs []*tree.Tree, k int, op
 	return nil, ctx.Err()
 }
 
-func (s *slowSearcher) Docs() []corpus.DocInfo { return nil }
-func (s *slowSearcher) Generation() uint64     { return 0 }
+func (s *slowSearcher) Docs(context.Context) ([]corpus.DocInfo, error) { return nil, nil }
+func (s *slowSearcher) NumDocs() (int, bool)                           { return 0, true }
+func (s *slowSearcher) Generation() uint64                             { return 0 }
 
 // TestGracefulShutdownCancelsSlowQuery: a SIGTERM-equivalent (context
 // cancellation) while a slow query is in flight must (1) stop accepting

@@ -227,8 +227,9 @@ func (b *blockingSearcher) TopKBatch(ctx context.Context, queries []*tree.Tree, 
 	tr.End(span)
 	return make([][]corpus.Match, len(queries)), nil
 }
-func (b *blockingSearcher) Docs() []corpus.DocInfo { return nil }
-func (b *blockingSearcher) Generation() uint64     { return 0 }
+func (b *blockingSearcher) Docs(context.Context) ([]corpus.DocInfo, error) { return nil, nil }
+func (b *blockingSearcher) NumDocs() (int, bool)                           { return 0, true }
+func (b *blockingSearcher) Generation() uint64                             { return 0 }
 
 // TestInflightQueries verifies /debug/queries: a running query is listed
 // with its live stage from the trace, and vanishes once it completes.

@@ -82,8 +82,9 @@ func (f *statsSearcher) TopKBatch(ctx context.Context, queries []*tree.Tree, _ i
 	return make([][]corpus.Match, len(queries)), nil
 }
 
-func (f *statsSearcher) Docs() []corpus.DocInfo { return nil }
-func (f *statsSearcher) Generation() uint64     { return 1 }
+func (f *statsSearcher) Docs(context.Context) ([]corpus.DocInfo, error) { return nil, nil }
+func (f *statsSearcher) NumDocs() (int, bool)                           { return 0, true }
+func (f *statsSearcher) Generation() uint64                             { return 1 }
 
 // TestStatsRoundTrip: every corpus.Stats field a backend reports arrives
 // unchanged at a shard.Client through tasmd's JSON, on both endpoints.
@@ -158,7 +159,7 @@ func TestRouterCachedIsItsOwn(t *testing.T) {
 	}
 	// The router's cache keys on the leaf generation the client has seen:
 	// learn it first, so no refresh lands between two router requests.
-	if _, err := cl.DocsContext(context.Background()); err != nil {
+	if _, err := cl.Docs(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	router := newServer(shard.NewGroup(cl), nil, serverConfig{cacheSize: 8})

@@ -78,7 +78,8 @@ func TestColumnBytes(t *testing.T) {
 
 func totalNodes(c *corpus.Corpus) int {
 	n := 0
-	for _, d := range c.Docs() {
+	docs, _ := c.Docs(context.Background()) // a local listing never fails
+	for _, d := range docs {
 		n += d.Nodes
 	}
 	return n

@@ -90,6 +90,7 @@
 package corpus
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -541,9 +542,7 @@ func (c *Corpus) Len() int {
 	return len(c.man.Docs)
 }
 
-// NumDocs returns the document count without cost or staleness — the
-// non-blocking count interface shared with remote backends (see
-// shard.Client.NumDocs), used by serving-layer liveness probes.
+// NumDocs returns the document count, always known (Searcher.NumDocs).
 func (c *Corpus) NumDocs() (int, bool) { return c.Len(), true }
 
 // DictLen returns the number of labels in the corpus base dictionary —
@@ -557,13 +556,13 @@ func (c *Corpus) DictLen() int {
 }
 
 // Docs returns the manifest entries of all documents in ascending id
-// order.
-func (c *Corpus) Docs() []DocInfo {
+// order. A local listing never fails.
+func (c *Corpus) Docs(context.Context) ([]DocInfo, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	out := make([]DocInfo, len(c.man.Docs))
 	copy(out, c.man.Docs)
-	return out
+	return out, nil
 }
 
 // ParseBracket parses a query in bracket notation.

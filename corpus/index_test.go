@@ -53,7 +53,7 @@ func FuzzProfileIndex(f *testing.F) {
 		trees := map[string]*tree.Tree{} // every document ever ingested, by name
 		for step, op := range ops {
 			rng := rand.New(rand.NewSource(int64(step)<<8 | int64(op)))
-			docs := c.Docs()
+			docs, _ := c.Docs(context.Background()) // a local listing never fails
 			var victim DocInfo
 			if len(docs) > 0 {
 				victim = docs[rng.Intn(len(docs))]

@@ -3,23 +3,25 @@ package corpus
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"tasm/internal/ranking"
 	"tasm/internal/tree"
 )
 
-// Searcher is the query contract every corpus backend implements: a
-// single corpus directory (*Corpus), a scatter-gather group of shards
-// (shard.Group), or a remote tasmd instance (shard.Client). The three are
-// interchangeable — cmd/tasmd serves any Searcher — so a deployment can
-// grow from one directory to a tree of routers without the query surface
-// changing.
+// Searcher is the contract every corpus backend implements: a single
+// corpus directory (*Corpus), a scatter-gather group of shards
+// (shard.Group), a set of interchangeable replicas (shard.ReplicaSet) or
+// a remote tasmd instance (shard.Client). They are interchangeable —
+// cmd/tasmd serves any Searcher — so a deployment can grow from one
+// directory to a tree of routers without the query surface changing.
+// Ingest, verification and query parsing in the corpus's dictionary are
+// not part of it: only a local corpus owns documents, and callers that
+// need those hold the *Corpus.
 //
-// TopK and TopKBatch accept a context carrying cancellation and deadline;
-// implementations stop promptly (the local scans poll the context once
-// per visited candidate) and return ctx.Err(). Queries may come from
-// any label dictionary: implementations re-intern them through
+// TopK, TopKBatch and Docs accept a context carrying cancellation and
+// deadline; implementations stop promptly (the local scans poll the
+// context once per visited candidate) and return ctx.Err(). Queries may
+// come from any label dictionary: implementations re-intern them through
 // request-scoped overlays (or, across process boundaries, serialize them
 // as bracket strings), so the query's dictionary never constrains the
 // backend.
@@ -37,32 +39,21 @@ type Searcher interface {
 	// batch.
 	TopKBatch(ctx context.Context, queries []*tree.Tree, k int, opts ...QueryOption) ([][]Match, error)
 	// Docs lists the backend's documents in document order — for a group,
-	// the concatenation of its shards' listings in shard order.
-	Docs() []DocInfo
+	// the concatenation of its shards' listings in shard order. A listing
+	// that cannot be fetched fresh (an unreachable remote shard) is an
+	// error naming the shard, never a stale or partial list.
+	Docs(ctx context.Context) ([]DocInfo, error)
+	// NumDocs returns the document count without blocking: a remote
+	// backend answers from the count it last observed, and reports false
+	// when it has never observed one. Liveness probes and metric scrapes
+	// use it, so a dead leaf cannot stall them.
+	NumDocs() (int, bool)
 	// Generation returns a counter that increases whenever the document
 	// set changes; result caches key on it.
 	Generation() uint64
 }
 
-// Ingester is the ingest-side contract of backends that own document
-// storage. *Corpus implements it; read-only backends (a scatter-gather
-// group, a remote client) do not — route ingests to the shard that should
-// own the document.
-type Ingester interface {
-	// AddXML parses and ingests an XML document under the given name.
-	AddXML(name string, r io.Reader) (DocInfo, error)
-	// AddTree ingests an already-materialized document tree.
-	AddTree(name string, t *tree.Tree) (DocInfo, error)
-	// Remove deletes the named document. Document ids are never reused,
-	// so caches keyed on (generation, id) stay valid; the backing files
-	// are garbage-collected best-effort.
-	Remove(name string) error
-}
-
-var (
-	_ Searcher = (*Corpus)(nil)
-	_ Ingester = (*Corpus)(nil)
-)
+var _ Searcher = (*Corpus)(nil)
 
 // ValidateQuery checks the preconditions every Searcher.TopK shares —
 // non-empty query, k ≥ 1 — with the canonical error messages, so all

@@ -42,8 +42,9 @@ func (b *blockingSearcher) TopKBatch(ctx context.Context, qs []*tree.Tree, k int
 	return nil, b.block(ctx)
 }
 
-func (b *blockingSearcher) Docs() []corpus.DocInfo { return nil }
-func (b *blockingSearcher) Generation() uint64     { return 0 }
+func (b *blockingSearcher) Docs(context.Context) ([]corpus.DocInfo, error) { return nil, nil }
+func (b *blockingSearcher) NumDocs() (int, bool)                           { return 0, true }
+func (b *blockingSearcher) Generation() uint64                             { return 0 }
 
 // leakCheck is a hand-rolled goroutine-leak detector: it records the
 // goroutine count up front and fails the test if it has not returned to
@@ -142,8 +143,9 @@ func (f *failingSearcher) TopKBatch(ctx context.Context, qs []*tree.Tree, k int,
 	return nil, &corpus.ScanError{Doc: "broken", Err: fmt.Errorf("store corrupt")}
 }
 
-func (f *failingSearcher) Docs() []corpus.DocInfo { return nil }
-func (f *failingSearcher) Generation() uint64     { return 0 }
+func (f *failingSearcher) Docs(context.Context) ([]corpus.DocInfo, error) { return nil, nil }
+func (f *failingSearcher) NumDocs() (int, bool)                           { return 0, true }
+func (f *failingSearcher) Generation() uint64                             { return 0 }
 
 // TestCorpusCancellationMidScan: a context cancelled while a corpus TopK
 // run is underway stops the scan and returns context.Canceled — through

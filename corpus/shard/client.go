@@ -9,7 +9,6 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -69,7 +68,7 @@ type Client struct {
 	docs map[string]corpus.DocInfo
 	// docsList is the cached listing in manifest order, and docsGen the
 	// remote generation it was fetched under (0 = no valid cached
-	// listing). DocsContext serves the cache while the remote generation
+	// listing). Docs serves the cache while the remote generation
 	// still matches, so a router resolving WithDocs selections pays a
 	// /healthz round trip instead of re-transferring the full manifest.
 	docsList []corpus.DocInfo
@@ -125,7 +124,9 @@ var ErrResponseTooLarge = errors.New("response too large")
 // defaultMaxResponseBytes caps response bodies; see WithMaxResponseBytes.
 const defaultMaxResponseBytes = 256 << 20
 
-// ClientOption configures a Client.
+// ClientOption configures a Client. tasmd builds its clients with the
+// defaults; every option but WithHTTPClient is set only by tests (this
+// package's and cmd/tasmd's, which is why they are exported).
 type ClientOption func(*Client)
 
 // WithHTTPClient substitutes the HTTP client (default: 5-minute timeout,
@@ -277,36 +278,15 @@ func (c *Client) recordAttempts(s *corpus.Stats, attempts int) {
 	}
 }
 
-// Docs fetches the remote manifest. On a transport failure it falls back
-// to the last listing it saw (Searcher.Docs carries no error); a fresh
-// client that has never reached the server returns nil. Callers that
-// must distinguish an outage from an empty corpus use DocsContext.
-func (c *Client) Docs() []corpus.DocInfo {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	docs, err := c.DocsContext(ctx)
-	if err != nil {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		docs = make([]corpus.DocInfo, 0, len(c.docs))
-		for _, d := range c.docs {
-			docs = append(docs, d)
-		}
-		sort.Slice(docs, func(i, j int) bool { return docs[i].ID < docs[j].ID })
-		return docs
-	}
-	return docs
-}
-
-// DocsContext fetches the remote manifest under the caller's context and
-// reports transport failures instead of falling back to a stale cache. A
-// Group resolves WithDocs selections through it, so a shard outage
-// surfaces as that shard's failure rather than as "unknown document".
+// Docs fetches the remote manifest under the caller's context; a
+// transport failure is a *corpus.ScanError naming this client. A Group
+// resolves WithDocs selections through it, so a shard outage surfaces as
+// that shard's failure rather than as "unknown document".
 //
 // The listing is generation-cached: a cheap /healthz round trip checks
 // whether the remote document set changed since the cached listing was
 // fetched, and only a changed generation re-transfers the manifest.
-func (c *Client) DocsContext(ctx context.Context) ([]corpus.DocInfo, error) {
+func (c *Client) Docs(ctx context.Context) ([]corpus.DocInfo, error) {
 	var health struct {
 		Generation uint64 `json:"generation"`
 		Docs       int64  `json:"docs"`
@@ -326,6 +306,10 @@ func (c *Client) DocsContext(ctx context.Context) ([]corpus.DocInfo, error) {
 	c.mu.Unlock()
 	return c.fetchDocs(ctx)
 }
+
+// DocsContext is Docs. It stays only because bench/trace.go calls it
+// (ROADMAP 1(c)).
+func (c *Client) DocsContext(ctx context.Context) ([]corpus.DocInfo, error) { return c.Docs(ctx) }
 
 // genRefreshTTL rate-limits background generation refreshes: between
 // refreshes Generation serves the cached value, so cache-key computation
@@ -420,7 +404,7 @@ func (c *Client) lookupDoc(name string) (corpus.DocInfo, bool) {
 
 // fetchDocs retrieves the remote manifest and replaces the cache. The
 // listing response carries the generation it was served under, which
-// keys the cache DocsContext consults.
+// keys the cache Docs consults.
 func (c *Client) fetchDocs(ctx context.Context) ([]corpus.DocInfo, error) {
 	var listing struct {
 		Docs       []corpus.DocInfo `json:"docs"`

@@ -250,7 +250,10 @@ func TestGroupWithDocs(t *testing.T) {
 func TestGroupDocsAndGeneration(t *testing.T) {
 	_, shards := buildShards(t, fixtureDocs, 3)
 	g := shard.NewGroup(searchers(shards)...)
-	docs := g.Docs()
+	docs, err := g.Docs(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(docs) != len(fixtureDocs) {
 		t.Fatalf("group lists %d docs, want %d", len(docs), len(fixtureDocs))
 	}

@@ -40,17 +40,10 @@ import (
 )
 
 // namer is implemented by children that know their own name (Client
-// reports its URL); others are named by position.
+// reports its URL, ReplicaSet its members'). It stays outside
+// corpus.Searcher because a local corpus has no name: it is named by its
+// position.
 type namer interface{ Name() string }
-
-// docLister is implemented by children whose document listing can fail
-// and be cancelled (Client, nested Groups). The group prefers it over
-// the infallible Searcher.Docs when resolving WithDocs selections, so a
-// shard outage is reported as that shard's failure instead of being
-// misread as "document unknown".
-type docLister interface {
-	DocsContext(ctx context.Context) ([]corpus.DocInfo, error)
-}
 
 // Group is a scatter-gather corpus: a corpus.Searcher over N child
 // Searchers whose results merge into one ranking. The zero value is an
@@ -87,28 +80,25 @@ var _ corpus.Searcher = (*Group)(nil)
 // Len returns the number of shards.
 func (g *Group) Len() int { return len(g.children) }
 
-// Docs returns the concatenation of the shards' document listings in
-// shard order — the manifest order of the equivalent merged corpus.
-// Shards are listed concurrently; an unreachable remote shard
-// contributes its client's last-known listing (see Client.Docs). Use
-// DocsContext to fail on unreachable shards instead.
-func (g *Group) Docs() []corpus.DocInfo {
-	docs, _ := g.gatherDocs(context.Background(), false)
-	return docs
+// Docs lists every shard concurrently under ctx and returns the
+// concatenation of their listings in shard order — the manifest order of
+// the equivalent merged corpus. A shard that cannot list fails the call,
+// named in the error.
+func (g *Group) Docs(ctx context.Context) ([]corpus.DocInfo, error) {
+	lists, err := g.listShards(ctx)
+	if err != nil {
+		return nil, err
+	}
+	var out []corpus.DocInfo
+	for _, l := range lists {
+		out = append(out, l...)
+	}
+	return out, nil
 }
 
-// DocsContext lists every shard concurrently under ctx and fails (naming
-// the shard) if any listing cannot be fetched fresh.
-func (g *Group) DocsContext(ctx context.Context) ([]corpus.DocInfo, error) {
-	return g.gatherDocs(ctx, true)
-}
-
-var _ docLister = (*Group)(nil)
-
-// gatherDocs fans the per-shard listings out concurrently. In strict
-// mode the first fetch failure aborts (attributed to its shard); in
-// lenient mode failed shards contribute what their fallback offers.
-func (g *Group) gatherDocs(ctx context.Context, strict bool) ([]corpus.DocInfo, error) {
+// listShards fetches every shard's listing concurrently; the first
+// failure in shard order fails the call, attributed to its shard.
+func (g *Group) listShards(ctx context.Context) ([][]corpus.DocInfo, error) {
 	lists := make([][]corpus.DocInfo, len(g.children))
 	errs := make([]error, len(g.children))
 	var wg sync.WaitGroup
@@ -116,38 +106,26 @@ func (g *Group) gatherDocs(ctx context.Context, strict bool) ([]corpus.DocInfo, 
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if dl, ok := g.children[i].s.(docLister); ok && strict {
-				lists[i], errs[i] = dl.DocsContext(ctx)
-				return
-			}
-			lists[i] = g.children[i].s.Docs()
+			lists[i], errs[i] = g.children[i].s.Docs(ctx)
 		}(i)
 	}
 	wg.Wait()
-	var out []corpus.DocInfo
 	for i, err := range errs {
 		if err != nil {
 			return nil, attribute(g.children[i].name, err)
 		}
-		out = append(out, lists[i]...)
 	}
-	return out, nil
+	return lists, nil
 }
 
-// NumDocs sums the shards' cached document counts without any remote
-// round trip (see Client.NumDocs); false if any shard's count has never
-// been observed. Liveness probes and metric scrapes use it so a dead
-// leaf cannot stall them.
+// NumDocs sums the shards' counts, none of which blocks (see
+// Client.NumDocs); false if any shard's count is unknown.
 func (g *Group) NumDocs() (int, bool) {
 	total, known := 0, true
 	for _, ch := range g.children {
-		if nd, ok := ch.s.(interface{ NumDocs() (int, bool) }); ok {
-			n, k := nd.NumDocs()
-			total += n
-			known = known && k
-			continue
-		}
-		total += len(ch.s.Docs())
+		n, k := ch.s.NumDocs()
+		total += n
+		known = known && k
 	}
 	return total, known
 }
@@ -341,39 +319,23 @@ func (g *Group) noteDegraded(st *corpus.Stats, degraded []int) {
 // splitDocs partitions a WithDocs selection over the shards: each shard
 // receives the requested names it holds, a name no shard holds is an
 // error (matching the single-corpus message), and nil means no
-// restriction. The per-shard listings are only fetched when a selection
-// is present, concurrently and under the request's context; a shard
-// whose listing cannot be fetched fails the query attributed to that
-// shard — never as a bogus "unknown document" caller error.
+// restriction. The shards' listings are only fetched when a selection is
+// present; a shard whose listing cannot be fetched fails the query
+// attributed to that shard — never as a bogus "unknown document" caller
+// error.
 func (g *Group) splitDocs(ctx context.Context, names []string) ([][]string, error) {
 	if names == nil {
 		return nil, nil
+	}
+	lists, err := g.listShards(ctx)
+	if err != nil {
+		return nil, err
 	}
 	found := make(map[string]bool, len(names))
 	for _, n := range names {
 		found[n] = false
 	}
 	per := make([][]string, len(g.children))
-	lists := make([][]corpus.DocInfo, len(g.children))
-	errs := make([]error, len(g.children))
-	var wg sync.WaitGroup
-	for i := range g.children {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if dl, ok := g.children[i].s.(docLister); ok {
-				lists[i], errs[i] = dl.DocsContext(ctx)
-				return
-			}
-			lists[i] = g.children[i].s.Docs()
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, attribute(g.children[i].name, err)
-		}
-	}
 	for i, list := range lists {
 		for _, d := range list {
 			if _, ok := found[d.Name]; ok {

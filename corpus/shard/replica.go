@@ -44,7 +44,6 @@ type ReplicaSet struct {
 }
 
 var _ corpus.Searcher = (*ReplicaSet)(nil)
-var _ docLister = (*ReplicaSet)(nil)
 
 // ReplicaOption configures a ReplicaSet.
 type ReplicaOption func(*ReplicaSet)
@@ -59,6 +58,7 @@ func WithHedgeDelay(d time.Duration) ReplicaOption {
 
 // WithReplicaSetName overrides the name the set reports in errors and to
 // a surrounding Group (default: the replicas' names joined with "|").
+// Only tests set it.
 func WithReplicaSetName(name string) ReplicaOption {
 	return func(rs *ReplicaSet) { rs.name = name }
 }
@@ -288,38 +288,25 @@ func retryableError(err error) bool {
 	return errors.As(err, &se)
 }
 
-// Docs lists the documents of the first replica that answers (replicas
-// are interchangeable by contract). Failed remote replicas fall back
-// like Client.Docs; use DocsContext to observe failures.
-func (rs *ReplicaSet) Docs() []corpus.DocInfo {
-	for i := range rs.replicas {
-		if docs := rs.replicas[i].s.Docs(); docs != nil || i == len(rs.replicas)-1 {
-			return docs
-		}
-	}
-	return nil
-}
-
-// DocsContext lists the documents from the first replica that can serve
-// a fresh listing, failing over down the list; it fails only when every
-// replica does, attributed to the set.
-func (rs *ReplicaSet) DocsContext(ctx context.Context) ([]corpus.DocInfo, error) {
+// Docs lists the documents from the first replica that can list,
+// failing over down the list (replicas are interchangeable by contract);
+// it fails only when every replica does, attributed to the set.
+func (rs *ReplicaSet) Docs(ctx context.Context) ([]corpus.DocInfo, error) {
 	var firstErr error
 	for i := range rs.replicas {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		dl, ok := rs.replicas[i].s.(docLister)
-		if !ok {
-			return rs.replicas[i].s.Docs(), nil // local searchers cannot fail
-		}
-		docs, err := dl.DocsContext(ctx)
+		docs, err := rs.replicas[i].s.Docs(ctx)
 		if err == nil {
 			return docs, nil
 		}
 		if firstErr == nil {
 			firstErr = err
 		}
+	}
+	if firstErr == nil {
+		return nil, fmt.Errorf("shard: replica set %s has no replicas", rs.name)
 	}
 	return nil, attribute(rs.name, firstErr)
 }
@@ -339,21 +326,13 @@ func (rs *ReplicaSet) Generation() uint64 {
 	return gen
 }
 
-// NumDocs returns the first replica's cached document count (replicas
-// are interchangeable), falling over to the next on unknown. A replica
-// without a cached count is a local searcher whose Docs() is an
-// in-memory listing; one whose listing comes back nil is skipped rather
-// than reported as a confident zero.
+// NumDocs returns the first known count down the replica list
+// (replicas are interchangeable): a replica that has never been reached
+// is skipped rather than reported as a confident zero.
 func (rs *ReplicaSet) NumDocs() (int, bool) {
 	for i := range rs.replicas {
-		if nd, ok := rs.replicas[i].s.(interface{ NumDocs() (int, bool) }); ok {
-			if n, known := nd.NumDocs(); known {
-				return n, true
-			}
-			continue
-		}
-		if docs := rs.replicas[i].s.Docs(); docs != nil {
-			return len(docs), true
+		if n, known := rs.replicas[i].s.NumDocs(); known {
+			return n, true
 		}
 	}
 	return 0, false

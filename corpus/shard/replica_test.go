@@ -47,8 +47,9 @@ func (b *blockingRecorder) TopKBatch(ctx context.Context, qs []*tree.Tree, k int
 	return nil, b.block(ctx)
 }
 
-func (b *blockingRecorder) Docs() []corpus.DocInfo { return nil }
-func (b *blockingRecorder) Generation() uint64     { return 0 }
+func (b *blockingRecorder) Docs(context.Context) ([]corpus.DocInfo, error) { return nil, nil }
+func (b *blockingRecorder) NumDocs() (int, bool)                           { return 0, true }
+func (b *blockingRecorder) Generation() uint64                             { return 0 }
 
 // breakerSkippedSearcher simulates a replica whose circuit breaker is
 // open: it fails instantly with the same error shape a shard.Client
@@ -69,9 +70,10 @@ func (s *breakerSkippedSearcher) TopKBatch(ctx context.Context, qs []*tree.Tree,
 	return nil, s.err()
 }
 
-func (s *breakerSkippedSearcher) Docs() []corpus.DocInfo { return nil }
-func (s *breakerSkippedSearcher) Generation() uint64     { return 0 }
-func (s *breakerSkippedSearcher) Name() string           { return s.name }
+func (s *breakerSkippedSearcher) Docs(context.Context) ([]corpus.DocInfo, error) { return nil, s.err() }
+func (s *breakerSkippedSearcher) NumDocs() (int, bool)                           { return 0, false }
+func (s *breakerSkippedSearcher) Generation() uint64                             { return 0 }
+func (s *breakerSkippedSearcher) Name() string                                   { return s.name }
 
 // fixtureCorpus builds one corpus holding all fixture documents.
 func fixtureCorpus(t testing.TB) *corpus.Corpus {
@@ -359,19 +361,19 @@ func TestReplicaSetAllSkipped(t *testing.T) {
 	}
 }
 
-// TestReplicaSetNumDocsSkipsNilListing: a replica whose listing is
-// unavailable (nil Docs, no cached count) must not be reported as a
-// confident zero — the set falls over to the next replica, and reports
-// unknown when none has a count.
+// TestReplicaSetNumDocsSkipsNilListing: a replica whose count is
+// unknown (NumDocs false, as a never-reached client reports) must not be
+// reported as a confident zero — the set falls over to the next replica,
+// and reports unknown when none has a count.
 func TestReplicaSetNumDocsSkipsNilListing(t *testing.T) {
 	dead := &breakerSkippedSearcher{name: "dead"}
 	if n, ok := shard.NewReplicaSet([]corpus.Searcher{dead}).NumDocs(); ok {
-		t.Fatalf("NumDocs = (%d, true) with no listing anywhere, want unknown", n)
+		t.Fatalf("NumDocs = (%d, true) with no count anywhere, want unknown", n)
 	}
 	c := fixtureCorpus(t)
 	n, ok := shard.NewReplicaSet([]corpus.Searcher{dead, c}).NumDocs()
-	if !ok || n != len(c.Docs()) {
-		t.Fatalf("NumDocs = (%d, %v), want (%d, true) from the healthy replica", n, ok, len(c.Docs()))
+	if !ok || n != c.Len() {
+		t.Fatalf("NumDocs = (%d, %v), want (%d, true) from the healthy replica", n, ok, c.Len())
 	}
 }
 
@@ -589,8 +591,9 @@ func (g *gatedSearcher) TopKBatch(ctx context.Context, qs []*tree.Tree, k int, o
 	return nil, errors.New("gated")
 }
 
-func (g *gatedSearcher) Docs() []corpus.DocInfo { return nil }
-func (g *gatedSearcher) Generation() uint64     { return 0 }
+func (g *gatedSearcher) Docs(context.Context) ([]corpus.DocInfo, error) { return nil, nil }
+func (g *gatedSearcher) NumDocs() (int, bool)                           { return 0, true }
+func (g *gatedSearcher) Generation() uint64                             { return 0 }
 
 // TestReplicaSetLoserTraceAfterRelease pins the hedged-loser/trace-pool
 // interaction that crashed the live router: the race returns on the

@@ -485,7 +485,7 @@ func TestClientResponseTooLarge(t *testing.T) {
 	}
 }
 
-// TestClientListingCacheGenerationKeyed: DocsContext re-transfers the
+// TestClientListingCacheGenerationKeyed: Docs re-transfers the
 // manifest only when the remote generation changed; while it matches, a
 // cheap /healthz round trip serves the cached listing.
 func TestClientListingCacheGenerationKeyed(t *testing.T) {
@@ -493,16 +493,16 @@ func TestClientListingCacheGenerationKeyed(t *testing.T) {
 	leaf.generation.Store(7)
 	ctx := context.Background()
 
-	docs, err := cl.DocsContext(ctx)
+	docs, err := cl.Docs(ctx)
 	if err != nil || len(docs) != 1 || docs[0].Name != "d0" {
 		t.Fatalf("first listing: %v, %v", docs, err)
 	}
 	if n := leaf.docsFetches.Load(); n != 1 {
-		t.Fatalf("first DocsContext made %d listing fetches, want 1", n)
+		t.Fatalf("first Docs made %d listing fetches, want 1", n)
 	}
 
 	// Same generation: the cached listing is served, no /v1/docs call.
-	docs, err = cl.DocsContext(ctx)
+	docs, err = cl.Docs(ctx)
 	if err != nil || len(docs) != 1 {
 		t.Fatalf("second listing: %v, %v", docs, err)
 	}
@@ -513,15 +513,15 @@ func TestClientListingCacheGenerationKeyed(t *testing.T) {
 	// The cached listing must be a copy: mutating it cannot poison the
 	// cache for later callers.
 	docs[0].Name = "mutated"
-	docs, err = cl.DocsContext(ctx)
+	docs, err = cl.Docs(ctx)
 	if err != nil || docs[0].Name != "d0" {
 		t.Fatalf("cache poisoned by caller mutation: %v, %v", docs, err)
 	}
 
-	// A remote ingest bumps the generation: the next DocsContext must
+	// A remote ingest bumps the generation: the next Docs must
 	// re-transfer.
 	leaf.generation.Store(8)
-	if _, err := cl.DocsContext(ctx); err != nil {
+	if _, err := cl.Docs(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if n := leaf.docsFetches.Load(); n != 2 {

@@ -175,26 +175,23 @@ func Decode(d dict.Dict, data []byte, verify bool) (*postorder.Columns, error) {
 	return im.Columns(im.Remap(d))
 }
 
-// source is what a Reader decodes: a buffered stream (NewReader) or the
-// item region of an in-memory Image (Reset).
-type source interface {
-	io.Reader
-	io.ByteReader
-}
-
 // Reader decodes a persisted document as a postorder queue. It is the
-// format's one decoder: NewReader streams a store from any io.Reader, and
-// Reset points a Reader at the items of a parsed Image, which is how
-// Image.Columns decodes a store at load. Labels are translated into the
-// caller's dictionary (NewReader interns them; Reset takes a remap from
-// Image.Remap), so identifiers are compatible with queries interned in
-// the same dictionary. A Reader reset from an Image allocates nothing;
-// pool and reuse it across documents.
+// format's one decoder: NewReader streams a store from any io.Reader
+// through a window it refills, and Reset points a Reader at the items of
+// a parsed Image, which is how Image.Columns decodes a store at load.
+// Either way every byte is read from one byte slice, with no per-byte
+// dynamic call. Labels are translated into the caller's dictionary
+// (NewReader interns them; Reset takes a remap from Image.Remap), so
+// identifiers are compatible with queries interned in the same
+// dictionary. A Reader reset from an Image allocates nothing; pool and
+// reuse it across documents.
 type Reader struct {
-	src source
-	// items is the source after Reset: a Reader over an Image's item
-	// region, kept in the Reader so a Reset allocates nothing.
-	items bytes.Reader
+	// buf[off:] is what is left to decode: after Reset the rest of an
+	// Image's item region, after NewReader the rest of the window rd
+	// refills.
+	buf []byte
+	off int
+	rd  io.Reader // nil after Reset: buf holds every item
 	// remap translates stored label ids to ids in the caller's dict.
 	remap []int
 	n     uint64 // remaining items
@@ -209,15 +206,16 @@ type ImageReader = Reader
 // NewReader opens a persisted document from r, merging its dictionary
 // into d.
 func NewReader(d dict.Dict, r io.Reader) (*Reader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	labels, count, err := readHeader(br)
+	rd := &Reader{buf: make([]byte, 0, 1<<16), rd: r}
+	labels, count, err := rd.readHeader()
 	if err != nil {
 		return nil, err
 	}
 	// The CRC trailer follows the last item, which the reader never
 	// reaches (Next returns io.EOF once the item count is exhausted).
 	// Checksum verification is Verify's job, off the scan path.
-	return &Reader{src: br, remap: intern(d, labels), n: count}, nil
+	rd.remap, rd.n = intern(d, labels), count
+	return rd, nil
 }
 
 // Reset points r at an image's item region with the given label remap
@@ -225,25 +223,92 @@ func NewReader(d dict.Dict, r io.Reader) (*Reader, error) {
 //
 //tasm:hotpath
 func (r *Reader) Reset(im *Image, remap []int) {
-	r.items.Reset(im.data[im.itemsOff:])
-	r.src = &r.items
+	r.buf, r.off, r.rd = im.data[im.itemsOff:], 0, nil
 	r.remap = remap
 	r.n = im.count
 	r.pos = 0
 	r.err = nil
 }
 
-// readHeader reads a store's header from src: the magic, the label table
-// and the node count.
-func readHeader(src source) (labels []string, count uint64, err error) {
+// fill replaces the consumed window with the stream's next bytes; io.EOF
+// when there is no stream (a Reset Reader) or it has ended.
+func (r *Reader) fill() error {
+	if r.rd == nil {
+		return io.EOF
+	}
+	for range 100 {
+		n, err := r.rd.Read(r.buf[:cap(r.buf)])
+		r.buf, r.off = r.buf[:n], 0
+		if n > 0 {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return io.ErrNoProgress
+}
+
+// uvarint decodes one unsigned LEB128 varint. It returns
+// varint.ErrTooLong for encodings past 64 bits, io.EOF when the input
+// ends before the first byte, and the stream's error otherwise.
+//
+//tasm:hotpath
+func (r *Reader) uvarint() (uint64, error) {
+	buf, off := r.buf, r.off
+	var v uint64
+	for shift := uint(0); ; shift += 7 {
+		if off == len(buf) {
+			r.off = off
+			if err := r.fill(); err != nil {
+				return 0, err
+			}
+			buf, off = r.buf, r.off
+		}
+		b := buf[off]
+		off++
+		if shift >= 64 {
+			r.off = off
+			return 0, varint.ErrTooLong
+		}
+		v |= uint64(b&0x7f) << shift
+		if b < 0x80 {
+			r.off = off
+			return v, nil
+		}
+	}
+}
+
+// readFull fills p, refilling the window as needed, with io.ReadFull's
+// errors: io.EOF if nothing was read, io.ErrUnexpectedEOF if part was.
+func (r *Reader) readFull(p []byte) error {
+	for n := 0; n < len(p); {
+		if r.off == len(r.buf) {
+			if err := r.fill(); err != nil {
+				if n > 0 && err == io.EOF {
+					return io.ErrUnexpectedEOF
+				}
+				return err
+			}
+		}
+		c := copy(p[n:], r.buf[r.off:])
+		r.off += c
+		n += c
+	}
+	return nil
+}
+
+// readHeader reads a store's header: the magic, the label table and the
+// node count.
+func (r *Reader) readHeader() (labels []string, count uint64, err error) {
 	head := make([]byte, len(magicV2))
-	if _, err := io.ReadFull(src, head); err != nil {
+	if err := r.readFull(head); err != nil {
 		return nil, 0, fmt.Errorf("docstore: reading magic: %w", err)
 	}
 	if string(head) != magicV2 {
 		return nil, 0, fmt.Errorf("docstore: bad magic %q", head)
 	}
-	labelCount, err := varint.Read(src)
+	labelCount, err := r.uvarint()
 	if err != nil {
 		return nil, 0, fmt.Errorf("docstore: reading label count: %w", err)
 	}
@@ -255,18 +320,18 @@ func readHeader(src source) (labels []string, count uint64, err error) {
 	labels = make([]string, 0, min(labelCount, 4096))
 	var buf []byte
 	for i := uint64(0); i < labelCount; i++ {
-		n, err := varint.Read(src)
+		n, err := r.uvarint()
 		if err != nil {
 			return nil, 0, fmt.Errorf("docstore: reading label %d: %w", i, err)
 		}
 		var label string
-		label, buf, err = readLabel(src, n, buf)
+		label, buf, err = r.readLabel(n, buf)
 		if err != nil {
 			return nil, 0, fmt.Errorf("docstore: reading label %d: %w", i, err)
 		}
 		labels = append(labels, label)
 	}
-	count, err = varint.Read(src)
+	count, err = r.uvarint()
 	if err != nil {
 		return nil, 0, fmt.Errorf("docstore: reading node count: %w", err)
 	}
@@ -289,13 +354,13 @@ func intern(d dict.Dict, labels []string) []int {
 // gigabytes), so buf grows by at most one chunk ahead of the bytes
 // actually read, and a lying header fails with an error once the stream
 // runs dry.
-func readLabel(src io.Reader, n uint64, buf []byte) (string, []byte, error) {
+func (r *Reader) readLabel(n uint64, buf []byte) (string, []byte, error) {
 	const chunkSize = 64 << 10
 	buf = buf[:0]
 	for n > 0 {
 		c := int(min(n, chunkSize))
 		buf = slices.Grow(buf, c)
-		if _, err := io.ReadFull(src, buf[len(buf):len(buf)+c]); err != nil {
+		if err := r.readFull(buf[len(buf) : len(buf)+c]); err != nil {
 			return "", buf, err
 		}
 		buf = buf[:len(buf)+c]
@@ -314,12 +379,12 @@ func (r *Reader) Next() (postorder.Item, error) {
 	if r.n == 0 {
 		return postorder.Item{}, io.EOF
 	}
-	label, err := varint.Read(r.src)
+	label, err := r.uvarint()
 	if err != nil {
 		r.err = fmt.Errorf("docstore: reading item label: %w", noEOF(err)) //tasm:allow alloc — cold error path: corrupt input only
 		return postorder.Item{}, r.err
 	}
-	size, err := varint.Read(r.src)
+	size, err := r.uvarint()
 	if err != nil {
 		r.err = fmt.Errorf("docstore: reading item size: %w", noEOF(err)) //tasm:allow alloc — cold error path: corrupt input only
 		return postorder.Item{}, r.err

@@ -1,7 +1,6 @@
 package docstore
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 
@@ -36,12 +35,12 @@ type Image struct {
 // ParseImage succeeds on a store whose items are corrupt, just as
 // NewReader does. Use Verify for whole-file integrity.
 func ParseImage(data []byte) (*Image, error) {
-	src := bytes.NewReader(data)
-	labels, count, err := readHeader(src)
+	r := Reader{buf: data}
+	labels, count, err := r.readHeader()
 	if err != nil {
 		return nil, err
 	}
-	return &Image{data: data, labels: labels, itemsOff: len(data) - src.Len(), count: count}, nil
+	return &Image{data: data, labels: labels, itemsOff: r.off, count: count}, nil
 }
 
 // NodeCount returns the number of items the header promises.

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"testing/iotest"
 
 	"tasm/internal/dict"
 	"tasm/internal/postorder"
@@ -85,7 +86,9 @@ func TestImageReaderReuse(t *testing.T) {
 // drainStream parses data with the streaming reader, returning the items
 // read before the first error and whether the stream ended cleanly.
 func drainStream(d dict.Dict, data []byte) (items []postorder.Item, clean bool, openErr bool) {
-	r, err := NewReader(d, bytes.NewReader(data))
+	// One byte per Read: every varint and label crosses a refill of the
+	// stream's window.
+	r, err := NewReader(d, iotest.OneByteReader(bytes.NewReader(data)))
 	if err != nil {
 		return nil, false, true
 	}

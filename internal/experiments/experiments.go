@@ -13,6 +13,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"runtime/metrics"
 	"sort"
 	"sync"
 	"time"
@@ -161,52 +162,54 @@ func timeIt(f func() error) (time.Duration, error) {
 	return time.Since(start), err
 }
 
-// peakHeapDuring runs f while sampling the Go heap and returns the peak
-// HeapAlloc observed above the post-GC baseline (bytes). This mirrors the
-// paper's Figure 10, which reports the memory used by the JVM during a
-// run. Subtracting the baseline makes the measurement about f alone:
-// whatever the harness retains from earlier runs (cached dictionaries,
-// previously selected queries) would otherwise dominate small
-// configurations and drown the algorithm's own footprint in noise.
-func peakHeapDuring(f func() error) (uint64, error) {
-	runtime.GC()
-	var base runtime.MemStats
-	runtime.ReadMemStats(&base)
-	baseline := base.HeapAlloc
-	var peak uint64
-	read := func() {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		if ms.HeapAlloc > peak {
-			peak = ms.HeapAlloc
-		}
-	}
-	read()
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(2 * time.Millisecond)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				read()
-			}
-		}
-	}()
-	err := f()
-	close(stop)
-	wg.Wait()
-	read()
-	if peak < baseline {
+// peakLiveHeap runs f with a heapSampler and returns the peak live heap
+// the sampler saw, above the live heap before f (bytes). A sample is a
+// forced collection and the heap it marked live, taken on f's own
+// goroutine, so nothing is allocated while it marks. Reading the heap's
+// size instead would count garbage: a heap this small stays under the Go
+// collector's 4 MB minimum goal, so no collection runs and the heap
+// grows with whatever the run (or the generator it reads) allocates and
+// drops. This mirrors the paper's Figure 10, which reports the memory
+// used by the JVM during a run; subtracting the baseline keeps what the
+// harness retains from earlier runs (cached dictionaries, selected
+// queries) out of it.
+func peakLiveHeap(f func(*heapSampler) error) (uint64, error) {
+	s := &heapSampler{metric: []metrics.Sample{{Name: "/gc/heap/live:bytes"}}}
+	s.sample()
+	baseline := s.peak
+	s.peak = 0
+	err := f(s)
+	if s.peak < baseline {
 		return 0, err
 	}
-	return peak - baseline, err
+	return s.peak - baseline, err
 }
+
+// heapSampler samples the live heap for peakLiveHeap. As a core.Probe it
+// samples at its first callback and then at most once a millisecond.
+type heapSampler struct {
+	metric []metrics.Sample
+	last   time.Time
+	peak   uint64
+}
+
+// sample forces a collection and records the heap it marked live.
+func (s *heapSampler) sample() {
+	runtime.GC()
+	metrics.Read(s.metric)
+	s.peak = max(s.peak, s.metric[0].Value.Uint64())
+	s.last = time.Now()
+}
+
+func (s *heapSampler) tick() {
+	if time.Since(s.last) >= time.Millisecond {
+		s.sample()
+	}
+}
+
+func (s *heapSampler) Candidate(int)       { s.tick() }
+func (s *heapSampler) Pruned(int)          { s.tick() }
+func (s *heapSampler) RelevantSubtree(int) { s.tick() }
 
 // Hist is a histogram over subtree sizes, the measurement unit of
 // Figures 11 and 12.

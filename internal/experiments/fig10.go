@@ -3,8 +3,11 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"runtime"
 
 	"tasm/internal/core"
+	"tasm/internal/cost"
+	"tasm/internal/ted"
 	"tasm/internal/tree"
 )
 
@@ -21,9 +24,10 @@ type Fig10Point struct {
 // document size. TASM-dynamic materializes the document and an O(m·n)
 // distance matrix, so its footprint grows linearly; TASM-postorder holds
 // only the prefix ring buffer and per-candidate state, so its footprint is
-// flat across document sizes. Reported peaks are deltas above the
-// post-GC baseline of each measured region, so harness state retained
-// between runs does not pollute the series.
+// flat across document sizes. Reported peaks are the live heap, sampled
+// after forced collections from inside the run, above the live heap
+// before it (see peakLiveHeap): harness state retained between runs and
+// the garbage the generator leaves behind do not pollute the series.
 //
 // To keep the measurement honest the postorder runs stream straight from
 // the generator: the document is never materialized in the measured
@@ -64,22 +68,30 @@ func Fig10(w io.Writer, cfg Config) ([]Fig10Point, error) {
 			if err != nil {
 				return nil, err
 			}
-			peakPos, err := peakHeapDuring(func() error {
-				_, err := core.PostorderStream(q, queue, cfg.K, core.Options{NoTrees: true})
+			peakPos, err := peakLiveHeap(func(s *heapSampler) error {
+				_, err := core.PostorderStream(q, queue, cfg.K, core.Options{NoTrees: true, Probe: s})
 				return err
 			})
 			if err != nil {
 				return nil, err
 			}
 
-			// TASM-dynamic: must materialize the document first.
-			peakDyn, err := peakHeapDuring(func() error {
+			// TASM-dynamic: must materialize the document first, then
+			// holds it and the distance matrices of one Zhang–Shasha run
+			// over it (core.Dynamic's footprint; its k-heap is
+			// negligible). The probe's callbacks all come before the
+			// matrices exist, so the sample is taken after the run.
+			peakDyn, err := peakLiveHeap(func(s *heapSampler) error {
 				doc, _, err := cache.tree(scale)
 				if err != nil {
 					return err
 				}
-				_, err = core.Dynamic(q, doc, cfg.K, core.Options{NoTrees: true})
-				return err
+				comp := ted.NewComputer(cost.Unit{}, q)
+				comp.SubtreeDistances(doc)
+				s.sample()
+				runtime.KeepAlive(comp)
+				runtime.KeepAlive(doc)
+				return nil
 			})
 			if err != nil {
 				return nil, err

@@ -25,12 +25,9 @@ type Tree struct {
 	parent []int // parent index of i, -1 for the root
 	nchild []int // fanout of i
 
-	// nav is the lazily built first-child/next-sibling index behind the
-	// navigation helpers (navigate.go), and kr the lazily computed
-	// keyroots. Atomic so concurrent readers may trigger the build
-	// safely; Trees must never be copied by value.
-	nav atomic.Pointer[navIndex]
-	kr  atomic.Pointer[[]int]
+	// kr is the lazily computed keyroots. Atomic so concurrent readers
+	// may trigger the build safely; Trees must never be copied by value.
+	kr atomic.Pointer[[]int]
 }
 
 // Dict returns the label dictionary the tree's labels are interned in.

@@ -168,9 +168,7 @@ func (v *View) Tree() *Tree {
 	s := v.shell
 	s.dict = v.dict
 	s.labels, s.sizes, s.lml, s.parent, s.nchild = v.labels, v.sizes, v.lml, v.parent, v.nchild
-	// Any lazily cached navigation index or keyroots refer to a previous
-	// fill.
-	s.nav.Store(nil)
+	// Lazily cached keyroots refer to a previous fill.
 	s.kr.Store(nil)
 	return s
 }

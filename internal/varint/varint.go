@@ -1,5 +1,6 @@
 // Package varint implements the unsigned LEB128 integer encoding of the
-// document store format, for its writer and its reader.
+// document store format: the writer's encoder, and the error its decoder
+// (docstore.Reader) reports for an encoding past 64 bits.
 package varint
 
 import (
@@ -21,26 +22,4 @@ func Write(w io.ByteWriter, v uint64) error {
 		v >>= 7
 	}
 	return w.WriteByte(byte(v))
-}
-
-// Read decodes one varint from r. It returns ErrTooLong for encodings
-// past 64 bits and passes through the reader's error (io.EOF when the
-// stream ends cleanly before the first byte) otherwise.
-func Read(r io.ByteReader) (uint64, error) {
-	var v uint64
-	var shift uint
-	for {
-		b, err := r.ReadByte()
-		if err != nil {
-			return 0, err
-		}
-		if shift >= 64 {
-			return 0, ErrTooLong
-		}
-		v |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			return v, nil
-		}
-		shift += 7
-	}
 }

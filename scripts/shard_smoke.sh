@@ -39,6 +39,17 @@ wait_healthy() { # url
   return 1
 }
 
+wait_lists() { # router url: waits until every shard lists again
+  for _ in $(seq 1 100); do
+    if curl -sf "$1/v1/docs" >/dev/null 2>&1; then
+      return 0
+    fi
+    sleep 0.1
+  done
+  echo "FAIL: $1 never listed its shards again" >&2
+  return 1
+}
+
 go build -o "$WORKDIR/tasmd" ./cmd/tasmd
 
 "$WORKDIR/tasmd" -dir "$WORKDIR/leaf-corpus" -addr "127.0.0.1:$LEAF_PORT" &
@@ -181,6 +192,15 @@ assert stats.get("retried") or stats.get("hedged"), \
     f"failover left no retry/hedge trace in stats: {stats}"
 EOF
 
+# The listing fails over the same way: with the primary dead, the
+# replicated router still lists the document from the surviving replica.
+LISTING="$(curl -sf "http://127.0.0.1:$REPL_ROUTER_PORT/v1/docs")"
+python3 - "$LISTING" <<'EOF'
+import json, sys
+names = [d["name"] for d in json.loads(sys.argv[1])["docs"]]
+assert "smoke" in names, f"replicated router lost the listing after replica SIGKILL: {names}"
+EOF
+
 # --- Corruption quarantine ------------------------------------------------
 # Flip ONE byte in the middle of a leaf store file while the leaf is
 # down. The restarted leaf's startup scrub must catch the bad checksum,
@@ -196,6 +216,14 @@ curl -sf -X POST "http://127.0.0.1:$LEAF_PORT/v1/docs" \
 
 stop_leaf
 
+# With its only leaf down, the first router cannot list: GET /v1/docs is
+# a 5xx naming the shard, never a stale or empty listing, while /healthz
+# (cached counts, no round trip to the leaf) still answers 200.
+CODE="$(curl -s -o /dev/null -w '%{http_code}' "http://127.0.0.1:$ROUTER_PORT/v1/docs")"
+[[ "$CODE" == 5* ]] || { echo "FAIL: router listing with its leaf down returned $CODE, want 5xx" >&2; exit 1; }
+CODE="$(curl -s -o /dev/null -w '%{http_code}' --max-time 5 "http://127.0.0.1:$ROUTER_PORT/healthz")"
+[ "$CODE" = "200" ] || { echo "FAIL: router /healthz with its leaf down returned $CODE, want 200" >&2; exit 1; }
+
 # "doomed" was the leaf's second ingest, so its store is docs/2.store.
 python3 - "$WORKDIR/leaf-corpus/docs/2.store" <<'EOF'
 import sys
@@ -209,6 +237,9 @@ EOF
 LEAF_PID=$!
 PIDS+=($LEAF_PID)
 wait_healthy "http://127.0.0.1:$LEAF_PORT"
+# The failed listing above may have opened the router's circuit breaker
+# to the leaf; wait until a half-open probe has closed it.
+wait_lists "http://127.0.0.1:$ROUTER_PORT"
 
 RESP="$(curl -sf -X POST "http://127.0.0.1:$ROUTER_PORT/v1/topk" \
   -H 'Content-Type: application/json' \

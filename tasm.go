@@ -62,20 +62,21 @@
 //
 // # The Searcher contract and sharding
 //
-// Corpus queries go through the corpus.Searcher interface — TopK and
-// TopKBatch taking a context.Context, plus Docs and Generation — with
-// three interchangeable implementations: *corpus.Corpus (one directory),
-// shard.Group (scatter-gather over several Searchers, results identical
-// to one merged corpus), and shard.Client (a remote tasmd instance). The
-// tasmd daemon serves any of them, so a deployment grows from one
-// directory to a router fanning out over leaf daemons without the query
-// API changing:
+// Corpus queries go through the corpus.Searcher interface — TopK,
+// TopKBatch and Docs taking a context.Context, plus the non-blocking
+// NumDocs and Generation — with four interchangeable implementations:
+// *corpus.Corpus (one directory), shard.Group (scatter-gather over
+// several Searchers, results identical to one merged corpus),
+// shard.ReplicaSet (interchangeable copies of one shard) and
+// shard.Client (a remote tasmd instance). The tasmd daemon serves any of
+// them, so a deployment grows from one directory to a router fanning out
+// over leaf daemons without the query API changing:
 //
 //	tasmd -dir /data/shard0 -addr :8421                    # leaves own documents
 //	tasmd -shards http://a:8421,http://b:8421 -addr :80    # the router scatter-gathers
 //
-// Ingest-side mutation (AddXML, AddTree, Remove) is the corpus.Ingester
-// interface, implemented by *corpus.Corpus only: documents live on
+// Ingest-side mutation (AddXML, AddTree, Remove) is a method of
+// *corpus.Corpus only, not of the Searcher contract: documents live on
 // exactly one shard, and routers are read-only.
 //
 // # Contexts and cancellation
@@ -168,10 +169,6 @@ type CorpusMatch = corpus.Match
 // a scatter-gather shard group, and a remote tasmd client; see package
 // corpus and corpus/shard.
 type Searcher = corpus.Searcher
-
-// Ingester is the ingest-side contract of backends owning document
-// storage (*Corpus): AddXML, AddTree, Remove.
-type Ingester = corpus.Ingester
 
 // OpenCorpus opens (or creates) the corpus directory dir.
 func OpenCorpus(dir string, opts ...corpus.Option) (*Corpus, error) {
