@@ -30,8 +30,8 @@
 //
 //	POST   /v1/topk         – answer a top-k query across the corpus
 //	                          {"query":"{a{b}}","k":5} or {"queryXml":"<a>…</a>",…};
-//	                          optional "docs":[…], "trees":true, "workers":N
-//	                          (-1 ≤ N ≤ GOMAXPROCS), "exhaustive":true
+//	                          optional "docs":[…], "trees":true,
+//	                          "exhaustive":true
 //	POST   /v1/topk-batch   – answer many queries in ONE corpus scan:
 //	                          {"queries":["{a{b}}",…],"k":5}; every document is
 //	                          read once for the whole batch and all queries
@@ -108,7 +108,6 @@ func main() {
 		addr          = flag.String("addr", ":8421", "listen address")
 		cacheSize     = flag.Int("cache", 256, "result cache entries (0 disables)")
 		maxConcurrent = flag.Int("max-concurrent", 2*runtime.GOMAXPROCS(0), "max in-flight top-k computations (0 = unbounded)")
-		workers       = flag.Int("workers", 0, "default number of ranges each document's candidates are split into, scanned concurrently (0 = sequential, -1 = GOMAXPROCS, at most GOMAXPROCS); a /v1/topk request's \"workers\", bounded alike, overrides it")
 		maxK          = flag.Int("max-k", 10000, "largest k a request may ask for")
 		maxBatch      = flag.Int("max-batch", 1024, "largest number of queries one batch request may carry")
 		maxBodyBytes  = flag.Int64("max-body-bytes", defaultMaxBodyBytes, "largest request body accepted, in bytes; oversized bodies get 413")
@@ -143,7 +142,6 @@ func main() {
 	if err := run(ctx, *dir, *shards, *hedgeDelay, *addr, *debugAddr, mode, serverConfig{
 		cacheSize:     *cacheSize,
 		maxConcurrent: *maxConcurrent,
-		workers:       *workers,
 		maxK:          *maxK,
 		maxBatch:      *maxBatch,
 		maxBodyBytes:  *maxBodyBytes,
@@ -160,9 +158,6 @@ func main() {
 func run(ctx context.Context, dir, shards string, hedgeDelay time.Duration, addr, debugAddr string, mode corpus.VerifyMode, cfg serverConfig, drain time.Duration) error {
 	if (dir == "") == (shards == "") {
 		return fmt.Errorf("exactly one of -dir and -shards is required")
-	}
-	if err := checkWorkers(cfg.workers); err != nil {
-		return fmt.Errorf("-workers: %w", err)
 	}
 	logger := cfg.logger
 	if logger == nil {

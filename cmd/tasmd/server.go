@@ -10,7 +10,6 @@ import (
 	"log/slog"
 	"net/http"
 	"reflect"
-	"runtime"
 	"strings"
 	"time"
 
@@ -37,10 +36,6 @@ type serverConfig struct {
 	// maxConcurrent bounds in-flight top-k computations; ≤ 0 means
 	// unbounded.
 	maxConcurrent int
-	// workers is the number of ranges each document's candidates are split
-	// into when a request does not choose its own (0 = sequential scan, -1 =
-	// GOMAXPROCS); checkWorkers bounds it and every request's.
-	workers int
 	// maxK rejects requests asking for more results than the server is
 	// willing to rank.
 	maxK int
@@ -221,7 +216,6 @@ type batchBody struct {
 	*shard.Request
 	Query    rejectField `json:"query"`
 	QueryXML rejectField `json:"queryXml"`
-	Workers  rejectField `json:"workers"`
 }
 
 // reportedQueries is the "queries" of log and debug entries: the batch
@@ -242,19 +236,6 @@ func (q *queryRequest) preview() string {
 		return "<xml query, " + queryPreview(q.QueryXML) + ">"
 	}
 	return queryPreview(q.Queries[0])
-}
-
-// checkWorkers accepts a number of ranges per document scan from -1
-// (GOMAXPROCS) through GOMAXPROCS, 0 being the sequential scan. More
-// ranges than processors would not run at once, and each keeps distance
-// computers and a 56 KiB memo of its own in the pooled scan scratch for
-// as long as the scratch lives, so the value a client or flag may ask
-// for is bounded here, at the edge.
-func checkWorkers(n int) error {
-	if procs := runtime.GOMAXPROCS(0); n < -1 || n > procs {
-		return fmt.Errorf("workers must lie in [-1, %d] (GOMAXPROCS), got %d", procs, n)
-	}
-	return nil
 }
 
 // decodeQuery reads a request body of /v1/topk (single) or
@@ -308,7 +289,7 @@ func (s *server) validate(req *queryRequest) error {
 	case len(req.Queries) > s.cfg.maxBatch:
 		return fmt.Errorf("batch of %d queries exceeds the server limit %d", len(req.Queries), s.cfg.maxBatch)
 	}
-	return checkWorkers(req.Workers)
+	return nil
 }
 
 // response shapes an answer, held in the batch endpoint's form, as the
@@ -393,13 +374,6 @@ func (s *server) handleQuery(path string, single bool, latency *latencyHistogram
 		}
 		if req.Partial {
 			opts = append(opts, corpus.WithPartialResults())
-		}
-		workers := req.Workers
-		if workers == 0 {
-			workers = s.cfg.workers
-		}
-		if workers != 0 {
-			opts = append(opts, corpus.WithWorkers(workers))
 		}
 		results, err := s.src.TopKBatch(ctx, queries, req.K, opts...)
 		if d := time.Since(start); s.slow.records(d) {
@@ -500,9 +474,8 @@ func matchesOf(matches []corpus.Match) []shard.Match {
 }
 
 // cacheKey identifies a query result: the endpoint, the corpus generation
-// and every request field that can change the response bytes. Workers is
-// deliberately absent — results are identical in all worker modes, so
-// keying on it would only fragment the cache. Variable-length fields are
+// and every request field, each of which can change the response bytes
+// (a single query is keyed as a batch of one). Variable-length fields are
 // length-prefixed so values containing separator bytes cannot collide
 // with field boundaries.
 func (s *server) cacheKey(path string, req *queryRequest) string {

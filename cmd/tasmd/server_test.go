@@ -9,11 +9,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"tasm/corpus"
 	"tasm/corpus/shard"
@@ -155,12 +153,12 @@ func TestBadInput(t *testing.T) {
 		{"batch with query", "/v1/topk-batch", `{"queries":["{a}"],"query":"{a}","k":1}`, http.StatusBadRequest},
 		{"batch with empty query", "/v1/topk-batch", `{"queries":["{a}"],"query":"","k":1}`, http.StatusBadRequest},
 		{"batch with queryXml", "/v1/topk-batch", `{"queries":["{a}"],"queryXml":"<a/>","k":1}`, http.StatusBadRequest},
-		{"batch with workers", "/v1/topk-batch", `{"queries":["{a}"],"k":1,"workers":1}`, http.StatusBadRequest},
-		{"batch with zero workers", "/v1/topk-batch", `{"queries":["{a}"],"k":1,"workers":0}`, http.StatusBadRequest},
 		{"batch with empty queries", "/v1/topk-batch", `{"queries":[],"k":1}`, http.StatusBadRequest},
 		{"batch without queries", "/v1/topk-batch", `{"k":1}`, http.StatusBadRequest},
 		{"batch over max-batch", "/v1/topk-batch", `{"queries":["{a}","{b}","{c}"],"k":1}`, http.StatusBadRequest},
 		{"batch unknown field", "/v1/topk-batch", `{"queries":["{a}"],"k":1,"nope":true}`, http.StatusBadRequest},
+		{"batch with workers", "/v1/topk-batch", `{"queries":["{a}"],"k":1,"workers":1}`, http.StatusBadRequest},
+		{"batch with zero workers", "/v1/topk-batch", `{"queries":["{a}"],"k":1,"workers":0}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		if w := doJSON(t, h, "POST", tc.path, tc.body); w.Code != tc.want {
@@ -180,36 +178,26 @@ func TestBadInput(t *testing.T) {
 	}
 }
 
-// TestWorkersBounded pins the edge bound on ranges per document scan: a
-// /v1/topk "workers" outside [-1, GOMAXPROCS] is a 400 — each range keeps
-// computers and a memo of its own in the pooled scratch, so an unbounded
-// value is unbounded memory — and so is a -workers flag at startup.
-func TestWorkersBounded(t *testing.T) {
+// TestWorkersRejected: "workers" is no field of either query endpoint: a
+// body carrying it, whatever its value, is a 400 naming the field, and
+// nothing is scanned.
+func TestWorkersRejected(t *testing.T) {
 	h, _ := newTestServer(t, serverConfig{})
 	ingest(t, h, "d", `<r><a><b>x</b></a><a><b>y</b></a></r>`)
-	procs := runtime.GOMAXPROCS(0)
-	for _, c := range []struct {
-		workers, want int
-	}{
-		{-1, http.StatusOK},
-		{0, http.StatusOK},
-		{procs, http.StatusOK},
-		{-2, http.StatusBadRequest},
-		{procs + 1, http.StatusBadRequest},
-		{100000, http.StatusBadRequest},
+	for _, c := range []struct{ path, body string }{
+		{"/v1/topk", `{"query":"{a{b}}","k":2,"workers":2}`},
+		{"/v1/topk", `{"query":"{a{b}}","k":2,"workers":0}`},
+		{"/v1/topk", `{"query":"{a{b}}","k":2,"workers":-1}`},
+		{"/v1/topk-batch", `{"queries":["{a{b}}"],"k":2,"workers":2}`},
 	} {
-		body := fmt.Sprintf(`{"query":"{a{b}}","k":2,"workers":%d}`, c.workers)
-		if w := doJSON(t, h, "POST", "/v1/topk", body); w.Code != c.want {
-			t.Errorf("workers %d: status %d, want %d (%s)", c.workers, w.Code, c.want, w.Body)
+		w := doJSON(t, h, "POST", c.path, c.body)
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), `unknown field \"workers\"`) {
+			t.Errorf("%s %s: status %d, want 400 naming the field (%s)", c.path, c.body, w.Code, w.Body)
 		}
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, n := range []int{-2, procs + 1} {
-		err := run(ctx, t.TempDir(), "", 0, "127.0.0.1:0", "", corpus.VerifyScrub, serverConfig{workers: n}, time.Millisecond)
-		if err == nil || !strings.Contains(err.Error(), "-workers") {
-			t.Errorf("-workers %d: run returned %v, want a -workers error", n, err)
-		}
+	body, _ := scrapeMetrics(t, h)
+	if n := metricLine(body, "tasmd_docs_scanned_total"); n != "0" {
+		t.Errorf("rejected requests scanned %s documents", n)
 	}
 }
 

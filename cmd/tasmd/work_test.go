@@ -16,10 +16,10 @@ import (
 )
 
 // TestWorkCountsContract: every work.Counts counter is one declaration
-// that every surface carries. On both query endpoints, sequential and
-// split into ranges, the counters summed over a traced response's scan
-// spans equal its stats; /metrics exports each counter under its tags,
-// summed over every computed request; README's counter table names it.
+// that every surface carries. On both query endpoints, the counters summed
+// over a traced response's scan spans equal its stats; /metrics exports
+// each counter under its tags, summed over every computed request;
+// README's counter table names it.
 // The fixture is the benchmark's XMark leaf corpus with queries at one τ
 // more than a document's candidate cache has slots, so that every
 // counter, candidate-set misses included, fires.
@@ -35,44 +35,40 @@ func TestWorkCountsContract(t *testing.T) {
 			shapes = append(shapes, struct{ qsize, k, batch int }{8, k, 1})
 		}
 	}
+	h := newServer(c, c, serverConfig{})
 	var total work.Counts
-	for _, workers := range []int{0, 2} {
-		h := newServer(c, c, serverConfig{workers: workers})
-		var served work.Counts
-		for _, shape := range shapes {
-			path, bodies := queryBodies(t, docs, 3, shape.qsize, shape.k, shape.batch)
-			for _, body := range bodies {
-				what := fmt.Sprintf("%s, %d workers, %s", path, workers, body)
-				w := doJSON(t, h, "POST", path+"?trace=1", string(body))
-				if w.Code != http.StatusOK {
-					t.Fatalf("%s: status %d: %s", what, w.Code, w.Body)
-				}
-				var resp shard.BatchResponse
-				if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
-					t.Fatal(err)
-				}
-				if resp.Trace == nil || resp.Trace.Dropped != 0 {
-					t.Fatalf("%s: no whole trace block", what)
-				}
-				var spans work.Counts
-				for _, s := range resp.Trace.Spans {
-					if s.Name == qtrace.SpanScan {
-						if s.Prune == nil {
-							t.Fatalf("%s: scan span of %s carries no work counts", what, s.Detail)
-						}
-						spans.Add(*s.Prune)
-					}
-				}
-				if spans != resp.Stats.Counts {
-					t.Errorf("%s: scan spans sum to %+v, stats say %+v", what, spans, resp.Stats.Counts)
-				}
-				served.Add(resp.Stats.Counts)
+	for _, shape := range shapes {
+		path, bodies := queryBodies(t, docs, 3, shape.qsize, shape.k, shape.batch)
+		for _, body := range bodies {
+			what := fmt.Sprintf("%s, %s", path, body)
+			w := doJSON(t, h, "POST", path+"?trace=1", string(body))
+			if w.Code != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", what, w.Code, w.Body)
 			}
+			var resp shard.BatchResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+			if resp.Trace == nil || resp.Trace.Dropped != 0 {
+				t.Fatalf("%s: no whole trace block", what)
+			}
+			var spans work.Counts
+			for _, s := range resp.Trace.Spans {
+				if s.Name == qtrace.SpanScan {
+					if s.Prune == nil {
+						t.Fatalf("%s: scan span of %s carries no work counts", what, s.Detail)
+					}
+					spans.Add(*s.Prune)
+				}
+			}
+			if spans != resp.Stats.Counts {
+				t.Errorf("%s: scan spans sum to %+v, stats say %+v", what, spans, resp.Stats.Counts)
+			}
+			total.Add(resp.Stats.Counts)
 		}
-		body, _ := scrapeMetrics(t, h)
-		checkWorkRows(t, body, fields, served)
-		total.Add(served)
 	}
+	body, _ := scrapeMetrics(t, h)
+	checkWorkRows(t, body, fields, total)
 	readme, err := os.ReadFile("../../README.md")
 	if err != nil {
 		t.Fatal(err)

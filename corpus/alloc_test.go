@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -155,60 +154,6 @@ func TestQueryAllocsIndependentOfDocCount(t *testing.T) {
 		t.Logf("%d queries: %.0f allocs over 4 documents, %.0f over 180", queries, few, many)
 		if many > few+16 {
 			t.Errorf("%d queries: %.0f allocs over 180 documents vs %.0f over 4: something allocates per document", queries, many, few)
-		}
-	}
-}
-
-// TestRangeScratchPerRun: a query whose document scans are split into
-// ranges builds the ranges' scratch — distance computers, memos, views —
-// once per run, not once per document. The bytes a 2-range TopKBatch
-// allocates grow with the number of documents it scans by far less than
-// one computer — a memo alone is 56 KiB — so a range's memo also spans the
-// whole run; for one query and for a batch of four.
-func TestRangeScratchPerRun(t *testing.T) {
-	if race.Enabled {
-		t.Skip("allocation sizes are not meaningful under -race")
-	}
-	ctx := context.Background()
-	bytesPerQuery := func(docs, queries int) float64 {
-		dir := t.TempDir()
-		buildRandomCorpus(t, dir, docs)
-		c, err := corpus.Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qs := make([]*tree.Tree, queries)
-		for i := range qs {
-			if qs[i], err = c.ParseBracket(fmt.Sprintf("{l%d{l1}{l2}}", i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var st corpus.Stats
-		run := func() {
-			if _, err := c.TopKBatch(ctx, qs, 3, corpus.WithWorkers(2), corpus.WithoutFilter(), corpus.WithoutTrees(), corpus.WithStats(&st)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		run() // warm the pools
-		if st.Scanned != docs {
-			t.Fatalf("%d documents scanned of %d", st.Scanned, docs)
-		}
-		const rounds = 10
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		for i := 0; i < rounds; i++ {
-			run()
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / rounds
-	}
-	for _, queries := range []int{1, 4} {
-		few, many := bytesPerQuery(4, queries), bytesPerQuery(40, queries)
-		perDoc := (many - few) / 36
-		t.Logf("2 ranges, %d queries: %.1f KB per run over 4 documents, %.1f KB over 40: %.2f KB per document", queries, few/1e3, many/1e3, perDoc/1e3)
-		if perDoc > 4<<10 {
-			t.Errorf("a 2-range run of %d queries allocates %.1f KB per scanned document: the ranges' scratch is rebuilt per document", queries, perDoc/1e3)
 		}
 	}
 }

@@ -80,9 +80,8 @@ func render(ms []corpus.Match) string {
 }
 
 // TestCandidateCacheConcurrent: queries at one threshold τ more than a
-// document's candidate cache has slots run concurrently over one corpus,
-// sequentially and split into two ranges, while the caches fill, so one τ
-// always finds every slot taken. Every answer is byte-identical to the
+// document's candidate cache has slots run concurrently over one corpus
+// while the caches fill, so one τ always finds every slot taken. Every answer is byte-identical to the
 // exhaustive oracle, the full-slot scans are counted, and once the caches
 // are full no scan writes into a cached set.
 func TestCandidateCacheConcurrent(t *testing.T) {
@@ -104,10 +103,9 @@ func TestCandidateCacheConcurrent(t *testing.T) {
 	}
 
 	type job struct {
-		q       *tree.Tree
-		k       int
-		workers int
-		want    string
+		q    *tree.Tree
+		k    int
+		want string
 	}
 	var jobs []job
 	// τ = 2|Q| + k under unit costs: 10, 11, … — one per slot and one more.
@@ -128,9 +126,7 @@ func TestCandidateCacheConcurrent(t *testing.T) {
 			if tau := core.Tau(cost.Unit{}, q, shape.k, 0); tau != 10+i {
 				t.Fatalf("τ = %d for |Q| = %d, k = %d, want %d", tau, q.Size(), shape.k, 10+i)
 			}
-			for _, w := range []int{0, 2} {
-				jobs = append(jobs, job{q, shape.k, w, want})
-			}
+			jobs = append(jobs, job{q, shape.k, want})
 		}
 	}
 
@@ -145,13 +141,13 @@ func TestCandidateCacheConcurrent(t *testing.T) {
 				for _, i := range order {
 					j := jobs[i]
 					var stats corpus.Stats
-					ms, err := c.TopK(context.Background(), j.q, j.k, corpus.WithWorkers(j.workers), corpus.WithStats(&stats))
+					ms, err := c.TopK(context.Background(), j.q, j.k, corpus.WithStats(&stats))
 					if err != nil {
 						t.Error(err)
 						return
 					}
 					if got := render(ms); got != j.want {
-						t.Errorf("%s: %s k=%d workers=%d:\n got  %s\n want %s", phase, j.q, j.k, j.workers, got, j.want)
+						t.Errorf("%s: %s k=%d:\n got  %s\n want %s", phase, j.q, j.k, got, j.want)
 					}
 					mu.Lock()
 					misses += stats.CandidateSetMisses

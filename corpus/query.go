@@ -127,9 +127,6 @@ type QueryOption func(*QueryConfig)
 type QueryConfig struct {
 	// Docs restricts the run to the named documents; nil means all.
 	Docs []string
-	// Workers splits each document's candidates into that many ranges
-	// scanned concurrently (0 sequential, <0 GOMAXPROCS).
-	Workers int
 	// NoTrees suppresses materialization of matched subtrees.
 	NoTrees bool
 	// NoFilter disables the document-level profile index.
@@ -173,13 +170,6 @@ func WithConfig(cfg QueryConfig) QueryOption {
 // WithDocs restricts the query to the named documents (default: all).
 func WithDocs(names ...string) QueryOption {
 	return func(q *QueryConfig) { q.Docs = names }
-}
-
-// WithWorkers splits each scanned document's candidates into n ranges
-// scanned concurrently (n < 0: GOMAXPROCS; 0, the default: sequentially),
-// for a batch of any size. Results are identical in all modes.
-func WithWorkers(n int) QueryOption {
-	return func(q *QueryConfig) { q.Workers = n }
 }
 
 // WithoutTrees suppresses materialization of the matched subtrees
@@ -327,8 +317,7 @@ func (c *Corpus) TopK(ctx context.Context, q *tree.Tree, k int, opts ...QueryOpt
 // documents and lets its label-histogram lower bound skip documents
 // outright — a document is skipped only when it is prunable for every
 // query. The result is deterministic and identical to an exhaustive scan
-// of every selected document. WithWorkers splits each document's scan into
-// ranges, for one query or many.
+// of every selected document.
 func (c *Corpus) TopKBatch(ctx context.Context, queries []*tree.Tree, k int, opts ...QueryOption) ([][]Match, error) {
 	cfg := ResolveQueryOptions(opts...)
 	if ctx == nil {
@@ -361,12 +350,12 @@ func (c *Corpus) TopKBatch(ctx context.Context, queries []*tree.Tree, k int, opt
 	for i := range heaps {
 		heaps[i] = ranking.New(k)
 		// Each heap publishes its k-th distance through a lock-free cutoff
-		// shared by every per-document scan: the kernel's heap pushes, the
-		// ranges of a split scan, and the document-level skip decision
-		// below all read one atomic, and the bound carries across document
-		// boundaries so earlier documents tighten later ones. Caller-
-		// supplied cutoffs (a scatter-gather group shares them across
-		// shards) additionally carry bounds in from cooperating runs.
+		// shared by every per-document scan: the kernel's heap pushes and
+		// the document-level skip decision below read one atomic, and the
+		// bound carries across document boundaries so earlier documents
+		// tighten later ones. Caller-supplied cutoffs (a scatter-gather
+		// group shares them across shards) additionally carry bounds in
+		// from cooperating runs.
 		cut := ranking.NewCutoff()
 		if cfg.Cutoffs != nil {
 			cut = cfg.Cutoffs[i]
@@ -428,7 +417,7 @@ func (c *Corpus) TopKBatch(ctx context.Context, queries []*tree.Tree, k int, opt
 		// by index arithmetic, no ring buffer, no byte of the file read.
 		ds := st.stores[d.info.ID]
 		doc = work.Counts{}
-		err := core.PostorderBatchColumnsInto(qs, ds.cols, &ds.cands, labelNodes, heaps, d.offset, cfg.Workers, coreOpts)
+		err := core.PostorderBatchColumnsInto(qs, ds.cols, &ds.cands, labelNodes, heaps, d.offset, coreOpts)
 		tr.End(docSpan)
 		tr.SetPrune(docSpan, doc)
 		stats.Counts.Add(doc)

@@ -205,8 +205,8 @@ func (c *Client) TopK(ctx context.Context, q *tree.Tree, k int, opts ...corpus.Q
 // TopKBatch answers the queries remotely in one request (one remote
 // corpus scan serves all of them). The query trees may come from any
 // dictionary — they travel as bracket strings and are re-interned by the
-// server. A single query travels as /v1/topk, the endpoint that takes a
-// worker count; several as /v1/topk-batch.
+// server. A single query travels as /v1/topk, several as
+// /v1/topk-batch.
 func (c *Client) TopKBatch(ctx context.Context, queries []*tree.Tree, k int, opts ...corpus.QueryOption) ([][]corpus.Match, error) {
 	cfg := corpus.ResolveQueryOptions(opts...)
 	if err := corpus.ValidateBatch(queries, k, &cfg); err != nil {
@@ -223,7 +223,7 @@ func (c *Client) TopKBatch(ctx context.Context, queries []*tree.Tree, k int, opt
 	var attempts int
 	var err error
 	if len(queries) == 1 {
-		req.Query, req.Workers = queries[0].String(), cfg.Workers
+		req.Query = queries[0].String()
 		var single TopKResponse
 		attempts, err = c.post(ctx, "/v1/topk", req, &single)
 		resp = BatchResponse{Results: [][]Match{single.Matches}, Stats: single.Stats, Trace: single.Trace}

@@ -110,7 +110,6 @@ var queryModes = []struct {
 }{
 	{"default", nil},
 	{"noTrees", []corpus.QueryOption{corpus.WithoutTrees()}},
-	{"workers", []corpus.QueryOption{corpus.WithWorkers(-1)}},
 	{"exhaustive", []corpus.QueryOption{corpus.WithoutFilter()}},
 	{"unpruned", []corpus.QueryOption{corpus.WithoutCandidatePruning()}},
 }
@@ -149,33 +148,6 @@ func TestGroupTopKEquivalence(t *testing.T) {
 				if gs.Scanned+gs.Skipped == 0 {
 					t.Errorf("q=%s k=%d mode=%s: merged group stats saw no documents: %+v", qs, k, mode.name, gs)
 				}
-			}
-		}
-	}
-	// The workers row for a batch of four: split into ranges, the group's
-	// and the union's batch answer every query as the union's sequential
-	// single-query scan does.
-	batch := make([]*tree.Tree, 4)
-	for i := range batch {
-		batch[i] = tree.MustParse(dict.New(), queries[i])
-	}
-	for _, k := range []int{1, 3, 7, 25} {
-		fromUnion, err := union.TopKBatch(ctx, batch, k, corpus.WithWorkers(-1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fromGroup, err := g.TopKBatch(ctx, batch, k, corpus.WithWorkers(-1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, q := range batch {
-			want, err := union.TopK(ctx, q, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			nw := normalize(t, want)
-			if nu, ng := normalize(t, fromUnion[i]), normalize(t, fromGroup[i]); nu != nw || ng != nw {
-				t.Errorf("q=%s k=%d workers batch:\n single %s\n union  %s\n group  %s", queries[i], k, nw, nu, ng)
 			}
 		}
 	}

@@ -7,9 +7,9 @@ import (
 
 // Request is the JSON body of tasmd's two query endpoints, as a Client
 // sends it and tasmd decodes it. POST /v1/topk takes one query — exactly
-// one of Query and QueryXML — and may set Workers; POST /v1/topk-batch
-// takes Queries and neither of the others (tasmd answers 400 for a field
-// the endpoint does not take, even an empty one).
+// one of Query and QueryXML; POST /v1/topk-batch takes Queries and
+// neither of the others (tasmd answers 400 for a field the endpoint does
+// not take, even an empty one).
 type Request struct {
 	// Query is the /v1/topk query in bracket notation.
 	Query string `json:"query,omitempty"`
@@ -22,10 +22,6 @@ type Request struct {
 	K        int    `json:"k"`
 	// Docs restricts the query to the named documents; empty means all.
 	Docs []string `json:"docs,omitempty"`
-	// Workers overrides the server's number of ranges per document scan
-	// for this /v1/topk request (0 = server default, -1 = GOMAXPROCS, at
-	// most GOMAXPROCS).
-	Workers int `json:"workers,omitempty"`
 	// Trees includes each matched subtree in bracket notation.
 	Trees bool `json:"trees,omitempty"`
 	// Exhaustive disables the pq-gram prefilter for this request; the

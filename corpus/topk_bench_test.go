@@ -13,16 +13,14 @@ import (
 	"tasm/internal/tree"
 )
 
-// BenchmarkWorkers times a corpus query whose document scans are split
-// into w ranges (WithWorkers; w = 0 is the sequential scan) on two
-// fixtures: one XMark(4) document, generated as the root package's
-// benchmarks generate it (seed 1), and 4 × XMark(1), the corpus the
-// serving benchmark's leaves hold at seed 1 (seeds 1000–1003). Queries are
-// |Q|-node subtrees of the fixture's first document, and trees are not
-// materialized.
+// BenchmarkTopKFixtures times a corpus query on two fixtures: one
+// XMark(4) document, generated as the root package's benchmarks generate
+// it (seed 1), and 4 × XMark(1), the corpus the serving benchmark's leaves
+// hold at seed 1 (seeds 1000–1003). Queries are |Q|-node subtrees of the
+// fixture's first document, and trees are not materialized.
 //
-//	go test -run='^$' -bench=Workers -cpu=2 ./corpus
-func BenchmarkWorkers(b *testing.B) {
+//	go test -run='^$' -bench=TopKFixtures -cpu=2 ./corpus
+func BenchmarkTopKFixtures(b *testing.B) {
 	ctx := context.Background()
 	for _, fx := range []struct {
 		name string
@@ -59,16 +57,14 @@ func BenchmarkWorkers(b *testing.B) {
 				b.Fatal(err)
 			}
 			for _, k := range []int{5, 50} {
-				for _, w := range []int{0, 2, 4} {
-					b.Run(fmt.Sprintf("%s/q=%d/k=%d/w=%d", fx.name, size, k, w), func(b *testing.B) {
-						b.ReportAllocs()
-						for i := 0; i < b.N; i++ {
-							if _, err := c.TopK(ctx, q, k, corpus.WithoutTrees(), corpus.WithWorkers(w)); err != nil {
-								b.Fatal(err)
-							}
+				b.Run(fmt.Sprintf("%s/q=%d/k=%d", fx.name, size, k), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, err := c.TopK(ctx, q, k, corpus.WithoutTrees()); err != nil {
+							b.Fatal(err)
 						}
-					})
-				}
+					}
+				})
 			}
 		}
 	}

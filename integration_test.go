@@ -13,7 +13,6 @@ import (
 	"strings"
 	"testing"
 
-	"tasm/corpus"
 	"tasm/internal/datagen"
 	"tasm/internal/stats"
 )
@@ -79,8 +78,8 @@ func TestPipelineAllPathsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The library's parallel path: a corpus holding the document, its
-	// candidates split across four ranges.
+	// The corpus path: a corpus holding the document, scanned from its
+	// resident columns.
 	c, err := OpenCorpus(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -92,17 +91,17 @@ func TestPipelineAllPathsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromCorpus, err := c.TopK(ctx, cq, k, corpus.WithWorkers(4))
+	corpusMatches, err := c.TopK(ctx, cq, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel := make([]Match, len(fromCorpus))
-	for i, cm := range fromCorpus {
-		parallel[i] = Match{Dist: cm.Dist, Pos: cm.Pos, Size: cm.Size, Tree: cm.Tree}
+	fromCorpus := make([]Match, len(corpusMatches))
+	for i, cm := range corpusMatches {
+		fromCorpus[i] = Match{Dist: cm.Dist, Pos: cm.Pos, Size: cm.Size, Tree: cm.Tree}
 	}
 
 	paths := map[string][]Match{
-		"dynamic": dynamic, "store": fromStore, "xml": fromXML, "parallel": parallel,
+		"dynamic": dynamic, "store": fromStore, "xml": fromXML, "corpus": fromCorpus,
 	}
 	for name, got := range paths {
 		if len(got) != len(inMem) {

@@ -220,7 +220,7 @@ func (r *resolver) isDoneChan(e ast.Expr) bool {
 }
 
 // callees resolves the statically-dispatched calls in body (including
-// inside func literals, which scan loops spawn as workers).
+// inside func literals).
 func (r *resolver) callees(body *ast.BlockStmt) []*types.Func {
 	var out []*types.Func
 	seen := make(map[*types.Func]bool)

@@ -16,7 +16,7 @@ import (
 // or never allocates in steady state. The bound only ever goes down: a
 // change that removes waivers lowers it to the new count, and a new
 // waiver must retire an old one.
-const maxWaivers = 27
+const maxWaivers = 25
 
 // walkNonTest parses every non-test Go file of the module — bench/
 // included, internal/analysis (whose tests exercise the directive and

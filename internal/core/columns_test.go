@@ -226,9 +226,8 @@ func FuzzColumnsVsStream(f *testing.F) {
 			}
 		}
 
-		// The exported entry point over the whole batch, sequential and split
-		// into ranges — more of them than candidates, for small documents —
-		// against the strict stream scan: every result byte, trees included.
+		// The exported entry point over the whole batch against the strict
+		// stream scan: every result byte, trees included.
 		want := make([]*ranking.Heap, len(queries))
 		for i := range want {
 			want[i] = ranking.New(k)
@@ -236,19 +235,19 @@ func FuzzColumnsVsStream(f *testing.F) {
 		if err := streamScan(queries, postorder.NewSliceQueue(items), want, 7, true, opts); err != nil {
 			t.Fatal(err)
 		}
-		// The first scan fills the document's candidate cache, the others
-		// read the set it built.
+		// The first scan fills the document's candidate cache, the second
+		// reads the set it built.
 		cache := new(prb.CandidateCache)
-		for _, workers := range []int{0, 1, 2, 5} {
+		for _, pass := range []string{"filling", "reading"} {
 			got := make([]*ranking.Heap, len(queries))
 			for i := range got {
 				got[i] = ranking.New(k)
 			}
-			if err := PostorderBatchColumnsInto(queries, cols, cache, postings, got, 7, workers, opts); err != nil {
+			if err := PostorderBatchColumnsInto(queries, cols, cache, postings, got, 7, opts); err != nil {
 				t.Fatal(err)
 			}
 			for i := range queries {
-				mustEqualTrees(t, fmt.Sprintf("PostorderBatchColumnsInto workers=%d query %d", workers, i), got[i].Sorted(), want[i].Sorted())
+				mustEqualTrees(t, fmt.Sprintf("PostorderBatchColumnsInto, %s the cache, query %d", pass, i), got[i].Sorted(), want[i].Sorted())
 			}
 		}
 	})
@@ -444,7 +443,7 @@ func TestGatedWindowPushesNothing(t *testing.T) {
 		var counts work.Counts
 		opts := Options{Prune: &counts}
 		if source == "columns" {
-			err = PostorderBatchColumnsInto([]*tree.Tree{q}, cols, nil, nil, []*ranking.Heap{r}, 0, 0, opts)
+			err = PostorderBatchColumnsInto([]*tree.Tree{q}, cols, nil, nil, []*ranking.Heap{r}, 0, opts)
 		} else {
 			err = PostorderStreamInto(q, postorder.FromTree(doc), r, 0, opts)
 		}
@@ -456,6 +455,168 @@ func TestGatedWindowPushesNothing(t *testing.T) {
 		}
 		if r.Len() != 0 {
 			t.Errorf("%s: gated windows pushed %v", source, r.Sorted())
+		}
+	}
+}
+
+// columnsOf builds the resident columns of doc.
+func columnsOf(t testing.TB, doc *tree.Tree) *postorder.Columns {
+	t.Helper()
+	cols, err := postorder.BuildColumns(postorder.FromTree(doc), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cols
+}
+
+// columnsTopK answers queries over cols with fresh rankings of k.
+func columnsTopK(queries []*tree.Tree, cols *postorder.Columns, k int, opts Options) ([][]Match, error) {
+	ranks := make([]*ranking.Heap, len(queries))
+	for i := range ranks {
+		ranks[i] = ranking.New(k)
+	}
+	if err := PostorderBatchColumnsInto(queries, cols, nil, nil, ranks, 0, opts); err != nil {
+		return nil, err
+	}
+	out := make([][]Match, len(ranks))
+	for i, r := range ranks {
+		out[i] = r.Sorted()
+	}
+	return out, nil
+}
+
+// mustEqualTrees fails unless both rankings carry the same subtrees.
+func mustEqualTrees(t *testing.T, ctx string, got, want []Match) {
+	t.Helper()
+	mustEqualMatches(t, ctx, got, want)
+	for i := range want {
+		if fmt.Sprint(got[i].Tree) != fmt.Sprint(want[i].Tree) {
+			t.Fatalf("%s: match %d tree %v, want %v", ctx, i, got[i].Tree, want[i].Tree)
+		}
+	}
+}
+
+func TestColumnsValidation(t *testing.T) {
+	d := dict.New()
+	q := tree.MustParse(d, "{a}")
+	cols := columnsOf(t, tree.MustParse(d, "{a{b}}"))
+	if _, err := columnsTopK([]*tree.Tree{nil}, cols, 1, Options{}); err == nil {
+		t.Error("nil query accepted")
+	}
+	if _, err := columnsTopK(nil, cols, 1, Options{}); err == nil {
+		t.Error("empty batch accepted")
+	}
+	if err := PostorderBatchColumnsInto([]*tree.Tree{q}, cols, nil, nil, []*ranking.Heap{ranking.New(1), ranking.New(1)}, 0, Options{}); err == nil {
+		t.Error("more rankings than queries accepted")
+	}
+	if err := PostorderBatchColumnsInto([]*tree.Tree{q}, cols, nil, []int{1, 2}, []*ranking.Heap{ranking.New(1)}, 0, Options{}); err == nil {
+		t.Error("more label-node counts than queries accepted")
+	}
+}
+
+func TestColumnsEmptyDocument(t *testing.T) {
+	d := dict.New()
+	q := tree.MustParse(d, "{a}")
+	cols, err := postorder.BuildColumns(postorder.NewSliceQueue(nil), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := columnsTopK([]*tree.Tree{q}, cols, 2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got[0]) != 0 {
+		t.Errorf("empty document returned %d matches", len(got[0]))
+	}
+}
+
+// TestCandidatesCounted: the Candidates count is the number of
+// Probe.Candidate calls — cand(T, τmax), once per candidate — on the ring
+// scan and the column scan, whether a column scan visits each candidate
+// (probed) or steps over gated runs.
+func TestCandidatesCounted(t *testing.T) {
+	d := dict.New()
+	root := tree.NewNode("root")
+	for i := 0; i < 300; i++ {
+		if i%9 == 0 {
+			root.AddChild(tree.NewNode("rec", tree.NewNode("a"), tree.NewNode("b")))
+		} else {
+			root.AddChild(tree.NewNode("x", tree.NewNode("y", tree.NewNode("z"))))
+		}
+	}
+	doc := tree.FromNode(d, root)
+	cols := columnsOf(t, doc)
+	queries := []*tree.Tree{tree.MustParse(d, "{rec{a}{b}}"), tree.MustParse(d, "{rec{b}}")}
+	for n := 1; n <= len(queries); n++ {
+		batch := queries[:n]
+		probe := &countingProbe{}
+		var ring work.Counts
+		ranks := []*ranking.Heap{ranking.New(2), ranking.New(2)}[:n]
+		if err := streamScan(batch, postorder.FromTree(doc), ranks, 0, true, Options{Probe: probe, Prune: &ring}); err != nil {
+			t.Fatal(err)
+		}
+		want := uint64(len(probe.candidates))
+		if want == 0 || ring.Candidates != want {
+			t.Fatalf("batch of %d: ring scan counted %d candidates, the probe saw %d", n, ring.Candidates, want)
+		}
+		for _, probed := range []bool{true, false} {
+			var c work.Counts
+			opts := Options{Prune: &c}
+			if probed {
+				opts.Probe = &countingProbe{}
+			}
+			if _, err := columnsTopK(batch, cols, 2, opts); err != nil {
+				t.Fatal(err)
+			}
+			if c.Candidates != want || c.HistSkipped == 0 {
+				t.Errorf("batch of %d, probed %v: %d candidates (the probe saw %d), %d gated",
+					n, probed, c.Candidates, want, c.HistSkipped)
+			}
+		}
+	}
+}
+
+// TestColumnsSkipGatedRuns: without a probe, a column scan steps over the
+// runs of candidates the histogram gate rejects (prb.Cursor.Skip), and
+// counts and answers exactly what the ring-buffer scan, which visits every
+// candidate, counts and answers.
+func TestColumnsSkipGatedRuns(t *testing.T) {
+	d := dict.New()
+	root := tree.NewNode("root")
+	for i := 0; i < 400; i++ {
+		if i%7 == 0 {
+			root.AddChild(tree.NewNode("rec", tree.NewNode("a"), tree.NewNode("b")))
+		} else {
+			root.AddChild(tree.NewNode("x", tree.NewNode("y"), tree.NewNode("z")))
+		}
+	}
+	doc := tree.FromNode(d, root)
+	cols := columnsOf(t, doc)
+	queries := []*tree.Tree{
+		tree.MustParse(d, "{rec{a}{b}}"),
+		tree.MustParse(d, "{rec{b}}"),
+		tree.MustParse(d, "{rec{a}{a}{c}}"),
+	}
+	const k = 3
+	for _, n := range []int{1, 3} {
+		batch := queries[:n]
+		var colStats, ringStats work.Counts
+		got, err := columnsTopK(batch, cols, k, Options{Prune: &colStats})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ring := make([]*ranking.Heap, n)
+		for i := range ring {
+			ring[i] = ranking.New(k)
+		}
+		if err := streamScan(batch, postorder.FromTree(doc), ring, 0, true, Options{Prune: &ringStats}); err != nil {
+			t.Fatal(err)
+		}
+		for i := range batch {
+			mustEqualTrees(t, fmt.Sprintf("batch of %d, query %d: columns vs ring", n, i), got[i], ring[i].Sorted())
+		}
+		if colStats != ringStats || colStats.HistSkipped == 0 {
+			t.Fatalf("batch of %d: work counts columns %+v, ring %+v; the gate must fire", n, colStats, ringStats)
 		}
 	}
 }

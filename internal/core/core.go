@@ -11,9 +11,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"tasm/internal/cost"
 	"tasm/internal/dict"
@@ -60,9 +57,8 @@ type Options struct {
 	// memory-resident documents the exact maximum is used instead when
 	// it is smaller.
 	CT float64
-	// Probe receives instrumentation callbacks; nil disables them. A
-	// column scan split into ranges (workers ≠ 0) calls it from several
-	// goroutines at once.
+	// Probe receives instrumentation callbacks, on the scanning
+	// goroutine; nil disables them.
 	Probe Probe
 	// NoTrees suppresses materialization of matched subtrees in the
 	// results (Match.Tree stays nil); benchmarks use it to measure the
@@ -85,8 +81,7 @@ type Options struct {
 	// DP. Results are unchanged; it exists for ablation and benchmarking.
 	DisableEarlyAbort bool
 	// Prune, when non-nil, receives the scan's work counts: a document
-	// scan adds its own when it returns, on the calling goroutine (a
-	// split scan sums its ranges' first), so a corpus run reads a
+	// scan adds its own when it returns, so a corpus run reads a
 	// document's share off a Counts of its own.
 	Prune *work.Counts
 	// Scratch, when non-nil, supplies reusable per-document scan state, so
@@ -309,17 +304,12 @@ func PostorderStreamInto(q *tree.Tree, docQ postorder.Queue, r *ranking.Heap, po
 // document boundaries), while each document is read and pruned once for
 // the whole batch.
 //
-// workers = 0 scans on the calling goroutine; otherwise (< 0: GOMAXPROCS)
-// the candidates are split into ranges scanned concurrently, which
-// cooperate as documents of a corpus do (see scanRanges).
-//
 // Because documents may be scanned in any order (e.g. most-promising
 // first) while ties are broken by the offset position, the τ′ pruning is
 // applied with a strict margin: a subtree is skipped only when its
 // distance provably exceeds — not merely matches — the current k-th
 // distance. The final rankings are therefore identical to scanning every
-// document with unbounded shared heaps, regardless of scan order — and,
-// with workers, regardless of how the ranges interleave.
+// document with unbounded shared heaps, regardless of scan order.
 //
 // The kernel is the stream scan's, with the same counters and result
 // bytes, but it runs once over every candidate, found by index arithmetic
@@ -339,7 +329,7 @@ func PostorderStreamInto(q *tree.Tree, docQ postorder.Queue, r *ranking.Heap, po
 // postings through the cached set instead of walking the label column
 // where they are few; nil walks. Neither steers more than speed: results
 // are the same for any value.
-func PostorderBatchColumnsInto(queries []*tree.Tree, cols *postorder.Columns, cache *prb.CandidateCache, labelNodes []int, ranks []*ranking.Heap, posOffset, workers int, opts Options) error {
+func PostorderBatchColumnsInto(queries []*tree.Tree, cols *postorder.Columns, cache *prb.CandidateCache, labelNodes []int, ranks []*ranking.Heap, posOffset int, opts Options) error {
 	sc, err := opts.scratch(queries, ranks)
 	if err != nil {
 		return err
@@ -353,78 +343,7 @@ func PostorderBatchColumnsInto(queries []*tree.Tree, cols *postorder.Columns, ca
 	if cur.Missed() {
 		sc.counts.CandidateSetMisses++
 	}
-	if workers == 0 {
-		return scanCandidates(cur, sc, posOffset, true, &opts)
-	}
-	return scanRanges(cur, sc, posOffset, posOffset+cols.Len(), workers, opts)
-}
-
-// rangeChunks is how many chunks of candidates each range of a split scan
-// claims on average, so that no range is left alone with a costly tail.
-const rangeChunks = 4
-
-// scanRanges is the split form of a column scan: workers goroutines (< 0:
-// GOMAXPROCS), never more than there are candidates, claim fixed chunks of
-// the cursor's candidates in document order through one counter and run
-// the unchanged kernel over each on a part of sc (see ScanScratch.split).
-// The ranges cooperate through the cutoffs of the caller's rankings, under
-// the strict margin that makes the outcome independent of how they
-// interleave; once all have returned, each part drains the document's
-// entries, at positions (posOffset, last], into the caller's rankings. The
-// first range to fail stops the claims; the first error in range order is
-// returned. opts is the split's own copy, which the goroutines share, so
-// only a scan that splits pays for options that outlive the call.
-func scanRanges(cur *prb.Cursor, sc *ScanScratch, posOffset, last, workers int, opts Options) error {
-	n := cur.Candidates()
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers = min(workers, n); workers == 0 {
-		return scanCandidates(cur, sc, posOffset, true, &opts) // no candidate: only the ctx poll
-	}
-	parts, err := sc.split(workers, &opts)
-	if err != nil {
-		return err
-	}
-	chunk := (n + rangeChunks*workers - 1) / (rangeChunks * workers)
-	var next atomic.Int64
-	errs := make([]error, workers)
-	scan := func(i int) {
-		p := parts[i]
-		for {
-			lo := int(next.Add(1)-1) * chunk
-			if lo >= n {
-				return
-			}
-			*p.cur = cur.Range(lo, min(lo+chunk, n))
-			if errs[i] = scanCandidates(p.cur, p, posOffset, true, &opts); errs[i] != nil {
-				next.Store(int64(n)) // nothing left to claim
-				return
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for i := 1; i < workers; i++ {
-		go func() {
-			defer wg.Done()
-			scan(i)
-		}()
-	}
-	scan(0)
-	wg.Wait()
-	for _, p := range parts {
-		p.report(&sc.counts)
-		for i, r := range p.ranks {
-			sc.ranks[i].Drain(r, posOffset+1, last)
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return scanCandidates(cur, sc, posOffset, true, &opts)
 }
 
 // streamScan is the shared body of the stream entry points: the prefix
@@ -435,8 +354,7 @@ func scanRanges(cur *prb.Cursor, sc *ScanScratch, posOffset, last, workers int, 
 // selects the order-independent pruning margin documented on
 // PostorderBatchColumnsInto; the plain single-document forms keep the
 // paper's τ′ = min(τ, max(R)+|Q|) boundary, which is safe there because
-// positions grow monotonically within one scan. A stream can only be
-// dequeued in order, so its scan is sequential.
+// positions grow monotonically within one scan.
 func streamScan(queries []*tree.Tree, docQ postorder.Queue, ranks []*ranking.Heap, posOffset int, strictTies bool, opts Options) error {
 	if docQ == nil {
 		return fmt.Errorf("tasm: document queue must not be nil")
@@ -506,10 +424,10 @@ func scanCandidates(cur *prb.Cursor, sc *ScanScratch, posOffset int, strictTies 
 		if skip {
 			// Step over the following candidates gate 1 rejects for every
 			// query: the integer form of its test below, against the same
-			// k-th bounds, which in a sequential scan move only when it
-			// pushes. A bound a cooperating scan tightens after it is read
-			// here only ends the run early; the test below still runs on
-			// every visited candidate.
+			// k-th bounds, which within one scan move only when it pushes.
+			// A bound a cooperating scan tightens after it is read here
+			// only ends the run early; the test below still runs on every
+			// visited candidate.
 			for i := range sc.states {
 				limits[i] = gateLimit(sc.states[i].rank.KthBound())
 			}
@@ -530,8 +448,7 @@ func scanCandidates(cur *prb.Cursor, sc *ScanScratch, posOffset int, strictTies 
 			// The bound every gate prunes against: the ranking's own k-th
 			// distance, tightened through its cutoff publisher by any
 			// cooperating scans (other documents of a corpus run, other shards
-			// of a scatter-gather group, other ranges of a split document) that
-			// share the publisher.
+			// of a scatter-gather group) that share the publisher.
 			kth := st.rank.KthBound()
 			// Gate 1: the label histogram yields a lower bound on the
 			// distance of EVERY subtree of the candidate (their label bags are

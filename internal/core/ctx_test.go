@@ -121,3 +121,45 @@ func TestCancelledBeforeScan(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
+
+// cancellingProbe cancels a context once it has seen cancelAt candidates
+// and counts the candidates.
+type cancellingProbe struct {
+	candidates, cancelAt int
+	cancel               context.CancelFunc
+}
+
+func (p *cancellingProbe) Candidate(int) {
+	if p.candidates++; p.candidates == p.cancelAt {
+		p.cancel()
+	}
+}
+func (p *cancellingProbe) Pruned(int)          {}
+func (p *cancellingProbe) RelevantSubtree(int) {}
+
+// TestColumnScanCancelled: a context cancelled before or during a column
+// scan makes it return ctx.Err() itself, within one candidate of the
+// cancellation.
+func TestColumnScanCancelled(t *testing.T) {
+	d := dict.New()
+	q := tree.MustParse(d, "{rec{a}{b}}")
+	cols, err := postorder.BuildColumns(postorder.NewSliceQueue(recordDoc(t, d, 5000)), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cancelAt := range []int{0, 100} {
+		ctx, cancel := context.WithCancel(context.Background())
+		p := &cancellingProbe{cancelAt: cancelAt, cancel: cancel}
+		if cancelAt == 0 {
+			cancel()
+		}
+		_, err := columnsTopK([]*tree.Tree{q}, cols, 2, Options{Ctx: ctx, Probe: p, CT: 1})
+		if err != ctx.Err() || !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel after %d candidates: err = %v, want ctx.Err()", cancelAt, err)
+		}
+		if p.candidates > cancelAt {
+			t.Errorf("cancel after %d candidates: %d candidates scanned", cancelAt, p.candidates)
+		}
+		cancel()
+	}
+}

@@ -90,9 +90,9 @@ func FuzzOverlayVsShared(f *testing.F) {
 			t.Fatalf("overlay run grew the frozen base to %d labels", base.Len())
 		}
 
-		// The column scan split into ranges must agree too, with the overlay
-		// dictionary active: byte-identical, trees included, to the strict
-		// stream scan of the shared query.
+		// The column scan must agree too, with the overlay dictionary
+		// active: byte-identical, trees included, to the strict stream scan
+		// of the shared query.
 		cols, err := postorder.BuildColumns(postorder.NewSliceQueue(items), 0)
 		if err != nil {
 			t.Fatal(err)
@@ -101,11 +101,11 @@ func FuzzOverlayVsShared(f *testing.F) {
 		if err := PostorderStreamInto(qShared, postorder.NewSliceQueue(items), want, 0, opts); err != nil {
 			t.Fatal(err)
 		}
-		par, err := rangesTopK([]*tree.Tree{qOverlay}, cols, k, 3, opts)
+		got, err := columnsTopK([]*tree.Tree{qOverlay}, cols, k, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mustEqualTrees(t, "overlay ranges", par[0], want.Sorted())
+		mustEqualTrees(t, "overlay columns", got[0], want.Sorted())
 	})
 }
 

@@ -2,12 +2,11 @@ package core
 
 // Equivalence tests of the candidate pruning pipeline: with every gate
 // enabled (the default), results must be byte-identical to the unpruned
-// scan for one query, for a batch, and split into ranges in the
+// scan for one query, for a batch, and over a document's columns in the
 // order-independent (strict-ties) form — and the pipeline's counters must
 // report what fired.
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -42,10 +41,9 @@ func mustEqualMatches(t *testing.T, ctx string, got, want []Match) {
 	}
 }
 
-// rangesInto scans one query into r over the columns of doc, the
-// candidates split into workers ranges.
-func rangesInto(t testing.TB, q, doc *tree.Tree, r *ranking.Heap, posOffset, workers int, opts Options) error {
-	return PostorderBatchColumnsInto([]*tree.Tree{q}, columnsOf(t, doc), nil, nil, []*ranking.Heap{r}, posOffset, workers, opts)
+// columnsInto scans one query into r over the columns of doc.
+func columnsInto(t testing.TB, q, doc *tree.Tree, r *ranking.Heap, posOffset int, opts Options) error {
+	return PostorderBatchColumnsInto([]*tree.Tree{q}, columnsOf(t, doc), nil, nil, []*ranking.Heap{r}, posOffset, opts)
 }
 
 // randomInstance draws a (query, document, k) instance.
@@ -101,33 +99,10 @@ func TestPrunedVsUnprunedBatch(t *testing.T) {
 	}
 }
 
-// TestPrunedVsUnprunedParallelStrict: the order-independent split column
-// scan (the corpus building block) is fully deterministic — byte-identical
-// to the unpruned sequential strict scan for any number of ranges.
-func TestPrunedVsUnprunedParallelStrict(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for iter := 0; iter < 60; iter++ {
-		d := dict.New()
-		q, doc, k := randomInstance(rng, d)
-		workers := 1 + rng.Intn(4)
-		opts := Options{NoTrees: true}
-
-		par := ranking.New(k)
-		if err := rangesInto(t, q, doc, par, 7, workers, opts); err != nil {
-			t.Fatal(err)
-		}
-		seq := ranking.New(k)
-		if err := PostorderStreamInto(q, postorder.FromTree(doc), seq, 7, unprunedOpts(opts)); err != nil {
-			t.Fatal(err)
-		}
-		mustEqualMatches(t, "parallel-strict", par.Sorted(), seq.Sorted())
-	}
-}
-
 // TestPrunedVsUnprunedQuick is the quick.Check form over a wider seed
 // space, comparing all three paths at once.
 func TestPrunedVsUnprunedQuick(t *testing.T) {
-	f := func(seed int64, wRaw uint8) bool {
+	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		d := dict.New()
 		q, doc, k := randomInstance(rng, d)
@@ -145,21 +120,21 @@ func TestPrunedVsUnprunedQuick(t *testing.T) {
 				return false
 			}
 		}
-		par := ranking.New(k)
-		if err := rangesInto(t, q, doc, par, 0, int(wRaw)%3+1, opts); err != nil {
+		cols := ranking.New(k)
+		if err := columnsInto(t, q, doc, cols, 0, opts); err != nil {
 			return false
 		}
-		parSorted := par.Sorted()
+		colsSorted := cols.Sorted()
 		seq := ranking.New(k)
 		if err := PostorderStreamInto(q, postorder.FromTree(doc), seq, 0, unprunedOpts(opts)); err != nil {
 			return false
 		}
 		seqSorted := seq.Sorted()
-		if len(parSorted) != len(seqSorted) {
+		if len(colsSorted) != len(seqSorted) {
 			return false
 		}
 		for i := range seqSorted {
-			if parSorted[i] != seqSorted[i] {
+			if colsSorted[i] != seqSorted[i] {
 				return false
 			}
 		}
@@ -198,14 +173,14 @@ func TestPruneStatsFire(t *testing.T) {
 		t.Error("no evaluation ran to completion")
 	}
 
-	// The split column scan must report through the same counters.
-	pstats := &work.Counts{}
+	// The column scan must report through the same counters.
+	cstats := &work.Counts{}
 	heap := ranking.New(1)
-	if err := rangesInto(t, q, doc, heap, 0, 2, Options{NoTrees: true, Prune: pstats}); err != nil {
+	if err := columnsInto(t, q, doc, heap, 0, Options{NoTrees: true, Prune: cstats}); err != nil {
 		t.Fatal(err)
 	}
-	if pstats.HistSkipped+pstats.Evaluated == 0 {
-		t.Error("split scan reported no pruning activity at all")
+	if cstats.HistSkipped+cstats.Evaluated == 0 {
+		t.Error("column scan reported no pruning activity at all")
 	}
 }
 
@@ -280,9 +255,9 @@ func TestTEDGateCounted(t *testing.T) {
 			}
 			return out[0], nil
 		},
-		"parallel": func(opts Options) ([]Match, error) {
+		"columns": func(opts Options) ([]Match, error) {
 			r := ranking.New(k)
-			err := rangesInto(t, q, doc, r, 0, 2, opts)
+			err := columnsInto(t, q, doc, r, 0, opts)
 			return r.Sorted(), err
 		},
 	}
@@ -299,15 +274,8 @@ func TestTEDGateCounted(t *testing.T) {
 		if gated > aborted {
 			t.Errorf("%s: TEDGated %d not counted inside TEDAborted %d", name, gated, aborted)
 		}
-		// Each of the two ranges has a memo of its own, so each may compute
-		// the near match once, and may scan whole records before the other
-		// publishes the exact match's distance.
 		hits, started := stats.TEDMemoHits, aborted+stats.Evaluated
-		misses := uint64(1)
-		if name == "parallel" {
-			misses = 2
-		}
-		if hits < nearMatches-misses || (name != "parallel" && hits != nearMatches-1) {
+		if hits != nearMatches-1 {
 			t.Errorf("%s: %d memo hits, want %d: every repeat of the near match and nothing else", name, hits, nearMatches-1)
 		}
 		if gated+hits > started {
@@ -322,7 +290,7 @@ func TestTEDGateCounted(t *testing.T) {
 		if g, a := off.TEDGated, off.TEDAborted; g != 0 || a != 0 {
 			t.Errorf("%s: early abort disabled but %d evaluations gated, %d aborted", name, g, a)
 		}
-		if started := off.Evaluated; name != "parallel" && started != aborted+stats.Evaluated {
+		if started := off.Evaluated; started != aborted+stats.Evaluated {
 			t.Errorf("%s: %d evaluations started unbounded, %d bounded: the ladder must end evaluations, not skip them",
 				name, started, aborted+stats.Evaluated)
 		}
@@ -333,14 +301,13 @@ func TestTEDGateCounted(t *testing.T) {
 // FuzzPrunedVsUnpruned fuzzes the equivalence property over arbitrary
 // well-formed documents and batches of 1…4 queries of mixed size: the
 // full pipeline must reproduce the unpruned ranking exactly — under the
-// strict margin (also over the document's columns, split into wRaw%6
-// ranges) and under the paper's boundary — and both must agree with the
-// exhaustive oracle.
+// strict margin (also over the document's columns) and under the paper's
+// boundary — and both must agree with the exhaustive oracle.
 func FuzzPrunedVsUnpruned(f *testing.F) {
-	f.Add([]byte{0x00, 0x01, 0x10, 0x22, 0x31, 0x04}, uint8(1), uint8(3), uint8(2), uint8(0))
-	f.Add([]byte{0x05, 0x0a, 0x21, 0x00, 0x13}, uint8(2), uint8(5), uint8(1), uint8(1))
-	f.Add([]byte{0x01, 0x01, 0x01, 0x71, 0x01, 0x72, 0x43}, uint8(3), uint8(2), uint8(4), uint8(3))
-	f.Fuzz(func(t *testing.T, data []byte, qSel, kRaw, wRaw, width uint8) {
+	f.Add([]byte{0x00, 0x01, 0x10, 0x22, 0x31, 0x04}, uint8(1), uint8(3), uint8(0))
+	f.Add([]byte{0x05, 0x0a, 0x21, 0x00, 0x13}, uint8(2), uint8(5), uint8(1))
+	f.Add([]byte{0x01, 0x01, 0x01, 0x71, 0x01, 0x72, 0x43}, uint8(3), uint8(2), uint8(3))
+	f.Fuzz(func(t *testing.T, data []byte, qSel, kRaw, width uint8) {
 		d := dict.New()
 		queries := fuzzQueries(d, qSel, width)
 		labelIDs := make([]int, 8)
@@ -395,12 +362,11 @@ func FuzzPrunedVsUnpruned(f *testing.F) {
 		for i := range ranks {
 			ranks[i] = ranking.New(k)
 		}
-		workers := int(wRaw) % 6
-		if err := PostorderBatchColumnsInto(queries, cols, nil, nil, ranks, 3, workers, opts); err != nil {
-			t.Fatalf("column scan (%d ranges) failed: %v", workers, err)
+		if err := PostorderBatchColumnsInto(queries, cols, nil, nil, ranks, 3, opts); err != nil {
+			t.Fatalf("column scan failed: %v", err)
 		}
 		for i, r := range ranks {
-			mustEqualMatches(t, fmt.Sprintf("fuzz-ranges-strict (%d ranges)", workers), r.Sorted(), unpruned[i])
+			mustEqualMatches(t, "fuzz-columns-strict", r.Sorted(), unpruned[i])
 		}
 	})
 }

@@ -16,10 +16,8 @@ import (
 // so a multi-document run builds it once instead of once per document:
 // per query the distance computer and label histogram, and the ring
 // buffer, column cursor and flat candidate view (their backing arrays only
-// ever grow). Each range of a split scan runs on a part, a
-// scratch of its own built by the run's first split document and kept
-// until Reset, so its memo spans the run. The distance memos outlive
-// runs: emptied for the next run's computers instead of allocated again.
+// ever grow). The distance memo outlives runs: emptied for the next run's
+// computers instead of allocated again.
 // Pass one via Options.Scratch when scanning many documents with the same
 // queries, rankings, model, and configuration; the corpus keeps them in a
 // sync.Pool, and a tasm.Matcher keeps one for all its runs.
@@ -38,7 +36,6 @@ type ScanScratch struct {
 	limits  []int32          // the kernel's gate-1 limits, one per state; only ever grows
 	tauMax  int              // the largest of the states' τ: what the ring and the cursor enumerate at
 	memo    *ted.Memo        // shared by the states' computers; kept across runs
-	parts   []*ScanScratch   // the ranges' scratches of a split scan; kept across runs, reset with this one
 	view    *tree.View
 	buf     *prb.Buffer // a stream's ring, built by its first stream scan
 	cur     *prb.Cursor // the kernel's: over a document's columns, or over one stream candidate at a time
@@ -54,19 +51,15 @@ type queryState struct {
 	rank *ranking.Heap
 }
 
-// Reset detaches the scratch and its parts from the previous run's
-// queries so the next scan rebuilds the per-query states. The memos,
-// ring, cursor and views keep their storage — they carry capacity,
-// not identity.
+// Reset detaches the scratch from the previous run's queries so the next
+// scan rebuilds the per-query states. The memo, ring, cursor and view
+// keep their storage — they carry capacity, not identity.
 func (s *ScanScratch) Reset() {
 	clear(s.queries)
 	clear(s.ranks)
 	clear(s.states)
 	clear(s.hists)
 	s.queries, s.ranks, s.states, s.hists, s.tauMax = s.queries[:0], s.ranks[:0], s.states[:0], s.hists[:0], 0
-	for _, p := range s.parts {
-		p.Reset()
-	}
 }
 
 // report adds the counts of the scan that just returned to c (nil: drops
@@ -76,42 +69,6 @@ func (s *ScanScratch) report(c *work.Counts) {
 		c.Add(s.counts)
 	}
 	s.counts = work.Counts{}
-}
-
-// split returns the parts of a scan split into n ranges, pointed at the
-// run's queries with one ranking of their own per query. Each starts the
-// document as a copy of the run's ranking, so a range prunes against the
-// earlier documents' results merged with its own, as the sequential scan
-// does, and publishes to the run's cutoff (attached first where there is
-// none), so the ranges prune against each other's results too.
-func (s *ScanScratch) split(n int, opts *Options) ([]*ScanScratch, error) {
-	for _, r := range s.ranks {
-		if r.CutoffPublisher() == nil {
-			r.PublishTo(ranking.NewCutoff())
-		}
-	}
-	for len(s.parts) < n {
-		s.parts = append(s.parts, new(ScanScratch))
-	}
-	for _, p := range s.parts[:n] {
-		ranks := p.ranks
-		if len(ranks) == 0 {
-			ranks = make([]*ranking.Heap, len(s.ranks))
-			for q, r := range s.ranks {
-				ranks[q] = ranking.New(r.K())
-				ranks[q].PublishTo(r.CutoffPublisher())
-			}
-		}
-		o := *opts
-		o.Scratch = p
-		if _, err := o.scratch(s.queries, ranks); err != nil {
-			return nil, err
-		}
-		for q, r := range ranks {
-			r.Merge(s.ranks[q])
-		}
-	}
-	return s.parts[:n], nil
 }
 
 // matches reports whether the scratch's states were built for exactly

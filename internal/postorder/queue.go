@@ -89,20 +89,11 @@ func Collect(q Queue) ([]Item, error) {
 }
 
 // BuildTree materializes the tree defined by a postorder queue. It returns
-// an error if the stream does not encode a single well-formed tree: sizes
-// must be consistent (each node's size is 1 plus the sizes of the subtrees
-// it closes over) and exactly one root must remain.
-//
-// The reconstruction keeps a stack of completed subtree roots: a node of
-// size s adopts the maximal run of completed subtrees whose sizes sum to
-// s-1 (its children, in order).
+// an error if the stream does not encode a single well-formed tree — the
+// check tree.FromPostorder shares with the candidate views — or carries a
+// label id d does not hold.
 func BuildTree(d dict.Dict, q Queue) (*tree.Tree, error) {
-	type frame struct {
-		node *tree.Node
-		size int
-	}
-	var stack []frame
-	n := 0
+	var labels, sizes []int
 	for {
 		it, err := q.Next()
 		if errors.Is(err, io.EOF) {
@@ -111,36 +102,13 @@ func BuildTree(d dict.Dict, q Queue) (*tree.Tree, error) {
 		if err != nil {
 			return nil, err
 		}
-		n++
-		if it.Size < 1 {
-			return nil, fmt.Errorf("postorder: node %d has size %d, want ≥ 1", n, it.Size)
+		if it.Label < 0 || it.Label >= d.Len() {
+			return nil, fmt.Errorf("postorder: node %d has label id %d, not in the dictionary", len(labels)+1, it.Label)
 		}
-		node := &tree.Node{Label: d.Label(it.Label)}
-		need := it.Size - 1
-		var children []*tree.Node
-		for need > 0 {
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("postorder: node %d (size %d) needs %d more descendant nodes than available", n, it.Size, need)
-			}
-			top := stack[len(stack)-1]
-			if top.size > need {
-				return nil, fmt.Errorf("postorder: node %d (size %d) splits subtree of size %d", n, it.Size, top.size)
-			}
-			stack = stack[:len(stack)-1]
-			children = append(children, top.node)
-			need -= top.size
-		}
-		// Children were popped right-to-left; reverse into sibling order.
-		for i, j := 0, len(children)-1; i < j; i, j = i+1, j-1 {
-			children[i], children[j] = children[j], children[i]
-		}
-		node.Children = children
-		stack = append(stack, frame{node: node, size: it.Size})
+		labels = append(labels, it.Label)
+		sizes = append(sizes, it.Size)
 	}
-	if len(stack) != 1 {
-		return nil, fmt.Errorf("postorder: stream encodes %d trees, want exactly 1", len(stack))
-	}
-	return tree.FromNode(d, stack[0].node), nil
+	return tree.FromPostorder(d, labels, sizes)
 }
 
 // Validate drains q checking that it encodes a single well-formed tree

@@ -67,6 +67,8 @@ func TestBuildTreeErrors(t *testing.T) {
 		"size zero":      {{a, 0}},
 		"needs missing":  {{a, 3}},
 		"splits subtree": {{a, 1}, {a, 2}, {a, 1}, {a, 3}},
+		"unknown label":  {{a, 1}, {a + 1, 2}},
+		"negative label": {{-1, 1}},
 	}
 	for name, items := range cases {
 		if _, err := BuildTree(d, NewSliceQueue(items)); err == nil {

@@ -35,7 +35,6 @@ type Cursor struct {
 	roots  []int32 // candidate root ids, in document order: own, or a cached set's
 	own    []int32 // the roots a Reset without a cached set locates; never a set's
 	cur    int     // index of the pending candidate in roots; the next is cur+1
-	end    int     // index in roots past the cursor's last candidate
 	// bounds holds row q — one bound per candidate — for the q-th
 	// histogram Reset was given, at [q·len(roots), (q+1)·len(roots)).
 	bounds   []int32
@@ -124,7 +123,7 @@ func (c *Cursor) ResetWindow(labels, sizes []int32, hists []*LabelHist) {
 //
 //tasm:hotpath
 func (c *Cursor) rows(hists int) {
-	c.cur, c.end = -1, len(c.roots)
+	c.cur = -1
 	c.bounds = grow(c.bounds, hists*len(c.roots))
 	c.postings = 0
 }
@@ -140,19 +139,6 @@ func grow(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-// Candidates returns the number of candidates the last Reset located.
-func (c *Cursor) Candidates() int { return len(c.roots) }
-
-// Range returns a cursor over candidates [lo, hi) of the last Reset,
-// bounds included. It shares c's columns, roots and bounds, which no
-// range writes, so ranges of one cursor may scan concurrently; it must
-// not itself be Reset.
-func (c *Cursor) Range(lo, hi int) Cursor {
-	r := *c
-	r.cur, r.end = lo-1, hi
-	return r
-}
-
 // PostingRows reports how many of the histograms given to the last Reset
 // had their bounds read from the label postings; the others walked the
 // label column.
@@ -163,12 +149,12 @@ func (c *Cursor) PostingRows() int { return c.postings }
 // no cache.
 func (c *Cursor) Missed() bool { return c.missed }
 
-// Next advances to the next candidate of the cursor's range in document
-// order and reports whether there is one.
+// Next advances to the next candidate in document order and reports
+// whether there is one.
 //
 //tasm:hotpath
 func (c *Cursor) Next() bool {
-	if c.cur+1 >= c.end {
+	if c.cur+1 >= len(c.roots) {
 		return false
 	}
 	c.cur++
@@ -180,22 +166,21 @@ func (c *Cursor) Next() bool {
 // q — one limit per histogram; bounds are integers, so a limit is the
 // floor of a k-th distance, and math.MaxInt32 gates nothing — and returns
 // how many it stepped over. It stops before the first candidate some
-// histogram admits or at the end of the cursor's range, so the next Next
-// visits that candidate or reports the end.
+// histogram admits or after the last candidate, so the next Next visits
+// that candidate or reports the end.
 //
 //tasm:hotpath
 func (c *Cursor) Skip(limits []int32) int {
-	from := c.cur + 1
+	from, n := c.cur+1, len(c.roots)
 	j := from
 	if len(limits) == 1 {
-		row, limit := c.bounds[:c.end], limits[0]
+		row, limit := c.bounds[:n], limits[0]
 		for j < len(row) && row[j] > limit {
 			j++
 		}
 	} else {
-		n := len(c.roots)
 	runs:
-		for ; j < c.end; j++ {
+		for ; j < n; j++ {
 			for q, limit := range limits {
 				if c.bounds[q*n+j] <= limit {
 					break runs

@@ -239,12 +239,14 @@ func (t *Trace) Begin(name, detail string) int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.spans) == cap(t.spans) {
+	n := len(t.spans)
+	if n == cap(t.spans) {
 		t.dropped++
 		return -1
 	}
-	t.spans = append(t.spans, Span{Name: name, Detail: detail, Start: time.Since(t.start)}) //tasm:allow alloc — append below cap only: the guard above drops spans once the fixed slab fills
-	return len(t.spans) - 1
+	t.spans = t.spans[:n+1] // within the fixed slab's capacity
+	t.spans[n] = Span{Name: name, Detail: detail, Start: time.Since(t.start)}
+	return n
 }
 
 // End closes the span. A handle past the current slab (possible only if

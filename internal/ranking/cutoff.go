@@ -10,8 +10,7 @@ import (
 // of the heaps attached to it. It is the lock-free communication channel
 // of the candidate pruning pipeline: the kernel's histogram and size gates
 // and the early-abort TED evaluations of every scan sharing it — later
-// documents of a corpus run, the ranges of a split document, the shards
-// of a group — read the bound with a single atomic load, and every heap
+// documents of a corpus run, the shards of a group — read the bound with a single atomic load, and every heap
 // attached to it publishes its k-th distance with a compare-and-swap.
 //
 // The published value only ever decreases (Tighten is a monotonic min),

@@ -77,8 +77,8 @@ func TestHeapPublishes(t *testing.T) {
 }
 
 // TestHeapPublishToWhenAlreadyFull: attaching to a full heap publishes
-// immediately (the corpus attaches before scanning, but core's worker
-// pool may attach mid-query).
+// immediately (the corpus attaches before scanning, but a heap attached
+// mid-query must not wait for its next push).
 func TestHeapPublishToWhenAlreadyFull(t *testing.T) {
 	h := New(1)
 	h.Push(Entry{Dist: 3, Pos: 1})
@@ -86,39 +86,5 @@ func TestHeapPublishToWhenAlreadyFull(t *testing.T) {
 	h.PublishTo(c)
 	if got := c.Load(); got != 3 {
 		t.Fatalf("published %g on attach, want 3", got)
-	}
-	if h.CutoffPublisher() != c {
-		t.Error("CutoffPublisher does not return the attached publisher")
-	}
-}
-
-// TestDrain: draining moves the entries inside the position window
-// exactly once and empties the source.
-func TestDrain(t *testing.T) {
-	dst := New(3)
-	src := New(3)
-	for i, d := range []float64{5, 1, 3} {
-		src.Push(Entry{Dist: d, Pos: i + 1})
-	}
-	dst.Push(Entry{Dist: 2, Pos: 10})
-	src.Push(Entry{Dist: 0, Pos: 11}) // outside the window: not drained
-	dst.Drain(src, 1, 3)
-	if src.Len() != 0 {
-		t.Fatalf("source holds %d entries after Drain, want 0", src.Len())
-	}
-	got := dst.Sorted()
-	want := []float64{1, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("drained ranking has %d entries, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Dist != want[i] {
-			t.Errorf("entry %d dist %g, want %g", i, got[i].Dist, want[i])
-		}
-	}
-	// A second drain of the now-empty source must be a no-op.
-	dst.Drain(src, 1, 3)
-	if dst.Len() != 3 {
-		t.Errorf("second drain changed the destination: %d entries", dst.Len())
 	}
 }

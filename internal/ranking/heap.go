@@ -1,8 +1,7 @@
 // Package ranking implements the top-k ranking structure of TASM
 // (Section VI-B): a bounded max-heap of (distance, subtree) pairs
 // supporting constant-time access to the current k-th best distance
-// (max), logarithmic insertion and eviction (pop-heap), and merging of
-// two rankings (merge-heap).
+// (max) and logarithmic insertion and eviction (pop-heap).
 //
 // Entries are ordered by (Distance, Pos): ties in distance are broken by
 // the subtree root's postorder position in the document, which makes
@@ -89,9 +88,6 @@ func (h *Heap) PublishTo(c *Cutoff) {
 	}
 }
 
-// CutoffPublisher returns the attached publisher, or nil.
-func (h *Heap) CutoffPublisher() *Cutoff { return h.cutoff }
-
 // KthBound returns the tightest currently known bound on the distance an
 // entry must beat to reach the final ranking: the heap's own k-th distance
 // once full, further tightened by the attached cutoff publisher when one
@@ -120,10 +116,11 @@ func (h *Heap) KthBound() float64 {
 //
 //tasm:hotpath
 func (h *Heap) Push(e Entry) bool {
-	if len(h.es) < h.k {
-		h.es = append(h.es, e) //tasm:allow alloc — append below k only: New preallocates capacity k and a full heap evicts in place
-		h.up(len(h.es) - 1)
-		if h.cutoff != nil && len(h.es) == h.k {
+	if n := len(h.es); n < h.k {
+		h.es = h.es[:n+1] // within the capacity k New preallocates
+		h.es[n] = e
+		h.up(n)
+		if h.cutoff != nil && n+1 == h.k {
 			h.cutoff.Tighten(h.es[0].Dist)
 		}
 		return true
@@ -139,19 +136,6 @@ func (h *Heap) Push(e Entry) bool {
 	return true
 }
 
-// Drain pushes the entries of other at positions [lo, hi] into h and
-// empties other, which keeps its capacity and k. A split scan's range
-// ranks into a copy of the shared heap (Merge) and drains back only its
-// document's positions, so no entry is pushed twice.
-func (h *Heap) Drain(other *Heap, lo, hi int) {
-	for _, e := range other.es {
-		if lo <= e.Pos && e.Pos <= hi {
-			h.Push(e)
-		}
-	}
-	other.es = other.es[:0]
-}
-
 // WouldRetain reports whether Push(e) would keep e, without modifying the
 // ranking. Callers use it to defer expensive entry construction (e.g.
 // materializing the matched subtree) until retention is certain.
@@ -159,14 +143,6 @@ func (h *Heap) Drain(other *Heap, lo, hi int) {
 //tasm:hotpath
 func (h *Heap) WouldRetain(e Entry) bool {
 	return len(h.es) < h.k || less(e, h.es[0])
-}
-
-// Merge pushes every entry of other into h (the paper's merge-heap
-// followed by the pop-heap loop that restores |R| ≤ k).
-func (h *Heap) Merge(other *Heap) {
-	for _, e := range other.es {
-		h.Push(e)
-	}
 }
 
 // Sorted returns the retained entries in ranking order: ascending

@@ -73,28 +73,6 @@ func TestWouldRetainMatchesPush(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := New(3)
-	b := New(3)
-	for i, d := range []float64{9, 2, 7} {
-		a.Push(Entry{Dist: d, Pos: i + 1})
-	}
-	for i, d := range []float64{1, 8, 3} {
-		b.Push(Entry{Dist: d, Pos: i + 10})
-	}
-	a.Merge(b)
-	got := a.Sorted()
-	want := []float64{1, 2, 3}
-	for i, w := range want {
-		if got[i].Dist != w {
-			t.Errorf("rank %d = %g, want %g", i, got[i].Dist, w)
-		}
-	}
-	if a.Len() != 3 {
-		t.Errorf("merged len = %d", a.Len())
-	}
-}
-
 // TestAgainstSortQuick: the heap's result equals sorting all entries and
 // truncating to k under (Dist, Pos).
 func TestAgainstSortQuick(t *testing.T) {

@@ -286,7 +286,8 @@ func (m *Matcher) OpenStore(r io.Reader) (Queue, error) {
 }
 
 // BuildTree materializes the tree encoded by a postorder queue. It fails
-// if the stream is not a single well-formed tree.
+// if the stream is not a single well-formed tree or carries a label id
+// the matcher's dictionary does not hold.
 func (m *Matcher) BuildTree(q Queue) (*Tree, error) {
 	return postorder.BuildTree(m.dict, q)
 }
@@ -334,10 +335,8 @@ func (m *Matcher) TopK(ctx context.Context, q, doc *Tree, k int) ([]Match, error
 
 // TopKStream is TopK over a streaming document: total memory is
 // independent of the document size (Theorem 5 of the paper). The queue is
-// consumed; stream a fresh one per query. The scan is sequential — a
-// stream can only be dequeued in order; a corpus (OpenCorpus) queried with
-// corpus.WithWorkers splits the candidates of its resident documents
-// across goroutines.
+// consumed; stream a fresh one per query. Like every scan, it runs on
+// the calling goroutine.
 func (m *Matcher) TopKStream(ctx context.Context, q *Tree, doc Queue, k int) ([]Match, error) {
 	defer m.scratch.Reset()
 	return core.PostorderStream(q, doc, k, m.options(ctx))

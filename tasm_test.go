@@ -8,7 +8,6 @@ import (
 	"testing"
 	"weak"
 
-	"tasm/corpus"
 	"tasm/internal/postorder"
 	"tasm/internal/race"
 )
@@ -228,43 +227,6 @@ type recordingProbe struct{ relevant, candidates, pruned int }
 func (p *recordingProbe) RelevantSubtree(int) { p.relevant++ }
 func (p *recordingProbe) Candidate(int)       { p.candidates++ }
 func (p *recordingProbe) Pruned(int)          { p.pruned++ }
-
-// TestTopKParallelPublic: the library's parallel entry point is a corpus
-// queried with corpus.WithWorkers; split into ranges, it answers exactly
-// as a sequential Matcher scan of the same document, trees included.
-func TestTopKParallelPublic(t *testing.T) {
-	ctx := context.Background()
-	m := New()
-	doc, err := m.ParseXML(strings.NewReader(sampleXML))
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, _ := m.ParseBracket("{article{author}{title}}")
-	seq, err := m.TopK(ctx, q, doc, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := OpenCorpus(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.AddTree("dblp", doc); err != nil {
-		t.Fatal(err)
-	}
-	par, err := c.TopK(ctx, q, 3, corpus.WithWorkers(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(par) != len(seq) {
-		t.Fatalf("%d matches split into ranges, %d sequential", len(par), len(seq))
-	}
-	for i := range seq {
-		if par[i].Dist != seq[i].Dist || par[i].Pos != seq[i].Pos || par[i].Tree.String() != seq[i].Tree.String() {
-			t.Errorf("rank %d: split {%g %d %s}, sequential {%g %d %s}", i,
-				par[i].Dist, par[i].Pos, par[i].Tree, seq[i].Dist, seq[i].Pos, seq[i].Tree)
-		}
-	}
-}
 
 func TestWriteXMLRoundTrip(t *testing.T) {
 	m := New()
